@@ -54,7 +54,6 @@ from fbsweep.lqg import (
     fbsm_lqg,
     inference_gain,
     lambda_rhs,
-    lqg_control,
     lqg_objective,
     mu_rhs,
     pi_rhs,
@@ -114,7 +113,6 @@ __all__ = [
     "inference_gain",
     "lambda_rhs",
     "lemma1_check",
-    "lqg_control",
     "lqg_grid_crosscheck",
     "lqg_objective",
     "minimize_conditional_hamiltonian",

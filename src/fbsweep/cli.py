@@ -232,9 +232,9 @@ def _lqg_gaps(result):
 
 
 def _min_lambda_eigenvalue(result) -> float:
-    return float(
-        min(np.linalg.eigvalsh(lam).min() for lam in result.lambda_iterates)
-    )
+    # a Pi sweep holds Lambda, so consecutive iterates share one array
+    distinct = {id(lam): lam for lam in result.lambda_iterates}
+    return float(np.linalg.eigvalsh(np.stack(list(distinct.values()))).min())
 
 
 def _run_lqg(doc: dict, out) -> tuple:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from fbsweep.core import (
     DivergenceError,
@@ -52,14 +53,16 @@ def inference_gain(lam: np.ndarray, d_x: int, d_z: Optional[int] = None) -> np.n
         K = [[0, -lam_xx^{-1} lam_xz], [0, I]].
 
     Only the memory block of s enters K (s - mu), so any control built
-    from it is automatically a function of z alone.
+    from it is automatically a function of z alone. lam may be a single
+    (d_s, d_s) matrix or a stack of shape (..., d_s, d_s); a singular or
+    non-finite state block in any slice raises SingularPrecisionError.
     """
     lam = np.asarray(lam, dtype=float)
-    d_s = lam.shape[0]
+    d_s = lam.shape[-1]
     if d_z is not None and d_x + d_z != d_s:
         raise ProblemError(f"d_x + d_z = {d_x + d_z} does not match matrix size {d_s}")
-    lam_xx = lam[:d_x, :d_x]
-    lam_xz = lam[:d_x, d_x:]
+    lam_xx = lam[..., :d_x, :d_x]
+    lam_xz = lam[..., :d_x, d_x:]
     try:
         cross = np.linalg.solve(lam_xx, lam_xz)
     except np.linalg.LinAlgError as exc:
@@ -70,10 +73,33 @@ def inference_gain(lam: np.ndarray, d_x: int, d_z: Optional[int] = None) -> np.n
         raise SingularPrecisionError(
             "state block of the precision matrix is numerically singular"
         )
-    gain = np.zeros((d_s, d_s))
-    gain[:d_x, d_x:] = -cross
-    gain[d_x:, d_x:] = np.eye(d_s - d_x)
+    gain = np.zeros(lam.shape)
+    gain[..., :d_x, d_x:] = -cross
+    gain[..., d_x:, d_x:] = np.eye(d_s - d_x)
     return gain
+
+
+def _memory_cross(lam_val: np.ndarray, d_x: int) -> np.ndarray:
+    """C = lam_xx^{-1} lam_xz of one precision matrix, by one LAPACK solve."""
+    _, _, cross, info = dgesv(lam_val[:d_x, :d_x], lam_val[:d_x, d_x:])
+    if info != 0:
+        raise SingularPrecisionError("state block of the precision matrix is singular")
+    return cross
+
+
+def _half_grid(nodes: np.ndarray, method: str) -> np.ndarray:
+    """Held node values at the points the sweep stages read.
+
+    For rk4, index 2i is node i and index 2i+1 the average of nodes i and
+    i+1, matching the half-grid layout of _Coefficients. Euler stages read
+    nodes only, so the node stack is returned unchanged.
+    """
+    if method == "euler":
+        return nodes
+    half = np.empty((2 * len(nodes) - 1,) + nodes.shape[1:])
+    half[0::2] = nodes
+    half[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return half
 
 
 class _Coefficients:
@@ -330,11 +356,6 @@ class LqgControlLaw:
         return self.evaluate_memory(t, s[..., self.problem.d_x :])
 
 
-def lqg_control(law: LqgControlLaw, t: float, s: np.ndarray) -> np.ndarray:
-    """Evaluate the affine law at extended state(s) s."""
-    return law.evaluate(t, s)
-
-
 @dataclass
 class LqgSweepResult:
     """Gains, per-iteration objective history, and iterate trajectories."""
@@ -357,42 +378,54 @@ def _backward_pi(problem, coeffs, lam_stale, method):
     """One backward sweep of Pi holding the precision trajectory fixed."""
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
-    d_x = problem.d_x
+    # I - K(Lambda) for every stage, from one batched gain evaluation
+    ik = np.eye(d) - inference_gain(_half_grid(lam_stale, method), problem.d_x)
+    ik_t = np.swapaxes(ik, -1, -2)
 
-    def rhs(idx2, pi_val, lam_val):
+    def rhs(idx2, pi_val, j):
         A, M, Q, _ = coeffs.at(idx2)
-        K = inference_gain(lam_val, d_x)
-        ik = np.eye(d) - K
         pmp = pi_val @ M @ pi_val
-        return Q + A.T @ pi_val + pi_val @ A - pmp + ik.T @ pmp @ ik
+        return Q + A.T @ pi_val + pi_val @ A - pmp + ik_t[j] @ pmp @ ik[j]
 
     pi = np.empty((n + 1, d, d))
     pi[n] = _sym(problem.P)
     for i in range(n - 1, -1, -1):
         top = pi[i + 1]
         if method == "euler":
-            step = rhs(2 * i, top, lam_stale[i])
+            step = rhs(2 * i, top, i)
         else:
-            lam_mid = 0.5 * (lam_stale[i] + lam_stale[i + 1])
-            k1 = rhs(2 * i + 2, top, lam_stale[i + 1])
-            k2 = rhs(2 * i + 1, top + 0.5 * dt * k1, lam_mid)
-            k3 = rhs(2 * i + 1, top + 0.5 * dt * k2, lam_mid)
-            k4 = rhs(2 * i, top + dt * k3, lam_stale[i])
+            k1 = rhs(2 * i + 2, top, 2 * i + 2)
+            k2 = rhs(2 * i + 1, top + 0.5 * dt * k1, 2 * i + 1)
+            k3 = rhs(2 * i + 1, top + 0.5 * dt * k2, 2 * i + 1)
+            k4 = rhs(2 * i, top + dt * k3, 2 * i)
             step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         pi[i] = _sym(top + dt * step)
     return pi
 
 
 def _forward_lambda(problem, coeffs, pi_stale, method):
-    """One forward sweep of Lambda holding the Pi trajectory fixed."""
+    """One forward sweep of Lambda holding the Pi trajectory fixed.
+
+    K(Lambda) has zero state columns and memory columns [-C; I] with
+    C = Lambda_xx^{-1} Lambda_xz, so the closed-loop drift
+    A - M Pi K is A with M (Pi_z - Pi_x C) subtracted from its memory
+    columns. M Pi is tabulated for every stage before the time loop,
+    leaving one small solve per stage.
+    """
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
     d_x = problem.d_x
+    if method == "euler":
+        # the Euler step pairs node-i coefficients with pi[i + 1]
+        mp = coeffs.M[:-1:2] @ pi_stale[1:]
+    else:
+        mp = coeffs.M @ _half_grid(pi_stale, method)
+    mp_x, mp_z = mp[..., :d_x], mp[..., d_x:]
 
-    def rhs(idx2, lam_val, pi_val):
-        A, M, _, SS = coeffs.at(idx2)
-        K = inference_gain(lam_val, d_x)
-        At = A - M @ pi_val @ K
+    def rhs(idx2, lam_val, j):
+        A, _, _, SS = coeffs.at(idx2)
+        At = A.copy()
+        At[:, d_x:] -= mp_z[j] - mp_x[j] @ _memory_cross(lam_val, d_x)
         return -At.T @ lam_val - lam_val @ At - lam_val @ SS @ lam_val
 
     lam = np.empty((n + 1, d, d))
@@ -400,70 +433,80 @@ def _forward_lambda(problem, coeffs, pi_stale, method):
     for i in range(n):
         base = lam[i]
         if method == "euler":
-            step = rhs(2 * i, base, pi_stale[i + 1])
+            step = rhs(2 * i, base, i)
         else:
-            pi_mid = 0.5 * (pi_stale[i] + pi_stale[i + 1])
-            k1 = rhs(2 * i, base, pi_stale[i])
-            k2 = rhs(2 * i + 1, base + 0.5 * dt * k1, pi_mid)
-            k3 = rhs(2 * i + 1, base + 0.5 * dt * k2, pi_mid)
-            k4 = rhs(2 * i + 2, base + dt * k3, pi_stale[i + 1])
+            k1 = rhs(2 * i, base, 2 * i)
+            k2 = rhs(2 * i + 1, base + 0.5 * dt * k1, 2 * i + 1)
+            k3 = rhs(2 * i + 1, base + 0.5 * dt * k2, 2 * i + 1)
+            k4 = rhs(2 * i + 2, base + dt * k3, 2 * i + 2)
             step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         lam[i + 1] = _sym(base + dt * step)
+    # one batched check that every node a stage read has a finite,
+    # invertible state block; a bad last node is left to the caller's
+    # finiteness check
+    inference_gain(lam[:-1], d_x)
     return lam
+
+
+def _expected_cost(problem, coeffs, psi, pi, gain, mu, sigma):
+    """Expected cost of the affine law from node-wise moments.
+
+    gain is K(Lambda) and sigma the closed-loop covariance at the grid
+    nodes. The running cost density
+    tr(Q Sigma) + mu'Q mu + tr((Pi K)' M Pi K Sigma) + mu'Psi M Psi mu
+    is integrated by the trapezoidal rule, plus the terminal cost.
+    """
+    Q, M = coeffs.Q[::2], coeffs.M[::2]
+    pk = pi @ gain
+    ctrl_gain = np.swapaxes(pk, -1, -2) @ M @ pk
+    row, col = mu[:, None, :], mu[:, :, None]
+    state_term = np.trace(Q @ sigma, axis1=-2, axis2=-1) + (row @ Q @ col)[:, 0, 0]
+    ctrl_term = (
+        np.trace(ctrl_gain @ sigma, axis1=-2, axis2=-1)
+        + (row @ psi @ M @ psi @ col)[:, 0, 0]
+    )
+    densities = state_term + ctrl_term
+    running = float(np.trapezoid(densities, dx=coeffs.dt))
+    terminal = float(np.trace(problem.P @ sigma[-1]) + mu[-1] @ problem.P @ mu[-1])
+    return running + terminal
 
 
 def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
     """Expected cost of the affine law defined by (psi, pi, lam, mu).
 
     Integrates the true closed-loop covariance Sigma (not Lambda^{-1},
-    which is only consistent after a forward sweep) and accumulates the
-    quadratic cost by trapezoidal quadrature.
+    which is only consistent after a forward sweep) under the drift
+    A - M Pi K(Lambda), tabulated for every stage in one batched
+    expression, and prices it with _expected_cost.
     """
     n, dt = coeffs.n, coeffs.dt
-    d_x = problem.d_x
+    gain = inference_gain(_half_grid(lam, method), problem.d_x)
+    if method == "euler":
+        A, M, SS = coeffs.A[::2], coeffs.M[::2], coeffs.SS[::2]
+    else:
+        A, M, SS = coeffs.A, coeffs.M, coeffs.SS
+    drift = A - M @ _half_grid(pi, method) @ gain
+    drift_t = np.swapaxes(drift, -1, -2)
 
-    def closed_loop_drift(idx2, pi_val, lam_val):
-        A, M, _, _ = coeffs.at(idx2)
-        return A - M @ pi_val @ inference_gain(lam_val, d_x)
-
-    def cost_density(i):
-        A, M, Q, _ = coeffs.at(2 * i)
-        K = inference_gain(lam[i], d_x)
-        PK = pi[i] @ K
-        state_term = np.trace(Q @ sigma_nodes[i]) + mu[i] @ Q @ mu[i]
-        ctrl_gain = PK.T @ M @ PK
-        ctrl_term = np.trace(ctrl_gain @ sigma_nodes[i]) + mu[i] @ psi[i] @ M @ psi[i] @ mu[i]
-        return state_term + ctrl_term
+    def rhs(j, sig_val):
+        return drift[j] @ sig_val + sig_val @ drift_t[j] + SS[j]
 
     sigma_nodes = np.empty_like(lam)
     sigma_nodes[0] = np.linalg.inv(problem.lambda0)
     for i in range(n):
         base = sigma_nodes[i]
-
-        def rhs(idx2, sig_val, pi_val, lam_val):
-            At = closed_loop_drift(idx2, pi_val, lam_val)
-            _, _, _, SS = coeffs.at(idx2)
-            return At @ sig_val + sig_val @ At.T + SS
-
         if method == "euler":
-            step = rhs(2 * i, base, pi[i], lam[i])
+            step = rhs(i, base)
         else:
-            pi_mid = 0.5 * (pi[i] + pi[i + 1])
-            lam_mid = 0.5 * (lam[i] + lam[i + 1])
-            k1 = rhs(2 * i, base, pi[i], lam[i])
-            k2 = rhs(2 * i + 1, base + 0.5 * dt * k1, pi_mid, lam_mid)
-            k3 = rhs(2 * i + 1, base + 0.5 * dt * k2, pi_mid, lam_mid)
-            k4 = rhs(2 * i + 2, base + dt * k3, pi[i + 1], lam[i + 1])
+            k1 = rhs(2 * i, base)
+            k2 = rhs(2 * i + 1, base + 0.5 * dt * k1)
+            k3 = rhs(2 * i + 1, base + 0.5 * dt * k2)
+            k4 = rhs(2 * i + 2, base + dt * k3)
             step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         sigma_nodes[i + 1] = _sym(base + dt * step)
     _check_finite(sigma_nodes, np.linspace(0, problem.horizon, n + 1), "Sigma")
-
-    densities = np.array([cost_density(i) for i in range(n + 1)])
-    running = float(np.trapezoid(densities, dx=dt))
-    terminal = float(
-        np.trace(problem.P @ sigma_nodes[n]) + mu[n] @ problem.P @ mu[n]
-    )
-    return running + terminal
+    node_gain = gain if method == "euler" else gain[::2]
+    return _expected_cost(problem, coeffs, psi, pi, node_gain, mu, sigma_nodes)
 
 
 def fbsm_lqg(
@@ -571,31 +614,14 @@ def lqg_objective(problem: LqgProblem, gains: GainTrajectory) -> float:
     exact when the Lambda trajectory is the forward solution consistent
     with the Pi trajectory (always true for converged sweep output).
     """
-    lam = gains.lam
+    coeffs = _Coefficients(problem)
+    if gains.n_steps != coeffs.n:
+        raise ProblemError(
+            f"gain trajectory has {gains.n_steps} steps, problem has {coeffs.n}"
+        )
     try:
-        sigma = np.linalg.inv(lam)
+        sigma = np.linalg.inv(gains.lam)
     except np.linalg.LinAlgError as exc:
         raise SingularPrecisionError("Lambda trajectory not invertible") from exc
-    n = gains.n_steps
-    dt = gains.horizon / n
-    d_x = gains.d_x
-    Q_f = as_time_fn(problem.Q)
-    B_f, R_f = as_time_fn(problem.B), as_time_fn(problem.R)
-    densities = np.empty(n + 1)
-    for i, t in enumerate(gains.times):
-        Q = np.atleast_2d(np.asarray(Q_f(t), dtype=float))
-        B = np.atleast_2d(np.asarray(B_f(t), dtype=float))
-        R = np.atleast_2d(np.asarray(R_f(t), dtype=float))
-        M = B @ np.linalg.solve(R, B.T)
-        K = inference_gain(lam[i], d_x)
-        PK = gains.pi[i] @ K
-        mu_i = gains.mu[i]
-        densities[i] = (
-            np.trace(Q @ sigma[i])
-            + mu_i @ Q @ mu_i
-            + np.trace(PK.T @ M @ PK @ sigma[i])
-            + mu_i @ gains.psi[i] @ M @ gains.psi[i] @ mu_i
-        )
-    running = float(np.trapezoid(densities, dx=dt))
-    terminal = float(np.trace(problem.P @ sigma[n]) + gains.mu[n] @ problem.P @ gains.mu[n])
-    return running + terminal
+    gain = inference_gain(gains.lam, gains.d_x)
+    return _expected_cost(problem, coeffs, gains.psi, gains.pi, gain, gains.mu, sigma)

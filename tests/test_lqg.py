@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fbsweep.core import (
     DivergenceError,
@@ -13,7 +16,6 @@ from fbsweep.lqg import (
     fbsm_lqg,
     inference_gain,
     lambda_rhs,
-    lqg_control,
     lqg_objective,
     mu_rhs,
     pi_rhs,
@@ -37,6 +39,24 @@ def tracking_problem(horizon=10.0, dt=0.01):
         horizon=horizon,
         dt=dt,
         d_x=1,
+        d_z=1,
+    )
+
+
+def two_state_problem():
+    """Two coupled state coordinates observed through one memory coordinate."""
+    return LqgProblem(
+        A=np.array([[0.5, 1.0, 0.0], [-1.0, 0.2, 0.0], [1.0, 0.5, -0.3]]),
+        B=np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.0]]),
+        sigma=np.diag([1.0, 0.7, 0.5]),
+        Q=np.diag([1.0, 0.5, 0.0]),
+        R=np.diag([1.0, 2.0]),
+        P=np.diag([0.2, 0.1, 0.0]),
+        mu0=np.array([0.5, -0.25, 0.0]),
+        lambda0=np.array([[2.0, 0.3, 0.5], [0.3, 1.5, 0.2], [0.5, 0.2, 1.0]]),
+        horizon=1.0,
+        dt=0.01,
+        d_x=2,
         d_z=1,
     )
 
@@ -69,15 +89,25 @@ class TestInferenceGain:
         K = inference_gain(np.array([[2.0, 1.0], [1.0, 1.0]]), d_x=1)
         assert np.allclose(K, [[0.0, -0.5], [0.0, 1.0]])
 
-    def test_conditional_mean_property(self):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_x=st.sampled_from([1, 2]),
+        roots=hnp.arrays(
+            np.float64, (5, 4, 4), elements=st.floats(-3.0, 3.0, allow_subnormal=False)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conditional_mean_property(self, d_x, roots, seed):
         # K(s - mu) + mu must equal the Gaussian conditional mean of s
-        # given the memory block, computed independently from covariances.
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            root = rng.normal(size=(4, 4))
-            lam = root @ root.T + 4 * np.eye(4)
-            d_x = 2
+        # given the memory block, computed independently from covariances,
+        # and a stack of precisions must give the single-matrix gains.
+        lams = roots @ np.swapaxes(roots, -1, -2) + 4 * np.eye(4)
+        stacked = inference_gain(lams, d_x)
+        assert stacked.shape == lams.shape
+        rng = np.random.default_rng(seed)
+        for lam, K_slice in zip(lams, stacked):
             K = inference_gain(lam, d_x)
+            assert np.array_equal(K_slice, K)
             cov = np.linalg.inv(lam)
             gain_cov = cov[:d_x, d_x:] @ np.linalg.inv(cov[d_x:, d_x:])
             mu = rng.normal(size=4)
@@ -90,6 +120,18 @@ class TestInferenceGain:
     def test_singular_state_block(self):
         with pytest.raises(SingularPrecisionError):
             inference_gain(np.array([[0.0, 0.0], [0.0, 1.0]]), d_x=1)
+
+    def test_singular_slice_in_stack(self):
+        lams = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+        lams[1, :2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(SingularPrecisionError):
+            inference_gain(lams, d_x=2)
+
+    def test_non_finite_slice_in_stack(self):
+        lams = np.stack([np.eye(2), np.eye(2)])
+        lams[0, 0, 1] = lams[0, 1, 0] = np.inf
+        with pytest.raises(SingularPrecisionError):
+            inference_gain(lams, d_x=1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ProblemError):
@@ -271,7 +313,7 @@ class TestFbsmLqg:
         i = g.index_for(0.25)
         K = inference_gain(g.lam[i], 1)
         expect = -np.eye(2) @ (g.pi[i] @ K @ (s - g.mu[i]) + g.psi[i] @ g.mu[i])
-        assert np.allclose(lqg_control(law, 0.25, s), expect)
+        assert np.allclose(law.evaluate(0.25, s), expect)
 
     def test_control_at_mean_with_zero_psi_mu_is_zero(self):
         res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=4, tol=0.0)
@@ -314,6 +356,38 @@ class TestFbsmLqg:
         r2 = fbsm_lqg(prob, max_iters=14, tol=0.0, method="euler")
         a, b = r1.objective_history[-1], r2.objective_history[-1]
         assert abs(a - b) < 0.02 * (1.0 + abs(a))
+
+    # Objective histories of two_state_problem, 8 sweeps, recorded with
+    # the per-stage (unbatched) sweep implementation.
+    TWO_STATE_HISTORY = {
+        "rk4": [
+            3.218463514550217, 3.150192868287149, 3.1480768136739226,
+            3.1479339397170563, 3.1479236249382136, 3.147922955189221,
+            3.1479228998745543, 3.147922901725474, 3.147922901442283,
+        ],
+        "euler": [
+            3.2113442661070226, 3.1433002026913006, 3.1414172370827878,
+            3.1410394587691215, 3.141077081212293, 3.141058102606819,
+            3.1410619019908568, 3.1410605389516704, 3.14106082791154,
+        ],
+    }
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_two_state_history_regression(self, method):
+        res = fbsm_lqg(two_state_problem(), max_iters=8, tol=0.0, method=method)
+        expect = np.array(self.TWO_STATE_HISTORY[method])
+        assert res.objective_history.shape == expect.shape
+        assert np.abs(res.objective_history - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_lambda_blowup_raises_singular_precision(self, method):
+        # a huge held Pi drives Lambda non-finite during the forward sweep
+        prob = tracking_problem(horizon=1.0)
+        pi0 = np.zeros((prob.n_steps + 1, 2, 2))
+        pi0[:, 0, 1] = pi0[:, 1, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularPrecisionError):
+                fbsm_lqg(prob, pi0=pi0, max_iters=4, tol=0.0, method=method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ProblemError):
