@@ -32,6 +32,9 @@ CONTROL_FILE = "control.csv"
 GRID_FILE = "grid.json"
 PATHS_FILE = "paths.csv"
 OBJECTIVE_FILE = "objective.json"
+# Rows formatted per bulk write: bounds the Python objects a large table
+# (a reproduce-sized paths.csv) holds at once.
+CHUNK_ROWS = 1 << 14
 
 
 def fmt(value) -> str:
@@ -43,13 +46,28 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path, header: List[str], rows) -> None:
+def write_csv(path, header: List[str], rows=(), blocks=()) -> None:
+    """Write a header line, then rows, then blocks.
+
+    rows is an iterable of rows whose cells are formatted one by one with
+    fmt. blocks is an iterable of numeric tables, each a sequence of
+    equal-length 1-D arrays (one per column, int, bool or float), written
+    in bulk CHUNK_ROWS rows at a time: repr of the Python scalars that
+    ndarray.tolist() yields is exactly fmt of the same cell, and lines end
+    in "\r\n" as the csv module ends them, so both give the same bytes.
+    """
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) for v in row])
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            n_rows = len(columns[0]) if columns else 0
+            for lo in range(0, n_rows, CHUNK_ROWS):
+                cells = [c[lo : lo + CHUNK_ROWS].tolist() for c in columns]
+                handle.write("".join(",".join(map(repr, row)) + "\r\n" for row in zip(*cells)))
 
 
 def read_csv(path):
@@ -57,20 +75,20 @@ def read_csv(path):
     path = Path(path)
     if not path.exists():
         raise ProblemError(f"missing artifact: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProblemError(f"empty artifact: {path}") from None
-        try:
-            rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError as exc:
-            raise ProblemError(f"non-numeric value in {path}: {exc}") from None
-    if any(len(row) != len(header) for row in rows):
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise ProblemError(f"empty artifact: {path}")
+    header = next(csv.reader(lines[:1]))
+    body = [line for line in lines[1:] if line]
+    if any(line.count(",") != len(header) - 1 for line in body):
         raise ProblemError(f"ragged rows in {path}")
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
-    return header, data
+    if not body:
+        return header, np.empty((0, len(header)))
+    try:
+        data = np.array(",".join(body).split(","), dtype=float)
+    except ValueError as exc:
+        raise ProblemError(f"non-numeric value in {path}: {exc}") from None
+    return header, data.reshape(len(body), len(header))
 
 
 def jsonable(obj):
@@ -128,8 +146,8 @@ def write_config_copy(run_dir, config_text: str) -> None:
 
 def write_iterations(run_dir, history) -> None:
     history = np.asarray(history, dtype=float)
-    rows = [(k, j) for k, j in enumerate(history)]
-    write_csv(Path(run_dir) / ITERATIONS_FILE, ["k", "J"], rows)
+    columns = [np.arange(len(history)), history]
+    write_csv(Path(run_dir) / ITERATIONS_FILE, ["k", "J"], blocks=[columns])
 
 
 def read_iterations(run_dir) -> np.ndarray:
@@ -155,7 +173,7 @@ def write_gains(run_dir, gains: GainTrajectory) -> None:
         + _matrix_columns("lam", d_s)
         + [f"mu_{i}" for i in range(d_s)]
     )
-    rows = np.column_stack(
+    table = np.column_stack(
         [
             gains.times,
             gains.psi.reshape(len(gains.times), -1),
@@ -164,7 +182,7 @@ def write_gains(run_dir, gains: GainTrajectory) -> None:
             gains.mu,
         ]
     )
-    write_csv(Path(run_dir) / GAINS_FILE, header, rows)
+    write_csv(Path(run_dir) / GAINS_FILE, header, blocks=[table.T])
 
 
 def read_gains(run_dir, d_x: int) -> GainTrajectory:
@@ -231,19 +249,11 @@ def write_control_table(run_dir, control: ControlField) -> None:
         + [f"u_{i}" for i in range(d_u)]
     )
     n_nodes = int(np.prod(z_shape, dtype=int)) if z_shape else 1
-    z_mesh = (
-        np.stack([m.ravel() for m in np.meshgrid(*z_axes, indexing="ij")], axis=-1)
-        if d_z
-        else np.empty((1, 0))
-    )
-
-    def rows():
-        for k, t in enumerate(times):
-            u_flat = control.values[k].reshape(n_nodes, d_u)
-            for node in range(n_nodes):
-                yield [k, t, *z_mesh[node], *u_flat[node]]
-
-    write_csv(Path(run_dir) / CONTROL_FILE, header, rows())
+    n_t = len(times)
+    columns = [np.repeat(np.arange(n_t), n_nodes), np.repeat(times, n_nodes)]
+    columns += [np.tile(m.ravel(), n_t) for m in np.meshgrid(*z_axes, indexing="ij")]
+    columns += list(control.values.reshape(n_t * n_nodes, d_u).T)
+    write_csv(Path(run_dir) / CONTROL_FILE, header, blocks=[columns])
 
 
 def read_control_table(run_dir):
@@ -286,15 +296,9 @@ def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[st
     grid = result.grid
     d_x = result.problem.d_x
     written = []
-    s_mesh = np.stack([m.ravel() for m in grid.mesh()], axis=-1)
-    z_shape = grid.memory_shape(d_x)
-    d_z = len(z_shape)
-    z_axes = grid.memory_axes(d_x)
-    z_mesh = (
-        np.stack([m.ravel() for m in np.meshgrid(*z_axes, indexing="ij")], axis=-1)
-        if d_z
-        else np.empty((1, 0))
-    )
+    s_mesh = [m.ravel() for m in grid.mesh()]
+    d_z = len(grid.memory_shape(d_x))
+    z_mesh = [m.ravel() for m in np.meshgrid(*grid.memory_axes(d_x), indexing="ij")]
     s_cols = [f"s_{i}" for i in range(grid.dim)]
     for t in slice_times:
         tag = time_tag(t)
@@ -302,13 +306,13 @@ def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[st
 
         name = f"density_t{tag}.csv"
         p = result.density.values[node].ravel()
-        write_csv(run_dir / name, s_cols + ["p"], np.column_stack([s_mesh, p]))
+        write_csv(run_dir / name, s_cols + ["p"], blocks=[s_mesh + [p]])
         written.append(name)
 
         if result.value is not None:
             name = f"value_t{tag}.csv"
             w = result.value.values[node].ravel()
-            write_csv(run_dir / name, s_cols + ["w"], np.column_stack([s_mesh, w]))
+            write_csv(run_dir / name, s_cols + ["w"], blocks=[s_mesh + [w]])
             written.append(name)
 
         name = f"control_t{tag}.csv"
@@ -317,7 +321,7 @@ def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[st
         write_csv(
             run_dir / name,
             [f"z_{i}" for i in range(d_z)] + [f"u_{i}" for i in range(result.control.d_u)],
-            np.column_stack([z_mesh, u]),
+            blocks=[z_mesh + list(u.T)],
         )
         written.append(name)
     return written
@@ -332,17 +336,25 @@ def write_paths(run_dir, ensemble) -> None:
         + ["cumulative_cost", "valid"]
     )
     times = ensemble.times
+    n_t = len(times)
     costs = ensemble.cumulative_costs
     if costs is None:
-        costs = np.zeros((ensemble.n_paths, len(times)))
+        costs = np.zeros((ensemble.n_paths, n_t))
+    valid = np.asarray(ensemble.valid).astype(np.int64)
 
-    def rows():
-        for m in range(ensemble.n_paths):
-            ok = int(ensemble.valid[m])
-            for k, t in enumerate(times):
-                yield [m, t, *ensemble.states[m, k], costs[m, k], ok]
+    def blocks():
+        per_block = max(1, CHUNK_ROWS // n_t)
+        for lo in range(0, ensemble.n_paths, per_block):
+            hi = min(lo + per_block, ensemble.n_paths)
+            yield [
+                np.repeat(np.arange(lo, hi), n_t),
+                np.tile(times, hi - lo),
+                *ensemble.states[lo:hi].reshape(-1, d_s).T,
+                costs[lo:hi].ravel(),
+                np.repeat(valid[lo:hi], n_t),
+            ]
 
-    write_csv(Path(run_dir) / PATHS_FILE, header, rows())
+    write_csv(Path(run_dir) / PATHS_FILE, header, blocks=blocks())
 
 
 def write_objective(run_dir, mean: float, stderr: float, n: int, n_excluded: int) -> None:

@@ -24,6 +24,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -423,6 +424,9 @@ class GridSpec:
     nodes per dimension (at least 2), n_t the number of time steps over
     [0, horizon]. Quadrature weights are uniform: each node owns one cell
     of volume prod(spacing).
+
+    lower/upper are read-only copies of the inputs, so the spacing, axes
+    and mesh are computed once per grid and returned as read-only arrays.
     """
 
     lower: np.ndarray
@@ -432,8 +436,8 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = _frozen(np.array(self.lower, dtype=float, ndmin=1))
+        upper = _frozen(np.array(self.upper, dtype=float, ndmin=1))
         shape = tuple(int(n) for n in np.atleast_1d(self.shape))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -453,11 +457,11 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def spacing(self) -> np.ndarray:
-        return (self.upper - self.lower) / (np.asarray(self.shape) - 1)
+        return _frozen((self.upper - self.lower) / (np.asarray(self.shape) - 1))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -465,14 +469,22 @@ class GridSpec:
     def dt(self) -> float:
         return self.horizon / self.n_t
 
-    def axes(self) -> list:
-        return [
-            np.linspace(self.lower[i], self.upper[i], self.shape[i])
+    @cached_property
+    def _axes(self) -> tuple:
+        return tuple(
+            _frozen(np.linspace(self.lower[i], self.upper[i], self.shape[i]))
             for i in range(self.dim)
-        ]
+        )
+
+    @cached_property
+    def _mesh(self) -> tuple:
+        return tuple(_frozen(m) for m in np.meshgrid(*self._axes, indexing="ij"))
+
+    def axes(self) -> list:
+        return list(self._axes)
 
     def mesh(self) -> tuple:
-        return tuple(np.meshgrid(*self.axes(), indexing="ij"))
+        return self._mesh
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_t + 1)
@@ -482,3 +494,8 @@ class GridSpec:
 
     def memory_shape(self, d_x: int) -> tuple:
         return self.shape[d_x:]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr

@@ -19,6 +19,15 @@ row-stochastic matrix: each time slice is an exact finite-state Markov
 decision step. The alternating sweeps then minimize the exact discrete
 objective node by node (ties broken toward the previous control), which
 is what makes the recorded objective monotone across iterations.
+
+Per time step the work is a few dozen whole-grid array operations. The
+mesh, axes and spacing are computed once per GridSpec and shared as
+read-only arrays; generator coefficients are filled in place; every
+stencil term (apply, apply_adjoint, the upwind differences) is one slice
+add or slice difference on the C-ordered flat grid instead of a
+zero-padded shifted copy. The forward and backward passes are module
+functions that fbsm_grid and the verify oracles both run, and the
+upwind Hamiltonian field is written once (_upwind_hamiltonian).
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -101,6 +111,11 @@ class GridProblem:
         return self.d_x + self.d_z
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._bounds
+
+    @cached_property
+    def _bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only (lower, upper) control bounds, checked once per problem."""
         lo = (
             np.full(self.d_u, -np.inf)
             if self.control_lower is None
@@ -113,6 +128,7 @@ class GridProblem:
         )
         if np.any(lo >= hi):
             raise ProblemError("control bounds must satisfy lower < upper")
+        lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
 
     def minimizer_mode(self) -> str:
@@ -211,31 +227,30 @@ def _values(obj) -> np.ndarray:
     return obj.values if hasattr(obj, "values") else np.asarray(obj, dtype=float)
 
 
-def _shifted(arr: np.ndarray, axis: int, offset: int) -> np.ndarray:
-    """arr sampled at s + offset*e_axis, zero where that leaves the grid."""
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if offset == 1:
-        dst[axis] = slice(0, -1)
-        src[axis] = slice(1, None)
-    elif offset == -1:
-        dst[axis] = slice(1, None)
-        src[axis] = slice(0, -1)
-    else:
-        raise ValueError("offset must be +1 or -1")
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
-def _shifted2(arr: np.ndarray, axis_i: int, off_i: int, axis_j: int, off_j: int) -> np.ndarray:
-    return _shifted(_shifted(arr, axis_i, off_i), axis_j, off_j)
+# Mixed stencil corners (offset along i, offset along j, sign).
+_CORNERS = ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0))
 
 
 def _axis_edge(shape, axis, last: bool):
     idx = [slice(None)] * len(shape)
     idx[axis] = -1 if last else 0
     return tuple(idx)
+
+
+def _flat_step(shape, axis: int) -> int:
+    """Offset of s + e_axis from s in the C-ordered flat grid."""
+    return int(np.prod(shape[axis + 1 :], dtype=int))
+
+
+def _flat(arr: np.ndarray) -> np.ndarray:
+    """C-ordered flat view (a copy only if arr is not C-contiguous)."""
+    return np.ascontiguousarray(arr).reshape(-1)
+
+
+def _full(value, shape) -> np.ndarray:
+    out = np.empty(shape)
+    out[...] = value
+    return out
 
 
 class DiscreteGenerator:
@@ -247,42 +262,72 @@ class DiscreteGenerator:
     and the diagonal is minus the sum of up and down (row sums are zero
     exactly, so constants are harmonic and the adjoint conserves mass).
     apply/apply_adjoint are exact transposes of each other.
+
+    The constructor takes the coefficients before the reflecting closure:
+    it records the per-cell outflow rate for the stability check, then
+    zeros (in place) every coefficient that reaches across the boundary.
+    Stencils are applied as slice adds on the C-ordered flat grid, where
+    s + e_i is s + step_i: the rows a flat shift wraps into carry a zero
+    coefficient, so each term is one contiguous multiply-add that adds an
+    exact zero there (inputs are finite: the sweeps reject anything else).
     """
 
     def __init__(self, grid: GridSpec, up, down, cross):
+        shape = grid.shape
         self.grid = grid
-        self.up = up
-        self.down = down
-        self.cross = cross
-        self.diag = -sum(up) - sum(down)
+        self.up = [_owned(c, shape) for c in up]
+        self.down = [_owned(c, shape) for c in down]
+        self.cross = {ij: _owned(c, shape) for ij, c in cross.items()}
+        self._full_sums = _sum([c for pair in zip(self.up, self.down) for c in pair], shape)
+        for i, (up_i, down_i) in enumerate(zip(self.up, self.down)):
+            up_i[_axis_edge(shape, i, last=True)] = 0.0
+            down_i[_axis_edge(shape, i, last=False)] = 0.0
+        for (i, j), c in self.cross.items():
+            for axis in (i, j):
+                c[_axis_edge(shape, axis, last=True)] = 0.0
+                c[_axis_edge(shape, axis, last=False)] = 0.0
+        self.diag = np.negative(_sum(self.up, shape))
+        self.diag -= _sum(self.down, shape)
+        self._steps = [_flat_step(shape, i) for i in range(grid.dim)]
+
+    def _stencils(self):
+        """(flat step, flat up, flat down) per axis."""
+        return zip(self._steps, map(_flat, self.up), map(_flat, self.down))
+
+    def _corners(self, i, j):
+        """Reach of the (i, j) mixed stencil on the flat grid, and its
+        corners' (flat offset, sign); every interior node is within reach
+        of both ends of the flat grid."""
+        ki, kj = self._steps[i], self._steps[j]
+        return ki + kj, [(oi * ki + oj * kj, sign) for oi, oj, sign in _CORNERS]
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        out = self.diag * w
-        for i in range(self.grid.dim):
-            out += self.up[i] * _shifted(w, i, 1)
-            out += self.down[i] * _shifted(w, i, -1)
+        wf = _flat(w)
+        out = self.diag * wf.reshape(self.diag.shape)
+        of = out.reshape(-1)
+        for k, up, down in self._stencils():
+            of[:-k] += up[:-k] * wf[k:]
+            of[k:] += down[k:] * wf[:-k]
+        n = of.size
         for (i, j), c in self.cross.items():
-            out += c * (
-                _shifted2(w, i, 1, j, 1)
-                - _shifted2(w, i, 1, j, -1)
-                - _shifted2(w, i, -1, j, 1)
-                + _shifted2(w, i, -1, j, -1)
-            )
+            m, corners = self._corners(i, j)
+            pp, pm, mp, mm = (wf[m + o : n - m + o] for o, _ in corners)
+            of[m : n - m] += _flat(c)[m : n - m] * (pp - pm - mp + mm)
         return out
 
     def apply_adjoint(self, p: np.ndarray) -> np.ndarray:
-        out = self.diag * p
-        for i in range(self.grid.dim):
-            out += _shifted(self.up[i] * p, i, -1)
-            out += _shifted(self.down[i] * p, i, 1)
+        pf = _flat(p)
+        out = self.diag * pf.reshape(self.diag.shape)
+        of = out.reshape(-1)
+        for k, up, down in self._stencils():
+            of[k:] += up[:-k] * pf[:-k]
+            of[:-k] += down[k:] * pf[k:]
+        n = of.size
         for (i, j), c in self.cross.items():
-            cp = c * p
-            out += (
-                _shifted2(cp, i, -1, j, -1)
-                - _shifted2(cp, i, -1, j, 1)
-                - _shifted2(cp, i, 1, j, -1)
-                + _shifted2(cp, i, 1, j, 1)
-            )
+            m, corners = self._corners(i, j)
+            cp = _flat(c)[m : n - m] * pf[m : n - m]
+            for o, sign in corners:
+                of[m + o : n - m + o] += sign * cp
         return out
 
     def to_sparse(self) -> sparse.csr_matrix:
@@ -298,26 +343,17 @@ class DiscreteGenerator:
             cols.append(col_index_arr[mask])
             vals.append(coeff[mask])
 
-        add(np.asarray(self.diag, float), flat)
+        add(self.diag, flat)
         for i in range(self.grid.dim):
-            up = np.broadcast_to(self.up[i], shape)
-            down = np.broadcast_to(self.down[i], shape)
-            add(np.asarray(up, float), np.roll(flat, -1, axis=i))
-            add(np.asarray(down, float), np.roll(flat, 1, axis=i))
+            add(self.up[i], np.roll(flat, -1, axis=i))
+            add(self.down[i], np.roll(flat, 1, axis=i))
         for (i, j), c in self.cross.items():
-            c = np.broadcast_to(np.asarray(c, float), shape)
-            add(c, np.roll(np.roll(flat, -1, axis=i), -1, axis=j))
-            add(-c, np.roll(np.roll(flat, -1, axis=i), 1, axis=j))
-            add(-c, np.roll(np.roll(flat, 1, axis=i), -1, axis=j))
-            add(c, np.roll(np.roll(flat, 1, axis=i), 1, axis=j))
+            for oi, oj, sign in _CORNERS:
+                add(sign * c, np.roll(np.roll(flat, -oi, axis=i), -oj, axis=j))
         rows = np.concatenate(rows) if rows else np.empty(0, int)
         cols = np.concatenate(cols) if cols else np.empty(0, int)
         vals = np.concatenate(vals) if vals else np.empty(0, float)
         return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    def stability_sums(self) -> np.ndarray:
-        """Per-cell sum of outflow rates before boundary zeroing effects."""
-        return self._full_sums
 
     def check_stability(self, dt: float):
         sums = self._full_sums
@@ -329,6 +365,24 @@ class DiscreteGenerator:
                 f"{STABILITY_FRACTION}/rate = {STABILITY_FRACTION / limit:.6g} "
                 f"(binding cell {cell}, outflow rate {limit:.6g})"
             )
+
+
+def _owned(coeff, shape) -> np.ndarray:
+    """A writable C-ordered full-grid float array: coeff itself when it is one."""
+    arr = np.asarray(coeff, dtype=float)
+    if arr.shape == shape and arr.flags.writeable and arr.flags.c_contiguous:
+        return arr
+    return _full(arr, shape)
+
+
+def _sum(arrays, shape) -> np.ndarray:
+    """a_0 + a_1 + ..., accumulated left to right in one new array."""
+    if len(arrays) < 2:
+        return arrays[0].copy() if arrays else np.zeros(shape)
+    total = np.add(arrays[0], arrays[1])
+    for arr in arrays[2:]:
+        total += arr
+    return total
 
 
 def control_to_grid(u_slice: np.ndarray, d_x: int, d_u: int) -> list:
@@ -369,19 +423,20 @@ def build_generator(
     def dval(i, j):
         return np.asarray(D[i][j], dtype=float)
 
+    # up_i = D_ii / (2 ds_i^2) + max(b_i, 0) / ds_i, filled in place.
     up, down = [], []
-    full_sums = np.zeros(shape)
     for i in range(d):
         dii = dval(i, i)
         if np.any(dii < 0):
             raise ProblemError(f"diffusion D[{i}][{i}] must be nonnegative")
         bi = np.asarray(b[i], dtype=float)
         base = dii / (2.0 * spacing[i] ** 2)
-        up_i = np.broadcast_to(base + np.maximum(bi, 0.0) / spacing[i], shape).copy()
-        down_i = np.broadcast_to(base + np.maximum(-bi, 0.0) / spacing[i], shape).copy()
-        full_sums = full_sums + up_i + down_i
-        up_i[_axis_edge(shape, i, last=True)] = 0.0
-        down_i[_axis_edge(shape, i, last=False)] = 0.0
+        up_i = np.maximum(bi, 0.0, out=np.empty(shape))
+        down_i = np.negative(bi, out=np.empty(shape))
+        np.maximum(down_i, 0.0, out=down_i)
+        for coeff in (up_i, down_i):
+            coeff /= spacing[i]
+            coeff += base
         up.append(up_i)
         down.append(down_i)
 
@@ -393,16 +448,9 @@ def build_generator(
             if np.max(np.abs(dij - dji)) > 1e-12:
                 raise ProblemError("diffusion matrix must be symmetric")
             if np.any(dij != 0.0):
-                c = np.broadcast_to(
-                    dij / (4.0 * spacing[i] * spacing[j]), shape
-                ).copy()
-                for axis in (i, j):
-                    c[_axis_edge(shape, axis, last=True)] = 0.0
-                    c[_axis_edge(shape, axis, last=False)] = 0.0
-                cross[(i, j)] = c
+                cross[(i, j)] = _full(dij / (4.0 * spacing[i] * spacing[j]), shape)
 
     gen = DiscreteGenerator(grid, up, down, cross)
-    gen._full_sums = full_sums
     if dt is not None:
         gen.check_stability(dt)
     return gen
@@ -436,7 +484,9 @@ def fp_step(
     beyond the abort limit raises StabilityError instead of being hidden.
     """
     vol = gen.grid.cell_volume
-    q = p_slice + dt * gen.apply_adjoint(p_slice)
+    q = gen.apply_adjoint(p_slice)
+    q *= dt
+    q += p_slice
     neg = q[q < 0.0]
     negative_mass = float(-neg.sum() * vol) if neg.size else 0.0
     if negative_mass > NEGATIVE_MASS_LIMIT:
@@ -445,13 +495,14 @@ def fp_step(
             f"{NEGATIVE_MASS_LIMIT:.0e}; the explicit step is unstable"
         )
     if neg.size:
-        q = np.maximum(q, 0.0)
+        np.maximum(q, 0.0, out=q)
     mass = float(q.sum() * vol)
     if not np.isfinite(mass) or mass <= 0.0:
         raise StabilityError("density mass became non-finite or zero")
     if log is not None:
         log.record(negative_mass, abs(mass - 1.0))
-    return q / mass
+    q /= mass
+    return q
 
 
 def hjb_step(
@@ -469,7 +520,10 @@ def hjb_step(
         gen = build_generator(problem, grid, t, u_slice, dt=dt)
     U = control_to_grid(u_slice, problem.d_x, problem.d_u)
     f = np.asarray(problem.running_cost(t, grid.mesh(), U), dtype=float)
-    w_t = w_next + dt * (f + gen.apply(w_next))
+    w_t = gen.apply(w_next)
+    w_t += f
+    w_t *= dt
+    w_t += w_next
     if not np.all(np.isfinite(w_t)):
         raise StabilityError(f"value slice became non-finite at t={t:.6g}")
     return w_t
@@ -489,12 +543,15 @@ def conditional_density(
     """
     p_slice = np.asarray(p_slice, dtype=float)
     x_axes = tuple(range(d_x))
-    vol_x = float(np.prod(grid.spacing[:d_x]))
-    marginal = p_slice.sum(axis=x_axes) * vol_x
+    marginal = p_slice.sum(axis=x_axes) * _x_volume(grid, d_x)
     defined = marginal > floor
-    denom = np.where(defined, marginal, 1.0)
-    cond = (p_slice / denom) * defined
+    cond = p_slice / np.where(defined, marginal, 1.0)
+    cond *= defined
     return cond, marginal, defined
+
+
+def _x_volume(grid: GridSpec, d_x: int) -> float:
+    return float(np.prod(grid.spacing[:d_x]))
 
 
 def _conditional_expectation(cond: np.ndarray, field: np.ndarray, d_x: int, vol_x: float):
@@ -502,25 +559,27 @@ def _conditional_expectation(cond: np.ndarray, field: np.ndarray, d_x: int, vol_
 
 
 def _upwind_differences(w: np.ndarray, axis: int, spacing: float):
-    """Forward and backward difference quotients, zeroed where they cross."""
-    gf = (_shifted(w, axis, 1) - w) / spacing
+    """Forward and backward difference quotients, zeroed where they cross.
+
+    Both come from one slice difference on the flat grid: the backward
+    quotient at s is the forward quotient at s - e_axis. Differences that
+    wrap into the next row land on the zeroed edge nodes.
+    """
+    k = _flat_step(w.shape, axis)
+    wf = _flat(w)
+    gf = np.empty(w.shape)
+    gff = gf.reshape(-1)
+    np.subtract(wf[k:], wf[:-k], out=gff[:-k])
+    gff[:-k] /= spacing
     gf[_axis_edge(w.shape, axis, last=True)] = 0.0
-    gb = (w - _shifted(w, axis, -1)) / spacing
+    gb = np.empty(w.shape)
+    gb.reshape(-1)[k:] = gff[:-k]
     gb[_axis_edge(w.shape, axis, last=False)] = 0.0
     return gf, gb
 
 
-def _central_gradient(w: np.ndarray, axis: int, spacing: float):
-    g = (_shifted(w, axis, 1) - _shifted(w, axis, -1)) / (2.0 * spacing)
-    shape = w.shape
-    first = _axis_edge(shape, axis, last=False)
-    last = _axis_edge(shape, axis, last=True)
-    sl = [slice(None)] * w.ndim
-    sl[axis] = 1
-    g[first] = (w[tuple(sl)] - w[first]) / spacing
-    sl[axis] = -2
-    g[last] = (w[last] - w[tuple(sl)]) / spacing
-    return g
+def _upwind_gradients(w: np.ndarray, grid: GridSpec) -> list:
+    return [_upwind_differences(w, i, grid.spacing[i]) for i in range(grid.dim)]
 
 
 def _driven_dimensions(problem: GridProblem) -> list:
@@ -550,12 +609,15 @@ def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, what: str) -> np.n
     memory node, so that the upwind side switches at one control value
     per node; anything else must fall back to the search branch.
     """
-    arr = np.broadcast_to(np.asarray(b0_i, dtype=float), shape)
+    arr = np.asarray(b0_i, dtype=float)
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape)
     x_axes = tuple(range(d_x))
     if x_axes:
         lo = arr.min(axis=x_axes)
         hi = arr.max(axis=x_axes)
-        if np.max(hi - lo) > 1e-10 * (1.0 + np.max(np.abs(arr))):
+        scale = max(np.abs(lo).max(), np.abs(hi).max())  # = max |arr|
+        if np.max(hi - lo) > 1e-10 * (1.0 + scale):
             raise ProblemError(
                 f"{what} varies across the state for fixed memory; the "
                 "closed-form minimizer does not apply (use 'search')"
@@ -611,7 +673,7 @@ def minimize_conditional_hamiltonian(
     u_prev = np.asarray(u_prev, dtype=float)
     lo, hi = problem.bounds()
     d_x = problem.d_x
-    vol_x = float(np.prod(grid.spacing[:d_x]))
+    vol_x = _x_volume(grid, d_x)
 
     if mode == "exact":
         u_new = _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x)
@@ -631,57 +693,47 @@ def _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
     if problem.quadratic is None:
         raise ProblemError("minimizer 'exact' requires a quadratic declaration")
     quad = problem.quadratic
-    driven = _driven_dimensions(problem)
     d_x = problem.d_x
-    S = grid.mesh()
-    b0 = quad.drift0(t, S)
+    b0 = quad.drift0(t, grid.mesh())
     z_shape = grid.memory_shape(d_x)
     u_new = np.empty(z_shape + (problem.d_u,))
 
-    for c in range(problem.d_u):
-        i = driven[c]
+    for c, i in enumerate(_driven_dimensions(problem)):
         Bc = float(quad.b_matrix[i, c])
         Rc = float(quad.r_diag[c])
-        gf_field, gb_field = _upwind_differences(w_next, i, grid.spacing[i])
-        gf = _conditional_expectation(cond, gf_field, d_x, vol_x)
-        gb = _conditional_expectation(cond, gb_field, d_x, vol_x)
+        gf, gb = (
+            _conditional_expectation(cond, g, d_x, vol_x)
+            for g in _upwind_differences(w_next, i, grid.spacing[i])
+        )
         b0z = _base_drift_per_memory(b0[i], grid.shape, d_x, f"drift0[{i}]")
         b0z = np.broadcast_to(b0z, z_shape)
+        lo_c, hi_c = lo[c], hi[c]
 
-        def phi(u):
-            v = b0z + Bc * u
-            return Rc * u * u + np.maximum(v, 0.0) * gf - np.maximum(-v, 0.0) * gb
-
+        # Candidates: each branch's vertex clipped to the controls where
+        # its upwind side applies (split at the kink u_star), the kink,
+        # and the previous control; phi is evaluated on all four at once.
         u_star = -b0z / Bc
-        vert_a = -Bc * gf / (2.0 * Rc)
-        vert_b = -Bc * gb / (2.0 * Rc)
-        if Bc > 0:
-            lo_a, hi_a = np.maximum(u_star, lo[c]), np.full_like(u_star, hi[c])
-            lo_b, hi_b = np.full_like(u_star, lo[c]), np.minimum(u_star, hi[c])
-        else:
-            lo_a, hi_a = np.full_like(u_star, lo[c]), np.minimum(u_star, hi[c])
-            lo_b, hi_b = np.maximum(u_star, lo[c]), np.full_like(u_star, hi[c])
+        cut_lo, cut_hi = np.maximum(u_star, lo_c), np.minimum(u_star, hi_c)
+        ranges = ((cut_lo, hi_c), (lo_c, cut_hi)) if Bc > 0 else ((lo_c, cut_hi), (cut_lo, hi_c))
+        cands = np.empty((4,) + z_shape)
+        empty = np.empty((2,) + z_shape, dtype=bool)
+        for row, (grad, (lo_i, hi_i)) in enumerate(zip((gf, gb), ranges)):
+            vert = -Bc * grad / (2.0 * Rc)
+            empty[row] = lo_i > hi_i
+            cands[row] = np.clip(
+                vert, np.where(empty[row], lo_c, lo_i), np.where(empty[row], hi_c, hi_i)
+            )
+        cands[2] = np.clip(u_star, lo_c, hi_c)
+        cands[3] = np.clip(u_prev[..., c], lo_c, hi_c)
+        v = b0z + Bc * cands
+        phis = Rc * cands * cands + np.maximum(v, 0.0) * gf - np.maximum(-v, 0.0) * gb
+        phis[:2] = np.where(empty, np.inf, phis[:2])
 
-        cands, phis = [], []
-        for vert, lo_i, hi_i in ((vert_a, lo_a, hi_a), (vert_b, lo_b, hi_b)):
-            empty = lo_i > hi_i
-            cand = np.clip(vert, np.where(empty, lo[c], lo_i), np.where(empty, hi[c], hi_i))
-            val = np.where(empty, np.inf, phi(cand))
-            cands.append(cand)
-            phis.append(val)
-        kink = np.clip(u_star, lo[c], hi[c])
-        cands.append(kink)
-        phis.append(phi(kink))
-        prev = np.clip(u_prev[..., c], lo[c], hi[c])
-
-        cands = np.stack(cands)
-        phis = np.stack(phis)
-        best = np.argmin(phis, axis=0)
-        u_best = np.take_along_axis(cands, best[None], axis=0)[0]
-        phi_best = np.take_along_axis(phis, best[None], axis=0)[0]
-        phi_prev = phi(prev)
-        keep_prev = phi_prev <= phi_best + TIE_TOLERANCE * (1.0 + np.abs(phi_best))
-        u_new[..., c] = np.where(keep_prev, prev, u_best)
+        best = np.argmin(phis[:3], axis=0)
+        u_best = np.choose(best, cands[:3])
+        phi_best = np.choose(best, phis[:3])
+        keep_prev = phis[3] <= phi_best + TIE_TOLERANCE * (1.0 + np.abs(phi_best))
+        u_new[..., c] = np.where(keep_prev, cands[3], u_best)
     return u_new
 
 
@@ -694,11 +746,30 @@ def _minimize_central(problem, grid, t, cond, w_next, lo, hi, vol_x):
     grad_exp = np.zeros(z_shape + (problem.d_s,))
     needed = np.nonzero(np.any(quad.b_matrix != 0.0, axis=1))[0]
     for i in needed:
-        g = _central_gradient(w_next, i, grid.spacing[i])
+        g = np.gradient(w_next, grid.spacing[i], axis=i)
         grad_exp[..., i] = _conditional_expectation(cond, g, d_x, vol_x)
     coeff = quad.b_matrix / (2.0 * quad.r_diag[None, :])
     u_new = -np.einsum("...i,ic->...c", grad_exp, coeff)
     return np.clip(u_new, lo, hi)
+
+
+def _upwind_hamiltonian(problem: GridProblem, grid: GridSpec, t: float, diffs, u_slice):
+    """f(t, s, u) + the drift-upwind part of (L_u w)(s) at every grid node.
+
+    diffs[i] = (forward, backward) upwind differences of w along axis i
+    (see _upwind_gradients); they do not depend on the control, so
+    callers comparing several controls against one w compute them once.
+    """
+    S = grid.mesh()
+    U = control_to_grid(np.asarray(u_slice, dtype=float), problem.d_x, problem.d_u)
+    f = np.asarray(problem.running_cost(t, S, U), dtype=float)
+    b = problem.drift(t, S, U)
+    ham = _full(f, grid.shape)
+    for (gf, gb), bi in zip(diffs, b):
+        bi = np.asarray(bi, dtype=float)
+        ham += np.maximum(bi, 0.0) * gf
+        ham -= np.maximum(-bi, 0.0) * gb
+    return ham
 
 
 def conditional_hamiltonian(
@@ -716,18 +787,8 @@ def conditional_hamiltonian(
     differences of the full conditional expected Hamiltonian exactly, and
     its minimizers coincide with the sweep's control updates.
     """
-    d_x = problem.d_x
-    S = grid.mesh()
-    vol_x = float(np.prod(grid.spacing[:d_x]))
-    U = control_to_grid(np.asarray(u_slice, dtype=float), d_x, problem.d_u)
-    f = np.asarray(problem.running_cost(t, S, U), dtype=float)
-    b = problem.drift(t, S, U)
-    ham = np.broadcast_to(f, grid.shape).astype(float)
-    for i in range(grid.dim):
-        gf, gb = _upwind_differences(w_next, i, grid.spacing[i])
-        bi = np.asarray(b[i], dtype=float)
-        ham = ham + np.maximum(bi, 0.0) * gf - np.maximum(-bi, 0.0) * gb
-    return _conditional_expectation(cond, ham, d_x, vol_x)
+    ham = _upwind_hamiltonian(problem, grid, t, _upwind_gradients(w_next, grid), u_slice)
+    return _conditional_expectation(cond, ham, problem.d_x, _x_volume(grid, problem.d_x))
 
 
 def _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
@@ -736,13 +797,17 @@ def _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
     d_x = problem.d_x
     d_u = problem.d_u
     z_shape = grid.memory_shape(d_x)
+    diffs = _upwind_gradients(w_next, grid)
+
+    def phi(u_slice):
+        ham = _upwind_hamiltonian(problem, grid, t, diffs, u_slice)
+        return _conditional_expectation(cond, ham, d_x, vol_x)
 
     axes = [np.linspace(lo[c], hi[c], DEFAULT_CANDIDATES) for c in range(d_u)]
     best_phi = None
     best_u = None
     for combo in itertools.product(*axes):
-        u_slice = np.broadcast_to(np.asarray(combo), z_shape + (d_u,))
-        val = conditional_hamiltonian(problem, grid, t, cond, w_next, u_slice)
+        val = phi(np.broadcast_to(np.asarray(combo), z_shape + (d_u,)))
         if best_phi is None:
             best_phi = val
             best_u = [np.full(z_shape, combo[c]) for c in range(d_u)]
@@ -753,7 +818,7 @@ def _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
                 best_u[c] = np.where(better, combo[c], best_u[c])
 
     u_prev_clipped = np.clip(u_prev, lo, hi)
-    phi_prev = conditional_hamiltonian(problem, grid, t, cond, w_next, u_prev_clipped)
+    phi_prev = phi(u_prev_clipped)
     keep_prev = phi_prev <= best_phi + TIE_TOLERANCE * (1.0 + np.abs(best_phi))
     u_new = np.stack(best_u, axis=-1)
     return np.where(keep_prev[..., None], u_prev_clipped, u_new)
@@ -810,6 +875,62 @@ def _initial_density_slice(problem: GridProblem, grid: GridSpec) -> np.ndarray:
     return p0 / mass
 
 
+def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None):
+    """Density sweep from p0; returns (p, u, J) with J the discrete objective.
+
+    Without w_stale the density is solved under u_field as given. With
+    it, each step first refreshes its control from the fresh density and
+    the held value slice w_stale[i + 1] (the sweep's forward half). The
+    objective accumulates E_p[f] dt per step plus E_p[g] at the end, in
+    the order grid_objective sums them.
+    """
+    d_x, d_u = problem.d_x, problem.d_u
+    n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
+    times = grid.times()
+    S = grid.mesh()
+    p = np.empty((n + 1,) + grid.shape)
+    p[0] = p0
+    u_out = u_field.copy()
+    running = 0.0
+    for i in range(n):
+        if w_stale is not None:
+            cond, _, defined = conditional_density(p[i], grid, d_x)
+            u_out[i] = minimize_conditional_hamiltonian(
+                problem, grid, times[i], cond, w_stale[i + 1], u_field[i], defined
+            )
+        gen = build_generator(problem, grid, times[i], u_out[i], dt=dt)
+        U = control_to_grid(u_out[i], d_x, d_u)
+        f = np.asarray(problem.running_cost(times[i], S, U), dtype=float)
+        running += float((f * p[i]).sum()) * vol * dt
+        p[i + 1] = fp_step(p[i], gen, dt, log=log)
+    g = np.asarray(problem.terminal_cost(S), dtype=float)
+    return p, u_out, running + float((g * p[n]).sum()) * vol
+
+
+def _backward_pass(problem, grid, p0, u_field, p_stale=None):
+    """Value sweep from the terminal cost; returns (w, u, J) with J = <p0, w0>.
+
+    Without p_stale the value is solved under u_field as given. With it,
+    each step first refreshes its control from the held density slice
+    p_stale[i] and the in-construction value w[i + 1] (the sweep's
+    backward half).
+    """
+    n, dt = grid.n_t, grid.dt
+    times = grid.times()
+    w = np.empty((n + 1,) + grid.shape)
+    w[n] = np.asarray(problem.terminal_cost(grid.mesh()), dtype=float)
+    u_out = u_field.copy()
+    for i in range(n - 1, -1, -1):
+        if p_stale is not None:
+            cond, _, defined = conditional_density(p_stale[i], grid, problem.d_x)
+            u_out[i] = minimize_conditional_hamiltonian(
+                problem, grid, times[i], cond, w[i + 1], u_field[i], defined
+            )
+        gen = build_generator(problem, grid, times[i], u_out[i], dt=dt)
+        w[i] = hjb_step(problem, grid, times[i], w[i + 1], u_out[i], dt=dt, gen=gen)
+    return w, u_out, float((p0 * w[0]).sum()) * grid.cell_volume
+
+
 def _validate_grid_setup(problem: GridProblem, grid: GridSpec, u0: np.ndarray):
     if grid.dim != problem.d_s:
         raise ProblemError(
@@ -844,60 +965,16 @@ def fbsm_grid(
     forward sweeps. Objective increases beyond 1e-6*(1+|J|) are reported
     as MonotonicityWarning (discretization slack), not silently ignored.
     """
-    d_x = problem.d_x
-    z_shape = grid.memory_shape(d_x)
     n = grid.n_t
-    dt = grid.dt
-    vol = grid.cell_volume
-    times = grid.times()
-    S = grid.mesh()
-
     if u0 is None:
-        u = np.zeros((n,) + z_shape + (problem.d_u,))
+        u = np.zeros((n,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
     else:
         u = np.asarray(u0, dtype=float).copy()
     _validate_grid_setup(problem, grid, u)
 
     p0 = _initial_density_slice(problem, grid)
-    g_terminal = np.asarray(problem.terminal_cost(S), dtype=float)
     mass_log = MassLog()
-
-    def forward_pass(u_field, w_stale):
-        """Forward density sweep; refreshes controls when w_stale given."""
-        p = np.empty((n + 1,) + grid.shape)
-        p[0] = p0
-        u_out = u_field.copy()
-        running = 0.0
-        for i in range(n):
-            if w_stale is not None:
-                cond, _, defined = conditional_density(p[i], grid, d_x)
-                u_out[i] = minimize_conditional_hamiltonian(
-                    problem, grid, times[i], cond, w_stale[i + 1], u_field[i], defined
-                )
-            U = control_to_grid(u_out[i], d_x, problem.d_u)
-            gen = build_generator(problem, grid, times[i], u_out[i], dt=dt)
-            f = np.asarray(problem.running_cost(times[i], S, U), dtype=float)
-            running += float((f * p[i]).sum()) * vol * dt
-            p[i + 1] = fp_step(p[i], gen, dt, log=mass_log)
-        J = running + float((g_terminal * p[n]).sum()) * vol
-        return p, u_out, J
-
-    def backward_pass(u_field, p_stale):
-        """Backward value sweep; refreshes controls from the held density."""
-        w = np.empty((n + 1,) + grid.shape)
-        w[n] = g_terminal
-        u_out = u_field.copy()
-        for i in range(n - 1, -1, -1):
-            cond, _, defined = conditional_density(p_stale[i], grid, d_x)
-            u_out[i] = minimize_conditional_hamiltonian(
-                problem, grid, times[i], cond, w[i + 1], u_field[i], defined
-            )
-            gen = build_generator(problem, grid, times[i], u_out[i], dt=dt)
-            w[i] = hjb_step(problem, grid, times[i], w[i + 1], u_out[i], dt=dt, gen=gen)
-        J = float((p0 * w[0]).sum()) * vol
-        return w, u_out, J
-
-    p, u, J0 = forward_pass(u, None)
+    p, u, J0 = _forward_pass(problem, grid, p0, u, log=mass_log)
     history = [J0]
     w = None
     violations = []
@@ -907,9 +984,9 @@ def fbsm_grid(
     k = 0
     while k < max_iters:
         if k % 2 == 0:
-            w, u, J = backward_pass(u, p)
+            w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p)
         else:
-            p, u, J = forward_pass(u, w)
+            p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w, log=mass_log)
         if not np.isfinite(J):
             raise DivergenceError(f"objective non-finite at iteration {k + 1}")
         slack = 1e-6 * (1.0 + abs(history[-1]))
@@ -931,7 +1008,7 @@ def fbsm_grid(
     return GridSweepResult(
         problem=problem,
         grid=grid,
-        control=ControlField(u, grid, d_x),
+        control=ControlField(u, grid, problem.d_x),
         value=None if w is None else ValueField(w, grid),
         density=DensityField(p, grid),
         objective_history=np.asarray(history),

@@ -21,16 +21,15 @@ from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
     QuadraticControl,
-    _upwind_differences,
+    _backward_pass,
+    _forward_pass,
+    _initial_density_slice,
+    _upwind_gradients,
+    _upwind_hamiltonian,
     _values,
-    build_generator,
     conditional_density,
     conditional_hamiltonian,
-    control_to_grid,
     fbsm_grid,
-    fp_step,
-    grid_objective,
-    hjb_step,
     minimize_conditional_hamiltonian,
     quadratic_grid_problem,
 )
@@ -61,46 +60,6 @@ class Lemma1Report:
         return {"lhs": self.lhs, "rhs": self.rhs, "residual": self.residual}
 
 
-def _solve_density(problem, grid, u):
-    times = grid.times()
-    p = np.empty((grid.n_t + 1,) + grid.shape)
-    S = grid.mesh()
-    init = problem.initial_density
-    if hasattr(init, "density"):
-        p0 = init.density(np.stack(S, axis=-1))
-    else:
-        p0 = np.asarray(init(S), dtype=float)
-    p0 = np.broadcast_to(p0, grid.shape).copy()
-    p[0] = p0 / (p0.sum() * grid.cell_volume)
-    for i in range(grid.n_t):
-        gen = build_generator(problem, grid, times[i], u[i], dt=grid.dt)
-        p[i + 1] = fp_step(p[i], gen, grid.dt)
-    return p
-
-
-def _solve_value(problem, grid, u):
-    times = grid.times()
-    w = np.empty((grid.n_t + 1,) + grid.shape)
-    w[grid.n_t] = np.asarray(problem.terminal_cost(grid.mesh()), dtype=float)
-    for i in range(grid.n_t - 1, -1, -1):
-        w[i] = hjb_step(problem, grid, times[i], w[i + 1], u[i], dt=grid.dt)
-    return w
-
-
-def _hamiltonian_expectation(problem, grid, t, p_slice, w_next, u_slice) -> float:
-    """E_p[f(t,s,u) + drift-upwind part of L_u w]; control-free terms omitted."""
-    S = grid.mesh()
-    U = control_to_grid(np.asarray(u_slice, dtype=float), problem.d_x, problem.d_u)
-    f = np.asarray(problem.running_cost(t, S, U), dtype=float)
-    b = problem.drift(t, S, U)
-    ham = np.broadcast_to(f, grid.shape).astype(float)
-    for i in range(grid.dim):
-        gf, gb = _upwind_differences(w_next, i, grid.spacing[i])
-        bi = np.asarray(b[i], dtype=float)
-        ham = ham + np.maximum(bi, 0.0) * gf - np.maximum(-bi, 0.0) * gb
-    return float((ham * p_slice).sum()) * grid.cell_volume
-
-
 def lemma1_check(
     problem: GridProblem, grid: GridSpec, u, u_prime, pairing: str = "continuous"
 ) -> Lemma1Report:
@@ -123,18 +82,18 @@ def lemma1_check(
     u = _values(u)
     u_prime = _values(u_prime)
     times = grid.times()
-    p_u = _solve_density(problem, grid, u)
-    p_v = _solve_density(problem, grid, u_prime)
-    w_v = _solve_value(problem, grid, u_prime)
-    lhs = grid_objective(problem, grid, p_u, u) - grid_objective(
-        problem, grid, p_v, u_prime
-    )
+    vol = grid.cell_volume
+    p0 = _initial_density_slice(problem, grid)
+    p_u, _, j_u = _forward_pass(problem, grid, p0, u)
+    _, _, j_v = _forward_pass(problem, grid, p0, u_prime)
+    w_v, _, _ = _backward_pass(problem, grid, p0, u_prime)
+    lhs = j_u - j_v
     rhs = 0.0
     for i in range(grid.n_t):
-        w_slice = w_v[i + offset]
-        h_u = _hamiltonian_expectation(problem, grid, times[i], p_u[i], w_slice, u[i])
-        h_v = _hamiltonian_expectation(
-            problem, grid, times[i], p_u[i], w_slice, u_prime[i]
+        diffs = _upwind_gradients(w_v[i + offset], grid)
+        h_u, h_v = (
+            float((_upwind_hamiltonian(problem, grid, times[i], diffs, c) * p_u[i]).sum()) * vol
+            for c in (u[i], u_prime[i])
         )
         rhs += (h_u - h_v) * grid.dt
     return Lemma1Report(lhs=float(lhs), rhs=float(rhs), residual=abs(lhs - rhs))
@@ -242,8 +201,9 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     At a sweep fixed point this vanishes up to the minimizer tolerance.
     """
     u = _values(control)
-    p = _solve_density(problem, grid, u)
-    w = _solve_value(problem, grid, u)
+    p0 = _initial_density_slice(problem, grid)
+    p, _, _ = _forward_pass(problem, grid, p0, u)
+    w, _, _ = _backward_pass(problem, grid, p0, u)
     return pmp_residual(problem, grid, u, p, w)
 
 

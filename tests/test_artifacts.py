@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fbsweep import artifacts
 from fbsweep.artifacts import (
     CONFIG_FILE,
     GAINS_FILE,
@@ -83,6 +84,44 @@ class TestCsv:
         path.write_text("a,b\n1.0,2.0\n3.0\n")
         with pytest.raises(ProblemError):
             read_csv(path)
+
+    @pytest.mark.parametrize("body", ["1.0,abc\n", "1.0,\n", "1.0,True\n"])
+    def test_non_numeric_cells(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(ProblemError, match="non-numeric"):
+            read_csv(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write_csv(path, ["a", "b", "c"])
+        header, data = read_csv(path)
+        assert header == ["a", "b", "c"]
+        assert data.shape == (0, 3)
+
+    def test_bulk_and_per_cell_bytes_agree(self, tmp_path, monkeypatch):
+        # A chunk smaller than the table exercises the chunk boundaries.
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", 4)
+        floats = np.array(
+            [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16, 1e-5,
+             np.inf, -np.inf, np.nan, 1 / 3, 0.1, -123456789.123456789]
+        )
+        ints = np.arange(floats.size, dtype=np.int64) - 6
+        bools = ints % 3 == 0
+        header = ["f", "i", "b"]
+        write_csv(tmp_path / "cells.csv", header, zip(floats, ints, bools))
+        write_csv(tmp_path / "bulk.csv", header, blocks=[[floats, ints, bools]])
+        write_csv(tmp_path / "split.csv", header,
+                  blocks=[[c[:5] for c in (floats, ints, bools)],
+                          [c[5:] for c in (floats, ints, bools)]])
+        cells = (tmp_path / "cells.csv").read_bytes()
+        assert b"\r\n-0.0,-6,True\r\n" in cells
+        assert (tmp_path / "bulk.csv").read_bytes() == cells
+        assert (tmp_path / "split.csv").read_bytes() == cells
+        write_csv(tmp_path / "numeric.csv", header[:2], blocks=[[floats, ints]])
+        _, data = read_csv(tmp_path / "numeric.csv")
+        np.testing.assert_array_equal(data, np.column_stack([floats, ints]))
+        assert np.signbit(data[0, 0])
 
 
 class TestJson:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -50,6 +51,27 @@ OBSTACLE_DOC = {
     "solver": {"max_iters": 2, "tol": 0.0},
     "slice_times": [0.0, 0.3],
     "seed": 11,
+}
+
+
+# A 21x21 obstacle problem with n_t = 100 and a 2-sweep budget, and the
+# SHA-256 of every file its run directory holds. The digests pin the
+# bytes of the solver's answers and of the CSV/JSON writers together
+# (numpy 2.4 on x86-64).
+REPRO_OBSTACLE_DOC = dict(OBSTACLE_DOC, domain=dict(OBSTACLE_DOC["domain"], n_t=100))
+REPRO_OBSTACLE_DIGESTS = {
+    "config.json": "16b6e39b2559b4daa8e62c8a96dd066d15c1d178bf28d7497575549bf5351f71",
+    "control.csv": "4d286c45b9b749b9b8cd7348de602c9392929f67d0171c5423defbfef1b5a608",
+    "control_t0.3.csv": "0d2e95e3baeace7f5249cca1d486d1b5532f43f2d6d89883e64f3fdadee4042a",
+    "control_t0.csv": "aad7b32bfa930c739c096d186a28707cbc970ba432f3300869feae215b529656",
+    "density_t0.3.csv": "b66910d9193713844f87683e5ad5a564264d03de1d011b227e7115d4f40db4d9",
+    "density_t0.csv": "bf2f7d961f364f38759b71d142fd4cf14550ff37857ed8ceb35718c7f77d4209",
+    "grid.json": "53ff2a9dc523520026584ce95ceec0f7d72e57bcd288cf38e95cc469e8380dd3",
+    "iterations.csv": "899d6846550619519e636efbcdf01de37515ffe04987184981d0c975c428b742",
+    "manifest.json": "6720075600beaa3ade037c8542a47735f0b626aaf14afb082ac91e1da40d0b0d",
+    "summary.json": "7fc887ea2b11ade7d84290d5dd135fd8f802566a701305845024562743a3a4b3",
+    "value_t0.3.csv": "4979c7d0050c023c1bd140fe8bcc0ea0d5506d414e0809df61531e4df0c0b505",
+    "value_t0.csv": "121438741af522f4feb4c9ee1982489baaa51d91de3c3b1987e316fa6a70c5c4",
 }
 
 
@@ -135,6 +157,20 @@ class TestRunGrid:
         assert summary["family"] == "obstacle-grid"
         assert summary["max_mass_drift"] <= 1e-12
         assert summary["monotonicity_violations"] == 0
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        config = write_doc(tmp_path, REPRO_OBSTACLE_DOC)
+        runs = [tmp_path / "first", tmp_path / "again"]
+        for out in runs:
+            assert main(["run-grid", "--config", str(config), "--out", str(out)]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        digests = {
+            name: hashlib.sha256((runs[0] / name).read_bytes()).hexdigest() for name in names
+        }
+        assert digests == REPRO_OBSTACLE_DIGESTS
 
     def test_stability_failure_is_exit_3(self, tmp_path, capsys):
         config = write_doc(tmp_path, OBSTACLE_DOC)

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsweep.core import Gaussian, GridSpec, ProblemError, StabilityError
 from fbsweep.gridpde import (
     GridProblem,
+    MassLog,
     QuadraticControl,
+    _upwind_differences,
     build_generator,
     conditional_density,
     fbsm_grid,
@@ -364,12 +368,12 @@ class TestMinimizer:
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup(
             minimizer="central"
         )
-        from fbsweep.gridpde import _central_gradient, _conditional_expectation
+        from fbsweep.gridpde import _conditional_expectation
 
         u = minimize_conditional_hamiltonian(
             problem, grid, 0.0, cond, w_next, u_prev, defined
         )
-        g = _central_gradient(w_next, 0, grid.spacing[0])
+        g = np.gradient(w_next, grid.spacing[0], axis=0)
         eg = _conditional_expectation(cond, g, 1, grid.spacing[0])
         expected = np.clip(-eg / (2.0 * 0.7), -3.0, 3.0)
         np.testing.assert_allclose(u[:, 0], expected, atol=1e-12)
@@ -513,3 +517,106 @@ class TestFbsmGrid:
         hist = result.objective_history
         slack = 1e-6 * (1.0 + np.abs(hist[:-1]))
         assert np.all(hist[1:] <= hist[:-1] + slack)
+
+
+def random_generator(shape, seed):
+    """A generator on a random box with random drift and SPD diffusion.
+
+    The diffusion is a random SPD matrix (mixed terms included) times a
+    positive scalar field; about a fifth of the drift entries are exactly
+    zero, so both upwind sides and the no-drift case all occur.
+    """
+    rng = np.random.default_rng(seed)
+    d = len(shape)
+    lower = rng.uniform(-2.0, 0.0, d)
+    grid = GridSpec(lower, lower + rng.uniform(0.5, 3.0, d), shape, 10, 1.0)
+    drift = [rng.standard_normal(shape) * 3.0 for _ in range(d)]
+    for b in drift:
+        b[rng.random(shape) < 0.2] = 0.0
+    a = rng.standard_normal((d, d))
+    spd = a @ a.T + 0.1 * np.eye(d)
+    scale = rng.uniform(0.5, 1.5, shape)
+    diffusion = [[spd[i, j] * scale for j in range(d)] for i in range(d)]
+    problem = GridProblem(
+        d_x=1, d_z=d - 1, d_u=1,
+        drift=lambda t, S, U: drift,
+        diffusion=lambda t, S: diffusion,
+        running_cost=lambda t, S, U: np.zeros_like(S[0]),
+        terminal_cost=lambda S: np.zeros_like(S[0]),
+        initial_density=Gaussian(np.zeros(d), np.eye(d)),
+    )
+    gen = build_generator(problem, grid, 0.0, np.zeros(tuple(shape[1:]) + (1,)))
+    return gen, rng
+
+
+grid_shapes = st.lists(st.integers(3, 9), min_size=1, max_size=3).map(tuple)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestStencilProperties:
+    """Slice-add stencils against the assembled matrix and plain numpy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=grid_shapes, seed=seeds)
+    def test_apply_and_adjoint_match_sparse_matrix(self, shape, seed):
+        gen, rng = random_generator(shape, seed)
+        mat = gen.to_sparse()
+        w = rng.standard_normal(shape)
+        p = rng.standard_normal(shape)
+        absmat = abs(mat)
+        np.testing.assert_array_less(
+            np.abs(gen.apply(w).ravel() - mat @ w.ravel()),
+            1e-12 * (absmat @ np.abs(w.ravel())) + 1e-300,
+        )
+        np.testing.assert_array_less(
+            np.abs(gen.apply_adjoint(p).ravel() - mat.T @ p.ravel()),
+            1e-12 * (absmat.T @ np.abs(p.ravel())) + 1e-300,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=grid_shapes, seed=seeds)
+    def test_row_sums_vanish(self, shape, seed):
+        gen, _ = random_generator(shape, seed)
+        mat = gen.to_sparse()
+        row_sums = np.asarray(mat.sum(axis=1)).ravel()
+        row_scale = np.asarray(abs(mat).sum(axis=1)).ravel()
+        assert np.all(np.abs(row_sums) <= 1e-12 * row_scale)
+        assert np.all(np.abs(gen.apply(np.ones(shape))).ravel() <= 1e-12 * row_scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=grid_shapes, seed=seeds)
+    def test_fp_step_conserves_mass(self, shape, seed):
+        gen, rng = random_generator(shape, seed)
+        # A step this short keeps q = p + dt L'p positive for p in [1, 2],
+        # so nothing is clamped and the drift is rounding only.
+        dt = 0.1 / float(abs(gen.to_sparse()).sum(axis=0).max())
+        p = rng.uniform(1.0, 2.0, shape)
+        p /= p.sum() * gen.grid.cell_volume
+        log = MassLog()
+        fp_step(p, gen, dt, log=log)
+        assert log.max_negative_mass == 0.0
+        assert log.max_mass_drift <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=grid_shapes, seed=seeds)
+    def test_upwind_differences_match_np_diff(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(shape)
+        for axis in range(len(shape)):
+            h = rng.uniform(0.1, 1.0)
+            gf, gb = _upwind_differences(w, axis, h)
+            quotient = np.diff(w, axis=axis) / h
+            pad = [(0, 0)] * len(shape)
+            pad[axis] = (0, 1)
+            np.testing.assert_array_equal(gf, np.pad(quotient, pad))
+            pad[axis] = (1, 0)
+            np.testing.assert_array_equal(gb, np.pad(quotient, pad))
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=grid_shapes)
+    def test_mesh_is_read_only(self, shape):
+        grid = GridSpec(-np.ones(len(shape)), np.ones(len(shape)), shape, 10, 1.0)
+        for arr in (*grid.mesh(), *grid.axes(), grid.spacing, grid.lower, grid.upper):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        assert grid.mesh() is grid.mesh()

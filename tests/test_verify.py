@@ -1,5 +1,7 @@
 """Tests for the identity-checking oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from fbsweep.verify import (
     lqg_grid_crosscheck,
     monotonicity_check,
     pmp_residual,
+    sweep_pmp_residual,
 )
 
 
@@ -140,6 +143,26 @@ class TestLemma1Check:
             report = lemma1_check(problem, grid, u, u_prime)
             residuals.append(report.residual)
         assert residuals[1] < residuals[0]
+
+
+class TestInitialDensityChecks:
+    """The oracles solve the density with the sweep's own forward pass, so
+    they reject the initial densities the sweep rejects."""
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
+    def test_oracles_reject_invalid_initial_density(self, bad):
+        def density(S):
+            p = np.exp(-(S[0] ** 2 + S[1] ** 2))
+            p[0, 0] = bad
+            return p
+
+        problem = dataclasses.replace(double_integrator_problem(), initial_density=density)
+        grid = small_grid(n=11, n_t=10, horizon=0.1)
+        u = np.zeros((grid.n_t, 11, 1))
+        with pytest.raises(ProblemError, match="initial density"):
+            lemma1_check(problem, grid, u, u)
+        with pytest.raises(ProblemError, match="initial density"):
+            sweep_pmp_residual(problem, grid, u)
 
 
 class TestMonotonicityCheck:
