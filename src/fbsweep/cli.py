@@ -36,6 +36,7 @@ from fbsweep.config import (
     LoadedConfig,
     bundled_config_path,
     parse_config,
+    read_document,
     simulation_cost,
     simulation_dynamics,
 )
@@ -60,7 +61,7 @@ ITERATION_MATCH_RTOL = 1e-9
 PMP_THRESHOLD_REL = 1e-4
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbsweep",
         description="Forward-backward sweep solvers for memory-limited "
@@ -132,26 +133,13 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_document(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ProblemError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ProblemError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ProblemError("config root must be a JSON object")
-    return doc
-
-
 def _effective_document(args) -> dict:
     """The config document with command-line overrides folded in.
 
     The folded document is what gets copied into the run directory, so a
     later ``verify`` reruns exactly what this command ran.
     """
-    doc = copy.deepcopy(_read_document(args.config))
+    doc = copy.deepcopy(read_document(args.config))
     solver = dict(doc.get("solver") or {})
     if getattr(args, "max_iters", None) is not None:
         solver["max_iters"] = args.max_iters
@@ -398,7 +386,7 @@ def _simulate(doc: dict, controller_dir, out, n_paths: int, seed, dt) -> tuple:
 
 def cmd_simulate(args) -> int:
     mean, stderr, ensemble = _simulate(
-        _read_document(args.config),
+        read_document(args.config),
         args.controller,
         args.out,
         args.paths,
@@ -435,7 +423,7 @@ def cmd_verify(args) -> int:
     if not run_dir.is_dir():
         raise ProblemError(f"run directory not found: {run_dir}")
     config_path = run_dir / artifacts.CONFIG_FILE
-    doc = _read_document(config_path)
+    doc = read_document(config_path)
     cfg = parse_config(doc)
     manifest = artifacts.read_json(run_dir / artifacts.MANIFEST_FILE)
     stored_iterations = artifacts.read_iterations(run_dir)
@@ -541,7 +529,7 @@ def cmd_reproduce(args) -> int:
     exit_codes = {}
     summary = {}
 
-    lqg_doc = _read_document(bundled_config_path("lqg"))
+    lqg_doc = read_document(bundled_config_path("lqg"))
     lqg_dir = out / "lqg"
     print("solving bundled lqg configuration ...")
     exit_codes["run-lqg"], lqg_result = _run_lqg(lqg_doc, lqg_dir)
@@ -572,7 +560,7 @@ def cmd_reproduce(args) -> int:
         "excluded_paths": lqg_ens.n_excluded,
     }
 
-    grid_doc = _read_document(bundled_config_path("obstacle"))
+    grid_doc = read_document(bundled_config_path("obstacle"))
     grid_dir = out / "obstacle"
     print("solving bundled obstacle configuration ...")
     exit_codes["run-grid"], grid_result = _run_grid(grid_doc, grid_dir)
@@ -605,7 +593,7 @@ def cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

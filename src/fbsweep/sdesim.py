@@ -9,15 +9,22 @@ by convention.
 Reproducibility: a root seed is split into one child stream per path
 plus one for the initial draw, so ensembles are bit-for-bit identical
 for a fixed (seed, n_paths, dt) regardless of scheduling or batch size.
+
+Layout: the step loop keeps states, controls and cumulative costs in
+time-major buffers, (n_steps + 1, n_paths, d_s) and alike, so that each
+step reads and writes one contiguous slice. PathEnsemble hands them out
+in their (n_paths, ...) shapes as transposed views of those buffers, not
+as copies; callers that need contiguous arrays copy them
+(np.ascontiguousarray).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from fbsweep.core import CostSpec, ExtendedDynamics, GridSpec, ProblemError
 
@@ -32,7 +39,8 @@ class PathEnsemble:
     cost, so it is non-decreasing whenever f >= 0. Paths that left the
     finite range are frozen at their last finite state and flagged
     invalid; clamp_counts tallies, per path, how many steps needed the
-    memory clamped onto the control law's domain.
+    memory clamped onto the control law's domain. The arrays are
+    transposed views of the simulator's time-major buffers.
     """
 
     times: np.ndarray
@@ -62,21 +70,31 @@ class GridControlLaw:
 
     Piecewise constant to the left in time (the table defines one control
     per step interval) and multilinear in the memory coordinates, with
-    out-of-grid memory points clamped to the boundary.
+    out-of-grid memory points clamped to the boundary. values must have
+    shape (n_t,) + grid.memory_shape(d_x) + (d_u,).
+
+    The multilinear evaluator works on the uniform memory axes directly.
+    Each coordinate's cell is floor((z - z_lower) / h), corrected by one
+    step either way against the axis nodes, so it is exactly scipy's
+    RegularGridInterpolator cell (searchsorted(axis, z, "right") - 1,
+    clipped to [0, n - 2]); the 2**d_z corner terms table[corner] * weight
+    are summed from 0.0 in that interpolator's hypercube order, so the
+    values are bit-identical to its linear method.
     """
 
     def __init__(self, values: np.ndarray, grid: GridSpec, d_x: int):
         values = np.asarray(values, dtype=float)
+        expected = (grid.n_t,) + tuple(grid.memory_shape(d_x))
+        if values.ndim != len(expected) + 1 or values.shape[:-1] != expected:
+            raise ProblemError(
+                f"control table has shape {values.shape}, expected {expected} + (d_u,)"
+            )
         self.values = values
         self.grid = grid
         self.d_x = d_x
         self.z_lower = grid.lower[d_x:]
         self.z_upper = grid.upper[d_x:]
         self._axes = grid.memory_axes(d_x)
-        if values.shape[0] != grid.n_t:
-            raise ProblemError(
-                f"control table has {values.shape[0]} slices, expected {grid.n_t}"
-            )
 
     def _time_index(self, t: float) -> int:
         if t < -1e-12 or t > self.grid.horizon + 1e-12:
@@ -88,9 +106,40 @@ class GridControlLaw:
         table = self.values[self._time_index(t)]
         if not self._axes:
             return np.broadcast_to(table, z.shape[:-1] + (table.shape[-1],)).copy()
-        zc = np.clip(z, self.z_lower, self.z_upper)
-        interp = RegularGridInterpolator(self._axes, table, method="linear")
-        return interp(zc)
+        zc = np.clip(z, self.z_lower, self.z_upper).reshape(-1, len(self._axes))
+        u = _multilinear(self._axes, table, zc)
+        return u.reshape(z.shape[:-1] + u.shape[-1:])
+
+
+def _cell_index(axis: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Cell of each z on a uniform axis: searchsorted(axis, z, "right") - 1
+    clipped to [0, n - 2], from a floor and a one-step correction each way."""
+    n = axis.size
+    step = (axis[-1] - axis[0]) / (n - 1)
+    # fmax/fmin send a NaN to cell 0, where its NaN weight still yields NaN
+    k = np.fmin(np.fmax(np.floor((z - axis[0]) / step), 0.0), n - 2).astype(np.intp)
+    k -= axis[k] > z
+    k += axis[k + 1] <= z
+    return np.clip(k, 0, n - 2, out=k)
+
+
+def _multilinear(axes, table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of table (axes shape + (d_u,)) at z (n, d_z)."""
+    cells, weights = [], []
+    for j, axis in enumerate(axes):
+        k = _cell_index(axis, z[:, j])
+        left = axis[k]
+        y = (z[:, j] - left) / (axis[k + 1] - left)
+        cells.append(k)
+        weights.append((1 - y, y))
+    value = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        weight = 1.0
+        for upper, pair in zip(corner, weights):
+            weight = weight * pair[upper]
+        node = tuple(k + upper for k, upper in zip(cells, corner))
+        value = value + table[node] * weight[:, None]
+    return value
 
 
 def _control_evaluator(control) -> Callable:
@@ -145,47 +194,48 @@ def simulate_paths(
     increments *= np.sqrt(dt)
 
     times = np.linspace(0.0, horizon, n_steps + 1)
-    states = np.empty((n_paths, n_steps + 1, d_s))
-    states[:, 0, :] = s0
-    controls = np.empty((n_paths, n_steps, d_u))
-    cum = np.zeros((n_paths, n_steps + 1)) if cost is not None else None
+    states = np.empty((n_steps + 1, n_paths, d_s))
+    states[0] = s0
+    controls = np.empty((n_steps, n_paths, d_u))
+    cum = np.zeros((n_steps + 1, n_paths)) if cost is not None else None
     valid = np.ones(n_paths, dtype=bool)
     clamp_counts = np.zeros(n_paths, dtype=int)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             t = times[i]
-            s = states[:, i, :]
+            s = states[i]
             z = s[:, d_x:]
             if z_lower is not None:
                 zc = np.clip(z, z_lower, z_upper)
                 clamp_counts += np.any(zc != z, axis=-1)
                 z = zc
-            u = np.asarray(eval_u(t, z), dtype=float).reshape(n_paths, d_u)
-            controls[:, i, :] = u
+            u = controls[i]
+            u[...] = np.asarray(eval_u(t, z), dtype=float).reshape(n_paths, d_u)
             b = np.asarray(dynamics.drift(t, s, u), dtype=float)
             sig = np.asarray(dynamics.diffusion(t, s, u), dtype=float)
             if sig.ndim == 2:
                 noise = increments[:, i, :] @ sig.T
             else:
                 noise = np.einsum("nij,nj->ni", sig, increments[:, i, :])
-            s_next = s + b * dt + noise
-            finite = np.all(np.isfinite(s_next), axis=-1)
-            newly_bad = valid & ~finite
-            if newly_bad.any():
-                s_next[newly_bad] = s[newly_bad]
-                valid &= finite
-            s_next[~valid] = states[~valid, i, :]
-            states[:, i + 1, :] = s_next
+            s_next = states[i + 1]
+            np.multiply(b, dt, out=s_next)
+            s_next += s
+            s_next += noise
+            # A sum is finite only if every entry is (an overflowing sum of
+            # finite entries just takes the exact path below).
+            if not (valid.all() and np.isfinite(s_next.sum())):
+                valid &= np.all(np.isfinite(s_next), axis=-1)
+                s_next[~valid] = s[~valid]
             if cum is not None:
                 f = np.asarray(cost.running_cost(t, s, u), dtype=float).reshape(n_paths)
-                cum[:, i + 1] = cum[:, i] + f * dt
+                np.add(cum[i], f * dt, out=cum[i + 1])
 
     return PathEnsemble(
         times=times,
-        states=states,
-        controls=controls,
-        cumulative_costs=cum,
+        states=states.transpose(1, 0, 2),
+        controls=controls.transpose(1, 0, 2),
+        cumulative_costs=cum.T if cum is not None else None,
         valid=valid,
         clamp_counts=clamp_counts,
         seed=seed,

@@ -11,8 +11,11 @@ from fbsweep.core import (
     LqgProblem,
     ProblemError,
     SingularPrecisionError,
+    as_time_fn,
 )
 from fbsweep.lqg import (
+    GainTrajectory,
+    LqgControlLaw,
     fbsm_lqg,
     inference_gain,
     lambda_rhs,
@@ -314,6 +317,66 @@ class TestFbsmLqg:
         K = inference_gain(g.lam[i], 1)
         expect = -np.eye(2) @ (g.pi[i] @ K @ (s - g.mu[i]) + g.psi[i] @ g.mu[i])
         assert np.allclose(law.evaluate(0.25, s), expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_x=st.sampled_from([1, 2]),
+        d_z=st.sampled_from([1, 2]),
+        d_u=st.sampled_from([1, 2]),
+        varying=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(1, 40),
+        times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    def test_tabulated_law_matches_per_call_expression(
+        self, d_x, d_z, d_u, varying, seed, n_points, times
+    ):
+        rng = np.random.default_rng(seed)
+        d_s, n = d_x + d_z, 20
+
+        def spd(*lead):
+            a = rng.standard_normal(lead + (d_s, d_s))
+            return a @ np.swapaxes(a, -1, -2) + d_s * np.eye(d_s)
+
+        def sym(*lead):
+            a = rng.standard_normal(lead + (d_s, d_s))
+            return a + np.swapaxes(a, -1, -2)
+
+        B0 = rng.standard_normal((d_s, d_u))
+        r = rng.standard_normal((d_u, d_u))
+        R0 = r @ r.T + np.eye(d_u)
+        gains = GainTrajectory(
+            times=np.linspace(0.0, 1.0, n + 1),
+            psi=sym(n + 1), pi=sym(n + 1), lam=spd(n + 1),
+            mu=rng.standard_normal((n + 1, d_s)), d_x=d_x,
+        )
+        problem = LqgProblem(
+            A=np.zeros((d_s, d_s)),
+            B=(lambda t: B0 * (1.0 + t)) if varying else B0,
+            sigma=np.eye(d_s),
+            Q=np.eye(d_s),
+            R=(lambda t: R0 + t * np.eye(d_u)) if varying else R0,
+            P=np.zeros((d_s, d_s)), mu0=np.zeros(d_s), lambda0=np.eye(d_s),
+            horizon=1.0, dt=1.0 / n, d_x=d_x, d_z=d_z,
+        )
+        law = LqgControlLaw(gains, problem)
+        z = rng.standard_normal((n_points, d_z)) * 3.0
+
+        def per_call(t, z):
+            # The law as evaluated before its tables existed.
+            i = gains.index_for(t)
+            t_i = gains.times[i]
+            K = inference_gain(gains.lam[i], d_x)
+            mu = gains.mu[i]
+            ez = z - mu[d_x:]
+            ks = np.concatenate([ez @ K[:d_x, d_x:].T, ez], axis=-1)
+            core = ks @ gains.pi[i].T + gains.psi[i] @ mu
+            B = np.atleast_2d(np.asarray(as_time_fn(problem.B)(t_i), dtype=float))
+            R = np.atleast_2d(np.asarray(as_time_fn(problem.R)(t_i), dtype=float))
+            return -core @ np.linalg.solve(R, B.T).T
+
+        for t in times + [0.0, 1.0]:
+            assert np.array_equal(law.evaluate_memory(t, z), per_call(t, z))
 
     def test_control_at_mean_with_zero_psi_mu_is_zero(self):
         res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=4, tol=0.0)

@@ -1,13 +1,28 @@
 """Tests for the Euler-Maruyama path simulator."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
+from fbsweep import artifacts
+from fbsweep.cli import main
+from fbsweep.config import (
+    bundled_config_path,
+    parse_config,
+    simulation_cost,
+    simulation_dynamics,
+)
 from fbsweep.core import CostSpec, ExtendedDynamics, Gaussian, GridSpec, ProblemError
-from fbsweep.lqg import fbsm_lqg
+from fbsweep.lqg import LqgControlLaw, fbsm_lqg
 from fbsweep.core import LqgProblem
 from fbsweep.sdesim import (
     GridControlLaw,
+    _cell_index,
     estimate_objective,
     simulate_paths,
 )
@@ -119,6 +134,155 @@ class TestSimulatePaths:
         with pytest.raises(ProblemError, match="no valid paths"):
             estimate_objective(ens, cost)
 
+    def test_mixed_explosion_freezes_only_the_bad_paths(self):
+        threshold = 1.0
+        dyn = ExtendedDynamics(
+            d_x=1,
+            d_z=1,
+            d_u=1,
+            d_w=2,
+            # x blows up (one step to inf) only once it exceeds the threshold
+            drift=lambda t, s, u: np.stack(
+                [np.where(s[:, 0] > threshold, np.inf, 0.0), np.zeros(len(s))], axis=-1
+            ),
+            diffusion=lambda t, s, u: np.eye(2),
+            initial_density=Gaussian([0.0, 0.0], np.diag([0.25, 1.0])),
+        )
+        grid = GridSpec([-5.0, -0.5], [5.0, 0.5], (3, 5), 50, 1.0)
+        law = GridControlLaw(np.zeros((50, 5, 1)), grid, d_x=1)
+        cost = CostSpec(
+            running_cost=lambda t, s, u: s[:, 0] ** 2 + s[:, 1] ** 2,
+            terminal_cost=lambda s: np.zeros(s.shape[0]),
+        )
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        assert ens.states.shape == (200, 51, 2) and ens.controls.shape == (200, 50, 1)
+        assert ens.cumulative_costs.shape == (200, 51)
+        x = ens.states[:, :, 0]
+        # a path goes bad exactly when a state it steps from exceeds the threshold
+        crossed = x[:, :-1] > threshold
+        assert np.array_equal(ens.valid, ~crossed.any(axis=1))
+        assert 0 < ens.n_excluded < ens.n_paths
+        assert np.all(np.isfinite(ens.states))
+        for m in np.flatnonzero(~ens.valid):
+            k = np.argmax(crossed[m])
+            # frozen at its last finite state from step k on, moving before
+            assert np.all(ens.states[m, k:] == ens.states[m, k])
+            assert np.all(np.diff(x[m, : k + 1]) != 0.0)
+        # costs accrue at the left endpoint, frozen paths included
+        f = (ens.states[:, :-1, 0] ** 2 + ens.states[:, :-1, 1] ** 2) * 0.02
+        assert np.array_equal(ens.cumulative_costs[:, 1:], ens.cumulative_costs[:, :-1] + f)
+        assert np.all(ens.cumulative_costs[:, 0] == 0.0)
+        # one clamp per step whose memory lies outside the law's domain
+        z = ens.states[:, :-1, 1]
+        assert np.array_equal(ens.clamp_counts, (np.abs(z) > 0.5).sum(axis=1))
+        assert ens.clamp_counts.sum() > 0
+
+
+def _bundled_document(name, solver, **domain):
+    doc = json.loads(bundled_config_path(name).read_text())
+    doc["solver"] = dict(doc["solver"], **solver)
+    if domain:
+        doc["domain"] = dict(doc["domain"], **domain)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def bundled_controllers(tmp_path_factory):
+    """A 2-sweep controller for the bundled lqg document and a 1-sweep one
+    for the bundled obstacle document on a 21x21 grid, solved by the CLI."""
+    base = tmp_path_factory.mktemp("controllers")
+    docs = {
+        "lqg": ("run-lqg", _bundled_document("lqg", {"max_iters": 2})),
+        "grid": (
+            "run-grid",
+            _bundled_document("obstacle", {"max_iters": 1}, shape=[21, 21]),
+        ),
+    }
+    controllers = {}
+    for family, (command, doc) in docs.items():
+        config_path = base / f"{family}.json"
+        config_path.write_text(json.dumps(doc))
+        run = base / family
+        assert main([command, "--config", str(config_path), "--out", str(run)]) == 0
+        cfg = parse_config(doc)
+        if family == "lqg":
+            p = cfg.lqg_problem
+            law = LqgControlLaw(artifacts.read_gains(run, p.d_x), p)
+            horizon, dt = p.horizon, p.dt
+        else:
+            law = GridControlLaw(*artifacts.read_control_table(run))
+            horizon, dt = cfg.grid.horizon, cfg.grid.dt
+        controllers[family] = (cfg, law, horizon, dt, config_path, run)
+    return controllers
+
+
+# SHA-256 of a 64-path ensemble under each bundled law (arrays taken
+# through np.ascontiguousarray) and of paths.csv from a 10-path simulate.
+# They pin the simulator's bits on numpy 2.4.6 and scipy 1.17.1 (x86-64);
+# another build or CPU can move them.
+PINNED_ROLLOUT_DIGESTS = {
+    "lqg": {
+        "states": "270ca1dfbb8701f96725baf3a4761246871d10a0f18e4fdcf7dee23ebb33a284",
+        "controls": "7bfe38cde15ad5fb730e9bbed09736971a799641bdb76f59fc4d5a429999d87d",
+        "cumulative_costs": "707e5e833d4d67abb85bdbf0f441289a470ed588abca5f7ada8264a0b88fdc41",
+        "paths.csv": "1b106a56118783b8f0644e3a1a0108d8ba640a36d789adcf4eb5fbee03e07273",
+    },
+    "grid": {
+        "states": "9585659d70b8a7bbcac10c2545ce95e9edfa66d22615b7a2f3b5f3e369c95362",
+        "controls": "4aaf5b6d66a105b1643280b5d610c0c6174ec2c4d6b63ead60004f6431938ed9",
+        "cumulative_costs": "33aca883c7c82d0c977b3897021ba045b080d23341eee96623b3ccbd3037b8d1",
+        "paths.csv": "9d7e274bdc1306585f4df2623738566302393c0f3b8607b88667e7f44032c306",
+    },
+}
+
+
+@pytest.mark.parametrize("family", ["lqg", "grid"])
+def test_bundled_rollouts_are_pinned(family, bundled_controllers, tmp_path):
+    cfg, law, horizon, dt, config_path, run = bundled_controllers[family]
+    cost = simulation_cost(cfg)
+    ens = simulate_paths(simulation_dynamics(cfg), law, horizon, dt, 64, cfg.seed, cost=cost)
+    digests = {
+        name: hashlib.sha256(np.ascontiguousarray(getattr(ens, name)).tobytes()).hexdigest()
+        for name in ("states", "controls", "cumulative_costs")
+    }
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(config_path), "--controller", str(run)]
+    assert main(argv + ["--out", str(out), "--paths", "10"]) == 0
+    digests["paths.csv"] = hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest()
+    assert digests == PINNED_ROLLOUT_DIGESTS[family]
+
+
+class TestSimulationCost:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_x=st.integers(1, 2),
+        d_z=st.integers(1, 2),
+        n=st.integers(3, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lqg_cost_has_the_einsum_bits(self, d_x, d_z, n, seed):
+        rng = np.random.default_rng(seed)
+        d_s = d_x + d_z
+
+        def psd(d):
+            a = rng.standard_normal((d, d))
+            return a @ a.T + np.eye(d)
+
+        doc = json.loads(bundled_config_path("lqg").read_text())
+        doc.update(
+            d_x=d_x, d_z=d_z, A=np.zeros((d_s, d_s)).tolist(), B=np.eye(d_s).tolist(),
+            sigma=np.eye(d_s).tolist(), Q=psd(d_s).tolist(), R=psd(d_s).tolist(),
+            P=psd(d_s).tolist(), mu0=[0.0] * d_s, lambda0=np.eye(d_s).tolist(),
+        )
+        cfg = parse_config(doc)
+        p, cost = cfg.lqg_problem, simulation_cost(cfg)
+        s = rng.standard_normal((n, d_s)) * 10.0 ** rng.integers(-3, 4, (n, d_s))
+        u = rng.standard_normal((n, d_s))
+        form = "...i,ij,...j->..."
+        running = np.einsum(form, s, p.Q, s) + np.einsum(form, u, p.R, u)
+        assert cost.running_cost(0.0, s, u).tobytes() == running.tobytes()
+        assert cost.terminal_cost(s).tobytes() == np.einsum(form, s, p.P, s).tobytes()
+
 
 class TestEstimateObjective:
     def brownian(self, n=64):
@@ -200,6 +364,70 @@ class TestGridControlLaw:
         ens = simulate_paths(dyn, law, 1.0, 0.1, 40, seed=4)
         assert ens.clamp_counts.sum() > 0
         assert ens.clamp_counts.max() <= 10
+
+    def test_table_shape_checked(self):
+        grid = GridSpec([-1.0, -2.0], [1.0, 2.0], (5, 9), 4, 1.0)
+        with pytest.raises(ProblemError, match="shape"):
+            GridControlLaw(np.zeros((4, 8, 1)), grid, d_x=1)
+        with pytest.raises(ProblemError, match="shape"):
+            GridControlLaw(np.zeros((4, 9)), grid, d_x=1)
+        with pytest.raises(ProblemError, match="shape"):
+            GridControlLaw(np.zeros((3, 9, 1)), grid, d_x=1)
+
+
+@st.composite
+def memory_grids(draw, d_z):
+    """A grid with uniform memory axes of 2-60 nodes, a control table with
+    d_u of 1 or 2, and query points on nodes, inside, on the box edges and
+    outside the box."""
+    n = [draw(st.integers(2, 60)) for _ in range(d_z)]
+    lo = [draw(st.floats(-5.0, 5.0)) for _ in range(d_z)]
+    width = [draw(st.floats(0.01, 10.0)) for _ in range(d_z)]
+    d_u = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = GridSpec(
+        [0.0] + lo, [1.0] + [a + w for a, w in zip(lo, width)], [2] + n, 1, 1.0
+    )
+    axes = grid.memory_axes(1)
+    table = rng.standard_normal(tuple(n) + (d_u,)) * 10.0 ** rng.integers(-3, 4)
+    table[rng.random(table.shape) < 0.1] = -0.0
+    cols = []
+    for axis in axes:
+        lo_j, hi_j = axis[0], axis[-1]
+        span = hi_j - lo_j
+        cols.append(np.concatenate([
+            rng.choice(axis, 30),
+            rng.uniform(lo_j, hi_j, 30),
+            [lo_j, hi_j],
+            rng.uniform(lo_j - span, lo_j, 10),
+            rng.uniform(hi_j, hi_j + span, 10),
+        ]))
+    z = np.stack([rng.permutation(c) for c in cols], axis=-1)
+    return grid, axes, table, z
+
+
+class TestMultilinearEvaluator:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.integers(1, 2).flatmap(memory_grids))
+    def test_matches_regular_grid_interpolator(self, case):
+        grid, axes, table, z = case
+        law = GridControlLaw(table[None], grid, d_x=1)
+        zc = np.clip(z, grid.lower[1:], grid.upper[1:])
+        expect = RegularGridInterpolator(axes, table)(zc)
+        u = law.evaluate_memory(0.0, z)
+        # identical bits, signed zeros included: same cells, weights and
+        # corner order as scipy
+        assert u.shape == expect.shape and u.tobytes() == expect.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.integers(1, 2).flatmap(memory_grids))
+    def test_cell_index_is_clipped_searchsorted(self, case):
+        _, axes, _, z = case
+        for j, axis in enumerate(axes):
+            expect = np.searchsorted(axis, z[:, j], side="right") - 1
+            assert np.array_equal(
+                _cell_index(axis, z[:, j]), np.clip(expect, 0, axis.size - 2)
+            )
 
 
 class TestLqgClosedLoop:
