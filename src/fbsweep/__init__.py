@@ -1,18 +1,21 @@
 """Forward-backward sweep solvers for memory-limited partially observable
 stochastic control.
 
-Two solver backends share one problem model:
+Two solver backends, each with one problem model that feeds both its
+solver and the Monte Carlo simulator:
 
 * :mod:`fbsweep.lqg` integrates the coupled Riccati system of the
-  linear-quadratic-Gaussian case by alternating forward and backward
-  sweeps over matrix ODEs.
+  linear-quadratic-Gaussian case (model: :class:`LqgProblem`) by
+  alternating forward and backward sweeps over matrix ODEs.
 * :mod:`fbsweep.gridpde` runs the same alternating sweeps on a
   finite-difference discretization of the coupled Fokker-Planck and
-  Hamilton-Jacobi-Bellman equations for nonlinear problems.
+  Hamilton-Jacobi-Bellman equations for nonlinear problems (model:
+  :class:`GridProblem`).
 
 :mod:`fbsweep.sdesim` provides Monte Carlo evaluation of any control law
-by Euler-Maruyama simulation, and :mod:`fbsweep.verify` holds executable
-checks of the mathematical identities the solvers rely on.
+by Euler-Maruyama simulation, on dynamics that :mod:`fbsweep.config`
+derives from the solver's model, and :mod:`fbsweep.verify` holds
+executable checks of the mathematical identities the solvers rely on.
 """
 
 __version__ = "0.1.0"
@@ -25,10 +28,8 @@ from fbsweep.core import (
     GridSpec,
     LqgProblem,
     ProblemError,
-    RawPoscSpec,
     SingularPrecisionError,
     StabilityError,
-    assemble_extended_dynamics,
     validate_lqg,
 )
 from fbsweep.gridpde import (
@@ -53,13 +54,7 @@ from fbsweep.lqg import (
     LqgSweepResult,
     fbsm_lqg,
     inference_gain,
-    lambda_rhs,
     lqg_objective,
-    mu_rhs,
-    pi_rhs,
-    psi_rhs,
-    solve_mu,
-    solve_psi,
 )
 from fbsweep.sdesim import (
     GridControlLaw,
@@ -96,11 +91,9 @@ __all__ = [
     "PathEnsemble",
     "ProblemError",
     "QuadraticControl",
-    "RawPoscSpec",
     "SingularPrecisionError",
     "StabilityError",
     "ValueField",
-    "assemble_extended_dynamics",
     "build_generator",
     "conjugacy_residual",
     "estimate_objective",
@@ -111,20 +104,14 @@ __all__ = [
     "grid_problem_from_lqg",
     "hjb_step",
     "inference_gain",
-    "lambda_rhs",
     "lemma1_check",
     "lqg_grid_crosscheck",
     "lqg_objective",
     "minimize_conditional_hamiltonian",
     "monotonicity_check",
-    "mu_rhs",
-    "pi_rhs",
     "pmp_residual",
-    "psi_rhs",
     "quadratic_grid_problem",
     "simulate_paths",
-    "solve_mu",
-    "solve_psi",
     "sweep_pmp_residual",
     "validate_lqg",
     "__version__",

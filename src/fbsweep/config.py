@@ -284,18 +284,55 @@ def simulation_dynamics(cfg: LoadedConfig) -> ExtendedDynamics:
             initial_density=p.initial_density(),
         )
 
-    # Obstacle family: dx = u dt + dw, dz = x dt + dnu, unit noise on both.
+    # Obstacle family: the grid solver's own drift and D on the path columns.
+    gp = cfg.grid_problem
+    d_s = gp.d_s
+
     def drift(t, s, u):
-        return np.stack([u[..., 0], s[..., 0]], axis=-1)
+        b = np.empty(s.shape)
+        for i, bi in enumerate(gp.drift(t, _columns(s, d_s), _columns(u, gp.d_u))):
+            b[..., i] = bi
+        return b
 
     def diffusion(t, s, u):
-        return np.eye(2)
+        return _diffusion_factor(gp, t, _columns(s, d_s))
 
+    diffusion(0.0, np.zeros((1, d_s)), None)  # reject a bad D before simulating
     return ExtendedDynamics(
-        d_x=1, d_z=1, d_u=1, d_w=2,
+        d_x=gp.d_x, d_z=gp.d_z, d_u=gp.d_u, d_w=d_s,
         drift=drift, diffusion=diffusion,
-        initial_density=cfg.grid_problem.initial_density,
+        initial_density=gp.initial_density,
     )
+
+
+def _columns(arr: np.ndarray, n: int) -> list:
+    """The first n columns of the last axis, as the grid callables take S and U."""
+    return [arr[..., i] for i in range(n)]
+
+
+def _diffusion_factor(gp: GridProblem, t: float, S: list) -> np.ndarray:
+    """Cholesky factor of the grid problem's diffusion matrix D(t, S).
+
+    The simulator steps every path with one noise matrix per step, so D
+    must evaluate to a single (d_s, d_s) matrix, symmetric positive
+    definite.
+    """
+    entries = gp.diffusion(t, S)
+    try:
+        D = np.asarray(entries, dtype=float)
+    except ValueError:  # entries of different shapes, e.g. per-node arrays
+        D = None
+    if D is None or D.shape != (gp.d_s, gp.d_s):
+        raise ProblemError(
+            f"simulation needs one ({gp.d_s}, {gp.d_s}) diffusion matrix "
+            "per step, independent of the state"
+        )
+    if not np.array_equal(D, D.T):
+        raise ProblemError("diffusion matrix must be symmetric")
+    try:
+        return np.linalg.cholesky(D)
+    except np.linalg.LinAlgError:
+        raise ProblemError("diffusion matrix must be positive definite") from None
 
 
 def _quadratic_form(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -331,12 +368,10 @@ def simulation_cost(cfg: LoadedConfig) -> CostSpec:
     gp = cfg.grid_problem
 
     def running(t, s, u):
-        S = [s[..., i] for i in range(gp.d_s)]
-        U = [u[..., i] for i in range(gp.d_u)]
+        S, U = _columns(s, gp.d_s), _columns(u, gp.d_u)
         return np.asarray(gp.running_cost(t, S, U), dtype=float)
 
     def terminal(s):
-        S = [s[..., i] for i in range(gp.d_s)]
-        return np.asarray(gp.terminal_cost(S), dtype=float)
+        return np.asarray(gp.terminal_cost(_columns(s, gp.d_s)), dtype=float)
 
     return CostSpec(running_cost=running, terminal_cost=terminal)

@@ -7,16 +7,16 @@ as an ordinary diffusion
     ds = b(t, s, u) dt + sigma(t, s, u) dw,
 
 while the control is restricted to functions u(t, z) of time and memory.
-This module holds the raw primitives (state, observation and memory
-equations), their assembly into one extended-state dynamics record, the
-linear-quadratic-Gaussian problem record used by the ODE backend, and the
-grid geometry used by the finite-difference backend.
+Each backend has one problem model: LqgProblem (below) for the Riccati
+backend and GridProblem (fbsweep.gridpde) for the finite-difference
+backend. That model feeds both its solver and the Monte Carlo simulator,
+whose ExtendedDynamics and CostSpec records are derived from it (see
+fbsweep.config). This module also holds the error types, the Gaussian
+initial law, LQG validation and the grid geometry.
 
 Conventions
 -----------
 * Extended-state coordinates are ordered (x_1..x_dx, z_1..z_dz).
-* Combined controls are ordered (u, v): state controls first, memory
-  controls second.
 * All dynamics/cost callables must accept batched inputs (arrays with
   leading sample dimensions) and be reentrant.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -97,63 +97,6 @@ class Gaussian:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.multivariate_normal(self.mean, self.cov, size=n)
 
-    def product(self, other: "Gaussian") -> "Gaussian":
-        """Independent product: block-diagonal covariance."""
-        mean = np.concatenate([self.mean, other.mean])
-        cov = np.zeros((self.dim + other.dim, self.dim + other.dim))
-        cov[: self.dim, : self.dim] = self.cov
-        cov[self.dim :, self.dim :] = other.cov
-        return Gaussian(mean, cov)
-
-
-@dataclass(frozen=True)
-class RawPoscSpec:
-    """Raw primitives of a partially observable control problem.
-
-    The state x, observation y and memory z evolve as
-
-        dx = b(t, x, u) dt + sigma(t, x, u) dw
-        dy = h(t, x) dt + gamma(t) dnu
-        dz = c(t, z, v) dt + kappa(t, z, v) dy + eta(t, z, v) dxi
-
-    where u controls the state, v controls the memory, and (w, nu, xi) are
-    independent Wiener processes. The observation enters the memory only
-    through the kappa * dy coupling, so the initial observation value never
-    appears in the model.
-
-    Shape contract (batched, leading dims allowed):
-        b: (..., d_x), sigma: (d_x, d_wx) or (..., d_x, d_wx)
-        h: (..., d_y), gamma: (d_y, d_y)
-        c: (..., d_z), kappa: (d_z, d_y) or (..., d_z, d_y)
-        eta: (d_z, d_we) or None for no independent memory noise
-    """
-
-    d_x: int
-    d_y: int
-    d_z: int
-    d_u: int
-    d_v: int
-    state_drift: Callable
-    state_diffusion: Callable
-    observation_drift: Callable
-    observation_noise: Callable
-    memory_drift: Callable
-    observation_gain: Callable
-    memory_noise: Optional[Callable]
-    initial_state: Gaussian
-    initial_memory: Gaussian
-
-    def __post_init__(self):
-        for name in ("d_x", "d_y", "d_z", "d_u"):
-            if getattr(self, name) <= 0:
-                raise ProblemError(f"{name} must be positive")
-        if self.d_v < 0:
-            raise ProblemError("d_v must be nonnegative")
-        if self.initial_state.dim != self.d_x:
-            raise ProblemError("initial_state dimension does not match d_x")
-        if self.initial_memory.dim != self.d_z:
-            raise ProblemError("initial_memory dimension does not match d_z")
-
 
 @dataclass(frozen=True)
 class ExtendedDynamics:
@@ -185,102 +128,6 @@ class CostSpec:
 
     running_cost: Callable
     terminal_cost: Callable
-
-
-def assemble_extended_dynamics(raw: RawPoscSpec) -> ExtendedDynamics:
-    """Stack the raw primitives into one extended-state dynamics record.
-
-    The extended drift is [b(t,x,u); c(t,z,v) + kappa(t,z,v) h(t,x)] and the
-    extended diffusion is the block matrix
-
-        [ sigma      0          0   ]
-        [   0    kappa*gamma   eta  ],
-
-    acting on the stacked noise (w, nu, xi). The initial density is the
-    independent product of the state and memory initial densities. The
-    stacked control is (u, v).
-    """
-    d_x, d_y, d_z = raw.d_x, raw.d_y, raw.d_z
-    d_u, d_v = raw.d_u, raw.d_v
-
-    t0 = 0.0
-    x0 = np.zeros((1, d_x))
-    z0 = np.zeros((1, d_z))
-    u0 = np.zeros((1, d_u))
-    v0 = np.zeros((1, max(d_v, 1)))[:, :d_v]
-
-    h0 = np.asarray(raw.observation_drift(t0, x0), dtype=float)
-    if h0.shape[-1] != d_y:
-        raise ProblemError(
-            f"observation_drift returns {h0.shape[-1]} components, expected d_y={d_y}"
-        )
-    gamma0 = np.atleast_2d(np.asarray(raw.observation_noise(t0), dtype=float))
-    if gamma0.shape != (d_y, d_y):
-        raise ProblemError(
-            f"observation_noise must be ({d_y}, {d_y}), got {gamma0.shape}"
-        )
-    kappa0 = np.asarray(raw.observation_gain(t0, z0, v0), dtype=float)
-    if kappa0.shape[-2:] != (d_z, d_y):
-        raise ProblemError(
-            f"observation_gain must end in ({d_z}, {d_y}), got {kappa0.shape}"
-        )
-    sigma0 = np.asarray(raw.state_diffusion(t0, x0, u0), dtype=float)
-    d_wx = sigma0.shape[-1]
-    if raw.memory_noise is not None:
-        eta0 = np.asarray(raw.memory_noise(t0, z0, v0), dtype=float)
-        if eta0.shape[-2] != d_z:
-            raise ProblemError(f"memory_noise must have {d_z} rows, got {eta0.shape}")
-        d_we = eta0.shape[-1]
-    else:
-        d_we = 0
-    d_w = d_wx + d_y + d_we
-
-    def drift(t, s, uv):
-        s = np.asarray(s, dtype=float)
-        uv = np.asarray(uv, dtype=float)
-        x, z = s[..., :d_x], s[..., d_x:]
-        u, v = uv[..., :d_u], uv[..., d_u:]
-        bx = np.asarray(raw.state_drift(t, x, u), dtype=float)
-        cz = np.asarray(raw.memory_drift(t, z, v), dtype=float)
-        h = np.asarray(raw.observation_drift(t, x), dtype=float)
-        kappa = np.asarray(raw.observation_gain(t, z, v), dtype=float)
-        coupled = np.matmul(kappa, h[..., None])[..., 0]
-        return np.concatenate(
-            [np.broadcast_to(bx, x.shape), np.broadcast_to(cz + coupled, z.shape)],
-            axis=-1,
-        )
-
-    def diffusion(t, s, uv):
-        s = np.asarray(s, dtype=float)
-        uv = np.asarray(uv, dtype=float)
-        x, z = s[..., :d_x], s[..., d_x:]
-        u, v = uv[..., :d_u], uv[..., d_u:]
-        sigma = np.asarray(raw.state_diffusion(t, x, u), dtype=float)
-        gamma = np.atleast_2d(np.asarray(raw.observation_noise(t), dtype=float))
-        kappa = np.asarray(raw.observation_gain(t, z, v), dtype=float)
-        kg = np.matmul(kappa, gamma)
-        batch = np.broadcast_shapes(
-            sigma.shape[:-2] if sigma.ndim > 2 else (),
-            kg.shape[:-2] if kg.ndim > 2 else (),
-            s.shape[:-1],
-        )
-        out = np.zeros(batch + (d_x + d_z, d_w))
-        out[..., :d_x, :d_wx] = sigma
-        out[..., d_x:, d_wx : d_wx + d_y] = kg
-        if raw.memory_noise is not None:
-            eta = np.asarray(raw.memory_noise(t, z, v), dtype=float)
-            out[..., d_x:, d_wx + d_y :] = eta
-        return out
-
-    return ExtendedDynamics(
-        d_x=d_x,
-        d_z=d_z,
-        d_u=d_u + d_v,
-        d_w=d_w,
-        drift=drift,
-        diffusion=diffusion,
-        initial_density=raw.initial_state.product(raw.initial_memory),
-    )
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,8 @@ class GridProblem:
     terminal_cost(S) -> grid arrays, initial_density(S) -> grid array.
     S is the meshgrid tuple of the extended-state grid; U is a list of
     d_u arrays shaped to broadcast over the grid (memory axes trailing).
+    minimizer is "auto" (exact with a quadratic declaration, else
+    search), "exact" or "search"; any other value raises ProblemError.
     """
 
     d_x: int
@@ -105,6 +107,12 @@ class GridProblem:
     control_upper: Optional[np.ndarray] = None
     quadratic: Optional[QuadraticControl] = None
     minimizer: str = "auto"
+
+    def __post_init__(self):
+        if self.minimizer not in ("auto", "exact", "search"):
+            raise ProblemError(
+                f"unknown minimizer {self.minimizer!r}; expected 'auto', 'exact' or 'search'"
+            )
 
     @property
     def d_s(self) -> int:
@@ -591,13 +599,13 @@ def _driven_dimensions(problem: GridProblem) -> list:
         if rows.size != 1:
             raise ProblemError(
                 "closed-form minimizer needs each control component to "
-                "drive exactly one coordinate; use minimizer='search' or 'central'"
+                "drive exactly one coordinate; use minimizer='search'"
             )
         driven.append(int(rows[0]))
     if len(set(driven)) != len(driven):
         raise ProblemError(
             "closed-form minimizer needs distinct driven coordinates per "
-            "control component; use minimizer='search' or 'central'"
+            "control component; use minimizer='search'"
         )
     return driven
 
@@ -654,15 +662,13 @@ def minimize_conditional_hamiltonian(
     Vectorized over all memory nodes: cond is the conditional table,
     w_next the value slice the generator acts on, u_prev the previous
     iterate's control slice (kept on ties, which pins fixed points).
-    Three branches:
+    Two branches:
 
     * "exact": for the declared quadratic structure, the discrete
       conditional Hamiltonian is piecewise quadratic in each control
       component (the upwind side switches where the driven drift changes
       sign), so the argmin is found exactly from the two branch vertices,
       the breakpoint, and the previous control.
-    * "central": closed form -1/2 R^{-1} B' E[grad w | z] with central
-      differences, clipped to bounds.
     * "search": exhaustive evaluation over a uniform candidate grid plus
       the previous control.
 
@@ -677,12 +683,8 @@ def minimize_conditional_hamiltonian(
 
     if mode == "exact":
         u_new = _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x)
-    elif mode == "central":
-        u_new = _minimize_central(problem, grid, t, cond, w_next, lo, hi, vol_x)
-    elif mode == "search":
-        u_new = _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x)
     else:
-        raise ProblemError(f"unknown minimizer mode {mode!r}")
+        u_new = _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x)
 
     if defined is not None:
         u_new = _fill_undefined(u_new, defined, grid, d_x)
@@ -735,22 +737,6 @@ def _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
         keep_prev = phis[3] <= phi_best + TIE_TOLERANCE * (1.0 + np.abs(phi_best))
         u_new[..., c] = np.where(keep_prev, cands[3], u_best)
     return u_new
-
-
-def _minimize_central(problem, grid, t, cond, w_next, lo, hi, vol_x):
-    if problem.quadratic is None:
-        raise ProblemError("minimizer 'central' requires a quadratic declaration")
-    quad = problem.quadratic
-    d_x = problem.d_x
-    z_shape = grid.memory_shape(d_x)
-    grad_exp = np.zeros(z_shape + (problem.d_s,))
-    needed = np.nonzero(np.any(quad.b_matrix != 0.0, axis=1))[0]
-    for i in needed:
-        g = np.gradient(w_next, grid.spacing[i], axis=i)
-        grad_exp[..., i] = _conditional_expectation(cond, g, d_x, vol_x)
-    coeff = quad.b_matrix / (2.0 * quad.r_diag[None, :])
-    u_new = -np.einsum("...i,ic->...c", grad_exp, coeff)
-    return np.clip(u_new, lo, hi)
 
 
 def _upwind_hamiltonian(problem: GridProblem, grid: GridSpec, t: float, diffs, u_slice):

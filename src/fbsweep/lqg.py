@@ -108,7 +108,7 @@ class _Coefficients:
 
     Index 2i is node t_i, index 2i+1 the midpoint of step i. Also caches
     M = B R^{-1} B^T and sigma sigma^T, the only combinations the sweep
-    equations need.
+    equations need, and the node times t_0..t_n.
     """
 
     def __init__(self, problem: LqgProblem):
@@ -116,6 +116,7 @@ class _Coefficients:
         self.n = n
         self.dt = problem.horizon / n
         self.times = np.linspace(0.0, problem.horizon, 2 * n + 1)
+        self.node_times = np.linspace(0.0, problem.horizon, n + 1)
         A_f, B_f = as_time_fn(problem.A), as_time_fn(problem.B)
         s_f = as_time_fn(problem.sigma)
         Q_f, R_f = as_time_fn(problem.Q), as_time_fn(problem.R)
@@ -140,72 +141,39 @@ class _Coefficients:
         )
         self.SS = np.einsum("tij,tkj->tik", sig, sig)
 
-    def at(self, idx2: int):
-        """Coefficient tuple (A, M, Q, SS) at half-grid index idx2."""
-        return self.A[idx2], self.M[idx2], self.Q[idx2], self.SS[idx2]
 
+def _riccati_increment(A, M, Q, mat, gap=None):
+    """-dX/dt of the backward Riccati equations at one stage point.
 
-def psi_rhs(problem: LqgProblem, t: float, psi: np.ndarray) -> np.ndarray:
-    """Backward increment of the classical Riccati equation.
-
-    Returns Q + A'Psi + Psi A - Psi B R^{-1} B' Psi, the value of
-    -dPsi/dt; callers integrating backward add rhs * dt per step.
+    Returns Q + A'X + X A - X M X with M = B R^{-1} B', the classical
+    equation of Psi. Given gap = I - K(Lambda) it adds
+    (I-K)' X M X (I-K), the information-loss term of the memory-feedback
+    equation of Pi; with K = I that term vanishes and Psi's increment is
+    recovered exactly.
     """
-    psi = np.asarray(psi, dtype=float)
-    A = np.atleast_2d(np.asarray(as_time_fn(problem.A)(t), dtype=float))
-    B = np.atleast_2d(np.asarray(as_time_fn(problem.B)(t), dtype=float))
-    Q = np.atleast_2d(np.asarray(as_time_fn(problem.Q)(t), dtype=float))
-    R = np.atleast_2d(np.asarray(as_time_fn(problem.R)(t), dtype=float))
-    M = B @ np.linalg.solve(R, B.T)
-    return Q + A.T @ psi + psi @ A - psi @ M @ psi
+    pmp = mat @ M @ mat
+    out = Q + A.T @ mat + mat @ A - pmp
+    if gap is not None:
+        out += gap.T @ pmp @ gap
+    return out
 
 
-def pi_rhs(problem: LqgProblem, t: float, pi: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """Backward increment of the memory-feedback Riccati equation.
+def _lambda_increment(A, SS, mp_x, mp_z, lam, d_x):
+    """dLambda/dt = -At' Lambda - Lambda At - Lambda SS Lambda, SS = sigma sigma'.
 
-    Returns Q + A'Pi + Pi A - Pi M Pi + (I-K)' Pi M Pi (I-K) with
-    M = B R^{-1} B'. With gain K = I the last term vanishes and the
-    classical Riccati increment is recovered exactly.
+    At = A - M Pi K(Lambda) is the drift of the centered state under the
+    affine law. K(Lambda) has zero state columns and memory columns [-C; I]
+    with C = Lambda_xx^{-1} Lambda_xz, so At is A with mp_z - mp_x C
+    subtracted from its memory columns, where mp_x and mp_z are the state
+    and memory columns of M Pi. This block form costs one small solve.
     """
-    pi = np.asarray(pi, dtype=float)
-    gain = np.asarray(gain, dtype=float)
-    A = np.atleast_2d(np.asarray(as_time_fn(problem.A)(t), dtype=float))
-    B = np.atleast_2d(np.asarray(as_time_fn(problem.B)(t), dtype=float))
-    Q = np.atleast_2d(np.asarray(as_time_fn(problem.Q)(t), dtype=float))
-    R = np.atleast_2d(np.asarray(as_time_fn(problem.R)(t), dtype=float))
-    M = B @ np.linalg.solve(R, B.T)
-    ik = np.eye(pi.shape[0]) - gain
-    pmp = pi @ M @ pi
-    return Q + A.T @ pi + pi @ A - pmp + ik.T @ pmp @ ik
+    At = A.copy()
+    At[:, d_x:] -= mp_z - mp_x @ _memory_cross(lam, d_x)
+    return -At.T @ lam - lam @ At - lam @ SS @ lam
 
 
-def lambda_rhs(problem: LqgProblem, t: float, lam: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Forward derivative of the closed-loop precision matrix.
-
-    Returns -Atilde' Lambda - Lambda Atilde - Lambda sigma sigma' Lambda
-    with Atilde = A - B R^{-1} B' Pi K(Lambda), the drift of the
-    centered state under the affine memory-feedback law.
-    """
-    lam = np.asarray(lam, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    A = np.atleast_2d(np.asarray(as_time_fn(problem.A)(t), dtype=float))
-    B = np.atleast_2d(np.asarray(as_time_fn(problem.B)(t), dtype=float))
-    R = np.atleast_2d(np.asarray(as_time_fn(problem.R)(t), dtype=float))
-    sig = np.atleast_2d(np.asarray(as_time_fn(problem.sigma)(t), dtype=float))
-    M = B @ np.linalg.solve(R, B.T)
-    K = inference_gain(lam, problem.d_x)
-    At = A - M @ pi @ K
-    return -At.T @ lam - lam @ At - lam @ (sig @ sig.T) @ lam
-
-
-def mu_rhs(problem: LqgProblem, t: float, mu: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Forward derivative of the mean: (A - B R^{-1} B' Psi) mu."""
-    mu = np.asarray(mu, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    A = np.atleast_2d(np.asarray(as_time_fn(problem.A)(t), dtype=float))
-    B = np.atleast_2d(np.asarray(as_time_fn(problem.B)(t), dtype=float))
-    R = np.atleast_2d(np.asarray(as_time_fn(problem.R)(t), dtype=float))
-    M = B @ np.linalg.solve(R, B.T)
+def _mean_increment(A, M, psi, mu):
+    """dmu/dt = (A - M Psi) mu."""
     return (A - M @ psi) @ mu
 
 
@@ -216,50 +184,43 @@ def _check_finite(traj: np.ndarray, times: np.ndarray, what: str):
         raise DivergenceError(f"{what} became non-finite at t={t_bad:.6g}")
 
 
-def solve_psi(problem: LqgProblem, method: str = "rk4") -> np.ndarray:
-    """Integrate the classical Riccati equation backward from Psi(T) = P.
+def _backward_riccati(problem, coeffs, method, what, gap=None):
+    """Integrate a Riccati equation backward from X(T) = P.
 
-    Classical fourth-order Runge-Kutta on the dt grid (explicit Euler
-    behind method="euler"). Output is symmetrized every step.
+    Without gap this is Psi's classical equation; with gap, the stack of
+    I - K(Lambda) of a held precision trajectory at the points the stages
+    read (_half_grid layout), it is the Pi equation. Classical RK4 on the
+    dt grid (explicit Euler behind method="euler"); the output is
+    symmetrized every step and must stay finite (what names it otherwise).
     """
-    coeffs = _Coefficients(problem)
-    return _solve_psi_tab(problem, coeffs, method)
-
-
-def _psi_increment(coeffs: _Coefficients, idx2: int, psi: np.ndarray) -> np.ndarray:
-    A, M, Q, _ = coeffs.at(idx2)
-    return Q + A.T @ psi + psi @ A - psi @ M @ psi
-
-
-def _solve_psi_tab(problem: LqgProblem, coeffs: _Coefficients, method: str) -> np.ndarray:
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
-    psi = np.empty((n + 1, d, d))
-    psi[n] = _sym(problem.P)
+    A, M, Q = coeffs.A, coeffs.M, coeffs.Q
+
+    def rhs(idx2, val, j):
+        return _riccati_increment(
+            A[idx2], M[idx2], Q[idx2], val, None if gap is None else gap[j]
+        )
+
+    out = np.empty((n + 1, d, d))
+    out[n] = _sym(problem.P)
     for i in range(n - 1, -1, -1):
-        top = psi[i + 1]
+        top = out[i + 1]
         if method == "euler":
-            step = _psi_increment(coeffs, 2 * i, top)
+            step = rhs(2 * i, top, i)
         else:
-            k1 = _psi_increment(coeffs, 2 * i + 2, top)
-            k2 = _psi_increment(coeffs, 2 * i + 1, top + 0.5 * dt * k1)
-            k3 = _psi_increment(coeffs, 2 * i + 1, top + 0.5 * dt * k2)
-            k4 = _psi_increment(coeffs, 2 * i, top + dt * k3)
+            k1 = rhs(2 * i + 2, top, 2 * i + 2)
+            k2 = rhs(2 * i + 1, top + 0.5 * dt * k1, 2 * i + 1)
+            k3 = rhs(2 * i + 1, top + 0.5 * dt * k2, 2 * i + 1)
+            k4 = rhs(2 * i, top + dt * k3, 2 * i)
             step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        psi[i] = _sym(top + dt * step)
-    _check_finite(psi, np.linspace(0, problem.horizon, n + 1), "Psi")
-    return psi
+        out[i] = _sym(top + dt * step)
+    _check_finite(out, coeffs.node_times, what)
+    return out
 
 
-def solve_mu(problem: LqgProblem, psi: np.ndarray, method: str = "rk4") -> np.ndarray:
-    """Integrate the mean ODE forward from mu(0) = mu0 given Psi."""
-    coeffs = _Coefficients(problem)
-    return _solve_mu_tab(problem, coeffs, psi, method)
-
-
-def _solve_mu_tab(
-    problem: LqgProblem, coeffs: _Coefficients, psi: np.ndarray, method: str
-) -> np.ndarray:
+def _forward_mu(problem, coeffs, psi, method):
+    """Integrate the mean forward from mu(0) = mu0 given Psi."""
     n, dt = coeffs.n, coeffs.dt
     mu = np.empty((n + 1, problem.d_s))
     mu[0] = problem.mu0
@@ -268,8 +229,7 @@ def _solve_mu_tab(
         return mu
 
     def rhs(idx2, psi_val, m):
-        A, M, _, _ = coeffs.at(idx2)
-        return (A - M @ psi_val) @ m
+        return _mean_increment(coeffs.A[idx2], coeffs.M[idx2], psi_val, m)
 
     for i in range(n):
         base = mu[i]
@@ -283,7 +243,7 @@ def _solve_mu_tab(
             k4 = rhs(2 * i + 2, psi[i + 1], base + dt * k3)
             step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         mu[i + 1] = base + dt * step
-    _check_finite(mu, np.linspace(0, problem.horizon, n + 1), "mu")
+    _check_finite(mu, coeffs.node_times, "mu")
     return mu
 
 
@@ -390,43 +350,11 @@ class LqgSweepResult:
         return LqgControlLaw(self.gains, self.problem)
 
 
-def _backward_pi(problem, coeffs, lam_stale, method):
-    """One backward sweep of Pi holding the precision trajectory fixed."""
-    n, dt = coeffs.n, coeffs.dt
-    d = problem.d_s
-    # I - K(Lambda) for every stage, from one batched gain evaluation
-    ik = np.eye(d) - inference_gain(_half_grid(lam_stale, method), problem.d_x)
-    ik_t = np.swapaxes(ik, -1, -2)
-
-    def rhs(idx2, pi_val, j):
-        A, M, Q, _ = coeffs.at(idx2)
-        pmp = pi_val @ M @ pi_val
-        return Q + A.T @ pi_val + pi_val @ A - pmp + ik_t[j] @ pmp @ ik[j]
-
-    pi = np.empty((n + 1, d, d))
-    pi[n] = _sym(problem.P)
-    for i in range(n - 1, -1, -1):
-        top = pi[i + 1]
-        if method == "euler":
-            step = rhs(2 * i, top, i)
-        else:
-            k1 = rhs(2 * i + 2, top, 2 * i + 2)
-            k2 = rhs(2 * i + 1, top + 0.5 * dt * k1, 2 * i + 1)
-            k3 = rhs(2 * i + 1, top + 0.5 * dt * k2, 2 * i + 1)
-            k4 = rhs(2 * i, top + dt * k3, 2 * i)
-            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        pi[i] = _sym(top + dt * step)
-    return pi
-
-
 def _forward_lambda(problem, coeffs, pi_stale, method):
     """One forward sweep of Lambda holding the Pi trajectory fixed.
 
-    K(Lambda) has zero state columns and memory columns [-C; I] with
-    C = Lambda_xx^{-1} Lambda_xz, so the closed-loop drift
-    A - M Pi K is A with M (Pi_z - Pi_x C) subtracted from its memory
-    columns. M Pi is tabulated for every stage before the time loop,
-    leaving one small solve per stage.
+    M Pi is tabulated for every stage before the time loop, so each stage
+    of _lambda_increment costs one small solve.
     """
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
@@ -439,10 +367,9 @@ def _forward_lambda(problem, coeffs, pi_stale, method):
     mp_x, mp_z = mp[..., :d_x], mp[..., d_x:]
 
     def rhs(idx2, lam_val, j):
-        A, _, _, SS = coeffs.at(idx2)
-        At = A.copy()
-        At[:, d_x:] -= mp_z[j] - mp_x[j] @ _memory_cross(lam_val, d_x)
-        return -At.T @ lam_val - lam_val @ At - lam_val @ SS @ lam_val
+        return _lambda_increment(
+            coeffs.A[idx2], coeffs.SS[idx2], mp_x[j], mp_z[j], lam_val, d_x
+        )
 
     lam = np.empty((n + 1, d, d))
     lam[0] = _sym(problem.lambda0)
@@ -520,7 +447,7 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
             k4 = rhs(2 * i + 2, base + dt * k3)
             step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         sigma_nodes[i + 1] = _sym(base + dt * step)
-    _check_finite(sigma_nodes, np.linspace(0, problem.horizon, n + 1), "Sigma")
+    _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
     node_gain = gain if method == "euler" else gain[::2]
     return _expected_cost(problem, coeffs, psi, pi, node_gain, mu, sigma_nodes)
 
@@ -553,11 +480,11 @@ def fbsm_lqg(
 
     coeffs = _Coefficients(problem)
     n = coeffs.n
-    times = np.linspace(0.0, problem.horizon, n + 1)
+    times = coeffs.node_times
     d = problem.d_s
 
-    psi = _solve_psi_tab(problem, coeffs, method)
-    mu = _solve_mu_tab(problem, coeffs, psi, method)
+    psi = _backward_riccati(problem, coeffs, method, "Psi")
+    mu = _forward_mu(problem, coeffs, psi, method)
 
     if pi0 is None:
         pi = np.zeros((n + 1, d, d))
@@ -581,8 +508,9 @@ def fbsm_lqg(
     k = 0
     while k < max_iters:
         if k % 2 == 0:
-            pi = _backward_pi(problem, coeffs, lam, method)
-            _check_finite(pi, times, f"Pi (iteration {k + 1})")
+            # I - K(Lambda) at every stage point, from one batched gain evaluation
+            gap = np.eye(d) - inference_gain(_half_grid(lam, method), problem.d_x)
+            pi = _backward_riccati(problem, coeffs, method, f"Pi (iteration {k + 1})", gap)
         else:
             lam = _forward_lambda(problem, coeffs, pi, method)
             _check_finite(lam, times, f"Lambda (iteration {k + 1})")

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from fbsweep.core import GridSpec, LqgProblem, Gaussian, ProblemError, as_time_fn
+from fbsweep.core import GridSpec, LqgProblem, ProblemError, as_time_fn
 from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
@@ -290,7 +290,7 @@ def grid_problem_from_lqg(
         quadratic=quad,
         diffusion=diffusion,
         terminal_cost=terminal_cost,
-        initial_density=Gaussian(problem.mu0, np.linalg.inv(problem.lambda0)),
+        initial_density=problem.initial_density(),
         control_lower=control_lower,
         control_upper=control_upper,
         minimizer=minimizer,

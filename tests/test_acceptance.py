@@ -23,14 +23,20 @@ from fbsweep.config import (
     simulation_cost,
     simulation_dynamics,
 )
-from fbsweep.core import Gaussian, GridSpec, LqgProblem
+from fbsweep.core import Gaussian, GridSpec, LqgProblem, as_time_fn
 from fbsweep.gridpde import (
     QuadraticControl,
     build_generator,
     fbsm_grid,
     quadratic_grid_problem,
 )
-from fbsweep.lqg import fbsm_lqg, lqg_objective, pi_rhs, psi_rhs, solve_psi
+from fbsweep.lqg import (
+    _backward_riccati,
+    _Coefficients,
+    _riccati_increment,
+    fbsm_lqg,
+    lqg_objective,
+)
 from fbsweep.sdesim import GridControlLaw, estimate_objective, simulate_paths
 from fbsweep.verify import (
     conjugacy_residual,
@@ -157,8 +163,14 @@ class TestRiccatiStructure:
             raw = rng.standard_normal((d_s, d_s))
             sym = (raw + raw.T) / 2.0
             t = rng.uniform(0.0, problem.horizon)
+            A, B, Q, R = (
+                np.atleast_2d(np.asarray(as_time_fn(m)(t), dtype=float))
+                for m in (problem.A, problem.B, problem.Q, problem.R)
+            )
+            M = B @ np.linalg.solve(R, B.T)
+            gap = np.eye(d_s) - np.eye(d_s)  # I - K with the identity gain K = I
             diff = np.abs(
-                pi_rhs(problem, t, sym, np.eye(d_s)) - psi_rhs(problem, t, sym)
+                _riccati_increment(A, M, Q, sym, gap) - _riccati_increment(A, M, Q, sym)
             ).max()
             worst = max(worst, float(diff))
         assert worst <= 1e-12
@@ -170,7 +182,7 @@ class TestRiccatiStructure:
             mu0=np.array([0.0]), lambda0=np.array([[1.0]]),
             horizon=20.0, dt=0.01, d_x=1, d_z=0,
         )
-        psi = solve_psi(problem)
+        psi = _backward_riccati(problem, _Coefficients(problem), "rk4", "Psi")
         assert abs(psi[0, 0, 0] - (1.0 + np.sqrt(2.0))) <= 1e-6
 
 

@@ -179,6 +179,19 @@ class TestRunGrid:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("minimizer", ["bogus", "central"])
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    def test_unknown_minimizer_is_exit_2_before_any_output(
+        self, minimizer, max_iters, tmp_path, capsys
+    ):
+        doc = dict(OBSTACLE_DOC, solver={"max_iters": max_iters, "tol": 0.0,
+                                         "minimizer": minimizer})
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run-grid", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "minimizer" in capsys.readouterr().err
+
     def test_dt_override_must_divide_horizon(self, tmp_path, capsys):
         config = write_doc(tmp_path, OBSTACLE_DOC)
         code = main(["run-grid", "--config", str(config),

@@ -1,10 +1,14 @@
 """Tests for JSON configuration loading and the simulation adapters."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fbsweep.config import (
     DEFAULT_SLICE_FRACTIONS,
@@ -17,6 +21,7 @@ from fbsweep.config import (
     simulation_dynamics,
 )
 from fbsweep.core import ProblemError, as_time_fn
+from fbsweep.gridpde import quadratic_grid_problem
 
 
 def lqg_doc():
@@ -25,6 +30,22 @@ def lqg_doc():
 
 def obstacle_doc():
     return json.loads(bundled_config_path("obstacle").read_text())
+
+
+def obstacle_with(diffusion, drift0=lambda t, S: [0.5 * S[1] - S[0], S[0] - 2.0 * S[1]]):
+    """The bundled obstacle config with its grid problem's drift0 and D replaced."""
+    cfg = parse_config(obstacle_doc())
+    gp = cfg.grid_problem
+    derived = quadratic_grid_problem(
+        d_x=1, d_z=1, quadratic=dataclasses.replace(gp.quadratic, drift0=drift0),
+        diffusion=diffusion, terminal_cost=gp.terminal_cost,
+        initial_density=gp.initial_density,
+        control_lower=gp.control_lower, control_upper=gp.control_upper,
+    )
+    return dataclasses.replace(cfg, grid_problem=derived)
+
+
+D_DIAG = np.diag([0.25, 4.0])
 
 
 class TestBundledConfigs:
@@ -135,6 +156,13 @@ class TestValidation:
         with pytest.raises(ProblemError, match="slice time"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("minimizer", ["bogus", "central"])
+    def test_unknown_minimizer(self, minimizer):
+        doc = obstacle_doc()
+        doc["solver"]["minimizer"] = minimizer
+        with pytest.raises(ProblemError, match="minimizer"):
+            parse_config(doc)
+
     def test_domain_shape_entries(self):
         doc = obstacle_doc()
         doc["domain"]["shape"] = [101]
@@ -224,6 +252,53 @@ class TestSimulationAdapters:
         np.testing.assert_allclose(drift[:, 1], s[:, 0])
         np.testing.assert_allclose(dyn.diffusion(0.1, s, u), np.eye(2))
         assert dyn.d_w == 2
+
+    def test_obstacle_dynamics_derive_from_grid_problem(self):
+        cfg = obstacle_with(lambda t, S: D_DIAG)
+        dyn = simulation_dynamics(cfg)
+        s = np.array([[0.5, -1.0], [2.0, 0.25]])
+        u = np.array([[3.0], [-1.0]])
+        drift = dyn.drift(0.1, s, u)
+        np.testing.assert_array_equal(drift[:, 0], 0.5 * s[:, 1] - s[:, 0] + u[:, 0])
+        np.testing.assert_array_equal(drift[:, 1], s[:, 0] - 2.0 * s[:, 1])
+        np.testing.assert_array_equal(dyn.diffusion(0.1, s, u), np.diag([0.5, 2.0]))
+        assert (dyn.d_x, dyn.d_z, dyn.d_u, dyn.d_w) == (1, 1, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        t=st.floats(0.0, 1.0),
+        bundled=st.booleans(),
+    )
+    def test_derived_model_is_the_grid_model(self, data, n, t, bundled):
+        # The simulator's drift is the grid problem's drift columns, bit for
+        # bit (signed zeros included), and its noise factor reproduces D.
+        cfg = parse_config(obstacle_doc()) if bundled else obstacle_with(lambda t, S: D_DIAG)
+        gp = cfg.grid_problem
+        values = st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)
+        s = data.draw(hnp.arrays(np.float64, (n, 2), elements=values))
+        u = data.draw(hnp.arrays(np.float64, (n, 1), elements=values))
+        dyn = simulation_dynamics(cfg)
+        drift = dyn.drift(t, s, u)
+        expected = gp.drift(t, [s[:, 0], s[:, 1]], [u[:, 0]])
+        for i in range(2):
+            column = np.broadcast_to(np.asarray(expected[i], dtype=float), (n,))
+            assert drift[:, i].tobytes() == column.tobytes()
+        sig = dyn.diffusion(t, s, u)
+        D = np.asarray(gp.diffusion(t, [s[:, 0], s[:, 1]]), dtype=float)
+        assert sig.shape == (2, 2)
+        np.testing.assert_array_equal(sig @ sig.T, D)
+
+    def test_obstacle_diffusion_must_be_one_positive_definite_matrix(self):
+        for D in ([[1.0, 1.0], [1.0, 1.0]], np.diag([1.0, 0.0])):
+            with pytest.raises(ProblemError, match="positive definite"):
+                simulation_dynamics(obstacle_with(lambda t, S, D=D: D))
+        with pytest.raises(ProblemError, match="symmetric"):
+            simulation_dynamics(obstacle_with(lambda t, S: [[1.0, 0.5], [0.0, 1.0]]))
+        per_node = lambda t, S: [[1.0 + 0.0 * S[0], 0.0], [0.0, 1.0]]  # noqa: E731
+        with pytest.raises(ProblemError, match="diffusion matrix"):
+            simulation_dynamics(obstacle_with(per_node))
 
     def test_obstacle_cost_matches_grid_problem(self):
         cfg = parse_config(obstacle_doc())

@@ -1,4 +1,4 @@
-"""Tests for problem models and extended-state assembly."""
+"""Tests for the shared problem records: Gaussian, LQG validation, grid geometry."""
 
 import numpy as np
 import pytest
@@ -8,30 +8,8 @@ from fbsweep.core import (
     GridSpec,
     LqgProblem,
     ProblemError,
-    RawPoscSpec,
-    assemble_extended_dynamics,
     validate_lqg,
 )
-
-
-def make_raw(kappa_shape=(1, 1), eta=None, d_z=1, d_y=1):
-    """Scalar state with noisy observation fed into scalar memory."""
-    return RawPoscSpec(
-        d_x=1,
-        d_y=d_y,
-        d_z=d_z,
-        d_u=1,
-        d_v=0,
-        state_drift=lambda t, x, u: x + u,
-        state_diffusion=lambda t, x, u: np.eye(1),
-        observation_drift=lambda t, x: np.broadcast_to(x[..., :1], x.shape[:-1] + (d_y,)),
-        observation_noise=lambda t: np.eye(d_y),
-        memory_drift=lambda t, z, v: np.zeros(z.shape[:-1] + (d_z,)),
-        observation_gain=lambda t, z, v: np.ones(kappa_shape),
-        memory_noise=eta,
-        initial_state=Gaussian([0.0], [[1.0]]),
-        initial_memory=Gaussian(np.zeros(d_z), np.eye(d_z)),
-    )
 
 
 class TestGaussian:
@@ -56,58 +34,9 @@ class TestGaussian:
         assert np.allclose(samples.mean(axis=0), g.mean, atol=0.02)
         assert np.allclose(np.cov(samples.T), g.cov, atol=0.02)
 
-    def test_product_is_block_diagonal(self):
-        g = Gaussian([1.0], [[2.0]]).product(Gaussian([3.0], [[4.0]]))
-        assert np.allclose(g.mean, [1.0, 3.0])
-        assert np.allclose(g.cov, [[2.0, 0.0], [0.0, 4.0]])
-
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ProblemError):
             Gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
-
-
-class TestAssembleExtendedDynamics:
-    def test_drift_stacks_state_and_coupled_memory(self):
-        ext = assemble_extended_dynamics(make_raw())
-        s = np.array([[2.0, 5.0]])
-        u = np.array([[3.0]])
-        # state part: x + u = 5, memory part: c + kappa*h = 0 + 1*2 = 2
-        assert np.allclose(ext.drift(0.0, s, u), [[5.0, 2.0]])
-
-    def test_diffusion_block_structure(self):
-        ext = assemble_extended_dynamics(make_raw())
-        s = np.array([[0.5, -0.5]])
-        u = np.array([[0.0]])
-        sig = ext.diffusion(0.0, s, u)
-        assert sig.shape == (1, 2, 2)
-        # [[sigma, 0], [0, kappa*gamma]]
-        assert np.allclose(sig[0], [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_memory_noise_appends_noise_column(self):
-        ext = assemble_extended_dynamics(
-            make_raw(eta=lambda t, z, v: 0.5 * np.eye(1))
-        )
-        assert ext.d_w == 3
-        sig = ext.diffusion(0.0, np.zeros((1, 2)), np.zeros((1, 1)))
-        assert np.allclose(sig[0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]])
-
-    def test_initial_density_is_product(self):
-        ext = assemble_extended_dynamics(make_raw())
-        assert np.allclose(ext.initial_density.mean, [0.0, 0.0])
-        assert np.allclose(ext.initial_density.cov, np.eye(2))
-
-    def test_batched_evaluation(self):
-        ext = assemble_extended_dynamics(make_raw())
-        s = np.random.default_rng(0).normal(size=(40, 2))
-        u = np.random.default_rng(1).normal(size=(40, 1))
-        drift = ext.drift(0.0, s, u)
-        assert drift.shape == (40, 2)
-        assert np.allclose(drift[:, 0], s[:, 0] + u[:, 0])
-        assert np.allclose(drift[:, 1], s[:, 0])
-
-    def test_rejects_mismatched_observation_gain(self):
-        with pytest.raises(ProblemError):
-            assemble_extended_dynamics(make_raw(kappa_shape=(2, 3)))
 
 
 class TestValidateLqg:

@@ -364,19 +364,10 @@ class TestMinimizer:
         spacing = 6.0 / 40
         assert np.max(np.abs(u_search - u_exact)) <= spacing + 1e-12
 
-    def test_central_mode_closed_form(self):
-        problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup(
-            minimizer="central"
-        )
-        from fbsweep.gridpde import _conditional_expectation
-
-        u = minimize_conditional_hamiltonian(
-            problem, grid, 0.0, cond, w_next, u_prev, defined
-        )
-        g = np.gradient(w_next, grid.spacing[0], axis=0)
-        eg = _conditional_expectation(cond, g, 1, grid.spacing[0])
-        expected = np.clip(-eg / (2.0 * 0.7), -3.0, 3.0)
-        np.testing.assert_allclose(u[:, 0], expected, atol=1e-12)
+    @pytest.mark.parametrize("minimizer", ["bogus", "central"])
+    def test_unknown_minimizer_rejected_at_construction(self, minimizer):
+        with pytest.raises(ProblemError, match="minimizer"):
+            double_integrator_problem(minimizer=minimizer)
 
     def test_low_mass_nodes_copy_nearest(self):
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()

@@ -16,15 +16,15 @@ from fbsweep.core import (
 from fbsweep.lqg import (
     GainTrajectory,
     LqgControlLaw,
+    _backward_riccati,
+    _Coefficients,
+    _forward_mu,
+    _lambda_increment,
+    _mean_increment,
+    _riccati_increment,
     fbsm_lqg,
     inference_gain,
-    lambda_rhs,
     lqg_objective,
-    mu_rhs,
-    pi_rhs,
-    psi_rhs,
-    solve_mu,
-    solve_psi,
 )
 
 
@@ -81,6 +81,45 @@ def scalar_problem(**overrides):
     )
     kwargs.update(overrides)
     return LqgProblem(**kwargs)
+
+
+def coefficients(prob, t):
+    """(A, M = B R^-1 B', Q, sigma sigma') of prob at time t."""
+    A, B, Q, R, sig = (
+        np.atleast_2d(np.asarray(as_time_fn(m)(t), dtype=float))
+        for m in (prob.A, prob.B, prob.Q, prob.R, prob.sigma)
+    )
+    return A, B @ np.linalg.solve(R, B.T), Q, sig @ sig.T
+
+
+def psi_increment(prob, t, psi):
+    A, M, Q, _ = coefficients(prob, t)
+    return _riccati_increment(A, M, Q, psi)
+
+
+def pi_increment(prob, t, pi, gain):
+    A, M, Q, _ = coefficients(prob, t)
+    return _riccati_increment(A, M, Q, pi, np.eye(len(gain)) - gain)
+
+
+def lambda_increment(prob, t, lam, pi):
+    A, M, _, SS = coefficients(prob, t)
+    mp = M @ pi
+    d_x = prob.d_x
+    return _lambda_increment(A, SS, mp[:, :d_x], mp[:, d_x:], lam, d_x)
+
+
+def mean_increment(prob, t, mu, psi):
+    A, M, _, _ = coefficients(prob, t)
+    return _mean_increment(A, M, psi, mu)
+
+
+def solve_psi(prob, method="rk4"):
+    return _backward_riccati(prob, _Coefficients(prob), method, "Psi")
+
+
+def solve_mu(prob, psi, method="rk4"):
+    return _forward_mu(prob, _Coefficients(prob), psi, method)
 
 
 class TestInferenceGain:
@@ -144,12 +183,12 @@ class TestInferenceGain:
 class TestRhsFunctions:
     def test_psi_rhs_at_zero_is_q(self):
         prob = tracking_problem()
-        assert np.allclose(psi_rhs(prob, 0.0, np.zeros((2, 2))), np.diag([1.0, 0.0]))
+        assert np.allclose(psi_increment(prob, 0.0, np.zeros((2, 2))), np.diag([1.0, 0.0]))
 
     def test_psi_rhs_stationary_root(self):
         prob = scalar_problem()
         root = 1.0 + np.sqrt(2.0)
-        assert abs(psi_rhs(prob, 0.0, np.array([[root]]))[0, 0]) < 1e-12
+        assert abs(psi_increment(prob, 0.0, np.array([[root]]))[0, 0]) < 1e-12
 
     def test_rhs_preserve_symmetry(self):
         prob = tracking_problem()
@@ -159,15 +198,15 @@ class TestRhsFunctions:
             sym = sym + sym.T
             pd = sym @ sym.T + 3 * np.eye(2)
             for out in (
-                psi_rhs(prob, 0.3, sym),
-                pi_rhs(prob, 0.3, sym, inference_gain(pd, 1)),
-                lambda_rhs(prob, 0.3, pd, sym),
+                psi_increment(prob, 0.3, sym),
+                pi_increment(prob, 0.3, sym, inference_gain(pd, 1)),
+                lambda_increment(prob, 0.3, pd, sym),
             ):
                 assert np.abs(out - out.T).max() < 1e-10
 
     def test_pi_rhs_at_zero_is_q(self):
         prob = tracking_problem()
-        out = pi_rhs(prob, 0.0, np.zeros((2, 2)), np.eye(2))
+        out = pi_increment(prob, 0.0, np.zeros((2, 2)), np.eye(2))
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_pi_rhs_with_identity_gain_recovers_psi_rhs(self):
@@ -176,13 +215,13 @@ class TestRhsFunctions:
         for _ in range(100):
             sym = rng.normal(size=(2, 2))
             sym = sym + sym.T
-            diff = pi_rhs(prob, 0.7, sym, np.eye(2)) - psi_rhs(prob, 0.7, sym)
+            diff = pi_increment(prob, 0.7, sym, np.eye(2)) - psi_increment(prob, 0.7, sym)
             assert np.abs(diff).max() <= 1e-12
 
     def test_pi_rhs_hand_value(self):
         prob = tracking_problem()
         K = inference_gain(np.array([[2.0, 1.0], [1.0, 1.0]]), d_x=1)
-        out = pi_rhs(prob, 0.0, np.eye(2), K)
+        out = pi_increment(prob, 0.0, np.eye(2), K)
         assert np.allclose(out, [[3.0, 1.5], [1.5, -0.75]])
 
     def test_lambda_rhs_pure_diffusion(self):
@@ -193,7 +232,7 @@ class TestRhsFunctions:
             d_x=1, d_z=1,
         )
         lam = np.array([[2.0, 1.0], [1.0, 1.0]])
-        assert np.allclose(lambda_rhs(prob, 0.0, lam, np.zeros((2, 2))), -lam @ lam)
+        assert np.allclose(lambda_increment(prob, 0.0, lam, np.zeros((2, 2))), -lam @ lam)
 
     def test_lambda_rhs_pure_lyapunov(self):
         base = tracking_problem(horizon=1.0)
@@ -205,25 +244,25 @@ class TestRhsFunctions:
         A = np.asarray(base.A)
         lam = np.array([[2.0, 0.5], [0.5, 1.0]])
         expect = -A.T @ lam - lam @ A
-        assert np.allclose(lambda_rhs(prob, 0.0, lam, np.zeros((2, 2))), expect)
+        assert np.allclose(lambda_increment(prob, 0.0, lam, np.zeros((2, 2))), expect)
 
     def test_lambda_rhs_hand_value(self):
         prob = tracking_problem()
-        out = lambda_rhs(prob, 0.0, np.eye(2), np.zeros((2, 2)))
+        out = lambda_increment(prob, 0.0, np.eye(2), np.zeros((2, 2)))
         assert np.allclose(out, [[-3.0, -1.0], [-1.0, -1.0]])
 
     def test_mu_rhs_zero_mean(self):
         prob = tracking_problem()
-        assert np.allclose(mu_rhs(prob, 0.0, np.zeros(2), np.eye(2)), 0.0)
+        assert np.allclose(mean_increment(prob, 0.0, np.zeros(2), np.eye(2)), 0.0)
 
     def test_mu_rhs_zero_psi_gives_drift(self):
         prob = tracking_problem()
         mu = np.array([1.0, 2.0])
-        assert np.allclose(mu_rhs(prob, 0.0, mu, np.zeros((2, 2))), [1.0, 1.0])
+        assert np.allclose(mean_increment(prob, 0.0, mu, np.zeros((2, 2))), [1.0, 1.0])
 
     def test_mu_rhs_scalar_value(self):
         prob = scalar_problem()
-        out = mu_rhs(prob, 0.0, np.array([3.0]), np.array([[2.0]]))
+        out = mean_increment(prob, 0.0, np.array([3.0]), np.array([[2.0]]))
         assert np.allclose(out, [-3.0])
 
 
@@ -407,8 +446,8 @@ class TestFbsmLqg:
             K = inference_gain(g.lam[i], 1)
             pi_dot = (g.pi[i + 1] - g.pi[i]) / dt
             lam_dot = (g.lam[i + 1] - g.lam[i]) / dt
-            worst_pi = max(worst_pi, np.abs(pi_dot + pi_rhs(prob, t, g.pi[i], K)).max())
-            worst_lam = max(worst_lam, np.abs(lam_dot - lambda_rhs(prob, t, g.lam[i], g.pi[i])).max())
+            worst_pi = max(worst_pi, np.abs(pi_dot + pi_increment(prob, t, g.pi[i], K)).max())
+            worst_lam = max(worst_lam, np.abs(lam_dot - lambda_increment(prob, t, g.lam[i], g.pi[i])).max())
         # forward-difference residual of the converged trajectories is O(dt)
         assert worst_pi < 50 * dt
         assert worst_lam < 50 * dt
