@@ -96,6 +96,10 @@ def _solver_settings(doc: dict) -> SolverSettings:
                 raise ProblemError("solver.tol must be nonnegative")
         elif key == "method":
             settings.method = str(value)
+            if settings.method not in ("rk4", "euler"):
+                raise ProblemError(
+                    f"unknown solver.method {settings.method!r}; expected 'rk4' or 'euler'"
+                )
         elif key == "minimizer":
             settings.minimizer = str(value)
         else:

@@ -28,6 +28,10 @@ add or slice difference on the C-ordered flat grid instead of a
 zero-padded shifted copy. The forward and backward passes are module
 functions that fbsm_grid and the verify oracles both run, and the
 upwind Hamiltonian field is written once (_upwind_hamiltonian).
+
+Memory is a fixed base plus two (n_t + 1)-slice fields, the least the
+alternation needs: each pass can write into a caller's buffer, and
+fbsm_grid hands it the buffer of the field that pass replaces.
 """
 
 from __future__ import annotations
@@ -765,15 +769,20 @@ def conditional_hamiltonian(
     cond: np.ndarray,
     w_next: np.ndarray,
     u_slice: np.ndarray,
+    diffs=None,
 ) -> np.ndarray:
     """E_{p(x|z)}[ f(t, s, u) + drift-upwind part of (L_u w) ] per memory node.
 
     Control-independent generator terms (diffusion, mixed stencils) are
     omitted, so differences of this quantity across controls equal
     differences of the full conditional expected Hamiltonian exactly, and
-    its minimizers coincide with the sweep's control updates.
+    its minimizers coincide with the sweep's control updates. diffs, if
+    given, must be _upwind_gradients(w_next, grid); callers evaluating
+    several controls against one w_next pass it to compute it once.
     """
-    ham = _upwind_hamiltonian(problem, grid, t, _upwind_gradients(w_next, grid), u_slice)
+    if diffs is None:
+        diffs = _upwind_gradients(w_next, grid)
+    ham = _upwind_hamiltonian(problem, grid, t, diffs, u_slice)
     return _conditional_expectation(cond, ham, problem.d_x, _x_volume(grid, problem.d_x))
 
 
@@ -861,7 +870,7 @@ def _initial_density_slice(problem: GridProblem, grid: GridSpec) -> np.ndarray:
     return p0 / mass
 
 
-def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None):
+def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None, out=None):
     """Density sweep from p0; returns (p, u, J) with J the discrete objective.
 
     Without w_stale the density is solved under u_field as given. With
@@ -869,12 +878,18 @@ def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None):
     the held value slice w_stale[i + 1] (the sweep's forward half). The
     objective accumulates E_p[f] dt per step plus E_p[g] at the end, in
     the order grid_objective sums them.
+
+    The density is written into out when given (any stale field of the
+    grid's shape, overwritten slice by slice) and returned as p. Step i
+    reads only slice i, which this pass has already written, and
+    w_stale, so out may be the density this pass replaces but must not
+    be w_stale. If a step raises, out is left partly overwritten.
     """
     d_x, d_u = problem.d_x, problem.d_u
     n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
     times = grid.times()
     S = grid.mesh()
-    p = np.empty((n + 1,) + grid.shape)
+    p = np.empty((n + 1,) + grid.shape) if out is None else out
     p[0] = p0
     u_out = u_field.copy()
     running = 0.0
@@ -893,17 +908,22 @@ def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None):
     return p, u_out, running + float((g * p[n]).sum()) * vol
 
 
-def _backward_pass(problem, grid, p0, u_field, p_stale=None):
+def _backward_pass(problem, grid, p0, u_field, p_stale=None, out=None):
     """Value sweep from the terminal cost; returns (w, u, J) with J = <p0, w0>.
 
     Without p_stale the value is solved under u_field as given. With it,
     each step first refreshes its control from the held density slice
     p_stale[i] and the in-construction value w[i + 1] (the sweep's
     backward half).
+
+    As in _forward_pass, out is an optional buffer the value is written
+    into: step i reads only slice i + 1, already written by this pass,
+    and p_stale, so out may be the value this pass replaces but must not
+    be p_stale.
     """
     n, dt = grid.n_t, grid.dt
     times = grid.times()
-    w = np.empty((n + 1,) + grid.shape)
+    w = np.empty((n + 1,) + grid.shape) if out is None else out
     w[n] = np.asarray(problem.terminal_cost(grid.mesh()), dtype=float)
     u_out = u_field.copy()
     for i in range(n - 1, -1, -1):
@@ -950,6 +970,14 @@ def fbsm_grid(
     <p0, w0> after backward sweeps, the accumulated running cost after
     forward sweeps. Objective increases beyond 1e-6*(1+|J|) are reported
     as MonotonicityWarning (discretization slack), not silently ignored.
+
+    Each half-sweep reads only the opposite, held field, so it writes
+    into the buffer of the field it replaces: at most two (n_t + 1)-slice
+    fields are alive at once. The field of the last sweep was stepped
+    under the returned control (the density when iterations is even, the
+    value when it is odd); the other one is a stale iterate. A sweep that
+    raises leaves its buffer partly overwritten, and no result is
+    returned.
     """
     n = grid.n_t
     if u0 is None:
@@ -970,9 +998,9 @@ def fbsm_grid(
     k = 0
     while k < max_iters:
         if k % 2 == 0:
-            w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p)
+            w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p, out=w)
         else:
-            p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w, log=mass_log)
+            p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w, log=mass_log, out=p)
         if not np.isfinite(J):
             raise DivergenceError(f"objective non-finite at iteration {k + 1}")
         slack = 1e-6 * (1.0 + abs(history[-1]))

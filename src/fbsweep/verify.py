@@ -20,6 +20,7 @@ from fbsweep.core import GridSpec, LqgProblem, ProblemError, as_time_fn
 from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
+    GridSweepResult,
     QuadraticControl,
     _backward_pass,
     _forward_pass,
@@ -85,8 +86,9 @@ def lemma1_check(
     vol = grid.cell_volume
     p0 = _initial_density_slice(problem, grid)
     p_u, _, j_u = _forward_pass(problem, grid, p0, u)
-    _, _, j_v = _forward_pass(problem, grid, p0, u_prime)
-    w_v, _, _ = _backward_pass(problem, grid, p0, u_prime)
+    # Only J[u'] is needed from the density under u'; its buffer takes the value.
+    p_v, _, j_v = _forward_pass(problem, grid, p0, u_prime)
+    w_v, _, _ = _backward_pass(problem, grid, p0, u_prime, out=p_v)
     lhs = j_u - j_v
     rhs = 0.0
     for i in range(grid.n_t):
@@ -176,12 +178,15 @@ def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpReport:
     argmax = (0,) * (1 + len(z_shape))
     for i in range(grid.n_t):
         cond, marginal, defined = conditional_density(p[i], grid, d_x)
-        phi_u = conditional_hamiltonian(problem, grid, times[i], cond, w[i + 1], u[i])
+        diffs = _upwind_gradients(w[i + 1], grid)
+        phi_u = conditional_hamiltonian(
+            problem, grid, times[i], cond, w[i + 1], u[i], diffs=diffs
+        )
         u_min = minimize_conditional_hamiltonian(
             problem, grid, times[i], cond, w[i + 1], u[i], defined
         )
         phi_min = conditional_hamiltonian(
-            problem, grid, times[i], cond, w[i + 1], u_min
+            problem, grid, times[i], cond, w[i + 1], u_min, diffs=diffs
         )
         r = np.maximum(phi_u - phi_min, 0.0) * defined
         residual[i] = r
@@ -199,11 +204,28 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     Solves the density forward and the value backward under the given
     control, then measures the stationarity excess of that same control.
     At a sweep fixed point this vanishes up to the minimizer tolerance.
+
+    control may also be the GridSweepResult of fbsm_grid on (problem,
+    grid); its control is checked. The field of the result's last sweep
+    (the density when iterations is even, the value when it is odd) was
+    stepped under exactly that control, and a fresh pass reproduces it
+    bit for bit, so only the other field is solved. This consumes the
+    stale field: the solve overwrites the result's stale buffer, which
+    afterwards holds the field under the returned control instead of the
+    previous iterate's. When value is None a new buffer is used.
     """
-    u = _values(control)
     p0 = _initial_density_slice(problem, grid)
-    p, _, _ = _forward_pass(problem, grid, p0, u)
-    w, _, _ = _backward_pass(problem, grid, p0, u)
+    if not isinstance(control, GridSweepResult):
+        u = _values(control)
+        p, _, _ = _forward_pass(problem, grid, p0, u)
+        w, _, _ = _backward_pass(problem, grid, p0, u)
+    elif control.iterations % 2 == 0:
+        u, p = control.control.values, control.density.values
+        stale = None if control.value is None else control.value.values
+        w, _, _ = _backward_pass(problem, grid, p0, u, out=stale)
+    else:
+        u, w = control.control.values, control.value.values
+        p, _, _ = _forward_pass(problem, grid, p0, u, out=control.density.values)
     return pmp_residual(problem, grid, u, p, w)
 
 

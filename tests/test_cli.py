@@ -4,11 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from fbsweep.artifacts import read_json
 from fbsweep.cli import main
+from fbsweep.config import bundled_config_path
 
 LQG_DOC = {
     "family": "lqg",
@@ -145,6 +147,15 @@ class TestRunLqg:
                      "--out", str(tmp_path / "run")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, doc", [("run-lqg", LQG_DOC), ("run-grid", OBSTACLE_DOC)])
+    def test_unknown_method_is_exit_2_before_any_output(self, command, doc, tmp_path, capsys):
+        doc = dict(doc, solver=dict(doc["solver"], method="bogus", max_iters=0))
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "solver.method" in capsys.readouterr().err
+
 
 class TestRunGrid:
     def test_artifacts_written(self, grid_run):
@@ -269,6 +280,29 @@ class TestVerify:
     def test_fresh_grid_run_passes(self, grid_run, capsys):
         _, out = grid_run
         assert main(["verify", str(out)]) == 0
+
+    def test_grid_verify_holds_two_fields(self, tmp_path, capsys):
+        """The rerun sweeps in place and the stationarity check reuses its
+        last field, so verify never holds more than two grid fields."""
+        doc = json.loads(bundled_config_path("obstacle").read_text())
+        doc["domain"].update(shape=[41, 41], n_t=400)
+        doc["solver"]["max_iters"] = 2
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run-grid", "--config", str(config), "--out", str(out)]) == 0
+        field = (400 + 1) * 41 * 41 * 8
+        tracemalloc.start()
+        try:
+            code = main(["verify", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * field
+        # Two sweeps are far from a fixed point; every other check passes.
+        assert code == 1
+        report = read_json(out / "verify.json")
+        failing = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failing == ["stationarity residual within tolerance"]
 
     def test_tampered_iterations_fail_naming_the_iteration(
         self, lqg_run, tmp_path, capsys

@@ -163,6 +163,15 @@ class TestValidation:
         with pytest.raises(ProblemError, match="minimizer"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("load", [lqg_doc, obstacle_doc])
+    def test_unknown_method(self, load):
+        doc = load()
+        doc["solver"]["method"] = "bogus"
+        with pytest.raises(ProblemError, match="solver.method"):
+            parse_config(doc)
+        doc["solver"]["method"] = "euler"
+        assert parse_config(doc).solver.method == "euler"
+
     def test_domain_shape_entries(self):
         doc = obstacle_doc()
         doc["domain"]["shape"] = [101]

@@ -1,18 +1,28 @@
 """Tests for the finite-difference density/value sweep solver."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbsweep import gridpde
+from fbsweep.config import bundled_config_path, parse_config
 from fbsweep.core import Gaussian, GridSpec, ProblemError, StabilityError
 from fbsweep.gridpde import (
     GridProblem,
     MassLog,
     QuadraticControl,
+    _backward_pass,
+    _forward_pass,
+    _initial_density_slice,
     _upwind_differences,
+    _upwind_gradients,
     build_generator,
     conditional_density,
+    conditional_hamiltonian,
     fbsm_grid,
     fp_step,
     grid_objective,
@@ -50,6 +60,14 @@ def double_integrator_problem(bound=6.0, minimizer="auto"):
         control_upper=[bound],
         minimizer=minimizer,
     )
+
+
+def small_bundled_obstacle():
+    """The bundled obstacle problem on a 41x41 grid with 400 steps."""
+    doc = json.loads(bundled_config_path("obstacle").read_text())
+    doc["domain"].update(shape=[41, 41], n_t=400)
+    cfg = parse_config(doc)
+    return cfg.grid_problem, cfg.grid
 
 
 class TestDiscreteGenerator:
@@ -340,6 +358,14 @@ class TestMinimizer:
         ])
         assert np.all(phi_u <= best_dense + 1e-9 * (1.0 + np.abs(best_dense)))
 
+    def test_conditional_hamiltonian_takes_precomputed_differences(self):
+        problem, grid, cond, _, w_next, u_prev = self.conditioning_setup()
+        diffs = _upwind_gradients(w_next, grid)
+        for u in (u_prev, -u_prev):
+            shared = conditional_hamiltonian(problem, grid, 0.1, cond, w_next, u, diffs=diffs)
+            own = conditional_hamiltonian(problem, grid, 0.1, cond, w_next, u)
+            assert np.array_equal(shared, own)
+
     def test_ties_keep_previous_control(self):
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
         u1 = minimize_conditional_hamiltonian(
@@ -508,6 +534,60 @@ class TestFbsmGrid:
         hist = result.objective_history
         slack = 1e-6 * (1.0 + np.abs(hist[:-1]))
         assert np.all(hist[1:] <= hist[:-1] + slack)
+
+
+class TestSweepInPlace:
+    """fbsm_grid writes each pass into the buffer of the field it replaces."""
+
+    @pytest.mark.parametrize("sweeps", [2, 3])
+    def test_peak_holds_two_fields(self, sweeps):
+        # numpy reports its buffers to tracemalloc, so the traced peak
+        # counts the fields held at once, independent of allocator and OS.
+        problem, grid = small_bundled_obstacle()
+        field = (grid.n_t + 1) * 41 * 41 * 8
+        tracemalloc.start()
+        try:
+            result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == sweeps
+        assert peak <= 2.5 * field
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 3, 4])
+    def test_fields_match_fresh_passes(self, sweeps):
+        problem = double_integrator_problem()
+        grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (31, 31), 60, 0.6)
+        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
+        p0 = _initial_density_slice(problem, grid)
+        p, u, J = _forward_pass(problem, grid, p0, np.zeros((60, 31, 1)))
+        history, w = [J], None
+        for k in range(sweeps):
+            if k % 2 == 0:
+                w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p)
+            else:
+                p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w)
+            history.append(J)
+        assert np.array_equal(result.objective_history, history)
+        assert np.array_equal(result.control.values, u)
+        assert np.array_equal(result.density.values, p)
+        assert np.array_equal(result.value.values, w)
+
+    def test_stability_error_in_later_sweep_propagates(self, monkeypatch):
+        problem = double_integrator_problem()
+        grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (21, 21), 30, 0.3)
+        calls = []
+
+        def hjb_step_failing_in_second_backward_sweep(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > grid.n_t:
+                raise StabilityError("injected failure")
+            return hjb_step(*args, **kwargs)
+
+        monkeypatch.setattr(gridpde, "hjb_step", hjb_step_failing_in_second_backward_sweep)
+        with pytest.raises(StabilityError, match="injected failure"):
+            fbsm_grid(problem, grid, max_iters=4, tol=0.0)
+        assert len(calls) == grid.n_t + 1
 
 
 def random_generator(shape, seed):

@@ -1,10 +1,13 @@
 """Tests for the identity-checking oracles."""
 
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fbsweep.config import bundled_config_path, parse_config
 from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError
 from fbsweep.gridpde import (
     GridProblem,
@@ -54,6 +57,14 @@ def double_integrator_problem(bound=6.0, obstacle=0.0):
 
 def small_grid(n=25, n_t=40, horizon=0.4):
     return GridSpec([-3.0, -3.0], [3.0, 3.0], (n, n), n_t, horizon)
+
+
+def small_bundled_obstacle():
+    """The bundled obstacle problem on a 41x41 grid with 400 steps."""
+    doc = json.loads(bundled_config_path("obstacle").read_text())
+    doc["domain"].update(shape=[41, 41], n_t=400)
+    cfg = parse_config(doc)
+    return cfg.grid_problem, cfg.grid
 
 
 class TestConjugacyResidual:
@@ -144,6 +155,20 @@ class TestLemma1Check:
             residuals.append(report.residual)
         assert residuals[1] < residuals[0]
 
+    def test_holds_two_fields(self):
+        problem, grid = small_bundled_obstacle()
+        u = np.zeros((grid.n_t, 41, 1))
+        u_prime = fbsm_grid(problem, grid, max_iters=1, tol=0.0).control.values
+        field = (grid.n_t + 1) * 41 * 41 * 8
+        tracemalloc.start()
+        try:
+            report = lemma1_check(problem, grid, u, u_prime, pairing="discrete")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.residual <= 1e-9 * (1.0 + abs(report.lhs))
+        assert peak <= 2.5 * field
+
 
 class TestInitialDensityChecks:
     """The oracles solve the density with the sweep's own forward pass, so
@@ -211,6 +236,18 @@ class TestPmpResidual:
             problem, grid, u_zero, result.density, result.value
         )
         assert report.weighted_max > 1e-3
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 2, 3])
+    def test_sweep_result_matches_its_bare_control(self, sweeps):
+        """Reusing the last sweep's field gives the bits of two fresh passes."""
+        problem = double_integrator_problem(obstacle=30.0)
+        grid = small_grid()
+        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
+        fresh = sweep_pmp_residual(problem, grid, result.control)
+        reused = sweep_pmp_residual(problem, grid, result)
+        assert np.array_equal(reused.residual_field, fresh.residual_field)
+        assert reused.weighted_max == fresh.weighted_max
+        assert reused.argmax == fresh.argmax
 
     def test_zero_cost_residual_vanishes(self):
         problem = GridProblem(
