@@ -304,6 +304,35 @@ class TestVerify:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failing == ["stationarity residual within tolerance"]
 
+    @pytest.mark.parametrize(
+        "family, command, update, code, failing",
+        [
+            ("lqg", "run-lqg", {"horizon": 1.0}, 0, []),
+            (
+                "obstacle", "run-grid", {"domain": {"shape": [21, 21], "n_t": 100}},
+                1, ["stationarity residual within tolerance"],
+            ),
+        ],
+        ids=["lqg", "obstacle"],
+    )
+    def test_zero_sweep_run_verifies(
+        self, family, command, update, code, failing, tmp_path, capsys
+    ):
+        """A one-entry history has nothing to descend from: the
+        monotonicity check passes vacuously and verify.json is written."""
+        doc = json.loads(bundled_config_path(family).read_text())
+        for key, value in update.items():
+            doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
+        doc["solver"]["max_iters"] = 0
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        main([command, "--config", str(config), "--out", str(out)])
+        assert main(["verify", str(out)]) == code
+        report = read_json(out / "verify.json")
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == failing
+        mono = next(c for c in report["checks"] if c["name"] == "objective descends monotonically")
+        assert mono["detail"] == "one objective value"
+
     def test_tampered_iterations_fail_naming_the_iteration(
         self, lqg_run, tmp_path, capsys
     ):

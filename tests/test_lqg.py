@@ -17,11 +17,16 @@ from fbsweep.lqg import (
     GainTrajectory,
     LqgControlLaw,
     _backward_riccati,
+    _check_finite,
+    _closed_loop_objective,
     _Coefficients,
+    _expected_cost,
     _forward_mu,
+    _half_grid,
     _lambda_increment,
     _mean_increment,
     _riccati_increment,
+    _sym,
     fbsm_lqg,
     inference_gain,
     lqg_objective,
@@ -521,3 +526,113 @@ class TestLqgObjective:
         prob = tracking_problem(horizon=1.0)
         res = fbsm_lqg(prob, max_iters=6, tol=0.0)
         assert np.abs(res.gains.mu).max() == 0.0
+
+
+def per_stage_objective(problem, coeffs, psi, pi, lam, mu, method):
+    """The closed-loop objective as integrated before its step propagators:
+    one RK4 (or Euler) stage of the Lyapunov equation at a time, with
+    Sigma symmetrized after every step."""
+    n, dt = coeffs.n, coeffs.dt
+    gain = inference_gain(_half_grid(lam, method), problem.d_x)
+    if method == "euler":
+        A, M, SS = coeffs.A[::2], coeffs.M[::2], coeffs.SS[::2]
+    else:
+        A, M, SS = coeffs.A, coeffs.M, coeffs.SS
+    drift = A - M @ _half_grid(pi, method) @ gain
+    drift_t = np.swapaxes(drift, -1, -2)
+
+    def rhs(j, sig_val):
+        return drift[j] @ sig_val + sig_val @ drift_t[j] + SS[j]
+
+    sigma_nodes = np.empty_like(lam)
+    sigma_nodes[0] = np.linalg.inv(problem.lambda0)
+    for i in range(n):
+        base = sigma_nodes[i]
+        if method == "euler":
+            step = rhs(i, base)
+        else:
+            k1 = rhs(2 * i, base)
+            k2 = rhs(2 * i + 1, base + 0.5 * dt * k1)
+            k3 = rhs(2 * i + 1, base + 0.5 * dt * k2)
+            k4 = rhs(2 * i + 2, base + dt * k3)
+            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        sigma_nodes[i + 1] = _sym(base + dt * step)
+    _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
+    node_gain = gain if method == "euler" else gain[::2]
+    return _expected_cost(problem, coeffs, psi, pi, node_gain, mu, sigma_nodes)
+
+
+class TestClosedLoopObjective:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_x=st.sampled_from([1, 2]),
+        d_z=st.sampled_from([1, 2]),
+        method=st.sampled_from(["rk4", "euler"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_propagators_match_per_stage_loop(self, d_x, d_z, method, seed):
+        # Time-varying A, sigma and Q with an unstable open-loop drift,
+        # under random held Pi and SPD Lambda iterates.
+        rng = np.random.default_rng(seed)
+        d_s, n = d_x + d_z, 40
+
+        def spd(*lead):
+            a = rng.standard_normal(lead + (d_s, d_s))
+            return a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(d_s)
+
+        def sym(*lead):
+            a = rng.standard_normal(lead + (d_s, d_s))
+            return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+        A0, A1 = rng.standard_normal((2, d_s, d_s))
+        A0 += (1.0 - np.linalg.eigvals(A0).real.max()) * np.eye(d_s)
+        S0, S1 = rng.standard_normal((2, d_s, d_s))
+        Q0, Q1 = spd(), spd()
+        B = rng.standard_normal((d_s, 2))
+        r = rng.standard_normal((2, 2))
+        problem = LqgProblem(
+            A=lambda t: A0 + np.sin(3.0 * t) * A1,
+            B=B,
+            sigma=lambda t: S0 + t * S1,
+            Q=lambda t: Q0 + t * t * Q1,
+            R=r @ r.T + np.eye(2),
+            P=spd(), mu0=rng.standard_normal(d_s), lambda0=spd(),
+            horizon=1.0, dt=1.0 / n, d_x=d_x, d_z=d_z,
+        )
+        assert np.linalg.eigvals(problem.A(0.0)).real.max() >= 1.0 - 1e-9
+        coeffs = _Coefficients(problem)
+        held = (
+            sym(n + 1), sym(n + 1), spd(n + 1), rng.standard_normal((n + 1, d_s))
+        )
+        J = _closed_loop_objective(problem, coeffs, *held, method)
+        expect = per_stage_objective(problem, coeffs, *held, method)
+        assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_two_state_iterates_match_per_stage_loop(self, method):
+        problem = two_state_problem()
+        res = fbsm_lqg(problem, max_iters=4, tol=0.0, method=method)
+        coeffs = _Coefficients(problem)
+        g = res.gains
+        for pi, lam in zip(res.pi_iterates, res.lambda_iterates):
+            held = (g.psi, pi, lam, g.mu)
+            J = _closed_loop_objective(problem, coeffs, *held, method)
+            expect = per_stage_objective(problem, coeffs, *held, method)
+            assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_overflowing_closed_loop_raises_naming_sigma(self, method):
+        problem = tracking_problem(horizon=1.0)
+        problem = LqgProblem(
+            A=1e6 * np.eye(2), B=problem.B, sigma=problem.sigma, Q=problem.Q,
+            R=problem.R, P=problem.P, mu0=problem.mu0, lambda0=problem.lambda0,
+            horizon=1.0, dt=0.01, d_x=1, d_z=1,
+        )
+        n = problem.n_steps
+        zeros, lam = np.zeros((n + 1, 2, 2)), np.tile(np.eye(2), (n + 1, 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="Sigma"):
+                _closed_loop_objective(
+                    problem, _Coefficients(problem), zeros, zeros, lam,
+                    np.zeros((n + 1, 2)), method,
+                )
