@@ -17,10 +17,12 @@ the opposite trajectory fixed, recording the closed-loop cost after
 every sweep. Cost of each iterate is evaluated from the exact
 closed-loop second moments, so the recorded objective is meaningful even
 mid-iteration when Lambda is stale. Those moments solve a linear
-Lyapunov equation, so each RK4 (or Euler) step of it is an affine map
-x -> Phi x + psi of row-major vec(Sigma); the maps of all n steps are
-built in one batched pass from operator tables of O(n d_s^4) doubles,
-leaving one small mat-vec per step in the time loop.
+Lyapunov equation, so each RK4 (or Euler) step of it is one mat-vec
+y -> Phi y on y = (vec(Sigma), 1), row-major. The Phi of a batch of
+steps are built in one batched pass, (d_s^2 + 1)^2 doubles and O(d_s^6)
+flops per step, leaving one small mat-vec per step in the time loop.
+That beats stepping the stages one at a time only for small d_s (up to
+about 5; the bundled document has 2).
 """
 
 from __future__ import annotations
@@ -418,44 +420,54 @@ def _expected_cost(problem, coeffs, psi, pi, gain, mu, sigma):
     return running + terminal
 
 
-def _lyapunov_propagators(drift, SS, dt, method):
-    """Per-step affine maps of the closed-loop covariance recurrence.
+# Doubles per operator stack that one batch of steps may hold. The
+# bundled document (d_s = 2, 1000 steps) fits in one batch; larger d_s is
+# cut into batches of fewer steps, so memory stays bounded.
+_PROPAGATOR_BATCH = 1 << 16
 
-    On row-major vec(Sigma) = Sigma.reshape(-1), dSigma/dt = F Sigma +
-    Sigma F' + SS is x' = L x + c with L = F (x) I + I (x) F and c =
-    vec(SS). An explicit Runge-Kutta step of a linear equation is affine
-    in its start value, so step i is x_{i+1} = Phi_i x_i + psi_i; both
-    are built here for every step in one batched pass over the stage
-    points the integrator reads (_half_grid layout for rk4, nodes for
-    euler). Returns Phi of shape (n, d^2, d^2) and psi of shape (n, d^2).
+
+def _lyapunov_propagators(drift, SS, dt, method):
+    """Yield the step maps of the closed-loop covariance recurrence.
+
+    On y = (vec(Sigma), 1), with row-major vec(Sigma) = Sigma.reshape(-1),
+    dSigma/dt = F Sigma + Sigma F' + SS is the linear equation y' = L y
+    with L = [[F (x) I + I (x) F, vec(SS)], [0, 0]]. An explicit
+    Runge-Kutta step of it is a fixed polynomial in dt L, so step i is
+    y_{i+1} = Phi_i y_i. Phi is built for consecutive batches of steps,
+    each in one batched pass over the stage points the integrator reads
+    (_half_grid layout for rk4, nodes for euler), and yielded as a stack
+    of shape (steps, d^2 + 1, d^2 + 1). A batch holds at most
+    _PROPAGATOR_BATCH doubles per stack, so memory does not grow with n.
+    Building Phi costs O(d^6) flops per step against O(d^3) for stepping
+    the stages one at a time, so this pays off only for small d_s.
     """
     m, d, _ = drift.shape
-    eye = np.eye(d)
-    ops = (
-        drift[:, :, None, :, None] * eye[None, None, :, None, :]
-        + eye[None, :, None, :, None] * drift[:, None, :, None, :]
-    ).reshape(m, d * d, d * d)
-    consts = SS.reshape(m, d * d)
-    ident = np.eye(d * d)
-    if method == "euler":
-        return ident + dt * ops[:-1], dt * consts[:-1]
-    La, Lb, Lc = ops[0:-1:2], ops[1::2], ops[2::2]
-    ca, cb, cc = consts[0:-1:2], consts[1::2], consts[2::2]
+    size = d * d + 1
+    n = m - 1 if method == "euler" else (m - 1) // 2
+    per = max(1, _PROPAGATOR_BATCH // size**2)
+    eye, ident = np.eye(d), np.eye(size)
 
-    def apply(L, x):
-        return (L @ x[..., None])[..., 0]
+    def operators(lo, hi):
+        ops = np.zeros((hi - lo, size, size))
+        F = drift[lo:hi]
+        ops[:, :-1, :-1] = (
+            F[:, :, None, :, None] * eye[None, None, :, None, :]
+            + eye[None, :, None, :, None] * F[:, None, :, None, :]
+        ).reshape(hi - lo, d * d, d * d)
+        ops[:, :-1, -1] = SS[lo:hi].reshape(hi - lo, d * d)
+        return ops
 
-    K1 = La
-    K2 = Lb + 0.5 * dt * (Lb @ K1)
-    K3 = Lb + 0.5 * dt * (Lb @ K2)
-    K4 = Lc + dt * (Lc @ K3)
-    phi = ident + dt / 6.0 * (K1 + 2 * K2 + 2 * K3 + K4)
-    k1 = ca
-    k2 = cb + 0.5 * dt * apply(Lb, k1)
-    k3 = cb + 0.5 * dt * apply(Lb, k2)
-    k4 = cc + dt * apply(Lc, k3)
-    psi = dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return phi, psi
+    for start in range(0, n, per):
+        stop = min(n, start + per)
+        if method == "euler":
+            yield ident + dt * operators(start, stop)
+            continue
+        ops = operators(2 * start, 2 * stop + 1)
+        La, Lb, Lc = ops[0:-1:2], ops[1::2], ops[2::2]
+        K2 = Lb + 0.5 * dt * (Lb @ La)
+        K3 = Lb + 0.5 * dt * (Lb @ K2)
+        K4 = Lc + dt * (Lc @ K3)
+        yield ident + dt / 6.0 * (La + 2 * K2 + 2 * K3 + K4)
 
 
 def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
@@ -465,11 +477,11 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
     which is only consistent after a forward sweep) under the drift
     A - M Pi K(Lambda), tabulated for every stage in one batched
     expression, and prices it with _expected_cost. The Lyapunov equation
-    is linear, so each rk4 or euler step is applied as the affine map
-    x_{i+1} = Phi_i x_i + psi_i on row-major vec(Sigma)
-    (_lyapunov_propagators); Sigma is symmetrized once, at the end. The
-    operator tables hold (2n+1) d_s^4 doubles for rk4 (n+1 for euler),
-    about 256 KB at n = 1000 and d_s = 2.
+    is linear, so each rk4 or euler step is one mat-vec y_{i+1} = Phi_i
+    y_i on y = (vec(Sigma), 1), row-major (_lyapunov_propagators); Sigma
+    is symmetrized once, at the end. A batch of Phi holds
+    (d_s^2 + 1)^2 doubles per step: all 1000 steps of the bundled
+    document (d_s = 2) come to 200 KB.
     """
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
@@ -479,13 +491,16 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
     else:
         A, M, SS = coeffs.A, coeffs.M, coeffs.SS
     drift = A - M @ _half_grid(pi, method) @ gain
-    phi, shift = _lyapunov_propagators(drift, SS, dt, method)
 
-    vec = np.empty((n + 1, d * d))
-    vec[0] = np.linalg.inv(problem.lambda0).reshape(-1)
-    for i in range(n):
-        vec[i + 1] = phi[i] @ vec[i] + shift[i]
-    sigma_nodes = _sym(vec.reshape(n + 1, d, d))
+    y = np.empty((n + 1, d * d + 1))
+    y[0, :-1] = np.linalg.inv(problem.lambda0).reshape(-1)
+    y[0, -1] = 1.0
+    i = 0
+    for phi in _lyapunov_propagators(drift, SS, dt, method):
+        for step in phi:
+            y[i + 1] = step @ y[i]
+            i += 1
+    sigma_nodes = _sym(y[:, :-1].reshape(n + 1, d, d))
     _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
     node_gain = gain if method == "euler" else gain[::2]
     return _expected_cost(problem, coeffs, psi, pi, node_gain, mu, sigma_nodes)

@@ -1,11 +1,14 @@
 """Tests for the Riccati-sweep solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fbsweep import lqg
 from fbsweep.core import (
     DivergenceError,
     LqgProblem,
@@ -619,6 +622,49 @@ class TestClosedLoopObjective:
             J = _closed_loop_objective(problem, coeffs, *held, method)
             expect = per_stage_objective(problem, coeffs, *held, method)
             assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("steps_per_batch", [1, 7])
+    def test_batched_propagators_match_per_stage_loop(
+        self, monkeypatch, method, steps_per_batch
+    ):
+        # d_s = 3 holds (3^2 + 1)^2 = 100 doubles per step, so these budgets
+        # cut the 100 steps into batches of 1 and of 7 (the last one ragged).
+        monkeypatch.setattr(lqg, "_PROPAGATOR_BATCH", 100 * steps_per_batch)
+        problem = two_state_problem()
+        res = fbsm_lqg(problem, max_iters=2, tol=0.0, method=method)
+        coeffs = _Coefficients(problem)
+        g = res.gains
+        held = (g.psi, g.pi, g.lam, g.mu)
+        J = _closed_loop_objective(problem, coeffs, *held, method)
+        expect = per_stage_objective(problem, coeffs, *held, method)
+        assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_memory_does_not_grow_with_the_horizon(self, method):
+        # At d_s = 8 and n = 1000 one table of all step maps would be
+        # 1000 * 65^2 doubles (34 MB), and building them at once peaked at
+        # about 230 MB; batches keep the peak near the O(n d_s^2) tables.
+        d_s, n = 8, 1000
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((d_s, d_s))
+        spd = a @ a.T / d_s + np.eye(d_s)
+        problem = LqgProblem(
+            A=rng.standard_normal((d_s, d_s)) / np.sqrt(d_s), B=np.eye(d_s),
+            sigma=np.eye(d_s), Q=spd, R=np.eye(d_s), P=spd,
+            mu0=np.zeros(d_s), lambda0=spd, horizon=1.0, dt=1.0 / n,
+            d_x=4, d_z=4,
+        )
+        coeffs = _Coefficients(problem)
+        pi = np.tile(spd, (n + 1, 1, 1))
+        held = (pi, pi, pi, np.zeros((n + 1, d_s)))
+        tracemalloc.start()
+        try:
+            _closed_loop_objective(problem, coeffs, *held, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     @pytest.mark.parametrize("method", ["rk4", "euler"])
     def test_overflowing_closed_loop_raises_naming_sigma(self, method):
