@@ -67,7 +67,8 @@ def write_csv(path, header: List[str], rows=(), blocks=()) -> None:
             n_rows = len(columns[0]) if columns else 0
             for lo in range(0, n_rows, CHUNK_ROWS):
                 cells = [c[lo : lo + CHUNK_ROWS].tolist() for c in columns]
-                handle.write("".join(",".join(map(repr, row)) + "\r\n" for row in zip(*cells)))
+                records = zip(*[map(repr, c) for c in cells])
+                handle.write("\r\n".join(map(",".join, records)) + "\r\n")
 
 
 def read_csv(path):

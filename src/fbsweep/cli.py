@@ -47,7 +47,7 @@ from fbsweep.core import (
     StabilityError,
 )
 from fbsweep.gridpde import fbsm_grid
-from fbsweep.lqg import LqgControlLaw, fbsm_lqg, lqg_objective
+from fbsweep.lqg import LqgControlLaw, fbsm_lqg, lqg_objective, monotonicity_slack
 from fbsweep.sdesim import GridControlLaw, estimate_objective, simulate_paths
 from fbsweep.verify import monotonicity_check, sweep_pmp_residual
 
@@ -505,7 +505,12 @@ def cmd_verify(args) -> int:
         # a zero-sweep run has nothing to descend from
         mono_ok, mono_detail = True, "one objective value"
     else:
-        mono = monotonicity_check(fresh)
+        if cfg.family == "lqg":
+            mono = monotonicity_check(
+                fresh, monotonicity_slack(cfg.lqg_problem, cfg.solver.method)
+            )
+        else:
+            mono = monotonicity_check(fresh)
         mono_ok, mono_detail = mono.passed, f"worst excess {mono.worst_excess:.3e}"
     _check(checks, "objective descends monotonically", mono_ok, mono_detail)
 

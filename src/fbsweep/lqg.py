@@ -506,6 +506,18 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
     return _expected_cost(problem, coeffs, psi, pi, node_gain, mu, sigma_nodes)
 
 
+def monotonicity_slack(problem: LqgProblem, method: str) -> float:
+    """Relative rise per sweep that the objective's descent tolerates.
+
+    RK4 iterates descend up to rounding. Euler iterates track the
+    continuous descent only to first order in dt, so the slack loosens to
+    the solver's step in that mode. fbsm_lqg and verify share it.
+    """
+    if method == "rk4":
+        return MONOTONICITY_SLACK
+    return max(MONOTONICITY_SLACK, problem.horizon / problem.n_steps)
+
+
 def fbsm_lqg(
     problem: LqgProblem,
     pi0: Optional[np.ndarray] = None,
@@ -557,6 +569,7 @@ def fbsm_lqg(
     pi_iterates = [pi]
     lambda_iterates = [lam]
 
+    slack_rel = monotonicity_slack(problem, method)
     converged = False
     final_delta = np.inf
     k = 0
@@ -571,9 +584,6 @@ def fbsm_lqg(
         J = _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method)
         if not np.isfinite(J):
             raise DivergenceError(f"objective non-finite at iteration {k + 1}")
-        # Euler iterates track the continuous descent only to first order
-        # in dt, so the guard loosens accordingly in that mode.
-        slack_rel = MONOTONICITY_SLACK if method == "rk4" else max(MONOTONICITY_SLACK, coeffs.dt)
         slack = slack_rel * (1.0 + abs(history[-1]))
         if J > history[-1] + slack:
             raise StabilityError(

@@ -10,6 +10,13 @@ Reproducibility: a root seed is split into one child stream per path
 plus one for the initial draw, so ensembles are bit-for-bit identical
 for a fixed (seed, n_paths, dt) regardless of scheduling or batch size.
 
+Noise: each path's Wiener increments are drawn from its own stream one
+batch of steps at a time, into a single reused (n_paths, per, d_w)
+buffer of at most _NOISE_BATCH doubles (one step per batch at least).
+Every stream is consumed in step order either way, so the increments do
+not depend on the batch length, and a simulation holds its returned
+arrays plus one batch instead of every path's whole noise block.
+
 Layout: the step loop keeps states, controls and cumulative costs in
 time-major buffers, (n_steps + 1, n_paths, d_s) and alike, so that each
 step reads and writes one contiguous slice. PathEnsemble hands them out
@@ -27,6 +34,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from fbsweep.core import CostSpec, ExtendedDynamics, GridSpec, ProblemError
+
+# Doubles in the reused Wiener-increment buffer: a batch covers
+# max(1, _NOISE_BATCH // (n_paths * d_w)) steps, 16 MB at most.
+_NOISE_BATCH = 1 << 21
 
 
 @dataclass
@@ -162,7 +173,8 @@ def simulate_paths(
     """Simulate n_paths closed-loop trajectories over [0, horizon].
 
     Initial states are drawn from the problem's initial density; Wiener
-    increments are Normal(0, dt I) from one child RNG stream per path.
+    increments are Normal(0, dt I) from one child RNG stream per path,
+    drawn one batch of steps at a time (see the module docstring).
     The control evaluator receives only (t, z); if it declares a memory
     domain (z_lower/z_upper attributes), z is clamped onto it first and
     the clamps counted. Non-finite states freeze their path and exclude
@@ -187,11 +199,10 @@ def simulate_paths(
     streams = np.random.SeedSequence(seed).spawn(n_paths + 1)
     rng0 = np.random.default_rng(streams[0])
     s0 = dynamics.initial_density.sample(rng0, n_paths)
-    increments = np.empty((n_paths, n_steps, d_w))
-    for m in range(n_paths):
-        rng = np.random.default_rng(streams[m + 1])
-        increments[m] = rng.standard_normal((n_steps, d_w))
-    increments *= np.sqrt(dt)
+    rngs = [np.random.default_rng(stream) for stream in streams[1:]]
+    per = min(n_steps, max(1, _NOISE_BATCH // max(1, n_paths * d_w)))
+    increments = np.empty((n_paths, per, d_w))
+    sqrt_dt = np.sqrt(dt)
 
     times = np.linspace(0.0, horizon, n_steps + 1)
     states = np.empty((n_steps + 1, n_paths, d_s))
@@ -203,6 +214,13 @@ def simulate_paths(
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
+            j = i % per
+            if j == 0:
+                k = min(per, n_steps - i)
+                for rng, block in zip(rngs, increments):
+                    rng.standard_normal(out=block[:k])
+                increments[:, :k] *= sqrt_dt
+            dw = increments[:, j, :]
             t = times[i]
             s = states[i]
             z = s[:, d_x:]
@@ -215,9 +233,9 @@ def simulate_paths(
             b = np.asarray(dynamics.drift(t, s, u), dtype=float)
             sig = np.asarray(dynamics.diffusion(t, s, u), dtype=float)
             if sig.ndim == 2:
-                noise = increments[:, i, :] @ sig.T
+                noise = dw @ sig.T
             else:
-                noise = np.einsum("nij,nj->ni", sig, increments[:, i, :])
+                noise = np.einsum("nij,nj->ni", sig, dw)
             s_next = states[i + 1]
             np.multiply(b, dt, out=s_next)
             s_next += s

@@ -8,9 +8,11 @@ import tracemalloc
 
 import pytest
 
-from fbsweep.artifacts import read_json
+from fbsweep import cli, sdesim
+from fbsweep.artifacts import read_iterations, read_json
 from fbsweep.cli import main
 from fbsweep.config import bundled_config_path
+from fbsweep.verify import monotonicity_check
 
 LQG_DOC = {
     "family": "lqg",
@@ -333,6 +335,19 @@ class TestVerify:
         mono = next(c for c in report["checks"] if c["name"] == "objective descends monotonically")
         assert mono["detail"] == "one objective value"
 
+    def test_euler_lqg_run_verifies(self, tmp_path, capsys):
+        """Euler sweeps descend only to first order in dt, so their history
+        may rise by more than the grid's 1e-6 between sweeps (first at
+        k = 57 on this document); verify holds them to the solver's slack."""
+        doc = json.loads(bundled_config_path("lqg").read_text())
+        doc["solver"].update(method="euler", max_iters=60, tol=0.0)
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run-lqg", "--config", str(config), "--out", str(out)]) == 0
+        assert not monotonicity_check(read_iterations(out)).passed
+        assert main(["verify", str(out)]) == 0
+        assert read_json(out / "verify.json")["passed"] is True
+
     def test_tampered_iterations_fail_naming_the_iteration(
         self, lqg_run, tmp_path, capsys
     ):
@@ -386,3 +401,47 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "fbsweep" in proc.stdout
+
+
+class TestReproduce:
+    def test_reduced_reproduce_runs_end_to_end(self, tmp_path, monkeypatch, capsys):
+        """reproduce on reduced bundled documents: a 1-unit lqg horizon with
+        10 sweeps, and a 21x21 obstacle with n_t = 100 and 2 sweeps. The
+        noise buffer holds 7 steps, so both simulations (400 lqg steps at
+        dt/4, 100 grid steps) end on a ragged batch."""
+        lqg = json.loads(bundled_config_path("lqg").read_text())
+        lqg["horizon"] = 1.0
+        lqg["solver"]["max_iters"] = 10
+        obstacle = json.loads(bundled_config_path("obstacle").read_text())
+        obstacle["domain"].update(shape=[21, 21], n_t=100)
+        obstacle["solver"]["max_iters"] = 2
+        paths = {
+            "lqg": write_doc(tmp_path, lqg, "lqg.json"),
+            "obstacle": write_doc(tmp_path, obstacle, "obstacle.json"),
+        }
+        monkeypatch.setattr(cli, "bundled_config_path", paths.__getitem__)
+        monkeypatch.setattr(sdesim, "_NOISE_BATCH", 7 * 20 * 2)
+        out = tmp_path / "out"
+        # Two sweeps are far from a fixed point: only the grid verify fails.
+        assert main(["reproduce", "--out", str(out), "--paths", "20"]) == 1
+        summary = read_json(out / "acceptance_summary.json")
+        assert summary["exit_codes"] == {
+            "run-lqg": 0,
+            "simulate-lqg": 0,
+            "verify-lqg": 0,
+            "run-grid": 0,
+            "simulate-grid": 0,
+            "verify-grid": 1,
+        }
+        assert set(summary) == {"lqg", "obstacle", "exit_codes"}
+        common = {
+            "objective", "converged", "iterations",
+            "mc_mean", "mc_stderr", "mc_gap", "excluded_paths",
+        }
+        assert set(summary["lqg"]) == common | {"analytic_objective"}
+        assert set(summary["obstacle"]) == common | {"max_negative_mass", "max_mass_drift"}
+        assert summary["lqg"]["iterations"] == 10 and summary["obstacle"]["iterations"] == 2
+        for family in ("lqg", "obstacle"):
+            paths_csv = (out / f"{family}-sim" / "paths.csv").read_text().splitlines()
+            n_steps = 400 if family == "lqg" else 100
+            assert len(paths_csv) == 1 + 20 * (n_steps + 1)

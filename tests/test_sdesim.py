@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from fbsweep import artifacts
+from fbsweep import artifacts, sdesim
 from fbsweep.cli import main
 from fbsweep.config import (
     bundled_config_path,
@@ -42,6 +43,30 @@ def scalar_dynamics(drift, diffusion, mean=1.0, var=0.25):
         diffusion=diffusion,
         initial_density=Gaussian([mean], [[var]]),
     )
+
+
+def mixed_explosion_case(threshold):
+    """Dynamics whose x blows up (one step to inf) only once it exceeds
+    the threshold, a zero grid law on a narrow memory domain, and a
+    quadratic running cost."""
+    dyn = ExtendedDynamics(
+        d_x=1,
+        d_z=1,
+        d_u=1,
+        d_w=2,
+        drift=lambda t, s, u: np.stack(
+            [np.where(s[:, 0] > threshold, np.inf, 0.0), np.zeros(len(s))], axis=-1
+        ),
+        diffusion=lambda t, s, u: np.eye(2),
+        initial_density=Gaussian([0.0, 0.0], np.diag([0.25, 1.0])),
+    )
+    grid = GridSpec([-5.0, -0.5], [5.0, 0.5], (3, 5), 50, 1.0)
+    law = GridControlLaw(np.zeros((50, 5, 1)), grid, d_x=1)
+    cost = CostSpec(
+        running_cost=lambda t, s, u: s[:, 0] ** 2 + s[:, 1] ** 2,
+        terminal_cost=lambda s: np.zeros(s.shape[0]),
+    )
+    return dyn, law, cost
 
 
 class TestSimulatePaths:
@@ -136,24 +161,7 @@ class TestSimulatePaths:
 
     def test_mixed_explosion_freezes_only_the_bad_paths(self):
         threshold = 1.0
-        dyn = ExtendedDynamics(
-            d_x=1,
-            d_z=1,
-            d_u=1,
-            d_w=2,
-            # x blows up (one step to inf) only once it exceeds the threshold
-            drift=lambda t, s, u: np.stack(
-                [np.where(s[:, 0] > threshold, np.inf, 0.0), np.zeros(len(s))], axis=-1
-            ),
-            diffusion=lambda t, s, u: np.eye(2),
-            initial_density=Gaussian([0.0, 0.0], np.diag([0.25, 1.0])),
-        )
-        grid = GridSpec([-5.0, -0.5], [5.0, 0.5], (3, 5), 50, 1.0)
-        law = GridControlLaw(np.zeros((50, 5, 1)), grid, d_x=1)
-        cost = CostSpec(
-            running_cost=lambda t, s, u: s[:, 0] ** 2 + s[:, 1] ** 2,
-            terminal_cost=lambda s: np.zeros(s.shape[0]),
-        )
+        dyn, law, cost = mixed_explosion_case(threshold)
         ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
         assert ens.states.shape == (200, 51, 2) and ens.controls.shape == (200, 50, 1)
         assert ens.cumulative_costs.shape == (200, 51)
@@ -250,6 +258,65 @@ def test_bundled_rollouts_are_pinned(family, bundled_controllers, tmp_path):
     assert main(argv + ["--out", str(out), "--paths", "10"]) == 0
     digests["paths.csv"] = hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest()
     assert digests == PINNED_ROLLOUT_DIGESTS[family]
+
+
+ENSEMBLE_FIELDS = ("states", "controls", "cumulative_costs", "valid", "clamp_counts")
+
+
+def _size_noise_batch(monkeypatch, steps, n_paths, d_w):
+    """Make the simulator's noise buffer hold exactly `steps` steps."""
+    monkeypatch.setattr(sdesim, "_NOISE_BATCH", steps * n_paths * d_w)
+
+
+class TestNoiseBatches:
+    """The increments are drawn one batch of steps at a time; the batch
+    length must not change a single bit of the ensemble."""
+
+    @pytest.mark.parametrize("steps_per_batch", [1, 7])
+    @pytest.mark.parametrize("family", ["lqg", "grid"])
+    def test_bundled_rollouts_do_not_depend_on_batch_length(
+        self, family, steps_per_batch, bundled_controllers, monkeypatch
+    ):
+        cfg, law, horizon, dt, _, _ = bundled_controllers[family]
+        dyn, cost = simulation_dynamics(cfg), simulation_cost(cfg)
+        # 1000 steps: one batch by default, ragged last batch at 7 steps
+        whole = simulate_paths(dyn, law, horizon, dt, 64, cfg.seed, cost=cost)
+        _size_noise_batch(monkeypatch, steps_per_batch, 64, dyn.d_w)
+        batched = simulate_paths(dyn, law, horizon, dt, 64, cfg.seed, cost=cost)
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(batched, name), getattr(whole, name)), name
+
+    @pytest.mark.parametrize("steps_per_batch", [1, 7])
+    def test_frozen_paths_do_not_depend_on_batch_length(self, steps_per_batch, monkeypatch):
+        dyn, law, cost = mixed_explosion_case(1.0)
+        whole = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        assert 0 < whole.n_excluded < whole.n_paths
+        _size_noise_batch(monkeypatch, steps_per_batch, 200, dyn.d_w)
+        batched = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(batched, name), getattr(whole, name)), name
+
+    def test_peak_memory_is_the_ensemble_plus_one_batch(self):
+        """1000 paths x 4000 steps x 2 noise dimensions: drawn whole, the
+        increments alone would take 64 MB."""
+        dyn = ExtendedDynamics(
+            d_x=1,
+            d_z=1,
+            d_u=1,
+            d_w=2,
+            drift=lambda t, s, u: -s,
+            diffusion=lambda t, s, u: np.eye(2),
+            initial_density=Gaussian([0.0, 0.0], np.eye(2)),
+        )
+        tracemalloc.start()
+        try:
+            ens = simulate_paths(dyn, zero_control, 1.0, 1.0 / 4000, 1000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.states.shape == (1000, 4001, 2)
+        returned = ens.states.nbytes + ens.controls.nbytes
+        assert peak <= returned + 8 * sdesim._NOISE_BATCH + 4 * 2**20
 
 
 class TestSimulationCost:
