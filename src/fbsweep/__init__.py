@@ -37,7 +37,6 @@ from fbsweep.gridpde import (
     DensityField,
     GridProblem,
     GridSweepResult,
-    MonotonicityWarning,
     QuadraticControl,
     ValueField,
     build_generator,
@@ -87,7 +86,6 @@ __all__ = [
     "LqgControlLaw",
     "LqgProblem",
     "LqgSweepResult",
-    "MonotonicityWarning",
     "PathEnsemble",
     "ProblemError",
     "QuadraticControl",

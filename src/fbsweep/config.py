@@ -15,6 +15,8 @@ Anything not expressible in these forms goes through the library API.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -31,10 +33,12 @@ from fbsweep.core import (
     as_time_fn,
     validate_lqg,
 )
-from fbsweep.gridpde import GridProblem, QuadraticControl, quadratic_grid_problem
+from fbsweep.gridpde import MINIMIZERS, GridProblem, QuadraticControl, quadratic_grid_problem
 
 FAMILIES = ("lqg", "obstacle-grid")
 DEFAULT_SLICE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# Values a solver setting may take, checked for every family at load.
+SOLVER_CHOICES = {"method": ("rk4", "euler"), "minimizer": MINIMIZERS}
 
 
 @dataclass
@@ -80,6 +84,29 @@ def _matrix(doc: dict, key: str, shape=None) -> np.ndarray:
     return arr
 
 
+def _scalar(doc: dict, key: str, kind=float, context: str = "", default=None):
+    """A number field as kind: float, or int for counts and seeds.
+
+    A missing field takes default, or is an error when default is None.
+    Anything but a finite JSON number (a string, null, a list, a
+    boolean), or a fraction where kind is int, is a ProblemError.
+    """
+    value = _require(doc, key, context) if default is None else doc.get(key, default)
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not ok or (kind is int and value != int(value)):
+        what = "integer" if kind is int else "number"
+        raise ProblemError(f"config field {context}{key} must be a finite {what}, got {value!r}")
+    return kind(value)
+
+
+def _step_count(horizon: float, dt: float) -> int:
+    """The number of steps of size dt in horizon; dt must divide it to 1e-9."""
+    steps = horizon / dt
+    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        raise ProblemError(f"horizon {horizon} is not a multiple of dt {dt}")
+    return int(round(steps))
+
+
 def _solver_settings(doc: dict) -> SolverSettings:
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):
@@ -87,29 +114,27 @@ def _solver_settings(doc: dict) -> SolverSettings:
     settings = SolverSettings()
     for key, value in solver.items():
         if key == "max_iters":
-            settings.max_iters = int(value)
+            settings.max_iters = _scalar(solver, key, int, "solver.")
             if settings.max_iters < 0:
                 raise ProblemError("solver.max_iters must be nonnegative")
         elif key == "tol":
-            settings.tol = float(value)
+            settings.tol = _scalar(solver, key, float, "solver.")
             if settings.tol < 0:
                 raise ProblemError("solver.tol must be nonnegative")
-        elif key == "method":
-            settings.method = str(value)
-            if settings.method not in ("rk4", "euler"):
+        elif key in SOLVER_CHOICES:
+            if value not in SOLVER_CHOICES[key]:
                 raise ProblemError(
-                    f"unknown solver.method {settings.method!r}; expected 'rk4' or 'euler'"
+                    f"unknown solver.{key} {value!r}; expected one of {SOLVER_CHOICES[key]}"
                 )
-        elif key == "minimizer":
-            settings.minimizer = str(value)
+            setattr(settings, key, value)
         else:
             raise ProblemError(f"unknown solver setting {key!r}")
     return settings
 
 
 def _load_lqg(doc: dict) -> LoadedConfig:
-    d_x = int(_require(doc, "d_x", ""))
-    d_z = int(_require(doc, "d_z", ""))
+    d_x = _scalar(doc, "d_x", int)
+    d_z = _scalar(doc, "d_z", int)
     d_s = d_x + d_z
     A = _matrix(doc, "A", (d_s, d_s))
     B = _matrix(doc, "B")
@@ -124,8 +149,8 @@ def _load_lqg(doc: dict) -> LoadedConfig:
     P = _matrix(doc, "P", (d_s, d_s))
     mu0 = _matrix(doc, "mu0", (d_s,))
     lambda0 = _matrix(doc, "lambda0", (d_s, d_s))
-    horizon = float(_require(doc, "horizon", ""))
-    dt = float(_require(doc, "dt", ""))
+    horizon = _scalar(doc, "horizon")
+    dt = _scalar(doc, "dt")
     problem = LqgProblem(
         A=A, B=B, sigma=sigma, Q=Q, R=R, P=P,
         mu0=mu0, lambda0=lambda0,
@@ -134,11 +159,12 @@ def _load_lqg(doc: dict) -> LoadedConfig:
     report = validate_lqg(problem)
     if not report.ok:
         raise ProblemError(f"invalid problem: {report}")
+    _step_count(horizon, dt)
     return LoadedConfig(
         family="lqg",
         document=doc,
         solver=_solver_settings(doc),
-        seed=int(doc.get("seed", 0)),
+        seed=_scalar(doc, "seed", int, default=0),
         lqg_problem=problem,
     )
 
@@ -160,32 +186,32 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
     domain = _require(doc, "domain", "")
     lower = _matrix(domain, "lower", (2,))
     upper = _matrix(domain, "upper", (2,))
-    shape = tuple(int(n) for n in _require(domain, "shape", "domain."))
-    if len(shape) != 2:
+    shape = _matrix(domain, "shape")
+    if shape.shape != (2,):
         raise ProblemError("domain.shape must have two entries (state, memory)")
-    n_t = int(_require(domain, "n_t", "domain."))
-    horizon = float(_require(domain, "horizon", "domain."))
+    shape = tuple(int(n) for n in shape)
+    n_t = _scalar(domain, "n_t", int, "domain.")
+    horizon = _scalar(domain, "horizon", float, "domain.")
     grid = GridSpec(lower=lower, upper=upper, shape=shape, n_t=n_t, horizon=horizon)
 
     obstacle = _require(doc, "obstacle", "")
-    strength = float(_require(obstacle, "strength", "obstacle."))
-    t_on = float(_require(obstacle, "t_on", "obstacle."))
-    t_off = float(_require(obstacle, "t_off", "obstacle."))
-    inner = float(_require(obstacle, "inner", "obstacle."))
-    outer = float(_require(obstacle, "outer", "obstacle."))
+    strength, t_on, t_off, inner, outer = (
+        _scalar(obstacle, key, float, "obstacle.")
+        for key in ("strength", "t_on", "t_off", "inner", "outer")
+    )
     if not (0.0 <= t_on <= t_off <= horizon):
         raise ProblemError("obstacle window must satisfy 0 <= t_on <= t_off <= horizon")
     if not (0.0 <= inner <= outer):
         raise ProblemError("obstacle band must satisfy 0 <= inner <= outer")
 
-    terminal_weight = float(_require(doc, "terminal_weight", ""))
-    control_cost = float(doc.get("control_cost", 1.0))
+    terminal_weight = _scalar(doc, "terminal_weight")
+    control_cost = _scalar(doc, "control_cost", default=1.0)
     if control_cost <= 0:
         raise ProblemError("control_cost must be positive")
-    bound = float(_require(doc, "control_bound", ""))
+    bound = _scalar(doc, "control_bound")
     if bound <= 0:
         raise ProblemError("control_bound must be positive")
-    init_cov = float(_require(doc, "initial_cov", ""))
+    init_cov = _scalar(doc, "initial_cov")
     if init_cov <= 0:
         raise ProblemError("initial_cov must be positive")
 
@@ -208,10 +234,10 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
         minimizer=solver.minimizer,
     )
 
-    slice_times = doc.get(
-        "slice_times", [f * horizon for f in DEFAULT_SLICE_FRACTIONS]
+    slice_times = (
+        _matrix(doc, "slice_times").ravel().tolist() if "slice_times" in doc
+        else [f * horizon for f in DEFAULT_SLICE_FRACTIONS]
     )
-    slice_times = [float(t) for t in slice_times]
     for t in slice_times:
         if not (0.0 <= t <= horizon):
             raise ProblemError(f"slice time {t} outside [0, {horizon}]")
@@ -220,7 +246,7 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
         family="obstacle-grid",
         document=doc,
         solver=solver,
-        seed=int(doc.get("seed", 0)),
+        seed=_scalar(doc, "seed", int, default=0),
         grid_problem=problem,
         grid=grid,
         slice_times=slice_times,

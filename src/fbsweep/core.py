@@ -12,7 +12,9 @@ backend and GridProblem (fbsweep.gridpde) for the finite-difference
 backend. That model feeds both its solver and the Monte Carlo simulator,
 whose ExtendedDynamics and CostSpec records are derived from it (see
 fbsweep.config). This module also holds the error types, the Gaussian
-initial law, LQG validation and the grid geometry.
+initial law, LQG validation, the grid geometry, and what both solvers
+share: the outer loop of the alternating sweeps (_sweep) and the rule
+their objective's descent is judged by (_descent_violations).
 
 Conventions
 -----------
@@ -44,6 +46,46 @@ class DivergenceError(RuntimeError):
 
 class SingularPrecisionError(RuntimeError):
     """The state block of a precision matrix is singular."""
+
+
+def _sweep(j0: float, half_sweep: Callable, max_iters: int, tol: float) -> tuple:
+    """The outer loop of a forward-backward sweep solver.
+
+    j0 is the objective of the initial iterate. Sweep k (k = 0, 1, ...)
+    is half_sweep(k, backward), backward for even k and forward for odd
+    k; it updates the caller's iterate and returns its objective. The
+    loop stops once |J_k - J_{k-1}| <= tol * (1 + |J_k|) or after
+    max_iters sweeps, and raises DivergenceError on a non-finite J.
+    Returns (history, converged, iterations, final_delta).
+    """
+    history = [j0]
+    converged = False
+    final_delta = np.inf
+    for k in range(max_iters):
+        J = half_sweep(k, k % 2 == 0)
+        if not np.isfinite(J):
+            raise DivergenceError(f"objective non-finite at iteration {k + 1}")
+        final_delta = abs(history[-1] - J)
+        history.append(J)
+        if final_delta <= tol * (1.0 + abs(J)):
+            converged = True
+            break
+    return np.asarray(history), converged, len(history) - 1, float(final_delta)
+
+
+def _descent_violations(history, slack_rel: float) -> tuple:
+    """Where an objective history breaks monotone descent, and by how much.
+
+    The descent rule is J_k <= J_{k-1} + slack_rel * (1 + |J_{k-1}|).
+    Returns the (k, J_{k-1}, J_k) of every k that breaks it and the
+    largest excess over the bound (0.0 when none does).
+    """
+    history = np.asarray(history, dtype=float)
+    prev, cur = history[:-1], history[1:]
+    excess = cur - prev - slack_rel * (1.0 + np.abs(prev))
+    bad = np.flatnonzero(excess > 0.0)
+    violations = [(int(k) + 1, float(prev[k]), float(cur[k])) for k in bad]
+    return violations, float(excess[bad].max()) if bad.size else 0.0
 
 
 def as_time_fn(value):

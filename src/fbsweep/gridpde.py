@@ -37,7 +37,6 @@ fbsm_grid hands it the buffer of the field that pass replaces.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
@@ -46,10 +45,11 @@ import numpy as np
 from scipy import ndimage, sparse
 
 from fbsweep.core import (
-    DivergenceError,
     GridSpec,
     ProblemError,
     StabilityError,
+    _descent_violations,
+    _sweep,
 )
 
 STABILITY_FRACTION = 0.9
@@ -57,10 +57,10 @@ NEGATIVE_MASS_LIMIT = 1e-6
 MARGINAL_FLOOR = 1e-12
 TIE_TOLERANCE = 1e-12
 DEFAULT_CANDIDATES = 41
-
-
-class MonotonicityWarning(UserWarning):
-    """Recorded objective increased beyond the discretization slack."""
+MINIMIZERS = ("auto", "exact", "search")
+# Relative rise per sweep that the recorded objective's descent tolerates
+# (the discretization slack of the exact discrete Markov decision steps).
+MONOTONICITY_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class GridProblem:
     minimizer: str = "auto"
 
     def __post_init__(self):
-        if self.minimizer not in ("auto", "exact", "search"):
+        if self.minimizer not in MINIMIZERS:
             raise ProblemError(
                 f"unknown minimizer {self.minimizer!r}; expected 'auto', 'exact' or 'search'"
             )
@@ -968,8 +968,10 @@ def fbsm_grid(
     density and the held value before stepping the density. The recorded
     objective is the exact discrete cost of each iterate's control:
     <p0, w0> after backward sweeps, the accumulated running cost after
-    forward sweeps. Objective increases beyond 1e-6*(1+|J|) are reported
-    as MonotonicityWarning (discretization slack), not silently ignored.
+    forward sweeps. A sweep whose objective rises by more than
+    MONOTONICITY_SLACK * (1 + |J_{k-1}|) is recorded in
+    monotonicity_violations as (k, J_{k-1}, J_k); it does not stop the
+    iteration.
 
     Each half-sweep reads only the opposite, held field, so it writes
     into the buffer of the field it replaces: at most two (n_t + 1)-slice
@@ -988,47 +990,28 @@ def fbsm_grid(
 
     p0 = _initial_density_slice(problem, grid)
     mass_log = MassLog()
-    p, u, J0 = _forward_pass(problem, grid, p0, u, log=mass_log)
-    history = [J0]
+    p, u, j0 = _forward_pass(problem, grid, p0, u, log=mass_log)
     w = None
-    violations = []
-    converged = False
-    final_delta = np.inf
 
-    k = 0
-    while k < max_iters:
-        if k % 2 == 0:
+    def half_sweep(k, backward):
+        nonlocal p, u, w
+        if backward:
             w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p, out=w)
         else:
             p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w, log=mass_log, out=p)
-        if not np.isfinite(J):
-            raise DivergenceError(f"objective non-finite at iteration {k + 1}")
-        slack = 1e-6 * (1.0 + abs(history[-1]))
-        if J > history[-1] + slack:
-            violations.append((k + 1, history[-1], J))
-            warnings.warn(
-                f"objective increased at iteration {k + 1}: "
-                f"{history[-1]:.10g} -> {J:.10g}",
-                MonotonicityWarning,
-                stacklevel=2,
-            )
-        final_delta = abs(history[-1] - J)
-        history.append(J)
-        k += 1
-        if final_delta <= tol * (1.0 + abs(J)):
-            converged = True
-            break
+        return J
 
+    history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
     return GridSweepResult(
         problem=problem,
         grid=grid,
         control=ControlField(u, grid, problem.d_x),
         value=None if w is None else ValueField(w, grid),
         density=DensityField(p, grid),
-        objective_history=np.asarray(history),
+        objective_history=history,
         converged=converged,
-        iterations=k,
-        final_delta=float(final_delta),
+        iterations=iterations,
+        final_delta=final_delta,
         mass_log=mass_log,
-        monotonicity_violations=violations,
+        monotonicity_violations=_descent_violations(history, MONOTONICITY_SLACK)[0],
     )

@@ -14,10 +14,14 @@ mean E[s|z] = K(Lambda)(s - mu) + mu instead of s. Because the Pi
 equation runs backward given Lambda and the Lambda equation runs forward
 given Pi, the coupled system is solved by alternating sweeps that hold
 the opposite trajectory fixed, recording the closed-loop cost after
-every sweep. Cost of each iterate is evaluated from the exact
-closed-loop second moments, so the recorded objective is meaningful even
-mid-iteration when Lambda is stale. Those moments solve a linear
-Lyapunov equation, so each RK4 (or Euler) step of it is one mat-vec
+every sweep (the sweep loop and the descent rule are fbsweep.core's,
+shared with the grid backend; a sweep whose cost rises past
+monotonicity_slack is recorded, not raised). All three node-level
+equations (Psi/Pi backward, Lambda and mu forward) are stepped by one
+RK4/Euler integrator, _integrate. Cost of each iterate is evaluated
+from the exact closed-loop second moments, so the recorded objective is
+meaningful even mid-iteration when Lambda is stale. Those moments solve
+a linear Lyapunov equation, so each RK4 (or Euler) step of it is one mat-vec
 y -> Phi y on y = (vec(Sigma), 1), row-major. The Phi of a batch of
 steps are built in one batched pass, (d_s^2 + 1)^2 doubles and O(d_s^6)
 flops per step, leaving one small mat-vec per step in the time loop.
@@ -39,7 +43,8 @@ from fbsweep.core import (
     LqgProblem,
     ProblemError,
     SingularPrecisionError,
-    StabilityError,
+    _descent_violations,
+    _sweep,
     as_time_fn,
     validate_lqg,
 )
@@ -147,6 +152,15 @@ class _Coefficients:
         )
         self.SS = np.einsum("tij,tkj->tik", sig, sig)
 
+    def stages(self, method: str) -> tuple:
+        """(A, M, Q, SS) at the stage points _integrate reads for method.
+
+        The half grid for rk4, the nodes for euler.
+        """
+        if method == "euler":
+            return self.A[::2], self.M[::2], self.Q[::2], self.SS[::2]
+        return self.A, self.M, self.Q, self.SS
+
 
 def _riccati_increment(A, M, Q, mat, gap=None):
     """-dX/dt of the backward Riccati equations at one stage point.
@@ -190,65 +204,65 @@ def _check_finite(traj: np.ndarray, times: np.ndarray, what: str):
         raise DivergenceError(f"{what} became non-finite at t={t_bad:.6g}")
 
 
+def _integrate(rhs, start, n, dt, method, backward=False, sym=True):
+    """Step y over the n steps of the time grid from start; returns all n + 1 nodes.
+
+    rhs(j, y) is the right-hand side at stage point j: the _half_grid
+    index for rk4 (node i is 2i, the midpoint of step i is 2i + 1), the
+    node index for euler. Forward, start is node 0 and step i runs from
+    node i to i + 1. Backward, start is node n, step i runs from node
+    i + 1 to i, and rhs is -dy/dt, so either way a step adds dt times
+    the stage average. Classical RK4, or explicit Euler behind
+    method="euler", which reads stage point i in both directions. With
+    sym, every new node is symmetrized.
+    """
+    out = np.empty((n + 1,) + np.shape(start))
+    out[n if backward else 0] = start
+    for i in range(n - 1, -1, -1) if backward else range(n):
+        y = out[i + 1] if backward else out[i]
+        if method == "euler":
+            step = rhs(i, y)
+        else:
+            first, last = (2 * i + 2, 2 * i) if backward else (2 * i, 2 * i + 2)
+            k1 = rhs(first, y)
+            k2 = rhs(2 * i + 1, y + 0.5 * dt * k1)
+            k3 = rhs(2 * i + 1, y + 0.5 * dt * k2)
+            k4 = rhs(last, y + dt * k3)
+            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        new = y + dt * step
+        out[i if backward else i + 1] = _sym(new) if sym else new
+    return out
+
+
 def _backward_riccati(problem, coeffs, method, what, gap=None):
     """Integrate a Riccati equation backward from X(T) = P.
 
     Without gap this is Psi's classical equation; with gap, the stack of
     I - K(Lambda) of a held precision trajectory at the points the stages
-    read (_half_grid layout), it is the Pi equation. Classical RK4 on the
-    dt grid (explicit Euler behind method="euler"); the output is
+    read (_half_grid layout), it is the Pi equation. The output is
     symmetrized every step and must stay finite (what names it otherwise).
     """
-    n, dt = coeffs.n, coeffs.dt
-    d = problem.d_s
-    A, M, Q = coeffs.A, coeffs.M, coeffs.Q
+    A, M, Q, _ = coeffs.stages(method)
 
-    def rhs(idx2, val, j):
-        return _riccati_increment(
-            A[idx2], M[idx2], Q[idx2], val, None if gap is None else gap[j]
-        )
+    def rhs(j, val):
+        return _riccati_increment(A[j], M[j], Q[j], val, None if gap is None else gap[j])
 
-    out = np.empty((n + 1, d, d))
-    out[n] = _sym(problem.P)
-    for i in range(n - 1, -1, -1):
-        top = out[i + 1]
-        if method == "euler":
-            step = rhs(2 * i, top, i)
-        else:
-            k1 = rhs(2 * i + 2, top, 2 * i + 2)
-            k2 = rhs(2 * i + 1, top + 0.5 * dt * k1, 2 * i + 1)
-            k3 = rhs(2 * i + 1, top + 0.5 * dt * k2, 2 * i + 1)
-            k4 = rhs(2 * i, top + dt * k3, 2 * i)
-            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        out[i] = _sym(top + dt * step)
+    out = _integrate(rhs, _sym(problem.P), coeffs.n, coeffs.dt, method, backward=True)
     _check_finite(out, coeffs.node_times, what)
     return out
 
 
 def _forward_mu(problem, coeffs, psi, method):
     """Integrate the mean forward from mu(0) = mu0 given Psi."""
-    n, dt = coeffs.n, coeffs.dt
-    mu = np.empty((n + 1, problem.d_s))
-    mu[0] = problem.mu0
     if not np.any(problem.mu0):
-        mu[:] = 0.0
-        return mu
+        return np.zeros((coeffs.n + 1, problem.d_s))
+    A, M, _, _ = coeffs.stages(method)
+    psi_stages = _half_grid(psi, method)
 
-    def rhs(idx2, psi_val, m):
-        return _mean_increment(coeffs.A[idx2], coeffs.M[idx2], psi_val, m)
+    def rhs(j, m):
+        return _mean_increment(A[j], M[j], psi_stages[j], m)
 
-    for i in range(n):
-        base = mu[i]
-        psi_mid = 0.5 * (psi[i] + psi[i + 1])
-        if method == "euler":
-            step = rhs(2 * i, psi[i], base)
-        else:
-            k1 = rhs(2 * i, psi[i], base)
-            k2 = rhs(2 * i + 1, psi_mid, base + 0.5 * dt * k1)
-            k3 = rhs(2 * i + 1, psi_mid, base + 0.5 * dt * k2)
-            k4 = rhs(2 * i + 2, psi[i + 1], base + dt * k3)
-            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        mu[i + 1] = base + dt * step
+    mu = _integrate(rhs, problem.mu0, coeffs.n, coeffs.dt, method, sym=False)
     _check_finite(mu, coeffs.node_times, "mu")
     return mu
 
@@ -351,49 +365,37 @@ class LqgSweepResult:
     iterations: int
     final_delta: float
     method: str
+    monotonicity_violations: List[tuple]
 
     def control_law(self) -> LqgControlLaw:
         return LqgControlLaw(self.gains, self.problem)
 
 
-def _forward_lambda(problem, coeffs, pi_stale, method):
+def _forward_lambda(problem, coeffs, pi_stale, method, what):
     """One forward sweep of Lambda holding the Pi trajectory fixed.
 
     M Pi is tabulated for every stage before the time loop, so each stage
-    of _lambda_increment costs one small solve.
+    of _lambda_increment costs one small solve. The output must stay
+    finite (what names it otherwise).
     """
-    n, dt = coeffs.n, coeffs.dt
-    d = problem.d_s
     d_x = problem.d_x
+    A, M, _, SS = coeffs.stages(method)
     if method == "euler":
         # the Euler step pairs node-i coefficients with pi[i + 1]
-        mp = coeffs.M[:-1:2] @ pi_stale[1:]
+        mp = M[:-1] @ pi_stale[1:]
     else:
-        mp = coeffs.M @ _half_grid(pi_stale, method)
+        mp = M @ _half_grid(pi_stale, method)
     mp_x, mp_z = mp[..., :d_x], mp[..., d_x:]
 
-    def rhs(idx2, lam_val, j):
-        return _lambda_increment(
-            coeffs.A[idx2], coeffs.SS[idx2], mp_x[j], mp_z[j], lam_val, d_x
-        )
+    def rhs(j, lam_val):
+        return _lambda_increment(A[j], SS[j], mp_x[j], mp_z[j], lam_val, d_x)
 
-    lam = np.empty((n + 1, d, d))
-    lam[0] = _sym(problem.lambda0)
-    for i in range(n):
-        base = lam[i]
-        if method == "euler":
-            step = rhs(2 * i, base, i)
-        else:
-            k1 = rhs(2 * i, base, 2 * i)
-            k2 = rhs(2 * i + 1, base + 0.5 * dt * k1, 2 * i + 1)
-            k3 = rhs(2 * i + 1, base + 0.5 * dt * k2, 2 * i + 1)
-            k4 = rhs(2 * i + 2, base + dt * k3, 2 * i + 2)
-            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        lam[i + 1] = _sym(base + dt * step)
+    lam = _integrate(rhs, _sym(problem.lambda0), coeffs.n, coeffs.dt, method)
     # one batched check that every node a stage read has a finite,
-    # invertible state block; a bad last node is left to the caller's
-    # finiteness check
+    # invertible state block; a bad last node is left to the finiteness
+    # check
     inference_gain(lam[:-1], d_x)
+    _check_finite(lam, coeffs.node_times, what)
     return lam
 
 
@@ -486,10 +488,7 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
     gain = inference_gain(_half_grid(lam, method), problem.d_x)
-    if method == "euler":
-        A, M, SS = coeffs.A[::2], coeffs.M[::2], coeffs.SS[::2]
-    else:
-        A, M, SS = coeffs.A, coeffs.M, coeffs.SS
+    A, M, _, SS = coeffs.stages(method)
     drift = A - M @ _half_grid(pi, method) @ gain
 
     y = np.empty((n + 1, d * d + 1))
@@ -511,7 +510,8 @@ def monotonicity_slack(problem: LqgProblem, method: str) -> float:
 
     RK4 iterates descend up to rounding. Euler iterates track the
     continuous descent only to first order in dt, so the slack loosens to
-    the solver's step in that mode. fbsm_lqg and verify share it.
+    the solver's step in that mode. fbsm_lqg records the sweeps that rise
+    past it, and verify judges those records.
     """
     if method == "rk4":
         return MONOTONICITY_SLACK
@@ -534,9 +534,10 @@ def fbsm_lqg(
     after the initial step and after every sweep; iteration stops when
     the objective change falls within tol * (1 + |J|) or at max_iters.
 
-    Raises StabilityError if the recorded objective ever increases by
-    more than the monotonicity slack, and DivergenceError on non-finite
-    trajectories.
+    A sweep whose objective rises by more than monotonicity_slack is
+    recorded in monotonicity_violations as (k, J_{k-1}, J_k); it does not
+    stop the iteration. Raises DivergenceError on non-finite trajectories
+    or objectives.
     """
     if method not in ("rk4", "euler"):
         raise ProblemError(f"unknown integration method {method!r}")
@@ -546,7 +547,6 @@ def fbsm_lqg(
 
     coeffs = _Coefficients(problem)
     n = coeffs.n
-    times = coeffs.node_times
     d = problem.d_s
 
     psi = _backward_riccati(problem, coeffs, method, "Psi")
@@ -560,58 +560,40 @@ def fbsm_lqg(
             raise ProblemError(
                 f"pi0 must have shape {(n + 1, d, d)}, got {pi.shape}"
             )
-    lam = _forward_lambda(problem, coeffs, pi, method)
-    _check_finite(lam, times, "Lambda")
+    lam = _forward_lambda(problem, coeffs, pi, method, "Lambda")
 
-    history = [
-        _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method)
-    ]
     pi_iterates = [pi]
     lambda_iterates = [lam]
 
-    slack_rel = monotonicity_slack(problem, method)
-    converged = False
-    final_delta = np.inf
-    k = 0
-    while k < max_iters:
-        if k % 2 == 0:
+    def half_sweep(k, backward):
+        nonlocal pi, lam
+        if backward:
             # I - K(Lambda) at every stage point, from one batched gain evaluation
             gap = np.eye(d) - inference_gain(_half_grid(lam, method), problem.d_x)
             pi = _backward_riccati(problem, coeffs, method, f"Pi (iteration {k + 1})", gap)
         else:
-            lam = _forward_lambda(problem, coeffs, pi, method)
-            _check_finite(lam, times, f"Lambda (iteration {k + 1})")
-        J = _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method)
-        if not np.isfinite(J):
-            raise DivergenceError(f"objective non-finite at iteration {k + 1}")
-        slack = slack_rel * (1.0 + abs(history[-1]))
-        if J > history[-1] + slack:
-            raise StabilityError(
-                f"objective increased at iteration {k + 1}: "
-                f"{history[-1]:.10g} -> {J:.10g}"
-            )
-        final_delta = abs(history[-1] - J)
-        history.append(J)
+            lam = _forward_lambda(problem, coeffs, pi, method, f"Lambda (iteration {k + 1})")
         pi_iterates.append(pi)
         lambda_iterates.append(lam)
-        k += 1
-        if final_delta <= tol * (1.0 + abs(J)):
-            converged = True
-            break
+        return _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method)
 
+    j0 = _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method)
+    history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
+    violations, _ = _descent_violations(history, monotonicity_slack(problem, method))
     gains = GainTrajectory(
-        times=times, psi=psi, pi=pi, lam=lam, mu=mu, d_x=problem.d_x
+        times=coeffs.node_times, psi=psi, pi=pi, lam=lam, mu=mu, d_x=problem.d_x
     )
     return LqgSweepResult(
         problem=problem,
         gains=gains,
-        objective_history=np.asarray(history),
+        objective_history=history,
         pi_iterates=pi_iterates,
         lambda_iterates=lambda_iterates,
         converged=converged,
-        iterations=k,
-        final_delta=float(final_delta),
+        iterations=iterations,
+        final_delta=final_delta,
         method=method,
+        monotonicity_violations=violations,
     )
 
 

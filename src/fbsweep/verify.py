@@ -16,8 +16,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from fbsweep.core import GridSpec, LqgProblem, ProblemError, as_time_fn
+from fbsweep.core import GridSpec, LqgProblem, ProblemError, _descent_violations, as_time_fn
 from fbsweep.gridpde import (
+    MONOTONICITY_SLACK,
     DiscreteGenerator,
     GridProblem,
     GridSweepResult,
@@ -119,22 +120,16 @@ class MonotonicityReport:
         }
 
 
-def monotonicity_check(history, slack_rel: float = 1e-6) -> MonotonicityReport:
+def monotonicity_check(history, slack_rel: float = MONOTONICITY_SLACK) -> MonotonicityReport:
     """Verify J_{k+1} <= J_k + slack_rel*(1+|J_k|) along a history.
 
     Accepts a raw array or any solver result exposing objective_history.
+    The rule is the one the solvers record their violations by.
     """
     history = np.asarray(getattr(history, "objective_history", history), dtype=float)
     if history.size < 2:
         raise ProblemError("monotonicity check needs at least two objective values")
-    violations = []
-    worst = 0.0
-    for k in range(history.size - 1):
-        slack = slack_rel * (1.0 + abs(history[k]))
-        excess = history[k + 1] - history[k] - slack
-        if excess > 0.0:
-            violations.append((k + 1, float(history[k]), float(history[k + 1])))
-            worst = max(worst, float(excess))
+    violations, worst = _descent_violations(history, slack_rel)
     return MonotonicityReport(
         n_iterations=int(history.size - 1),
         violations=violations,

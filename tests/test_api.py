@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "LqgControlLaw",
     "LqgProblem",
     "LqgSweepResult",
-    "MonotonicityWarning",
     "PathEnsemble",
     "ProblemError",
     "QuadraticControl",

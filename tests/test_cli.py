@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from fbsweep import cli, sdesim
+from fbsweep import cli, gridpde, lqg, sdesim
 from fbsweep.artifacts import read_iterations, read_json
 from fbsweep.cli import main
 from fbsweep.config import bundled_config_path
@@ -157,6 +157,51 @@ class TestRunLqg:
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
         assert "solver.method" in capsys.readouterr().err
+
+    def test_unknown_minimizer_is_exit_2_before_any_output(self, tmp_path, capsys):
+        doc = dict(LQG_DOC, solver=dict(LQG_DOC["solver"], minimizer="bogus"))
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["run-lqg", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "solver.minimizer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [False, True], ids=["document", "override"])
+    def test_dt_not_dividing_the_horizon_is_exit_2(self, override, tmp_path, capsys):
+        doc = json.loads(bundled_config_path("lqg").read_text())
+        doc["horizon"] = 1.0
+        if not override:
+            doc["dt"] = 0.003
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        argv = ["run-lqg", "--config", str(config), "--out", str(out)]
+        assert main(argv + (["--dt", "0.003"] if override else [])) == 2
+        assert not out.exists()
+        assert "not a multiple of dt 0.003" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc, path, value",
+    [
+        ("run-lqg", LQG_DOC, ("solver", "max_iters"), "ten"),
+        ("run-lqg", LQG_DOC, ("horizon",), "long"),
+        ("run-grid", OBSTACLE_DOC, ("domain", "n_t"), None),
+        ("run-grid", OBSTACLE_DOC, ("control_bound",), [1, 2]),
+    ],
+    ids=["max_iters", "horizon", "n_t", "control_bound"],
+)
+def test_non_numeric_scalar_field_is_exit_2(command, doc, path, value, tmp_path, capsys):
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    config = write_doc(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{'.'.join(path)} must be a finite" in capsys.readouterr().err
 
 
 class TestRunGrid:
@@ -347,6 +392,45 @@ class TestVerify:
         assert not monotonicity_check(read_iterations(out)).passed
         assert main(["verify", str(out)]) == 0
         assert read_json(out / "verify.json")["passed"] is True
+
+    @pytest.mark.parametrize("family", ["lqg", "grid"])
+    def test_a_rise_is_recorded_and_fails_only_verify(self, family, monkeypatch, tmp_path, capsys):
+        """One sweep's objective is pushed up past the slack: the solve
+        records it instead of stopping, run-* exits as its budget says,
+        its summary counts it, and verify fails the descent check alone."""
+        if family == "lqg":
+            # one objective per sweep plus the initial one; push up sweep 2
+            per_solve, calls = LQG_DOC["solver"]["max_iters"] + 1, []
+            objective = lqg._closed_loop_objective
+
+            def rising(*args, **kwargs):
+                calls.append(None)
+                J = objective(*args, **kwargs)
+                return J + 1.0 + abs(J) if len(calls) % per_solve == 3 else J
+
+            monkeypatch.setattr(lqg, "_closed_loop_objective", rising)
+            command, doc = "run-lqg", LQG_DOC
+        else:
+            backward = gridpde._backward_pass
+
+            def rising(*args, **kwargs):
+                w, u, J = backward(*args, **kwargs)
+                # only the solver's sweeps hold a density
+                if kwargs.get("p_stale") is not None:
+                    J += 1.0 + abs(J)
+                return w, u, J
+
+            monkeypatch.setattr(gridpde, "_backward_pass", rising)
+            command, doc = "run-grid", OBSTACLE_DOC
+        config = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert read_json(out / "summary.json")["monotonicity_violations"] == 1
+        assert main(["verify", str(out)]) == 1
+        report = read_json(out / "verify.json")
+        failing = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failing] == ["objective descends monotonically"]
+        assert failing[0]["detail"] == f"1 rise(s) in {doc['solver']['max_iters']} sweeps"
 
     def test_tampered_iterations_fail_naming_the_iteration(
         self, lqg_run, tmp_path, capsys

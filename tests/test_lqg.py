@@ -26,6 +26,7 @@ from fbsweep.lqg import (
     _expected_cost,
     _forward_mu,
     _half_grid,
+    _integrate,
     _lambda_increment,
     _mean_increment,
     _riccati_increment,
@@ -317,6 +318,53 @@ class TestSolveMu:
         psi = solve_psi(prob)
         mu = solve_mu(prob, psi)
         assert abs(mu[-1, 0] - np.e) < 1e-8
+
+
+class TestIntegrate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-3.0, 3.0),
+        c=st.floats(-2.0, 2.0),
+        y0=hnp.arrays(float, 3, elements=st.floats(-2.0, 2.0)),
+        n=st.integers(1, 20),
+        dt=st.floats(1e-3, 0.2),
+        method=st.sampled_from(["rk4", "euler"]),
+        backward=st.booleans(),
+    )
+    def test_affine_equation_matches_one_step_polynomials(
+        self, a, c, y0, n, dt, method, backward
+    ):
+        """On y' = a y + c, one step is y + dt (a y + c) p(a dt) with
+        p(z) = 1 + z/2 + z^2/6 + z^3/24 for rk4 and p = 1 for euler, in
+        either direction; the stage points follow _half_grid (rk4) or the
+        nodes (euler), read from the step's start node first."""
+        stages = []
+
+        def rhs(j, y):
+            stages.append(j)
+            return a * y + c
+
+        got = _integrate(rhs, y0, n, dt, method, backward=backward, sym=False)
+        z = a * dt
+        poly = 1.0 + z / 2 + z**2 / 6 + z**3 / 24 if method == "rk4" else 1.0
+        want = np.empty((n + 1, 3))
+        order = range(n - 1, -1, -1) if backward else range(n)
+        want[n if backward else 0] = y0
+        for i in order:
+            y = want[i + 1] if backward else want[i]
+            want[i if backward else i + 1] = y + dt * (a * y + c) * poly
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+        if method == "euler":
+            expected = list(order)
+        else:
+            expected = [
+                j for i in order
+                for j in ((2 * i + 2, 2 * i + 1, 2 * i + 1, 2 * i) if backward
+                          else (2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2))
+            ]
+        assert stages == expected
 
 
 class TestFbsmLqg:
