@@ -109,8 +109,9 @@ def jsonable(obj):
 
 
 def write_json(path, document: dict) -> None:
-    path = Path(path)
-    path.write_text(json.dumps(jsonable(document), indent=2, sort_keys=True) + "\n")
+    """Write strict JSON: a NaN or infinite value is a ValueError, never a bare token."""
+    text = json.dumps(jsonable(document), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path) -> dict:

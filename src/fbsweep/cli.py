@@ -35,7 +35,6 @@ from fbsweep import __version__, artifacts
 from fbsweep.config import (
     LoadedConfig,
     _scalar,
-    _step_count,
     bundled_config_path,
     parse_config,
     read_document,
@@ -47,6 +46,7 @@ from fbsweep.core import (
     ProblemError,
     SingularPrecisionError,
     StabilityError,
+    _step_count,
 )
 from fbsweep.gridpde import fbsm_grid
 from fbsweep.lqg import LqgControlLaw, fbsm_lqg, lqg_objective
@@ -189,7 +189,6 @@ def _solve_lqg_config(cfg: LoadedConfig):
         cfg.lqg_problem,
         max_iters=cfg.solver.max_iters,
         tol=cfg.solver.tol,
-        method=cfg.solver.method,
     )
 
 
@@ -202,13 +201,19 @@ def _solve_grid_config(cfg: LoadedConfig):
     )
 
 
+def _or_null(value: float):
+    """value, or None (JSON null) where no sweep has defined it yet."""
+    return value if np.isfinite(value) else None
+
+
 def _lqg_gaps(result):
-    pi_gap = float("inf")
+    """Largest change of Pi and of Lambda over their last refresh, or None."""
+    pi_gap = None
     if len(result.pi_iterates) >= 3:
         pi_gap = float(
             np.abs(result.pi_iterates[-1] - result.pi_iterates[-3]).max()
         )
-    lam_gap = float("inf")
+    lam_gap = None
     if len(result.lambda_iterates) >= 2:
         lam_gap = float(
             np.abs(result.lambda_iterates[-1] - result.lambda_iterates[-2]).max()
@@ -239,7 +244,7 @@ def _run_lqg(doc: dict, out) -> tuple:
             "objective": result.objective_history[-1],
             "converged": result.converged,
             "iterations": result.iterations,
-            "final_delta": result.final_delta,
+            "final_delta": _or_null(result.final_delta),
             "pi_gap": pi_gap,
             "lambda_gap": lam_gap,
             "min_lambda_eigenvalue": _min_lambda_eigenvalue(result),
@@ -249,7 +254,7 @@ def _run_lqg(doc: dict, out) -> tuple:
             "solver": {
                 "max_iters": cfg.solver.max_iters,
                 "tol": cfg.solver.tol,
-                "method": cfg.solver.method,
+                "method": "rk4",
             },
         },
     )
@@ -278,7 +283,7 @@ def _run_grid(doc: dict, out) -> tuple:
             "objective": result.objective_history[-1],
             "converged": result.converged,
             "iterations": result.iterations,
-            "final_delta": result.final_delta,
+            "final_delta": _or_null(result.final_delta),
             "max_negative_mass": result.mass_log.max_negative_mass,
             "max_mass_drift": result.mass_log.max_mass_drift,
             "monotonicity_violations": len(result.monotonicity_violations),

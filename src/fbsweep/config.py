@@ -30,15 +30,19 @@ from fbsweep.core import (
     GridSpec,
     LqgProblem,
     ProblemError,
+    _step_count,
     as_time_fn,
     validate_lqg,
 )
-from fbsweep.gridpde import MINIMIZERS, GridProblem, QuadraticControl, quadratic_grid_problem
+from fbsweep.gridpde import GridProblem, QuadraticControl, quadratic_grid_problem
 
 FAMILIES = ("lqg", "obstacle-grid")
 DEFAULT_SLICE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # Values a solver setting may take, checked for every family at load.
-SOLVER_CHOICES = {"method": ("rk4", "euler"), "minimizer": MINIMIZERS}
+# Each names what always runs: the lqg sweeps step by RK4, and a grid
+# problem's quadratic declaration selects the exact minimizer. Documents
+# may spell them out, so they are accepted and not stored.
+SOLVER_CHOICES = {"method": ("rk4",), "minimizer": ("auto", "exact")}
 
 
 @dataclass
@@ -47,8 +51,6 @@ class SolverSettings:
 
     max_iters: int = 50
     tol: float = 1e-6
-    method: str = "rk4"
-    minimizer: str = "auto"
 
 
 @dataclass
@@ -71,12 +73,23 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _is_number(value) -> bool:
+    """Whether value is a JSON number; a boolean is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _matrix(doc: dict, key: str, shape=None) -> np.ndarray:
+    """A number, or nested lists of numbers, as a float array.
+
+    Every entry must be a finite JSON number, as for _scalar: a string,
+    a boolean, null or a ragged row is a ProblemError, not a value to
+    convert.
+    """
     value = _require(doc, key, "")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"config field {key!r} is not numeric: {exc}") from None
+    bad = [v for v in np.asarray(value, dtype=object).ravel() if not _is_number(v)]
+    if bad:
+        raise ProblemError(f"config field {key!r} is not numeric: {bad[0]!r}")
+    arr = np.asarray(value, dtype=float)
     if shape is not None and arr.shape != shape:
         raise ProblemError(f"config field {key!r} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -92,19 +105,11 @@ def _scalar(doc: dict, key: str, kind=float, context: str = "", default=None):
     boolean), or a fraction where kind is int, is a ProblemError.
     """
     value = _require(doc, key, context) if default is None else doc.get(key, default)
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    ok = _is_number(value) and math.isfinite(value)
     if not ok or (kind is int and value != int(value)):
         what = "integer" if kind is int else "number"
         raise ProblemError(f"config field {context}{key} must be a finite {what}, got {value!r}")
     return kind(value)
-
-
-def _step_count(horizon: float, dt: float) -> int:
-    """The number of steps of size dt in horizon; dt must divide it to 1e-9."""
-    steps = horizon / dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise ProblemError(f"horizon {horizon} is not a multiple of dt {dt}")
-    return int(round(steps))
 
 
 def _solver_settings(doc: dict) -> SolverSettings:
@@ -126,7 +131,6 @@ def _solver_settings(doc: dict) -> SolverSettings:
                 raise ProblemError(
                     f"unknown solver.{key} {value!r}; expected one of {SOLVER_CHOICES[key]}"
                 )
-            setattr(settings, key, value)
         else:
             raise ProblemError(f"unknown solver setting {key!r}")
     return settings
@@ -189,6 +193,8 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
     shape = _matrix(domain, "shape")
     if shape.shape != (2,):
         raise ProblemError("domain.shape must have two entries (state, memory)")
+    if np.any(shape != np.round(shape)):
+        raise ProblemError(f"domain.shape must hold whole numbers, got {shape.tolist()}")
     shape = tuple(int(n) for n in shape)
     n_t = _scalar(domain, "n_t", int, "domain.")
     horizon = _scalar(domain, "horizon", float, "domain.")
@@ -231,7 +237,6 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
         initial_density=Gaussian(np.zeros(2), init_cov * np.eye(2)),
         control_lower=[-bound],
         control_upper=[bound],
-        minimizer=solver.minimizer,
     )
 
     slice_times = (
@@ -277,11 +282,6 @@ def read_document(path) -> dict:
     if not isinstance(doc, dict):
         raise ProblemError("config root must be a JSON object")
     return doc
-
-
-def load_config(path) -> LoadedConfig:
-    """Read and parse a JSON configuration file."""
-    return parse_config(read_document(path))
 
 
 def bundled_config_path(name: str) -> Path:

@@ -88,6 +88,18 @@ def _descent_violations(history, slack_rel: float) -> tuple:
     return violations, float(excess[bad].max()) if bad.size else 0.0
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """The number of steps of size dt in horizon; dt must divide it to 1e-9.
+
+    The one rule for a time step: config documents, --dt overrides and
+    the path simulator all go through it.
+    """
+    steps = horizon / dt
+    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        raise ProblemError(f"horizon {horizon} is not a multiple of dt {dt}")
+    return int(round(steps))
+
+
 def as_time_fn(value):
     """Wrap a constant matrix/vector as a function of time.
 

@@ -57,7 +57,6 @@ NEGATIVE_MASS_LIMIT = 1e-6
 MARGINAL_FLOOR = 1e-12
 TIE_TOLERANCE = 1e-12
 DEFAULT_CANDIDATES = 41
-MINIMIZERS = ("auto", "exact", "search")
 # Relative rise per sweep that the recorded objective's descent tolerates
 # (the discretization slack of the exact discrete Markov decision steps).
 MONOTONICITY_SLACK = 1e-6
@@ -95,8 +94,8 @@ class GridProblem:
     terminal_cost(S) -> grid arrays, initial_density(S) -> grid array.
     S is the meshgrid tuple of the extended-state grid; U is a list of
     d_u arrays shaped to broadcast over the grid (memory axes trailing).
-    minimizer is "auto" (exact with a quadratic declaration, else
-    search), "exact" or "search"; any other value raises ProblemError.
+    The quadratic declaration picks the minimizer (minimizer_mode):
+    "exact" with one, "search" without.
     """
 
     d_x: int
@@ -110,13 +109,6 @@ class GridProblem:
     control_lower: Optional[np.ndarray] = None
     control_upper: Optional[np.ndarray] = None
     quadratic: Optional[QuadraticControl] = None
-    minimizer: str = "auto"
-
-    def __post_init__(self):
-        if self.minimizer not in MINIMIZERS:
-            raise ProblemError(
-                f"unknown minimizer {self.minimizer!r}; expected 'auto', 'exact' or 'search'"
-            )
 
     @property
     def d_s(self) -> int:
@@ -144,8 +136,6 @@ class GridProblem:
         return lo, hi
 
     def minimizer_mode(self) -> str:
-        if self.minimizer != "auto":
-            return self.minimizer
         return "exact" if self.quadratic is not None else "search"
 
 
@@ -158,7 +148,6 @@ def quadratic_grid_problem(
     initial_density: Callable,
     control_lower=None,
     control_upper=None,
-    minimizer: str = "auto",
 ) -> GridProblem:
     """Build a GridProblem whose drift/cost derive from one declaration.
 
@@ -198,7 +187,6 @@ def quadratic_grid_problem(
         control_lower=control_lower,
         control_upper=control_upper,
         quadratic=quadratic,
-        minimizer=minimizer,
     )
 
 
@@ -208,10 +196,6 @@ class DensityField:
 
     values: np.ndarray
     grid: GridSpec
-
-    def mass_per_slice(self) -> np.ndarray:
-        axes = tuple(range(1, self.values.ndim))
-        return self.values.sum(axis=axes) * self.grid.cell_volume
 
 
 @dataclass
@@ -603,13 +587,15 @@ def _driven_dimensions(problem: GridProblem) -> list:
         if rows.size != 1:
             raise ProblemError(
                 "closed-form minimizer needs each control component to "
-                "drive exactly one coordinate; use minimizer='search'"
+                "drive exactly one coordinate; drop the quadratic declaration "
+                "to use the search minimizer"
             )
         driven.append(int(rows[0]))
     if len(set(driven)) != len(driven):
         raise ProblemError(
             "closed-form minimizer needs distinct driven coordinates per "
-            "control component; use minimizer='search'"
+            "control component; drop the quadratic declaration to use the "
+            "search minimizer"
         )
     return driven
 
@@ -632,7 +618,8 @@ def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, what: str) -> np.n
         if np.max(hi - lo) > 1e-10 * (1.0 + scale):
             raise ProblemError(
                 f"{what} varies across the state for fixed memory; the "
-                "closed-form minimizer does not apply (use 'search')"
+                "closed-form minimizer does not apply (drop the quadratic "
+                "declaration to use the search minimizer)"
             )
         return lo
     return arr
@@ -696,8 +683,6 @@ def minimize_conditional_hamiltonian(
 
 
 def _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
-    if problem.quadratic is None:
-        raise ProblemError("minimizer 'exact' requires a quadratic declaration")
     quad = problem.quadratic
     d_x = problem.d_x
     b0 = quad.drift0(t, grid.mesh())

@@ -16,12 +16,12 @@ given Pi, the coupled system is solved by alternating sweeps that hold
 the opposite trajectory fixed, recording the closed-loop cost after
 every sweep (the sweep loop and the descent rule are fbsweep.core's,
 shared with the grid backend; a sweep whose cost rises past
-monotonicity_slack is recorded, not raised). All three node-level
+MONOTONICITY_SLACK is recorded, not raised). All three node-level
 equations (Psi/Pi backward, Lambda and mu forward) are stepped by one
-RK4/Euler integrator, _integrate. Cost of each iterate is evaluated
+classical RK4 integrator, _integrate. Cost of each iterate is evaluated
 from the exact closed-loop second moments, so the recorded objective is
 meaningful even mid-iteration when Lambda is stale. Those moments solve
-a linear Lyapunov equation, so each RK4 (or Euler) step of it is one mat-vec
+a linear Lyapunov equation, so each RK4 step of it is one mat-vec
 y -> Phi y on y = (vec(Sigma), 1), row-major. The Phi of a batch of
 steps are built in one batched pass, (d_s^2 + 1)^2 doubles and O(d_s^6)
 flops per step, leaving one small mat-vec per step in the time loop.
@@ -99,15 +99,12 @@ def _memory_cross(lam_val: np.ndarray, d_x: int) -> np.ndarray:
     return cross
 
 
-def _half_grid(nodes: np.ndarray, method: str) -> np.ndarray:
+def _half_grid(nodes: np.ndarray) -> np.ndarray:
     """Held node values at the points the sweep stages read.
 
-    For rk4, index 2i is node i and index 2i+1 the average of nodes i and
-    i+1, matching the half-grid layout of _Coefficients. Euler stages read
-    nodes only, so the node stack is returned unchanged.
+    Index 2i is node i and index 2i+1 the average of nodes i and i+1,
+    matching the half-grid layout of _Coefficients.
     """
-    if method == "euler":
-        return nodes
     half = np.empty((2 * len(nodes) - 1,) + nodes.shape[1:])
     half[0::2] = nodes
     half[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
@@ -152,15 +149,6 @@ class _Coefficients:
         )
         self.SS = np.einsum("tij,tkj->tik", sig, sig)
 
-    def stages(self, method: str) -> tuple:
-        """(A, M, Q, SS) at the stage points _integrate reads for method.
-
-        The half grid for rk4, the nodes for euler.
-        """
-        if method == "euler":
-            return self.A[::2], self.M[::2], self.Q[::2], self.SS[::2]
-        return self.A, self.M, self.Q, self.SS
-
 
 def _riccati_increment(A, M, Q, mat, gap=None):
     """-dX/dt of the backward Riccati equations at one stage point.
@@ -204,37 +192,32 @@ def _check_finite(traj: np.ndarray, times: np.ndarray, what: str):
         raise DivergenceError(f"{what} became non-finite at t={t_bad:.6g}")
 
 
-def _integrate(rhs, start, n, dt, method, backward=False, sym=True):
+def _integrate(rhs, start, n, dt, backward=False, sym=True):
     """Step y over the n steps of the time grid from start; returns all n + 1 nodes.
 
-    rhs(j, y) is the right-hand side at stage point j: the _half_grid
-    index for rk4 (node i is 2i, the midpoint of step i is 2i + 1), the
-    node index for euler. Forward, start is node 0 and step i runs from
-    node i to i + 1. Backward, start is node n, step i runs from node
-    i + 1 to i, and rhs is -dy/dt, so either way a step adds dt times
-    the stage average. Classical RK4, or explicit Euler behind
-    method="euler", which reads stage point i in both directions. With
+    Classical RK4. rhs(j, y) is the right-hand side at stage point j, a
+    _half_grid index: node i is 2i, the midpoint of step i is 2i + 1.
+    Forward, start is node 0 and step i runs from node i to i + 1.
+    Backward, start is node n, step i runs from node i + 1 to i, and rhs
+    is -dy/dt, so either way a step adds dt times the stage average. With
     sym, every new node is symmetrized.
     """
     out = np.empty((n + 1,) + np.shape(start))
     out[n if backward else 0] = start
     for i in range(n - 1, -1, -1) if backward else range(n):
         y = out[i + 1] if backward else out[i]
-        if method == "euler":
-            step = rhs(i, y)
-        else:
-            first, last = (2 * i + 2, 2 * i) if backward else (2 * i, 2 * i + 2)
-            k1 = rhs(first, y)
-            k2 = rhs(2 * i + 1, y + 0.5 * dt * k1)
-            k3 = rhs(2 * i + 1, y + 0.5 * dt * k2)
-            k4 = rhs(last, y + dt * k3)
-            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        first, last = (2 * i + 2, 2 * i) if backward else (2 * i, 2 * i + 2)
+        k1 = rhs(first, y)
+        k2 = rhs(2 * i + 1, y + 0.5 * dt * k1)
+        k3 = rhs(2 * i + 1, y + 0.5 * dt * k2)
+        k4 = rhs(last, y + dt * k3)
+        step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         new = y + dt * step
         out[i if backward else i + 1] = _sym(new) if sym else new
     return out
 
 
-def _backward_riccati(problem, coeffs, method, what, gap=None):
+def _backward_riccati(problem, coeffs, what, gap=None):
     """Integrate a Riccati equation backward from X(T) = P.
 
     Without gap this is Psi's classical equation; with gap, the stack of
@@ -242,27 +225,27 @@ def _backward_riccati(problem, coeffs, method, what, gap=None):
     read (_half_grid layout), it is the Pi equation. The output is
     symmetrized every step and must stay finite (what names it otherwise).
     """
-    A, M, Q, _ = coeffs.stages(method)
+    A, M, Q = coeffs.A, coeffs.M, coeffs.Q
 
     def rhs(j, val):
         return _riccati_increment(A[j], M[j], Q[j], val, None if gap is None else gap[j])
 
-    out = _integrate(rhs, _sym(problem.P), coeffs.n, coeffs.dt, method, backward=True)
+    out = _integrate(rhs, _sym(problem.P), coeffs.n, coeffs.dt, backward=True)
     _check_finite(out, coeffs.node_times, what)
     return out
 
 
-def _forward_mu(problem, coeffs, psi, method):
+def _forward_mu(problem, coeffs, psi):
     """Integrate the mean forward from mu(0) = mu0 given Psi."""
     if not np.any(problem.mu0):
         return np.zeros((coeffs.n + 1, problem.d_s))
-    A, M, _, _ = coeffs.stages(method)
-    psi_stages = _half_grid(psi, method)
+    A, M = coeffs.A, coeffs.M
+    psi_stages = _half_grid(psi)
 
     def rhs(j, m):
         return _mean_increment(A[j], M[j], psi_stages[j], m)
 
-    mu = _integrate(rhs, problem.mu0, coeffs.n, coeffs.dt, method, sym=False)
+    mu = _integrate(rhs, problem.mu0, coeffs.n, coeffs.dt, sym=False)
     _check_finite(mu, coeffs.node_times, "mu")
     return mu
 
@@ -304,9 +287,6 @@ class GainTrajectory:
             raise ProblemError(f"t={t} outside the horizon [0, {self.horizon}]")
         idx = int(np.searchsorted(self.times, t, side="right") - 1)
         return min(max(idx, 0), self.n_steps)
-
-    def min_lambda_eigenvalue(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.lam).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -364,14 +344,13 @@ class LqgSweepResult:
     converged: bool
     iterations: int
     final_delta: float
-    method: str
     monotonicity_violations: List[tuple]
 
     def control_law(self) -> LqgControlLaw:
         return LqgControlLaw(self.gains, self.problem)
 
 
-def _forward_lambda(problem, coeffs, pi_stale, method, what):
+def _forward_lambda(problem, coeffs, pi_stale, what):
     """One forward sweep of Lambda holding the Pi trajectory fixed.
 
     M Pi is tabulated for every stage before the time loop, so each stage
@@ -379,18 +358,14 @@ def _forward_lambda(problem, coeffs, pi_stale, method, what):
     finite (what names it otherwise).
     """
     d_x = problem.d_x
-    A, M, _, SS = coeffs.stages(method)
-    if method == "euler":
-        # the Euler step pairs node-i coefficients with pi[i + 1]
-        mp = M[:-1] @ pi_stale[1:]
-    else:
-        mp = M @ _half_grid(pi_stale, method)
+    A, SS = coeffs.A, coeffs.SS
+    mp = coeffs.M @ _half_grid(pi_stale)
     mp_x, mp_z = mp[..., :d_x], mp[..., d_x:]
 
     def rhs(j, lam_val):
         return _lambda_increment(A[j], SS[j], mp_x[j], mp_z[j], lam_val, d_x)
 
-    lam = _integrate(rhs, _sym(problem.lambda0), coeffs.n, coeffs.dt, method)
+    lam = _integrate(rhs, _sym(problem.lambda0), coeffs.n, coeffs.dt)
     # one batched check that every node a stage read has a finite,
     # invertible state block; a bad last node is left to the finiteness
     # check
@@ -428,24 +403,24 @@ def _expected_cost(problem, coeffs, psi, pi, gain, mu, sigma):
 _PROPAGATOR_BATCH = 1 << 16
 
 
-def _lyapunov_propagators(drift, SS, dt, method):
+def _lyapunov_propagators(drift, SS, dt):
     """Yield the step maps of the closed-loop covariance recurrence.
 
     On y = (vec(Sigma), 1), with row-major vec(Sigma) = Sigma.reshape(-1),
     dSigma/dt = F Sigma + Sigma F' + SS is the linear equation y' = L y
-    with L = [[F (x) I + I (x) F, vec(SS)], [0, 0]]. An explicit
-    Runge-Kutta step of it is a fixed polynomial in dt L, so step i is
-    y_{i+1} = Phi_i y_i. Phi is built for consecutive batches of steps,
-    each in one batched pass over the stage points the integrator reads
-    (_half_grid layout for rk4, nodes for euler), and yielded as a stack
-    of shape (steps, d^2 + 1, d^2 + 1). A batch holds at most
-    _PROPAGATOR_BATCH doubles per stack, so memory does not grow with n.
+    with L = [[F (x) I + I (x) F, vec(SS)], [0, 0]]. An RK4 step of it is
+    a fixed polynomial in dt L, so step i is y_{i+1} = Phi_i y_i. Phi is
+    built for consecutive batches of steps, each in one batched pass over
+    the stage points the integrator reads (_half_grid layout), and
+    yielded as a stack of shape (steps, d^2 + 1, d^2 + 1). A batch holds
+    at most _PROPAGATOR_BATCH doubles per stack, so memory does not grow
+    with n.
     Building Phi costs O(d^6) flops per step against O(d^3) for stepping
     the stages one at a time, so this pays off only for small d_s.
     """
     m, d, _ = drift.shape
     size = d * d + 1
-    n = m - 1 if method == "euler" else (m - 1) // 2
+    n = (m - 1) // 2
     per = max(1, _PROPAGATOR_BATCH // size**2)
     eye, ident = np.eye(d), np.eye(size)
 
@@ -461,9 +436,6 @@ def _lyapunov_propagators(drift, SS, dt, method):
 
     for start in range(0, n, per):
         stop = min(n, start + per)
-        if method == "euler":
-            yield ident + dt * operators(start, stop)
-            continue
         ops = operators(2 * start, 2 * stop + 1)
         La, Lb, Lc = ops[0:-1:2], ops[1::2], ops[2::2]
         K2 = Lb + 0.5 * dt * (Lb @ La)
@@ -472,50 +444,35 @@ def _lyapunov_propagators(drift, SS, dt, method):
         yield ident + dt / 6.0 * (La + 2 * K2 + 2 * K3 + K4)
 
 
-def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method):
+def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu):
     """Expected cost of the affine law defined by (psi, pi, lam, mu).
 
     Integrates the true closed-loop covariance Sigma (not Lambda^{-1},
     which is only consistent after a forward sweep) under the drift
     A - M Pi K(Lambda), tabulated for every stage in one batched
     expression, and prices it with _expected_cost. The Lyapunov equation
-    is linear, so each rk4 or euler step is one mat-vec y_{i+1} = Phi_i
-    y_i on y = (vec(Sigma), 1), row-major (_lyapunov_propagators); Sigma
-    is symmetrized once, at the end. A batch of Phi holds
+    is linear, so each RK4 step is one mat-vec y_{i+1} = Phi_i y_i on
+    y = (vec(Sigma), 1), row-major (_lyapunov_propagators); Sigma is
+    symmetrized once, at the end. A batch of Phi holds
     (d_s^2 + 1)^2 doubles per step: all 1000 steps of the bundled
     document (d_s = 2) come to 200 KB.
     """
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
-    gain = inference_gain(_half_grid(lam, method), problem.d_x)
-    A, M, _, SS = coeffs.stages(method)
-    drift = A - M @ _half_grid(pi, method) @ gain
+    gain = inference_gain(_half_grid(lam), problem.d_x)
+    drift = coeffs.A - coeffs.M @ _half_grid(pi) @ gain
 
     y = np.empty((n + 1, d * d + 1))
     y[0, :-1] = np.linalg.inv(problem.lambda0).reshape(-1)
     y[0, -1] = 1.0
     i = 0
-    for phi in _lyapunov_propagators(drift, SS, dt, method):
+    for phi in _lyapunov_propagators(drift, coeffs.SS, dt):
         for step in phi:
             y[i + 1] = step @ y[i]
             i += 1
     sigma_nodes = _sym(y[:, :-1].reshape(n + 1, d, d))
     _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
-    node_gain = gain if method == "euler" else gain[::2]
-    return _expected_cost(problem, coeffs, psi, pi, node_gain, mu, sigma_nodes)
-
-
-def monotonicity_slack(problem: LqgProblem, method: str) -> float:
-    """Relative rise per sweep that the objective's descent tolerates.
-
-    RK4 iterates descend up to rounding. Euler iterates track the
-    continuous descent only to first order in dt, so the slack loosens to
-    the solver's step in that mode. fbsm_lqg records the sweeps that rise
-    past it, and verify judges those records.
-    """
-    if method == "rk4":
-        return MONOTONICITY_SLACK
-    return max(MONOTONICITY_SLACK, problem.horizon / problem.n_steps)
+    return _expected_cost(problem, coeffs, psi, pi, gain[::2], mu, sigma_nodes)
 
 
 def fbsm_lqg(
@@ -534,13 +491,14 @@ def fbsm_lqg(
     after the initial step and after every sweep; iteration stops when
     the objective change falls within tol * (1 + |J|) or at max_iters.
 
-    A sweep whose objective rises by more than monotonicity_slack is
+    A sweep whose objective rises by more than MONOTONICITY_SLACK is
     recorded in monotonicity_violations as (k, J_{k-1}, J_k); it does not
     stop the iteration. Raises DivergenceError on non-finite trajectories
-    or objectives.
+    or objectives. Every equation is stepped by RK4, the only value method
+    takes.
     """
-    if method not in ("rk4", "euler"):
-        raise ProblemError(f"unknown integration method {method!r}")
+    if method != "rk4":
+        raise ProblemError(f"unknown integration method {method!r}; expected 'rk4'")
     report = validate_lqg(problem)
     if not report.ok:
         raise ProblemError("invalid problem:\n" + str(report))
@@ -549,8 +507,8 @@ def fbsm_lqg(
     n = coeffs.n
     d = problem.d_s
 
-    psi = _backward_riccati(problem, coeffs, method, "Psi")
-    mu = _forward_mu(problem, coeffs, psi, method)
+    psi = _backward_riccati(problem, coeffs, "Psi")
+    mu = _forward_mu(problem, coeffs, psi)
 
     if pi0 is None:
         pi = np.zeros((n + 1, d, d))
@@ -560,7 +518,7 @@ def fbsm_lqg(
             raise ProblemError(
                 f"pi0 must have shape {(n + 1, d, d)}, got {pi.shape}"
             )
-    lam = _forward_lambda(problem, coeffs, pi, method, "Lambda")
+    lam = _forward_lambda(problem, coeffs, pi, "Lambda")
 
     pi_iterates = [pi]
     lambda_iterates = [lam]
@@ -569,17 +527,17 @@ def fbsm_lqg(
         nonlocal pi, lam
         if backward:
             # I - K(Lambda) at every stage point, from one batched gain evaluation
-            gap = np.eye(d) - inference_gain(_half_grid(lam, method), problem.d_x)
-            pi = _backward_riccati(problem, coeffs, method, f"Pi (iteration {k + 1})", gap)
+            gap = np.eye(d) - inference_gain(_half_grid(lam), problem.d_x)
+            pi = _backward_riccati(problem, coeffs, f"Pi (iteration {k + 1})", gap)
         else:
-            lam = _forward_lambda(problem, coeffs, pi, method, f"Lambda (iteration {k + 1})")
+            lam = _forward_lambda(problem, coeffs, pi, f"Lambda (iteration {k + 1})")
         pi_iterates.append(pi)
         lambda_iterates.append(lam)
-        return _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method)
+        return _closed_loop_objective(problem, coeffs, psi, pi, lam, mu)
 
-    j0 = _closed_loop_objective(problem, coeffs, psi, pi, lam, mu, method)
+    j0 = _closed_loop_objective(problem, coeffs, psi, pi, lam, mu)
     history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
-    violations, _ = _descent_violations(history, monotonicity_slack(problem, method))
+    violations, _ = _descent_violations(history, MONOTONICITY_SLACK)
     gains = GainTrajectory(
         times=coeffs.node_times, psi=psi, pi=pi, lam=lam, mu=mu, d_x=problem.d_x
     )
@@ -592,7 +550,6 @@ def fbsm_lqg(
         converged=converged,
         iterations=iterations,
         final_delta=final_delta,
-        method=method,
         monotonicity_violations=violations,
     )
 

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from fbsweep.core import CostSpec, ExtendedDynamics, GridSpec, ProblemError
+from fbsweep.core import CostSpec, ExtendedDynamics, GridSpec, ProblemError, _step_count
 
 # Doubles in the reused Wiener-increment buffer: a batch covers
 # max(1, _NOISE_BATCH // (n_paths * d_w)) steps, 16 MB at most.
@@ -182,9 +182,7 @@ def simulate_paths(
     """
     if dt <= 0 or horizon <= 0:
         raise ProblemError("horizon and dt must be positive")
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps < 1:
-        raise ProblemError(f"horizon {horizon} is not a multiple of dt {dt}")
+    n_steps = _step_count(horizon, dt)
     if n_paths < 1:
         raise ProblemError("n_paths must be at least 1")
 

@@ -250,7 +250,6 @@ def grid_problem_from_lqg(
     problem: LqgProblem,
     control_lower=None,
     control_upper=None,
-    minimizer: str = "auto",
 ) -> GridProblem:
     """Express a linear-quadratic problem in the grid solver's terms.
 
@@ -310,7 +309,6 @@ def grid_problem_from_lqg(
         initial_density=problem.initial_density(),
         control_lower=control_lower,
         control_upper=control_upper,
-        minimizer=minimizer,
     )
 
 

@@ -61,7 +61,6 @@ def lqg_bundle():
         cfg.lqg_problem,
         max_iters=cfg.solver.max_iters,
         tol=cfg.solver.tol,
-        method=cfg.solver.method,
     )
     wall = time.perf_counter() - start
     return SimpleNamespace(cfg=cfg, problem=cfg.lqg_problem, result=result, wall=wall)
@@ -182,7 +181,7 @@ class TestRiccatiStructure:
             mu0=np.array([0.0]), lambda0=np.array([[1.0]]),
             horizon=20.0, dt=0.01, d_x=1, d_z=0,
         )
-        psi = _backward_riccati(problem, _Coefficients(problem), "rk4", "Psi")
+        psi = _backward_riccati(problem, _Coefficients(problem), "Psi")
         assert abs(psi[0, 0, 0] - (1.0 + np.sqrt(2.0))) <= 1e-6
 
 

@@ -14,9 +14,9 @@ from fbsweep.config import (
     DEFAULT_SLICE_FRACTIONS,
     SolverSettings,
     bundled_config_path,
-    load_config,
     obstacle_running_cost,
     parse_config,
+    read_document,
     simulation_cost,
     simulation_dynamics,
 )
@@ -169,8 +169,6 @@ class TestValidation:
         doc["solver"]["method"] = "bogus"
         with pytest.raises(ProblemError, match="solver.method"):
             parse_config(doc)
-        doc["solver"]["method"] = "euler"
-        assert parse_config(doc).solver.method == "euler"
 
     def test_domain_shape_entries(self):
         doc = obstacle_doc()
@@ -182,24 +180,24 @@ class TestValidation:
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemError, match="not found"):
-            load_config(tmp_path / "nope.json")
+            parse_config(read_document(tmp_path / "nope.json"))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ProblemError, match="not valid JSON"):
-            load_config(path)
+            parse_config(read_document(path))
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ProblemError, match="JSON object"):
-            load_config(path)
+            parse_config(read_document(path))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "lqg.json"
         path.write_text(json.dumps(lqg_doc()))
-        cfg = load_config(path)
+        cfg = parse_config(read_document(path))
         assert cfg.family == "lqg"
 
 
@@ -327,7 +325,7 @@ class TestSolverSettings:
         settings = SolverSettings()
         assert settings.max_iters == 50
         assert settings.tol == 1e-6
-        assert settings.method == "rk4"
+        assert [f.name for f in dataclasses.fields(settings)] == ["max_iters", "tol"]
 
     def test_document_is_kept(self):
         doc = obstacle_doc()

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def constant_diffusion(matrix):
     return diffusion
 
 
-def double_integrator_problem(bound=6.0, minimizer="auto"):
+def double_integrator_problem(bound=6.0):
     """dx = u dt + dw, dz = x dt + dv, cost x^2 + u^2, terminal x^2."""
     quad = QuadraticControl(
         r_diag=[1.0],
@@ -58,7 +59,6 @@ def double_integrator_problem(bound=6.0, minimizer="auto"):
         initial_density=Gaussian(np.zeros(2), 0.25 * np.eye(2)),
         control_lower=[-bound],
         control_upper=[bound],
-        minimizer=minimizer,
     )
 
 
@@ -304,7 +304,7 @@ class TestConditionalDensity:
 
 
 class TestMinimizer:
-    def conditioning_setup(self, minimizer="exact", seed=0):
+    def conditioning_setup(self, seed=0):
         grid = GridSpec([-2.0, -1.0], [2.0, 1.0], (21, 9), 50, 1.0)
         quad = QuadraticControl(
             r_diag=[0.7],
@@ -318,7 +318,6 @@ class TestMinimizer:
             terminal_cost=lambda S: S[0] ** 2,
             initial_density=Gaussian(np.zeros(2), 0.3 * np.eye(2)),
             control_lower=[-3.0], control_upper=[3.0],
-            minimizer=minimizer,
         )
         rng = np.random.default_rng(seed)
         p = rng.uniform(0.05, 1.0, size=grid.shape)
@@ -381,19 +380,17 @@ class TestMinimizer:
         u_exact = minimize_conditional_hamiltonian(
             problem, grid, 0.0, cond, w_next, u_prev, defined
         )
-        from dataclasses import replace
-
-        problem_s = replace(problem, minimizer="search")
+        problem_s = replace(problem, quadratic=None)
         u_search = minimize_conditional_hamiltonian(
             problem_s, grid, 0.0, cond, w_next, u_prev, defined
         )
         spacing = 6.0 / 40
         assert np.max(np.abs(u_search - u_exact)) <= spacing + 1e-12
 
-    @pytest.mark.parametrize("minimizer", ["bogus", "central"])
-    def test_unknown_minimizer_rejected_at_construction(self, minimizer):
-        with pytest.raises(ProblemError, match="minimizer"):
-            double_integrator_problem(minimizer=minimizer)
+    def test_quadratic_declaration_picks_the_minimizer(self):
+        problem = double_integrator_problem()
+        assert problem.minimizer_mode() == "exact"
+        assert replace(problem, quadratic=None).minimizer_mode() == "search"
 
     def test_low_mass_nodes_copy_nearest(self):
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
@@ -420,7 +417,6 @@ class TestMinimizer:
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-1.0], control_upper=[1.0],
-            minimizer="exact",
         )
         p = np.ones(grid.shape)
         p /= p.sum() * grid.cell_volume
@@ -449,7 +445,7 @@ class TestFbsmGrid:
         assert result.control.values.shape == (60, 31, 1)
         assert result.density.values.shape == (61, 31, 31)
         assert result.value.values.shape == (61, 31, 31)
-        masses = result.density.mass_per_slice()
+        masses = result.density.values.sum(axis=(1, 2)) * grid.cell_volume
         assert np.max(np.abs(masses - 1.0)) < 1e-12
         assert result.mass_log.max_negative_mass <= 1e-6
         lo, hi = problem.bounds()
@@ -528,7 +524,7 @@ class TestFbsmGrid:
             fbsm_grid(problem, grid)
 
     def test_search_mode_also_descends(self):
-        problem = double_integrator_problem(minimizer="search")
+        problem = replace(double_integrator_problem(), quadratic=None)
         grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (17, 17), 30, 0.3)
         result = fbsm_grid(problem, grid, max_iters=4, tol=0.0)
         hist = result.objective_history

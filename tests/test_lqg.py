@@ -37,6 +37,11 @@ from fbsweep.lqg import (
 )
 
 
+# RK4 is the one Riccati integrator; the tests parametrized on it keep
+# their [rk4] ids.
+RK4 = pytest.mark.parametrize("method", ["rk4"])
+
+
 def tracking_problem(horizon=10.0, dt=0.01):
     """Unstable scalar state with an integrating noisy-observation memory."""
     return LqgProblem(
@@ -123,12 +128,12 @@ def mean_increment(prob, t, mu, psi):
     return _mean_increment(A, M, psi, mu)
 
 
-def solve_psi(prob, method="rk4"):
-    return _backward_riccati(prob, _Coefficients(prob), method, "Psi")
+def solve_psi(prob):
+    return _backward_riccati(prob, _Coefficients(prob), "Psi")
 
 
-def solve_mu(prob, psi, method="rk4"):
-    return _forward_mu(prob, _Coefficients(prob), psi, method)
+def solve_mu(prob, psi):
+    return _forward_mu(prob, _Coefficients(prob), psi)
 
 
 class TestInferenceGain:
@@ -328,25 +333,23 @@ class TestIntegrate:
         y0=hnp.arrays(float, 3, elements=st.floats(-2.0, 2.0)),
         n=st.integers(1, 20),
         dt=st.floats(1e-3, 0.2),
-        method=st.sampled_from(["rk4", "euler"]),
         backward=st.booleans(),
     )
     def test_affine_equation_matches_one_step_polynomials(
-        self, a, c, y0, n, dt, method, backward
+        self, a, c, y0, n, dt, backward
     ):
-        """On y' = a y + c, one step is y + dt (a y + c) p(a dt) with
-        p(z) = 1 + z/2 + z^2/6 + z^3/24 for rk4 and p = 1 for euler, in
-        either direction; the stage points follow _half_grid (rk4) or the
-        nodes (euler), read from the step's start node first."""
+        """On y' = a y + c, one RK4 step is y + dt (a y + c) p(a dt) with
+        p(z) = 1 + z/2 + z^2/6 + z^3/24, in either direction; the stage
+        points follow _half_grid, read from the step's start node first."""
         stages = []
 
         def rhs(j, y):
             stages.append(j)
             return a * y + c
 
-        got = _integrate(rhs, y0, n, dt, method, backward=backward, sym=False)
+        got = _integrate(rhs, y0, n, dt, backward=backward, sym=False)
         z = a * dt
-        poly = 1.0 + z / 2 + z**2 / 6 + z**3 / 24 if method == "rk4" else 1.0
+        poly = 1.0 + z / 2 + z**2 / 6 + z**3 / 24
         want = np.empty((n + 1, 3))
         order = range(n - 1, -1, -1) if backward else range(n)
         want[n if backward else 0] = y0
@@ -356,14 +359,11 @@ class TestIntegrate:
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() <= 1e-13 * scale
 
-        if method == "euler":
-            expected = list(order)
-        else:
-            expected = [
-                j for i in order
-                for j in ((2 * i + 2, 2 * i + 1, 2 * i + 1, 2 * i) if backward
-                          else (2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2))
-            ]
+        expected = [
+            j for i in order
+            for j in ((2 * i + 2, 2 * i + 1, 2 * i + 1, 2 * i) if backward
+                      else (2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2))
+        ]
         assert stages == expected
 
 
@@ -386,7 +386,7 @@ class TestFbsmLqg:
         assert len(hist) == 13
         slack = 1e-8 * (1.0 + np.abs(hist[:-1]))
         assert np.all(hist[1:] <= hist[:-1] + slack)
-        assert res.gains.min_lambda_eigenvalue().min() > 0
+        assert np.linalg.eigvalsh(res.gains.lam).min() > 0
         assert res.iterations == 12
 
     def test_iterate_bookkeeping_carries_held_trajectories(self):
@@ -508,13 +508,6 @@ class TestFbsmLqg:
         assert worst_pi < 50 * dt
         assert worst_lam < 50 * dt
 
-    def test_euler_mode_agrees_loosely_with_rk4(self):
-        prob = tracking_problem(horizon=1.0, dt=0.002)
-        r1 = fbsm_lqg(prob, max_iters=14, tol=0.0, method="rk4")
-        r2 = fbsm_lqg(prob, max_iters=14, tol=0.0, method="euler")
-        a, b = r1.objective_history[-1], r2.objective_history[-1]
-        assert abs(a - b) < 0.02 * (1.0 + abs(a))
-
     # Objective histories of two_state_problem, 8 sweeps, recorded with
     # the per-stage (unbatched) sweep implementation.
     TWO_STATE_HISTORY = {
@@ -523,21 +516,16 @@ class TestFbsmLqg:
             3.1479339397170563, 3.1479236249382136, 3.147922955189221,
             3.1479228998745543, 3.147922901725474, 3.147922901442283,
         ],
-        "euler": [
-            3.2113442661070226, 3.1433002026913006, 3.1414172370827878,
-            3.1410394587691215, 3.141077081212293, 3.141058102606819,
-            3.1410619019908568, 3.1410605389516704, 3.14106082791154,
-        ],
     }
 
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @RK4
     def test_two_state_history_regression(self, method):
         res = fbsm_lqg(two_state_problem(), max_iters=8, tol=0.0, method=method)
         expect = np.array(self.TWO_STATE_HISTORY[method])
         assert res.objective_history.shape == expect.shape
         assert np.abs(res.objective_history - expect).max() <= 1e-12 * np.abs(expect).max()
 
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @RK4
     def test_lambda_blowup_raises_singular_precision(self, method):
         # a huge held Pi drives Lambda non-finite during the forward sweep
         prob = tracking_problem(horizon=1.0)
@@ -548,8 +536,9 @@ class TestFbsmLqg:
                 fbsm_lqg(prob, pi0=pi0, max_iters=4, tol=0.0, method=method)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ProblemError):
-            fbsm_lqg(tracking_problem(horizon=1.0), method="heun")
+        for method in ("heun", "euler"):
+            with pytest.raises(ProblemError, match="integration method"):
+                fbsm_lqg(tracking_problem(horizon=1.0), method=method)
 
     def test_invalid_problem_rejected(self):
         bad = tracking_problem(horizon=1.0)
@@ -579,17 +568,14 @@ class TestLqgObjective:
         assert np.abs(res.gains.mu).max() == 0.0
 
 
-def per_stage_objective(problem, coeffs, psi, pi, lam, mu, method):
+def per_stage_objective(problem, coeffs, psi, pi, lam, mu):
     """The closed-loop objective as integrated before its step propagators:
-    one RK4 (or Euler) stage of the Lyapunov equation at a time, with
-    Sigma symmetrized after every step."""
+    one RK4 stage of the Lyapunov equation at a time, with Sigma
+    symmetrized after every step."""
     n, dt = coeffs.n, coeffs.dt
-    gain = inference_gain(_half_grid(lam, method), problem.d_x)
-    if method == "euler":
-        A, M, SS = coeffs.A[::2], coeffs.M[::2], coeffs.SS[::2]
-    else:
-        A, M, SS = coeffs.A, coeffs.M, coeffs.SS
-    drift = A - M @ _half_grid(pi, method) @ gain
+    gain = inference_gain(_half_grid(lam), problem.d_x)
+    SS = coeffs.SS
+    drift = coeffs.A - coeffs.M @ _half_grid(pi) @ gain
     drift_t = np.swapaxes(drift, -1, -2)
 
     def rhs(j, sig_val):
@@ -599,18 +585,14 @@ def per_stage_objective(problem, coeffs, psi, pi, lam, mu, method):
     sigma_nodes[0] = np.linalg.inv(problem.lambda0)
     for i in range(n):
         base = sigma_nodes[i]
-        if method == "euler":
-            step = rhs(i, base)
-        else:
-            k1 = rhs(2 * i, base)
-            k2 = rhs(2 * i + 1, base + 0.5 * dt * k1)
-            k3 = rhs(2 * i + 1, base + 0.5 * dt * k2)
-            k4 = rhs(2 * i + 2, base + dt * k3)
-            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        k1 = rhs(2 * i, base)
+        k2 = rhs(2 * i + 1, base + 0.5 * dt * k1)
+        k3 = rhs(2 * i + 1, base + 0.5 * dt * k2)
+        k4 = rhs(2 * i + 2, base + dt * k3)
+        step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         sigma_nodes[i + 1] = _sym(base + dt * step)
     _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
-    node_gain = gain if method == "euler" else gain[::2]
-    return _expected_cost(problem, coeffs, psi, pi, node_gain, mu, sigma_nodes)
+    return _expected_cost(problem, coeffs, psi, pi, gain[::2], mu, sigma_nodes)
 
 
 class TestClosedLoopObjective:
@@ -618,10 +600,9 @@ class TestClosedLoopObjective:
     @given(
         d_x=st.sampled_from([1, 2]),
         d_z=st.sampled_from([1, 2]),
-        method=st.sampled_from(["rk4", "euler"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_propagators_match_per_stage_loop(self, d_x, d_z, method, seed):
+    def test_propagators_match_per_stage_loop(self, d_x, d_z, seed):
         # Time-varying A, sigma and Q with an unstable open-loop drift,
         # under random held Pi and SPD Lambda iterates.
         rng = np.random.default_rng(seed)
@@ -655,11 +636,11 @@ class TestClosedLoopObjective:
         held = (
             sym(n + 1), sym(n + 1), spd(n + 1), rng.standard_normal((n + 1, d_s))
         )
-        J = _closed_loop_objective(problem, coeffs, *held, method)
-        expect = per_stage_objective(problem, coeffs, *held, method)
+        J = _closed_loop_objective(problem, coeffs, *held)
+        expect = per_stage_objective(problem, coeffs, *held)
         assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
 
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @RK4
     def test_two_state_iterates_match_per_stage_loop(self, method):
         problem = two_state_problem()
         res = fbsm_lqg(problem, max_iters=4, tol=0.0, method=method)
@@ -667,11 +648,11 @@ class TestClosedLoopObjective:
         g = res.gains
         for pi, lam in zip(res.pi_iterates, res.lambda_iterates):
             held = (g.psi, pi, lam, g.mu)
-            J = _closed_loop_objective(problem, coeffs, *held, method)
-            expect = per_stage_objective(problem, coeffs, *held, method)
+            J = _closed_loop_objective(problem, coeffs, *held)
+            expect = per_stage_objective(problem, coeffs, *held)
             assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
 
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @RK4
     @pytest.mark.parametrize("steps_per_batch", [1, 7])
     def test_batched_propagators_match_per_stage_loop(
         self, monkeypatch, method, steps_per_batch
@@ -684,11 +665,11 @@ class TestClosedLoopObjective:
         coeffs = _Coefficients(problem)
         g = res.gains
         held = (g.psi, g.pi, g.lam, g.mu)
-        J = _closed_loop_objective(problem, coeffs, *held, method)
-        expect = per_stage_objective(problem, coeffs, *held, method)
+        J = _closed_loop_objective(problem, coeffs, *held)
+        expect = per_stage_objective(problem, coeffs, *held)
         assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
 
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @RK4
     def test_memory_does_not_grow_with_the_horizon(self, method):
         # At d_s = 8 and n = 1000 one table of all step maps would be
         # 1000 * 65^2 doubles (34 MB), and building them at once peaked at
@@ -708,13 +689,13 @@ class TestClosedLoopObjective:
         held = (pi, pi, pi, np.zeros((n + 1, d_s)))
         tracemalloc.start()
         try:
-            _closed_loop_objective(problem, coeffs, *held, method)
+            _closed_loop_objective(problem, coeffs, *held)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
 
-    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @RK4
     def test_overflowing_closed_loop_raises_naming_sigma(self, method):
         problem = tracking_problem(horizon=1.0)
         problem = LqgProblem(
@@ -728,5 +709,5 @@ class TestClosedLoopObjective:
             with pytest.raises(DivergenceError, match="Sigma"):
                 _closed_loop_objective(
                     problem, _Coefficients(problem), zeros, zeros, lam,
-                    np.zeros((n + 1, 2)), method,
+                    np.zeros((n + 1, 2)),
                 )

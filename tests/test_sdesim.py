@@ -123,6 +123,19 @@ class TestSimulatePaths:
         with pytest.raises(ProblemError, match="multiple"):
             simulate_paths(dyn, zero_control, 1.0, 0.3, 4, seed=0)
 
+    def test_step_must_divide_the_horizon_to_1e_9_of_a_step(self):
+        """The rule config documents and --dt follow: 1000.0000005 steps of
+        a 10 s horizon fall 5e-9 s short of it in time but 5e-7 of a step
+        in steps, so the step is refused."""
+        dyn = scalar_dynamics(
+            drift=lambda t, s, u: np.zeros_like(s),
+            diffusion=lambda t, s, u: np.array([[0.0]]),
+        )
+        with pytest.raises(ProblemError, match="multiple"):
+            simulate_paths(dyn, zero_control, 10.0, 10.0 / 1000.0000005, 2, seed=0)
+        ensemble = simulate_paths(dyn, zero_control, 10.0, 10.0 / 1000, 2, seed=0)
+        assert ensemble.times.size == 1001
+
     def test_control_sees_only_memory(self):
         dyn = ExtendedDynamics(
             d_x=2,

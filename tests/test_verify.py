@@ -258,7 +258,6 @@ class TestPmpResidual:
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), 0.25 * np.eye(2)),
             control_lower=[-2.0], control_upper=[2.0],
-            minimizer="search",
         )
         grid = small_grid(n=15, n_t=10, horizon=0.1)
         result = fbsm_grid(problem, grid, max_iters=2, tol=0.0)
