@@ -33,16 +33,12 @@ from fbsweep.core import (
     validate_lqg,
 )
 from fbsweep.gridpde import (
-    ControlField,
-    DensityField,
     GridProblem,
     GridSweepResult,
     QuadraticControl,
-    ValueField,
     build_generator,
     fbsm_grid,
     fp_step,
-    grid_objective,
     hjb_step,
     minimize_conditional_hamiltonian,
     quadratic_grid_problem,
@@ -72,9 +68,7 @@ from fbsweep.verify import (
 )
 
 __all__ = [
-    "ControlField",
     "CostSpec",
-    "DensityField",
     "DivergenceError",
     "ExtendedDynamics",
     "GainTrajectory",
@@ -91,14 +85,12 @@ __all__ = [
     "QuadraticControl",
     "SingularPrecisionError",
     "StabilityError",
-    "ValueField",
     "build_generator",
     "conjugacy_residual",
     "estimate_objective",
     "fbsm_grid",
     "fbsm_lqg",
     "fp_step",
-    "grid_objective",
     "grid_problem_from_lqg",
     "hjb_step",
     "inference_gain",

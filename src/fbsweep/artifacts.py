@@ -20,7 +20,7 @@ import numpy as np
 
 import fbsweep
 from fbsweep.core import GridSpec, ProblemError
-from fbsweep.gridpde import ControlField, GridSweepResult
+from fbsweep.gridpde import GridSweepResult
 from fbsweep.lqg import GainTrajectory
 
 GAINS_FILE = "gains.csv"
@@ -236,11 +236,12 @@ def read_grid_sidecar(run_dir):
     return grid, int(doc["d_x"]), int(doc["d_u"])
 
 
-def write_control_table(run_dir, control: ControlField) -> None:
-    """Full (t, z) -> u table, one row per time step and memory node."""
-    grid = control.grid
-    d_x = control.d_x
-    d_u = control.d_u
+def write_control_table(run_dir, control: np.ndarray, grid: GridSpec, d_x: int) -> None:
+    """Full (t, z) -> u table, one row per time step and memory node.
+
+    control is u(t, z) of shape (n_t,) + memory shape + (d_u,).
+    """
+    d_u = control.shape[-1]
     z_axes = grid.memory_axes(d_x)
     z_shape = grid.memory_shape(d_x)
     d_z = len(z_shape)
@@ -254,7 +255,7 @@ def write_control_table(run_dir, control: ControlField) -> None:
     n_t = len(times)
     columns = [np.repeat(np.arange(n_t), n_nodes), np.repeat(times, n_nodes)]
     columns += [np.tile(m.ravel(), n_t) for m in np.meshgrid(*z_axes, indexing="ij")]
-    columns += list(control.values.reshape(n_t * n_nodes, d_u).T)
+    columns += list(control.reshape(n_t * n_nodes, d_u).T)
     write_csv(Path(run_dir) / CONTROL_FILE, header, blocks=[columns])
 
 
@@ -300,6 +301,7 @@ def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[st
     written = []
     s_mesh = [m.ravel() for m in grid.mesh()]
     d_z = len(grid.memory_shape(d_x))
+    d_u = result.control.shape[-1]
     z_mesh = [m.ravel() for m in np.meshgrid(*grid.memory_axes(d_x), indexing="ij")]
     s_cols = [f"s_{i}" for i in range(grid.dim)]
     for t in slice_times:
@@ -307,22 +309,22 @@ def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[st
         node = _nearest_index(t, grid, grid.n_t)
 
         name = f"density_t{tag}.csv"
-        p = result.density.values[node].ravel()
+        p = result.density[node].ravel()
         write_csv(run_dir / name, s_cols + ["p"], blocks=[s_mesh + [p]])
         written.append(name)
 
         if result.value is not None:
             name = f"value_t{tag}.csv"
-            w = result.value.values[node].ravel()
+            w = result.value[node].ravel()
             write_csv(run_dir / name, s_cols + ["w"], blocks=[s_mesh + [w]])
             written.append(name)
 
         name = f"control_t{tag}.csv"
         step = _nearest_index(t, grid, grid.n_t - 1)
-        u = result.control.values[step].reshape(-1, result.control.d_u)
+        u = result.control[step].reshape(-1, d_u)
         write_csv(
             run_dir / name,
-            [f"z_{i}" for i in range(d_z)] + [f"u_{i}" for i in range(result.control.d_u)],
+            [f"z_{i}" for i in range(d_z)] + [f"u_{i}" for i in range(d_u)],
             blocks=[z_mesh + list(u.T)],
         )
         written.append(name)

@@ -206,27 +206,6 @@ def _or_null(value: float):
     return value if np.isfinite(value) else None
 
 
-def _lqg_gaps(result):
-    """Largest change of Pi and of Lambda over their last refresh, or None."""
-    pi_gap = None
-    if len(result.pi_iterates) >= 3:
-        pi_gap = float(
-            np.abs(result.pi_iterates[-1] - result.pi_iterates[-3]).max()
-        )
-    lam_gap = None
-    if len(result.lambda_iterates) >= 2:
-        lam_gap = float(
-            np.abs(result.lambda_iterates[-1] - result.lambda_iterates[-2]).max()
-        )
-    return pi_gap, lam_gap
-
-
-def _min_lambda_eigenvalue(result) -> float:
-    # a Pi sweep holds Lambda, so consecutive iterates share one array
-    distinct = {id(lam): lam for lam in result.lambda_iterates}
-    return float(np.linalg.eigvalsh(np.stack(list(distinct.values()))).min())
-
-
 def _run_lqg(doc: dict, out) -> tuple:
     cfg = parse_config(doc)
     if cfg.family != "lqg":
@@ -236,7 +215,11 @@ def _run_lqg(doc: dict, out) -> tuple:
     result = _solve_lqg_config(cfg)
     artifacts.write_gains(run_dir, result.gains)
     artifacts.write_iterations(run_dir, result.objective_history)
-    pi_gap, lam_gap = _lqg_gaps(result)
+    # After a Pi sweep (an odd count) Lambda predates Pi, so Lambda^{-1}
+    # is not the law's covariance and the closed form does not apply.
+    analytic = None
+    if result.iterations % 2 == 0:
+        analytic = lqg_objective(cfg.lqg_problem, result.gains)
     artifacts.write_summary(
         run_dir,
         {
@@ -245,11 +228,11 @@ def _run_lqg(doc: dict, out) -> tuple:
             "converged": result.converged,
             "iterations": result.iterations,
             "final_delta": _or_null(result.final_delta),
-            "pi_gap": pi_gap,
-            "lambda_gap": lam_gap,
-            "min_lambda_eigenvalue": _min_lambda_eigenvalue(result),
+            "pi_gap": result.pi_gap,
+            "lambda_gap": result.lambda_gap,
+            "min_lambda_eigenvalue": result.min_lambda_eigenvalue,
             "monotonicity_violations": len(result.monotonicity_violations),
-            "analytic_objective": lqg_objective(cfg.lqg_problem, result.gains),
+            "analytic_objective": analytic,
             "seed": cfg.seed,
             "solver": {
                 "max_iters": cfg.solver.max_iters,
@@ -271,10 +254,9 @@ def _run_grid(doc: dict, out) -> tuple:
     run_dir = _prepare_run_dir(out, text, cfg.seed, "run-grid")
     result = _solve_grid_config(cfg)
     artifacts.write_iterations(run_dir, result.objective_history)
-    artifacts.write_grid_sidecar(
-        run_dir, cfg.grid, cfg.grid_problem.d_x, result.control.d_u
-    )
-    artifacts.write_control_table(run_dir, result.control)
+    d_x = cfg.grid_problem.d_x
+    artifacts.write_grid_sidecar(run_dir, cfg.grid, d_x, result.control.shape[-1])
+    artifacts.write_control_table(run_dir, result.control, cfg.grid, d_x)
     slice_files = artifacts.write_field_slices(run_dir, result, cfg.slice_times)
     artifacts.write_summary(
         run_dir,
@@ -456,7 +438,7 @@ def cmd_verify(args) -> int:
             gain_diff <= ITERATION_MATCH_RTOL * scale,
             f"max deviation {gain_diff:.3e}",
         )
-        min_eig = _min_lambda_eigenvalue(result)
+        min_eig = result.min_lambda_eigenvalue
         _check(
             checks,
             "precision matrix positive definite at every iterate",
@@ -468,8 +450,8 @@ def cmd_verify(args) -> int:
         # that peak should not stack on the rerun's two fields.
         stored_control, _, _ = artifacts.read_control_table(run_dir)
         result = _solve_grid_config(cfg)
-        control_diff = float(np.abs(stored_control - result.control.values).max())
-        scale = 1.0 + float(np.abs(result.control.values).max())
+        control_diff = float(np.abs(stored_control - result.control).max())
+        scale = 1.0 + float(np.abs(result.control).max())
         _check(
             checks,
             "control table matches rerun",
@@ -549,9 +531,7 @@ def cmd_reproduce(args) -> int:
     exit_codes["verify-lqg"] = cmd_verify(
         argparse.Namespace(run_dir=str(lqg_dir))
     )
-    analytic = float(
-        artifacts.read_summary(lqg_dir)["analytic_objective"]
-    )
+    analytic = artifacts.read_summary(lqg_dir)["analytic_objective"]
     summary["lqg"] = {
         "objective": float(lqg_result.objective_history[-1]),
         "analytic_objective": analytic,
@@ -559,7 +539,7 @@ def cmd_reproduce(args) -> int:
         "iterations": int(lqg_result.iterations),
         "mc_mean": lqg_mean,
         "mc_stderr": lqg_se,
-        "mc_gap": abs(lqg_mean - analytic),
+        "mc_gap": None if analytic is None else abs(lqg_mean - analytic),
         "excluded_paths": lqg_ens.n_excluded,
     }
 

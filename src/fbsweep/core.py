@@ -228,10 +228,6 @@ class LqgProblem:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
-    def times(self) -> np.ndarray:
-        n = self.n_steps
-        return np.linspace(0.0, self.horizon, n + 1)
-
     def initial_density(self) -> Gaussian:
         return Gaussian(self.mu0, np.linalg.inv(self.lambda0))
 
@@ -253,9 +249,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
 
-    def failures(self) -> list:
-        return [(n, d) for n, ok, d in self.checks if not ok]
-
     def __str__(self) -> str:
         lines = []
         for name, ok, detail in self.checks:
@@ -266,7 +259,7 @@ class ValidationReport:
 
 
 def validate_lqg(problem: LqgProblem) -> ValidationReport:
-    """Check definiteness and dimension conditions of an LQG problem.
+    """Check the time step (_step_count), definiteness and dimensions of an LQG problem.
 
     Returns a report rather than raising; solver entry points refuse
     problems whose report fails.
@@ -279,11 +272,15 @@ def validate_lqg(problem: LqgProblem) -> ValidationReport:
         sample_ts = [0.0]
 
     rep.add("horizon positive", problem.horizon > 0, f"T={problem.horizon}")
-    rep.add(
-        "time step valid",
-        0 < problem.dt < problem.horizon,
-        f"dt={problem.dt}",
-    )
+    step_ok = 0 < problem.dt < problem.horizon
+    rep.add("time step valid", step_ok, f"dt={problem.dt}")
+    if step_ok:
+        try:
+            _step_count(problem.horizon, problem.dt)
+            detail = ""
+        except ProblemError as exc:
+            detail = str(exc)
+        rep.add("time step divides the horizon", not detail, detail)
     rep.add("state/memory split positive", problem.d_x > 0 and problem.d_z > 0)
 
     A_f, B_f = as_time_fn(problem.A), as_time_fn(problem.B)

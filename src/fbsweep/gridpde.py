@@ -37,12 +37,13 @@ fbsm_grid hands it the buffer of the field that pass replaces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import ndimage
 
 from fbsweep.core import (
     GridSpec,
@@ -190,39 +191,6 @@ def quadratic_grid_problem(
     )
 
 
-@dataclass
-class DensityField:
-    """p(t, s) on the time x extended-state grid."""
-
-    values: np.ndarray
-    grid: GridSpec
-
-
-@dataclass
-class ValueField:
-    """w(t, s) on the time x extended-state grid."""
-
-    values: np.ndarray
-    grid: GridSpec
-
-
-@dataclass
-class ControlField:
-    """u(t, z) on the time x memory grid; no state index by construction."""
-
-    values: np.ndarray
-    grid: GridSpec
-    d_x: int
-
-    @property
-    def d_u(self) -> int:
-        return self.values.shape[-1]
-
-
-def _values(obj) -> np.ndarray:
-    return obj.values if hasattr(obj, "values") else np.asarray(obj, dtype=float)
-
-
 # Mixed stencil corners (offset along i, offset along j, sign).
 _CORNERS = ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0))
 
@@ -235,7 +203,7 @@ def _axis_edge(shape, axis, last: bool):
 
 def _flat_step(shape, axis: int) -> int:
     """Offset of s + e_axis from s in the C-ordered flat grid."""
-    return int(np.prod(shape[axis + 1 :], dtype=int))
+    return math.prod(shape[axis + 1 :])
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -325,31 +293,6 @@ class DiscreteGenerator:
             for o, sign in corners:
                 of[m + o : n - m + o] += sign * cp
         return out
-
-    def to_sparse(self) -> sparse.csr_matrix:
-        """Assemble the explicit matrix (testing/inspection only)."""
-        shape = self.grid.shape
-        n = int(np.prod(shape))
-        flat = np.arange(n).reshape(shape)
-        rows, cols, vals = [], [], []
-
-        def add(coeff, col_index_arr):
-            mask = coeff != 0.0
-            rows.append(flat[mask])
-            cols.append(col_index_arr[mask])
-            vals.append(coeff[mask])
-
-        add(self.diag, flat)
-        for i in range(self.grid.dim):
-            add(self.up[i], np.roll(flat, -1, axis=i))
-            add(self.down[i], np.roll(flat, 1, axis=i))
-        for (i, j), c in self.cross.items():
-            for oi, oj, sign in _CORNERS:
-                add(sign * c, np.roll(np.roll(flat, -oi, axis=i), -oj, axis=j))
-        rows = np.concatenate(rows) if rows else np.empty(0, int)
-        cols = np.concatenate(cols) if cols else np.empty(0, int)
-        vals = np.concatenate(vals) if vals else np.empty(0, float)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def check_stability(self, dt: float):
         sums = self._full_sums
@@ -547,7 +490,7 @@ def conditional_density(
 
 
 def _x_volume(grid: GridSpec, d_x: int) -> float:
-    return float(np.prod(grid.spacing[:d_x]))
+    return float(math.prod(grid.spacing[:d_x]))
 
 
 def _conditional_expectation(cond: np.ndarray, field: np.ndarray, d_x: int, vol_x: float):
@@ -804,33 +747,20 @@ def _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
     return np.where(keep_prev[..., None], u_prev_clipped, u_new)
 
 
-def grid_objective(problem: GridProblem, grid: GridSpec, density, control) -> float:
-    """Discrete objective: sum_t E_p[f] dt + E_p[g] at the final slice."""
-    p = _values(density)
-    u = _values(control)
-    S = grid.mesh()
-    vol = grid.cell_volume
-    dt = grid.dt
-    times = grid.times()
-    total = 0.0
-    for i in range(grid.n_t):
-        U = control_to_grid(u[i], problem.d_x, problem.d_u)
-        f = np.asarray(problem.running_cost(times[i], S, U), dtype=float)
-        total += float((f * p[i]).sum()) * vol * dt
-    g = np.asarray(problem.terminal_cost(S), dtype=float)
-    total += float((g * p[-1]).sum()) * vol
-    return total
-
-
 @dataclass
 class GridSweepResult:
-    """Final fields, per-iteration objective history, and bookkeeping."""
+    """Final fields, per-iteration objective history, and bookkeeping.
+
+    control is u(t, z) of shape (n_t,) + memory shape + (d_u,); density
+    and value are p(t, s) and w(t, s) of shape (n_t + 1,) + grid shape,
+    value None when no backward sweep has run.
+    """
 
     problem: GridProblem
     grid: GridSpec
-    control: ControlField
-    value: Optional[ValueField]
-    density: DensityField
+    control: np.ndarray
+    value: Optional[np.ndarray]
+    density: np.ndarray
     objective_history: np.ndarray
     converged: bool
     iterations: int
@@ -861,8 +791,8 @@ def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None, out=None):
     Without w_stale the density is solved under u_field as given. With
     it, each step first refreshes its control from the fresh density and
     the held value slice w_stale[i + 1] (the sweep's forward half). The
-    objective accumulates E_p[f] dt per step plus E_p[g] at the end, in
-    the order grid_objective sums them.
+    objective is the discrete cost sum_t E_p[f] dt + E_p[g] at the final
+    slice, accumulated step by step.
 
     The density is written into out when given (any stale field of the
     grid's shape, overwritten slice by slice) and returned as p. Step i
@@ -990,9 +920,9 @@ def fbsm_grid(
     return GridSweepResult(
         problem=problem,
         grid=grid,
-        control=ControlField(u, grid, problem.d_x),
-        value=None if w is None else ValueField(w, grid),
-        density=DensityField(p, grid),
+        control=u,
+        value=w,
+        density=p,
         objective_history=history,
         converged=converged,
         iterations=iterations,

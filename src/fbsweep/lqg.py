@@ -334,17 +334,24 @@ class LqgControlLaw:
 
 @dataclass
 class LqgSweepResult:
-    """Gains, per-iteration objective history, and iterate trajectories."""
+    """Gains, per-iteration objective history, and sweep health.
+
+    pi_gap and lambda_gap are the largest absolute change of Pi and of
+    Lambda at their last refresh, None before their first one.
+    min_lambda_eigenvalue is the smallest eigenvalue of every Lambda
+    iterate, the initial one included.
+    """
 
     problem: LqgProblem
     gains: GainTrajectory
     objective_history: np.ndarray
-    pi_iterates: List[np.ndarray]
-    lambda_iterates: List[np.ndarray]
     converged: bool
     iterations: int
     final_delta: float
     monotonicity_violations: List[tuple]
+    pi_gap: Optional[float]
+    lambda_gap: Optional[float]
+    min_lambda_eigenvalue: float
 
     def control_law(self) -> LqgControlLaw:
         return LqgControlLaw(self.gains, self.problem)
@@ -475,6 +482,14 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu):
     return _expected_cost(problem, coeffs, psi, pi, gain[::2], mu, sigma_nodes)
 
 
+def _max_change(new: np.ndarray, old: np.ndarray) -> float:
+    return float(np.abs(new - old).max())
+
+
+def _min_eigenvalue(lam: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(lam).min())
+
+
 def fbsm_lqg(
     problem: LqgProblem,
     pi0: Optional[np.ndarray] = None,
@@ -490,6 +505,9 @@ def fbsm_lqg(
     forward against the held Pi. The closed-loop objective is recorded
     after the initial step and after every sweep; iteration stops when
     the objective change falls within tol * (1 + |J|) or at max_iters.
+    Only the current Pi and Lambda are kept; each sweep records the
+    largest change of the trajectory it refreshed (pi_gap, lambda_gap)
+    and the smallest eigenvalue of every Lambda (min_lambda_eigenvalue).
 
     A sweep whose objective rises by more than MONOTONICITY_SLACK is
     recorded in monotonicity_violations as (k, J_{k-1}, J_k); it does not
@@ -519,20 +537,20 @@ def fbsm_lqg(
                 f"pi0 must have shape {(n + 1, d, d)}, got {pi.shape}"
             )
     lam = _forward_lambda(problem, coeffs, pi, "Lambda")
-
-    pi_iterates = [pi]
-    lambda_iterates = [lam]
+    pi_gap = lambda_gap = None
+    min_eig = _min_eigenvalue(lam)
 
     def half_sweep(k, backward):
-        nonlocal pi, lam
+        nonlocal pi, lam, pi_gap, lambda_gap, min_eig
         if backward:
             # I - K(Lambda) at every stage point, from one batched gain evaluation
             gap = np.eye(d) - inference_gain(_half_grid(lam), problem.d_x)
-            pi = _backward_riccati(problem, coeffs, f"Pi (iteration {k + 1})", gap)
+            new = _backward_riccati(problem, coeffs, f"Pi (iteration {k + 1})", gap)
+            pi, pi_gap = new, _max_change(new, pi)
         else:
-            lam = _forward_lambda(problem, coeffs, pi, f"Lambda (iteration {k + 1})")
-        pi_iterates.append(pi)
-        lambda_iterates.append(lam)
+            new = _forward_lambda(problem, coeffs, pi, f"Lambda (iteration {k + 1})")
+            lam, lambda_gap = new, _max_change(new, lam)
+            min_eig = min(min_eig, _min_eigenvalue(lam))
         return _closed_loop_objective(problem, coeffs, psi, pi, lam, mu)
 
     j0 = _closed_loop_objective(problem, coeffs, psi, pi, lam, mu)
@@ -545,21 +563,24 @@ def fbsm_lqg(
         problem=problem,
         gains=gains,
         objective_history=history,
-        pi_iterates=pi_iterates,
-        lambda_iterates=lambda_iterates,
         converged=converged,
         iterations=iterations,
         final_delta=final_delta,
         monotonicity_violations=violations,
+        pi_gap=pi_gap,
+        lambda_gap=lambda_gap,
+        min_lambda_eigenvalue=min_eig,
     )
 
 
 def lqg_objective(problem: LqgProblem, gains: GainTrajectory) -> float:
     """Closed-form expected cost of the affine law from Gaussian moments.
 
-    Uses Sigma_t = Lambda_t^{-1} as the closed-loop covariance, which is
-    exact when the Lambda trajectory is the forward solution consistent
-    with the Pi trajectory (always true for converged sweep output).
+    Uses Sigma_t = Lambda_t^{-1} as the closed-loop covariance. That is
+    the law's covariance only when Lambda is the forward solution under
+    the Pi trajectory, as after a sweep run that ends on a Lambda sweep
+    (an even number of sweeps). After a Pi sweep, Lambda predates Pi and
+    the value is not the cost of the law the gains define.
     """
     coeffs = _Coefficients(problem)
     if gains.n_steps != coeffs.n:

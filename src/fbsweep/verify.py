@@ -28,7 +28,6 @@ from fbsweep.gridpde import (
     _initial_density_slice,
     _upwind_gradients,
     _upwind_hamiltonian,
-    _values,
     conditional_density,
     conditional_hamiltonian,
     fbsm_grid,
@@ -58,9 +57,6 @@ class Lemma1Report:
     rhs: float
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "residual": self.residual}
-
 
 def lemma1_check(
     problem: GridProblem, grid: GridSpec, u, u_prime, pairing: str = "continuous"
@@ -81,8 +77,8 @@ def lemma1_check(
     if pairing not in ("continuous", "discrete"):
         raise ProblemError(f"unknown pairing {pairing!r}")
     offset = 0 if pairing == "continuous" else 1
-    u = _values(u)
-    u_prime = _values(u_prime)
+    u = np.asarray(u, dtype=float)
+    u_prime = np.asarray(u_prime, dtype=float)
     times = grid.times()
     vol = grid.cell_volume
     p0 = _initial_density_slice(problem, grid)
@@ -111,14 +107,6 @@ class MonotonicityReport:
     worst_excess: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n_iterations": self.n_iterations,
-            "violations": [list(v) for v in self.violations],
-            "worst_excess": self.worst_excess,
-            "passed": self.passed,
-        }
-
 
 def monotonicity_check(history, slack_rel: float = MONOTONICITY_SLACK) -> MonotonicityReport:
     """Verify J_{k+1} <= J_k + slack_rel*(1+|J_k|) along a history.
@@ -146,12 +134,6 @@ class PmpReport:
     weighted_max: float
     argmax: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "weighted_max": self.weighted_max,
-            "argmax": [int(i) for i in self.argmax],
-        }
-
 
 def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpReport:
     """Excess of E[H(u(t,z))] over the candidate minimum, per (t, z).
@@ -161,9 +143,7 @@ def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpReport:
     marginal mass before taking the maximum, so vanishing-density nodes
     cannot dominate.
     """
-    u = _values(u)
-    p = _values(p)
-    w = _values(w)
+    u, p, w = (np.asarray(a, dtype=float) for a in (u, p, w))
     d_x = problem.d_x
     times = grid.times()
     z_shape = grid.memory_shape(d_x)
@@ -211,16 +191,15 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     """
     p0 = _initial_density_slice(problem, grid)
     if not isinstance(control, GridSweepResult):
-        u = _values(control)
+        u = np.asarray(control, dtype=float)
         p, _, _ = _forward_pass(problem, grid, p0, u)
         w, _, _ = _backward_pass(problem, grid, p0, u)
     elif control.iterations % 2 == 0:
-        u, p = control.control.values, control.density.values
-        stale = None if control.value is None else control.value.values
-        w, _, _ = _backward_pass(problem, grid, p0, u, out=stale)
+        u, p = control.control, control.density
+        w, _, _ = _backward_pass(problem, grid, p0, u, out=control.value)
     else:
-        u, w = control.control.values, control.value.values
-        p, _, _ = _forward_pass(problem, grid, p0, u, out=control.density.values)
+        u, w = control.control, control.value
+        p, _, _ = _forward_pass(problem, grid, p0, u, out=control.density)
     return pmp_residual(problem, grid, u, p, w)
 
 
@@ -234,16 +213,6 @@ class CrosscheckReport:
     coverage_margin: float
     lqg_converged: bool
     grid_converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "j_lqg": self.j_lqg,
-            "j_grid": self.j_grid,
-            "gap": self.gap,
-            "coverage_margin": self.coverage_margin,
-            "lqg_converged": self.lqg_converged,
-            "grid_converged": self.grid_converged,
-        }
 
 
 def grid_problem_from_lqg(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fbsweep.cli import main
 from fbsweep.config import (
     bundled_config_path,
     parse_config,
@@ -83,7 +84,7 @@ def obstacle_bundle():
 def obstacle_ensembles(obstacle_bundle):
     """Path ensembles under the converged and the zero control."""
     b = obstacle_bundle
-    law = GridControlLaw(b.result.control.values, b.grid, b.problem.d_x)
+    law = GridControlLaw(b.result.control, b.grid, b.problem.d_x)
     dyn = simulation_dynamics(b.cfg)
     cost = simulation_cost(b.cfg)
     converged = simulate_paths(
@@ -112,19 +113,29 @@ class TestLqgBundledRun:
         assert abs(J[-1] - J[-2]) <= 1e-6 * (1.0 + abs(J[-1]))
 
     def test_gain_iterates_converge_and_lambda_stays_positive(self, lqg_bundle):
+        # each gap is the change at its trajectory's last refresh; the run
+        # ends on a Lambda sweep, so the Pi gap is from the sweep before
         result = lqg_bundle.result
-        pi_gap = np.max(np.abs(result.pi_iterates[-1] - result.pi_iterates[-2]))
-        lam_gap = np.max(
-            np.abs(result.lambda_iterates[-1] - result.lambda_iterates[-2])
-        )
-        assert pi_gap <= 1e-4
-        assert lam_gap <= 1e-4
-        min_eig = min(
-            float(np.linalg.eigvalsh(lam).min())
-            for trajectory in result.lambda_iterates
-            for lam in trajectory
-        )
-        assert min_eig > 0.0
+        assert result.iterations % 2 == 0
+        assert 0.0 < result.pi_gap <= 1e-4
+        assert 0.0 < result.lambda_gap <= 1e-4
+        assert result.min_lambda_eigenvalue > 0.0
+
+    def test_run_ending_on_a_pi_sweep_reports_its_last_lambda_refresh(
+        self, tmp_path
+    ):
+        # At tol 1e-3 the bundled run stops after 35 sweeps, on a Pi sweep:
+        # its Lambda predates its Pi, so the closed form has no value, and
+        # the Lambda gap is that of sweep 34, not zero.
+        out = tmp_path / "run"
+        argv = ["run-lqg", "--config", str(bundled_config_path("lqg")),
+                "--tol", "1e-3", "--out", str(out)]
+        assert main(argv) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iterations"] == 35
+        assert summary["analytic_objective"] is None
+        assert summary["lambda_gap"] == pytest.approx(0.1347, abs=1e-4)
+        assert summary["pi_gap"] > 0.0
 
     def test_closed_loop_variance_shrinks_and_cost_improves(self, lqg_bundle):
         problem = lqg_bundle.problem
@@ -263,7 +274,7 @@ def channel_fraction(bundle, region):
     """Mass fraction of the mid-window density whose x lies in region."""
     grid = bundle.grid
     index = int(round(0.45 / grid.dt))
-    density = bundle.result.density.values[index]
+    density = bundle.result.density[index]
     x_axis = grid.axes()[0]
     selected = density[region(x_axis), :].sum()
     return float(selected / density.sum())
@@ -280,7 +291,7 @@ class TestIdentities:
             }
             cfg = parse_config(doc)
             first = fbsm_grid(cfg.grid_problem, cfg.grid, max_iters=1, tol=0.0)
-            u1 = first.control.values
+            u1 = first.control
             report = lemma1_check(
                 cfg.grid_problem, cfg.grid, u1, np.zeros_like(u1),
                 pairing="continuous",

@@ -1,11 +1,12 @@
-"""The package's public names."""
+"""The package's public names and what importing it loads."""
+
+import subprocess
+import sys
 
 import fbsweep
 
 PUBLIC_NAMES = [
-    "ControlField",
     "CostSpec",
-    "DensityField",
     "DivergenceError",
     "ExtendedDynamics",
     "GainTrajectory",
@@ -22,7 +23,6 @@ PUBLIC_NAMES = [
     "QuadraticControl",
     "SingularPrecisionError",
     "StabilityError",
-    "ValueField",
     "__version__",
     "build_generator",
     "conjugacy_residual",
@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "fbsm_grid",
     "fbsm_lqg",
     "fp_step",
-    "grid_objective",
     "grid_problem_from_lqg",
     "hjb_step",
     "inference_gain",
@@ -51,3 +50,13 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(fbsweep.__all__) == PUBLIC_NAMES
     for name in fbsweep.__all__:
         assert getattr(fbsweep, name) is not None, name
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    """Only tests assemble explicit matrices; the library never needs
+    scipy.sparse, whose import costs start-up time."""
+    code = "import sys, fbsweep.cli; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

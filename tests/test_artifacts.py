@@ -30,7 +30,6 @@ from fbsweep.artifacts import (
     write_manifest,
 )
 from fbsweep.core import GridSpec, ProblemError
-from fbsweep.gridpde import ControlField
 from fbsweep.lqg import GainTrajectory
 
 
@@ -216,7 +215,7 @@ class TestControlTable:
         rng = np.random.default_rng(3)
         values = rng.normal(size=(6, 5, 1))
         write_grid_sidecar(tmp_path, grid, d_x=1, d_u=1)
-        write_control_table(tmp_path, ControlField(values=values, grid=grid, d_x=1))
+        write_control_table(tmp_path, values, grid, d_x=1)
         back, back_grid, d_x = read_control_table(tmp_path)
         np.testing.assert_array_equal(back, values)
         assert back_grid.shape == grid.shape
@@ -226,7 +225,7 @@ class TestControlTable:
         grid = GridSpec([-2.0, -1.0], [2.0, 1.0], (7, 5), 6, 0.6)
         values = np.zeros((6, 5, 1))
         write_grid_sidecar(tmp_path, grid, d_x=1, d_u=1)
-        write_control_table(tmp_path, ControlField(values=values, grid=grid, d_x=1))
+        write_control_table(tmp_path, values, grid, d_x=1)
         path = tmp_path / "control.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")

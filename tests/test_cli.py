@@ -263,15 +263,17 @@ def _reject_constant(token):
     "command, doc, sweeps, nulls",
     [
         ("run-lqg", LQG_DOC, 0, ["final_delta", "lambda_gap", "pi_gap"]),
-        ("run-lqg", LQG_DOC, 1, ["pi_gap"]),
+        ("run-lqg", LQG_DOC, 1, ["analytic_objective", "lambda_gap"]),
+        ("run-lqg", LQG_DOC, 3, ["analytic_objective"]),
         ("run-grid", OBSTACLE_DOC, 0, ["final_delta"]),
     ],
-    ids=["lqg-0", "lqg-1", "grid-0"],
+    ids=["lqg-0", "lqg-1", "lqg-3", "grid-0"],
 )
 def test_undefined_summary_values_are_null(command, doc, sweeps, nulls, tmp_path, capsys):
     """A summary value that needs more sweeps than were run is written as
-    null, and every JSON file of the run and its verify is strict JSON:
-    no bare NaN or Infinity token."""
+    null: a gap before its trajectory's first refresh, and the closed-form
+    objective after a run that ends on a Pi sweep. Every JSON file of the
+    run and its verify is strict JSON: no bare NaN or Infinity token."""
     doc = with_field(doc, ("solver",), {"max_iters": sweeps, "tol": 0.0})
     config = write_doc(tmp_path, doc)
     out = tmp_path / "run"

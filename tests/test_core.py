@@ -10,6 +10,11 @@ from fbsweep.core import (
     ProblemError,
     validate_lqg,
 )
+from fbsweep.lqg import _Coefficients, fbsm_lqg
+
+
+def failed_checks(report):
+    return [name for name, ok, _ in report.checks if not ok]
 
 
 class TestGaussian:
@@ -65,7 +70,7 @@ class TestValidateLqg:
     def test_zero_r_fails(self):
         rep = validate_lqg(self.base_problem(R=np.zeros((2, 2))))
         assert not rep.ok
-        assert any("R positive definite" in name for name, _ in rep.failures())
+        assert any("R positive definite" in name for name in failed_checks(rep))
 
     def test_indefinite_lambda0_fails(self):
         rep = validate_lqg(self.base_problem(lambda0=np.diag([1.0, -1.0])))
@@ -84,9 +89,18 @@ class TestValidateLqg:
     def test_n_steps_and_times(self):
         prob = self.base_problem()
         assert prob.n_steps == 1000
-        times = prob.times()
+        times = _Coefficients(prob).node_times
         assert times.shape == (1001,)
         assert times[0] == 0.0 and times[-1] == 10.0
+
+    def test_step_must_divide_the_horizon(self):
+        # T/dt = 333.3: rounding it to 333 steps would solve at dt = 1/333
+        prob = self.base_problem(horizon=1.0, dt=0.003)
+        rep = validate_lqg(prob)
+        assert failed_checks(rep) == ["time step divides the horizon"]
+        with pytest.raises(ProblemError, match="not a multiple of dt"):
+            fbsm_lqg(prob, max_iters=0)
+        assert validate_lqg(self.base_problem(horizon=1.0, dt=0.004)).ok
 
 
 class TestGridSpec:

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from fbsweep import gridpde
 from fbsweep.config import bundled_config_path, parse_config
 from fbsweep.core import Gaussian, GridSpec, ProblemError, StabilityError
 from fbsweep.gridpde import (
+    _CORNERS,
     GridProblem,
     MassLog,
     QuadraticControl,
@@ -24,13 +26,54 @@ from fbsweep.gridpde import (
     build_generator,
     conditional_density,
     conditional_hamiltonian,
+    control_to_grid,
     fbsm_grid,
     fp_step,
-    grid_objective,
     hjb_step,
     minimize_conditional_hamiltonian,
     quadratic_grid_problem,
 )
+
+
+def grid_objective(problem, grid, p, u) -> float:
+    """Discrete objective sum_t E_p[f] dt + E_p[g] at the final slice.
+
+    A reference for the sum that _forward_pass accumulates as it steps.
+    """
+    S = grid.mesh()
+    vol = grid.cell_volume
+    times = grid.times()
+    total = 0.0
+    for i in range(grid.n_t):
+        U = control_to_grid(u[i], problem.d_x, problem.d_u)
+        f = np.asarray(problem.running_cost(times[i], S, U), dtype=float)
+        total += float((f * p[i]).sum()) * vol * grid.dt
+    g = np.asarray(problem.terminal_cost(S), dtype=float)
+    return total + float((g * p[-1]).sum()) * vol
+
+
+def to_sparse(gen) -> sparse.csr_matrix:
+    """Assemble a DiscreteGenerator's explicit matrix from its coefficients."""
+    shape = gen.grid.shape
+    n = int(np.prod(shape))
+    flat = np.arange(n).reshape(shape)
+    rows, cols, vals = [], [], []
+
+    def add(coeff, col_index_arr):
+        mask = coeff != 0.0
+        rows.append(flat[mask])
+        cols.append(col_index_arr[mask])
+        vals.append(coeff[mask])
+
+    add(gen.diag, flat)
+    for i in range(gen.grid.dim):
+        add(gen.up[i], np.roll(flat, -1, axis=i))
+        add(gen.down[i], np.roll(flat, 1, axis=i))
+    for (i, j), c in gen.cross.items():
+        for oi, oj, sign in _CORNERS:
+            add(sign * c, np.roll(np.roll(flat, -oi, axis=i), -oj, axis=j))
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def constant_diffusion(matrix):
@@ -91,7 +134,7 @@ class TestDiscreteGenerator:
         )
         u = np.full((9, 1), 0.8)
         gen = build_generator(problem, grid, 0.0, u)
-        mat = gen.to_sparse()
+        mat = to_sparse(gen)
         row_sums = np.asarray(mat.sum(axis=1)).ravel()
         assert np.max(np.abs(row_sums)) < 1e-12
         const = np.ones(grid.shape)
@@ -115,7 +158,7 @@ class TestDiscreteGenerator:
         rng = np.random.default_rng(3)
         u = rng.uniform(-1, 1, size=(8, 1))
         gen = build_generator(problem, grid, 0.0, u)
-        mat = gen.to_sparse()
+        mat = to_sparse(gen)
         w = rng.standard_normal(grid.shape)
         p = rng.uniform(0.1, 1.0, size=grid.shape)
         scale = np.max(np.abs(mat @ w.ravel())) + 1.0
@@ -442,15 +485,15 @@ class TestFbsmGrid:
         assert np.all(hist[1:] <= hist[:-1] + slack)
         assert hist[-1] < hist[0]
         assert not result.monotonicity_violations
-        assert result.control.values.shape == (60, 31, 1)
-        assert result.density.values.shape == (61, 31, 31)
-        assert result.value.values.shape == (61, 31, 31)
-        masses = result.density.values.sum(axis=(1, 2)) * grid.cell_volume
+        assert result.control.shape == (60, 31, 1)
+        assert result.density.shape == (61, 31, 31)
+        assert result.value.shape == (61, 31, 31)
+        masses = result.density.sum(axis=(1, 2)) * grid.cell_volume
         assert np.max(np.abs(masses - 1.0)) < 1e-12
         assert result.mass_log.max_negative_mass <= 1e-6
         lo, hi = problem.bounds()
-        assert np.all(result.control.values >= lo)
-        assert np.all(result.control.values <= hi)
+        assert np.all(result.control >= lo)
+        assert np.all(result.control <= hi)
 
     def test_zero_cost_keeps_zero_control(self):
         quad = QuadraticControl(
@@ -468,7 +511,7 @@ class TestFbsmGrid:
         )
         grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (21, 21), 40, 0.4)
         result = fbsm_grid(problem, grid, max_iters=2, tol=0.0)
-        assert np.all(result.control.values == 0.0)
+        assert np.all(result.control == 0.0)
         assert np.max(np.abs(result.objective_history)) < 1e-12
 
     def test_objective_history_matches_grid_objective(self):
@@ -488,9 +531,9 @@ class TestFbsmGrid:
         problem = double_integrator_problem()
         grid = self.small_grid()
         result = fbsm_grid(problem, grid, max_iters=1, tol=0.0)
-        u = result.control.values
-        p = result.density.values[0].copy()
-        field = np.empty_like(result.density.values)
+        u = result.control
+        p = result.density[0].copy()
+        field = np.empty_like(result.density)
         field[0] = p
         for i in range(grid.n_t):
             gen = build_generator(problem, grid, grid.times()[i], u[i], dt=grid.dt)
@@ -565,9 +608,9 @@ class TestSweepInPlace:
                 p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w)
             history.append(J)
         assert np.array_equal(result.objective_history, history)
-        assert np.array_equal(result.control.values, u)
-        assert np.array_equal(result.density.values, p)
-        assert np.array_equal(result.value.values, w)
+        assert np.array_equal(result.control, u)
+        assert np.array_equal(result.density, p)
+        assert np.array_equal(result.value, w)
 
     def test_stability_error_in_later_sweep_propagates(self, monkeypatch):
         problem = double_integrator_problem()
@@ -627,7 +670,7 @@ class TestStencilProperties:
     @given(shape=grid_shapes, seed=seeds)
     def test_apply_and_adjoint_match_sparse_matrix(self, shape, seed):
         gen, rng = random_generator(shape, seed)
-        mat = gen.to_sparse()
+        mat = to_sparse(gen)
         w = rng.standard_normal(shape)
         p = rng.standard_normal(shape)
         absmat = abs(mat)
@@ -644,7 +687,7 @@ class TestStencilProperties:
     @given(shape=grid_shapes, seed=seeds)
     def test_row_sums_vanish(self, shape, seed):
         gen, _ = random_generator(shape, seed)
-        mat = gen.to_sparse()
+        mat = to_sparse(gen)
         row_sums = np.asarray(mat.sum(axis=1)).ravel()
         row_scale = np.asarray(abs(mat).sum(axis=1)).ravel()
         assert np.all(np.abs(row_sums) <= 1e-12 * row_scale)
@@ -656,7 +699,7 @@ class TestStencilProperties:
         gen, rng = random_generator(shape, seed)
         # A step this short keeps q = p + dt L'p positive for p in [1, 2],
         # so nothing is clamped and the drift is rounding only.
-        dt = 0.1 / float(abs(gen.to_sparse()).sum(axis=0).max())
+        dt = 0.1 / float(abs(to_sparse(gen)).sum(axis=0).max())
         p = rng.uniform(1.0, 2.0, shape)
         p /= p.sum() * gen.grid.cell_volume
         log = MassLog()

@@ -389,12 +389,29 @@ class TestFbsmLqg:
         assert np.linalg.eigvalsh(res.gains.lam).min() > 0
         assert res.iterations == 12
 
-    def test_iterate_bookkeeping_carries_held_trajectories(self):
-        res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=4, tol=0.0)
-        # iteration 1 refreshes Pi, holds Lambda; iteration 2 the reverse
-        assert res.lambda_iterates[1] is res.lambda_iterates[0]
-        assert res.pi_iterates[2] is res.pi_iterates[1]
-        assert res.pi_iterates[1] is not res.pi_iterates[0]
+    def test_sweep_health_matches_consecutive_budgets(self):
+        # sweep 1 refreshes Pi, sweep 2 Lambda, and so on; a gap is the
+        # largest change of its trajectory at its last refresh
+        problem = tracking_problem(horizon=1.0)
+        runs = [fbsm_lqg(problem, max_iters=k, tol=0.0) for k in range(5)]
+        pis = [r.gains.pi for r in runs]
+        lams = [r.gains.lam for r in runs]
+
+        def change(new, old):
+            return float(np.abs(new - old).max())
+
+        assert [r.pi_gap for r in runs] == [
+            None, change(pis[1], pis[0]), change(pis[1], pis[0]),
+            change(pis[3], pis[2]), change(pis[3], pis[2]),
+        ]
+        assert [r.lambda_gap for r in runs] == [
+            None, None, change(lams[2], lams[1]),
+            change(lams[2], lams[1]), change(lams[4], lams[3]),
+        ]
+        eigs = [float(np.linalg.eigvalsh(lam).min()) for lam in lams]
+        assert [r.min_lambda_eigenvalue for r in runs] == [
+            eigs[0], eigs[0], min(eigs[:3]), min(eigs[:3]), min(eigs),
+        ]
 
     def test_control_law_reads_only_memory(self):
         res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=6, tol=0.0)
@@ -642,11 +659,15 @@ class TestClosedLoopObjective:
 
     @RK4
     def test_two_state_iterates_match_per_stage_loop(self, method):
+        # the initial (Pi, Lambda) pair and the pair after each of four sweeps
         problem = two_state_problem()
-        res = fbsm_lqg(problem, max_iters=4, tol=0.0, method=method)
+        runs = [
+            fbsm_lqg(problem, max_iters=k, tol=0.0, method=method).gains
+            for k in range(5)
+        ]
         coeffs = _Coefficients(problem)
-        g = res.gains
-        for pi, lam in zip(res.pi_iterates, res.lambda_iterates):
+        g = runs[-1]
+        for pi, lam in ((r.pi, r.lam) for r in runs):
             held = (g.psi, pi, lam, g.mu)
             J = _closed_loop_objective(problem, coeffs, *held)
             expect = per_stage_objective(problem, coeffs, *held)

@@ -158,7 +158,7 @@ class TestLemma1Check:
     def test_holds_two_fields(self):
         problem, grid = small_bundled_obstacle()
         u = np.zeros((grid.n_t, 41, 1))
-        u_prime = fbsm_grid(problem, grid, max_iters=1, tol=0.0).control.values
+        u_prime = fbsm_grid(problem, grid, max_iters=1, tol=0.0).control
         field = (grid.n_t + 1) * 41 * 41 * 8
         tracemalloc.start()
         try:
