@@ -54,8 +54,10 @@ def _sweep(j0: float, half_sweep: Callable, max_iters: int, tol: float) -> tuple
     j0 is the objective of the initial iterate. Sweep k (k = 0, 1, ...)
     is half_sweep(k, backward), backward for even k and forward for odd
     k; it updates the caller's iterate and returns its objective. The
-    loop stops once |J_k - J_{k-1}| <= tol * (1 + |J_k|) or after
-    max_iters sweeps, and raises DivergenceError on a non-finite J.
+    loop stops after max_iters sweeps, or earlier, converged, once
+    |J_k - J_{k-1}| <= tol * (1 + |J_k|) with tol > 0. tol == 0 runs the
+    whole budget, even through sweeps that repeat J exactly, and never
+    converges. A non-finite J raises DivergenceError.
     Returns (history, converged, iterations, final_delta).
     """
     history = [j0]
@@ -67,7 +69,7 @@ def _sweep(j0: float, half_sweep: Callable, max_iters: int, tol: float) -> tuple
             raise DivergenceError(f"objective non-finite at iteration {k + 1}")
         final_delta = abs(history[-1] - J)
         history.append(J)
-        if final_delta <= tol * (1.0 + abs(J)):
+        if tol > 0 and final_delta <= tol * (1.0 + abs(J)):
             converged = True
             break
     return np.asarray(history), converged, len(history) - 1, float(final_delta)

@@ -32,6 +32,11 @@ upwind Hamiltonian field is written once (_upwind_hamiltonian).
 Memory is a fixed base plus two (n_t + 1)-slice fields, the least the
 alternation needs: each pass can write into a caller's buffer, and
 fbsm_grid hands it the buffer of the field that pass replaces.
+
+A memory node whose conditional density is undefined (too little mass)
+copies its control from the nearest defined memory node in Euclidean
+distance over the memory spacing, ties going to the lowest flat index
+(_fill_undefined). The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from fbsweep.core import (
     GridSpec,
@@ -569,17 +573,35 @@ def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, what: str) -> np.n
 
 
 def _fill_undefined(u_new: np.ndarray, defined: np.ndarray, grid: GridSpec, d_x: int):
-    """Copy controls onto low-mass memory nodes from the nearest defined node."""
+    """Copy controls in place onto low-mass memory nodes from the nearest defined one.
+
+    Candidates are the defined nodes with an undefined axis neighbour: a
+    defined node without one has a defined neighbour one step closer to
+    any undefined node, so every nearest node is a candidate. Squared
+    distances sum integer index offsets times the memory spacing, so
+    equal offsets tie exactly, and a tie goes to the lowest flat index
+    (np.nonzero order; in 1-D the node scipy.ndimage's Euclidean distance
+    transform picks). The work is one (undefined x candidates) table.
+    """
     if defined.all():
-        return u_new
+        return
     if not defined.any():
         raise ProblemError("conditional density undefined at every memory node")
-    z_spacing = grid.spacing[d_x:]
-    _, idx = ndimage.distance_transform_edt(
-        ~defined, sampling=z_spacing, return_indices=True
+    undefined = ~defined
+    edge = np.zeros_like(defined)
+    for axis in range(defined.ndim):
+        before = (slice(None),) * axis + (slice(None, -1),)
+        after = (slice(None),) * axis + (slice(1, None),)
+        edge[before] |= undefined[after]
+        edge[after] |= undefined[before]
+    edge &= defined
+    src = np.nonzero(edge)
+    dst = np.nonzero(undefined)
+    d2 = sum(
+        np.square((d[:, None] - s) * h) for s, d, h in zip(src, dst, grid.spacing[d_x:])
     )
-    src = tuple(idx[k] for k in range(idx.shape[0]))
-    return u_new[src]
+    nearest = np.argmin(d2, axis=1)
+    u_new[dst] = u_new[tuple(s[nearest] for s in src)]
 
 
 def minimize_conditional_hamiltonian(
@@ -621,7 +643,7 @@ def minimize_conditional_hamiltonian(
         u_new = _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x)
 
     if defined is not None:
-        u_new = _fill_undefined(u_new, defined, grid, d_x)
+        _fill_undefined(u_new, defined, grid, d_x)
     return u_new
 
 

@@ -27,6 +27,11 @@ steps are built in one batched pass, (d_s^2 + 1)^2 doubles and O(d_s^6)
 flops per step, leaving one small mat-vec per step in the time loop.
 That beats stepping the stages one at a time only for small d_s (up to
 about 5; the bundled document has 2).
+
+Each Lambda stage solves one small block by LAPACK dgesv from
+scipy.linalg.lapack. That import is deferred to the first Lambda sweep
+(and resolved once per sweep), so importing this module, or running the
+grid backend, loads numpy only.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from fbsweep.core import (
     DivergenceError,
@@ -89,14 +93,6 @@ def inference_gain(lam: np.ndarray, d_x: int, d_z: Optional[int] = None) -> np.n
     gain[..., :d_x, d_x:] = -cross
     gain[..., d_x:, d_x:] = np.eye(d_s - d_x)
     return gain
-
-
-def _memory_cross(lam_val: np.ndarray, d_x: int) -> np.ndarray:
-    """C = lam_xx^{-1} lam_xz of one precision matrix, by one LAPACK solve."""
-    _, _, cross, info = dgesv(lam_val[:d_x, :d_x], lam_val[:d_x, d_x:])
-    if info != 0:
-        raise SingularPrecisionError("state block of the precision matrix is singular")
-    return cross
 
 
 def _half_grid(nodes: np.ndarray) -> np.ndarray:
@@ -166,17 +162,21 @@ def _riccati_increment(A, M, Q, mat, gap=None):
     return out
 
 
-def _lambda_increment(A, SS, mp_x, mp_z, lam, d_x):
+def _lambda_increment(A, SS, mp_x, mp_z, lam, d_x, dgesv):
     """dLambda/dt = -At' Lambda - Lambda At - Lambda SS Lambda, SS = sigma sigma'.
 
     At = A - M Pi K(Lambda) is the drift of the centered state under the
     affine law. K(Lambda) has zero state columns and memory columns [-C; I]
     with C = Lambda_xx^{-1} Lambda_xz, so At is A with mp_z - mp_x C
     subtracted from its memory columns, where mp_x and mp_z are the state
-    and memory columns of M Pi. This block form costs one small solve.
+    and memory columns of M Pi. This block form costs one small solve, by
+    the LAPACK dgesv the caller imports from scipy.linalg.lapack.
     """
+    _, _, cross, info = dgesv(lam[:d_x, :d_x], lam[:d_x, d_x:])
+    if info != 0:
+        raise SingularPrecisionError("state block of the precision matrix is singular")
     At = A.copy()
-    At[:, d_x:] -= mp_z - mp_x @ _memory_cross(lam, d_x)
+    At[:, d_x:] -= mp_z - mp_x @ cross
     return -At.T @ lam - lam @ At - lam @ SS @ lam
 
 
@@ -364,13 +364,16 @@ def _forward_lambda(problem, coeffs, pi_stale, what):
     of _lambda_increment costs one small solve. The output must stay
     finite (what names it otherwise).
     """
+    # once per sweep, not at module import: scipy.linalg takes about 0.3 s
+    from scipy.linalg.lapack import dgesv
+
     d_x = problem.d_x
     A, SS = coeffs.A, coeffs.SS
     mp = coeffs.M @ _half_grid(pi_stale)
     mp_x, mp_z = mp[..., :d_x], mp[..., d_x:]
 
     def rhs(j, lam_val):
-        return _lambda_increment(A[j], SS[j], mp_x[j], mp_z[j], lam_val, d_x)
+        return _lambda_increment(A[j], SS[j], mp_x[j], mp_z[j], lam_val, d_x, dgesv)
 
     lam = _integrate(rhs, _sym(problem.lambda0), coeffs.n, coeffs.dt)
     # one batched check that every node a stage read has a finite,
@@ -504,7 +507,8 @@ def fbsm_lqg(
     backward against the held Lambda, odd iterations refresh Lambda
     forward against the held Pi. The closed-loop objective is recorded
     after the initial step and after every sweep; iteration stops when
-    the objective change falls within tol * (1 + |J|) or at max_iters.
+    the objective change falls within tol * (1 + |J|) with tol > 0, or at
+    max_iters (tol = 0 runs all of them).
     Only the current Pi and Lambda are kept; each sweep records the
     largest change of the trajectory it refreshed (pi_gap, lambda_gap)
     and the smallest eigenvalue of every Lambda (min_lambda_eigenvalue).

@@ -299,6 +299,23 @@ class TestIdentities:
             residuals.append(report.residual)
         assert residuals[0] >= 1.8 * residuals[1]
 
+    def test_lqg_objective_gap_is_second_order_in_dt(self):
+        """The bundled lqg matrices at horizon 2, solved to tol 1e-11 and
+        ended on a Lambda sweep under the final Pi: the closed-form
+        objective and the recorded J differ by discretization error, which
+        shrinks about 4x per halving of dt (7.28e-4, 1.83e-4, 4.60e-5)."""
+        doc = json.loads(bundled_config_path("lqg").read_text())
+        gaps = []
+        for dt in (0.04, 0.02, 0.01):
+            problem = parse_config(dict(doc, horizon=2.0, dt=dt)).lqg_problem
+            solved = fbsm_lqg(problem, max_iters=400, tol=1e-11)
+            assert solved.converged
+            # max_iters=0 stops after the initial Lambda sweep under pi0
+            final = fbsm_lqg(problem, pi0=solved.gains.pi, max_iters=0)
+            gaps.append(lqg_objective(problem, final.gains) - final.objective_history[-1])
+        assert gaps[0] > 0.0
+        assert gaps[0] >= 3.5 * gaps[1] and gaps[1] >= 3.5 * gaps[2]
+
     def test_converged_control_is_stationary(self, obstacle_bundle):
         b = obstacle_bundle
         report = sweep_pmp_residual(b.problem, b.grid, b.result.control)

@@ -287,6 +287,66 @@ def test_undefined_summary_values_are_null(command, doc, sweeps, nulls, tmp_path
     assert sorted(key for key, value in summary.items() if value is None) == nulls
 
 
+def test_zero_tol_runs_the_whole_budget(tmp_path):
+    """tol 0 is the fixed-budget mode. LQG_DOC's objective repeats exactly
+    from sweep 10 on, and the run still makes every one of its 35 sweeps:
+    exit 0, not converged."""
+    doc = with_field(LQG_DOC, ("solver",), {"max_iters": 35, "tol": 0.0})
+    out = tmp_path / "run"
+    assert main(["run-lqg", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["iterations"] == 35
+    assert summary["converged"] is False
+    assert summary["final_delta"] == 0.0
+
+
+# Runs run-grid, verify and simulate in one fresh interpreter, with every
+# scipy import blocked when the first argument is "block", and prints the
+# exit codes as its last line.
+GRID_COMMANDS = '''
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"import of {name} is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from fbsweep.cli import main
+
+config, out = sys.argv[2:]
+codes = [
+    main(["run-grid", "--config", config, "--out", out + "/run"]),
+    main(["verify", out + "/run"]),
+    main(["simulate", "--config", config, "--controller", out + "/run",
+          "--out", out + "/sim", "--paths", "20"]),
+]
+print(json.dumps(codes))
+'''
+
+
+def test_grid_commands_run_without_scipy(tmp_path):
+    """run-grid, verify and simulate on a 21x21 document exit as they do
+    with scipy importable, and write the same bytes."""
+    config = write_doc(tmp_path, OBSTACLE_DOC)
+    outs = {mode: tmp_path / mode for mode in ("block", "allow")}
+    codes = {}
+    for mode, out in outs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", GRID_COMMANDS, mode, str(config), str(out)],
+            capture_output=True, text=True, check=True,
+        )
+        codes[mode] = json.loads(proc.stdout.splitlines()[-1])
+    assert codes["block"] == codes["allow"] == [0, 0, 0]
+    files = sorted(p.relative_to(outs["allow"]) for p in outs["allow"].rglob("*") if p.is_file())
+    assert files == sorted(
+        p.relative_to(outs["block"]) for p in outs["block"].rglob("*") if p.is_file()
+    )
+    for name in files:
+        assert (outs["block"] / name).read_bytes() == (outs["allow"] / name).read_bytes(), name
+
+
 class TestRunGrid:
     def test_artifacts_written(self, grid_run):
         _, out = grid_run

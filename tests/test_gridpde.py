@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import ndimage, sparse
 
 from fbsweep import gridpde
 from fbsweep.config import bundled_config_path, parse_config
@@ -19,6 +19,7 @@ from fbsweep.gridpde import (
     MassLog,
     QuadraticControl,
     _backward_pass,
+    _fill_undefined,
     _forward_pass,
     _initial_density_slice,
     _upwind_differences,
@@ -445,6 +446,65 @@ class TestMinimizer:
             problem, grid, 0.0, cond, w_next, u_prev, defined
         )
         assert np.all(u[-3:] == u[-4])
+
+    @staticmethod
+    def filled_sources(defined, spacing):
+        """Flat index each memory node takes its control from, by _fill_undefined.
+
+        The memory grid has the shape of defined and the given spacing,
+        behind one state axis of two nodes.
+        """
+        shape = defined.shape
+        grid = GridSpec(
+            [0.0] * (1 + len(shape)),
+            [1.0] + [h * (n - 1) for h, n in zip(spacing, shape)],
+            (2,) + shape,
+            1,
+            1.0,
+        )
+        u = np.arange(defined.size, dtype=float).reshape(shape + (1,))
+        _fill_undefined(u, defined, grid, 1)
+        return u[..., 0].astype(int), grid.spacing[1:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mask=st.lists(st.booleans(), min_size=2, max_size=40).filter(any),
+        spacing=st.floats(1e-3, 10.0),
+    )
+    def test_fill_matches_distance_transform_in_1d(self, mask, spacing):
+        """On a 1-D memory grid every node takes its control from the node
+        scipy's Euclidean distance transform names, ties included."""
+        defined = np.array(mask)
+        src, sampling = self.filled_sources(defined, [spacing])
+        _, idx = ndimage.distance_transform_edt(
+            ~defined, sampling=sampling, return_indices=True
+        )
+        np.testing.assert_array_equal(src, idx[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+        spacing=st.tuples(st.floats(1e-2, 3.0), st.floats(1e-2, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.05, 0.95),
+    )
+    def test_fill_copies_from_a_nearest_defined_node_in_2d(self, shape, spacing, seed, density):
+        """On a 2-D memory grid each filled node copies from a defined node
+        at scipy's distance; at a tie the two may pick different nodes."""
+        defined = np.random.default_rng(seed).random(shape) < density
+        if not defined.any():
+            defined[0, 0] = True
+        src, sampling = self.filled_sources(defined, spacing)
+        dist = ndimage.distance_transform_edt(~defined, sampling=sampling)
+        src_idx = np.unravel_index(src, shape)
+        assert defined[src_idx].all()
+        offsets = np.indices(shape) - np.array(src_idx)
+        own = np.sqrt(sum((o * h) ** 2 for o, h in zip(offsets, sampling)))
+        np.testing.assert_allclose(own, dist, rtol=1e-12, atol=0.0)
+
+    def test_fill_rejects_all_undefined_memory(self):
+        with pytest.raises(ProblemError, match="undefined at every memory node"):
+            self.filled_sources(np.zeros((3, 4), dtype=bool), [1.0, 1.0])
 
     def test_nonconforming_drift_rejected(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (9, 9), 10, 1.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dgesv
 
 from fbsweep import lqg
 from fbsweep.core import (
@@ -120,7 +121,7 @@ def lambda_increment(prob, t, lam, pi):
     A, M, _, SS = coefficients(prob, t)
     mp = M @ pi
     d_x = prob.d_x
-    return _lambda_increment(A, SS, mp[:, :d_x], mp[:, d_x:], lam, d_x)
+    return _lambda_increment(A, SS, mp[:, :d_x], mp[:, d_x:], lam, d_x, dgesv)
 
 
 def mean_increment(prob, t, mu, psi):
