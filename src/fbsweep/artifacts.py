@@ -37,31 +37,18 @@ OBJECTIVE_FILE = "objective.json"
 CHUNK_ROWS = 1 << 14
 
 
-def fmt(value) -> str:
-    """Render a scalar for CSV with full float round-trip precision."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def write_csv(path, header: List[str], blocks=()) -> None:
+    """Write a header line, then blocks.
 
-
-def write_csv(path, header: List[str], rows=(), blocks=()) -> None:
-    """Write a header line, then rows, then blocks.
-
-    rows is an iterable of rows whose cells are formatted one by one with
-    fmt. blocks is an iterable of numeric tables, each a sequence of
+    blocks is an iterable of numeric tables, each a sequence of
     equal-length 1-D arrays (one per column, int, bool or float), written
-    in bulk CHUNK_ROWS rows at a time: repr of the Python scalars that
-    ndarray.tolist() yields is exactly fmt of the same cell, and lines end
-    in "\r\n" as the csv module ends them, so both give the same bytes.
+    in bulk CHUNK_ROWS rows at a time. Each cell is repr of the Python
+    scalar that ndarray.tolist() yields, so a float round-trips exactly.
+    Lines end in "\r\n", as the csv module ends them.
     """
     path = Path(path)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        csv.writer(handle).writerow(header)
         for columns in blocks:
             columns = [np.asarray(c) for c in columns]
             n_rows = len(columns[0]) if columns else 0

@@ -30,8 +30,6 @@ from fbsweep.core import (
     GridSpec,
     LqgProblem,
     ProblemError,
-    _step_count,
-    as_time_fn,
     validate_lqg,
 )
 from fbsweep.gridpde import GridProblem, QuadraticControl, quadratic_grid_problem
@@ -163,7 +161,6 @@ def _load_lqg(doc: dict) -> LoadedConfig:
     report = validate_lqg(problem)
     if not report.ok:
         raise ProblemError(f"invalid problem: {report}")
-    _step_count(horizon, dt)
     return LoadedConfig(
         family="lqg",
         document=doc,
@@ -296,17 +293,14 @@ def simulation_dynamics(cfg: LoadedConfig) -> ExtendedDynamics:
     """Closed-loop dynamics of a configured problem for path simulation."""
     if cfg.family == "lqg":
         p = cfg.lqg_problem
-        A_f, B_f = as_time_fn(p.A), as_time_fn(p.B)
-        sigma_f = as_time_fn(p.sigma)
-        d_w = np.atleast_2d(np.asarray(sigma_f(0.0), dtype=float)).shape[1]
+        d_w = p.coefficients(0.0)[2].shape[1]
 
         def drift(t, s, u):
-            A = np.atleast_2d(np.asarray(A_f(t), dtype=float))
-            B = np.atleast_2d(np.asarray(B_f(t), dtype=float))
+            A, B = p.coefficients(t)[:2]
             return s @ A.T + u @ B.T
 
         def diffusion(t, s, u):
-            return np.atleast_2d(np.asarray(sigma_f(t), dtype=float))
+            return p.coefficients(t)[2]
 
         return ExtendedDynamics(
             d_x=p.d_x, d_z=p.d_z, d_u=p.d_u, d_w=d_w,
@@ -383,11 +377,9 @@ def simulation_cost(cfg: LoadedConfig) -> CostSpec:
     """Running/terminal cost of a configured problem on batched states."""
     if cfg.family == "lqg":
         p = cfg.lqg_problem
-        Q_f, R_f = as_time_fn(p.Q), as_time_fn(p.R)
 
         def running(t, s, u):
-            Q = np.atleast_2d(np.asarray(Q_f(t), dtype=float))
-            R = np.atleast_2d(np.asarray(R_f(t), dtype=float))
+            Q, R = p.coefficients(t)[3:]
             return _quadratic_form(s, Q) + _quadratic_form(u, R)
 
         def terminal(s):

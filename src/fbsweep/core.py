@@ -11,16 +11,21 @@ Each backend has one problem model: LqgProblem (below) for the Riccati
 backend and GridProblem (fbsweep.gridpde) for the finite-difference
 backend. That model feeds both its solver and the Monte Carlo simulator,
 whose ExtendedDynamics and CostSpec records are derived from it (see
-fbsweep.config). This module also holds the error types, the Gaussian
-initial law, LQG validation, the grid geometry, and what both solvers
-share: the outer loop of the alternating sweeps (_sweep) and the rule
-their objective's descent is judged by (_descent_violations).
+fbsweep.config). Every reader of an LqgProblem's coefficients goes
+through LqgProblem.coefficients(t), which returns (A, B, sigma, Q, R) at
+t as float 2-D arrays. This module also holds the error types, the
+Gaussian initial law, LQG validation (validate_lqg, which checks callable
+coefficients at every time the sweeps read them), the grid geometry, and
+what both solvers share: the outer loop of the alternating sweeps
+(_sweep) and the rule their objective's descent is judged by
+(_descent_violations).
 
 Conventions
 -----------
 * Extended-state coordinates are ordered (x_1..x_dx, z_1..z_dz).
 * All dynamics/cost callables must accept batched inputs (arrays with
-  leading sample dimensions) and be reentrant.
+  leading sample dimensions) and be reentrant. A simulated diffusion is
+  the exception: it is one (d_s, d_w) matrix per time, for every path.
 """
 
 from __future__ import annotations
@@ -102,18 +107,6 @@ def _step_count(horizon: float, dt: float) -> int:
     return int(round(steps))
 
 
-def as_time_fn(value):
-    """Wrap a constant matrix/vector as a function of time.
-
-    Callables are passed through; everything else is captured as a constant
-    array evaluated lazily.
-    """
-    if callable(value):
-        return value
-    arr = np.asarray(value, dtype=float)
-    return lambda t: arr
-
-
 @dataclass(frozen=True)
 class Gaussian:
     """Multivariate normal used for initial densities.
@@ -159,10 +152,10 @@ class ExtendedDynamics:
     """Dynamics of the extended state s = (x, z).
 
     drift(t, s, u) maps (..., d_s) states and (..., d_u) controls to
-    (..., d_s) drifts; diffusion(t, s, u) returns either a constant
-    (d_s, d_w) matrix or a batched (..., d_s, d_w) array. The composite
-    diffusion matrix D = sigma sigma^T must be symmetric positive
-    semidefinite wherever it is evaluated.
+    (..., d_s) drifts; diffusion(t, s, u) returns one (d_s, d_w) matrix
+    sigma, shared by every path at time t (the simulator refuses any
+    other shape). The composite diffusion matrix D = sigma sigma^T must
+    be symmetric positive semidefinite wherever it is evaluated.
     """
 
     d_x: int
@@ -196,6 +189,10 @@ class LqgProblem:
     with Gaussian initial density N(mu0, Lambda0^{-1}). A, B, sigma, Q, R
     may be constant arrays or callables of t; P is constant. The first d_x
     coordinates of s are the state, the remaining d_z the memory.
+
+    coefficients(t) is how every solver and simulator reads A, B, sigma,
+    Q and R. Each constant one is stored once, as a read-only float 2-D
+    copy; a callable one is evaluated and normalized at each call.
     """
 
     A: object
@@ -212,10 +209,21 @@ class LqgProblem:
     d_z: int
 
     def __post_init__(self):
+        for name in ("A", "B", "sigma", "Q", "R"):
+            value = getattr(self, name)
+            if not callable(value):
+                object.__setattr__(self, name, _frozen(np.array(value, dtype=float, ndmin=2)))
         object.__setattr__(self, "P", np.atleast_2d(np.asarray(self.P, dtype=float)))
         object.__setattr__(self, "mu0", np.atleast_1d(np.asarray(self.mu0, dtype=float)))
         object.__setattr__(
             self, "lambda0", np.atleast_2d(np.asarray(self.lambda0, dtype=float))
+        )
+
+    def coefficients(self, t: float) -> tuple:
+        """(A, B, sigma, Q, R) at time t, each a float 2-D array."""
+        return tuple(
+            np.atleast_2d(np.asarray(c(t), dtype=float)) if callable(c) else c
+            for c in (self.A, self.B, self.sigma, self.Q, self.R)
         )
 
     @property
@@ -224,18 +232,20 @@ class LqgProblem:
 
     @property
     def d_u(self) -> int:
-        return np.atleast_2d(np.asarray(as_time_fn(self.B)(0.0))).shape[1]
+        return self.coefficients(0.0)[1].shape[1]
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return _step_count(self.horizon, self.dt)
 
     def initial_density(self) -> Gaussian:
         return Gaussian(self.mu0, np.linalg.inv(self.lambda0))
 
 
-def _eig_min(matrix: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((matrix + matrix.T) / 2.0).min())
+def _eig_min(matrix: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symmetric part of each matrix in a stack."""
+    sym = (matrix + np.swapaxes(matrix, -1, -2)) / 2.0
+    return np.linalg.eigvalsh(sym).min(axis=-1)
 
 
 @dataclass
@@ -263,49 +273,49 @@ class ValidationReport:
 def validate_lqg(problem: LqgProblem) -> ValidationReport:
     """Check the time step (_step_count), definiteness and dimensions of an LQG problem.
 
+    Constant coefficients are checked once. When any coefficient is a
+    callable of t, every one is read at each time the sweeps read it: the
+    2n + 1 nodes and step midpoints, or t = 0, T/2, T when the time step
+    is invalid. A callable Q or R is then checked at each of those times,
+    a constant one still once.
     Returns a report rather than raising; solver entry points refuse
     problems whose report fails.
     """
     rep = ValidationReport()
     d_s = problem.d_s
-    try:
-        sample_ts = [0.0, problem.horizon / 2.0, problem.horizon]
-    except TypeError:
-        sample_ts = [0.0]
-
     rep.add("horizon positive", problem.horizon > 0, f"T={problem.horizon}")
     step_ok = 0 < problem.dt < problem.horizon
     rep.add("time step valid", step_ok, f"dt={problem.dt}")
+    n = 1
     if step_ok:
         try:
-            _step_count(problem.horizon, problem.dt)
+            n = _step_count(problem.horizon, problem.dt)
             detail = ""
         except ProblemError as exc:
             detail = str(exc)
         rep.add("time step divides the horizon", not detail, detail)
     rep.add("state/memory split positive", problem.d_x > 0 and problem.d_z > 0)
 
-    A_f, B_f = as_time_fn(problem.A), as_time_fn(problem.B)
-    s_f, Q_f, R_f = as_time_fn(problem.sigma), as_time_fn(problem.Q), as_time_fn(problem.R)
-    shapes_ok = True
-    for t in sample_ts:
-        A = np.atleast_2d(np.asarray(A_f(t), dtype=float))
-        B = np.atleast_2d(np.asarray(B_f(t), dtype=float))
-        sig = np.atleast_2d(np.asarray(s_f(t), dtype=float))
-        Q = np.atleast_2d(np.asarray(Q_f(t), dtype=float))
-        R = np.atleast_2d(np.asarray(R_f(t), dtype=float))
-        if A.shape != (d_s, d_s) or Q.shape != (d_s, d_s) or sig.shape[0] != d_s:
-            shapes_ok = False
-        if B.shape[0] != d_s or R.shape != (B.shape[1], B.shape[1]):
-            shapes_ok = False
+    varying = [callable(c) for c in (problem.A, problem.B, problem.sigma, problem.Q, problem.R)]
+    times = np.linspace(0.0, problem.horizon, 2 * n + 1) if any(varying) else np.zeros(1)
+    table = [problem.coefficients(t) for t in times]
+    d_u, d_w = table[0][1].shape[-1], table[0][2].shape[-1]
+    shapes = ((d_s, d_s), (d_s, d_u), (d_s, d_w), (d_s, d_s), (d_u, d_u))
+    shapes_ok = all(c.shape == shape for row in table for c, shape in zip(row, shapes))
     rep.add("matrix shapes consistent", shapes_ok)
     if not shapes_ok:
         return rep
 
-    q_psd = all(_eig_min(np.atleast_2d(np.asarray(Q_f(t), float))) >= -1e-10 for t in sample_ts)
-    rep.add("Q positive semidefinite", q_psd)
-    r_pd = all(_eig_min(np.atleast_2d(np.asarray(R_f(t), float))) > 0 for t in sample_ts)
-    rep.add("R positive definite", r_pd)
+    checks = ((3, "Q positive semidefinite", False), (4, "R positive definite", True))
+    for index, name, strict in checks:
+        rows = table if varying[index] else table[:1]
+        eigs = _eig_min(np.stack([row[index] for row in rows]))
+        bad = eigs <= 0.0 if strict else eigs < -1e-10
+        detail = ""
+        if bad.any():
+            k = int(np.argmax(bad))
+            detail = f"smallest eigenvalue {eigs[k]:.3g} at t={times[k]:.6g}"
+        rep.add(name, not bad.any(), detail)
     rep.add("P positive semidefinite", _eig_min(problem.P) >= -1e-10)
     rep.add("P shape", problem.P.shape == (d_s, d_s))
     rep.add("mu0 shape", problem.mu0.shape == (d_s,))

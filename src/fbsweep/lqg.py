@@ -49,7 +49,6 @@ from fbsweep.core import (
     SingularPrecisionError,
     _descent_violations,
     _sweep,
-    as_time_fn,
     validate_lqg,
 )
 
@@ -121,28 +120,9 @@ class _Coefficients:
         self.dt = problem.horizon / n
         self.times = np.linspace(0.0, problem.horizon, 2 * n + 1)
         self.node_times = np.linspace(0.0, problem.horizon, n + 1)
-        A_f, B_f = as_time_fn(problem.A), as_time_fn(problem.B)
-        s_f = as_time_fn(problem.sigma)
-        Q_f, R_f = as_time_fn(problem.Q), as_time_fn(problem.R)
-        d = problem.d_s
-
-        def tab(fn, shape):
-            out = np.empty((2 * n + 1,) + shape)
-            for j, t in enumerate(self.times):
-                out[j] = np.atleast_2d(np.asarray(fn(t), dtype=float))
-            return out
-
-        self.A = tab(A_f, (d, d))
-        self.Q = tab(Q_f, (d, d))
-        B0 = np.atleast_2d(np.asarray(B_f(0.0), dtype=float))
-        self.B = tab(B_f, B0.shape)
-        R0 = np.atleast_2d(np.asarray(R_f(0.0), dtype=float))
-        self.R = tab(R_f, R0.shape)
-        sig0 = np.atleast_2d(np.asarray(s_f(0.0), dtype=float))
-        sig = tab(s_f, sig0.shape)
-        self.M = np.einsum(
-            "tij,tjk,tlk->til", self.B, np.linalg.inv(self.R), self.B
-        )
+        stages = zip(*map(problem.coefficients, self.times))
+        self.A, B, sig, self.Q, R = (np.stack(c) for c in stages)
+        self.M = np.einsum("tij,tjk,tlk->til", B, np.linalg.inv(R), B)
         self.SS = np.einsum("tij,tkj->tik", sig, sig)
 
 
@@ -304,13 +284,9 @@ class LqgControlLaw:
     @cached_property
     def _tables(self) -> tuple:
         g, d_x = self.gains, self.problem.d_x
-        B_f, R_f = as_time_fn(self.problem.B), as_time_fn(self.problem.R)
         feedback = np.stack([
-            np.linalg.solve(
-                np.atleast_2d(np.asarray(R_f(t), dtype=float)),
-                np.atleast_2d(np.asarray(B_f(t), dtype=float)).T,
-            )
-            for t in g.times
+            np.linalg.solve(R, B.T)
+            for _, B, _, _, R in map(self.problem.coefficients, g.times)
         ])
         psi_mu = np.stack([psi @ mu for psi, mu in zip(g.psi, g.mu)])
         return inference_gain(g.lam, d_x), g.mu[:, d_x:], psi_mu, feedback
@@ -325,11 +301,6 @@ class LqgControlLaw:
         ks = np.concatenate([ez @ gain[i, :d_x, d_x:].T, ez], axis=-1)
         core = ks @ self.gains.pi[i].T + psi_mu[i]
         return -core @ feedback[i].T
-
-    def evaluate(self, t: float, s: np.ndarray) -> np.ndarray:
-        """Evaluate u at extended states s; reads only the memory block."""
-        s = np.asarray(s, dtype=float)
-        return self.evaluate_memory(t, s[..., self.problem.d_x :])
 
 
 @dataclass
@@ -352,9 +323,6 @@ class LqgSweepResult:
     pi_gap: Optional[float]
     lambda_gap: Optional[float]
     min_lambda_eigenvalue: float
-
-    def control_law(self) -> LqgControlLaw:
-        return LqgControlLaw(self.gains, self.problem)
 
 
 def _forward_lambda(problem, coeffs, pi_stale, what):

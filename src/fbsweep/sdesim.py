@@ -178,7 +178,9 @@ def simulate_paths(
     The control evaluator receives only (t, z); if it declares a memory
     domain (z_lower/z_upper attributes), z is clamped onto it first and
     the clamps counted. Non-finite states freeze their path and exclude
-    it from the valid set.
+    it from the valid set. The diffusion must be one (d_s, d_w) matrix
+    at each step, shared by every path; any other shape is a
+    ProblemError.
     """
     if dt <= 0 or horizon <= 0:
         raise ProblemError("horizon and dt must be positive")
@@ -230,10 +232,12 @@ def simulate_paths(
             u[...] = np.asarray(eval_u(t, z), dtype=float).reshape(n_paths, d_u)
             b = np.asarray(dynamics.drift(t, s, u), dtype=float)
             sig = np.asarray(dynamics.diffusion(t, s, u), dtype=float)
-            if sig.ndim == 2:
-                noise = dw @ sig.T
-            else:
-                noise = np.einsum("nij,nj->ni", sig, dw)
+            if sig.shape != (d_s, d_w):
+                raise ProblemError(
+                    f"diffusion at t={t:.6g} has shape {sig.shape}, expected one "
+                    f"({d_s}, {d_w}) matrix for every path"
+                )
+            noise = dw @ sig.T
             s_next = states[i + 1]
             np.multiply(b, dt, out=s_next)
             s_next += s

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from fbsweep.core import GridSpec, LqgProblem, ProblemError, _descent_violations, as_time_fn
+from fbsweep.core import GridSpec, LqgProblem, ProblemError, _descent_violations
 from fbsweep.gridpde import (
     MONOTONICITY_SLACK,
     DiscreteGenerator,
@@ -227,23 +227,18 @@ def grid_problem_from_lqg(
     """
     if callable(problem.B):
         raise ProblemError("grid crosscheck needs a constant control matrix B")
-    B = np.atleast_2d(np.asarray(problem.B, dtype=float))
-    R0 = np.atleast_2d(np.asarray(as_time_fn(problem.R)(0.0), dtype=float))
+    _, B, _, _, R0 = problem.coefficients(0.0)
     if np.max(np.abs(R0 - np.diag(np.diag(R0)))) > 0.0:
         raise ProblemError("grid crosscheck needs a diagonal control cost R")
-    A_f = as_time_fn(problem.A)
-    Q_f = as_time_fn(problem.Q)
-    R_f = as_time_fn(problem.R)
-    sigma_f = as_time_fn(problem.sigma)
-    P = np.atleast_2d(np.asarray(problem.P, dtype=float))
+    P = problem.P
     d_s = problem.d_s
 
     def drift0(t, S):
-        A = np.atleast_2d(np.asarray(A_f(t), dtype=float))
+        A = problem.coefficients(t)[0]
         return [sum(A[i, j] * S[j] for j in range(d_s)) for i in range(d_s)]
 
     def base_cost(t, S):
-        Q = np.atleast_2d(np.asarray(Q_f(t), dtype=float))
+        Q = problem.coefficients(t)[3]
         total = np.zeros_like(S[0])
         for i in range(d_s):
             for j in range(d_s):
@@ -260,7 +255,7 @@ def grid_problem_from_lqg(
         return total
 
     def diffusion(t, S):
-        sigma = np.atleast_2d(np.asarray(sigma_f(t), dtype=float))
+        sigma = problem.coefficients(t)[2]
         return sigma @ sigma.T
 
     quad = QuadraticControl(

@@ -24,7 +24,7 @@ from fbsweep.config import (
     simulation_cost,
     simulation_dynamics,
 )
-from fbsweep.core import Gaussian, GridSpec, LqgProblem, as_time_fn
+from fbsweep.core import Gaussian, GridSpec, LqgProblem
 from fbsweep.gridpde import (
     QuadraticControl,
     build_generator,
@@ -32,6 +32,7 @@ from fbsweep.gridpde import (
     quadratic_grid_problem,
 )
 from fbsweep.lqg import (
+    LqgControlLaw,
     _backward_riccati,
     _Coefficients,
     _riccati_increment,
@@ -144,8 +145,8 @@ class TestLqgBundledRun:
         cost = simulation_cost(lqg_bundle.cfg)
         stats = {}
         for name, law in (
-            ("baseline", baseline.control_law()),
-            ("converged", lqg_bundle.result.control_law()),
+            ("baseline", LqgControlLaw(baseline.gains, problem)),
+            ("converged", LqgControlLaw(lqg_bundle.result.gains, problem)),
         ):
             ensemble = simulate_paths(
                 dyn, law, problem.horizon, problem.dt, 100,
@@ -173,10 +174,7 @@ class TestRiccatiStructure:
             raw = rng.standard_normal((d_s, d_s))
             sym = (raw + raw.T) / 2.0
             t = rng.uniform(0.0, problem.horizon)
-            A, B, Q, R = (
-                np.atleast_2d(np.asarray(as_time_fn(m)(t), dtype=float))
-                for m in (problem.A, problem.B, problem.Q, problem.R)
-            )
+            A, B, _, Q, R = problem.coefficients(t)
             M = B @ np.linalg.solve(R, B.T)
             gap = np.eye(d_s) - np.eye(d_s)  # I - K with the identity gain K = I
             diff = np.abs(
@@ -358,7 +356,7 @@ class TestObjectiveConsistency:
         # integrator's first-order weak bias stays below the Monte Carlo
         # resolution being tested.
         ensemble = simulate_paths(
-            dyn, lqg_bundle.result.control_law(), problem.horizon,
+            dyn, LqgControlLaw(lqg_bundle.result.gains, problem), problem.horizon,
             problem.dt / 4.0, 10000, seed=lqg_bundle.cfg.seed, cost=cost,
         )
         mean, stderr = estimate_objective(ensemble, cost)

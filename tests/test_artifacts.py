@@ -1,5 +1,6 @@
 """Tests for run-directory artifact reading and writing."""
 
+import csv
 import json
 
 import numpy as np
@@ -11,7 +12,6 @@ from fbsweep.artifacts import (
     GAINS_FILE,
     MANIFEST_FILE,
     config_digest,
-    fmt,
     jsonable,
     read_control_table,
     read_csv,
@@ -48,25 +48,35 @@ def sample_gains(n_steps=7, d_s=2, seed=0):
     )
 
 
-class TestScalarFormatting:
-    def test_round_trip_is_exact(self):
-        values = [1 / 3, 1e-17, -2.5, 123456789.123456789, np.float64(np.pi)]
-        for v in values:
-            assert float(fmt(v)) == float(v)
+def cell(value) -> str:
+    """A scalar as a CSV cell should read, formatted on its own: an exact
+    repr for a float, the Python spelling for an int or a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
 
-    def test_ints_and_bools(self):
-        assert fmt(3) == "3"
-        assert fmt(True) == "True"
+
+def per_cell_csv(path, header, rows):
+    """The reference writer: the csv module, one formatted cell at a time."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
-        rows = [[1 / 3, 2.0], [1e-300, -np.pi]]
-        write_csv(path, ["a", "b"], rows)
+        rows = np.array(
+            [[1 / 3, 2.0], [1e-300, -np.pi], [1e-17, 123456789.123456789], [-2.5, np.pi]]
+        )
+        write_csv(path, ["a", "b"], blocks=[rows.T])
         header, data = read_csv(path)
         assert header == ["a", "b"]
-        np.testing.assert_array_equal(data, np.array(rows))
+        np.testing.assert_array_equal(data, rows)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemError, match="missing"):
@@ -108,7 +118,7 @@ class TestCsv:
         ints = np.arange(floats.size, dtype=np.int64) - 6
         bools = ints % 3 == 0
         header = ["f", "i", "b"]
-        write_csv(tmp_path / "cells.csv", header, zip(floats, ints, bools))
+        per_cell_csv(tmp_path / "cells.csv", header, zip(floats, ints, bools))
         write_csv(tmp_path / "bulk.csv", header, blocks=[[floats, ints, bools]])
         write_csv(tmp_path / "split.csv", header,
                   blocks=[[c[:5] for c in (floats, ints, bools)],

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fbsweep import cli, gridpde, lqg, sdesim
@@ -77,6 +79,14 @@ REPRO_OBSTACLE_DIGESTS = {
     "value_t0.csv": "121438741af522f4feb4c9ee1982489baaa51d91de3c3b1987e316fa6a70c5c4",
 }
 
+# The SHA-256 of the answer files of an LQG_DOC run: gains, objective
+# history and summary (numpy 2.4 on x86-64).
+LQG_DIGESTS = {
+    "gains.csv": "0ab4ee4459cc2c01fc0df9c9cba78918494a842daaa2a50bb9158ad6d7dadf6b",
+    "iterations.csv": "0d05fb41f1bdbfc29ce44c30578d46fb49dd5a1d6570ff9a154442f362b022d1",
+    "summary.json": "7ed5e0adbc465c13b3d1f09ade54dcb6c9b67efca8ae8a9b9631b54205dc5507",
+}
+
 
 def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -120,6 +130,34 @@ class TestRunLqg:
         for name in ("gains.csv", "iterations.csv", "summary.json",
                      "manifest.json", "config.json"):
             assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_answer_files_match_their_pins(self, lqg_run):
+        _, out = lqg_run
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in LQG_DIGESTS
+        }
+        assert digests == LQG_DIGESTS
+
+    def test_indefinite_time_varying_r_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # R(t) = cos(4 pi t) I is positive definite at t = 0, 1/2 and 1 but
+        # not between them. A document holds constants only, so the run's
+        # problem gets this R after its document is parsed. It is invalid
+        # input (exit 2), not a numerical failure (exit 3) on a blown-up Psi.
+        parse = cli.parse_config
+
+        def with_cosine_r(doc):
+            cfg = parse(doc)
+            cfg.lqg_problem = dataclasses.replace(
+                cfg.lqg_problem, R=lambda t: np.cos(4.0 * np.pi * t) * np.eye(2)
+            )
+            return cfg
+
+        monkeypatch.setattr(cli, "parse_config", with_cosine_r)
+        zeros, eye = [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]
+        doc = dict(LQG_DOC, A=zeros, Q=eye, horizon=1.0, dt=0.01)
+        config = write_doc(tmp_path, doc)
+        assert main(["run-lqg", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert "FAIL: R positive definite" in capsys.readouterr().err
 
     def test_budget_exit_when_tolerance_unmet(self, tmp_path):
         doc = dict(LQG_DOC, solver={"max_iters": 1, "tol": 1e-12})

@@ -20,7 +20,7 @@ from fbsweep.config import (
     simulation_cost,
     simulation_dynamics,
 )
-from fbsweep.core import ProblemError, as_time_fn
+from fbsweep.core import ProblemError
 from fbsweep.gridpde import quadratic_grid_problem
 
 
@@ -223,10 +223,8 @@ class TestSimulationAdapters:
         s = np.array([[0.5, -1.0], [2.0, 0.25]])
         u = np.array([[1.0, 0.0], [0.0, -2.0]])
         drift = dyn.drift(0.3, s, u)
-        A = np.asarray(as_time_fn(problem.A)(0.3))
-        B = np.asarray(as_time_fn(problem.B)(0.3))
+        A, B, sigma, _, _ = problem.coefficients(0.3)
         np.testing.assert_allclose(drift, s @ A.T + u @ B.T, atol=1e-14)
-        sigma = np.asarray(as_time_fn(problem.sigma)(0.3))
         np.testing.assert_allclose(dyn.diffusion(0.3, s, u), sigma)
 
     def test_lqg_cost_matches_quadratic_form(self):
@@ -237,8 +235,7 @@ class TestSimulationAdapters:
         s = rng.normal(size=(5, 2))
         u = rng.normal(size=(5, 2))
         running = cost.running_cost(0.2, s, u)
-        Q = np.asarray(as_time_fn(problem.Q)(0.2))
-        R = np.asarray(as_time_fn(problem.R)(0.2))
+        _, _, _, Q, R = problem.coefficients(0.2)
         expected = np.einsum("ni,ij,nj->n", s, Q, s) + np.einsum(
             "ni,ij,nj->n", u, R, u
         )

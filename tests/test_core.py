@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsweep.core import (
     Gaussian,
@@ -101,6 +103,54 @@ class TestValidateLqg:
         with pytest.raises(ProblemError, match="not a multiple of dt"):
             fbsm_lqg(prob, max_iters=0)
         assert validate_lqg(self.base_problem(horizon=1.0, dt=0.004)).ok
+
+    def test_n_steps_follows_the_step_rule(self):
+        with pytest.raises(ProblemError, match="not a multiple of dt"):
+            self.base_problem(horizon=1.0, dt=0.003).n_steps
+
+    def test_r_is_checked_between_the_old_sample_times(self):
+        # cos(4 pi t) is 1 at t = 0, 1/2 and 1, but negative from t = 1/8
+        # to 3/8, where the sweeps read R (first at the node t = 0.13).
+        # Solving it used to fail later, on a non-finite Psi.
+        problem = self.base_problem(
+            A=np.zeros((2, 2)), Q=np.eye(2), horizon=1.0, dt=0.01,
+            R=lambda t: np.cos(4.0 * np.pi * t) * np.eye(2),
+        )
+        rep = validate_lqg(problem)
+        assert failed_checks(rep) == ["R positive definite"]
+        assert "at t=0.13" in str(rep)
+        with pytest.raises(ProblemError, match="R positive definite"):
+            fbsm_lqg(problem, max_iters=2, tol=0.0)
+
+    def test_constant_coefficients_are_read_only_float_matrices(self):
+        problem = self.base_problem(B=[[1, 0], [0, 1]], R=2)
+        A, B, sigma, Q, R = problem.coefficients(0.7)
+        assert B.dtype == float and R.shape == (1, 1)
+        assert A is problem.A and not A.flags.writeable
+        assert problem.d_u == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d_u=st.sampled_from([1, 2]),
+        n=st.integers(2, 40),
+        scale=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_time_varying_r_is_checked_at_every_stage_time(self, d_u, n, scale, seed):
+        # R(t) = R0 + t R1 with R0 positive definite and R1 symmetric; the
+        # brute force reads R where the sweeps do, at the 2n + 1 nodes and
+        # step midpoints.
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, d_u, d_u))
+        R0 = a + a.T + (2.0 * np.abs(a).sum() + 0.1) * np.eye(d_u)
+        R1 = scale * np.abs(a).sum() * (b + b.T)
+        horizon = 1.0 + rng.uniform()
+        problem = self.base_problem(
+            B=np.ones((2, d_u)), R=lambda t: R0 + t * R1, horizon=horizon, dt=horizon / n,
+        )
+        times = np.linspace(0.0, horizon, 2 * n + 1)
+        brute = all(np.linalg.eigvalsh(R0 + t * R1).min() > 0.0 for t in times)
+        assert validate_lqg(problem).ok == brute
 
 
 class TestGridSpec:

@@ -1,5 +1,6 @@
 """Tests for the Riccati-sweep solver."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from fbsweep.core import (
     LqgProblem,
     ProblemError,
     SingularPrecisionError,
-    as_time_fn,
 )
 from fbsweep.lqg import (
     GainTrajectory,
@@ -98,12 +98,34 @@ def scalar_problem(**overrides):
     return LqgProblem(**kwargs)
 
 
+def time_varying_problem(rng, d_x, d_z, n=40):
+    """Callable A, sigma and Q, with an unstable open-loop drift, over n steps."""
+    d_s = d_x + d_z
+
+    def spd():
+        a = rng.standard_normal((d_s, d_s))
+        return a @ a.T + 0.5 * np.eye(d_s)
+
+    A0, A1 = rng.standard_normal((2, d_s, d_s))
+    A0 += (1.0 - np.linalg.eigvals(A0).real.max()) * np.eye(d_s)
+    S0, S1 = rng.standard_normal((2, d_s, d_s))
+    Q0, Q1 = spd(), spd()
+    B = rng.standard_normal((d_s, 2))
+    r = rng.standard_normal((2, 2))
+    return LqgProblem(
+        A=lambda t: A0 + np.sin(3.0 * t) * A1,
+        B=B,
+        sigma=lambda t: S0 + t * S1,
+        Q=lambda t: Q0 + t * t * Q1,
+        R=r @ r.T + np.eye(2),
+        P=spd(), mu0=rng.standard_normal(d_s), lambda0=spd(),
+        horizon=1.0, dt=1.0 / n, d_x=d_x, d_z=d_z,
+    )
+
+
 def coefficients(prob, t):
     """(A, M = B R^-1 B', Q, sigma sigma') of prob at time t."""
-    A, B, Q, R, sig = (
-        np.atleast_2d(np.asarray(as_time_fn(m)(t), dtype=float))
-        for m in (prob.A, prob.B, prob.Q, prob.R, prob.sigma)
-    )
+    A, B, sig, Q, R = prob.coefficients(t)
     return A, B @ np.linalg.solve(R, B.T), Q, sig @ sig.T
 
 
@@ -415,21 +437,21 @@ class TestFbsmLqg:
         ]
 
     def test_control_law_reads_only_memory(self):
+        # u = -R^{-1}B'(Pi K (s - mu) + Psi mu) ignores the state block of s:
+        # every K(Lambda) has zero state columns
         res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=6, tol=0.0)
-        law = res.control_law()
-        s1 = np.array([0.3, -1.2])
-        s2 = np.array([9.9, -1.2])
-        assert np.allclose(law.evaluate(0.5, s1), law.evaluate(0.5, s2))
+        K = inference_gain(res.gains.lam, 1)
+        assert np.all(K[:, :, :1] == 0.0)
 
     def test_control_law_hand_evaluation(self):
         res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=6, tol=0.0)
-        law = res.control_law()
+        law = LqgControlLaw(res.gains, res.problem)
         g = res.gains
         s = np.array([1.0, 1.0])
         i = g.index_for(0.25)
         K = inference_gain(g.lam[i], 1)
         expect = -np.eye(2) @ (g.pi[i] @ K @ (s - g.mu[i]) + g.psi[i] @ g.mu[i])
-        assert np.allclose(law.evaluate(0.25, s), expect)
+        assert np.allclose(law.evaluate_memory(0.25, s[1:]), expect)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -484,8 +506,7 @@ class TestFbsmLqg:
             ez = z - mu[d_x:]
             ks = np.concatenate([ez @ K[:d_x, d_x:].T, ez], axis=-1)
             core = ks @ gains.pi[i].T + gains.psi[i] @ mu
-            B = np.atleast_2d(np.asarray(as_time_fn(problem.B)(t_i), dtype=float))
-            R = np.atleast_2d(np.asarray(as_time_fn(problem.R)(t_i), dtype=float))
+            _, B, _, _, R = problem.coefficients(t_i)
             return -core @ np.linalg.solve(R, B.T).T
 
         for t in times + [0.0, 1.0]:
@@ -493,15 +514,15 @@ class TestFbsmLqg:
 
     def test_control_at_mean_with_zero_psi_mu_is_zero(self):
         res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=4, tol=0.0)
-        law = res.control_law()
-        # mu stays zero here, so s = mu gives u = -R^{-1}B'(0 + Psi*0) = 0
-        assert np.allclose(law.evaluate(0.5, np.zeros(2)), 0.0)
+        law = LqgControlLaw(res.gains, res.problem)
+        # mu stays zero here, so z = mu_z gives u = -R^{-1}B'(0 + Psi*0) = 0
+        assert np.allclose(law.evaluate_memory(0.5, np.zeros(1)), 0.0)
 
     def test_time_outside_horizon_rejected(self):
         res = fbsm_lqg(tracking_problem(horizon=1.0), max_iters=2, tol=0.0)
-        law = res.control_law()
+        law = LqgControlLaw(res.gains, res.problem)
         with pytest.raises(ProblemError):
-            law.evaluate(1.5, np.zeros(2))
+            law.evaluate_memory(1.5, np.zeros(1))
 
     def test_objective_formula_matches_recorded_history_at_fixed_point(self):
         res = fbsm_lqg(tracking_problem(horizon=2.0), max_iters=20, tol=0.0)
@@ -542,6 +563,29 @@ class TestFbsmLqg:
         expect = np.array(self.TWO_STATE_HISTORY[method])
         assert res.objective_history.shape == expect.shape
         assert np.abs(res.objective_history - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    # SHA-256 of the gains and the history of 6 sweeps on
+    # time_varying_problem (seed 0, d_x 2, d_z 1), whose callable
+    # coefficients are read at every stage (numpy 2.4 on x86-64).
+    TIME_VARYING_DIGESTS = {
+        "psi": "7d93f1ddf5765a5c2222a64430758462a8a01f0f4ec670b7879faf9c06da183f",
+        "pi": "9ed95afb52520099ef4e014d61ba23b68b6c8f0e26388ef7e26cfe338b6e7318",
+        "lam": "4b00b5cc79734eda3396661a788a5807791d945601407470203a6a26e39d8d4a",
+        "mu": "4529c887aeae35ef981a7df7b53e963cf4d0b6fed0c589ec84bddb56076b1091",
+        "history": "752a518fa3dc7ae2b73ad557646fc2ee949ed609a3cdd70616be16efa75d8a84",
+    }
+
+    def test_time_varying_solve_matches_its_pins(self):
+        problem = time_varying_problem(np.random.default_rng(0), d_x=2, d_z=1)
+        res = fbsm_lqg(problem, max_iters=6, tol=0.0)
+        g = res.gains
+        arrays = {"psi": g.psi, "pi": g.pi, "lam": g.lam, "mu": g.mu,
+                  "history": res.objective_history}
+        digests = {
+            name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for name, a in arrays.items()
+        }
+        assert digests == self.TIME_VARYING_DIGESTS
 
     @RK4
     def test_lambda_blowup_raises_singular_precision(self, method):
@@ -634,21 +678,7 @@ class TestClosedLoopObjective:
             a = rng.standard_normal(lead + (d_s, d_s))
             return (a + np.swapaxes(a, -1, -2)) / 2.0
 
-        A0, A1 = rng.standard_normal((2, d_s, d_s))
-        A0 += (1.0 - np.linalg.eigvals(A0).real.max()) * np.eye(d_s)
-        S0, S1 = rng.standard_normal((2, d_s, d_s))
-        Q0, Q1 = spd(), spd()
-        B = rng.standard_normal((d_s, 2))
-        r = rng.standard_normal((2, 2))
-        problem = LqgProblem(
-            A=lambda t: A0 + np.sin(3.0 * t) * A1,
-            B=B,
-            sigma=lambda t: S0 + t * S1,
-            Q=lambda t: Q0 + t * t * Q1,
-            R=r @ r.T + np.eye(2),
-            P=spd(), mu0=rng.standard_normal(d_s), lambda0=spd(),
-            horizon=1.0, dt=1.0 / n, d_x=d_x, d_z=d_z,
-        )
+        problem = time_varying_problem(rng, d_x, d_z, n)
         assert np.linalg.eigvals(problem.A(0.0)).real.max() >= 1.0 - 1e-9
         coeffs = _Coefficients(problem)
         held = (

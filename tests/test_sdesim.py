@@ -136,6 +136,17 @@ class TestSimulatePaths:
         ensemble = simulate_paths(dyn, zero_control, 10.0, 10.0 / 1000, 2, seed=0)
         assert ensemble.times.size == 1001
 
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (1,), (), (1, 2)])
+    def test_diffusion_must_be_one_matrix(self, shape):
+        # one (d_s, d_w) matrix per step, shared by all paths; a per-path
+        # stack (4 paths here) or any other shape is refused
+        dyn = scalar_dynamics(
+            drift=lambda t, s, u: np.zeros_like(s),
+            diffusion=lambda t, s, u: np.ones(shape),
+        )
+        with pytest.raises(ProblemError, match=r"expected one \(1, 1\) matrix"):
+            simulate_paths(dyn, zero_control, 1.0, 0.1, 4, seed=0)
+
     def test_control_sees_only_memory(self):
         dyn = ExtendedDynamics(
             d_x=2,
@@ -527,7 +538,7 @@ class TestLqgClosedLoop:
             d_z=1,
         )
         result = fbsm_lqg(problem, max_iters=6, tol=0.0)
-        law = result.control_law()
+        law = LqgControlLaw(result.gains, problem)
         dyn = ExtendedDynamics(
             d_x=1,
             d_z=1,
