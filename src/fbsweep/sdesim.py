@@ -17,18 +17,29 @@ Every stream is consumed in step order either way, so the increments do
 not depend on the batch length, and a simulation holds its returned
 arrays plus one batch instead of every path's whole noise block.
 
-Layout: the step loop keeps states, controls and cumulative costs in
-time-major buffers, (n_steps + 1, n_paths, d_s) and alike, so that each
-step reads and writes one contiguous slice. PathEnsemble hands them out
-in their (n_paths, ...) shapes as transposed views of those buffers, not
-as copies; callers that need contiguous arrays copy them
+Layout: the step loop keeps states and cumulative costs in time-major
+buffers, (n_steps + 1, n_paths, d_s) and (n_steps + 1, n_paths), so that
+each step reads and writes one contiguous slice. PathEnsemble hands them
+out in their (n_paths, ...) shapes as transposed views of those buffers,
+not as copies; callers that need contiguous arrays copy them
 (np.ascontiguousarray).
+
+Controls: the law's output at each step goes into one reused
+(n_paths, d_u) buffer, and no control history is kept while stepping.
+A memory-feedback law u(t, z) is a function of data the ensemble holds,
+so PathEnsemble.controls re-evaluates it on first access, at each stored
+time from the stored states' memory block, clamped as the simulation
+clamped it. The replay hands the law the same arrays the step loop did,
+so the history has the bits of the applied controls, frozen paths
+included. A law must therefore depend on (t, z) alone, not on the order
+or number of its calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -45,23 +56,31 @@ class PathEnsemble:
     """Simulated closed-loop paths plus per-path bookkeeping.
 
     states has shape (n_paths, n_steps + 1, d_s) and controls
-    (n_paths, n_steps, d_u). cumulative_costs holds the left-endpoint
-    running-cost integral (zero at t=0) when the simulation was given a
-    cost, so it is non-decreasing whenever f >= 0. Paths that left the
-    finite range are frozen at their last finite state and flagged
-    invalid; clamp_counts tallies, per path, how many steps needed the
-    memory clamped onto the control law's domain. The arrays are
-    transposed views of the simulator's time-major buffers.
+    (n_paths, n_steps, d_u); dt is the step the paths were advanced with.
+    cumulative_costs holds the left-endpoint running-cost integral (zero
+    at t=0) when the simulation was given a cost, so it is non-decreasing
+    whenever f >= 0. Paths that left the finite range are frozen at their
+    last finite state and flagged invalid; clamp_counts tallies, per path,
+    how many steps needed the memory clamped onto the control law's
+    domain. The arrays are transposed views of the simulator's time-major
+    buffers.
+
+    controls is not stored while simulating: the first access re-evaluates
+    the memory-feedback law u(t, z) at every step from the stored states
+    (see the module docstring), so the law must be a function of (t, z).
     """
 
     times: np.ndarray
     states: np.ndarray
-    controls: np.ndarray
     cumulative_costs: Optional[np.ndarray]
     valid: np.ndarray
     clamp_counts: np.ndarray
     seed: int
     d_x: int
+    dt: float
+    _eval_u: Callable = field(repr=False)
+    _z_box: Optional[Tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    _d_u: int = field(repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -71,9 +90,16 @@ class PathEnsemble:
     def n_excluded(self) -> int:
         return int((~self.valid).sum())
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    @cached_property
+    def controls(self) -> np.ndarray:
+        controls = np.empty((self.times.size - 1, self.n_paths, self._d_u))
+        for i, u in enumerate(controls):
+            self._control_at(i, u)
+        return controls.transpose(1, 0, 2)
+
+    def _control_at(self, i: int, out: np.ndarray) -> None:
+        """Write the control applied at step i into out, (n_paths, d_u)."""
+        _apply_law(self._eval_u, self._z_box, self.times[i], self.states[:, i], self.d_x, out)
 
 
 class GridControlLaw:
@@ -153,6 +179,24 @@ def _multilinear(axes, table: np.ndarray, z: np.ndarray) -> np.ndarray:
     return value
 
 
+def _apply_law(eval_u, z_box, t, s, d_x, out):
+    """Write u(t, z) into out, (n_paths, d_u), for the states s.
+
+    z is the memory block of s, clamped onto z_box = (z_lower, z_upper)
+    when the law declares one. Returns the rows that needed the clamp, or
+    None without a box. The step loop and the control replay both call it,
+    so the law sees the same arrays in either.
+    """
+    z = s[:, d_x:]
+    clamped = None
+    if z_box is not None:
+        zc = np.clip(z, *z_box)
+        clamped = np.any(zc != z, axis=-1)
+        z = zc
+    out[...] = np.asarray(eval_u(t, z), dtype=float).reshape(out.shape)
+    return clamped
+
+
 def _control_evaluator(control) -> Callable:
     if hasattr(control, "evaluate_memory"):
         return control.evaluate_memory
@@ -175,12 +219,14 @@ def simulate_paths(
     Initial states are drawn from the problem's initial density; Wiener
     increments are Normal(0, dt I) from one child RNG stream per path,
     drawn one batch of steps at a time (see the module docstring).
-    The control evaluator receives only (t, z); if it declares a memory
-    domain (z_lower/z_upper attributes), z is clamped onto it first and
-    the clamps counted. Non-finite states freeze their path and exclude
-    it from the valid set. The diffusion must be one (d_s, d_w) matrix
-    at each step, shared by every path; any other shape is a
-    ProblemError.
+    The control is a memory-feedback law u(t, z): its evaluator receives
+    only (t, z) and must depend on nothing else, since the ensemble's
+    controls are re-evaluated from the stored states. If it declares a
+    memory domain (z_lower/z_upper attributes), z is clamped onto it
+    first and the clamps counted. Non-finite states freeze their path
+    and exclude it from the valid set. The diffusion must be one
+    (d_s, d_w) matrix at each step, shared by every path; any other
+    shape is a ProblemError.
     """
     if dt <= 0 or horizon <= 0:
         raise ProblemError("horizon and dt must be positive")
@@ -194,7 +240,7 @@ def simulate_paths(
     d_w = dynamics.d_w
     eval_u = _control_evaluator(control)
     z_lower = getattr(control, "z_lower", None)
-    z_upper = getattr(control, "z_upper", None)
+    z_box = None if z_lower is None else (z_lower, getattr(control, "z_upper", None))
 
     streams = np.random.SeedSequence(seed).spawn(n_paths + 1)
     rng0 = np.random.default_rng(streams[0])
@@ -207,7 +253,7 @@ def simulate_paths(
     times = np.linspace(0.0, horizon, n_steps + 1)
     states = np.empty((n_steps + 1, n_paths, d_s))
     states[0] = s0
-    controls = np.empty((n_steps, n_paths, d_u))
+    u = np.empty((n_paths, d_u))
     cum = np.zeros((n_steps + 1, n_paths)) if cost is not None else None
     valid = np.ones(n_paths, dtype=bool)
     clamp_counts = np.zeros(n_paths, dtype=int)
@@ -223,13 +269,9 @@ def simulate_paths(
             dw = increments[:, j, :]
             t = times[i]
             s = states[i]
-            z = s[:, d_x:]
-            if z_lower is not None:
-                zc = np.clip(z, z_lower, z_upper)
-                clamp_counts += np.any(zc != z, axis=-1)
-                z = zc
-            u = controls[i]
-            u[...] = np.asarray(eval_u(t, z), dtype=float).reshape(n_paths, d_u)
+            clamped = _apply_law(eval_u, z_box, t, s, d_x, u)
+            if clamped is not None:
+                clamp_counts += clamped
             b = np.asarray(dynamics.drift(t, s, u), dtype=float)
             sig = np.asarray(dynamics.diffusion(t, s, u), dtype=float)
             if sig.shape != (d_s, d_w):
@@ -254,12 +296,15 @@ def simulate_paths(
     return PathEnsemble(
         times=times,
         states=states.transpose(1, 0, 2),
-        controls=controls.transpose(1, 0, 2),
         cumulative_costs=cum.T if cum is not None else None,
         valid=valid,
         clamp_counts=clamp_counts,
         seed=seed,
         d_x=d_x,
+        dt=float(dt),
+        _eval_u=eval_u,
+        _z_box=z_box,
+        _d_u=d_u,
     )
 
 
@@ -267,24 +312,23 @@ def estimate_objective(ensemble: PathEnsemble, cost: CostSpec) -> Tuple[float, f
     """Sample mean and standard error of the per-path discrete cost.
 
     Per path: left-endpoint running-cost sum plus terminal cost at the
-    final state, over valid paths only.
+    final state, over valid paths only. Without a stored cumulative cost
+    the sum is taken step by step over every path, each step's controls
+    re-evaluated into one buffer, as the simulation took it.
     """
     valid = ensemble.valid
     if not valid.any():
         raise ProblemError("no valid paths to estimate from")
-    dt = ensemble.dt
     if ensemble.cumulative_costs is not None:
         running = ensemble.cumulative_costs[valid, -1]
     else:
-        running = np.zeros(int(valid.sum()))
-        s = ensemble.states[valid]
-        u = ensemble.controls[valid]
-        for i in range(ensemble.times.size - 1):
-            f = np.asarray(
-                cost.running_cost(ensemble.times[i], s[:, i, :], u[:, i, :]),
-                dtype=float,
-            )
-            running += f.reshape(running.shape) * dt
+        total = np.zeros(ensemble.n_paths)
+        u = np.empty((ensemble.n_paths, ensemble._d_u))
+        for i, t in enumerate(ensemble.times[:-1]):
+            ensemble._control_at(i, u)
+            f = np.asarray(cost.running_cost(t, ensemble.states[:, i], u), dtype=float)
+            total += f.reshape(total.shape) * ensemble.dt
+        running = total[valid]
     terminal = np.asarray(
         cost.terminal_cost(ensemble.states[valid, -1, :]), dtype=float
     ).reshape(running.shape)

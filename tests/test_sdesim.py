@@ -322,7 +322,9 @@ class TestNoiseBatches:
 
     def test_peak_memory_is_the_ensemble_plus_one_batch(self):
         """1000 paths x 4000 steps x 2 noise dimensions: drawn whole, the
-        increments alone would take 64 MB."""
+        increments alone would take 64 MB, and a stored control history
+        32 MB. The simulation holds neither; the history is derived on
+        first access, after the measured region."""
         dyn = ExtendedDynamics(
             d_x=1,
             d_z=1,
@@ -339,8 +341,8 @@ class TestNoiseBatches:
         finally:
             tracemalloc.stop()
         assert ens.states.shape == (1000, 4001, 2)
-        returned = ens.states.nbytes + ens.controls.nbytes
-        assert peak <= returned + 8 * sdesim._NOISE_BATCH + 4 * 2**20
+        assert peak <= ens.states.nbytes + 8 * sdesim._NOISE_BATCH + 4 * 2**20
+        assert ens.controls.shape == (1000, 4000, 1)
 
 
 class TestSimulationCost:
@@ -419,6 +421,121 @@ class TestEstimateObjective:
         ens_bare = simulate_paths(dyn, zero_control, 1.0, 0.02, 20, seed=9)
         mean_recomputed, _ = estimate_objective(ens_bare, cost)
         assert abs(mean_stored - mean_recomputed) < 1e-12
+
+    def test_recomputed_cost_has_the_stored_bits(self):
+        """Without a stored cost the estimate sums the same per-step costs
+        with the step the paths were advanced by: 0.7 / 7 steps is 0.1,
+        while times[1] - times[0] is 0.09999999999999999."""
+        dyn = ExtendedDynamics(
+            d_x=1,
+            d_z=1,
+            d_u=1,
+            d_w=2,
+            drift=lambda t, s, u: np.stack([s[:, 0] + u[:, 0], s[:, 0] - s[:, 1]], axis=-1),
+            diffusion=lambda t, s, u: np.eye(2),
+            initial_density=Gaussian([1.0, 0.0], np.diag([0.25, 0.25])),
+        )
+        cost = CostSpec(
+            running_cost=lambda t, s, u: s[:, 0] ** 2 + u[:, 0] ** 2,
+            terminal_cost=lambda s: s[:, 0] ** 2,
+        )
+        law = lambda t, z: 0.5 * z  # noqa: E731
+        stored = simulate_paths(dyn, law, 0.7, 0.1, 50, seed=1, cost=cost)
+        bare = simulate_paths(dyn, law, 0.7, 0.1, 50, seed=1)
+        assert estimate_objective(bare, cost) == estimate_objective(stored, cost)
+        assert stored.dt == bare.dt == 0.1
+
+
+class RecordingLaw:
+    """A control law that keeps a copy of every output of the law it
+    wraps and declares the same memory domain, if any."""
+
+    def __init__(self, law):
+        self.law = law
+        self.outputs = []
+        if hasattr(law, "z_lower"):
+            self.z_lower, self.z_upper = law.z_lower, law.z_upper
+
+    def evaluate_memory(self, t, z):
+        u = self.law.evaluate_memory(t, z)
+        self.outputs.append(np.array(u, dtype=float))
+        return u
+
+
+def assert_replays_the_applied_controls(ens, recorder):
+    """ens.controls, derived from the stored states, has the bits of the
+    controls the simulation applied, and is derived once."""
+    applied = np.stack(recorder.outputs)
+    n_steps = ens.times.size - 1
+    assert applied.shape[:2] == (n_steps, ens.n_paths)
+    controls = ens.controls
+    assert controls.shape == (ens.n_paths, n_steps, applied.shape[-1])
+    assert np.ascontiguousarray(controls.transpose(1, 0, 2)).tobytes() == applied.tobytes()
+    assert ens.controls is controls
+    assert len(recorder.outputs) == 2 * n_steps
+
+
+class AffineLaw:
+    """u(t, z) = (1 + t) K z + c, on a memory box when one is given."""
+
+    def __init__(self, gain, offset, box):
+        self.gain, self.offset = gain, offset
+        if box is not None:
+            self.z_lower, self.z_upper = box
+
+    def evaluate_memory(self, t, z):
+        return (1.0 + t) * (z @ self.gain.T) + self.offset
+
+
+class TestControlReplay:
+    def test_clamped_and_frozen_paths_replay_their_controls(self):
+        dyn, law, cost = mixed_explosion_case(1.0)
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal(law.values.shape)
+        recorder = RecordingLaw(GridControlLaw(table, law.grid, law.d_x))
+        ens = simulate_paths(dyn, recorder, 1.0, 0.02, 200, seed=6, cost=cost)
+        assert 0 < ens.n_excluded < ens.n_paths and ens.clamp_counts.sum() > 0
+        assert_replays_the_applied_controls(ens, recorder)
+
+    @pytest.mark.parametrize("family", ["lqg", "grid"])
+    def test_bundled_laws_replay_their_controls(self, family, bundled_controllers):
+        cfg, law, horizon, dt, _, _ = bundled_controllers[family]
+        recorder = RecordingLaw(law)
+        dyn, cost = simulation_dynamics(cfg), simulation_cost(cfg)
+        ens = simulate_paths(dyn, recorder, horizon, dt, 64, cfg.seed, cost=cost)
+        assert_replays_the_applied_controls(ens, recorder)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d_x=st.integers(1, 2),
+        d_z=st.integers(1, 2),
+        d_u=st.integers(1, 2),
+        n_paths=st.integers(1, 40),
+        n_steps=st.integers(1, 20),
+        boxed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_affine_laws_replay_their_controls(
+        self, d_x, d_z, d_u, n_paths, n_steps, boxed, seed
+    ):
+        rng = np.random.default_rng(seed)
+        d_s = d_x + d_z
+        mixing = rng.standard_normal((d_s, d_u))
+        dyn = ExtendedDynamics(
+            d_x=d_x,
+            d_z=d_z,
+            d_u=d_u,
+            d_w=d_s,
+            drift=lambda t, s, u: u @ mixing.T - s,
+            diffusion=lambda t, s, u: np.eye(d_s),
+            initial_density=Gaussian(np.zeros(d_s), np.eye(d_s)),
+        )
+        lower = rng.uniform(-1.5, 0.0, d_z)
+        box = (lower, lower + rng.uniform(0.0, 1.5, d_z)) if boxed else None
+        law = AffineLaw(rng.standard_normal((d_u, d_z)), rng.standard_normal(d_u), box)
+        recorder = RecordingLaw(law)
+        ens = simulate_paths(dyn, recorder, 0.05 * n_steps, 0.05, n_paths, seed)
+        assert_replays_the_applied_controls(ens, recorder)
 
 
 class TestGridControlLaw:
