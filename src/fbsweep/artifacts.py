@@ -274,11 +274,34 @@ def _nearest_index(t: float, grid: GridSpec, last: int) -> int:
     return min(max(int(round(t / grid.dt)), 0), last)
 
 
+def slice_nodes(grid: GridSpec, slice_times) -> List[int]:
+    """The time nodes of the density and value slices at slice_times."""
+    return [_nearest_index(t, grid, grid.n_t) for t in slice_times]
+
+
+def _field_slice(result: GridSweepResult, name: str, node: int):
+    """Slice `node` of the result's density or value: from the held field,
+    else from the kept slices; None for a value no sweep has made."""
+    field = getattr(result, name)
+    if field is not None:
+        return field[node]
+    if not result.iterations:
+        return None
+    if node not in result.kept_slices:
+        raise ProblemError(
+            f"the {name} slice at time node {node} was not kept; pass "
+            "slice_nodes(grid, slice_times) to fbsm_grid as keep_nodes"
+        )
+    return result.kept_slices[node]
+
+
 def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[str]:
     """Write density/value/control slices at the requested times.
 
     Density and value slices carry one row per state-grid node; control
-    slices one row per memory node. Value slices come from the most
+    slices one row per memory node. The field the result does not hold
+    in full is read from its kept slices, so the solve must have kept
+    slice_nodes(grid, slice_times). Value slices come from the most
     recent backward sweep and are omitted if none has run. Returns the
     filenames written.
     """
@@ -291,20 +314,15 @@ def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[st
     d_u = result.control.shape[-1]
     z_mesh = [m.ravel() for m in np.meshgrid(*grid.memory_axes(d_x), indexing="ij")]
     s_cols = [f"s_{i}" for i in range(grid.dim)]
-    for t in slice_times:
+    for t, node in zip(slice_times, slice_nodes(grid, slice_times)):
         tag = time_tag(t)
-        node = _nearest_index(t, grid, grid.n_t)
-
-        name = f"density_t{tag}.csv"
-        p = result.density[node].ravel()
-        write_csv(run_dir / name, s_cols + ["p"], blocks=[s_mesh + [p]])
-        written.append(name)
-
-        if result.value is not None:
-            name = f"value_t{tag}.csv"
-            w = result.value[node].ravel()
-            write_csv(run_dir / name, s_cols + ["w"], blocks=[s_mesh + [w]])
-            written.append(name)
+        for name, column in (("density", "p"), ("value", "w")):
+            data = _field_slice(result, name, node)
+            if data is None:
+                continue
+            filename = f"{name}_t{tag}.csv"
+            write_csv(run_dir / filename, s_cols + [column], blocks=[s_mesh + [data.ravel()]])
+            written.append(filename)
 
         name = f"control_t{tag}.csv"
         step = _nearest_index(t, grid, grid.n_t - 1)

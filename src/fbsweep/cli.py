@@ -192,12 +192,13 @@ def _solve_lqg_config(cfg: LoadedConfig):
     )
 
 
-def _solve_grid_config(cfg: LoadedConfig):
+def _solve_grid_config(cfg: LoadedConfig, keep_nodes=()):
     return fbsm_grid(
         cfg.grid_problem,
         cfg.grid,
         max_iters=cfg.solver.max_iters,
         tol=cfg.solver.tol,
+        keep_nodes=keep_nodes,
     )
 
 
@@ -252,7 +253,9 @@ def _run_grid(doc: dict, out) -> tuple:
         )
     text = _canonical_text(doc)
     run_dir = _prepare_run_dir(out, text, cfg.seed, "run-grid")
-    result = _solve_grid_config(cfg)
+    # The result holds one field in full; write_field_slices reads the
+    # other one's slices from those kept at these nodes.
+    result = _solve_grid_config(cfg, artifacts.slice_nodes(cfg.grid, cfg.slice_times))
     artifacts.write_iterations(run_dir, result.objective_history)
     d_x = cfg.grid_problem.d_x
     artifacts.write_grid_sidecar(run_dir, cfg.grid, d_x, result.control.shape[-1])
@@ -366,11 +369,11 @@ def _simulate(doc: dict, controller_dir, out, n_paths: int, seed, dt) -> tuple:
     run_dir = _prepare_run_dir(out, text, effective_seed, "simulate")
     artifacts.write_paths(run_dir, ensemble)
     artifacts.write_objective(run_dir, mean, stderr, ensemble.n_paths - ensemble.n_excluded, ensemble.n_excluded)
-    return mean, stderr, ensemble
+    return mean, stderr, ensemble.n_excluded
 
 
 def cmd_simulate(args) -> int:
-    mean, stderr, ensemble = _simulate(
+    mean, stderr, n_excluded = _simulate(
         read_document(args.config),
         args.controller,
         args.out,
@@ -380,7 +383,7 @@ def cmd_simulate(args) -> int:
     )
     print(
         f"objective {mean:.10g} +/- {stderr:.4g} over "
-        f"{ensemble.n_paths - ensemble.n_excluded} paths; artifacts in {args.out}"
+        f"{args.paths - n_excluded} paths; artifacts in {args.out}"
     )
     return EXIT_OK
 
@@ -447,7 +450,7 @@ def cmd_verify(args) -> int:
         )
     else:
         # Read the table first: parsing it peaks well above its array, and
-        # that peak should not stack on the rerun's two fields.
+        # that peak should not stack on the rerun's field.
         stored_control, _, _ = artifacts.read_control_table(run_dir)
         result = _solve_grid_config(cfg)
         control_diff = float(np.abs(stored_control - result.control).max())
@@ -471,7 +474,7 @@ def cmd_verify(args) -> int:
             log.max_negative_mass <= 1e-6,
             f"max negative mass {log.max_negative_mass:.3e}",
         )
-        # Reuses the rerun's last field and overwrites its stale one.
+        # Reads the rerun's field and steps the other one a slice at a time.
         pmp = sweep_pmp_residual(cfg.grid_problem, cfg.grid, result)
         j_final = float(result.objective_history[-1])
         pmp_limit = PMP_THRESHOLD_REL * (1.0 + abs(j_final))
@@ -508,7 +511,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
+def _solve_scalars(result) -> dict:
+    return {
+        "objective": float(result.objective_history[-1]),
+        "converged": bool(result.converged),
+        "iterations": int(result.iterations),
+    }
+
+
 def cmd_reproduce(args) -> int:
+    """Solve, simulate and verify both bundled documents.
+
+    Each step keeps only the scalars the summary reports: a solve's
+    fields and a simulation's paths are released before the next step
+    allocates its own.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     exit_codes = {}
@@ -517,13 +534,15 @@ def cmd_reproduce(args) -> int:
     lqg_doc = read_document(bundled_config_path("lqg"))
     lqg_dir = out / "lqg"
     print("solving bundled lqg configuration ...")
-    exit_codes["run-lqg"], lqg_result = _run_lqg(lqg_doc, lqg_dir)
+    exit_codes["run-lqg"], result = _run_lqg(lqg_doc, lqg_dir)
+    lqg = _solve_scalars(result)
+    del result
     print("simulating lqg closed loop ...")
     # Simulate at a quarter of the solver step: the path integrator's
     # first-order weak bias at the solver's own step is larger than the
     # Monte Carlo standard error this summary is meant to expose.
     sim_dt = float(lqg_doc["dt"]) / 4.0
-    lqg_mean, lqg_se, lqg_ens = _simulate(
+    lqg_mean, lqg_se, lqg_excluded = _simulate(
         lqg_doc, lqg_dir, out / "lqg-sim", args.paths, None, sim_dt
     )
     exit_codes["simulate-lqg"] = EXIT_OK
@@ -532,23 +551,27 @@ def cmd_reproduce(args) -> int:
         argparse.Namespace(run_dir=str(lqg_dir))
     )
     analytic = artifacts.read_summary(lqg_dir)["analytic_objective"]
-    summary["lqg"] = {
-        "objective": float(lqg_result.objective_history[-1]),
-        "analytic_objective": analytic,
-        "converged": bool(lqg_result.converged),
-        "iterations": int(lqg_result.iterations),
-        "mc_mean": lqg_mean,
-        "mc_stderr": lqg_se,
-        "mc_gap": None if analytic is None else abs(lqg_mean - analytic),
-        "excluded_paths": lqg_ens.n_excluded,
-    }
+    summary["lqg"] = dict(
+        lqg,
+        analytic_objective=analytic,
+        mc_mean=lqg_mean,
+        mc_stderr=lqg_se,
+        mc_gap=None if analytic is None else abs(lqg_mean - analytic),
+        excluded_paths=lqg_excluded,
+    )
 
     grid_doc = read_document(bundled_config_path("obstacle"))
     grid_dir = out / "obstacle"
     print("solving bundled obstacle configuration ...")
-    exit_codes["run-grid"], grid_result = _run_grid(grid_doc, grid_dir)
+    exit_codes["run-grid"], result = _run_grid(grid_doc, grid_dir)
+    grid = dict(
+        _solve_scalars(result),
+        max_negative_mass=result.mass_log.max_negative_mass,
+        max_mass_drift=result.mass_log.max_mass_drift,
+    )
+    del result
     print("simulating obstacle closed loop ...")
-    grid_mean, grid_se, grid_ens = _simulate(
+    grid_mean, grid_se, grid_excluded = _simulate(
         grid_doc, grid_dir, out / "obstacle-sim", args.paths, None, None
     )
     exit_codes["simulate-grid"] = EXIT_OK
@@ -556,17 +579,13 @@ def cmd_reproduce(args) -> int:
     exit_codes["verify-grid"] = cmd_verify(
         argparse.Namespace(run_dir=str(grid_dir))
     )
-    summary["obstacle"] = {
-        "objective": float(grid_result.objective_history[-1]),
-        "converged": bool(grid_result.converged),
-        "iterations": int(grid_result.iterations),
-        "max_negative_mass": grid_result.mass_log.max_negative_mass,
-        "max_mass_drift": grid_result.mass_log.max_mass_drift,
-        "mc_mean": grid_mean,
-        "mc_stderr": grid_se,
-        "mc_gap": abs(grid_mean - float(grid_result.objective_history[-1])),
-        "excluded_paths": grid_ens.n_excluded,
-    }
+    summary["obstacle"] = dict(
+        grid,
+        mc_mean=grid_mean,
+        mc_stderr=grid_se,
+        mc_gap=abs(grid_mean - grid["objective"]),
+        excluded_paths=grid_excluded,
+    )
 
     summary["exit_codes"] = exit_codes
     artifacts.write_json(out / "acceptance_summary.json", summary)

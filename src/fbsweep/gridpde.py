@@ -29,9 +29,11 @@ zero-padded shifted copy. The forward and backward passes are module
 functions that fbsm_grid and the verify oracles both run, and the
 upwind Hamiltonian field is written once (_upwind_hamiltonian).
 
-Memory is a fixed base plus two (n_t + 1)-slice fields, the least the
-alternation needs: each pass can write into a caller's buffer, and
-fbsm_grid hands it the buffer of the field that pass replaces.
+Memory is a fixed base plus one (n_t + 1)-slice field. The two halves
+of a sweep are coupled only through the control: step i of a half-sweep
+reads the opposite field only to refresh u(t_i, .), and it reads the one
+slice that it then overwrites. So each pass can write into the buffer
+of the field it reads, and fbsm_grid holds a single buffer.
 
 A memory node whose conditional density is undefined (too little mass)
 copies its control from the nearest defined memory node in Euclidean
@@ -45,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -771,18 +773,24 @@ def _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
 
 @dataclass
 class GridSweepResult:
-    """Final fields, per-iteration objective history, and bookkeeping.
+    """Final field, per-iteration objective history, and bookkeeping.
 
-    control is u(t, z) of shape (n_t,) + memory shape + (d_u,); density
-    and value are p(t, s) and w(t, s) of shape (n_t + 1,) + grid shape,
-    value None when no backward sweep has run.
+    control is u(t, z) of shape (n_t,) + memory shape + (d_u,). Of the
+    two fields the result holds in full only the one the last half-sweep
+    stepped under the returned control, of shape (n_t + 1,) + grid shape:
+    the density p(t, s) when iterations is even (value is None) and the
+    value w(t, s) when it is odd (density is None). kept_slices maps each
+    time node that fbsm_grid was asked to keep to the other field's slice
+    there, as the last sweep that held that field left it; it is empty
+    when no backward sweep has run.
     """
 
     problem: GridProblem
     grid: GridSpec
     control: np.ndarray
     value: Optional[np.ndarray]
-    density: np.ndarray
+    density: Optional[np.ndarray]
+    kept_slices: Dict[int, np.ndarray]
     objective_history: np.ndarray
     converged: bool
     iterations: int
@@ -816,11 +824,13 @@ def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None, out=None):
     objective is the discrete cost sum_t E_p[f] dt + E_p[g] at the final
     slice, accumulated step by step.
 
-    The density is written into out when given (any stale field of the
-    grid's shape, overwritten slice by slice) and returned as p. Step i
-    reads only slice i, which this pass has already written, and
-    w_stale, so out may be the density this pass replaces but must not
-    be w_stale. If a step raises, out is left partly overwritten.
+    The density is written into out when given (a field of the grid's
+    shape, overwritten slice by slice) and returned as p. Step i reads
+    slice i, which this pass has already written, and w_stale[i + 1],
+    and only then writes slice i + 1; slice 0 of w_stale is never read.
+    So out may be w_stale itself, and the pass then turns the value into
+    the density in place. If a step raises, out is left partly
+    overwritten.
     """
     d_x, d_u = problem.d_x, problem.d_u
     n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
@@ -854,9 +864,10 @@ def _backward_pass(problem, grid, p0, u_field, p_stale=None, out=None):
     backward half).
 
     As in _forward_pass, out is an optional buffer the value is written
-    into: step i reads only slice i + 1, already written by this pass,
-    and p_stale, so out may be the value this pass replaces but must not
-    be p_stale.
+    into. Step i reads slice i + 1, already written by this pass, and
+    p_stale[i], and only then writes slice i; slice n of p_stale is never
+    read. So out may be p_stale itself, and the pass then turns the
+    density into the value in place.
     """
     n, dt = grid.n_t, grid.dt
     times = grid.times()
@@ -894,6 +905,7 @@ def fbsm_grid(
     u0: Optional[np.ndarray] = None,
     max_iters: int = 50,
     tol: float = 1e-6,
+    keep_nodes=(),
 ) -> GridSweepResult:
     """Alternate backward value sweeps and forward density sweeps.
 
@@ -910,13 +922,14 @@ def fbsm_grid(
     monotonicity_violations as (k, J_{k-1}, J_k); it does not stop the
     iteration.
 
-    Each half-sweep reads only the opposite, held field, so it writes
-    into the buffer of the field it replaces: at most two (n_t + 1)-slice
-    fields are alive at once. The field of the last sweep was stepped
-    under the returned control (the density when iterations is even, the
-    value when it is odd); the other one is a stale iterate. A sweep that
-    raises leaves its buffer partly overwritten, and no result is
-    returned.
+    One (n_t + 1)-slice buffer serves every sweep: each half-sweep turns
+    the held field into the other one in place (see _forward_pass and
+    _backward_pass). The result holds the field of the last sweep, which
+    was stepped under the returned control. Before each half-sweep the
+    slices of the held field at keep_nodes (time indices in 0..n_t) are
+    copied out, so the result also holds the other field's slices there.
+    A sweep that raises leaves the buffer partly overwritten, and no
+    result is returned.
     """
     n = grid.n_t
     if u0 is None:
@@ -924,27 +937,35 @@ def fbsm_grid(
     else:
         u = np.asarray(u0, dtype=float).copy()
     _validate_grid_setup(problem, grid, u)
+    keep = sorted({int(node) for node in keep_nodes})
+    if keep and not 0 <= keep[0] <= keep[-1] <= n:
+        raise ProblemError(f"keep_nodes must lie in 0..{n}, got {keep}")
 
     p0 = _initial_density_slice(problem, grid)
     mass_log = MassLog()
-    p, u, j0 = _forward_pass(problem, grid, p0, u, log=mass_log)
-    w = None
+    field, u, j0 = _forward_pass(problem, grid, p0, u, log=mass_log)
+    kept: Dict[int, np.ndarray] = {}
 
     def half_sweep(k, backward):
-        nonlocal p, u, w
+        nonlocal u
+        kept.update((node, field[node].copy()) for node in keep)
         if backward:
-            w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p, out=w)
+            _, u, J = _backward_pass(problem, grid, p0, u, p_stale=field, out=field)
         else:
-            p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w, log=mass_log, out=p)
+            _, u, J = _forward_pass(
+                problem, grid, p0, u, w_stale=field, log=mass_log, out=field
+            )
         return J
 
     history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
+    holds_value = iterations % 2 == 1
     return GridSweepResult(
         problem=problem,
         grid=grid,
         control=u,
-        value=w,
-        density=p,
+        value=field if holds_value else None,
+        density=None if holds_value else field,
+        kept_slices=kept,
         objective_history=history,
         converged=converged,
         iterations=iterations,

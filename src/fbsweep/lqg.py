@@ -181,19 +181,23 @@ def _integrate(rhs, start, n, dt, backward=False, sym=True):
     Backward, start is node n, step i runs from node i + 1 to i, and rhs
     is -dy/dt, so either way a step adds dt times the stage average. With
     sym, every new node is symmetrized.
+
+    A diverging solution overflows silently: the callers' finiteness
+    checks turn it into a DivergenceError or SingularPrecisionError.
     """
     out = np.empty((n + 1,) + np.shape(start))
     out[n if backward else 0] = start
-    for i in range(n - 1, -1, -1) if backward else range(n):
-        y = out[i + 1] if backward else out[i]
-        first, last = (2 * i + 2, 2 * i) if backward else (2 * i, 2 * i + 2)
-        k1 = rhs(first, y)
-        k2 = rhs(2 * i + 1, y + 0.5 * dt * k1)
-        k3 = rhs(2 * i + 1, y + 0.5 * dt * k2)
-        k4 = rhs(last, y + dt * k3)
-        step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        new = y + dt * step
-        out[i if backward else i + 1] = _sym(new) if sym else new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1) if backward else range(n):
+            y = out[i + 1] if backward else out[i]
+            first, last = (2 * i + 2, 2 * i) if backward else (2 * i, 2 * i + 2)
+            k1 = rhs(first, y)
+            k2 = rhs(2 * i + 1, y + 0.5 * dt * k1)
+            k3 = rhs(2 * i + 1, y + 0.5 * dt * k2)
+            k4 = rhs(last, y + dt * k3)
+            step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            new = y + dt * step
+            out[i if backward else i + 1] = _sym(new) if sym else new
     return out
 
 
@@ -434,23 +438,26 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu):
     symmetrized once, at the end. A batch of Phi holds
     (d_s^2 + 1)^2 doubles per step: all 1000 steps of the bundled
     document (d_s = 2) come to 200 KB.
+
+    A diverging Sigma or cost overflows silently: the finiteness check
+    here and the sweep loop's check of J raise DivergenceError.
     """
     n, dt = coeffs.n, coeffs.dt
     d = problem.d_s
     gain = inference_gain(_half_grid(lam), problem.d_x)
-    drift = coeffs.A - coeffs.M @ _half_grid(pi) @ gain
-
-    y = np.empty((n + 1, d * d + 1))
-    y[0, :-1] = np.linalg.inv(problem.lambda0).reshape(-1)
-    y[0, -1] = 1.0
-    i = 0
-    for phi in _lyapunov_propagators(drift, coeffs.SS, dt):
-        for step in phi:
-            y[i + 1] = step @ y[i]
-            i += 1
-    sigma_nodes = _sym(y[:, :-1].reshape(n + 1, d, d))
-    _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
-    return _expected_cost(problem, coeffs, psi, pi, gain[::2], mu, sigma_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = coeffs.A - coeffs.M @ _half_grid(pi) @ gain
+        y = np.empty((n + 1, d * d + 1))
+        y[0, :-1] = np.linalg.inv(problem.lambda0).reshape(-1)
+        y[0, -1] = 1.0
+        i = 0
+        for phi in _lyapunov_propagators(drift, coeffs.SS, dt):
+            for step in phi:
+                y[i + 1] = step @ y[i]
+                i += 1
+        sigma_nodes = _sym(y[:, :-1].reshape(n + 1, d, d))
+        _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
+        return _expected_cost(problem, coeffs, psi, pi, gain[::2], mu, sigma_nodes)
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -25,12 +25,16 @@ from fbsweep.gridpde import (
     QuadraticControl,
     _backward_pass,
     _forward_pass,
+    _full,
     _initial_density_slice,
     _upwind_gradients,
     _upwind_hamiltonian,
+    build_generator,
     conditional_density,
     conditional_hamiltonian,
     fbsm_grid,
+    fp_step,
+    hjb_step,
     minimize_conditional_hamiltonian,
     quadratic_grid_problem,
 )
@@ -135,6 +139,42 @@ class PmpReport:
     argmax: tuple
 
 
+def _stationarity_excess(problem: GridProblem, grid: GridSpec, t, u_i, p_i, w_next):
+    """Stationarity excess of the control slice u_i at time t, per memory
+    node, from the density slice at t and the value slice at t + dt; and
+    the memory marginal that weights it."""
+    cond, marginal, defined = conditional_density(p_i, grid, problem.d_x)
+    diffs = _upwind_gradients(w_next, grid)
+    phi_u = conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, diffs=diffs)
+    u_min = minimize_conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, defined)
+    phi_min = conditional_hamiltonian(problem, grid, t, cond, w_next, u_min, diffs=diffs)
+    return np.maximum(phi_u - phi_min, 0.0) * defined, marginal
+
+
+def _pmp_report(problem: GridProblem, grid: GridSpec, steps) -> PmpReport:
+    """Collect (i, (excess, marginal)) for every step i, in any order, and
+    reduce the mass-weighted maximum in ascending time (the earliest step
+    wins a tie)."""
+    d_x = problem.d_x
+    z_shape = grid.memory_shape(d_x)
+    vol_z = float(np.prod(grid.spacing[d_x:])) if z_shape else 1.0
+    residual = np.zeros((grid.n_t,) + z_shape)
+    peaks = np.zeros(grid.n_t)
+    where = np.zeros(grid.n_t, dtype=int)
+    for i, (r, marginal) in steps:
+        residual[i] = r
+        weighted = r * marginal * vol_z
+        where[i] = int(np.argmax(weighted))
+        peaks[i] = weighted.flat[where[i]]
+    weighted_max = 0.0
+    argmax = (0,) * (1 + len(z_shape))
+    for i in range(grid.n_t):
+        if peaks[i] > weighted_max:
+            weighted_max = float(peaks[i])
+            argmax = (i,) + np.unravel_index(where[i], z_shape or (1,))[: len(z_shape)]
+    return PmpReport(residual_field=residual, weighted_max=weighted_max, argmax=argmax)
+
+
 def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpReport:
     """Excess of E[H(u(t,z))] over the candidate minimum, per (t, z).
 
@@ -144,63 +184,69 @@ def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpReport:
     cannot dominate.
     """
     u, p, w = (np.asarray(a, dtype=float) for a in (u, p, w))
-    d_x = problem.d_x
     times = grid.times()
-    z_shape = grid.memory_shape(d_x)
-    vol_z = float(np.prod(grid.spacing[d_x:])) if z_shape else 1.0
-    residual = np.zeros((grid.n_t,) + z_shape)
-    weighted_max = 0.0
-    argmax = (0,) * (1 + len(z_shape))
+    return _pmp_report(
+        problem,
+        grid,
+        (
+            (i, _stationarity_excess(problem, grid, times[i], u[i], p[i], w[i + 1]))
+            for i in range(grid.n_t)
+        ),
+    )
+
+
+def _excess_stepping_value(problem, grid, u, p):
+    """The stationarity excess at every step, last step first, with the
+    value stepped backward under u alongside: one slice is held at a
+    time. w[0] is not needed, so it is not computed."""
+    times, dt = grid.times(), grid.dt
+    w_next = _full(problem.terminal_cost(grid.mesh()), grid.shape)
+    for i in range(grid.n_t - 1, -1, -1):
+        yield i, _stationarity_excess(problem, grid, times[i], u[i], p[i], w_next)
+        if i:
+            gen = build_generator(problem, grid, times[i], u[i], dt=dt)
+            w_next = hjb_step(problem, grid, times[i], w_next, u[i], dt=dt, gen=gen)
+
+
+def _excess_stepping_density(problem, grid, u, w):
+    """The stationarity excess at every step, first step first, with the
+    density stepped forward under u alongside: one slice is held at a
+    time. p[n_t] is not needed, so it is not computed."""
+    times, dt = grid.times(), grid.dt
+    p_i = _initial_density_slice(problem, grid)
     for i in range(grid.n_t):
-        cond, marginal, defined = conditional_density(p[i], grid, d_x)
-        diffs = _upwind_gradients(w[i + 1], grid)
-        phi_u = conditional_hamiltonian(
-            problem, grid, times[i], cond, w[i + 1], u[i], diffs=diffs
-        )
-        u_min = minimize_conditional_hamiltonian(
-            problem, grid, times[i], cond, w[i + 1], u[i], defined
-        )
-        phi_min = conditional_hamiltonian(
-            problem, grid, times[i], cond, w[i + 1], u_min, diffs=diffs
-        )
-        r = np.maximum(phi_u - phi_min, 0.0) * defined
-        residual[i] = r
-        weighted = r * marginal * vol_z
-        j = int(np.argmax(weighted))
-        if weighted.flat[j] > weighted_max:
-            weighted_max = float(weighted.flat[j])
-            argmax = (i,) + np.unravel_index(j, z_shape or (1,))[: len(z_shape)]
-    return PmpReport(residual_field=residual, weighted_max=weighted_max, argmax=argmax)
+        yield i, _stationarity_excess(problem, grid, times[i], u[i], p_i, w[i + 1])
+        if i + 1 < grid.n_t:
+            gen = build_generator(problem, grid, times[i], u[i], dt=dt)
+            p_i = fp_step(p_i, gen, dt)
 
 
 def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpReport:
     """PMP residual of a control against its own induced density and value.
 
-    Solves the density forward and the value backward under the given
-    control, then measures the stationarity excess of that same control.
-    At a sweep fixed point this vanishes up to the minimizer tolerance.
+    Solves the density forward under the given control, then steps the
+    value backward under it and measures the stationarity excess of that
+    same control at each step. At a sweep fixed point this vanishes up to
+    the minimizer tolerance. The oracle holds at most one (n_t + 1)-slice
+    field.
 
     control may also be the GridSweepResult of fbsm_grid on (problem,
-    grid); its control is checked. The field of the result's last sweep
-    (the density when iterations is even, the value when it is odd) was
+    grid); its control is checked. The field the result holds was
     stepped under exactly that control, and a fresh pass reproduces it
-    bit for bit, so only the other field is solved. This consumes the
-    stale field: the solve overwrites the result's stale buffer, which
-    afterwards holds the field under the returned control instead of the
-    previous iterate's. When value is None a new buffer is used.
+    bit for bit, so only the other field is stepped, a slice at a time:
+    the value backward when the result holds the density, the density
+    forward when it holds the value. The result is not modified.
     """
-    p0 = _initial_density_slice(problem, grid)
-    if not isinstance(control, GridSweepResult):
-        u = np.asarray(control, dtype=float)
-        p, _, _ = _forward_pass(problem, grid, p0, u)
-        w, _, _ = _backward_pass(problem, grid, p0, u)
-    elif control.iterations % 2 == 0:
-        u, p = control.control, control.density
-        w, _, _ = _backward_pass(problem, grid, p0, u, out=control.value)
+    if isinstance(control, GridSweepResult) and control.value is not None:
+        steps = _excess_stepping_density(problem, grid, control.control, control.value)
     else:
-        u, w = control.control, control.value
-        p, _, _ = _forward_pass(problem, grid, p0, u, out=control.density)
-    return pmp_residual(problem, grid, u, p, w)
+        if isinstance(control, GridSweepResult):
+            u, p = control.control, control.density
+        else:
+            u = np.asarray(control, dtype=float)
+            p, _, _ = _forward_pass(problem, grid, _initial_density_slice(problem, grid), u)
+        steps = _excess_stepping_value(problem, grid, u, p)
+    return _pmp_report(problem, grid, steps)
 
 
 @dataclass

@@ -19,17 +19,21 @@ from fbsweep.artifacts import (
     read_grid_sidecar,
     read_iterations,
     read_json,
+    slice_nodes,
     time_tag,
     write_config_copy,
     write_control_table,
     write_csv,
+    write_field_slices,
     write_gains,
     write_grid_sidecar,
     write_iterations,
     write_json,
     write_manifest,
 )
+from fbsweep.config import bundled_config_path, parse_config
 from fbsweep.core import GridSpec, ProblemError
+from fbsweep.gridpde import fbsm_grid
 from fbsweep.lqg import GainTrajectory
 
 
@@ -248,3 +252,50 @@ class TestTimeTag:
         assert time_tag(0.0) == "0"
         assert time_tag(0.25) == "0.25"
         assert time_tag(1.0) == "1"
+
+
+class TestFieldSlices:
+    """The field a result does not hold is written from its kept slices."""
+
+    TIMES = [0.0, 0.15, 0.3]
+
+    def solve(self, sweeps, keep=True):
+        doc = json.loads(bundled_config_path("obstacle").read_text())
+        doc["domain"] = {
+            "lower": [-2.0, -2.0], "upper": [2.0, 2.0],
+            "shape": [11, 11], "n_t": 30, "horizon": 0.3,
+        }
+        doc["obstacle"].update(t_on=0.1, t_off=0.2)
+        doc["slice_times"] = self.TIMES
+        cfg = parse_config(doc)
+        nodes = slice_nodes(cfg.grid, self.TIMES) if keep else ()
+        assert nodes == [0, 15, 30] or not keep
+        return fbsm_grid(cfg.grid_problem, cfg.grid, max_iters=sweeps, tol=0.0, keep_nodes=nodes)
+
+    def column(self, path):
+        return np.array([float(row[-1]) for row in read_csv(path)[1]])
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    def test_kept_slices_are_written(self, sweeps, tmp_path):
+        result = self.solve(sweeps)
+        names = write_field_slices(tmp_path, result, self.TIMES)
+        assert names == [
+            f"{field}_t{time_tag(t)}.csv"
+            for t in self.TIMES
+            for field in ("density", "value", "control")
+        ]
+        held, other = ("value", "density") if sweeps % 2 else ("density", "value")
+        for t, node in zip(self.TIMES, (0, 15, 30)):
+            tag = time_tag(t)
+            held_col = self.column(tmp_path / f"{held}_t{tag}.csv")
+            assert np.array_equal(held_col, getattr(result, held)[node].ravel())
+            other_col = self.column(tmp_path / f"{other}_t{tag}.csv")
+            assert np.array_equal(other_col, result.kept_slices[node].ravel())
+
+    def test_initial_pass_writes_no_value(self, tmp_path):
+        names = write_field_slices(tmp_path, self.solve(0, keep=False), self.TIMES)
+        assert not [n for n in names if n.startswith("value")]
+
+    def test_unkept_slice_is_an_input_error(self, tmp_path):
+        with pytest.raises(ProblemError, match="density slice at time node 0 was not kept"):
+            write_field_slices(tmp_path, self.solve(1, keep=False), self.TIMES)

@@ -114,6 +114,25 @@ def small_bundled_obstacle():
     return cfg.grid_problem, cfg.grid
 
 
+def fresh_sweeps(problem, grid, sweeps):
+    """fbsm_grid's alternation from zero, in separate freshly allocated passes.
+
+    Returns (history, u, p, w): the last density and value, each from the
+    last pass that produced it (w None before the first backward pass).
+    """
+    p0 = _initial_density_slice(problem, grid)
+    u0 = np.zeros((grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
+    p, u, J = _forward_pass(problem, grid, p0, u0)
+    history, w = [J], None
+    for k in range(sweeps):
+        if k % 2 == 0:
+            w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p)
+        else:
+            p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w)
+        history.append(J)
+    return history, u, p, w
+
+
 class TestDiscreteGenerator:
     def grid_1d(self, n=41, n_t=100):
         return GridSpec(lower=[-2.0], upper=[2.0], shape=(n,), n_t=n_t, horizon=1.0)
@@ -546,8 +565,10 @@ class TestFbsmGrid:
         assert hist[-1] < hist[0]
         assert not result.monotonicity_violations
         assert result.control.shape == (60, 31, 1)
+        # an even sweep count ends on a forward sweep: the density is held
         assert result.density.shape == (61, 31, 31)
-        assert result.value.shape == (61, 31, 31)
+        assert result.value is None
+        assert result.kept_slices == {}
         masses = result.density.sum(axis=(1, 2)) * grid.cell_volume
         assert np.max(np.abs(masses - 1.0)) < 1e-12
         assert result.mass_log.max_negative_mass <= 1e-6
@@ -592,8 +613,8 @@ class TestFbsmGrid:
         grid = self.small_grid()
         result = fbsm_grid(problem, grid, max_iters=1, tol=0.0)
         u = result.control
-        p = result.density[0].copy()
-        field = np.empty_like(result.density)
+        p = _initial_density_slice(problem, grid)
+        field = np.empty((grid.n_t + 1,) + grid.shape)
         field[0] = p
         for i in range(grid.n_t):
             gen = build_generator(problem, grid, grid.times()[i], u[i], dt=grid.dt)
@@ -636,41 +657,44 @@ class TestFbsmGrid:
 
 
 class TestSweepInPlace:
-    """fbsm_grid writes each pass into the buffer of the field it replaces."""
+    """fbsm_grid turns its one field buffer into the other field in place."""
 
     @pytest.mark.parametrize("sweeps", [2, 3])
-    def test_peak_holds_two_fields(self, sweeps):
+    def test_peak_holds_one_field(self, sweeps):
         # numpy reports its buffers to tracemalloc, so the traced peak
         # counts the fields held at once, independent of allocator and OS.
         problem, grid = small_bundled_obstacle()
         field = (grid.n_t + 1) * 41 * 41 * 8
         tracemalloc.start()
         try:
-            result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
+            result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0, keep_nodes=(0, 200, 400))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert result.iterations == sweeps
-        assert peak <= 2.5 * field
+        assert peak <= 1.5 * field
 
     @pytest.mark.parametrize("sweeps", [1, 2, 3, 4])
     def test_fields_match_fresh_passes(self, sweeps):
         problem = double_integrator_problem()
         grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (31, 31), 60, 0.6)
-        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
-        p0 = _initial_density_slice(problem, grid)
-        p, u, J = _forward_pass(problem, grid, p0, np.zeros((60, 31, 1)))
-        history, w = [J], None
-        for k in range(sweeps):
-            if k % 2 == 0:
-                w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p)
-            else:
-                p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w)
-            history.append(J)
+        keep = (0, 17, 60)
+        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0, keep_nodes=keep)
+        history, u, p, w = fresh_sweeps(problem, grid, sweeps)
         assert np.array_equal(result.objective_history, history)
         assert np.array_equal(result.control, u)
-        assert np.array_equal(result.density, p)
-        assert np.array_equal(result.value, w)
+        held, other = (w, p) if sweeps % 2 else (p, w)
+        assert np.array_equal(result.value if sweeps % 2 else result.density, held)
+        assert (result.density if sweeps % 2 else result.value) is None
+        assert sorted(result.kept_slices) == list(keep)
+        for node in keep:
+            assert np.array_equal(result.kept_slices[node], other[node])
+
+    def test_keep_nodes_outside_the_time_grid_rejected(self):
+        problem = double_integrator_problem()
+        grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (11, 11), 10, 0.1)
+        with pytest.raises(ProblemError, match="keep_nodes"):
+            fbsm_grid(problem, grid, max_iters=1, keep_nodes=(11,))
 
     def test_stability_error_in_later_sweep_propagates(self, monkeypatch):
         problem = double_integrator_problem()
@@ -687,6 +711,79 @@ class TestSweepInPlace:
         with pytest.raises(StabilityError, match="injected failure"):
             fbsm_grid(problem, grid, max_iters=4, tol=0.0)
         assert len(calls) == grid.n_t + 1
+
+
+def random_quadratic_problem(seed):
+    """A random 1+1-dimensional quadratic problem for an 11x11 grid, dt 0.01.
+
+    The driven coordinate x has the control-free drift a0 + a1 z (constant
+    in x, as the closed-form minimizer needs), the memory drifts as
+    c0 x + c1 z, the diffusion is diagonal, and the running cost is
+    q x^2 plus a band |x| in [inner, outer] charged only in [t_on, t_off].
+    Every coefficient is bounded so that the explicit step is stable and
+    I + dt L stays nonnegative: no step clamps any mass.
+    """
+    rng = np.random.default_rng(seed)
+    a0, a1, c0, c1 = rng.uniform(-1.0, 1.0, 4)
+    b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+    q, g = rng.uniform(0.0, 2.0, 2)
+    strength = rng.uniform(0.0, 20.0)
+    t_on = rng.uniform(0.0, 0.3)
+    t_off = t_on + rng.uniform(0.05, 0.3)
+    inner = rng.uniform(0.0, 0.5)
+    outer = inner + rng.uniform(0.3, 1.5)
+    diffusion = np.diag(rng.uniform(0.05, 0.5, 2))
+    bound = rng.uniform(0.5, 3.0)
+
+    def base_cost(t, S):
+        band = (np.abs(S[0]) >= inner) & (np.abs(S[0]) <= outer)
+        return q * S[0] ** 2 + strength * (t_on <= t <= t_off) * band
+
+    quad = QuadraticControl(
+        r_diag=[rng.uniform(0.3, 3.0)],
+        b_matrix=[[b], [0.0]],
+        drift0=lambda t, S: [a0 + a1 * S[1] + np.zeros_like(S[0]), c0 * S[0] + c1 * S[1]],
+        base_cost=base_cost,
+    )
+    return quadratic_grid_problem(
+        d_x=1,
+        d_z=1,
+        quadratic=quad,
+        diffusion=constant_diffusion(diffusion),
+        terminal_cost=lambda S: g * S[0] ** 2,
+        initial_density=Gaussian(
+            rng.uniform(-0.5, 0.5, 2), np.diag([rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5)])
+        ),
+        control_lower=[-bound],
+        control_upper=[bound],
+    )
+
+
+class TestSweepProperties:
+    """The one-buffer sweep over random small quadratic problems."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_t=st.integers(50, 70),
+        sweeps=st.integers(1, 4),
+        keep=st.lists(st.integers(0, 50), min_size=1, max_size=3),
+    )
+    def test_sweep_matches_fresh_passes_and_descends(self, seed, n_t, sweeps, keep):
+        problem = random_quadratic_problem(seed)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), n_t, 0.01 * n_t)
+        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0, keep_nodes=keep)
+        history, u, p, w = fresh_sweeps(problem, grid, sweeps)
+        assert np.array_equal(result.objective_history, history)
+        assert np.array_equal(result.control, u)
+        held, other = (w, p) if sweeps % 2 else (p, w)
+        assert np.array_equal(result.value if sweeps % 2 else result.density, held)
+        assert sorted(result.kept_slices) == sorted(set(keep))
+        for node, kept in result.kept_slices.items():
+            assert np.array_equal(kept, other[node])
+        assert not result.monotonicity_violations
+        assert result.mass_log.max_negative_mass == 0.0
+        assert result.mass_log.max_mass_drift <= 1e-12
 
 
 def random_generator(shape, seed):

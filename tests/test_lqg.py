@@ -390,6 +390,56 @@ class TestIntegrate:
         assert stages == expected
 
 
+def random_lqg_problem(seed):
+    """A random problem with d_x, d_z, d_u in {1, 2}, A ~ N(0, 1.5^2),
+    horizon 1 and dt 0.02; about a quarter of them diverge or lose
+    precision within 12 sweeps."""
+    rng = np.random.default_rng(seed)
+    d_x, d_z, d_u = (int(v) for v in rng.integers(1, 3, 3))
+    d_s = d_x + d_z
+
+    def spd(scale=1.0):
+        a = rng.standard_normal((d_s, d_s))
+        return scale * (a @ a.T) + 0.1 * np.eye(d_s)
+
+    r = rng.standard_normal((d_u, d_u))
+    return LqgProblem(
+        A=1.5 * rng.standard_normal((d_s, d_s)),
+        B=rng.standard_normal((d_s, d_u)),
+        sigma=0.5 * rng.standard_normal((d_s, d_s)),
+        Q=spd(),
+        R=r @ r.T + 0.5 * np.eye(d_u),
+        P=spd(),
+        mu0=rng.standard_normal(d_s),
+        lambda0=spd(4.0),
+        horizon=1.0,
+        dt=0.02,
+        d_x=d_x,
+        d_z=d_z,
+    )
+
+
+class TestTypedFailures:
+    """A failing solve raises a typed error, not a numpy overflow warning
+    (warnings are errors in this suite)."""
+
+    @pytest.mark.parametrize(
+        "seed, error", [(7, DivergenceError), (21, SingularPrecisionError)]
+    )
+    def test_overflow_is_typed(self, seed, error):
+        with pytest.raises(error):
+            fbsm_lqg(random_lqg_problem(seed), max_iters=12, tol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_problem_solves_or_fails_typed(self, seed):
+        try:
+            result = fbsm_lqg(random_lqg_problem(seed), max_iters=12, tol=0.0)
+        except (DivergenceError, SingularPrecisionError):
+            return
+        assert np.all(np.isfinite(result.objective_history))
+
+
 class TestFbsmLqg:
     def test_zero_cost_zero_fixed_point(self):
         base = tracking_problem(horizon=1.0)

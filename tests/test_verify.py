@@ -1,5 +1,6 @@
 """Tests for the identity-checking oracles."""
 
+import copy
 import dataclasses
 import json
 import tracemalloc
@@ -12,6 +13,9 @@ from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError
 from fbsweep.gridpde import (
     GridProblem,
     QuadraticControl,
+    _backward_pass,
+    _forward_pass,
+    _initial_density_slice,
     build_generator,
     fbsm_grid,
     quadratic_grid_problem,
@@ -215,6 +219,22 @@ class TestMonotonicityCheck:
             monotonicity_check(np.array([1.0]))
 
 
+def fresh_fields(problem, grid, u):
+    """The density and the value under u, each from a fresh pass."""
+    p0 = _initial_density_slice(problem, grid)
+    p, _, _ = _forward_pass(problem, grid, p0, u)
+    w, _, _ = _backward_pass(problem, grid, p0, u)
+    return p, w
+
+
+def same_report(a, b) -> bool:
+    return (
+        np.array_equal(a.residual_field, b.residual_field)
+        and a.weighted_max == b.weighted_max
+        and a.argmax == b.argmax
+    )
+
+
 class TestPmpResidual:
     def test_converged_run_is_stationary(self):
         problem = double_integrator_problem()
@@ -222,19 +242,20 @@ class TestPmpResidual:
         result = fbsm_grid(problem, grid, max_iters=60, tol=1e-10)
         assert result.converged
         report = pmp_residual(
-            problem, grid, result.control, result.density, result.value
+            problem, grid, result.control, *fresh_fields(problem, grid, result.control)
         )
         j_final = result.objective_history[-1]
         assert report.weighted_max <= 1e-6 * (1.0 + abs(j_final))
+        assert same_report(report, sweep_pmp_residual(problem, grid, result))
 
     def test_zero_control_not_stationary(self):
         problem = double_integrator_problem(obstacle=30.0)
         grid = small_grid()
         result = fbsm_grid(problem, grid, max_iters=1, tol=0.0)
         u_zero = np.zeros((grid.n_t, 25, 1))
-        report = pmp_residual(
-            problem, grid, u_zero, result.density, result.value
-        )
+        # the density under u_zero, against the first backward sweep's value
+        p, _ = fresh_fields(problem, grid, u_zero)
+        report = pmp_residual(problem, grid, u_zero, p, result.value)
         assert report.weighted_max > 1e-3
 
     @pytest.mark.parametrize("sweeps", [0, 1, 2, 3])
@@ -245,9 +266,42 @@ class TestPmpResidual:
         result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
         fresh = sweep_pmp_residual(problem, grid, result.control)
         reused = sweep_pmp_residual(problem, grid, result)
-        assert np.array_equal(reused.residual_field, fresh.residual_field)
-        assert reused.weighted_max == fresh.weighted_max
-        assert reused.argmax == fresh.argmax
+        assert same_report(reused, fresh)
+        assert same_report(fresh, pmp_residual(
+            problem, grid, result.control, *fresh_fields(problem, grid, result.control)
+        ))
+
+    def test_bare_control_holds_one_field(self):
+        problem, grid = small_bundled_obstacle()
+        u = fbsm_grid(problem, grid, max_iters=1, tol=0.0).control
+        field = (grid.n_t + 1) * 41 * 41 * 8
+        tracemalloc.start()
+        try:
+            report = sweep_pmp_residual(problem, grid, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.weighted_max > 0.0
+        assert peak <= 1.5 * field
+
+    @pytest.mark.parametrize("sweeps", [2, 3], ids=["density-held", "value-held"])
+    def test_sweep_result_is_read_in_place(self, sweeps):
+        """The oracle steps the field a result lacks a slice at a time and
+        leaves the result as it was."""
+        problem, grid = small_bundled_obstacle()
+        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
+        before = copy.deepcopy(result)
+        field = (grid.n_t + 1) * 41 * 41 * 8
+        tracemalloc.start()
+        try:
+            sweep_pmp_residual(problem, grid, result)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * field
+        for name in ("control", "density", "value", "objective_history"):
+            now, then = getattr(result, name), getattr(before, name)
+            assert (now is None and then is None) or np.array_equal(now, then), name
 
     def test_zero_cost_residual_vanishes(self):
         problem = GridProblem(
@@ -261,9 +315,8 @@ class TestPmpResidual:
         )
         grid = small_grid(n=15, n_t=10, horizon=0.1)
         result = fbsm_grid(problem, grid, max_iters=2, tol=0.0)
-        report = pmp_residual(
-            problem, grid, result.control, result.density, result.value
-        )
+        _, w = fresh_fields(problem, grid, result.control)
+        report = pmp_residual(problem, grid, result.control, result.density, w)
         assert report.weighted_max == 0.0
         assert np.all(report.residual_field == 0.0)
 
