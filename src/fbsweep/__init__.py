@@ -35,13 +35,11 @@ from fbsweep.core import (
 from fbsweep.gridpde import (
     GridProblem,
     GridSweepResult,
-    QuadraticControl,
     build_generator,
     fbsm_grid,
     fp_step,
     hjb_step,
     minimize_conditional_hamiltonian,
-    quadratic_grid_problem,
 )
 from fbsweep.lqg import (
     GainTrajectory,
@@ -82,7 +80,6 @@ __all__ = [
     "LqgSweepResult",
     "PathEnsemble",
     "ProblemError",
-    "QuadraticControl",
     "SingularPrecisionError",
     "StabilityError",
     "build_generator",
@@ -100,7 +97,6 @@ __all__ = [
     "minimize_conditional_hamiltonian",
     "monotonicity_check",
     "pmp_residual",
-    "quadratic_grid_problem",
     "simulate_paths",
     "sweep_pmp_residual",
     "validate_lqg",

@@ -277,7 +277,7 @@ def _run_grid(doc: dict, out) -> tuple:
             "solver": {
                 "max_iters": cfg.solver.max_iters,
                 "tol": cfg.solver.tol,
-                "minimizer": cfg.grid_problem.minimizer_mode(),
+                "minimizer": "exact",
             },
         },
     )

@@ -32,14 +32,14 @@ from fbsweep.core import (
     ProblemError,
     validate_lqg,
 )
-from fbsweep.gridpde import GridProblem, QuadraticControl, quadratic_grid_problem
+from fbsweep.gridpde import GridProblem
 
 FAMILIES = ("lqg", "obstacle-grid")
 DEFAULT_SLICE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # Values a solver setting may take, checked for every family at load.
-# Each names what always runs: the lqg sweeps step by RK4, and a grid
-# problem's quadratic declaration selects the exact minimizer. Documents
-# may spell them out, so they are accepted and not stored.
+# Each names what always runs: the lqg sweeps step by RK4, and the grid
+# model's control update is the exact minimizer. Documents may spell
+# them out, so they are accepted and not stored.
 SOLVER_CHOICES = {"method": ("rk4",), "minimizer": ("auto", "exact")}
 
 
@@ -218,17 +218,14 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
     if init_cov <= 0:
         raise ProblemError("initial_cov must be positive")
 
-    quad = QuadraticControl(
-        r_diag=[control_cost],
-        b_matrix=[[1.0], [0.0]],
-        drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
-        base_cost=obstacle_running_cost(strength, t_on, t_off, inner, outer),
-    )
     solver = _solver_settings(doc)
-    problem = quadratic_grid_problem(
+    problem = GridProblem(
         d_x=1,
         d_z=1,
-        quadratic=quad,
+        b_matrix=[[1.0], [0.0]],
+        r_diag=[control_cost],
+        drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
+        base_cost=obstacle_running_cost(strength, t_on, t_off, inner, outer),
         diffusion=lambda t, S: np.eye(2),
         terminal_cost=lambda S: terminal_weight * S[0] ** 2,
         initial_density=Gaussian(np.zeros(2), init_cov * np.eye(2)),

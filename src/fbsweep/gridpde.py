@@ -7,6 +7,11 @@ and the memory-feedback control u(t, z) couples them through
 
     u(t, z) = argmin_u E_{p(x|z)}[ f(t, s, u) + (L_u w)(s) ].
 
+The problem model (GridProblem) is control-affine with quadratic control
+cost, each control component driving one coordinate whose control-free
+drift is constant in x for each memory node. So this argmin is found in
+closed form, node by node (minimize_conditional_hamiltonian).
+
 The generator L_u is discretized with first-order upwinding of the drift,
 central 3-point stencils for the diagonal diffusion, central cross
 stencils for off-diagonal diffusion, and a reflecting (no-flux) boundary
@@ -43,10 +48,8 @@ distance over the memory spacing, ties going to the lowest flat index
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,138 +66,123 @@ STABILITY_FRACTION = 0.9
 NEGATIVE_MASS_LIMIT = 1e-6
 MARGINAL_FLOOR = 1e-12
 TIE_TOLERANCE = 1e-12
-DEFAULT_CANDIDATES = 41
 # Relative rise per sweep that the recorded objective's descent tolerates
 # (the discretization slack of the exact discrete Markov decision steps).
 MONOTONICITY_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
-class QuadraticControl:
-    """Declaration that control enters affinely with quadratic cost.
-
-    drift = drift0(t, S) + b_matrix @ u and running cost
-    f = base_cost(t, S) + sum_c r_diag[c] * u_c^2. This shape admits the
-    closed-form minimizer branch of the conditional Hamiltonian.
-    """
-
-    r_diag: np.ndarray
-    b_matrix: np.ndarray
-    drift0: Callable
-    base_cost: Callable
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_diag", np.atleast_1d(np.asarray(self.r_diag, float)))
-        object.__setattr__(self, "b_matrix", np.atleast_2d(np.asarray(self.b_matrix, float)))
-        if np.any(self.r_diag <= 0):
-            raise ProblemError("quadratic control cost requires positive r_diag")
-        if self.b_matrix.shape[1] != self.r_diag.size:
-            raise ProblemError("b_matrix columns must match r_diag length")
-
-
-@dataclass(frozen=True)
 class GridProblem:
-    """Problem data evaluated directly on mesh arrays.
+    """The grid backend's one problem model, evaluated on mesh arrays.
 
-    drift(t, S, U) -> list of d_s arrays, diffusion(t, S) -> (d_s, d_s)
-    nested array-like (control-independent), running_cost(t, S, U) and
-    terminal_cost(S) -> grid arrays, initial_density(S) -> grid array.
-    S is the meshgrid tuple of the extended-state grid; U is a list of
-    d_u arrays shaped to broadcast over the grid (memory axes trailing).
-    The quadratic declaration picks the minimizer (minimizer_mode):
-    "exact" with one, "search" without.
+    Control enters the drift affinely and the running cost quadratically:
+    drift_i = drift0(t, S)[i] + sum_c b_matrix[i, c] u_c and
+    f = base_cost(t, S) + sum_c r_diag[c] u_c^2, with r_diag > 0 and
+    d_u = r_diag.size. Each control component drives exactly one
+    coordinate (one nonzero entry per column of b_matrix, in distinct
+    rows), and the drift0 of a driven coordinate must be constant across
+    x for each memory node: then the conditional Hamiltonian is piecewise
+    quadratic in each component, and minimize_conditional_hamiltonian
+    finds its argmin in closed form. A problem outside this model (say,
+    a non-quadratic control cost) would need its own family and minimizer.
+
+    drift0(t, S) -> d_s arrays, base_cost(t, S), terminal_cost(S) and
+    initial_density(S) -> grid arrays, diffusion(t, S) -> (d_s, d_s)
+    nested array-like (control-independent). S is the meshgrid tuple of
+    the extended-state grid; U is a list of d_u arrays shaped to
+    broadcast over it (memory axes trailing). Omitted control bounds are
+    infinite. Every shape, the b_matrix structure and the bounds are
+    checked at construction, which raises ProblemError.
     """
 
     d_x: int
     d_z: int
-    d_u: int
-    drift: Callable
+    b_matrix: np.ndarray
+    r_diag: np.ndarray
+    drift0: Callable
+    base_cost: Callable
     diffusion: Callable
-    running_cost: Callable
     terminal_cost: Callable
     initial_density: Callable
     control_lower: Optional[np.ndarray] = None
     control_upper: Optional[np.ndarray] = None
-    quadratic: Optional[QuadraticControl] = None
+
+    def __post_init__(self):
+        r = np.array(self.r_diag, dtype=float, ndmin=1)
+        B = np.array(self.b_matrix, dtype=float, ndmin=2)
+        if r.ndim != 1 or not np.all(r > 0):
+            raise ProblemError("r_diag must be a vector of positive control costs")
+        if B.shape != (self.d_s, r.size):
+            raise ProblemError(
+                f"b_matrix must have shape (d_s, d_u) = {(self.d_s, r.size)}, got {B.shape}"
+            )
+        lo, hi = (
+            np.full(r.size, inf) if bound is None else np.array(bound, dtype=float, ndmin=1)
+            for bound, inf in ((self.control_lower, -np.inf), (self.control_upper, np.inf))
+        )
+        if lo.shape != r.shape or hi.shape != r.shape:
+            raise ProblemError(f"control bounds must have length d_u={r.size}")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ProblemError("control bounds must not be NaN")
+        if np.any(lo >= hi):
+            raise ProblemError("control bounds must satisfy lower < upper")
+        normalized = {"r_diag": r, "b_matrix": B, "control_lower": lo, "control_upper": hi}
+        for name, arr in normalized.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_driven", _driven_dimensions(B))
 
     @property
     def d_s(self) -> int:
         return self.d_x + self.d_z
 
+    @property
+    def d_u(self) -> int:
+        return self.r_diag.size
+
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._bounds
+        """Read-only (lower, upper) control bounds."""
+        return self.control_lower, self.control_upper
 
-    @cached_property
-    def _bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only (lower, upper) control bounds, checked once per problem."""
-        lo = (
-            np.full(self.d_u, -np.inf)
-            if self.control_lower is None
-            else np.broadcast_to(np.asarray(self.control_lower, float), (self.d_u,))
-        )
-        hi = (
-            np.full(self.d_u, np.inf)
-            if self.control_upper is None
-            else np.broadcast_to(np.asarray(self.control_upper, float), (self.d_u,))
-        )
-        if np.any(lo >= hi):
-            raise ProblemError("control bounds must satisfy lower < upper")
-        lo.flags.writeable = hi.flags.writeable = False
-        return lo, hi
-
-    def minimizer_mode(self) -> str:
-        return "exact" if self.quadratic is not None else "search"
-
-
-def quadratic_grid_problem(
-    d_x: int,
-    d_z: int,
-    quadratic: QuadraticControl,
-    diffusion: Callable,
-    terminal_cost: Callable,
-    initial_density: Callable,
-    control_lower=None,
-    control_upper=None,
-) -> GridProblem:
-    """Build a GridProblem whose drift/cost derive from one declaration.
-
-    Guarantees the drift and running cost are consistent with the
-    quadratic structure the closed-form minimizer assumes.
-    """
-    B = quadratic.b_matrix
-    r = quadratic.r_diag
-    d_u = r.size
-
-    def drift(t, S, U):
-        base = list(quadratic.drift0(t, S))
+    def drift(self, t, S, U) -> list:
+        """drift0 + b_matrix u per coordinate, skipping zero entries of b_matrix."""
+        base = list(self.drift0(t, S))
+        if len(base) != self.d_s:
+            raise ProblemError(f"drift0 returned {len(base)} components, expected {self.d_s}")
         out = []
-        for i in range(d_x + d_z):
+        for i in range(self.d_s):
             term = np.asarray(base[i], dtype=float)
-            for c in range(d_u):
-                if B[i, c] != 0.0:
-                    term = term + B[i, c] * U[c]
+            for c in range(self.d_u):
+                if self.b_matrix[i, c] != 0.0:
+                    term = term + self.b_matrix[i, c] * U[c]
             out.append(term)
         return out
 
-    def running_cost(t, S, U):
-        total = np.asarray(quadratic.base_cost(t, S), dtype=float)
-        for c in range(d_u):
-            total = total + r[c] * np.square(U[c])
+    def running_cost(self, t, S, U):
+        """base_cost + sum_c r_diag[c] u_c^2."""
+        total = np.asarray(self.base_cost(t, S), dtype=float)
+        for c in range(self.d_u):
+            total = total + self.r_diag[c] * np.square(U[c])
         return total
 
-    return GridProblem(
-        d_x=d_x,
-        d_z=d_z,
-        d_u=d_u,
-        drift=drift,
-        diffusion=diffusion,
-        running_cost=running_cost,
-        terminal_cost=terminal_cost,
-        initial_density=initial_density,
-        control_lower=control_lower,
-        control_upper=control_upper,
-        quadratic=quadratic,
-    )
+
+def _driven_dimensions(b_matrix: np.ndarray) -> list:
+    """Map control component -> the single grid dimension it drives."""
+    driven = []
+    for c in range(b_matrix.shape[1]):
+        rows = np.nonzero(b_matrix[:, c])[0]
+        if rows.size != 1:
+            raise ProblemError(
+                "each control component must drive exactly one coordinate; "
+                "this problem is outside the grid model"
+            )
+        driven.append(int(rows[0]))
+    if len(set(driven)) != len(driven):
+        raise ProblemError(
+            "control components must drive distinct coordinates; this "
+            "problem is outside the grid model"
+        )
+    return driven
 
 
 # Mixed stencil corners (offset along i, offset along j, sign).
@@ -233,9 +221,11 @@ class DiscreteGenerator:
     exactly, so constants are harmonic and the adjoint conserves mass).
     apply/apply_adjoint are exact transposes of each other.
 
-    The constructor takes the coefficients before the reflecting closure:
-    it records the per-cell outflow rate for the stability check, then
-    zeros (in place) every coefficient that reaches across the boundary.
+    The constructor takes the coefficients before the reflecting closure,
+    as writable C-ordered full-grid float arrays that it takes ownership
+    of (build_generator makes them fresh): it records the per-cell outflow
+    rate for the stability check, then zeros, in place, every coefficient
+    that reaches across the boundary.
     Stencils are applied as slice adds on the C-ordered flat grid, where
     s + e_i is s + step_i: the rows a flat shift wraps into carry a zero
     coefficient, so each term is one contiguous multiply-add that adds an
@@ -245,9 +235,7 @@ class DiscreteGenerator:
     def __init__(self, grid: GridSpec, up, down, cross):
         shape = grid.shape
         self.grid = grid
-        self.up = [_owned(c, shape) for c in up]
-        self.down = [_owned(c, shape) for c in down]
-        self.cross = {ij: _owned(c, shape) for ij, c in cross.items()}
+        self.up, self.down, self.cross = up, down, cross
         self._full_sums = _sum([c for pair in zip(self.up, self.down) for c in pair], shape)
         for i, (up_i, down_i) in enumerate(zip(self.up, self.down)):
             up_i[_axis_edge(shape, i, last=True)] = 0.0
@@ -312,14 +300,6 @@ class DiscreteGenerator:
             )
 
 
-def _owned(coeff, shape) -> np.ndarray:
-    """A writable C-ordered full-grid float array: coeff itself when it is one."""
-    arr = np.asarray(coeff, dtype=float)
-    if arr.shape == shape and arr.flags.writeable and arr.flags.c_contiguous:
-        return arr
-    return _full(arr, shape)
-
-
 def _sum(arrays, shape) -> np.ndarray:
     """a_0 + a_1 + ..., accumulated left to right in one new array."""
     if len(arrays) < 2:
@@ -361,8 +341,6 @@ def build_generator(
     S = grid.mesh()
     U = control_to_grid(u_slice, problem.d_x, problem.d_u)
     b = problem.drift(t, S, U)
-    if len(b) != d:
-        raise ProblemError(f"drift returned {len(b)} components, expected {d}")
     D = problem.diffusion(t, S)
 
     def dval(i, j):
@@ -527,34 +505,12 @@ def _upwind_gradients(w: np.ndarray, grid: GridSpec) -> list:
     return [_upwind_differences(w, i, grid.spacing[i]) for i in range(grid.dim)]
 
 
-def _driven_dimensions(problem: GridProblem) -> list:
-    """Map control component -> the single grid dimension it drives."""
-    B = problem.quadratic.b_matrix
-    driven = []
-    for c in range(problem.d_u):
-        rows = np.nonzero(B[:, c])[0]
-        if rows.size != 1:
-            raise ProblemError(
-                "closed-form minimizer needs each control component to "
-                "drive exactly one coordinate; drop the quadratic declaration "
-                "to use the search minimizer"
-            )
-        driven.append(int(rows[0]))
-    if len(set(driven)) != len(driven):
-        raise ProblemError(
-            "closed-form minimizer needs distinct driven coordinates per "
-            "control component; drop the quadratic declaration to use the "
-            "search minimizer"
-        )
-    return driven
-
-
 def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, what: str) -> np.ndarray:
     """Reduce the control-free drift of a driven coordinate to a z-array.
 
-    The exact branch needs this drift to be constant across x for each
+    The grid model needs this drift to be constant across x for each
     memory node, so that the upwind side switches at one control value
-    per node; anything else must fall back to the search branch.
+    per node.
     """
     arr = np.asarray(b0_i, dtype=float)
     if arr.shape != shape:
@@ -566,9 +522,8 @@ def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, what: str) -> np.n
         scale = max(np.abs(lo).max(), np.abs(hi).max())  # = max |arr|
         if np.max(hi - lo) > 1e-10 * (1.0 + scale):
             raise ProblemError(
-                f"{what} varies across the state for fixed memory; the "
-                "closed-form minimizer does not apply (drop the quadratic "
-                "declaration to use the search minimizer)"
+                f"{what} varies across the state for fixed memory; this "
+                "problem is outside the grid model"
             )
         return lo
     return arr
@@ -620,45 +575,24 @@ def minimize_conditional_hamiltonian(
     Vectorized over all memory nodes: cond is the conditional table,
     w_next the value slice the generator acts on, u_prev the previous
     iterate's control slice (kept on ties, which pins fixed points).
-    Two branches:
-
-    * "exact": for the declared quadratic structure, the discrete
-      conditional Hamiltonian is piecewise quadratic in each control
-      component (the upwind side switches where the driven drift changes
-      sign), so the argmin is found exactly from the two branch vertices,
-      the breakpoint, and the previous control.
-    * "search": exhaustive evaluation over a uniform candidate grid plus
-      the previous control.
-
+    In the grid model the discrete conditional Hamiltonian is piecewise
+    quadratic in each control component (the upwind side switches where
+    the driven drift changes sign), so the argmin is found exactly from
+    the two branch vertices, the breakpoint, and the previous control.
     Low-mass nodes (defined=False) inherit the control of the nearest
     defined node.
     """
-    mode = problem.minimizer_mode()
     u_prev = np.asarray(u_prev, dtype=float)
-    lo, hi = problem.bounds()
     d_x = problem.d_x
     vol_x = _x_volume(grid, d_x)
-
-    if mode == "exact":
-        u_new = _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x)
-    else:
-        u_new = _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x)
-
-    if defined is not None:
-        _fill_undefined(u_new, defined, grid, d_x)
-    return u_new
-
-
-def _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
-    quad = problem.quadratic
-    d_x = problem.d_x
-    b0 = quad.drift0(t, grid.mesh())
+    lo, hi = problem.bounds()
+    b0 = problem.drift0(t, grid.mesh())
     z_shape = grid.memory_shape(d_x)
     u_new = np.empty(z_shape + (problem.d_u,))
 
-    for c, i in enumerate(_driven_dimensions(problem)):
-        Bc = float(quad.b_matrix[i, c])
-        Rc = float(quad.r_diag[c])
+    for c, i in enumerate(problem._driven):
+        Bc = float(problem.b_matrix[i, c])
+        Rc = float(problem.r_diag[c])
         gf, gb = (
             _conditional_expectation(cond, g, d_x, vol_x)
             for g in _upwind_differences(w_next, i, grid.spacing[i])
@@ -692,6 +626,8 @@ def _minimize_exact(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
         phi_best = np.choose(best, phis[:3])
         keep_prev = phis[3] <= phi_best + TIE_TOLERANCE * (1.0 + np.abs(phi_best))
         u_new[..., c] = np.where(keep_prev, cands[3], u_best)
+    if defined is not None:
+        _fill_undefined(u_new, defined, grid, d_x)
     return u_new
 
 
@@ -736,39 +672,6 @@ def conditional_hamiltonian(
         diffs = _upwind_gradients(w_next, grid)
     ham = _upwind_hamiltonian(problem, grid, t, diffs, u_slice)
     return _conditional_expectation(cond, ham, problem.d_x, _x_volume(grid, problem.d_x))
-
-
-def _minimize_search(problem, grid, t, cond, w_next, u_prev, lo, hi, vol_x):
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ProblemError("minimizer 'search' requires finite control bounds")
-    d_x = problem.d_x
-    d_u = problem.d_u
-    z_shape = grid.memory_shape(d_x)
-    diffs = _upwind_gradients(w_next, grid)
-
-    def phi(u_slice):
-        ham = _upwind_hamiltonian(problem, grid, t, diffs, u_slice)
-        return _conditional_expectation(cond, ham, d_x, vol_x)
-
-    axes = [np.linspace(lo[c], hi[c], DEFAULT_CANDIDATES) for c in range(d_u)]
-    best_phi = None
-    best_u = None
-    for combo in itertools.product(*axes):
-        val = phi(np.broadcast_to(np.asarray(combo), z_shape + (d_u,)))
-        if best_phi is None:
-            best_phi = val
-            best_u = [np.full(z_shape, combo[c]) for c in range(d_u)]
-        else:
-            better = val < best_phi
-            best_phi = np.where(better, val, best_phi)
-            for c in range(d_u):
-                best_u[c] = np.where(better, combo[c], best_u[c])
-
-    u_prev_clipped = np.clip(u_prev, lo, hi)
-    phi_prev = phi(u_prev_clipped)
-    keep_prev = phi_prev <= best_phi + TIE_TOLERANCE * (1.0 + np.abs(best_phi))
-    u_new = np.stack(best_u, axis=-1)
-    return np.where(keep_prev[..., None], u_prev_clipped, u_new)
 
 
 @dataclass

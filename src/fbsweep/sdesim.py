@@ -37,7 +37,6 @@ or number of its calls.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Tuple
@@ -170,7 +169,7 @@ def _multilinear(axes, table: np.ndarray, z: np.ndarray) -> np.ndarray:
         cells.append(k)
         weights.append((1 - y, y))
     value = 0.0
-    for corner in itertools.product((0, 1), repeat=len(axes)):
+    for corner in np.ndindex((2,) * len(axes)):
         weight = 1.0
         for upper, pair in zip(corner, weights):
             weight = weight * pair[upper]

@@ -22,7 +22,6 @@ from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
     GridSweepResult,
-    QuadraticControl,
     _backward_pass,
     _forward_pass,
     _full,
@@ -36,7 +35,6 @@ from fbsweep.gridpde import (
     fp_step,
     hjb_step,
     minimize_conditional_hamiltonian,
-    quadratic_grid_problem,
 )
 from fbsweep.lqg import fbsm_lqg
 
@@ -304,16 +302,13 @@ def grid_problem_from_lqg(
         sigma = problem.coefficients(t)[2]
         return sigma @ sigma.T
 
-    quad = QuadraticControl(
-        r_diag=np.diag(R0),
-        b_matrix=B,
-        drift0=drift0,
-        base_cost=base_cost,
-    )
-    return quadratic_grid_problem(
+    return GridProblem(
         d_x=problem.d_x,
         d_z=problem.d_z,
-        quadratic=quad,
+        b_matrix=B,
+        r_diag=np.diag(R0),
+        drift0=drift0,
+        base_cost=base_cost,
         diffusion=diffusion,
         terminal_cost=terminal_cost,
         initial_density=problem.initial_density(),

@@ -26,10 +26,9 @@ from fbsweep.config import (
 )
 from fbsweep.core import Gaussian, GridSpec, LqgProblem
 from fbsweep.gridpde import (
-    QuadraticControl,
+    GridProblem,
     build_generator,
     fbsm_grid,
-    quadratic_grid_problem,
 )
 from fbsweep.lqg import (
     LqgControlLaw,
@@ -197,14 +196,12 @@ class TestRiccatiStructure:
 class TestDiscreteOperators:
     def test_conjugacy_is_exact_on_random_triples(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (15, 11), 10, 1.0)
-        quad_control = QuadraticControl(
-            r_diag=[1.0],
+        problem = GridProblem(
+            d_x=1, d_z=1,
             b_matrix=[[1.0], [0.0]],
+            r_diag=[1.0],
             drift0=lambda t, S: [0.5 * S[1], -0.8 * S[0]],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-        )
-        problem = quadratic_grid_problem(
-            d_x=1, d_z=1, quadratic=quad_control,
             diffusion=lambda t, S: np.array([[1.0, 0.4], [0.4, 0.8]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),

@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "LqgSweepResult",
     "PathEnsemble",
     "ProblemError",
-    "QuadraticControl",
     "SingularPrecisionError",
     "StabilityError",
     "__version__",
@@ -39,7 +38,6 @@ PUBLIC_NAMES = [
     "minimize_conditional_hamiltonian",
     "monotonicity_check",
     "pmp_residual",
-    "quadratic_grid_problem",
     "simulate_paths",
     "sweep_pmp_residual",
     "validate_lqg",

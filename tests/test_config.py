@@ -21,7 +21,6 @@ from fbsweep.config import (
     simulation_dynamics,
 )
 from fbsweep.core import ProblemError
-from fbsweep.gridpde import quadratic_grid_problem
 
 
 def lqg_doc():
@@ -36,12 +35,7 @@ def obstacle_with(diffusion, drift0=lambda t, S: [0.5 * S[1] - S[0], S[0] - 2.0 
     """The bundled obstacle config with its grid problem's drift0 and D replaced."""
     cfg = parse_config(obstacle_doc())
     gp = cfg.grid_problem
-    derived = quadratic_grid_problem(
-        d_x=1, d_z=1, quadratic=dataclasses.replace(gp.quadratic, drift0=drift0),
-        diffusion=diffusion, terminal_cost=gp.terminal_cost,
-        initial_density=gp.initial_density,
-        control_lower=gp.control_lower, control_upper=gp.control_upper,
-    )
+    derived = dataclasses.replace(gp, drift0=drift0, diffusion=diffusion)
     return dataclasses.replace(cfg, grid_problem=derived)
 
 

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from fbsweep.gridpde import (
     _CORNERS,
     GridProblem,
     MassLog,
-    QuadraticControl,
     _backward_pass,
     _fill_undefined,
     _forward_pass,
@@ -32,8 +30,8 @@ from fbsweep.gridpde import (
     fp_step,
     hjb_step,
     minimize_conditional_hamiltonian,
-    quadratic_grid_problem,
 )
+from grid_problems import constant_diffusion, random_quadratic_problem
 
 
 def grid_objective(problem, grid, p, u) -> float:
@@ -77,27 +75,15 @@ def to_sparse(gen) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def constant_diffusion(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-
-    def diffusion(t, S):
-        return matrix
-
-    return diffusion
-
-
 def double_integrator_problem(bound=6.0):
     """dx = u dt + dw, dz = x dt + dv, cost x^2 + u^2, terminal x^2."""
-    quad = QuadraticControl(
-        r_diag=[1.0],
-        b_matrix=[[1.0], [0.0]],
-        drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
-        base_cost=lambda t, S: S[0] ** 2,
-    )
-    return quadratic_grid_problem(
+    return GridProblem(
         d_x=1,
         d_z=1,
-        quadratic=quad,
+        b_matrix=[[1.0], [0.0]],
+        r_diag=[1.0],
+        drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
+        base_cost=lambda t, S: S[0] ** 2,
         diffusion=constant_diffusion([[1.0, 0.0], [0.0, 1.0]]),
         terminal_cost=lambda S: S[0] ** 2,
         initial_density=Gaussian(np.zeros(2), 0.25 * np.eye(2)),
@@ -133,20 +119,76 @@ def fresh_sweeps(problem, grid, sweeps):
     return history, u, p, w
 
 
+class TestGridProblem:
+    """A declaration outside the model fails at construction."""
+
+    def declare(self, **changes):
+        fields = dict(
+            d_x=1, d_z=1,
+            b_matrix=[[1.0], [0.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
+            base_cost=lambda t, S: S[0] ** 2,
+            diffusion=constant_diffusion(np.eye(2)),
+            terminal_cost=lambda S: S[0] ** 2,
+            initial_density=Gaussian(np.zeros(2), 0.25 * np.eye(2)),
+            control_lower=[-1.0], control_upper=[1.0],
+        )
+        fields.update(changes)
+        return GridProblem(**fields)
+
+    def test_the_model_derives_d_u_and_read_only_bounds(self):
+        problem = self.declare()
+        assert problem.d_s == 2 and problem.d_u == 1
+        for arr in problem.bounds():
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_b_matrix_must_have_a_row_per_coordinate(self):
+        with pytest.raises(ProblemError, match="b_matrix must have shape"):
+            self.declare(b_matrix=[[1.0]])
+
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ProblemError, match="NaN"):
+            self.declare(control_lower=[np.nan])
+
+    def test_bounds_must_have_one_entry_per_control(self):
+        with pytest.raises(ProblemError, match="length d_u=1"):
+            self.declare(control_lower=[-1.0, -2.0])
+
+    def test_crossed_bounds_rejected(self):
+        with pytest.raises(ProblemError, match="lower < upper"):
+            self.declare(control_lower=[1.0], control_upper=[1.0])
+
+    @pytest.mark.parametrize(
+        "b_matrix, match",
+        [([[1.0], [1.0]], "exactly one coordinate"), ([[1.0, 1.0], [0.0, 0.0]], "distinct")],
+    )
+    def test_each_control_drives_its_own_coordinate(self, b_matrix, match):
+        with pytest.raises(ProblemError, match=match):
+            self.declare(
+                b_matrix=b_matrix, r_diag=[1.0] * len(b_matrix[0]),
+                control_lower=None, control_upper=None,
+            )
+
+    def test_drift0_must_cover_every_coordinate(self):
+        problem = self.declare(drift0=lambda t, S: [np.zeros_like(S[0])])
+        grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (5, 5), 10, 1.0)
+        with pytest.raises(ProblemError, match="drift0 returned 1 components, expected 2"):
+            build_generator(problem, grid, 0.0, np.zeros((5, 1)))
+
+
 class TestDiscreteGenerator:
     def grid_1d(self, n=41, n_t=100):
         return GridSpec(lower=[-2.0], upper=[2.0], shape=(n,), n_t=n_t, horizon=1.0)
 
     def test_row_sums_vanish(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (11, 9), 10, 1.0)
-        quad = QuadraticControl(
-            r_diag=[1.0],
+        problem = GridProblem(
+            d_x=1, d_z=1,
             b_matrix=[[1.0], [0.0]],
+            r_diag=[1.0],
             drift0=lambda t, S: [0.4 * S[1], -0.7 * S[0]],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-        )
-        problem = quadratic_grid_problem(
-            d_x=1, d_z=1, quadratic=quad,
             diffusion=constant_diffusion([[1.0, 0.3], [0.3, 0.5]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
@@ -162,14 +204,12 @@ class TestDiscreteGenerator:
 
     def test_apply_matches_sparse_matrix(self):
         grid = GridSpec([-1.0, 0.0], [1.0, 2.0], (13, 8), 10, 1.0)
-        quad = QuadraticControl(
-            r_diag=[1.0],
+        problem = GridProblem(
+            d_x=1, d_z=1,
             b_matrix=[[1.0], [0.0]],
+            r_diag=[1.0],
             drift0=lambda t, S: [np.sin(S[1]), np.cos(S[0])],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-        )
-        problem = quadratic_grid_problem(
-            d_x=1, d_z=1, quadratic=quad,
             diffusion=constant_diffusion([[0.8, 0.2], [0.2, 0.6]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.array([0.0, 1.0]), np.eye(2)),
@@ -200,10 +240,11 @@ class TestDiscreteGenerator:
     def test_pure_diffusion_on_quadratic(self):
         grid = self.grid_1d()
         problem = GridProblem(
-            d_x=1, d_z=0, d_u=1,
-            drift=lambda t, S, U: [np.zeros_like(S[0])],
+            d_x=1, d_z=0,
+            b_matrix=[[1.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0])],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[2.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
@@ -216,10 +257,11 @@ class TestDiscreteGenerator:
     def test_constant_drift_upwind(self):
         grid = self.grid_1d()
         problem = GridProblem(
-            d_x=1, d_z=0, d_u=1,
-            drift=lambda t, S, U: [np.full_like(S[0], 3.0)],
+            d_x=1, d_z=0,
+            b_matrix=[[1.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.full_like(S[0], 3.0)],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[0.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
@@ -233,10 +275,11 @@ class TestDiscreteGenerator:
     def test_mixed_diffusion_on_bilinear(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (21, 17), 10, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=1, d_u=1,
-            drift=lambda t, S, U: [np.zeros_like(S[0]), np.zeros_like(S[0])],
+            d_x=1, d_z=1,
+            b_matrix=[[1.0], [0.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0]), np.zeros_like(S[0])],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[1.0, 0.6], [0.6, 1.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-1.0], control_upper=[1.0],
@@ -250,10 +293,11 @@ class TestDiscreteGenerator:
     def test_stability_bound_names_binding_cell(self):
         grid = GridSpec([-3.0], [3.0], (31,), 100, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=0, d_u=1,
-            drift=lambda t, S, U: [50.0 * S[0]],
+            d_x=1, d_z=0,
+            b_matrix=[[1.0]], r_diag=[1.0],
+            drift0=lambda t, S: [50.0 * S[0]],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[1.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
@@ -266,10 +310,11 @@ class TestDiscreteGenerator:
     def test_asymmetric_diffusion_rejected(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (5, 5), 10, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=1, d_u=1,
-            drift=lambda t, S, U: [np.zeros_like(S[0]), np.zeros_like(S[0])],
+            d_x=1, d_z=1,
+            b_matrix=[[1.0], [0.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0]), np.zeros_like(S[0])],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[1.0, 0.5], [0.2, 1.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-1.0], control_upper=[1.0],
@@ -282,10 +327,11 @@ class TestDensitySteps:
     def test_mass_conserved_and_variance_grows(self):
         grid = GridSpec([-6.0], [6.0], (241,), 800, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=0, d_u=1,
-            drift=lambda t, S, U: [np.zeros_like(S[0])],
+            d_x=1, d_z=0,
+            b_matrix=[[1.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0])],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[1.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[0.25]]),
             control_lower=[-1.0], control_upper=[1.0],
@@ -307,10 +353,11 @@ class TestDensitySteps:
     def test_unstable_step_aborts_on_negative_mass(self):
         grid = GridSpec([-2.0], [2.0], (81,), 10, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=0, d_u=1,
-            drift=lambda t, S, U: [np.zeros_like(S[0])],
+            d_x=1, d_z=0,
+            b_matrix=[[1.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0])],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[1.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[0.04]]),
             control_lower=[-1.0], control_upper=[1.0],
@@ -324,10 +371,11 @@ class TestDensitySteps:
     def test_hjb_step_rejects_non_finite(self):
         grid = GridSpec([-1.0], [1.0], (21,), 250, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=0, d_u=1,
-            drift=lambda t, S, U: [np.zeros_like(S[0])],
+            d_x=1, d_z=0,
+            b_matrix=[[1.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0])],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[1.0]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
@@ -369,14 +417,12 @@ class TestConditionalDensity:
 class TestMinimizer:
     def conditioning_setup(self, seed=0):
         grid = GridSpec([-2.0, -1.0], [2.0, 1.0], (21, 9), 50, 1.0)
-        quad = QuadraticControl(
-            r_diag=[0.7],
+        problem = GridProblem(
+            d_x=1, d_z=1,
             b_matrix=[[1.0], [0.0]],
+            r_diag=[0.7],
             drift0=lambda t, S: [0.3 * S[1], np.sin(S[0])],
             base_cost=lambda t, S: S[0] ** 2,
-        )
-        problem = quadratic_grid_problem(
-            d_x=1, d_z=1, quadratic=quad,
             diffusion=constant_diffusion([[0.5, 0.0], [0.0, 0.5]]),
             terminal_cost=lambda S: S[0] ** 2,
             initial_density=Gaussian(np.zeros(2), 0.3 * np.eye(2)),
@@ -437,23 +483,6 @@ class TestMinimizer:
             problem, grid, 0.0, cond, w_next, u1, defined
         )
         np.testing.assert_array_equal(u1, u2)
-
-    def test_search_mode_close_to_exact(self):
-        problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
-        u_exact = minimize_conditional_hamiltonian(
-            problem, grid, 0.0, cond, w_next, u_prev, defined
-        )
-        problem_s = replace(problem, quadratic=None)
-        u_search = minimize_conditional_hamiltonian(
-            problem_s, grid, 0.0, cond, w_next, u_prev, defined
-        )
-        spacing = 6.0 / 40
-        assert np.max(np.abs(u_search - u_exact)) <= spacing + 1e-12
-
-    def test_quadratic_declaration_picks_the_minimizer(self):
-        problem = double_integrator_problem()
-        assert problem.minimizer_mode() == "exact"
-        assert replace(problem, quadratic=None).minimizer_mode() == "search"
 
     def test_low_mass_nodes_copy_nearest(self):
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
@@ -527,14 +556,12 @@ class TestMinimizer:
 
     def test_nonconforming_drift_rejected(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (9, 9), 10, 1.0)
-        quad = QuadraticControl(
-            r_diag=[1.0],
+        problem = GridProblem(
+            d_x=1, d_z=1,
             b_matrix=[[1.0], [0.0]],
+            r_diag=[1.0],
             drift0=lambda t, S: [S[0] ** 2, np.zeros_like(S[0])],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-        )
-        problem = quadratic_grid_problem(
-            d_x=1, d_z=1, quadratic=quad,
             diffusion=constant_diffusion(np.eye(2)),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
@@ -577,14 +604,12 @@ class TestFbsmGrid:
         assert np.all(result.control <= hi)
 
     def test_zero_cost_keeps_zero_control(self):
-        quad = QuadraticControl(
-            r_diag=[1.0],
+        problem = GridProblem(
+            d_x=1, d_z=1,
             b_matrix=[[1.0], [0.0]],
+            r_diag=[1.0],
             drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-        )
-        problem = quadratic_grid_problem(
-            d_x=1, d_z=1, quadratic=quad,
             diffusion=constant_diffusion(np.eye(2)),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), 0.25 * np.eye(2)),
@@ -647,15 +672,6 @@ class TestFbsmGrid:
         with pytest.raises(ProblemError, match="does not match"):
             fbsm_grid(problem, grid)
 
-    def test_search_mode_also_descends(self):
-        problem = replace(double_integrator_problem(), quadratic=None)
-        grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (17, 17), 30, 0.3)
-        result = fbsm_grid(problem, grid, max_iters=4, tol=0.0)
-        hist = result.objective_history
-        slack = 1e-6 * (1.0 + np.abs(hist[:-1]))
-        assert np.all(hist[1:] <= hist[:-1] + slack)
-
-
 class TestSweepInPlace:
     """fbsm_grid turns its one field buffer into the other field in place."""
 
@@ -713,52 +729,6 @@ class TestSweepInPlace:
         assert len(calls) == grid.n_t + 1
 
 
-def random_quadratic_problem(seed):
-    """A random 1+1-dimensional quadratic problem for an 11x11 grid, dt 0.01.
-
-    The driven coordinate x has the control-free drift a0 + a1 z (constant
-    in x, as the closed-form minimizer needs), the memory drifts as
-    c0 x + c1 z, the diffusion is diagonal, and the running cost is
-    q x^2 plus a band |x| in [inner, outer] charged only in [t_on, t_off].
-    Every coefficient is bounded so that the explicit step is stable and
-    I + dt L stays nonnegative: no step clamps any mass.
-    """
-    rng = np.random.default_rng(seed)
-    a0, a1, c0, c1 = rng.uniform(-1.0, 1.0, 4)
-    b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-    q, g = rng.uniform(0.0, 2.0, 2)
-    strength = rng.uniform(0.0, 20.0)
-    t_on = rng.uniform(0.0, 0.3)
-    t_off = t_on + rng.uniform(0.05, 0.3)
-    inner = rng.uniform(0.0, 0.5)
-    outer = inner + rng.uniform(0.3, 1.5)
-    diffusion = np.diag(rng.uniform(0.05, 0.5, 2))
-    bound = rng.uniform(0.5, 3.0)
-
-    def base_cost(t, S):
-        band = (np.abs(S[0]) >= inner) & (np.abs(S[0]) <= outer)
-        return q * S[0] ** 2 + strength * (t_on <= t <= t_off) * band
-
-    quad = QuadraticControl(
-        r_diag=[rng.uniform(0.3, 3.0)],
-        b_matrix=[[b], [0.0]],
-        drift0=lambda t, S: [a0 + a1 * S[1] + np.zeros_like(S[0]), c0 * S[0] + c1 * S[1]],
-        base_cost=base_cost,
-    )
-    return quadratic_grid_problem(
-        d_x=1,
-        d_z=1,
-        quadratic=quad,
-        diffusion=constant_diffusion(diffusion),
-        terminal_cost=lambda S: g * S[0] ** 2,
-        initial_density=Gaussian(
-            rng.uniform(-0.5, 0.5, 2), np.diag([rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5)])
-        ),
-        control_lower=[-bound],
-        control_upper=[bound],
-    )
-
-
 class TestSweepProperties:
     """The one-buffer sweep over random small quadratic problems."""
 
@@ -805,10 +775,11 @@ def random_generator(shape, seed):
     scale = rng.uniform(0.5, 1.5, shape)
     diffusion = [[spd[i, j] * scale for j in range(d)] for i in range(d)]
     problem = GridProblem(
-        d_x=1, d_z=d - 1, d_u=1,
-        drift=lambda t, S, U: drift,
+        d_x=1, d_z=d - 1,
+        b_matrix=np.eye(d, 1), r_diag=[1.0],
+        drift0=lambda t, S: drift,
+        base_cost=lambda t, S: np.zeros_like(S[0]),
         diffusion=lambda t, S: diffusion,
-        running_cost=lambda t, S, U: np.zeros_like(S[0]),
         terminal_cost=lambda S: np.zeros_like(S[0]),
         initial_density=Gaussian(np.zeros(d), np.eye(d)),
     )

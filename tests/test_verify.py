@@ -7,18 +7,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsweep.config import bundled_config_path, parse_config
 from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError
 from fbsweep.gridpde import (
     GridProblem,
-    QuadraticControl,
     _backward_pass,
     _forward_pass,
     _initial_density_slice,
     build_generator,
     fbsm_grid,
-    quadratic_grid_problem,
 )
 from fbsweep.verify import (
     conjugacy_residual,
@@ -29,11 +29,7 @@ from fbsweep.verify import (
     pmp_residual,
     sweep_pmp_residual,
 )
-
-
-def constant_diffusion(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    return lambda t, S: matrix
+from grid_problems import constant_diffusion, random_quadratic_problem
 
 
 def double_integrator_problem(bound=6.0, obstacle=0.0):
@@ -44,14 +40,12 @@ def double_integrator_problem(bound=6.0, obstacle=0.0):
             cost = cost + np.where((0.1 <= t) & (t <= 0.3) & band, obstacle, 0.0)
         return cost
 
-    quad = QuadraticControl(
-        r_diag=[1.0],
+    return GridProblem(
+        d_x=1, d_z=1,
         b_matrix=[[1.0], [0.0]],
+        r_diag=[1.0],
         drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
         base_cost=base_cost,
-    )
-    return quadratic_grid_problem(
-        d_x=1, d_z=1, quadratic=quad,
         diffusion=constant_diffusion(np.eye(2)),
         terminal_cost=lambda S: S[0] ** 2,
         initial_density=Gaussian(np.zeros(2), 0.25 * np.eye(2)),
@@ -74,14 +68,12 @@ def small_bundled_obstacle():
 class TestConjugacyResidual:
     def test_fuzz_draws(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (15, 11), 10, 1.0)
-        quad = QuadraticControl(
-            r_diag=[1.0],
+        problem = GridProblem(
+            d_x=1, d_z=1,
             b_matrix=[[1.0], [0.0]],
+            r_diag=[1.0],
             drift0=lambda t, S: [0.5 * S[1], -0.8 * S[0]],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-        )
-        problem = quadratic_grid_problem(
-            d_x=1, d_z=1, quadratic=quad,
             diffusion=constant_diffusion([[1.0, 0.4], [0.4, 0.8]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
@@ -100,10 +92,11 @@ class TestConjugacyResidual:
     def test_constant_value_function(self):
         grid = GridSpec([-1.0], [1.0], (31,), 10, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=0, d_u=1,
-            drift=lambda t, S, U: [np.sin(3 * S[0])],
+            d_x=1, d_z=0,
+            b_matrix=[[1.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.sin(3 * S[0])],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion([[0.7]]),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
@@ -158,6 +151,20 @@ class TestLemma1Check:
             report = lemma1_check(problem, grid, u, u_prime)
             residuals.append(report.residual)
         assert residuals[1] < residuals[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_t=st.integers(50, 70))
+    def test_discrete_pairing_is_exact_on_random_problems(self, seed, n_t):
+        """The discrete identity holds at rounding level for any problem of
+        the model and any two in-bounds controls (the continuous pairing
+        reads about 1e-2 on such draws)."""
+        problem = random_quadratic_problem(seed)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), n_t, 0.01 * n_t)
+        lo, hi = problem.bounds()
+        rng = np.random.default_rng([seed, 1])
+        u, u_prime = (rng.uniform(lo, hi, size=(n_t, 11, 1)) for _ in range(2))
+        report = lemma1_check(problem, grid, u, u_prime, pairing="discrete")
+        assert report.residual <= 1e-9 * (1.0 + abs(report.lhs))
 
     def test_holds_two_fields(self):
         problem, grid = small_bundled_obstacle()
@@ -305,10 +312,11 @@ class TestPmpResidual:
 
     def test_zero_cost_residual_vanishes(self):
         problem = GridProblem(
-            d_x=1, d_z=1, d_u=1,
-            drift=lambda t, S, U: [U[0] + np.zeros_like(S[0]), S[0]],
+            d_x=1, d_z=1,
+            b_matrix=[[1.0], [0.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.zeros_like(S[0]), S[0]],
+            base_cost=lambda t, S: np.zeros_like(S[0]),
             diffusion=constant_diffusion(np.eye(2)),
-            running_cost=lambda t, S, U: np.zeros_like(S[0]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), 0.25 * np.eye(2)),
             control_lower=[-2.0], control_upper=[2.0],
