@@ -17,22 +17,24 @@ Every stream is consumed in step order either way, so the increments do
 not depend on the batch length, and a simulation holds its returned
 arrays plus one batch instead of every path's whole noise block.
 
-Layout: the step loop keeps states and cumulative costs in time-major
-buffers, (n_steps + 1, n_paths, d_s) and (n_steps + 1, n_paths), so that
-each step reads and writes one contiguous slice. PathEnsemble hands them
-out in their (n_paths, ...) shapes as transposed views of those buffers,
-not as copies; callers that need contiguous arrays copy them
-(np.ascontiguousarray).
+Layout: the step loop keeps states in one time-major buffer,
+(n_steps + 1, n_paths, d_s), so that each step reads and writes one
+contiguous slice. PathEnsemble hands it out in its (n_paths, ...) shape
+as a transposed view, not as a copy; callers that need a contiguous
+array copy it (np.ascontiguousarray).
 
-Controls: the law's output at each step goes into one reused
-(n_paths, d_u) buffer, and no control history is kept while stepping.
-A memory-feedback law u(t, z) is a function of data the ensemble holds,
-so PathEnsemble.controls re-evaluates it on first access, at each stored
-time from the stored states' memory block, clamped as the simulation
-clamped it. The replay hands the law the same arrays the step loop did,
-so the history has the bits of the applied controls, frozen paths
-included. A law must therefore depend on (t, z) alone, not on the order
-or number of its calls.
+Controls and costs: the law's output at each step goes into one reused
+(n_paths, d_u) buffer, and each step's running cost f dt is added into
+one (n_paths,) running total per path; no control or cost history is
+kept while stepping. A memory-feedback law u(t, z) is a function of data
+the ensemble holds, so PathEnsemble.controls re-evaluates it on first
+access, at each stored time from the stored states' memory block,
+clamped as the simulation clamped it, and PathEnsemble.cumulative_costs
+replays the running cost on those controls and accumulates it in step
+order, as the simulation did. The replay hands the law and the cost the
+same arrays the step loop did, so both histories have the bits of the
+simulation, frozen paths included. A law must therefore depend on
+(t, z) alone, not on the order or number of its calls.
 """
 
 from __future__ import annotations
@@ -56,22 +58,24 @@ class PathEnsemble:
 
     states has shape (n_paths, n_steps + 1, d_s) and controls
     (n_paths, n_steps, d_u); dt is the step the paths were advanced with.
-    cumulative_costs holds the left-endpoint running-cost integral (zero
-    at t=0) when the simulation was given a cost, so it is non-decreasing
-    whenever f >= 0. Paths that left the finite range are frozen at their
-    last finite state and flagged invalid; clamp_counts tallies, per path,
-    how many steps needed the memory clamped onto the control law's
-    domain. The arrays are transposed views of the simulator's time-major
-    buffers.
+    cumulative_costs, (n_paths, n_steps + 1), holds the left-endpoint
+    running-cost integral (zero at t=0) when the simulation was given a
+    cost, and is None otherwise; it is non-decreasing whenever f >= 0.
+    Paths that left the finite range are frozen at their last finite
+    state and flagged invalid; clamp_counts tallies, per path, how many
+    steps needed the memory clamped onto the control law's domain. The
+    arrays are transposed views of time-major buffers.
 
-    controls is not stored while simulating: the first access re-evaluates
-    the memory-feedback law u(t, z) at every step from the stored states
-    (see the module docstring), so the law must be a function of (t, z).
+    Neither controls nor cumulative_costs is stored while simulating:
+    the first access re-evaluates the memory-feedback law u(t, z) at
+    every step from the stored states, and the running cost on those
+    controls (see the module docstring), so the law must be a function
+    of (t, z). The simulation keeps only each path's total running cost,
+    which estimate_objective reads.
     """
 
     times: np.ndarray
     states: np.ndarray
-    cumulative_costs: Optional[np.ndarray]
     valid: np.ndarray
     clamp_counts: np.ndarray
     seed: int
@@ -80,6 +84,8 @@ class PathEnsemble:
     _eval_u: Callable = field(repr=False)
     _z_box: Optional[Tuple[np.ndarray, np.ndarray]] = field(repr=False)
     _d_u: int = field(repr=False)
+    _cost: Optional[CostSpec] = field(repr=False)
+    _cost_totals: Optional[np.ndarray] = field(repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -96,9 +102,26 @@ class PathEnsemble:
             self._control_at(i, u)
         return controls.transpose(1, 0, 2)
 
+    @cached_property
+    def cumulative_costs(self) -> Optional[np.ndarray]:
+        if self._cost is None:
+            return None
+        cum = np.zeros((self.times.size, self.n_paths))
+        for i, step_cost in enumerate(self._step_costs(self._cost)):
+            np.add(cum[i], step_cost, out=cum[i + 1])
+        return cum.T
+
     def _control_at(self, i: int, out: np.ndarray) -> None:
         """Write the control applied at step i into out, (n_paths, d_u)."""
         _apply_law(self._eval_u, self._z_box, self.times[i], self.states[:, i], self.d_x, out)
+
+    def _step_costs(self, cost: CostSpec):
+        """Yield f(t_i, s_i, u_i) * dt, (n_paths,), for each step i in
+        order, the controls re-evaluated into one buffer."""
+        u = np.empty((self.n_paths, self._d_u))
+        for i, t in enumerate(self.times[:-1]):
+            self._control_at(i, u)
+            yield _step_cost(cost, t, self.states[:, i], u, self.dt)
 
 
 class GridControlLaw:
@@ -196,6 +219,11 @@ def _apply_law(eval_u, z_box, t, s, d_x, out):
     return clamped
 
 
+def _step_cost(cost, t, s, u, dt):
+    """Left-endpoint running cost of one step, f(t, s, u) * dt, (n_paths,)."""
+    return np.asarray(cost.running_cost(t, s, u), dtype=float).reshape(s.shape[0]) * dt
+
+
 def _control_evaluator(control) -> Callable:
     if hasattr(control, "evaluate_memory"):
         return control.evaluate_memory
@@ -253,7 +281,7 @@ def simulate_paths(
     states = np.empty((n_steps + 1, n_paths, d_s))
     states[0] = s0
     u = np.empty((n_paths, d_u))
-    cum = np.zeros((n_steps + 1, n_paths)) if cost is not None else None
+    total = np.zeros(n_paths) if cost is not None else None
     valid = np.ones(n_paths, dtype=bool)
     clamp_counts = np.zeros(n_paths, dtype=int)
 
@@ -288,14 +316,12 @@ def simulate_paths(
             if not (valid.all() and np.isfinite(s_next.sum())):
                 valid &= np.all(np.isfinite(s_next), axis=-1)
                 s_next[~valid] = s[~valid]
-            if cum is not None:
-                f = np.asarray(cost.running_cost(t, s, u), dtype=float).reshape(n_paths)
-                np.add(cum[i], f * dt, out=cum[i + 1])
+            if total is not None:
+                np.add(total, _step_cost(cost, t, s, u, dt), out=total)
 
     return PathEnsemble(
         times=times,
         states=states.transpose(1, 0, 2),
-        cumulative_costs=cum.T if cum is not None else None,
         valid=valid,
         clamp_counts=clamp_counts,
         seed=seed,
@@ -304,6 +330,8 @@ def simulate_paths(
         _eval_u=eval_u,
         _z_box=z_box,
         _d_u=d_u,
+        _cost=cost,
+        _cost_totals=total,
     )
 
 
@@ -311,22 +339,20 @@ def estimate_objective(ensemble: PathEnsemble, cost: CostSpec) -> Tuple[float, f
     """Sample mean and standard error of the per-path discrete cost.
 
     Per path: left-endpoint running-cost sum plus terminal cost at the
-    final state, over valid paths only. Without a stored cumulative cost
-    the sum is taken step by step over every path, each step's controls
+    final state, over valid paths only. The running sum is the total the
+    simulation kept when it was given this very cost object; otherwise
+    it is taken step by step over every path, each step's controls
     re-evaluated into one buffer, as the simulation took it.
     """
     valid = ensemble.valid
     if not valid.any():
         raise ProblemError("no valid paths to estimate from")
-    if ensemble.cumulative_costs is not None:
-        running = ensemble.cumulative_costs[valid, -1]
+    if cost is ensemble._cost:
+        running = ensemble._cost_totals[valid]
     else:
         total = np.zeros(ensemble.n_paths)
-        u = np.empty((ensemble.n_paths, ensemble._d_u))
-        for i, t in enumerate(ensemble.times[:-1]):
-            ensemble._control_at(i, u)
-            f = np.asarray(cost.running_cost(t, ensemble.states[:, i], u), dtype=float)
-            total += f.reshape(total.shape) * ensemble.dt
+        for step_cost in ensemble._step_costs(cost):
+            total += step_cost
         running = total[valid]
     terminal = np.asarray(
         cost.terminal_cost(ensemble.states[valid, -1, :]), dtype=float

@@ -345,6 +345,90 @@ class TestNoiseBatches:
         assert ens.controls.shape == (1000, 4000, 1)
 
 
+class TestDerivedCosts:
+    """The simulation keeps one running cost total per path; the history
+    is replayed from the stored states on first access."""
+
+    @staticmethod
+    def frozen_case():
+        """The mixed-explosion dynamics under a nonzero grid law, with a
+        running cost that reads the control."""
+        dyn, _, _ = mixed_explosion_case(1.0)
+        grid = GridSpec([-5.0, -0.5], [5.0, 0.5], (3, 5), 50, 1.0)
+        values = np.random.default_rng(4).standard_normal((50, 5, 1))
+        law = GridControlLaw(values, grid, d_x=1)
+        cost = CostSpec(
+            running_cost=lambda t, s, u: s[:, 0] ** 2 + 0.5 * s[:, 1] * u[:, 0] + u[:, 0] ** 2,
+            terminal_cost=lambda s: s[:, 1] ** 2,
+        )
+        return dyn, law, cost
+
+    def test_history_has_the_time_major_accumulation_bits(self):
+        dyn, law, cost = self.frozen_case()
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        assert 0 < ens.n_excluded < ens.n_paths
+        cum = np.zeros((51, 200))
+        for i, t in enumerate(ens.times[:-1]):
+            u = np.ascontiguousarray(ens.controls[:, i])
+            f = cost.running_cost(t, ens.states[:, i], u)
+            np.add(cum[i], f * 0.02, out=cum[i + 1])
+        history = ens.cumulative_costs
+        assert history.shape == (200, 51)
+        assert np.ascontiguousarray(history).tobytes() == cum.T.tobytes()
+        assert ens.cumulative_costs is history
+
+    def test_no_cost_means_no_history(self):
+        dyn, law, _ = self.frozen_case()
+        assert simulate_paths(dyn, law, 1.0, 0.02, 20, seed=6).cumulative_costs is None
+
+    def test_stored_totals_give_the_replayed_estimate(self):
+        dyn, law, cost = self.frozen_case()
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        same_cost = CostSpec(cost.running_cost, cost.terminal_cost)
+        # an equal but distinct cost object takes the replay
+        assert estimate_objective(ens, cost) == estimate_objective(ens, same_cost)
+
+    def test_estimate_uses_the_given_cost_alone(self):
+        """An ensemble simulated under cost a and estimated under cost b
+        gives b's estimate, not a's running cost plus b's terminal cost."""
+        dyn, law, cost_a = self.frozen_case()
+        cost_b = CostSpec(
+            running_cost=lambda t, s, u: np.abs(s[:, 1]) + 3.0 * u[:, 0] ** 2,
+            terminal_cost=lambda s: s[:, 0] ** 2,
+        )
+        stored = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost_a)
+        bare = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6)
+        assert estimate_objective(stored, cost_b) == estimate_objective(bare, cost_b)
+        assert estimate_objective(stored, cost_a) != estimate_objective(stored, cost_b)
+
+    def test_peak_memory_holds_no_cost_history(self, monkeypatch):
+        """1000 paths x 400 steps with a cost: the states take 6.4 MB, and
+        a stored cost history would add 3.2 MB on top of them."""
+        dyn = ExtendedDynamics(
+            d_x=1,
+            d_z=1,
+            d_u=1,
+            d_w=2,
+            drift=lambda t, s, u: -s,
+            diffusion=lambda t, s, u: np.eye(2),
+            initial_density=Gaussian([0.0, 0.0], np.eye(2)),
+        )
+        cost = CostSpec(
+            running_cost=lambda t, s, u: s[:, 0] ** 2 + u[:, 0] ** 2,
+            terminal_cost=lambda s: s[:, 0] ** 2,
+        )
+        _size_noise_batch(monkeypatch, 10, 1000, 2)
+        tracemalloc.start()
+        try:
+            ens = simulate_paths(dyn, zero_control, 1.0, 1.0 / 400, 1000, seed=3, cost=cost)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.states.shape == (1000, 401, 2)
+        assert peak < 1.5 * ens.states.nbytes
+        assert ens.cumulative_costs.shape == (1000, 401)
+
+
 class TestSimulationCost:
     @settings(max_examples=40, deadline=None)
     @given(
