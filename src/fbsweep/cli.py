@@ -9,8 +9,11 @@ Subcommands:
   times, summary.json, manifest.json and a config copy.
 * ``simulate``   roll out Monte Carlo paths under a solved control law,
   writing paths.csv and objective.json.
-* ``verify``     rerun the solver from a run directory's stored config
-  and check the recorded artifacts against the rerun.
+* ``verify``     check a run directory's stored answer: its objective
+  from one evaluation of the stored gains or control table, against the
+  recorded history and summary, plus descent, mass and stationarity
+  checks. ``--rerun`` also re-solves from the stored config and checks
+  the history and the answer against the rerun.
 * ``reproduce``  run both bundled configurations end to end (solve,
   simulate, verify) into one output tree.
 
@@ -46,10 +49,20 @@ from fbsweep.core import (
     ProblemError,
     SingularPrecisionError,
     StabilityError,
+    _descent_violations,
     _step_count,
 )
+from fbsweep.gridpde import MONOTONICITY_SLACK as GRID_MONOTONICITY_SLACK
 from fbsweep.gridpde import fbsm_grid
-from fbsweep.lqg import LqgControlLaw, fbsm_lqg, lqg_objective
+from fbsweep.lqg import MONOTONICITY_SLACK as LQG_MONOTONICITY_SLACK
+from fbsweep.lqg import (
+    LqgControlLaw,
+    _closed_loop_objective,
+    _Coefficients,
+    _min_eigenvalue,
+    fbsm_lqg,
+    lqg_objective,
+)
 from fbsweep.sdesim import GridControlLaw, estimate_objective, simulate_paths
 from fbsweep.verify import sweep_pmp_residual
 
@@ -104,9 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser(
-        "verify", help="recompute a run directory and check its artifacts"
+        "verify", help="check a run directory's stored answer and artifacts"
     )
     ver.add_argument("run_dir", help="directory written by run-lqg or run-grid")
+    ver.add_argument(
+        "--rerun",
+        action="store_true",
+        help="also re-solve from the stored config and compare the history and answer",
+    )
     ver.set_defaults(func=cmd_verify)
 
     rep = sub.add_parser(
@@ -397,7 +415,7 @@ def _iterations_match(stored: np.ndarray, fresh: np.ndarray):
     if len(stored) != len(fresh):
         return False, f"{len(stored)} recorded iterations, rerun produced {len(fresh)}"
     for k, (a, b) in enumerate(zip(stored, fresh)):
-        if abs(a - b) > ITERATION_MATCH_RTOL * (1.0 + abs(b)):
+        if not _objectives_match(a, b):
             return (
                 False,
                 f"objective mismatch at iteration k={k}: "
@@ -406,7 +424,96 @@ def _iterations_match(stored: np.ndarray, fresh: np.ndarray):
     return True, ""
 
 
+def _objectives_match(recorded: float, answer: float) -> bool:
+    return abs(recorded - answer) <= ITERATION_MATCH_RTOL * (1.0 + abs(answer))
+
+
+def _check_deviation(checks: list, name: str, diff: float, scale: float) -> None:
+    _check(checks, name, diff <= ITERATION_MATCH_RTOL * scale, f"max deviation {diff:.3e}")
+
+
+def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, checks: list) -> tuple:
+    """Check the stored gains; return them and their closed-loop objective.
+
+    The objective is the one every lqg sweep records, from the same
+    gains, so it reproduces the last recorded value bit for bit.
+    """
+    problem = cfg.lqg_problem
+    gains = artifacts.read_gains(run_dir, problem.d_x)
+    coeffs = _Coefficients(problem)
+    if gains.n_steps != coeffs.n or gains.psi.shape[-1] != problem.d_s:
+        raise ProblemError(
+            f"gain tables hold {gains.n_steps} steps of dimension "
+            f"{gains.psi.shape[-1]}, configuration has {coeffs.n} of {problem.d_s}"
+        )
+    min_eig = _min_eigenvalue(gains.lam)
+    _check(
+        checks,
+        "stored precision matrix positive definite",
+        min_eig > 0.0,
+        f"min eigenvalue {min_eig:.6g}",
+    )
+    if not min_eig > 0.0:
+        # such a Lambda defines no law, so there is no objective to compare
+        return gains, np.nan
+    objective = _closed_loop_objective(
+        problem, coeffs, gains.psi, gains.pi, gains.lam, gains.mu
+    )
+    return gains, objective
+
+
+def _check_grid_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: list) -> tuple:
+    """Check the stored control; return it and its objective.
+
+    One forward pass under the control gives its density and mass
+    bookkeeping; the stationarity oracle steps the value alongside. The
+    objective is taken the way the run's last sweep recorded it: <p0, w0>
+    after a backward sweep (an odd count), the forward pass's cost
+    otherwise. Either way it reproduces the recorded value bit for bit.
+    """
+    problem, grid = cfg.grid_problem, cfg.grid
+    # Read the table first: parsing it peaks well above its array, and
+    # that peak should not stack on the density field.
+    control, _, _ = artifacts.read_control_table(run_dir)
+    expected = (grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,)
+    if control.shape != expected:
+        raise ProblemError(
+            f"control table has shape {control.shape}, configuration needs {expected}"
+        )
+    pmp = sweep_pmp_residual(problem, grid, control)
+    log = pmp.mass_log
+    _check(
+        checks,
+        "density mass conserved",
+        log.max_mass_drift <= 1e-12,
+        f"max drift {log.max_mass_drift:.3e}",
+    )
+    _check(
+        checks,
+        "pre-clamp negative mass within limit",
+        log.max_negative_mass <= 1e-6,
+        f"max negative mass {log.max_negative_mass:.3e}",
+    )
+    objective = pmp.value_objective if sweeps % 2 else pmp.objective
+    pmp_limit = PMP_THRESHOLD_REL * (1.0 + abs(objective))
+    _check(
+        checks,
+        "stationarity residual within tolerance",
+        pmp.weighted_max <= pmp_limit,
+        f"weighted max {pmp.weighted_max:.3e} (limit {pmp_limit:.3e})",
+    )
+    return control, objective
+
+
 def cmd_verify(args) -> int:
+    """Check a run directory's stored answer, and with --rerun re-solve it.
+
+    The default checks read the answer alone: the stored gains or control
+    table is evaluated once, and its objective, stationarity and
+    bookkeeping are checked against the recorded history and summary.
+    --rerun adds the reproduction checks, which compare the recorded
+    history and the answer with a fresh solve from the stored config.
+    """
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         raise ProblemError(f"run directory not found: {run_dir}")
@@ -416,6 +523,9 @@ def cmd_verify(args) -> int:
     manifest = artifacts.read_json(run_dir / artifacts.MANIFEST_FILE)
     stored_iterations = artifacts.read_iterations(run_dir)
     stored_summary = artifacts.read_summary(run_dir)
+    if not stored_iterations.size:
+        raise ProblemError(f"no objective recorded in {run_dir / artifacts.ITERATIONS_FILE}")
+    sweeps = stored_iterations.size - 1
 
     checks: list = []
     digest = artifacts.config_digest(config_path.read_text())
@@ -427,78 +537,47 @@ def cmd_verify(args) -> int:
     )
 
     if cfg.family == "lqg":
-        result = _solve_lqg_config(cfg)
-        fresh_gains = result.gains
-        stored_gains = artifacts.read_gains(run_dir, cfg.lqg_problem.d_x)
-        gain_diff = max(
-            float(np.abs(getattr(stored_gains, name) - getattr(fresh_gains, name)).max())
-            for name in ("psi", "pi", "lam", "mu")
-        )
-        scale = 1.0 + float(np.abs(fresh_gains.pi).max())
-        _check(
-            checks,
-            "gain tables match rerun",
-            gain_diff <= ITERATION_MATCH_RTOL * scale,
-            f"max deviation {gain_diff:.3e}",
-        )
-        min_eig = result.min_lambda_eigenvalue
-        _check(
-            checks,
-            "precision matrix positive definite at every iterate",
-            min_eig > 0.0,
-            f"min eigenvalue {min_eig:.6g}",
-        )
+        gains, objective = _check_lqg_answer(cfg, run_dir, checks)
+        slack = LQG_MONOTONICITY_SLACK
     else:
-        # Read the table first: parsing it peaks well above its array, and
-        # that peak should not stack on the rerun's field.
-        stored_control, _, _ = artifacts.read_control_table(run_dir)
-        result = _solve_grid_config(cfg)
-        control_diff = float(np.abs(stored_control - result.control).max())
-        scale = 1.0 + float(np.abs(result.control).max())
-        _check(
-            checks,
-            "control table matches rerun",
-            control_diff <= ITERATION_MATCH_RTOL * scale,
-            f"max deviation {control_diff:.3e}",
-        )
-        log = result.mass_log
-        _check(
-            checks,
-            "density mass conserved",
-            log.max_mass_drift <= 1e-12,
-            f"max drift {log.max_mass_drift:.3e}",
-        )
-        _check(
-            checks,
-            "pre-clamp negative mass within limit",
-            log.max_negative_mass <= 1e-6,
-            f"max negative mass {log.max_negative_mass:.3e}",
-        )
-        # Reads the rerun's field and steps the other one a slice at a time.
-        pmp = sweep_pmp_residual(cfg.grid_problem, cfg.grid, result)
-        j_final = float(result.objective_history[-1])
-        pmp_limit = PMP_THRESHOLD_REL * (1.0 + abs(j_final))
-        _check(
-            checks,
-            "stationarity residual within tolerance",
-            pmp.weighted_max <= pmp_limit,
-            f"weighted max {pmp.weighted_max:.3e} (limit {pmp_limit:.3e})",
-        )
+        control, objective = _check_grid_answer(cfg, run_dir, sweeps, checks)
+        slack = GRID_MONOTONICITY_SLACK
 
-    fresh = np.asarray(result.objective_history, dtype=float)
-    same, detail = _iterations_match(stored_iterations, fresh)
-    _check(checks, "iteration objectives match rerun", same, detail)
-
-    # the rerun recorded every sweep that rose past its backend's slack
-    rises, sweeps = result.monotonicity_violations, fresh.size - 1
+    last = float(stored_iterations[-1])
+    _check(
+        checks,
+        "final iteration objective matches answer",
+        _objectives_match(last, objective),
+        f"recorded {last!r}, answer {float(objective)!r}",
+    )
+    rises, _ = _descent_violations(stored_iterations, slack)
     detail = f"{len(rises)} rise(s) in {sweeps} sweeps" if sweeps else "one objective value"
     _check(checks, "objective descends monotonically", not rises, detail)
-
     summary_j = float(stored_summary.get("objective", np.nan))
-    summary_ok = abs(summary_j - fresh[-1]) <= ITERATION_MATCH_RTOL * (
-        1.0 + abs(fresh[-1])
+    _check(
+        checks,
+        "summary objective matches answer",
+        _objectives_match(summary_j, objective),
+        repr(summary_j),
     )
-    _check(checks, "summary objective matches rerun", summary_ok, repr(summary_j))
+
+    if args.rerun:
+        if cfg.family == "lqg":
+            result = _solve_lqg_config(cfg)
+            diff = max(
+                float(np.abs(getattr(gains, name) - getattr(result.gains, name)).max())
+                for name in ("psi", "pi", "lam", "mu")
+            )
+            scale = 1.0 + float(np.abs(result.gains.pi).max())
+            _check_deviation(checks, "gain tables match rerun", diff, scale)
+        else:
+            result = _solve_grid_config(cfg)
+            diff = float(np.abs(control - result.control).max())
+            scale = 1.0 + float(np.abs(result.control).max())
+            _check_deviation(checks, "control table matches rerun", diff, scale)
+        fresh = np.asarray(result.objective_history, dtype=float)
+        same, detail = _iterations_match(stored_iterations, fresh)
+        _check(checks, "iteration objectives match rerun", same, detail)
 
     passed = all(c["passed"] for c in checks)
     artifacts.write_json(
@@ -521,6 +600,9 @@ def _solve_scalars(result) -> dict:
 
 def cmd_reproduce(args) -> int:
     """Solve, simulate and verify both bundled documents.
+
+    verify runs its default checks, on the stored answers: nothing is
+    solved twice.
 
     Each step keeps only the scalars the summary reports: a solve's
     fields and a simulation's paths are released before the next step
@@ -548,7 +630,7 @@ def cmd_reproduce(args) -> int:
     exit_codes["simulate-lqg"] = EXIT_OK
     print("verifying lqg run ...")
     exit_codes["verify-lqg"] = cmd_verify(
-        argparse.Namespace(run_dir=str(lqg_dir))
+        argparse.Namespace(run_dir=str(lqg_dir), rerun=False)
     )
     analytic = artifacts.read_summary(lqg_dir)["analytic_objective"]
     summary["lqg"] = dict(
@@ -577,7 +659,7 @@ def cmd_reproduce(args) -> int:
     exit_codes["simulate-grid"] = EXIT_OK
     print("verifying obstacle run ...")
     exit_codes["verify-grid"] = cmd_verify(
-        argparse.Namespace(run_dir=str(grid_dir))
+        argparse.Namespace(run_dir=str(grid_dir), rerun=False)
     )
     summary["obstacle"] = dict(
         grid,

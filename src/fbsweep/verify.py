@@ -11,8 +11,9 @@ backend on a problem both can solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
     GridSweepResult,
+    MassLog,
     _backward_pass,
     _forward_pass,
     _full,
@@ -130,11 +132,22 @@ def monotonicity_check(history, slack_rel: float = MONOTONICITY_SLACK) -> Monoto
 
 @dataclass
 class PmpReport:
-    """Stationarity residual of the conditional Hamiltonian at a control."""
+    """Stationarity residual of the conditional Hamiltonian at a control.
+
+    When sweep_pmp_residual solves the density itself (a bare control),
+    the report also carries what that solve gives about the control: its
+    discrete objective as each sweep direction records it (objective, the
+    forward pass's accumulated cost; value_objective, <p0, w0> from the
+    value stepped alongside) and the forward pass's mass_log. They are
+    None otherwise.
+    """
 
     residual_field: np.ndarray
     weighted_max: float
     argmax: tuple
+    objective: Optional[float] = None
+    value_objective: Optional[float] = None
+    mass_log: Optional[MassLog] = None
 
 
 def _stationarity_excess(problem: GridProblem, grid: GridSpec, t, u_i, p_i, w_next):
@@ -193,17 +206,20 @@ def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpReport:
     )
 
 
-def _excess_stepping_value(problem, grid, u, p):
+def _excess_stepping_value(problem, grid, u, p, w_first=None):
     """The stationarity excess at every step, last step first, with the
     value stepped backward under u alongside: one slice is held at a
-    time. w[0] is not needed, so it is not computed."""
+    time. The excess does not read w[0]; it is computed only when
+    w_first is given, a list that then receives it."""
     times, dt = grid.times(), grid.dt
     w_next = _full(problem.terminal_cost(grid.mesh()), grid.shape)
     for i in range(grid.n_t - 1, -1, -1):
         yield i, _stationarity_excess(problem, grid, times[i], u[i], p[i], w_next)
-        if i:
+        if i or w_first is not None:
             gen = build_generator(problem, grid, times[i], u[i], dt=dt)
             w_next = hjb_step(problem, grid, times[i], w_next, u[i], dt=dt, gen=gen)
+    if w_first is not None:
+        w_first.append(w_next)
 
 
 def _excess_stepping_density(problem, grid, u, w):
@@ -223,28 +239,43 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     """PMP residual of a control against its own induced density and value.
 
     Solves the density forward under the given control, then steps the
-    value backward under it and measures the stationarity excess of that
-    same control at each step. At a sweep fixed point this vanishes up to
-    the minimizer tolerance. The oracle holds at most one (n_t + 1)-slice
-    field.
+    value backward under it, a slice at a time, and measures the
+    stationarity excess of that same control at each step. At a sweep
+    fixed point this vanishes up to the minimizer tolerance. The oracle
+    holds at most one (n_t + 1)-slice field.
+
+    These are the passes fbsm_grid makes under a control its sweep has
+    refreshed, so the report also gives the control's objective with the
+    bits the sweep recorded: objective after a forward sweep (or none),
+    value_objective, from one more step of the value to w[0], after a
+    backward one. mass_log is the forward pass's. verify reads them to
+    check a stored control without re-solving.
 
     control may also be the GridSweepResult of fbsm_grid on (problem,
     grid); its control is checked. The field the result holds was
     stepped under exactly that control, and a fresh pass reproduces it
     bit for bit, so only the other field is stepped, a slice at a time:
     the value backward when the result holds the density, the density
-    forward when it holds the value. The result is not modified.
+    forward when it holds the value. The result is not modified, and the
+    report carries no objective or mass log.
     """
-    if isinstance(control, GridSweepResult) and control.value is not None:
-        steps = _excess_stepping_density(problem, grid, control.control, control.value)
-    else:
-        if isinstance(control, GridSweepResult):
-            u, p = control.control, control.density
+    if isinstance(control, GridSweepResult):
+        if control.value is not None:
+            steps = _excess_stepping_density(problem, grid, control.control, control.value)
         else:
-            u = np.asarray(control, dtype=float)
-            p, _, _ = _forward_pass(problem, grid, _initial_density_slice(problem, grid), u)
-        steps = _excess_stepping_value(problem, grid, u, p)
-    return _pmp_report(problem, grid, steps)
+            steps = _excess_stepping_value(problem, grid, control.control, control.density)
+        return _pmp_report(problem, grid, steps)
+    u = np.asarray(control, dtype=float)
+    p0 = _initial_density_slice(problem, grid)
+    log, w_first = MassLog(), []
+    # Drop the pass's copy of u at once: it would stay resident beside the
+    # density while the value is stepped.
+    p, objective = itemgetter(0, 2)(_forward_pass(problem, grid, p0, u, log=log))
+    report = _pmp_report(problem, grid, _excess_stepping_value(problem, grid, u, p, w_first))
+    value_objective = float((p0 * w_first[0]).sum()) * grid.cell_volume
+    return replace(
+        report, objective=objective, value_objective=value_objective, mass_log=log
+    )
 
 
 @dataclass

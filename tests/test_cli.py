@@ -509,6 +509,92 @@ class TestVerify:
         _, out = grid_run
         assert main(["verify", str(out)]) == 0
 
+    def test_default_verify_makes_no_solve(self, lqg_run, grid_run, monkeypatch, capsys):
+        """The default checks read the stored answer: no solver runs."""
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify re-solved the run")
+
+        for module, name in ((cli, "fbsm_grid"), (cli, "fbsm_lqg"),
+                             (gridpde, "fbsm_grid"), (lqg, "fbsm_lqg")):
+            monkeypatch.setattr(module, name, no_solve)
+        for run in (lqg_run, grid_run):
+            assert main(["verify", str(run[1])]) == 0
+
+    @pytest.mark.parametrize("family", ["lqg", "grid"])
+    def test_rerun_adds_exactly_the_reproduction_checks(
+        self, family, lqg_run, grid_run, capsys
+    ):
+        out = (lqg_run if family == "lqg" else grid_run)[1]
+        assert main(["verify", str(out)]) == 0
+        default = read_json(out / "verify.json")["checks"]
+        assert main(["verify", "--rerun", str(out)]) == 0
+        rerun = read_json(out / "verify.json")["checks"]
+        table = "gain tables match rerun" if family == "lqg" else "control table matches rerun"
+        assert rerun[: len(default)] == default
+        assert [c["name"] for c in rerun[len(default):]] == [
+            table, "iteration objectives match rerun"
+        ]
+        assert all(c["passed"] for c in rerun)
+
+    @staticmethod
+    def _failing(out):
+        return [c["name"] for c in read_json(out / "verify.json")["checks"] if not c["passed"]]
+
+    def test_tampered_control_cell_fails(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        config = write_doc(tmp_path, OBSTACLE_DOC)
+        assert main(["run-grid", "--config", str(config), "--out", str(out)]) == 0
+        path = out / "control.csv"
+        lines = path.read_text().splitlines()
+        # t_index 30, the middle memory node, where the density sits
+        row = 1 + 30 * 21 + 10
+        cells = lines[row].split(",")
+        cells[-1] = repr(float(cells[-1]) + 1.0)
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(out)]) == 1
+        failing = self._failing(out)
+        assert "final iteration objective matches answer" in failing
+        assert "summary objective matches answer" in failing
+
+    @pytest.mark.parametrize("family", ["lqg", "grid"])
+    @pytest.mark.parametrize("where", ["iterations", "summary"])
+    def test_tampered_recorded_objective_fails(self, family, where, tmp_path, capsys):
+        command, doc = ("run-lqg", LQG_DOC) if family == "lqg" else ("run-grid", OBSTACLE_DOC)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+        if where == "iterations":
+            path = out / "iterations.csv"
+            lines = path.read_text().splitlines()
+            k, value = lines[-1].split(",")
+            # a last entry lowered by 1e-6 relative: no rise, only a mismatch
+            lines[-1] = f"{k},{float(value) * (1.0 - 1e-6)!r}"
+            path.write_text("\n".join(lines) + "\n")
+            expected = ["final iteration objective matches answer"]
+        else:
+            summary = read_json(out / "summary.json")
+            summary["objective"] *= 1.0 + 1e-6
+            (out / "summary.json").write_text(json.dumps(summary))
+            expected = ["summary objective matches answer"]
+        assert main(["verify", str(out)]) == 1
+        assert self._failing(out) == expected
+
+    @pytest.mark.parametrize("family, sweeps", [("grid", 1), ("grid", 3), ("lqg", 3)])
+    def test_recorded_objective_is_reproduced_bit_for_bit(self, family, sweeps, tmp_path, capsys):
+        """After a backward sweep the recorded J is <p0, w0> on the grid,
+        and the closed-loop objective of the stored gains on lqg."""
+        command, doc = ("run-lqg", LQG_DOC) if family == "lqg" else ("run-grid", OBSTACLE_DOC)
+        doc = with_field(doc, ("solver",), {"max_iters": sweeps, "tol": 0.0})
+        out = tmp_path / "run"
+        assert main([command, "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+        main(["verify", str(out)])
+        checks = {c["name"]: c for c in read_json(out / "verify.json")["checks"]}
+        last = checks["final iteration objective matches answer"]
+        recorded, answer = (part.split()[-1] for part in last["detail"].split(","))
+        assert last["passed"] and recorded == answer
+        assert float(recorded) == float(read_json(out / "summary.json")["objective"])
+
     def test_grid_verify_holds_one_field(self, tmp_path, capsys):
         """The rerun sweeps in one field buffer and the stationarity check
         steps the other field a slice at a time, so verify never holds
@@ -612,7 +698,8 @@ class TestVerify:
         k, value = lines[3].split(",")
         lines[3] = f"{k},{float(value) + 0.5}"
         path.write_text("\n".join(lines) + "\n")
-        assert main(["verify", str(out)]) == 1
+        # only a rerun can name a tampered entry before the last one
+        assert main(["verify", "--rerun", str(out)]) == 1
         report = read_json(out / "verify.json")
         failing = [c for c in report["checks"] if not c["passed"]]
         assert failing
