@@ -5,8 +5,11 @@ its JSON summary lines (one per traced/untraced pass) and exits 1 when
 any summary reports a wrong answer or a failed operation, when a metric
 is null or non-finite, or when the log holds no summary at all.
 
-With GITHUB_STEP_SUMMARY set, it appends two informational tables to
-that file: the code size figures and each workload's end-to-end metrics.
+With GITHUB_STEP_SUMMARY set, it appends three informational tables to
+that file: the code size figures, each workload's end-to-end metrics,
+and the traced grid structure (every `gridpde.*.calls` count,
+`gridpde.step_ms.samples` and `core.mesh.calls`), so that a refactor can
+be seen to keep the calls the traced pass makes.
 
 Usage: python3 .github/check_smoke.py SMOKE_LOG
 """
@@ -17,6 +20,11 @@ import os
 import sys
 
 END_TO_END = ("setup_s", "op_s", "peak_rss_mb", "out_mb")
+STRUCTURE = ("gridpde.step_ms.samples", "core.mesh.calls")
+
+
+def is_structure(name):
+    return name in STRUCTURE or (name.startswith("gridpde.") and name.endswith(".calls"))
 
 
 def read_summaries(path):
@@ -63,6 +71,20 @@ def write_step_summary(out, summaries):
                 for n in END_TO_END
             ]
             out.write(f"| `{workload}` | " + " | ".join(cells) + " |\n")
+    # Informational, no gate: the traced pass's grid call structure, one
+    # column per workload.
+    structure = {}
+    for key, entry in metrics(summaries):
+        workload, _, name = key.partition(".")
+        if is_structure(name):
+            structure.setdefault(name, {})[workload] = entry["value"]
+    if structure:
+        workloads = sorted({w for row in structure.values() for w in row})
+        out.write("\n| traced structure | " + " | ".join(workloads) + " |\n")
+        out.write("|---" * (len(workloads) + 1) + "|\n")
+        for name, row in sorted(structure.items()):
+            cells = [str(row[w]) if row.get(w) is not None else "-" for w in workloads]
+            out.write(f"| `{name}` | " + " | ".join(cells) + " |\n")
 
 
 def main(path) -> int:

@@ -30,15 +30,24 @@ mesh, axes and spacing are computed once per GridSpec and shared as
 read-only arrays; generator coefficients are filled in place; every
 stencil term (apply, apply_adjoint, the upwind differences) is one slice
 add or slice difference on the C-ordered flat grid instead of a
-zero-padded shifted copy. The forward and backward passes are module
-functions that fbsm_grid and the verify oracles both run, and the
-upwind Hamiltonian field is written once (_upwind_hamiltonian).
+zero-padded shifted copy. The upwind Hamiltonian field is written once
+(_upwind_hamiltonian).
+
+Each direction's time step (build_generator, then fp_step or hjb_step)
+is written once, in the steppers _forward_steps and _backward_steps.
+A stepper yields the field at every time node and reads the control of
+the next step only after the consumer is done with that node, so a
+consumer can refresh the control there first. The sweep's two passes,
+and verify's stationarity oracle and lemma1_check, all step through
+them.
 
 Memory is a fixed base plus one (n_t + 1)-slice field. The two halves
 of a sweep are coupled only through the control: step i of a half-sweep
 reads the opposite field only to refresh u(t_i, .), and it reads the one
-slice that it then overwrites. So each pass can write into the buffer
-of the field it reads, and fbsm_grid holds a single buffer.
+slice that it then overwrites. A stepper handed a buffer copies each
+fresh slice into it and drops the fresh array at once; without one it
+holds only the current slice. So each pass can write into the buffer of
+the field it reads, and fbsm_grid holds a single buffer.
 
 A memory node whose conditional density is undefined (too little mass)
 copies its control from the nearest defined memory node in Euclidean
@@ -434,18 +443,15 @@ def hjb_step(
     t: float,
     w_next: np.ndarray,
     u_slice: np.ndarray,
-    dt: Optional[float] = None,
-    gen: Optional[DiscreteGenerator] = None,
+    gen: DiscreteGenerator,
 ) -> np.ndarray:
-    """One explicit backward step w + dt [f + L w] at time t."""
-    dt = grid.dt if dt is None else dt
-    if gen is None:
-        gen = build_generator(problem, grid, t, u_slice, dt=dt)
+    """One explicit backward step w + dt [f + L w] at time t, with gen
+    the generator built under u_slice at t."""
     U = control_to_grid(u_slice, problem.d_x, problem.d_u)
     f = np.asarray(problem.running_cost(t, grid.mesh(), U), dtype=float)
     w_t = gen.apply(w_next)
     w_t += f
-    w_t *= dt
+    w_t *= grid.dt
     w_t += w_next
     if not np.all(np.isfinite(w_t)):
         raise StabilityError(f"value slice became non-finite at t={t:.6g}")
@@ -456,18 +462,17 @@ def conditional_density(
     p_slice: np.ndarray,
     grid: GridSpec,
     d_x: int,
-    floor: float = MARGINAL_FLOOR,
 ):
     """Split p(t, x, z) into p(x|z) and the memory marginal p(z).
 
     Returns (conditional, marginal, defined): conditional integrates to
     one over x wherever defined; at memory nodes whose marginal density
-    falls below the floor the conditional is zeroed and flagged.
+    falls below MARGINAL_FLOOR the conditional is zeroed and flagged.
     """
     p_slice = np.asarray(p_slice, dtype=float)
     x_axes = tuple(range(d_x))
     marginal = p_slice.sum(axis=x_axes) * _x_volume(grid, d_x)
-    defined = marginal > floor
+    defined = marginal > MARGINAL_FLOOR
     cond = p_slice / np.where(defined, marginal, 1.0)
     cond *= defined
     return cond, marginal, defined
@@ -568,7 +573,7 @@ def minimize_conditional_hamiltonian(
     cond: np.ndarray,
     w_next: np.ndarray,
     u_prev: np.ndarray,
-    defined: Optional[np.ndarray] = None,
+    defined: np.ndarray,
 ) -> np.ndarray:
     """Per-memory-node argmin of the conditional expected Hamiltonian.
 
@@ -579,8 +584,8 @@ def minimize_conditional_hamiltonian(
     quadratic in each control component (the upwind side switches where
     the driven drift changes sign), so the argmin is found exactly from
     the two branch vertices, the breakpoint, and the previous control.
-    Low-mass nodes (defined=False) inherit the control of the nearest
-    defined node.
+    Low-mass nodes (defined=False, as conditional_density flags them)
+    inherit the control of the nearest defined node.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     d_x = problem.d_x
@@ -626,8 +631,7 @@ def minimize_conditional_hamiltonian(
         phi_best = np.choose(best, phis[:3])
         keep_prev = phis[3] <= phi_best + TIE_TOLERANCE * (1.0 + np.abs(phi_best))
         u_new[..., c] = np.where(keep_prev, cands[3], u_best)
-    if defined is not None:
-        _fill_undefined(u_new, defined, grid, d_x)
+    _fill_undefined(u_new, defined, grid, d_x)
     return u_new
 
 
@@ -718,74 +722,105 @@ def _initial_density_slice(problem: GridProblem, grid: GridSpec) -> np.ndarray:
     return p0 / mass
 
 
-def _forward_pass(problem, grid, p0, u_field, w_stale=None, log=None, out=None):
-    """Density sweep from p0; returns (p, u, J) with J the discrete objective.
+def _stored(out, i, fresh):
+    """fresh, or with out its copy out[i], fresh then being dropped."""
+    if out is None:
+        return fresh
+    out[i] = fresh
+    return out[i]
 
-    Without w_stale the density is solved under u_field as given. With
-    it, each step first refreshes its control from the fresh density and
-    the held value slice w_stale[i + 1] (the sweep's forward half). The
-    objective is the discrete cost sum_t E_p[f] dt + E_p[g] at the final
-    slice, accumulated step by step.
 
-    The density is written into out when given (a field of the grid's
-    shape, overwritten slice by slice) and returned as p. Step i reads
-    slice i, which this pass has already written, and w_stale[i + 1],
-    and only then writes slice i + 1; slice 0 of w_stale is never read.
-    So out may be w_stale itself, and the pass then turns the value into
-    the density in place. If a step raises, out is left partly
-    overwritten.
+def _forward_steps(problem, grid, p0, u, log=None, out=None):
+    """Yield (i, p[i]) at every time node i = 0..n_t: the density stepped
+    forward from p0 under u, fp_step recording into log.
+
+    The step to slice i + 1 reads u[i] only when the consumer resumes the
+    stepper after slice i, so the consumer may first refresh u[i] from
+    that slice. Without out only the current slice is held. With out,
+    each fresh slice is copied into out[i] and dropped at once, and out[i]
+    is yielded; out[i + 1] is not written before the consumer resumes.
+    """
+    times, dt = grid.times(), grid.dt
+    p_i = _stored(out, 0, p0)
+    for i in range(grid.n_t):
+        yield i, p_i
+        gen = build_generator(problem, grid, times[i], u[i], dt=dt)
+        p_i = _stored(out, i + 1, fp_step(p_i, gen, dt, log=log))
+    yield grid.n_t, p_i
+
+
+def _backward_steps(problem, grid, u, out=None):
+    """Yield (i, w[i]) at every time node i = n_t..0: the value stepped
+    backward from the terminal cost under u.
+
+    As _forward_steps, mirrored: the step to slice i reads u[i] only when
+    the consumer resumes the stepper after slice i + 1, and with out,
+    out[i] is not written before then.
+    """
+    times = grid.times()
+    w_i = _stored(out, grid.n_t, _full(problem.terminal_cost(grid.mesh()), grid.shape))
+    for i in range(grid.n_t - 1, -1, -1):
+        yield i + 1, w_i
+        gen = build_generator(problem, grid, times[i], u[i], dt=grid.dt)
+        w_i = _stored(out, i, hjb_step(problem, grid, times[i], w_i, u[i], gen))
+    yield 0, w_i
+
+
+def _forward_pass(problem, grid, p0, u, w_stale=None, log=None, out=None):
+    """Density sweep from p0 under u; returns the discrete objective J.
+
+    J = sum_t E_p[f] dt + E_p[g] at the final slice, accumulated step by
+    step. Without w_stale, u is only read. With it, each step first
+    refreshes u[i] in place from the fresh density slice and the held
+    value slice w_stale[i + 1] (the sweep's forward half), so u ends as
+    the new iterate.
+
+    The density is held as _forward_steps holds it. Step i reads
+    w_stale[i + 1] before the stepper writes out[i + 1], and slice 0 of
+    w_stale is never read, so out may be w_stale itself: the pass then
+    turns the value into the density in place. If a step raises, out and
+    u are left partly overwritten.
     """
     d_x, d_u = problem.d_x, problem.d_u
     n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
     times = grid.times()
     S = grid.mesh()
-    p = np.empty((n + 1,) + grid.shape) if out is None else out
-    p[0] = p0
-    u_out = u_field.copy()
     running = 0.0
-    for i in range(n):
+    for i, p_i in _forward_steps(problem, grid, p0, u, log=log, out=out):
+        if i == n:
+            break
         if w_stale is not None:
-            cond, _, defined = conditional_density(p[i], grid, d_x)
-            u_out[i] = minimize_conditional_hamiltonian(
-                problem, grid, times[i], cond, w_stale[i + 1], u_field[i], defined
+            cond, _, defined = conditional_density(p_i, grid, d_x)
+            u[i] = minimize_conditional_hamiltonian(
+                problem, grid, times[i], cond, w_stale[i + 1], u[i], defined
             )
-        gen = build_generator(problem, grid, times[i], u_out[i], dt=dt)
-        U = control_to_grid(u_out[i], d_x, d_u)
+        U = control_to_grid(u[i], d_x, d_u)
         f = np.asarray(problem.running_cost(times[i], S, U), dtype=float)
-        running += float((f * p[i]).sum()) * vol * dt
-        p[i + 1] = fp_step(p[i], gen, dt, log=log)
+        running += float((f * p_i).sum()) * vol * dt
     g = np.asarray(problem.terminal_cost(S), dtype=float)
-    return p, u_out, running + float((g * p[n]).sum()) * vol
+    return running + float((g * p_i).sum()) * vol
 
 
-def _backward_pass(problem, grid, p0, u_field, p_stale=None, out=None):
-    """Value sweep from the terminal cost; returns (w, u, J) with J = <p0, w0>.
+def _backward_pass(problem, grid, p0, u, p_stale=None, out=None):
+    """Value sweep from the terminal cost under u; returns J = <p0, w0>.
 
-    Without p_stale the value is solved under u_field as given. With it,
-    each step first refreshes its control from the held density slice
-    p_stale[i] and the in-construction value w[i + 1] (the sweep's
-    backward half).
+    Without p_stale, u is only read. With it, the step to slice i first
+    refreshes u[i] in place from the held density slice p_stale[i] and
+    the fresh value slice w[i + 1] (the sweep's backward half).
 
-    As in _forward_pass, out is an optional buffer the value is written
-    into. Step i reads slice i + 1, already written by this pass, and
-    p_stale[i], and only then writes slice i; slice n of p_stale is never
-    read. So out may be p_stale itself, and the pass then turns the
-    density into the value in place.
+    As in _forward_pass, mirrored: step i reads p_stale[i] before the
+    stepper writes out[i], and slice n_t of p_stale is never read, so out
+    may be p_stale itself: the pass then turns the density into the value
+    in place.
     """
-    n, dt = grid.n_t, grid.dt
     times = grid.times()
-    w = np.empty((n + 1,) + grid.shape) if out is None else out
-    w[n] = np.asarray(problem.terminal_cost(grid.mesh()), dtype=float)
-    u_out = u_field.copy()
-    for i in range(n - 1, -1, -1):
-        if p_stale is not None:
-            cond, _, defined = conditional_density(p_stale[i], grid, problem.d_x)
-            u_out[i] = minimize_conditional_hamiltonian(
-                problem, grid, times[i], cond, w[i + 1], u_field[i], defined
+    for i, w_i in _backward_steps(problem, grid, u, out=out):
+        if p_stale is not None and i:
+            cond, _, defined = conditional_density(p_stale[i - 1], grid, problem.d_x)
+            u[i - 1] = minimize_conditional_hamiltonian(
+                problem, grid, times[i - 1], cond, w_i, u[i - 1], defined
             )
-        gen = build_generator(problem, grid, times[i], u_out[i], dt=dt)
-        w[i] = hjb_step(problem, grid, times[i], w[i + 1], u_out[i], dt=dt, gen=gen)
-    return w, u_out, float((p0 * w[0]).sum()) * grid.cell_volume
+    return float((p0 * w_i).sum()) * grid.cell_volume
 
 
 def _validate_grid_setup(problem: GridProblem, grid: GridSpec, u0: np.ndarray):
@@ -838,7 +873,7 @@ def fbsm_grid(
     if u0 is None:
         u = np.zeros((n,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
     else:
-        u = np.asarray(u0, dtype=float).copy()
+        u = np.asarray(u0, dtype=float)
     _validate_grid_setup(problem, grid, u)
     keep = sorted({int(node) for node in keep_nodes})
     if keep and not 0 <= keep[0] <= keep[-1] <= n:
@@ -846,19 +881,26 @@ def fbsm_grid(
 
     p0 = _initial_density_slice(problem, grid)
     mass_log = MassLog()
-    field, u, j0 = _forward_pass(problem, grid, p0, u, log=mass_log)
+    field = np.empty((n + 1,) + grid.shape)
+    # Every pass is handed a fresh copy of the control (a half-sweep
+    # refreshes it into the new iterate), and the old one is dropped. A
+    # freed control, a block glibc maps on its own, raises glibc's mmap
+    # and trim thresholds above the step loop's transient arrays. With no
+    # control freed, the heap is trimmed and refaulted through the steps:
+    # refreshing in place took run-grid on the bundled document from 12k
+    # to 104k minor page faults, and skipping this first copy to 12.5k or
+    # 15k, depending on the heap's layout.
+    u = u.copy()
+    j0 = _forward_pass(problem, grid, p0, u, log=mass_log, out=field)
     kept: Dict[int, np.ndarray] = {}
 
     def half_sweep(k, backward):
         nonlocal u
         kept.update((node, field[node].copy()) for node in keep)
+        u = u.copy()
         if backward:
-            _, u, J = _backward_pass(problem, grid, p0, u, p_stale=field, out=field)
-        else:
-            _, u, J = _forward_pass(
-                problem, grid, p0, u, w_stale=field, log=mass_log, out=field
-            )
-        return J
+            return _backward_pass(problem, grid, p0, u, p_stale=field, out=field)
+        return _forward_pass(problem, grid, p0, u, w_stale=field, log=mass_log, out=field)
 
     history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
     holds_value = iterations % 2 == 1

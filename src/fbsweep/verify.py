@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import islice
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,20 +22,15 @@ from fbsweep.gridpde import (
     MONOTONICITY_SLACK,
     DiscreteGenerator,
     GridProblem,
-    GridSweepResult,
     MassLog,
-    _backward_pass,
+    _backward_steps,
     _forward_pass,
-    _full,
     _initial_density_slice,
     _upwind_gradients,
     _upwind_hamiltonian,
-    build_generator,
     conditional_density,
     conditional_hamiltonian,
     fbsm_grid,
-    fp_step,
-    hjb_step,
     minimize_conditional_hamiltonian,
 )
 from fbsweep.lqg import fbsm_lqg
@@ -77,28 +72,36 @@ def lemma1_check(
     refinement. With pairing="discrete" it reads the slice at t + dt,
     which makes the identity exact for the discrete system (residual at
     rounding level, useful as an implementation check).
+
+    Only the density under u is held as a field; the value under u' is
+    stepped backward a slice at a time, each step's term taken as it
+    passes the slice that term reads, and the terms are summed in
+    ascending time.
     """
     if pairing not in ("continuous", "discrete"):
         raise ProblemError(f"unknown pairing {pairing!r}")
     offset = 0 if pairing == "continuous" else 1
     u = np.asarray(u, dtype=float)
     u_prime = np.asarray(u_prime, dtype=float)
-    times = grid.times()
-    vol = grid.cell_volume
+    n, times, vol = grid.n_t, grid.times(), grid.cell_volume
     p0 = _initial_density_slice(problem, grid)
-    p_u, _, j_u = _forward_pass(problem, grid, p0, u)
-    # Only J[u'] is needed from the density under u'; its buffer takes the value.
-    p_v, _, j_v = _forward_pass(problem, grid, p0, u_prime)
-    w_v, _, _ = _backward_pass(problem, grid, p0, u_prime, out=p_v)
-    lhs = j_u - j_v
-    rhs = 0.0
-    for i in range(grid.n_t):
-        diffs = _upwind_gradients(w_v[i + offset], grid)
+    p_u = np.empty((n + 1,) + grid.shape)
+    j_u = _forward_pass(problem, grid, p0, u, out=p_u)
+    lhs = j_u - _forward_pass(problem, grid, p0, u_prime)
+    terms = [0.0] * n
+    for k, w_k in _backward_steps(problem, grid, u_prime):
+        i = k - offset
+        if not 0 <= i < n:
+            continue
+        diffs = _upwind_gradients(w_k, grid)
         h_u, h_v = (
             float((_upwind_hamiltonian(problem, grid, times[i], diffs, c) * p_u[i]).sum()) * vol
             for c in (u[i], u_prime[i])
         )
-        rhs += (h_u - h_v) * grid.dt
+        terms[i] = (h_u - h_v) * grid.dt
+    rhs = 0.0
+    for term in terms:
+        rhs += term
     return Lemma1Report(lhs=float(lhs), rhs=float(rhs), residual=abs(lhs - rhs))
 
 
@@ -134,12 +137,12 @@ def monotonicity_check(history, slack_rel: float = MONOTONICITY_SLACK) -> Monoto
 class PmpReport:
     """Stationarity residual of the conditional Hamiltonian at a control.
 
-    When sweep_pmp_residual solves the density itself (a bare control),
-    the report also carries what that solve gives about the control: its
-    discrete objective as each sweep direction records it (objective, the
-    forward pass's accumulated cost; value_objective, <p0, w0> from the
-    value stepped alongside) and the forward pass's mass_log. They are
-    None otherwise.
+    sweep_pmp_residual, which solves both fields itself, always fills in
+    what that solve gives about the control: its discrete objective as
+    each sweep direction records it (objective, the forward pass's
+    accumulated cost; value_objective, <p0, w0> from the value stepped
+    alongside) and the forward pass's mass_log. pmp_residual, which is
+    handed the fields, leaves them None.
     """
 
     residual_field: np.ndarray
@@ -206,35 +209,6 @@ def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpReport:
     )
 
 
-def _excess_stepping_value(problem, grid, u, p, w_first=None):
-    """The stationarity excess at every step, last step first, with the
-    value stepped backward under u alongside: one slice is held at a
-    time. The excess does not read w[0]; it is computed only when
-    w_first is given, a list that then receives it."""
-    times, dt = grid.times(), grid.dt
-    w_next = _full(problem.terminal_cost(grid.mesh()), grid.shape)
-    for i in range(grid.n_t - 1, -1, -1):
-        yield i, _stationarity_excess(problem, grid, times[i], u[i], p[i], w_next)
-        if i or w_first is not None:
-            gen = build_generator(problem, grid, times[i], u[i], dt=dt)
-            w_next = hjb_step(problem, grid, times[i], w_next, u[i], dt=dt, gen=gen)
-    if w_first is not None:
-        w_first.append(w_next)
-
-
-def _excess_stepping_density(problem, grid, u, w):
-    """The stationarity excess at every step, first step first, with the
-    density stepped forward under u alongside: one slice is held at a
-    time. p[n_t] is not needed, so it is not computed."""
-    times, dt = grid.times(), grid.dt
-    p_i = _initial_density_slice(problem, grid)
-    for i in range(grid.n_t):
-        yield i, _stationarity_excess(problem, grid, times[i], u[i], p_i, w[i + 1])
-        if i + 1 < grid.n_t:
-            gen = build_generator(problem, grid, times[i], u[i], dt=dt)
-            p_i = fp_step(p_i, gen, dt)
-
-
 def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpReport:
     """PMP residual of a control against its own induced density and value.
 
@@ -242,7 +216,7 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     value backward under it, a slice at a time, and measures the
     stationarity excess of that same control at each step. At a sweep
     fixed point this vanishes up to the minimizer tolerance. The oracle
-    holds at most one (n_t + 1)-slice field.
+    holds one (n_t + 1)-slice field, the density.
 
     These are the passes fbsm_grid makes under a control its sweep has
     refreshed, so the report also gives the control's objective with the
@@ -250,29 +224,22 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     value_objective, from one more step of the value to w[0], after a
     backward one. mass_log is the forward pass's. verify reads them to
     check a stored control without re-solving.
-
-    control may also be the GridSweepResult of fbsm_grid on (problem,
-    grid); its control is checked. The field the result holds was
-    stepped under exactly that control, and a fresh pass reproduces it
-    bit for bit, so only the other field is stepped, a slice at a time:
-    the value backward when the result holds the density, the density
-    forward when it holds the value. The result is not modified, and the
-    report carries no objective or mass log.
     """
-    if isinstance(control, GridSweepResult):
-        if control.value is not None:
-            steps = _excess_stepping_density(problem, grid, control.control, control.value)
-        else:
-            steps = _excess_stepping_value(problem, grid, control.control, control.density)
-        return _pmp_report(problem, grid, steps)
     u = np.asarray(control, dtype=float)
+    times = grid.times()
     p0 = _initial_density_slice(problem, grid)
-    log, w_first = MassLog(), []
-    # Drop the pass's copy of u at once: it would stay resident beside the
-    # density while the value is stepped.
-    p, objective = itemgetter(0, 2)(_forward_pass(problem, grid, p0, u, log=log))
-    report = _pmp_report(problem, grid, _excess_stepping_value(problem, grid, u, p, w_first))
-    value_objective = float((p0 * w_first[0]).sum()) * grid.cell_volume
+    log = MassLog()
+    p = np.empty((grid.n_t + 1,) + grid.shape)
+    objective = _forward_pass(problem, grid, p0, u, log=log, out=p)
+    # The excess of step i reads w[i + 1]; the last stepped slice is w[0].
+    value = _backward_steps(problem, grid, u)
+    excess = (
+        (i - 1, _stationarity_excess(problem, grid, times[i - 1], u[i - 1], p[i - 1], w_i))
+        for i, w_i in islice(value, grid.n_t)
+    )
+    report = _pmp_report(problem, grid, excess)
+    _, w0 = next(value)
+    value_objective = float((p0 * w0).sum()) * grid.cell_volume
     return replace(
         report, objective=objective, value_objective=value_objective, mass_log=log
     )

@@ -56,6 +56,31 @@ def test_good_log_passes_and_writes_the_tables(tmp_path):
     assert "| workload | setup_s | op_s | peak_rss_mb | out_mb |" in text
     assert "| `lqg-tol` | 0.2 s | 3.4 s | - | - |" in text
     assert "| `rollout` | - | 2.7 s | - | - |" in text
+    assert "traced structure" not in text
+
+
+def test_the_traced_grid_structure_is_tabulated(tmp_path):
+    lines = good_log()
+    traced = json.loads(lines[3])
+    traced["metrics"].update({
+        "obstacle-budget.gridpde.build_generator.calls": {"value": 5000, "unit": "count"},
+        "obstacle-budget.gridpde.step_ms.samples": {"value": 2999, "unit": "count"},
+        "obstacle-budget.gridpde.step_ms.p50": {"value": 0.7, "unit": "ms"},
+        "obstacle-budget.core.mesh.calls": {"value": 12008, "unit": "count"},
+        "rollout.gridpde.build_generator.calls": {"value": 5000, "unit": "count"},
+        "rollout.sdesim.lqg.control_eval.calls": {"value": 1000, "unit": "count"},
+    })
+    lines[3] = json.dumps(traced)
+    page = tmp_path / "step_summary.md"
+    proc = check(tmp_path, lines, step_summary=page)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    text = page.read_text()
+    assert "| traced structure | obstacle-budget | rollout |" in text
+    assert "| `gridpde.build_generator.calls` | 5000 | 5000 |" in text
+    assert "| `gridpde.step_ms.samples` | 2999 | - |" in text
+    assert "| `core.mesh.calls` | 12008 | - |" in text
+    assert "step_ms.p50" not in text
+    assert "control_eval" not in text
 
 
 def _wrong_answer(doc):

@@ -79,6 +79,10 @@ REPRO_OBSTACLE_DIGESTS = {
     "value_t0.csv": "121438741af522f4feb4c9ee1982489baaa51d91de3c3b1987e316fa6a70c5c4",
 }
 
+# The SHA-256 of the verify.json that `verify` writes into that run
+# directory: the checks' names, outcomes and detail strings.
+REPRO_OBSTACLE_VERIFY_DIGEST = "a88ffed0a75cc99d1e6523e34ad361e59071402f1a09a9872646e1cce2a8f490"
+
 # The SHA-256 of the answer files of an LQG_DOC run: gains, objective
 # history and summary (numpy 2.4 on x86-64).
 LQG_DIGESTS = {
@@ -411,6 +415,14 @@ class TestRunGrid:
         }
         assert digests == REPRO_OBSTACLE_DIGESTS
 
+    def test_verify_report_matches_its_pin(self, tmp_path):
+        config = write_doc(tmp_path, REPRO_OBSTACLE_DOC)
+        out = tmp_path / "run"
+        assert main(["run-grid", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        digest = hashlib.sha256((out / "verify.json").read_bytes()).hexdigest()
+        assert digest == REPRO_OBSTACLE_VERIFY_DIGEST
+
     def test_stability_failure_is_exit_3(self, tmp_path, capsys):
         config = write_doc(tmp_path, OBSTACLE_DOC)
         code = main(["run-grid", "--config", str(config),
@@ -669,11 +681,11 @@ class TestVerify:
             backward = gridpde._backward_pass
 
             def rising(*args, **kwargs):
-                w, u, J = backward(*args, **kwargs)
+                J = backward(*args, **kwargs)
                 # only the solver's sweeps hold a density
                 if kwargs.get("p_stale") is not None:
                     J += 1.0 + abs(J)
-                return w, u, J
+                return J
 
             monkeypatch.setattr(gridpde, "_backward_pass", rising)
             command, doc = "run-grid", OBSTACLE_DOC

@@ -31,6 +31,7 @@ from fbsweep.gridpde import (
     hjb_step,
     minimize_conditional_hamiltonian,
 )
+from fbsweep.verify import sweep_pmp_residual
 from grid_problems import constant_diffusion, random_quadratic_problem
 
 
@@ -107,15 +108,16 @@ def fresh_sweeps(problem, grid, sweeps):
     last pass that produced it (w None before the first backward pass).
     """
     p0 = _initial_density_slice(problem, grid)
-    u0 = np.zeros((grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
-    p, u, J = _forward_pass(problem, grid, p0, u0)
-    history, w = [J], None
+    u = np.zeros((grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
+    p = np.empty((grid.n_t + 1,) + grid.shape)
+    history, w = [_forward_pass(problem, grid, p0, u, out=p)], None
     for k in range(sweeps):
         if k % 2 == 0:
-            w, u, J = _backward_pass(problem, grid, p0, u, p_stale=p)
+            w = np.empty_like(p)
+            history.append(_backward_pass(problem, grid, p0, u, p_stale=p, out=w))
         else:
-            p, u, J = _forward_pass(problem, grid, p0, u, w_stale=w)
-        history.append(J)
+            p = np.empty_like(w)
+            history.append(_forward_pass(problem, grid, p0, u, w_stale=w, out=p))
     return history, u, p, w
 
 
@@ -381,8 +383,9 @@ class TestDensitySteps:
             control_lower=[-1.0], control_upper=[1.0],
         )
         w_next = np.full(grid.shape, np.nan)
+        gen = build_generator(problem, grid, 0.42, np.zeros((1,)), dt=grid.dt)
         with pytest.raises(StabilityError, match="t=0.42"):
-            hjb_step(problem, grid, 0.42, w_next, np.zeros((1,)))
+            hjb_step(problem, grid, 0.42, w_next, np.zeros((1,)), gen)
 
 
 class TestConditionalDensity:
@@ -754,6 +757,10 @@ class TestSweepProperties:
         assert not result.monotonicity_violations
         assert result.mass_log.max_negative_mass == 0.0
         assert result.mass_log.max_mass_drift <= 1e-12
+        # verify's contract: the oracle reproduces the recorded objective
+        report = sweep_pmp_residual(problem, grid, result.control)
+        recorded = report.value_objective if sweeps % 2 else report.objective
+        assert recorded == result.objective_history[-1]
 
 
 def random_generator(shape, seed):

@@ -1,6 +1,5 @@
 """Tests for the identity-checking oracles."""
 
-import copy
 import dataclasses
 import json
 import tracemalloc
@@ -166,7 +165,7 @@ class TestLemma1Check:
         report = lemma1_check(problem, grid, u, u_prime, pairing="discrete")
         assert report.residual <= 1e-9 * (1.0 + abs(report.lhs))
 
-    def test_holds_two_fields(self):
+    def test_holds_one_field(self):
         problem, grid = small_bundled_obstacle()
         u = np.zeros((grid.n_t, 41, 1))
         u_prime = fbsm_grid(problem, grid, max_iters=1, tol=0.0).control
@@ -178,7 +177,7 @@ class TestLemma1Check:
         finally:
             tracemalloc.stop()
         assert report.residual <= 1e-9 * (1.0 + abs(report.lhs))
-        assert peak <= 2.5 * field
+        assert peak <= 1.5 * field
 
 
 class TestInitialDensityChecks:
@@ -229,8 +228,9 @@ class TestMonotonicityCheck:
 def fresh_fields(problem, grid, u):
     """The density and the value under u, each from a fresh pass."""
     p0 = _initial_density_slice(problem, grid)
-    p, _, _ = _forward_pass(problem, grid, p0, u)
-    w, _, _ = _backward_pass(problem, grid, p0, u)
+    p, w = (np.empty((grid.n_t + 1,) + grid.shape) for _ in range(2))
+    _forward_pass(problem, grid, p0, u, out=p)
+    _backward_pass(problem, grid, p0, u, out=w)
     return p, w
 
 
@@ -253,7 +253,7 @@ class TestPmpResidual:
         )
         j_final = result.objective_history[-1]
         assert report.weighted_max <= 1e-6 * (1.0 + abs(j_final))
-        assert same_report(report, sweep_pmp_residual(problem, grid, result))
+        assert same_report(report, sweep_pmp_residual(problem, grid, result.control))
 
     def test_zero_control_not_stationary(self):
         problem = double_integrator_problem(obstacle=30.0)
@@ -267,13 +267,11 @@ class TestPmpResidual:
 
     @pytest.mark.parametrize("sweeps", [0, 1, 2, 3])
     def test_sweep_result_matches_its_bare_control(self, sweeps):
-        """Reusing the last sweep's field gives the bits of two fresh passes."""
+        """Stepping the value alongside gives the bits of two fresh passes."""
         problem = double_integrator_problem(obstacle=30.0)
         grid = small_grid()
         result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
         fresh = sweep_pmp_residual(problem, grid, result.control)
-        reused = sweep_pmp_residual(problem, grid, result)
-        assert same_report(reused, fresh)
         assert same_report(fresh, pmp_residual(
             problem, grid, result.control, *fresh_fields(problem, grid, result.control)
         ))
@@ -290,25 +288,6 @@ class TestPmpResidual:
             tracemalloc.stop()
         assert report.weighted_max > 0.0
         assert peak <= 1.5 * field
-
-    @pytest.mark.parametrize("sweeps", [2, 3], ids=["density-held", "value-held"])
-    def test_sweep_result_is_read_in_place(self, sweeps):
-        """The oracle steps the field a result lacks a slice at a time and
-        leaves the result as it was."""
-        problem, grid = small_bundled_obstacle()
-        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
-        before = copy.deepcopy(result)
-        field = (grid.n_t + 1) * 41 * 41 * 8
-        tracemalloc.start()
-        try:
-            sweep_pmp_residual(problem, grid, result)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * field
-        for name in ("control", "density", "value", "objective_history"):
-            now, then = getattr(result, name), getattr(before, name)
-            assert (now is None and then is None) or np.array_equal(now, then), name
 
     def test_zero_cost_residual_vanishes(self):
         problem = GridProblem(
