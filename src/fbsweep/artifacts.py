@@ -347,8 +347,6 @@ def write_paths(run_dir, ensemble) -> None:
     times = ensemble.times
     n_t = len(times)
     costs = ensemble.cumulative_costs
-    if costs is None:
-        costs = np.zeros((ensemble.n_paths, n_t))
     valid = np.asarray(ensemble.valid).astype(np.int64)
 
     def blocks():

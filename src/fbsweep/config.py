@@ -56,7 +56,6 @@ class LoadedConfig:
     """A parsed configuration plus the objects it describes."""
 
     family: str
-    document: dict
     solver: SolverSettings
     seed: int
     lqg_problem: Optional[LqgProblem] = None
@@ -163,7 +162,6 @@ def _load_lqg(doc: dict) -> LoadedConfig:
         raise ProblemError(f"invalid problem: {report}")
     return LoadedConfig(
         family="lqg",
-        document=doc,
         solver=_solver_settings(doc),
         seed=_scalar(doc, "seed", int, default=0),
         lqg_problem=problem,
@@ -243,7 +241,6 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
 
     return LoadedConfig(
         family="obstacle-grid",
-        document=doc,
         solver=solver,
         seed=_scalar(doc, "seed", int, default=0),
         grid_problem=problem,

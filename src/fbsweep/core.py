@@ -380,7 +380,7 @@ class GridSpec:
         return self.horizon / self.n_t
 
     @cached_property
-    def _axes(self) -> tuple:
+    def axes(self) -> tuple:
         return tuple(
             _frozen(np.linspace(self.lower[i], self.upper[i], self.shape[i]))
             for i in range(self.dim)
@@ -388,10 +388,7 @@ class GridSpec:
 
     @cached_property
     def _mesh(self) -> tuple:
-        return tuple(_frozen(m) for m in np.meshgrid(*self._axes, indexing="ij"))
-
-    def axes(self) -> list:
-        return list(self._axes)
+        return tuple(_frozen(m) for m in np.meshgrid(*self.axes, indexing="ij"))
 
     def mesh(self) -> tuple:
         return self._mesh
@@ -399,8 +396,8 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_t + 1)
 
-    def memory_axes(self, d_x: int) -> list:
-        return self.axes()[d_x:]
+    def memory_axes(self, d_x: int) -> tuple:
+        return self.axes[d_x:]
 
     def memory_shape(self, d_x: int) -> tuple:
         return self.shape[d_x:]

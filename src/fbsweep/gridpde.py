@@ -59,11 +59,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from fbsweep.core import (
+    Gaussian,
     GridSpec,
     ProblemError,
     StabilityError,
@@ -95,13 +96,16 @@ class GridProblem:
     finds its argmin in closed form. A problem outside this model (say,
     a non-quadratic control cost) would need its own family and minimizer.
 
-    drift0(t, S) -> d_s arrays, base_cost(t, S), terminal_cost(S) and
-    initial_density(S) -> grid arrays, diffusion(t, S) -> (d_s, d_s)
-    nested array-like (control-independent). S is the meshgrid tuple of
-    the extended-state grid; U is a list of d_u arrays shaped to
-    broadcast over it (memory axes trailing). Omitted control bounds are
-    infinite. Every shape, the b_matrix structure and the bounds are
-    checked at construction, which raises ProblemError.
+    drift0(t, S) -> d_s arrays, base_cost(t, S) and terminal_cost(S) ->
+    grid arrays, diffusion(t, S) -> (d_s, d_s) nested array-like
+    (control-independent). S is the meshgrid tuple of the extended-state
+    grid; U is a list of d_u arrays shaped to broadcast over it (memory
+    axes trailing). initial_density is a Gaussian, the law the simulator
+    samples too; the grid reads its density(points). Omitted control
+    bounds are infinite; control_lower and control_upper hold them as
+    read-only arrays. Every shape, the b_matrix structure, the bounds and
+    the initial density's form are checked at construction, which raises
+    ProblemError.
     """
 
     d_x: int
@@ -112,7 +116,7 @@ class GridProblem:
     base_cost: Callable
     diffusion: Callable
     terminal_cost: Callable
-    initial_density: Callable
+    initial_density: Gaussian
     control_lower: Optional[np.ndarray] = None
     control_upper: Optional[np.ndarray] = None
 
@@ -135,6 +139,8 @@ class GridProblem:
             raise ProblemError("control bounds must not be NaN")
         if np.any(lo >= hi):
             raise ProblemError("control bounds must satisfy lower < upper")
+        if not callable(getattr(self.initial_density, "density", None)):
+            raise ProblemError("initial_density must be a Gaussian, with density(points)")
         normalized = {"r_diag": r, "b_matrix": B, "control_lower": lo, "control_upper": hi}
         for name, arr in normalized.items():
             arr.flags.writeable = False
@@ -148,10 +154,6 @@ class GridProblem:
     @property
     def d_u(self) -> int:
         return self.r_diag.size
-
-    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Read-only (lower, upper) control bounds."""
-        return self.control_lower, self.control_upper
 
     def drift(self, t, S, U) -> list:
         """drift0 + b_matrix u per coordinate, skipping zero entries of b_matrix."""
@@ -329,20 +331,17 @@ def control_to_grid(u_slice: np.ndarray, d_x: int, d_u: int) -> list:
 
 
 def build_generator(
-    problem: GridProblem,
-    grid: GridSpec,
-    t: float,
-    u_slice: np.ndarray,
-    dt: Optional[float] = None,
+    problem: GridProblem, grid: GridSpec, t: float, u_slice: np.ndarray
 ) -> DiscreteGenerator:
     """Discretize the generator at time t under the given control slice.
 
     Drift terms are upwinded in the drift sign, diagonal diffusion uses
     central 3-point stencils, mixed diffusion uses central cross stencils,
     and coefficients that would reach across the boundary are zeroed
-    (reflecting closure). If dt is given, the explicit stability bound
-    dt * max_cell(sum_i D_ii/ds_i^2 + |b_i|/ds_i) <= 0.9 is enforced and
-    violation reports the binding cell.
+    (reflecting closure). The explicit stability bound
+    dt * max_cell(sum_i D_ii/ds_i^2 + |b_i|/ds_i) <= 0.9 is checked by
+    the caller, gen.check_stability(dt), which reports the binding cell;
+    the steppers check it at grid.dt before every step.
     """
     d = grid.dim
     shape = grid.shape
@@ -382,10 +381,7 @@ def build_generator(
             if np.any(dij != 0.0):
                 cross[(i, j)] = _full(dij / (4.0 * spacing[i] * spacing[j]), shape)
 
-    gen = DiscreteGenerator(grid, up, down, cross)
-    if dt is not None:
-        gen.check_stability(dt)
-    return gen
+    return DiscreteGenerator(grid, up, down, cross)
 
 
 @dataclass
@@ -403,12 +399,10 @@ class MassLog:
 
 
 def fp_step(
-    p_slice: np.ndarray,
-    gen: DiscreteGenerator,
-    dt: float,
-    log: Optional[MassLog] = None,
+    p_slice: np.ndarray, gen: DiscreteGenerator, log: Optional[MassLog] = None
 ) -> np.ndarray:
-    """One explicit forward step p + dt L'p, clamped and renormalized.
+    """One explicit forward step p + dt L'p, clamped and renormalized, with
+    dt the step of the generator's grid (gen.grid.dt).
 
     Negative values produced by the step are clamped at zero and the
     slice renormalized to unit mass; the pre-clamp negative mass and the
@@ -417,7 +411,7 @@ def fp_step(
     """
     vol = gen.grid.cell_volume
     q = gen.apply_adjoint(p_slice)
-    q *= dt
+    q *= gen.grid.dt
     q += p_slice
     neg = q[q < 0.0]
     negative_mass = float(-neg.sum() * vol) if neg.size else 0.0
@@ -590,7 +584,7 @@ def minimize_conditional_hamiltonian(
     u_prev = np.asarray(u_prev, dtype=float)
     d_x = problem.d_x
     vol_x = _x_volume(grid, d_x)
-    lo, hi = problem.bounds()
+    lo, hi = problem.control_lower, problem.control_upper
     b0 = problem.drift0(t, grid.mesh())
     z_shape = grid.memory_shape(d_x)
     u_new = np.empty(z_shape + (problem.d_u,))
@@ -707,12 +701,7 @@ class GridSweepResult:
 
 
 def _initial_density_slice(problem: GridProblem, grid: GridSpec) -> np.ndarray:
-    S = grid.mesh()
-    init = problem.initial_density
-    if hasattr(init, "density"):
-        p0 = init.density(np.stack(S, axis=-1))
-    else:
-        p0 = np.asarray(init(S), dtype=float)
+    p0 = problem.initial_density.density(np.stack(grid.mesh(), axis=-1))
     p0 = np.broadcast_to(np.asarray(p0, dtype=float), grid.shape).copy()
     if np.any(p0 < 0) or not np.all(np.isfinite(p0)):
         raise ProblemError("initial density must be finite and nonnegative")
@@ -740,12 +729,13 @@ def _forward_steps(problem, grid, p0, u, log=None, out=None):
     each fresh slice is copied into out[i] and dropped at once, and out[i]
     is yielded; out[i + 1] is not written before the consumer resumes.
     """
-    times, dt = grid.times(), grid.dt
+    times = grid.times()
     p_i = _stored(out, 0, p0)
     for i in range(grid.n_t):
         yield i, p_i
-        gen = build_generator(problem, grid, times[i], u[i], dt=dt)
-        p_i = _stored(out, i + 1, fp_step(p_i, gen, dt, log=log))
+        gen = build_generator(problem, grid, times[i], u[i])
+        gen.check_stability(grid.dt)
+        p_i = _stored(out, i + 1, fp_step(p_i, gen, log=log))
     yield grid.n_t, p_i
 
 
@@ -761,7 +751,8 @@ def _backward_steps(problem, grid, u, out=None):
     w_i = _stored(out, grid.n_t, _full(problem.terminal_cost(grid.mesh()), grid.shape))
     for i in range(grid.n_t - 1, -1, -1):
         yield i + 1, w_i
-        gen = build_generator(problem, grid, times[i], u[i], dt=grid.dt)
+        gen = build_generator(problem, grid, times[i], u[i])
+        gen.check_stability(grid.dt)
         w_i = _stored(out, i, hjb_step(problem, grid, times[i], w_i, u[i], gen))
     yield 0, w_i
 
@@ -823,39 +814,25 @@ def _backward_pass(problem, grid, p0, u, p_stale=None, out=None):
     return float((p0 * w_i).sum()) * grid.cell_volume
 
 
-def _validate_grid_setup(problem: GridProblem, grid: GridSpec, u0: np.ndarray):
-    if grid.dim != problem.d_s:
-        raise ProblemError(
-            f"grid dimension {grid.dim} does not match problem d_s={problem.d_s}"
-        )
-    z_shape = grid.memory_shape(problem.d_x)
-    expected = (grid.n_t,) + z_shape + (problem.d_u,)
-    if u0.shape != expected:
-        raise ProblemError(f"u0 must have shape {expected}, got {u0.shape}")
-    lo, hi = problem.bounds()
-    if np.any(u0 < lo) or np.any(u0 > hi):
-        raise ProblemError("u0 violates the declared control bounds")
-
-
 def fbsm_grid(
     problem: GridProblem,
     grid: GridSpec,
-    u0: Optional[np.ndarray] = None,
     max_iters: int = 50,
     tol: float = 1e-6,
     keep_nodes=(),
 ) -> GridSweepResult:
     """Alternate backward value sweeps and forward density sweeps.
 
-    Initial step: solve the density forward under u0 (zero by default)
-    and record its objective. Then, per iteration: even iterations sweep
-    backward, refreshing the control at each step from the held density
-    and the in-construction value before stepping the value; odd
-    iterations sweep forward, refreshing the control from the fresh
-    density and the held value before stepping the density. The recorded
-    objective is the exact discrete cost of each iterate's control:
-    <p0, w0> after backward sweeps, the accumulated running cost after
-    forward sweeps. A sweep whose objective rises by more than
+    Initial step: solve the density forward under the zero control
+    (it must lie within the declared control bounds) and record its
+    objective. Then, per iteration: even iterations sweep backward,
+    refreshing the control at each step from the held density and the
+    in-construction value before stepping the value; odd iterations
+    sweep forward, refreshing the control from the fresh density and the
+    held value before stepping the density. The recorded objective is
+    the exact discrete cost of each iterate's control: <p0, w0> after
+    backward sweeps, the accumulated running cost after forward sweeps.
+    A sweep whose objective rises by more than
     MONOTONICITY_SLACK * (1 + |J_{k-1}|) is recorded in
     monotonicity_violations as (k, J_{k-1}, J_k); it does not stop the
     iteration.
@@ -870,11 +847,13 @@ def fbsm_grid(
     result is returned.
     """
     n = grid.n_t
-    if u0 is None:
-        u = np.zeros((n,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
-    else:
-        u = np.asarray(u0, dtype=float)
-    _validate_grid_setup(problem, grid, u)
+    if grid.dim != problem.d_s:
+        raise ProblemError(
+            f"grid dimension {grid.dim} does not match problem d_s={problem.d_s}"
+        )
+    if np.any(problem.control_lower > 0.0) or np.any(problem.control_upper < 0.0):
+        raise ProblemError("the zero initial control violates the declared control bounds")
+    u = np.zeros((n,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
     keep = sorted({int(node) for node in keep_nodes})
     if keep and not 0 <= keep[0] <= keep[-1] <= n:
         raise ProblemError(f"keep_nodes must lie in 0..{n}, got {keep}")

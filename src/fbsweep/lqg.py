@@ -59,7 +59,7 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + np.swapaxes(mat, -1, -2)) / 2.0
 
 
-def inference_gain(lam: np.ndarray, d_x: int, d_z: Optional[int] = None) -> np.ndarray:
+def inference_gain(lam: np.ndarray, d_x: int) -> np.ndarray:
     """Gain K mapping centered extended states to centered conditional means.
 
     For a Gaussian with precision matrix lam partitioned into state and
@@ -74,8 +74,6 @@ def inference_gain(lam: np.ndarray, d_x: int, d_z: Optional[int] = None) -> np.n
     """
     lam = np.asarray(lam, dtype=float)
     d_s = lam.shape[-1]
-    if d_z is not None and d_x + d_z != d_s:
-        raise ProblemError(f"d_x + d_z = {d_x + d_z} does not match matrix size {d_s}")
     lam_xx = lam[..., :d_x, :d_x]
     lam_xz = lam[..., :d_x, d_x:]
     try:

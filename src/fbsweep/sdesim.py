@@ -23,18 +23,20 @@ contiguous slice. PathEnsemble hands it out in its (n_paths, ...) shape
 as a transposed view, not as a copy; callers that need a contiguous
 array copy it (np.ascontiguousarray).
 
-Controls and costs: the law's output at each step goes into one reused
-(n_paths, d_u) buffer, and each step's running cost f dt is added into
-one (n_paths,) running total per path; no control or cost history is
-kept while stepping. A memory-feedback law u(t, z) is a function of data
-the ensemble holds, so PathEnsemble.controls re-evaluates it on first
-access, at each stored time from the stored states' memory block,
-clamped as the simulation clamped it, and PathEnsemble.cumulative_costs
-replays the running cost on those controls and accumulates it in step
-order, as the simulation did. The replay hands the law and the cost the
-same arrays the step loop did, so both histories have the bits of the
-simulation, frozen paths included. A law must therefore depend on
-(t, z) alone, not on the order or number of its calls.
+Controls and costs: a law is an object with evaluate_memory(t, z), and
+every simulation is priced under one CostSpec. The law's output at each
+step goes into one reused (n_paths, d_u) buffer, and each step's running
+cost f dt is added into one (n_paths,) running total per path; no control
+or cost history is kept while stepping. A memory-feedback law u(t, z) is
+a function of data the ensemble holds, so PathEnsemble.controls
+re-evaluates it on first access, at each stored time from the stored
+states' memory block, clamped as the simulation clamped it, and
+PathEnsemble.cumulative_costs replays the running cost on those controls
+and accumulates it in step order, as the simulation did. The replay
+hands the law and the cost the same arrays the step loop did, so both
+histories have the bits of the simulation, frozen paths included. A law
+must therefore depend on (t, z) alone, not on the order or number of its
+calls.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ class PathEnsemble:
     states has shape (n_paths, n_steps + 1, d_s) and controls
     (n_paths, n_steps, d_u); dt is the step the paths were advanced with.
     cumulative_costs, (n_paths, n_steps + 1), holds the left-endpoint
-    running-cost integral (zero at t=0) when the simulation was given a
-    cost, and is None otherwise; it is non-decreasing whenever f >= 0.
+    integral of the running cost the ensemble was simulated under (zero
+    at t=0); it is non-decreasing whenever f >= 0.
     Paths that left the finite range are frozen at their last finite
     state and flagged invalid; clamp_counts tallies, per path, how many
     steps needed the memory clamped onto the control law's domain. The
@@ -84,8 +86,8 @@ class PathEnsemble:
     _eval_u: Callable = field(repr=False)
     _z_box: Optional[Tuple[np.ndarray, np.ndarray]] = field(repr=False)
     _d_u: int = field(repr=False)
-    _cost: Optional[CostSpec] = field(repr=False)
-    _cost_totals: Optional[np.ndarray] = field(repr=False)
+    _cost: CostSpec = field(repr=False)
+    _cost_totals: np.ndarray = field(repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -103,25 +105,18 @@ class PathEnsemble:
         return controls.transpose(1, 0, 2)
 
     @cached_property
-    def cumulative_costs(self) -> Optional[np.ndarray]:
-        if self._cost is None:
-            return None
+    def cumulative_costs(self) -> np.ndarray:
         cum = np.zeros((self.times.size, self.n_paths))
-        for i, step_cost in enumerate(self._step_costs(self._cost)):
+        u = np.empty((self.n_paths, self._d_u))
+        for i, t in enumerate(self.times[:-1]):
+            self._control_at(i, u)
+            step_cost = _step_cost(self._cost, t, self.states[:, i], u, self.dt)
             np.add(cum[i], step_cost, out=cum[i + 1])
         return cum.T
 
     def _control_at(self, i: int, out: np.ndarray) -> None:
         """Write the control applied at step i into out, (n_paths, d_u)."""
         _apply_law(self._eval_u, self._z_box, self.times[i], self.states[:, i], self.d_x, out)
-
-    def _step_costs(self, cost: CostSpec):
-        """Yield f(t_i, s_i, u_i) * dt, (n_paths,), for each step i in
-        order, the controls re-evaluated into one buffer."""
-        u = np.empty((self.n_paths, self._d_u))
-        for i, t in enumerate(self.times[:-1]):
-            self._control_at(i, u)
-            yield _step_cost(cost, t, self.states[:, i], u, self.dt)
 
 
 class GridControlLaw:
@@ -224,14 +219,6 @@ def _step_cost(cost, t, s, u, dt):
     return np.asarray(cost.running_cost(t, s, u), dtype=float).reshape(s.shape[0]) * dt
 
 
-def _control_evaluator(control) -> Callable:
-    if hasattr(control, "evaluate_memory"):
-        return control.evaluate_memory
-    if callable(control):
-        return control
-    raise ProblemError("control must be callable or expose evaluate_memory")
-
-
 def simulate_paths(
     dynamics: ExtendedDynamics,
     control,
@@ -239,16 +226,18 @@ def simulate_paths(
     dt: float,
     n_paths: int,
     seed: int,
-    cost: Optional[CostSpec] = None,
+    cost: CostSpec,
 ) -> PathEnsemble:
-    """Simulate n_paths closed-loop trajectories over [0, horizon].
+    """Simulate n_paths closed-loop trajectories over [0, horizon], priced
+    under cost.
 
     Initial states are drawn from the problem's initial density; Wiener
     increments are Normal(0, dt I) from one child RNG stream per path,
     drawn one batch of steps at a time (see the module docstring).
-    The control is a memory-feedback law u(t, z): its evaluator receives
-    only (t, z) and must depend on nothing else, since the ensemble's
-    controls are re-evaluated from the stored states. If it declares a
+    The control is a memory-feedback law u(t, z), an object whose
+    evaluate_memory(t, z) receives only (t, z) and must depend on nothing
+    else, since the ensemble's controls are re-evaluated from the stored
+    states; any other control is a ProblemError. If it declares a
     memory domain (z_lower/z_upper attributes), z is clamped onto it
     first and the clamps counted. Non-finite states freeze their path
     and exclude it from the valid set. The diffusion must be one
@@ -265,7 +254,9 @@ def simulate_paths(
     d_x = dynamics.d_x
     d_u = dynamics.d_u
     d_w = dynamics.d_w
-    eval_u = _control_evaluator(control)
+    eval_u = getattr(control, "evaluate_memory", None)
+    if eval_u is None:
+        raise ProblemError("control must expose evaluate_memory(t, z)")
     z_lower = getattr(control, "z_lower", None)
     z_box = None if z_lower is None else (z_lower, getattr(control, "z_upper", None))
 
@@ -281,7 +272,7 @@ def simulate_paths(
     states = np.empty((n_steps + 1, n_paths, d_s))
     states[0] = s0
     u = np.empty((n_paths, d_u))
-    total = np.zeros(n_paths) if cost is not None else None
+    total = np.zeros(n_paths)
     valid = np.ones(n_paths, dtype=bool)
     clamp_counts = np.zeros(n_paths, dtype=int)
 
@@ -316,8 +307,7 @@ def simulate_paths(
             if not (valid.all() and np.isfinite(s_next.sum())):
                 valid &= np.all(np.isfinite(s_next), axis=-1)
                 s_next[~valid] = s[~valid]
-            if total is not None:
-                np.add(total, _step_cost(cost, t, s, u, dt), out=total)
+            np.add(total, _step_cost(cost, t, s, u, dt), out=total)
 
     return PathEnsemble(
         times=times,
@@ -338,22 +328,17 @@ def simulate_paths(
 def estimate_objective(ensemble: PathEnsemble, cost: CostSpec) -> Tuple[float, float]:
     """Sample mean and standard error of the per-path discrete cost.
 
-    Per path: left-endpoint running-cost sum plus terminal cost at the
-    final state, over valid paths only. The running sum is the total the
-    simulation kept when it was given this very cost object; otherwise
-    it is taken step by step over every path, each step's controls
-    re-evaluated into one buffer, as the simulation took it.
+    Per path: the left-endpoint running-cost sum the simulation kept plus
+    the terminal cost at the final state, over valid paths only. cost
+    must equal the CostSpec the ensemble was simulated under (the same
+    two callables); any other is a ProblemError.
     """
+    if cost != ensemble._cost:
+        raise ProblemError("the ensemble was simulated under another cost")
     valid = ensemble.valid
     if not valid.any():
         raise ProblemError("no valid paths to estimate from")
-    if cost is ensemble._cost:
-        running = ensemble._cost_totals[valid]
-    else:
-        total = np.zeros(ensemble.n_paths)
-        for step_cost in ensemble._step_costs(cost):
-            total += step_cost
-        running = total[valid]
+    running = ensemble._cost_totals[valid]
     terminal = np.asarray(
         cost.terminal_cost(ensemble.states[valid, -1, :]), dtype=float
     ).reshape(running.shape)

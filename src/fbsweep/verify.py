@@ -33,7 +33,7 @@ from fbsweep.gridpde import (
     fbsm_grid,
     minimize_conditional_hamiltonian,
 )
-from fbsweep.lqg import fbsm_lqg
+from fbsweep.lqg import MONOTONICITY_SLACK as LQG_SLACK, LqgSweepResult, fbsm_lqg
 
 
 def _vsum(arr: np.ndarray) -> float:
@@ -115,16 +115,19 @@ class MonotonicityReport:
     passed: bool
 
 
-def monotonicity_check(history, slack_rel: float = MONOTONICITY_SLACK) -> MonotonicityReport:
-    """Verify J_{k+1} <= J_k + slack_rel*(1+|J_k|) along a history.
+def monotonicity_check(history) -> MonotonicityReport:
+    """Verify J_{k+1} <= J_k + slack*(1+|J_k|) along a history.
 
     Accepts a raw array or any solver result exposing objective_history.
-    The rule is the one the solvers record their violations by.
+    The rule is the one the solvers record their violations by: an
+    LqgSweepResult is judged at lqg.MONOTONICITY_SLACK, anything else at
+    the grid's MONOTONICITY_SLACK.
     """
+    slack = LQG_SLACK if isinstance(history, LqgSweepResult) else MONOTONICITY_SLACK
     history = np.asarray(getattr(history, "objective_history", history), dtype=float)
     if history.size < 2:
         raise ProblemError("monotonicity check needs at least two objective values")
-    violations, worst = _descent_violations(history, slack_rel)
+    violations, worst = _descent_violations(history, slack)
     return MonotonicityReport(
         n_iterations=int(history.size - 1),
         violations=violations,

@@ -270,7 +270,7 @@ def channel_fraction(bundle, region):
     grid = bundle.grid
     index = int(round(0.45 / grid.dt))
     density = bundle.result.density[index]
-    x_axis = grid.axes()[0]
+    x_axis = grid.axes[0]
     selected = density[region(x_axis), :].sum()
     return float(selected / density.sum())
 

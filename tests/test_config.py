@@ -1,6 +1,5 @@
 """Tests for JSON configuration loading and the simulation adapters."""
 
-import copy
 import dataclasses
 import json
 
@@ -317,9 +316,3 @@ class TestSolverSettings:
         assert settings.max_iters == 50
         assert settings.tol == 1e-6
         assert [f.name for f in dataclasses.fields(settings)] == ["max_iters", "tol"]
-
-    def test_document_is_kept(self):
-        doc = obstacle_doc()
-        snapshot = copy.deepcopy(doc)
-        cfg = parse_config(doc)
-        assert cfg.document == snapshot

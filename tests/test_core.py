@@ -162,7 +162,7 @@ class TestGridSpec:
 
     def test_axes_hit_bounds(self):
         g = GridSpec(lower=[-1], upper=[2], shape=(4,), n_t=10, horizon=1.0)
-        assert np.allclose(g.axes()[0], [-1.0, 0.0, 1.0, 2.0])
+        assert np.allclose(g.axes[0], [-1.0, 0.0, 1.0, 2.0])
 
     def test_mesh_shapes(self):
         g = GridSpec(lower=[0, 0], upper=[1, 1], shape=(3, 5), n_t=10, horizon=1.0)

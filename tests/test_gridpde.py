@@ -1,5 +1,6 @@
 """Tests for the finite-difference density/value sweep solver."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -141,7 +142,7 @@ class TestGridProblem:
     def test_the_model_derives_d_u_and_read_only_bounds(self):
         problem = self.declare()
         assert problem.d_s == 2 and problem.d_u == 1
-        for arr in problem.bounds():
+        for arr in (problem.control_lower, problem.control_upper):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -152,6 +153,12 @@ class TestGridProblem:
     def test_nan_bound_rejected(self):
         with pytest.raises(ProblemError, match="NaN"):
             self.declare(control_lower=[np.nan])
+
+    def test_initial_density_must_be_a_density_object(self):
+        """A bare callable of the mesh is not an initial law: the simulator
+        samples the same object the grid reads."""
+        with pytest.raises(ProblemError, match="initial_density"):
+            self.declare(initial_density=lambda S: np.exp(-S[0] ** 2 - S[1] ** 2))
 
     def test_bounds_must_have_one_entry_per_control(self):
         with pytest.raises(ProblemError, match="length d_u=1"):
@@ -304,10 +311,12 @@ class TestDiscreteGenerator:
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        with pytest.raises(StabilityError, match="binding cell"):
-            build_generator(problem, grid, 0.0, np.zeros((1,)), dt=grid.dt)
         gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
-        assert gen is not None
+        with pytest.raises(StabilityError, match="binding cell"):
+            gen.check_stability(grid.dt)
+        # the sweep checks every step it takes
+        with pytest.raises(StabilityError, match="binding cell"):
+            fbsm_grid(problem, grid, max_iters=0)
 
     def test_asymmetric_diffusion_rejected(self):
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (5, 5), 10, 1.0)
@@ -342,18 +351,19 @@ class TestDensitySteps:
         vol = grid.cell_volume
         p = np.exp(-0.5 * s**2 / 0.25)
         p /= p.sum() * vol
-        gen = build_generator(problem, grid, 0.0, np.zeros((1,)), dt=grid.dt)
+        gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
+        gen.check_stability(grid.dt)
         steps = 100
         var0 = float((p * s**2).sum() * vol)
         for _ in range(steps):
-            p = fp_step(p, gen, grid.dt)
+            p = fp_step(p, gen)
         assert abs(p.sum() * vol - 1.0) < 1e-12
         var1 = float((p * s**2).sum() * vol)
         growth = var1 - var0
         assert abs(growth - steps * grid.dt) < 2e-3 * steps * grid.dt
 
     def test_unstable_step_aborts_on_negative_mass(self):
-        grid = GridSpec([-2.0], [2.0], (81,), 10, 1.0)
+        grid = GridSpec([-2.0], [2.0], (81,), 100, 1.0)
         problem = GridProblem(
             d_x=1, d_z=0,
             b_matrix=[[1.0]], r_diag=[1.0],
@@ -368,7 +378,7 @@ class TestDensitySteps:
         p[40] = 1.0 / grid.cell_volume
         gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
         with pytest.raises(StabilityError, match="negative density mass"):
-            fp_step(p, gen, 0.01)
+            fp_step(p, gen)
 
     def test_hjb_step_rejects_non_finite(self):
         grid = GridSpec([-1.0], [1.0], (21,), 250, 1.0)
@@ -383,7 +393,7 @@ class TestDensitySteps:
             control_lower=[-1.0], control_upper=[1.0],
         )
         w_next = np.full(grid.shape, np.nan)
-        gen = build_generator(problem, grid, 0.42, np.zeros((1,)), dt=grid.dt)
+        gen = build_generator(problem, grid, 0.42, np.zeros((1,)))
         with pytest.raises(StabilityError, match="t=0.42"):
             hjb_step(problem, grid, 0.42, w_next, np.zeros((1,)), gen)
 
@@ -447,7 +457,7 @@ class TestMinimizer:
         vol_x = grid.spacing[0]
         egf = _conditional_expectation(cond, gf, 1, vol_x)
         egb = _conditional_expectation(cond, gb, 1, vol_x)
-        z = grid.axes()[1]
+        z = grid.axes[1]
         b0 = 0.3 * z
         out = np.empty((u_values.size, z.size))
         for m, u in enumerate(u_values):
@@ -602,7 +612,7 @@ class TestFbsmGrid:
         masses = result.density.sum(axis=(1, 2)) * grid.cell_volume
         assert np.max(np.abs(masses - 1.0)) < 1e-12
         assert result.mass_log.max_negative_mass <= 1e-6
-        lo, hi = problem.bounds()
+        lo, hi = problem.control_lower, problem.control_upper
         assert np.all(result.control >= lo)
         assert np.all(result.control <= hi)
 
@@ -645,8 +655,8 @@ class TestFbsmGrid:
         field = np.empty((grid.n_t + 1,) + grid.shape)
         field[0] = p
         for i in range(grid.n_t):
-            gen = build_generator(problem, grid, grid.times()[i], u[i], dt=grid.dt)
-            p = fp_step(p, gen, grid.dt)
+            gen = build_generator(problem, grid, grid.times()[i], u[i])
+            p = fp_step(p, gen)
             field[i + 1] = p
         recomputed = grid_objective(problem, grid, field, u)
         assert abs(recomputed - result.objective_history[-1]) < 1e-9 * (
@@ -661,13 +671,12 @@ class TestFbsmGrid:
         assert result.iterations < 40
         assert result.final_delta <= 1e-8 * (1.0 + abs(result.objective_history[-1]))
 
-    def test_u0_validation(self):
-        problem = double_integrator_problem()
-        grid = self.small_grid()
-        with pytest.raises(ProblemError, match="shape"):
-            fbsm_grid(problem, grid, u0=np.zeros((60, 31)))
-        with pytest.raises(ProblemError, match="bounds"):
-            fbsm_grid(problem, grid, u0=np.full((60, 31, 1), 99.0))
+    def test_bounds_must_admit_the_zero_initial_control(self):
+        problem = dataclasses.replace(
+            double_integrator_problem(), control_lower=[1.0], control_upper=[2.0]
+        )
+        with pytest.raises(ProblemError, match="zero initial control"):
+            fbsm_grid(problem, self.small_grid())
 
     def test_grid_dimension_mismatch(self):
         problem = double_integrator_problem()
@@ -763,8 +772,9 @@ class TestSweepProperties:
         assert recorded == result.objective_history[-1]
 
 
-def random_generator(shape, seed):
-    """A generator on a random box with random drift and SPD diffusion.
+def random_generator(shape, seed, dt=0.1):
+    """A generator on a random box, on a grid of one step dt, with random
+    drift and SPD diffusion.
 
     The diffusion is a random SPD matrix (mixed terms included) times a
     positive scalar field; about a fifth of the drift entries are exactly
@@ -773,7 +783,7 @@ def random_generator(shape, seed):
     rng = np.random.default_rng(seed)
     d = len(shape)
     lower = rng.uniform(-2.0, 0.0, d)
-    grid = GridSpec(lower, lower + rng.uniform(0.5, 3.0, d), shape, 10, 1.0)
+    grid = GridSpec(lower, lower + rng.uniform(0.5, 3.0, d), shape, 1, dt)
     drift = [rng.standard_normal(shape) * 3.0 for _ in range(d)]
     for b in drift:
         b[rng.random(shape) < 0.2] = 0.0
@@ -835,10 +845,12 @@ class TestStencilProperties:
         # A step this short keeps q = p + dt L'p positive for p in [1, 2],
         # so nothing is clamped and the drift is rounding only.
         dt = 0.1 / float(abs(to_sparse(gen)).sum(axis=0).max())
+        # the same generator on a grid that steps by dt
+        gen, rng = random_generator(shape, seed, dt)
         p = rng.uniform(1.0, 2.0, shape)
         p /= p.sum() * gen.grid.cell_volume
         log = MassLog()
-        fp_step(p, gen, dt, log=log)
+        fp_step(p, gen, log=log)
         assert log.max_negative_mass == 0.0
         assert log.max_mass_drift <= 1e-12
 
@@ -861,7 +873,7 @@ class TestStencilProperties:
     @given(shape=grid_shapes)
     def test_mesh_is_read_only(self, shape):
         grid = GridSpec(-np.ones(len(shape)), np.ones(len(shape)), shape, 10, 1.0)
-        for arr in (*grid.mesh(), *grid.axes(), grid.spacing, grid.lower, grid.upper):
+        for arr in (*grid.mesh(), *grid.axes, grid.spacing, grid.lower, grid.upper):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
         assert grid.mesh() is grid.mesh()

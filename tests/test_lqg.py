@@ -212,10 +212,6 @@ class TestInferenceGain:
         with pytest.raises(SingularPrecisionError):
             inference_gain(lams, d_x=1)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ProblemError):
-            inference_gain(np.eye(3), d_x=1, d_z=1)
-
 
 class TestRhsFunctions:
     def test_psi_rhs_at_zero_is_q(self):

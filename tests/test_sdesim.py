@@ -29,8 +29,18 @@ from fbsweep.sdesim import (
 )
 
 
-def zero_control(t, z):
-    return np.zeros((z.shape[0], 1))
+class MemoryLaw:
+    """A memory-feedback law u(t, z), as simulate_paths takes one."""
+
+    def __init__(self, evaluate_memory):
+        self.evaluate_memory = evaluate_memory
+
+
+zero_control = MemoryLaw(lambda t, z: np.zeros((z.shape[0], 1)))
+ZERO_COST = CostSpec(
+    running_cost=lambda t, s, u: np.zeros(s.shape[0]),
+    terminal_cost=lambda s: np.zeros(s.shape[0]),
+)
 
 
 def scalar_dynamics(drift, diffusion, mean=1.0, var=0.25):
@@ -75,11 +85,11 @@ class TestSimulatePaths:
             drift=lambda t, s, u: -s,
             diffusion=lambda t, s, u: np.array([[0.5]]),
         )
-        a = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11)
-        b = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11)
+        a = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST)
+        b = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.controls, b.controls)
-        c = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=12)
+        c = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=12, cost=ZERO_COST)
         assert not np.array_equal(a.states, c.states)
 
     def test_exponential_growth_without_noise(self):
@@ -89,7 +99,7 @@ class TestSimulatePaths:
             mean=1.0,
             var=1e-12,
         )
-        ens = simulate_paths(dyn, zero_control, 1.0, 1e-3, 4, seed=0)
+        ens = simulate_paths(dyn, zero_control, 1.0, 1e-3, 4, seed=0, cost=ZERO_COST)
         final = ens.states[:, -1, 0]
         assert np.max(np.abs(final / np.exp(1.0) - 1.0)) < 2e-3
 
@@ -98,7 +108,7 @@ class TestSimulatePaths:
             drift=lambda t, s, u: np.zeros_like(s),
             diffusion=lambda t, s, u: np.array([[0.0]]),
         )
-        ens = simulate_paths(dyn, zero_control, 1.0, 0.05, 10, seed=3)
+        ens = simulate_paths(dyn, zero_control, 1.0, 0.05, 10, seed=3, cost=ZERO_COST)
         assert np.all(ens.states == ens.states[:, :1, :])
 
     def test_wiener_variance_growth(self):
@@ -109,7 +119,7 @@ class TestSimulatePaths:
             var=0.25,
         )
         n = 10000
-        ens = simulate_paths(dyn, zero_control, 1.0, 0.01, n, seed=7)
+        ens = simulate_paths(dyn, zero_control, 1.0, 0.01, n, seed=7, cost=ZERO_COST)
         var = ens.states[:, -1, 0].var(ddof=1)
         target = 0.25 + 1.0
         se = target * np.sqrt(2.0 / (n - 1))
@@ -121,7 +131,7 @@ class TestSimulatePaths:
             diffusion=lambda t, s, u: np.array([[0.0]]),
         )
         with pytest.raises(ProblemError, match="multiple"):
-            simulate_paths(dyn, zero_control, 1.0, 0.3, 4, seed=0)
+            simulate_paths(dyn, zero_control, 1.0, 0.3, 4, seed=0, cost=ZERO_COST)
 
     def test_step_must_divide_the_horizon_to_1e_9_of_a_step(self):
         """The rule config documents and --dt follow: 1000.0000005 steps of
@@ -132,8 +142,8 @@ class TestSimulatePaths:
             diffusion=lambda t, s, u: np.array([[0.0]]),
         )
         with pytest.raises(ProblemError, match="multiple"):
-            simulate_paths(dyn, zero_control, 10.0, 10.0 / 1000.0000005, 2, seed=0)
-        ensemble = simulate_paths(dyn, zero_control, 10.0, 10.0 / 1000, 2, seed=0)
+            simulate_paths(dyn, zero_control, 10.0, 10.0 / 1000.0000005, 2, 0, ZERO_COST)
+        ensemble = simulate_paths(dyn, zero_control, 10.0, 10.0 / 1000, 2, 0, ZERO_COST)
         assert ensemble.times.size == 1001
 
     @pytest.mark.parametrize("shape", [(4, 1, 1), (1,), (), (1, 2)])
@@ -145,7 +155,7 @@ class TestSimulatePaths:
             diffusion=lambda t, s, u: np.ones(shape),
         )
         with pytest.raises(ProblemError, match=r"expected one \(1, 1\) matrix"):
-            simulate_paths(dyn, zero_control, 1.0, 0.1, 4, seed=0)
+            simulate_paths(dyn, zero_control, 1.0, 0.1, 4, seed=0, cost=ZERO_COST)
 
     def test_control_sees_only_memory(self):
         dyn = ExtendedDynamics(
@@ -163,8 +173,21 @@ class TestSimulatePaths:
             seen.append(z.shape)
             return np.zeros((z.shape[0], 1))
 
-        simulate_paths(dyn, spy, 0.1, 0.05, 6, seed=1)
+        simulate_paths(dyn, MemoryLaw(spy), 0.1, 0.05, 6, seed=1, cost=ZERO_COST)
         assert seen and all(shape == (6, 1) for shape in seen)
+
+    @pytest.mark.parametrize(
+        "control", [zero_control.evaluate_memory, object()], ids=["callable", "object"]
+    )
+    def test_control_must_expose_evaluate_memory(self, control):
+        """A bare callable is refused like any other object without the
+        method: the ensemble replays its law through evaluate_memory."""
+        dyn = scalar_dynamics(
+            drift=lambda t, s, u: np.zeros_like(s),
+            diffusion=lambda t, s, u: np.array([[1.0]]),
+        )
+        with pytest.raises(ProblemError, match="evaluate_memory"):
+            simulate_paths(dyn, control, 1.0, 0.1, 4, seed=0, cost=ZERO_COST)
 
     def test_exploding_paths_flagged_and_excluded(self):
         dyn = scalar_dynamics(
@@ -173,15 +196,11 @@ class TestSimulatePaths:
             mean=10.0,
             var=1e-6,
         )
-        ens = simulate_paths(dyn, zero_control, 1.0, 0.1, 5, seed=2)
+        ens = simulate_paths(dyn, zero_control, 1.0, 0.1, 5, seed=2, cost=ZERO_COST)
         assert ens.n_excluded == 5
         assert np.all(np.isfinite(ens.states))
-        cost = CostSpec(
-            running_cost=lambda t, s, u: np.zeros(s.shape[0]),
-            terminal_cost=lambda s: np.zeros(s.shape[0]),
-        )
         with pytest.raises(ProblemError, match="no valid paths"):
-            estimate_objective(ens, cost)
+            estimate_objective(ens, ZERO_COST)
 
     def test_mixed_explosion_freezes_only_the_bad_paths(self):
         threshold = 1.0
@@ -336,7 +355,7 @@ class TestNoiseBatches:
         )
         tracemalloc.start()
         try:
-            ens = simulate_paths(dyn, zero_control, 1.0, 1.0 / 4000, 1000, seed=3)
+            ens = simulate_paths(dyn, zero_control, 1.0, 1.0 / 4000, 1000, seed=3, cost=ZERO_COST)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -377,29 +396,34 @@ class TestDerivedCosts:
         assert np.ascontiguousarray(history).tobytes() == cum.T.tobytes()
         assert ens.cumulative_costs is history
 
-    def test_no_cost_means_no_history(self):
-        dyn, law, _ = self.frozen_case()
-        assert simulate_paths(dyn, law, 1.0, 0.02, 20, seed=6).cumulative_costs is None
-
     def test_stored_totals_give_the_replayed_estimate(self):
+        """An equal but distinct CostSpec (the same two callables) reads
+        the kept totals, which have the bits of the replayed history."""
         dyn, law, cost = self.frozen_case()
         ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
         same_cost = CostSpec(cost.running_cost, cost.terminal_cost)
-        # an equal but distinct cost object takes the replay
+        mean, _ = estimate_objective(ens, same_cost)
+        valid = ens.valid
+        terminal = cost.terminal_cost(ens.states[valid, -1])
+        assert mean == float((ens.cumulative_costs[valid, -1] + terminal).mean())
         assert estimate_objective(ens, cost) == estimate_objective(ens, same_cost)
 
     def test_estimate_uses_the_given_cost_alone(self):
-        """An ensemble simulated under cost a and estimated under cost b
-        gives b's estimate, not a's running cost plus b's terminal cost."""
+        """An ensemble simulated under cost a cannot be estimated under a
+        cost b: it keeps a's running totals only, and mixing them with
+        b's terminal cost would price neither."""
         dyn, law, cost_a = self.frozen_case()
         cost_b = CostSpec(
             running_cost=lambda t, s, u: np.abs(s[:, 1]) + 3.0 * u[:, 0] ** 2,
             terminal_cost=lambda s: s[:, 0] ** 2,
         )
         stored = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost_a)
-        bare = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6)
-        assert estimate_objective(stored, cost_b) == estimate_objective(bare, cost_b)
-        assert estimate_objective(stored, cost_a) != estimate_objective(stored, cost_b)
+        with pytest.raises(ProblemError, match="another cost"):
+            estimate_objective(stored, cost_b)
+        # the same callables in another order are another cost too
+        swapped = CostSpec(cost_a.running_cost, cost_b.terminal_cost)
+        with pytest.raises(ProblemError, match="another cost"):
+            estimate_objective(stored, swapped)
 
     def test_peak_memory_holds_no_cost_history(self, monkeypatch):
         """1000 paths x 400 steps with a cost: the states take 6.4 MB, and
@@ -462,29 +486,23 @@ class TestSimulationCost:
 
 
 class TestEstimateObjective:
-    def brownian(self, n=64):
+    def brownian(self, cost, n=64):
         dyn = scalar_dynamics(
             drift=lambda t, s, u: np.zeros_like(s),
             diffusion=lambda t, s, u: np.array([[1.0]]),
         )
-        return dyn, simulate_paths(dyn, zero_control, 2.0, 0.01, n, seed=5)
+        return simulate_paths(dyn, zero_control, 2.0, 0.01, n, seed=5, cost=cost)
 
     def test_zero_cost(self):
-        _, ens = self.brownian()
-        cost = CostSpec(
-            running_cost=lambda t, s, u: np.zeros(s.shape[0]),
-            terminal_cost=lambda s: np.zeros(s.shape[0]),
-        )
-        mean, se = estimate_objective(ens, cost)
+        mean, se = estimate_objective(self.brownian(ZERO_COST), ZERO_COST)
         assert mean == 0.0 and se == 0.0
 
     def test_unit_running_cost_gives_horizon(self):
-        _, ens = self.brownian()
         cost = CostSpec(
             running_cost=lambda t, s, u: np.ones(s.shape[0]),
             terminal_cost=lambda s: np.zeros(s.shape[0]),
         )
-        mean, se = estimate_objective(ens, cost)
+        mean, se = estimate_objective(self.brownian(cost), cost)
         assert abs(mean - 2.0) < 1e-12
         assert se < 1e-12
 
@@ -498,18 +516,15 @@ class TestEstimateObjective:
             terminal_cost=lambda s: np.zeros(s.shape[0]),
         )
         ens = simulate_paths(dyn, zero_control, 1.0, 0.02, 20, seed=9, cost=cost)
-        assert ens.cumulative_costs is not None
         diffs = np.diff(ens.cumulative_costs, axis=1)
         assert np.all(diffs >= 0.0)
         mean_stored, _ = estimate_objective(ens, cost)
-        ens_bare = simulate_paths(dyn, zero_control, 1.0, 0.02, 20, seed=9)
-        mean_recomputed, _ = estimate_objective(ens_bare, cost)
-        assert abs(mean_stored - mean_recomputed) < 1e-12
+        assert abs(mean_stored - ens.cumulative_costs[:, -1].mean()) < 1e-12
 
     def test_recomputed_cost_has_the_stored_bits(self):
-        """Without a stored cost the estimate sums the same per-step costs
-        with the step the paths were advanced by: 0.7 / 7 steps is 0.1,
-        while times[1] - times[0] is 0.09999999999999999."""
+        """The replayed history sums the same per-step costs as the kept
+        totals, with the step the paths were advanced by: 0.7 / 7 steps is
+        0.1, while times[1] - times[0] is 0.09999999999999999."""
         dyn = ExtendedDynamics(
             d_x=1,
             d_z=1,
@@ -523,11 +538,12 @@ class TestEstimateObjective:
             running_cost=lambda t, s, u: s[:, 0] ** 2 + u[:, 0] ** 2,
             terminal_cost=lambda s: s[:, 0] ** 2,
         )
-        law = lambda t, z: 0.5 * z  # noqa: E731
+        law = MemoryLaw(lambda t, z: 0.5 * z)
         stored = simulate_paths(dyn, law, 0.7, 0.1, 50, seed=1, cost=cost)
-        bare = simulate_paths(dyn, law, 0.7, 0.1, 50, seed=1)
-        assert estimate_objective(bare, cost) == estimate_objective(stored, cost)
-        assert stored.dt == bare.dt == 0.1
+        replayed = stored.cumulative_costs[:, -1] + cost.terminal_cost(stored.states[:, -1])
+        assert stored.n_excluded == 0
+        assert estimate_objective(stored, cost)[0] == float(replayed.mean())
+        assert stored.dt == 0.1
 
 
 class RecordingLaw:
@@ -618,7 +634,7 @@ class TestControlReplay:
         box = (lower, lower + rng.uniform(0.0, 1.5, d_z)) if boxed else None
         law = AffineLaw(rng.standard_normal((d_u, d_z)), rng.standard_normal(d_u), box)
         recorder = RecordingLaw(law)
-        ens = simulate_paths(dyn, recorder, 0.05 * n_steps, 0.05, n_paths, seed)
+        ens = simulate_paths(dyn, recorder, 0.05 * n_steps, 0.05, n_paths, seed, cost=ZERO_COST)
         assert_replays_the_applied_controls(ens, recorder)
 
 
@@ -653,7 +669,7 @@ class TestGridControlLaw:
             diffusion=lambda t, s, u: np.eye(2),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
         )
-        ens = simulate_paths(dyn, law, 1.0, 0.1, 40, seed=4)
+        ens = simulate_paths(dyn, law, 1.0, 0.1, 40, seed=4, cost=ZERO_COST)
         assert ens.clamp_counts.sum() > 0
         assert ens.clamp_counts.max() <= 10
 
@@ -750,7 +766,7 @@ class TestLqgClosedLoop:
             initial_density=problem.initial_density(),
         )
         n = 4000
-        ens = simulate_paths(dyn, law, 2.0, 0.01, n, seed=21)
+        ens = simulate_paths(dyn, law, 2.0, 0.01, n, seed=21, cost=ZERO_COST)
         assert ens.n_excluded == 0
         for idx in (50, 100, 200):
             emp = ens.states[:, idx, :].mean(axis=0)

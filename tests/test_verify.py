@@ -19,6 +19,7 @@ from fbsweep.gridpde import (
     build_generator,
     fbsm_grid,
 )
+from fbsweep.lqg import fbsm_lqg
 from fbsweep.verify import (
     conjugacy_residual,
     grid_problem_from_lqg,
@@ -29,6 +30,7 @@ from fbsweep.verify import (
     sweep_pmp_residual,
 )
 from grid_problems import constant_diffusion, random_quadratic_problem
+from test_lqg import random_lqg_problem
 
 
 def double_integrator_problem(bound=6.0, obstacle=0.0):
@@ -159,7 +161,7 @@ class TestLemma1Check:
         reads about 1e-2 on such draws)."""
         problem = random_quadratic_problem(seed)
         grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), n_t, 0.01 * n_t)
-        lo, hi = problem.bounds()
+        lo, hi = problem.control_lower, problem.control_upper
         rng = np.random.default_rng([seed, 1])
         u, u_prime = (rng.uniform(lo, hi, size=(n_t, 11, 1)) for _ in range(2))
         report = lemma1_check(problem, grid, u, u_prime, pairing="discrete")
@@ -186,12 +188,13 @@ class TestInitialDensityChecks:
 
     @pytest.mark.parametrize("bad", [-1e-3, np.nan], ids=["negative", "nan"])
     def test_oracles_reject_invalid_initial_density(self, bad):
-        def density(S):
-            p = np.exp(-(S[0] ** 2 + S[1] ** 2))
-            p[0, 0] = bad
-            return p
+        class BadDensity:
+            def density(self, points):
+                p = np.exp(-(points**2).sum(axis=-1))
+                p[0, 0] = bad
+                return p
 
-        problem = dataclasses.replace(double_integrator_problem(), initial_density=density)
+        problem = dataclasses.replace(double_integrator_problem(), initial_density=BadDensity())
         grid = small_grid(n=11, n_t=10, horizon=0.1)
         u = np.zeros((grid.n_t, 11, 1))
         with pytest.raises(ProblemError, match="initial density"):
@@ -223,6 +226,17 @@ class TestMonotonicityCheck:
     def test_needs_two_values(self):
         with pytest.raises(ProblemError):
             monotonicity_check(np.array([1.0]))
+
+    @pytest.mark.parametrize("seed", [5, 11, 27])
+    def test_lqg_result_is_judged_by_the_lqg_slack(self, seed):
+        """fbsm_lqg records a rise beyond lqg.MONOTONICITY_SLACK (1e-8) as a
+        violation, and the check reports the same ones, although each
+        rise is within the grid's 1e-6."""
+        result = fbsm_lqg(random_lqg_problem(seed), max_iters=12, tol=0.0)
+        report = monotonicity_check(result)
+        assert result.monotonicity_violations
+        assert report.violations == result.monotonicity_violations
+        assert not report.passed
 
 
 def fresh_fields(problem, grid, u):
