@@ -3,7 +3,8 @@
 bench/run.py exits 0 even when an answer is wrong, so this script reads
 its JSON summary lines (one per traced/untraced pass) and exits 1 when
 any summary reports a wrong answer or a failed operation, when a metric
-is null or non-finite, or when the log holds no summary at all.
+is null or non-finite, when a traced call count (`*.calls`) reads 0, or
+when the log holds no summary at all.
 
 With GITHUB_STEP_SUMMARY set, it appends three informational tables to
 that file: the code size figures, each workload's end-to-end metrics,
@@ -107,10 +108,16 @@ def main(path) -> int:
     ]
     for key in nonfinite:
         print(f"non-finite metric {key}")
+    # A refactor that stops calling a traced function reads 0, not null.
+    uncalled = [
+        key for key, entry in metrics(summaries) if key.endswith(".calls") and entry["value"] == 0
+    ]
+    for key in uncalled:
+        print(f"zero call count {key}")
     if os.environ.get("GITHUB_STEP_SUMMARY"):
         with open(os.environ["GITHUB_STEP_SUMMARY"], "a") as out:
             write_step_summary(out, summaries)
-    return 1 if bad or null or nonfinite or not summaries else 0
+    return 1 if bad or null or nonfinite or uncalled or not summaries else 0
 
 
 if __name__ == "__main__":

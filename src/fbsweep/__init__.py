@@ -60,7 +60,6 @@ from fbsweep.verify import (
     grid_problem_from_lqg,
     lemma1_check,
     lqg_grid_crosscheck,
-    monotonicity_check,
     pmp_residual,
     sweep_pmp_residual,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "lqg_grid_crosscheck",
     "lqg_objective",
     "minimize_conditional_hamiltonian",
-    "monotonicity_check",
     "pmp_residual",
     "simulate_paths",
     "sweep_pmp_residual",

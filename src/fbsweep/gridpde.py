@@ -30,8 +30,13 @@ mesh, axes and spacing are computed once per GridSpec and shared as
 read-only arrays; generator coefficients are filled in place; every
 stencil term (apply, apply_adjoint, the upwind differences) is one slice
 add or slice difference on the C-ordered flat grid instead of a
-zero-padded shifted copy. The upwind Hamiltonian field is written once
-(_upwind_hamiltonian).
+zero-padded shifted copy.
+
+The conditional Hamiltonian, the one equation coupling the two sweeps,
+is written once, in closed form per memory node (_phi). The minimizer
+evaluates its candidates through it, and conditional_hamiltonian, which
+verify's stationarity oracle and lemma1_check read, sums it over the
+control components.
 
 Each direction's time step (build_generator, then fp_step or hjb_step)
 is written once, in the steppers _forward_steps and _backward_steps.
@@ -500,10 +505,6 @@ def _upwind_differences(w: np.ndarray, axis: int, spacing: float):
     return gf, gb
 
 
-def _upwind_gradients(w: np.ndarray, grid: GridSpec) -> list:
-    return [_upwind_differences(w, i, grid.spacing[i]) for i in range(grid.dim)]
-
-
 def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, what: str) -> np.ndarray:
     """Reduce the control-free drift of a driven coordinate to a z-array.
 
@@ -560,6 +561,42 @@ def _fill_undefined(u_new: np.ndarray, defined: np.ndarray, grid: GridSpec, d_x:
     u_new[dst] = u_new[tuple(s[nearest] for s in src)]
 
 
+def _driven_terms(problem: GridProblem, grid: GridSpec, t: float, cond, w_next):
+    """Yield, per control component c, what its conditional Hamiltonian
+    reads: (c, B, R, b0z, E[gf], E[gb]).
+
+    B = b_matrix[i, c] and R = r_diag[c] for the coordinate i that c
+    drives, b0z is that coordinate's control-free drift per memory node,
+    and E[gf], E[gb] are the conditional expectations under cond of the
+    forward and backward upwind differences of w_next along axis i.
+    """
+    d_x = problem.d_x
+    vol_x = _x_volume(grid, d_x)
+    b0 = problem.drift0(t, grid.mesh())
+    z_shape = grid.memory_shape(d_x)
+    for c, i in enumerate(problem._driven):
+        gf, gb = (
+            _conditional_expectation(cond, g, d_x, vol_x)
+            for g in _upwind_differences(w_next, i, grid.spacing[i])
+        )
+        b0z = _base_drift_per_memory(b0[i], grid.shape, d_x, f"drift0[{i}]")
+        b0z = np.broadcast_to(b0z, z_shape)
+        yield c, float(problem.b_matrix[i, c]), float(problem.r_diag[c]), b0z, gf, gb
+
+
+def _phi(Rc, Bc, b0z, gf, gb, u):
+    """One component's conditional Hamiltonian at control u, per memory
+    node: R u^2 + max(v, 0) E[gf] - max(-v, 0) E[gb], v = b0z + B u the
+    driven drift.
+
+    Since b0z is constant in x, E_{p(x|z)}[f + L_u w] is the sum of this
+    over components plus terms no control changes (base cost, undriven
+    drift, diffusion). u may carry leading axes (candidates) over z.
+    """
+    v = b0z + Bc * u
+    return Rc * u * u + np.maximum(v, 0.0) * gf - np.maximum(-v, 0.0) * gb
+
+
 def minimize_conditional_hamiltonian(
     problem: GridProblem,
     grid: GridSpec,
@@ -575,29 +612,18 @@ def minimize_conditional_hamiltonian(
     w_next the value slice the generator acts on, u_prev the previous
     iterate's control slice (kept on ties, which pins fixed points).
     In the grid model the discrete conditional Hamiltonian is piecewise
-    quadratic in each control component (the upwind side switches where
-    the driven drift changes sign), so the argmin is found exactly from
-    the two branch vertices, the breakpoint, and the previous control.
-    Low-mass nodes (defined=False, as conditional_density flags them)
-    inherit the control of the nearest defined node.
+    quadratic in each control component (_phi: the upwind side switches
+    where the driven drift changes sign), so the argmin is found exactly
+    from the two branch vertices, the breakpoint, and the previous
+    control. Low-mass nodes (defined=False, as conditional_density flags
+    them) inherit the control of the nearest defined node.
     """
     u_prev = np.asarray(u_prev, dtype=float)
-    d_x = problem.d_x
-    vol_x = _x_volume(grid, d_x)
     lo, hi = problem.control_lower, problem.control_upper
-    b0 = problem.drift0(t, grid.mesh())
-    z_shape = grid.memory_shape(d_x)
+    z_shape = grid.memory_shape(problem.d_x)
     u_new = np.empty(z_shape + (problem.d_u,))
 
-    for c, i in enumerate(problem._driven):
-        Bc = float(problem.b_matrix[i, c])
-        Rc = float(problem.r_diag[c])
-        gf, gb = (
-            _conditional_expectation(cond, g, d_x, vol_x)
-            for g in _upwind_differences(w_next, i, grid.spacing[i])
-        )
-        b0z = _base_drift_per_memory(b0[i], grid.shape, d_x, f"drift0[{i}]")
-        b0z = np.broadcast_to(b0z, z_shape)
+    for c, Bc, Rc, b0z, gf, gb in _driven_terms(problem, grid, t, cond, w_next):
         lo_c, hi_c = lo[c], hi[c]
 
         # Candidates: each branch's vertex clipped to the controls where
@@ -616,8 +642,7 @@ def minimize_conditional_hamiltonian(
             )
         cands[2] = np.clip(u_star, lo_c, hi_c)
         cands[3] = np.clip(u_prev[..., c], lo_c, hi_c)
-        v = b0z + Bc * cands
-        phis = Rc * cands * cands + np.maximum(v, 0.0) * gf - np.maximum(-v, 0.0) * gb
+        phis = _phi(Rc, Bc, b0z, gf, gb, cands)
         phis[:2] = np.where(empty, np.inf, phis[:2])
 
         best = np.argmin(phis[:3], axis=0)
@@ -625,27 +650,8 @@ def minimize_conditional_hamiltonian(
         phi_best = np.choose(best, phis[:3])
         keep_prev = phis[3] <= phi_best + TIE_TOLERANCE * (1.0 + np.abs(phi_best))
         u_new[..., c] = np.where(keep_prev, cands[3], u_best)
-    _fill_undefined(u_new, defined, grid, d_x)
+    _fill_undefined(u_new, defined, grid, problem.d_x)
     return u_new
-
-
-def _upwind_hamiltonian(problem: GridProblem, grid: GridSpec, t: float, diffs, u_slice):
-    """f(t, s, u) + the drift-upwind part of (L_u w)(s) at every grid node.
-
-    diffs[i] = (forward, backward) upwind differences of w along axis i
-    (see _upwind_gradients); they do not depend on the control, so
-    callers comparing several controls against one w compute them once.
-    """
-    S = grid.mesh()
-    U = control_to_grid(np.asarray(u_slice, dtype=float), problem.d_x, problem.d_u)
-    f = np.asarray(problem.running_cost(t, S, U), dtype=float)
-    b = problem.drift(t, S, U)
-    ham = _full(f, grid.shape)
-    for (gf, gb), bi in zip(diffs, b):
-        bi = np.asarray(bi, dtype=float)
-        ham += np.maximum(bi, 0.0) * gf
-        ham -= np.maximum(-bi, 0.0) * gb
-    return ham
 
 
 def conditional_hamiltonian(
@@ -655,21 +661,22 @@ def conditional_hamiltonian(
     cond: np.ndarray,
     w_next: np.ndarray,
     u_slice: np.ndarray,
-    diffs=None,
 ) -> np.ndarray:
-    """E_{p(x|z)}[ f(t, s, u) + drift-upwind part of (L_u w) ] per memory node.
+    """The conditional expected Hamiltonian E_{p(x|z)}[f + L_u w] at the
+    control slice u_slice, per memory node, less every control-independent
+    term: the base cost, the drift of undriven coordinates and the
+    diffusion.
 
-    Control-independent generator terms (diffusion, mixed stencils) are
-    omitted, so differences of this quantity across controls equal
-    differences of the full conditional expected Hamiltonian exactly, and
-    its minimizers coincide with the sweep's control updates. diffs, if
-    given, must be _upwind_gradients(w_next, grid); callers evaluating
-    several controls against one w_next pass it to compute it once.
+    It is the sum over control components of _phi, the formula that
+    minimize_conditional_hamiltonian minimizes, so its differences across
+    controls equal those of the full conditional Hamiltonian and its
+    minimizers are the sweep's control updates.
     """
-    if diffs is None:
-        diffs = _upwind_gradients(w_next, grid)
-    ham = _upwind_hamiltonian(problem, grid, t, diffs, u_slice)
-    return _conditional_expectation(cond, ham, problem.d_x, _x_volume(grid, problem.d_x))
+    u_slice = np.asarray(u_slice, dtype=float)
+    total = np.zeros(grid.memory_shape(problem.d_x))
+    for c, Bc, Rc, b0z, gf, gb in _driven_terms(problem, grid, t, cond, w_next):
+        total += _phi(Rc, Bc, b0z, gf, gb, u_slice[..., c])
+    return total
 
 
 @dataclass

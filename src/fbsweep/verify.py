@@ -2,10 +2,14 @@
 
 Each oracle recomputes a mathematical consequence from first principles
 and reports a residual: generator/adjoint conjugacy, the exact discrete
-cost-difference identity between two controls, monotone descent of the
-recorded objective, stationarity of the conditional Hamiltonian at the
-returned control, and agreement between the Riccati backend and the grid
-backend on a problem both can solve.
+cost-difference identity between two controls, stationarity of the
+conditional Hamiltonian at the returned control, and agreement between
+the Riccati backend and the grid backend on a problem both can solve.
+The cost-difference identity and the stationarity residual read the
+conditional Hamiltonian through gridpde.conditional_hamiltonian, the
+closed form the sweep's minimizer minimizes; the identity's left side
+comes from the generator and the passes, so it checks that closed form
+against them.
 """
 
 from __future__ import annotations
@@ -13,27 +17,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from fbsweep.core import GridSpec, LqgProblem, ProblemError, _descent_violations
+from fbsweep.core import GridSpec, LqgProblem, ProblemError
 from fbsweep.gridpde import (
-    MONOTONICITY_SLACK,
     DiscreteGenerator,
     GridProblem,
     MassLog,
     _backward_steps,
     _forward_pass,
     _initial_density_slice,
-    _upwind_gradients,
-    _upwind_hamiltonian,
     conditional_density,
     conditional_hamiltonian,
     fbsm_grid,
     minimize_conditional_hamiltonian,
 )
-from fbsweep.lqg import MONOTONICITY_SLACK as LQG_SLACK, LqgSweepResult, fbsm_lqg
+from fbsweep.lqg import fbsm_lqg
 
 
 def _vsum(arr: np.ndarray) -> float:
@@ -65,8 +66,9 @@ def lemma1_check(
     The left side is the difference of the discrete objectives (density
     solved under each control); the right side accumulates, over the
     density solved under u and the value solved backward under u', the
-    expected Hamiltonian difference between the two controls at each
-    step. With pairing="continuous" the Hamiltonian at time t reads the
+    difference of conditional_hamiltonian between the two controls at
+    each step, weighted by the memory marginal of the density under u.
+    With pairing="continuous" the Hamiltonian at time t reads the
     value slice at t, matching the continuous-time identity, so the
     residual measures discretization error and shrinks under (dt, ds)
     refinement. With pairing="discrete" it reads the slice at t + dt,
@@ -83,7 +85,8 @@ def lemma1_check(
     offset = 0 if pairing == "continuous" else 1
     u = np.asarray(u, dtype=float)
     u_prime = np.asarray(u_prime, dtype=float)
-    n, times, vol = grid.n_t, grid.times(), grid.cell_volume
+    n, times = grid.n_t, grid.times()
+    vol_z = float(np.prod(grid.spacing[problem.d_x :]))
     p0 = _initial_density_slice(problem, grid)
     p_u = np.empty((n + 1,) + grid.shape)
     j_u = _forward_pass(problem, grid, p0, u, out=p_u)
@@ -93,47 +96,16 @@ def lemma1_check(
         i = k - offset
         if not 0 <= i < n:
             continue
-        diffs = _upwind_gradients(w_k, grid)
+        cond, marginal, _ = conditional_density(p_u[i], grid, problem.d_x)
         h_u, h_v = (
-            float((_upwind_hamiltonian(problem, grid, times[i], diffs, c) * p_u[i]).sum()) * vol
+            conditional_hamiltonian(problem, grid, times[i], cond, w_k, c)
             for c in (u[i], u_prime[i])
         )
-        terms[i] = (h_u - h_v) * grid.dt
+        terms[i] = float((marginal * (h_u - h_v)).sum()) * vol_z * grid.dt
     rhs = 0.0
     for term in terms:
         rhs += term
     return Lemma1Report(lhs=float(lhs), rhs=float(rhs), residual=abs(lhs - rhs))
-
-
-@dataclass
-class MonotonicityReport:
-    """Violations of non-increase in a recorded objective history."""
-
-    n_iterations: int
-    violations: List[Tuple[int, float, float]]
-    worst_excess: float
-    passed: bool
-
-
-def monotonicity_check(history) -> MonotonicityReport:
-    """Verify J_{k+1} <= J_k + slack*(1+|J_k|) along a history.
-
-    Accepts a raw array or any solver result exposing objective_history.
-    The rule is the one the solvers record their violations by: an
-    LqgSweepResult is judged at lqg.MONOTONICITY_SLACK, anything else at
-    the grid's MONOTONICITY_SLACK.
-    """
-    slack = LQG_SLACK if isinstance(history, LqgSweepResult) else MONOTONICITY_SLACK
-    history = np.asarray(getattr(history, "objective_history", history), dtype=float)
-    if history.size < 2:
-        raise ProblemError("monotonicity check needs at least two objective values")
-    violations, worst = _descent_violations(history, slack)
-    return MonotonicityReport(
-        n_iterations=int(history.size - 1),
-        violations=violations,
-        worst_excess=worst,
-        passed=not violations,
-    )
 
 
 @dataclass
@@ -161,10 +133,9 @@ def _stationarity_excess(problem: GridProblem, grid: GridSpec, t, u_i, p_i, w_ne
     node, from the density slice at t and the value slice at t + dt; and
     the memory marginal that weights it."""
     cond, marginal, defined = conditional_density(p_i, grid, problem.d_x)
-    diffs = _upwind_gradients(w_next, grid)
-    phi_u = conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, diffs=diffs)
+    phi_u = conditional_hamiltonian(problem, grid, t, cond, w_next, u_i)
     u_min = minimize_conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, defined)
-    phi_min = conditional_hamiltonian(problem, grid, t, cond, w_next, u_min, diffs=diffs)
+    phi_min = conditional_hamiltonian(problem, grid, t, cond, w_next, u_min)
     return np.maximum(phi_u - phi_min, 0.0) * defined, marginal
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from fbsweep.core import Gaussian
-from fbsweep.gridpde import GridProblem
+from fbsweep.gridpde import GridProblem, _upwind_differences, control_to_grid
 
 
 def constant_diffusion(matrix):
@@ -56,3 +56,22 @@ def random_quadratic_problem(seed):
         control_lower=[-bound],
         control_upper=[bound],
     )
+
+
+def upwind_hamiltonian(problem, grid, t, w, u_slice):
+    """f(t, s, u) + the drift-upwind part of (L_u w)(s) at every grid node.
+
+    A full-grid reference for gridpde.conditional_hamiltonian: every
+    coordinate's drift is upwinded against the differences of w along
+    its own axis, as build_generator does. Its conditional expectation
+    differs from conditional_hamiltonian only by control-independent
+    terms.
+    """
+    S = grid.mesh()
+    U = control_to_grid(u_slice, problem.d_x, problem.d_u)
+    ham = np.zeros(grid.shape) + problem.running_cost(t, S, U)
+    for i, bi in enumerate(problem.drift(t, S, U)):
+        gf, gb = _upwind_differences(w, i, grid.spacing[i])
+        ham += np.maximum(bi, 0.0) * gf
+        ham -= np.maximum(-bi, 0.0) * gb
+    return ham

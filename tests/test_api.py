@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "lqg_grid_crosscheck",
     "lqg_objective",
     "minimize_conditional_hamiltonian",
-    "monotonicity_check",
     "pmp_residual",
     "simulate_paths",
     "sweep_pmp_residual",
@@ -93,7 +92,6 @@ PUBLIC_SIGNATURES = {
     ),
     "lqg_objective": "problem, gains",
     "minimize_conditional_hamiltonian": "problem, grid, t, cond, w_next, u_prev, defined",
-    "monotonicity_check": "history",
     "pmp_residual": "problem, grid, u, p, w",
     "simulate_paths": "dynamics, control, horizon, dt, n_paths, seed, cost",
     "sweep_pmp_residual": "problem, grid, control",

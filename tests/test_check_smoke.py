@@ -117,6 +117,20 @@ def test_a_nan_metric_fails(tmp_path):
     assert "non-finite metric lqg-tol.op_s" in proc.stdout
 
 
+def test_a_zero_call_count_fails(tmp_path):
+    lines = good_log()
+    traced = json.loads(lines[3])
+    traced["metrics"].update({
+        "obstacle-budget.gridpde.conditional_hamiltonian.calls": {"value": 0, "unit": "count"},
+        "obstacle-budget.gridpde.conditional_hamiltonian.s": {"value": 0.0, "unit": "s"},
+    })
+    lines[3] = json.dumps(traced)
+    proc = check(tmp_path, lines)
+    assert proc.returncode == 1
+    assert "zero call count obstacle-budget.gridpde.conditional_hamiltonian.calls" in proc.stdout
+    assert ".conditional_hamiltonian.s" not in proc.stdout
+
+
 def test_a_log_without_a_summary_fails(tmp_path):
     proc = check(tmp_path, ["provenance: {}", "[lqg-tol] exited 1"])
     assert proc.returncode == 1

@@ -22,7 +22,6 @@ from fbsweep.gridpde import (
     _forward_pass,
     _initial_density_slice,
     _upwind_differences,
-    _upwind_gradients,
     build_generator,
     conditional_density,
     conditional_hamiltonian,
@@ -33,7 +32,7 @@ from fbsweep.gridpde import (
     minimize_conditional_hamiltonian,
 )
 from fbsweep.verify import sweep_pmp_residual
-from grid_problems import constant_diffusion, random_quadratic_problem
+from grid_problems import constant_diffusion, random_quadratic_problem, upwind_hamiltonian
 
 
 def grid_objective(problem, grid, p, u) -> float:
@@ -479,13 +478,29 @@ class TestMinimizer:
         ])
         assert np.all(phi_u <= best_dense + 1e-9 * (1.0 + np.abs(best_dense)))
 
-    def test_conditional_hamiltonian_takes_precomputed_differences(self):
-        problem, grid, cond, _, w_next, u_prev = self.conditioning_setup()
-        diffs = _upwind_gradients(w_next, grid)
-        for u in (u_prev, -u_prev):
-            shared = conditional_hamiltonian(problem, grid, 0.1, cond, w_next, u, diffs=diffs)
-            own = conditional_hamiltonian(problem, grid, 0.1, cond, w_next, u)
-            assert np.array_equal(shared, own)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_conditional_hamiltonian_matches_the_full_grid_reference(self, seed):
+        """Across two controls, the closed form's difference equals that of
+        the full-grid Hamiltonian's conditional expectation at every
+        defined memory node."""
+        problem = random_quadratic_problem(seed)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), 10, 0.1)
+        rng = np.random.default_rng([seed, 2])
+        p = rng.uniform(0.0, 1.0, grid.shape)
+        p[:, rng.integers(11)] = 0.0
+        p /= p.sum() * grid.cell_volume
+        cond, _, defined = conditional_density(p, grid, d_x=1)
+        w = rng.standard_normal(grid.shape)
+        lo, hi = problem.control_lower, problem.control_upper
+        u, u_prime = (rng.uniform(lo, hi, size=(11, 1)) for _ in range(2))
+        t = rng.uniform(0.0, 0.1)
+        ours = [conditional_hamiltonian(problem, grid, t, cond, w, c) for c in (u, u_prime)]
+        full = [upwind_hamiltonian(problem, grid, t, w, c) for c in (u, u_prime)]
+        ref = [(cond * h).sum(axis=0) * grid.spacing[0] for h in full]
+        gap = np.abs((ours[0] - ours[1]) - (ref[0] - ref[1]))[defined]
+        assert defined.sum() == 10
+        assert gap.max() <= 1e-12 * (1.0 + max(np.abs(h).max() for h in full))
 
     def test_ties_keep_previous_control(self):
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()

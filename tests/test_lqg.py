@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dgesv
@@ -446,11 +446,16 @@ class TestDescentRefinement:
     """The Pi sweep improves the policy exactly only in continuous time:
     the RK4 Riccati steps and the RK4 Lyapunov objective are different
     discretizations, so an lqg sweep may raise J. The rise is a
-    discretization error, so it shrinks as dt does (8-24x per halving on
-    random problems; the descent slack 1e-8 is met by dt = 0.005)."""
+    discretization error, so it shrinks as dt does: across two halvings
+    it falls at least 16x, or to within the descent slack 1e-8 at
+    dt = 0.005. One halving alone may shrink it less than 4x (3317678:
+    0.085 -> 0.024 -> 0), and a rise already within the slack may not
+    shrink at all (12363057: 9.6e-11 -> 1.2e-10 -> 8.3e-12)."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=3317678)
+    @example(seed=12363057)
     def test_largest_rise_shrinks_under_refinement(self, seed):
         rises = []
         for dt in (0.02, 0.01, 0.005):
@@ -459,9 +464,7 @@ class TestDescentRefinement:
             except (DivergenceError, SingularPrecisionError):
                 return
             rises.append(largest_rise(result.objective_history))
-        # 1e-13 is rounding in J, far below the 1e-8 descent slack
-        for coarse, fine in zip(rises, rises[1:]):
-            assert fine <= coarse / 4.0 + 1e-13, rises
+        assert rises[2] <= rises[0] / 16.0 or rises[2] <= lqg.MONOTONICITY_SLACK, rises
 
 
 class TestFbsmLqg:

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsweep.config import bundled_config_path, parse_config
-from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError
+from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError, _descent_violations
 from fbsweep.gridpde import (
+    MONOTONICITY_SLACK as GRID_SLACK,
     GridProblem,
     _backward_pass,
     _forward_pass,
@@ -19,13 +20,12 @@ from fbsweep.gridpde import (
     build_generator,
     fbsm_grid,
 )
-from fbsweep.lqg import fbsm_lqg
+from fbsweep.lqg import MONOTONICITY_SLACK as LQG_SLACK, fbsm_lqg
 from fbsweep.verify import (
     conjugacy_residual,
     grid_problem_from_lqg,
     lemma1_check,
     lqg_grid_crosscheck,
-    monotonicity_check,
     pmp_residual,
     sweep_pmp_residual,
 )
@@ -204,39 +204,35 @@ class TestInitialDensityChecks:
 
 
 class TestMonotonicityCheck:
+    """The descent rule, core._descent_violations, that each solver
+    records its violations by and `verify` judges a stored history by."""
+
     def test_descending_history_passes(self):
-        report = monotonicity_check(np.array([5.0, 3.0, 2.5, 2.5000001]))
-        assert report.passed
-        assert report.n_iterations == 3
-        assert not report.violations
+        violations, worst = _descent_violations(np.array([5.0, 3.0, 2.5, 2.5000001]), GRID_SLACK)
+        assert not violations
+        assert worst == 0.0
 
     def test_violation_located(self):
-        report = monotonicity_check(np.array([5.0, 3.0, 3.1, 2.0]))
-        assert not report.passed
-        assert report.violations == [(2, 3.0, 3.1)]
-        assert report.worst_excess > 0.0
+        violations, worst = _descent_violations(np.array([5.0, 3.0, 3.1, 2.0]), GRID_SLACK)
+        assert violations == [(2, 3.0, 3.1)]
+        assert worst > 0.0
 
     def test_accepts_solver_result(self):
         problem = double_integrator_problem()
         grid = small_grid(n=17, n_t=20, horizon=0.2)
         result = fbsm_grid(problem, grid, max_iters=4, tol=0.0)
-        report = monotonicity_check(result)
-        assert report.passed
-
-    def test_needs_two_values(self):
-        with pytest.raises(ProblemError):
-            monotonicity_check(np.array([1.0]))
+        assert result.monotonicity_violations == []
 
     @pytest.mark.parametrize("seed", [5, 11, 27])
     def test_lqg_result_is_judged_by_the_lqg_slack(self, seed):
         """fbsm_lqg records a rise beyond lqg.MONOTONICITY_SLACK (1e-8) as a
-        violation, and the check reports the same ones, although each
-        rise is within the grid's 1e-6."""
+        violation, by the rule at that slack, although each rise is within
+        the grid's 1e-6."""
         result = fbsm_lqg(random_lqg_problem(seed), max_iters=12, tol=0.0)
-        report = monotonicity_check(result)
+        history = result.objective_history
         assert result.monotonicity_violations
-        assert report.violations == result.monotonicity_violations
-        assert not report.passed
+        assert result.monotonicity_violations == _descent_violations(history, LQG_SLACK)[0]
+        assert _descent_violations(history, GRID_SLACK)[0] == []
 
 
 def fresh_fields(problem, grid, u):
