@@ -30,7 +30,6 @@ from fbsweep.core import (
     ProblemError,
     SingularPrecisionError,
     StabilityError,
-    validate_lqg,
 )
 from fbsweep.gridpde import (
     GridProblem,
@@ -57,9 +56,7 @@ from fbsweep.sdesim import (
 )
 from fbsweep.verify import (
     conjugacy_residual,
-    grid_problem_from_lqg,
     lemma1_check,
-    lqg_grid_crosscheck,
     pmp_residual,
     sweep_pmp_residual,
 )
@@ -87,16 +84,13 @@ __all__ = [
     "fbsm_grid",
     "fbsm_lqg",
     "fp_step",
-    "grid_problem_from_lqg",
     "hjb_step",
     "inference_gain",
     "lemma1_check",
-    "lqg_grid_crosscheck",
     "lqg_objective",
     "minimize_conditional_hamiltonian",
     "pmp_residual",
     "simulate_paths",
     "sweep_pmp_residual",
-    "validate_lqg",
     "__version__",
 ]

@@ -58,7 +58,6 @@ from fbsweep.lqg import MONOTONICITY_SLACK as LQG_MONOTONICITY_SLACK
 from fbsweep.lqg import (
     LqgControlLaw,
     _closed_loop_objective,
-    _Coefficients,
     _min_eigenvalue,
     fbsm_lqg,
     lqg_objective,
@@ -440,11 +439,11 @@ def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, checks: list) -> tuple:
     """
     problem = cfg.lqg_problem
     gains = artifacts.read_gains(run_dir, problem.d_x)
-    coeffs = _Coefficients(problem)
-    if gains.n_steps != coeffs.n or gains.psi.shape[-1] != problem.d_s:
+    n = problem.stages.n
+    if gains.n_steps != n or gains.psi.shape[-1] != problem.d_s:
         raise ProblemError(
             f"gain tables hold {gains.n_steps} steps of dimension "
-            f"{gains.psi.shape[-1]}, configuration has {coeffs.n} of {problem.d_s}"
+            f"{gains.psi.shape[-1]}, configuration has {n} of {problem.d_s}"
         )
     min_eig = _min_eigenvalue(gains.lam)
     _check(
@@ -456,9 +455,7 @@ def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, checks: list) -> tuple:
     if not min_eig > 0.0:
         # such a Lambda defines no law, so there is no objective to compare
         return gains, np.nan
-    objective = _closed_loop_objective(
-        problem, coeffs, gains.psi, gains.pi, gains.lam, gains.mu
-    )
+    objective = _closed_loop_objective(problem, gains.psi, gains.pi, gains.lam, gains.mu)
     return gains, objective
 
 

@@ -30,7 +30,6 @@ from fbsweep.core import (
     GridSpec,
     LqgProblem,
     ProblemError,
-    validate_lqg,
 )
 from fbsweep.gridpde import GridProblem
 
@@ -157,9 +156,6 @@ def _load_lqg(doc: dict) -> LoadedConfig:
         mu0=mu0, lambda0=lambda0,
         horizon=horizon, dt=dt, d_x=d_x, d_z=d_z,
     )
-    report = validate_lqg(problem)
-    if not report.ok:
-        raise ProblemError(f"invalid problem: {report}")
     return LoadedConfig(
         family="lqg",
         solver=_solver_settings(doc),

@@ -13,12 +13,13 @@ backend. That model feeds both its solver and the Monte Carlo simulator,
 whose ExtendedDynamics and CostSpec records are derived from it (see
 fbsweep.config). Every reader of an LqgProblem's coefficients goes
 through LqgProblem.coefficients(t), which returns (A, B, sigma, Q, R) at
-t as float 2-D arrays. This module also holds the error types, the
-Gaussian initial law, LQG validation (validate_lqg, which checks callable
-coefficients at every time the sweeps read them), the grid geometry, and
-what both solvers share: the outer loop of the alternating sweeps
-(_sweep) and the rule their objective's descent is judged by
-(_descent_violations).
+t as float 2-D arrays. Both models are checked once, when they are built,
+and refuse a bad problem with ProblemError; an LqgProblem checks callable
+coefficients at every time the sweeps read them, and its stages table
+holds those readings for the sweeps. This module also holds the error
+types, the Gaussian initial law, the grid geometry, and what both
+solvers share: the outer loop of the alternating sweeps (_sweep) and the
+rule their objective's descent is judged by (_descent_violations).
 
 Conventions
 -----------
@@ -30,7 +31,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -193,6 +194,12 @@ class LqgProblem:
     coefficients(t) is how every solver and simulator reads A, B, sigma,
     Q and R. Each constant one is stored once, as a read-only float 2-D
     copy; a callable one is evaluated and normalized at each call.
+
+    The problem is checked when it is built (_failed_checks): a bad one
+    raises ProblemError with one "FAIL: <check> (<detail>)" line per
+    failed check. stages tabulates what the sweeps read at their stage
+    times, once per problem: at construction, from the check's readings,
+    when a coefficient is callable, and on first use otherwise.
     """
 
     A: object
@@ -218,6 +225,69 @@ class LqgProblem:
         object.__setattr__(
             self, "lambda0", np.atleast_2d(np.asarray(self.lambda0, dtype=float))
         )
+        failed, readings = self._failed_checks()
+        if failed:
+            raise ProblemError("invalid problem:\n" + "\n".join(failed))
+        if readings is not None:
+            self.__dict__["stages"] = _Stages(self, readings)
+
+    def _failed_checks(self) -> tuple:
+        """The FAIL lines of the checks this problem fails, and its readings.
+
+        A bad time step (see _step_count) is refused before any
+        coefficient is read. Constant coefficients are checked once. When
+        any coefficient is a callable of t, every one is read at each time
+        the sweeps read them, the 2n + 1 nodes and step midpoints, and its
+        shape is checked at each; a callable Q or R is then checked for
+        definiteness at each of those times, a constant one still once.
+        The readings are returned in that case, None otherwise.
+        """
+        failed = []
+
+        def check(name, ok, detail=""):
+            if not ok:
+                failed.append(f"FAIL: {name}" + (f" ({detail})" if detail else ""))
+
+        check("horizon positive", self.horizon > 0, f"T={self.horizon}")
+        step_ok = 0 < self.dt < self.horizon
+        check("time step valid", step_ok, f"dt={self.dt}")
+        n = None
+        if step_ok:
+            try:
+                n = _step_count(self.horizon, self.dt)
+            except ProblemError as exc:
+                check("time step divides the horizon", False, str(exc))
+        check("state/memory split positive", self.d_x > 0 and self.d_z > 0)
+        if n is None:
+            return failed, None
+
+        varying = [callable(c) for c in (self.A, self.B, self.sigma, self.Q, self.R)]
+        times = np.linspace(0.0, self.horizon, 2 * n + 1) if any(varying) else np.zeros(1)
+        table = [self.coefficients(t) for t in times]
+        d_s, d_u, d_w = self.d_s, table[0][1].shape[-1], table[0][2].shape[-1]
+        shapes = ((d_s, d_s), (d_s, d_u), (d_s, d_w), (d_s, d_s), (d_u, d_u))
+        shapes_ok = all(c.shape == shape for row in table for c, shape in zip(row, shapes))
+        check("matrix shapes consistent", shapes_ok)
+        if not shapes_ok:
+            return failed, None
+
+        checks = ((3, "Q positive semidefinite", False), (4, "R positive definite", True))
+        for index, name, strict in checks:
+            rows = table if varying[index] else table[:1]
+            eigs = _eig_min(np.stack([row[index] for row in rows]))
+            bad = eigs <= 0.0 if strict else eigs < -1e-10
+            k = int(np.argmax(bad))
+            check(name, not bad.any(), f"smallest eigenvalue {eigs[k]:.3g} at t={times[k]:.6g}")
+        # the shape first: the eigenvalues of a non-square P are not defined
+        check("P shape", self.P.shape == (d_s, d_s))
+        if self.P.shape == (d_s, d_s):
+            check("P positive semidefinite", _eig_min(self.P) >= -1e-10)
+        check("mu0 shape", self.mu0.shape == (d_s,))
+        check(
+            "Lambda0 positive definite",
+            self.lambda0.shape == (d_s, d_s) and _eig_min(self.lambda0) > 0,
+        )
+        return failed, table if any(varying) else None
 
     def coefficients(self, t: float) -> tuple:
         """(A, B, sigma, Q, R) at time t, each a float 2-D array."""
@@ -225,6 +295,10 @@ class LqgProblem:
             np.atleast_2d(np.asarray(c(t), dtype=float)) if callable(c) else c
             for c in (self.A, self.B, self.sigma, self.Q, self.R)
         )
+
+    @cached_property
+    def stages(self) -> "_Stages":
+        return _Stages(self)
 
     @property
     def d_s(self) -> int:
@@ -242,88 +316,34 @@ class LqgProblem:
         return Gaussian(self.mu0, np.linalg.inv(self.lambda0))
 
 
+class _Stages:
+    """An LqgProblem's coefficients at the points the sweeps read.
+
+    Index 2i is node t_i (node_times[i]) and index 2i+1 the midpoint of
+    step i; times holds all 2n + 1 of them. Holds A and Q, and the only
+    other combinations the sweep equations need: M = B R^{-1} B^T and
+    SS = sigma sigma^T. readings, when given, are the problem's
+    (A, B, sigma, Q, R) at each of times, as its check took them;
+    otherwise they are read here.
+    """
+
+    def __init__(self, problem: LqgProblem, readings=None):
+        n = problem.n_steps
+        self.n = n
+        self.dt = problem.horizon / n
+        self.times = np.linspace(0.0, problem.horizon, 2 * n + 1)
+        self.node_times = np.linspace(0.0, problem.horizon, n + 1)
+        if readings is None:
+            readings = map(problem.coefficients, self.times)
+        self.A, B, sig, self.Q, R = (np.stack(c) for c in zip(*readings))
+        self.M = np.einsum("tij,tjk,tlk->til", B, np.linalg.inv(R), B)
+        self.SS = np.einsum("tij,tkj->tik", sig, sig)
+
+
 def _eig_min(matrix: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetric part of each matrix in a stack."""
     sym = (matrix + np.swapaxes(matrix, -1, -2)) / 2.0
     return np.linalg.eigvalsh(sym).min(axis=-1)
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of structural checks on a problem definition."""
-
-    checks: list = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def __str__(self) -> str:
-        lines = []
-        for name, ok, detail in self.checks:
-            status = "pass" if ok else "FAIL"
-            suffix = f" ({detail})" if detail else ""
-            lines.append(f"{status}: {name}{suffix}")
-        return "\n".join(lines)
-
-
-def validate_lqg(problem: LqgProblem) -> ValidationReport:
-    """Check the time step (_step_count), definiteness and dimensions of an LQG problem.
-
-    Constant coefficients are checked once. When any coefficient is a
-    callable of t, every one is read at each time the sweeps read it: the
-    2n + 1 nodes and step midpoints, or t = 0, T/2, T when the time step
-    is invalid. A callable Q or R is then checked at each of those times,
-    a constant one still once.
-    Returns a report rather than raising; solver entry points refuse
-    problems whose report fails.
-    """
-    rep = ValidationReport()
-    d_s = problem.d_s
-    rep.add("horizon positive", problem.horizon > 0, f"T={problem.horizon}")
-    step_ok = 0 < problem.dt < problem.horizon
-    rep.add("time step valid", step_ok, f"dt={problem.dt}")
-    n = 1
-    if step_ok:
-        try:
-            n = _step_count(problem.horizon, problem.dt)
-            detail = ""
-        except ProblemError as exc:
-            detail = str(exc)
-        rep.add("time step divides the horizon", not detail, detail)
-    rep.add("state/memory split positive", problem.d_x > 0 and problem.d_z > 0)
-
-    varying = [callable(c) for c in (problem.A, problem.B, problem.sigma, problem.Q, problem.R)]
-    times = np.linspace(0.0, problem.horizon, 2 * n + 1) if any(varying) else np.zeros(1)
-    table = [problem.coefficients(t) for t in times]
-    d_u, d_w = table[0][1].shape[-1], table[0][2].shape[-1]
-    shapes = ((d_s, d_s), (d_s, d_u), (d_s, d_w), (d_s, d_s), (d_u, d_u))
-    shapes_ok = all(c.shape == shape for row in table for c, shape in zip(row, shapes))
-    rep.add("matrix shapes consistent", shapes_ok)
-    if not shapes_ok:
-        return rep
-
-    checks = ((3, "Q positive semidefinite", False), (4, "R positive definite", True))
-    for index, name, strict in checks:
-        rows = table if varying[index] else table[:1]
-        eigs = _eig_min(np.stack([row[index] for row in rows]))
-        bad = eigs <= 0.0 if strict else eigs < -1e-10
-        detail = ""
-        if bad.any():
-            k = int(np.argmax(bad))
-            detail = f"smallest eigenvalue {eigs[k]:.3g} at t={times[k]:.6g}"
-        rep.add(name, not bad.any(), detail)
-    rep.add("P positive semidefinite", _eig_min(problem.P) >= -1e-10)
-    rep.add("P shape", problem.P.shape == (d_s, d_s))
-    rep.add("mu0 shape", problem.mu0.shape == (d_s,))
-    rep.add(
-        "Lambda0 positive definite",
-        problem.lambda0.shape == (d_s, d_s) and _eig_min(problem.lambda0) > 0,
-    )
-    return rep
 
 
 @dataclass(frozen=True)

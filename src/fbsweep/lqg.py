@@ -49,7 +49,6 @@ from fbsweep.core import (
     SingularPrecisionError,
     _descent_violations,
     _sweep,
-    validate_lqg,
 )
 
 MONOTONICITY_SLACK = 1e-8
@@ -96,32 +95,12 @@ def _half_grid(nodes: np.ndarray) -> np.ndarray:
     """Held node values at the points the sweep stages read.
 
     Index 2i is node i and index 2i+1 the average of nodes i and i+1,
-    matching the half-grid layout of _Coefficients.
+    matching the layout of LqgProblem.stages.
     """
     half = np.empty((2 * len(nodes) - 1,) + nodes.shape[1:])
     half[0::2] = nodes
     half[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
     return half
-
-
-class _Coefficients:
-    """Problem coefficients tabulated on the time grid and its midpoints.
-
-    Index 2i is node t_i, index 2i+1 the midpoint of step i. Also caches
-    M = B R^{-1} B^T and sigma sigma^T, the only combinations the sweep
-    equations need, and the node times t_0..t_n.
-    """
-
-    def __init__(self, problem: LqgProblem):
-        n = problem.n_steps
-        self.n = n
-        self.dt = problem.horizon / n
-        self.times = np.linspace(0.0, problem.horizon, 2 * n + 1)
-        self.node_times = np.linspace(0.0, problem.horizon, n + 1)
-        stages = zip(*map(problem.coefficients, self.times))
-        self.A, B, sig, self.Q, R = (np.stack(c) for c in stages)
-        self.M = np.einsum("tij,tjk,tlk->til", B, np.linalg.inv(R), B)
-        self.SS = np.einsum("tij,tkj->tik", sig, sig)
 
 
 def _riccati_increment(A, M, Q, mat, gap=None):
@@ -199,7 +178,7 @@ def _integrate(rhs, start, n, dt, backward=False, sym=True):
     return out
 
 
-def _backward_riccati(problem, coeffs, what, gap=None):
+def _backward_riccati(problem, what, gap=None):
     """Integrate a Riccati equation backward from X(T) = P.
 
     Without gap this is Psi's classical equation; with gap, the stack of
@@ -207,28 +186,30 @@ def _backward_riccati(problem, coeffs, what, gap=None):
     read (_half_grid layout), it is the Pi equation. The output is
     symmetrized every step and must stay finite (what names it otherwise).
     """
-    A, M, Q = coeffs.A, coeffs.M, coeffs.Q
+    st = problem.stages
+    A, M, Q = st.A, st.M, st.Q
 
     def rhs(j, val):
         return _riccati_increment(A[j], M[j], Q[j], val, None if gap is None else gap[j])
 
-    out = _integrate(rhs, _sym(problem.P), coeffs.n, coeffs.dt, backward=True)
-    _check_finite(out, coeffs.node_times, what)
+    out = _integrate(rhs, _sym(problem.P), st.n, st.dt, backward=True)
+    _check_finite(out, st.node_times, what)
     return out
 
 
-def _forward_mu(problem, coeffs, psi):
+def _forward_mu(problem, psi):
     """Integrate the mean forward from mu(0) = mu0 given Psi."""
+    st = problem.stages
     if not np.any(problem.mu0):
-        return np.zeros((coeffs.n + 1, problem.d_s))
-    A, M = coeffs.A, coeffs.M
+        return np.zeros((st.n + 1, problem.d_s))
+    A, M = st.A, st.M
     psi_stages = _half_grid(psi)
 
     def rhs(j, m):
         return _mean_increment(A[j], M[j], psi_stages[j], m)
 
-    mu = _integrate(rhs, problem.mu0, coeffs.n, coeffs.dt, sym=False)
-    _check_finite(mu, coeffs.node_times, "mu")
+    mu = _integrate(rhs, problem.mu0, st.n, st.dt, sym=False)
+    _check_finite(mu, st.node_times, "mu")
     return mu
 
 
@@ -327,7 +308,7 @@ class LqgSweepResult:
     min_lambda_eigenvalue: float
 
 
-def _forward_lambda(problem, coeffs, pi_stale, what):
+def _forward_lambda(problem, pi_stale, what):
     """One forward sweep of Lambda holding the Pi trajectory fixed.
 
     M Pi is tabulated for every stage before the time loop, so each stage
@@ -338,23 +319,24 @@ def _forward_lambda(problem, coeffs, pi_stale, what):
     from scipy.linalg.lapack import dgesv
 
     d_x = problem.d_x
-    A, SS = coeffs.A, coeffs.SS
-    mp = coeffs.M @ _half_grid(pi_stale)
+    st = problem.stages
+    A, SS = st.A, st.SS
+    mp = st.M @ _half_grid(pi_stale)
     mp_x, mp_z = mp[..., :d_x], mp[..., d_x:]
 
     def rhs(j, lam_val):
         return _lambda_increment(A[j], SS[j], mp_x[j], mp_z[j], lam_val, d_x, dgesv)
 
-    lam = _integrate(rhs, _sym(problem.lambda0), coeffs.n, coeffs.dt)
+    lam = _integrate(rhs, _sym(problem.lambda0), st.n, st.dt)
     # one batched check that every node a stage read has a finite,
     # invertible state block; a bad last node is left to the finiteness
     # check
     inference_gain(lam[:-1], d_x)
-    _check_finite(lam, coeffs.node_times, what)
+    _check_finite(lam, st.node_times, what)
     return lam
 
 
-def _expected_cost(problem, coeffs, psi, pi, gain, mu, sigma):
+def _expected_cost(problem, psi, pi, gain, mu, sigma):
     """Expected cost of the affine law from node-wise moments.
 
     gain is K(Lambda) and sigma the closed-loop covariance at the grid
@@ -362,7 +344,8 @@ def _expected_cost(problem, coeffs, psi, pi, gain, mu, sigma):
     tr(Q Sigma) + mu'Q mu + tr((Pi K)' M Pi K Sigma) + mu'Psi M Psi mu
     is integrated by the trapezoidal rule, plus the terminal cost.
     """
-    Q, M = coeffs.Q[::2], coeffs.M[::2]
+    st = problem.stages
+    Q, M = st.Q[::2], st.M[::2]
     pk = pi @ gain
     ctrl_gain = np.swapaxes(pk, -1, -2) @ M @ pk
     row, col = mu[:, None, :], mu[:, :, None]
@@ -372,7 +355,7 @@ def _expected_cost(problem, coeffs, psi, pi, gain, mu, sigma):
         + (row @ psi @ M @ psi @ col)[:, 0, 0]
     )
     densities = state_term + ctrl_term
-    running = float(np.trapezoid(densities, dx=coeffs.dt))
+    running = float(np.trapezoid(densities, dx=st.dt))
     terminal = float(np.trace(problem.P @ sigma[-1]) + mu[-1] @ problem.P @ mu[-1])
     return running + terminal
 
@@ -424,7 +407,7 @@ def _lyapunov_propagators(drift, SS, dt):
         yield ident + dt / 6.0 * (La + 2 * K2 + 2 * K3 + K4)
 
 
-def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu):
+def _closed_loop_objective(problem, psi, pi, lam, mu):
     """Expected cost of the affine law defined by (psi, pi, lam, mu).
 
     Integrates the true closed-loop covariance Sigma (not Lambda^{-1},
@@ -440,22 +423,23 @@ def _closed_loop_objective(problem, coeffs, psi, pi, lam, mu):
     A diverging Sigma or cost overflows silently: the finiteness check
     here and the sweep loop's check of J raise DivergenceError.
     """
-    n, dt = coeffs.n, coeffs.dt
+    st = problem.stages
+    n, dt = st.n, st.dt
     d = problem.d_s
     gain = inference_gain(_half_grid(lam), problem.d_x)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = coeffs.A - coeffs.M @ _half_grid(pi) @ gain
+        drift = st.A - st.M @ _half_grid(pi) @ gain
         y = np.empty((n + 1, d * d + 1))
         y[0, :-1] = np.linalg.inv(problem.lambda0).reshape(-1)
         y[0, -1] = 1.0
         i = 0
-        for phi in _lyapunov_propagators(drift, coeffs.SS, dt):
+        for phi in _lyapunov_propagators(drift, st.SS, dt):
             for step in phi:
                 y[i + 1] = step @ y[i]
                 i += 1
         sigma_nodes = _sym(y[:, :-1].reshape(n + 1, d, d))
-        _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
-        return _expected_cost(problem, coeffs, psi, pi, gain[::2], mu, sigma_nodes)
+        _check_finite(sigma_nodes, st.node_times, "Sigma")
+        return _expected_cost(problem, psi, pi, gain[::2], mu, sigma_nodes)
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -494,16 +478,11 @@ def fbsm_lqg(
     """
     if method != "rk4":
         raise ProblemError(f"unknown integration method {method!r}; expected 'rk4'")
-    report = validate_lqg(problem)
-    if not report.ok:
-        raise ProblemError("invalid problem:\n" + str(report))
-
-    coeffs = _Coefficients(problem)
-    n = coeffs.n
+    n = problem.stages.n
     d = problem.d_s
 
-    psi = _backward_riccati(problem, coeffs, "Psi")
-    mu = _forward_mu(problem, coeffs, psi)
+    psi = _backward_riccati(problem, "Psi")
+    mu = _forward_mu(problem, psi)
 
     if pi0 is None:
         pi = np.zeros((n + 1, d, d))
@@ -513,7 +492,7 @@ def fbsm_lqg(
             raise ProblemError(
                 f"pi0 must have shape {(n + 1, d, d)}, got {pi.shape}"
             )
-    lam = _forward_lambda(problem, coeffs, pi, "Lambda")
+    lam = _forward_lambda(problem, pi, "Lambda")
     pi_gap = lambda_gap = None
     min_eig = _min_eigenvalue(lam)
 
@@ -522,19 +501,19 @@ def fbsm_lqg(
         if backward:
             # I - K(Lambda) at every stage point, from one batched gain evaluation
             gap = np.eye(d) - inference_gain(_half_grid(lam), problem.d_x)
-            new = _backward_riccati(problem, coeffs, f"Pi (iteration {k + 1})", gap)
+            new = _backward_riccati(problem, f"Pi (iteration {k + 1})", gap)
             pi, pi_gap = new, _max_change(new, pi)
         else:
-            new = _forward_lambda(problem, coeffs, pi, f"Lambda (iteration {k + 1})")
+            new = _forward_lambda(problem, pi, f"Lambda (iteration {k + 1})")
             lam, lambda_gap = new, _max_change(new, lam)
             min_eig = min(min_eig, _min_eigenvalue(lam))
-        return _closed_loop_objective(problem, coeffs, psi, pi, lam, mu)
+        return _closed_loop_objective(problem, psi, pi, lam, mu)
 
-    j0 = _closed_loop_objective(problem, coeffs, psi, pi, lam, mu)
+    j0 = _closed_loop_objective(problem, psi, pi, lam, mu)
     history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
     violations, _ = _descent_violations(history, MONOTONICITY_SLACK)
     gains = GainTrajectory(
-        times=coeffs.node_times, psi=psi, pi=pi, lam=lam, mu=mu, d_x=problem.d_x
+        times=problem.stages.node_times, psi=psi, pi=pi, lam=lam, mu=mu, d_x=problem.d_x
     )
     return LqgSweepResult(
         problem=problem,
@@ -559,14 +538,13 @@ def lqg_objective(problem: LqgProblem, gains: GainTrajectory) -> float:
     (an even number of sweeps). After a Pi sweep, Lambda predates Pi and
     the value is not the cost of the law the gains define.
     """
-    coeffs = _Coefficients(problem)
-    if gains.n_steps != coeffs.n:
+    if gains.n_steps != problem.stages.n:
         raise ProblemError(
-            f"gain trajectory has {gains.n_steps} steps, problem has {coeffs.n}"
+            f"gain trajectory has {gains.n_steps} steps, problem has {problem.stages.n}"
         )
     try:
         sigma = np.linalg.inv(gains.lam)
     except np.linalg.LinAlgError as exc:
         raise SingularPrecisionError("Lambda trajectory not invertible") from exc
     gain = inference_gain(gains.lam, gains.d_x)
-    return _expected_cost(problem, coeffs, gains.psi, gains.pi, gain, gains.mu, sigma)
+    return _expected_cost(problem, gains.psi, gains.pi, gain, gains.mu, sigma)

@@ -2,9 +2,8 @@
 
 Each oracle recomputes a mathematical consequence from first principles
 and reports a residual: generator/adjoint conjugacy, the exact discrete
-cost-difference identity between two controls, stationarity of the
-conditional Hamiltonian at the returned control, and agreement between
-the Riccati backend and the grid backend on a problem both can solve.
+cost-difference identity between two controls, and stationarity of the
+conditional Hamiltonian at the returned control.
 The cost-difference identity and the stationarity residual read the
 conditional Hamiltonian through gridpde.conditional_hamiltonian, the
 closed form the sweep's minimizer minimizes; the identity's left side
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from fbsweep.core import GridSpec, LqgProblem, ProblemError
+from fbsweep.core import GridSpec, ProblemError
 from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
@@ -31,10 +30,8 @@ from fbsweep.gridpde import (
     _initial_density_slice,
     conditional_density,
     conditional_hamiltonian,
-    fbsm_grid,
     minimize_conditional_hamiltonian,
 )
-from fbsweep.lqg import fbsm_lqg
 
 
 def _vsum(arr: np.ndarray) -> float:
@@ -216,126 +213,4 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     value_objective = float((p0 * w0).sum()) * grid.cell_volume
     return replace(
         report, objective=objective, value_objective=value_objective, mass_log=log
-    )
-
-
-@dataclass
-class CrosscheckReport:
-    """Converged objectives of both backends on one problem."""
-
-    j_lqg: float
-    j_grid: float
-    gap: float
-    coverage_margin: float
-    lqg_converged: bool
-    grid_converged: bool
-
-
-def grid_problem_from_lqg(
-    problem: LqgProblem,
-    control_lower=None,
-    control_upper=None,
-) -> GridProblem:
-    """Express a linear-quadratic problem in the grid solver's terms.
-
-    Requires a diagonal R (the grid minimizer treats control components
-    independently) and a constant B.
-    """
-    if callable(problem.B):
-        raise ProblemError("grid crosscheck needs a constant control matrix B")
-    _, B, _, _, R0 = problem.coefficients(0.0)
-    if np.max(np.abs(R0 - np.diag(np.diag(R0)))) > 0.0:
-        raise ProblemError("grid crosscheck needs a diagonal control cost R")
-    P = problem.P
-    d_s = problem.d_s
-
-    def drift0(t, S):
-        A = problem.coefficients(t)[0]
-        return [sum(A[i, j] * S[j] for j in range(d_s)) for i in range(d_s)]
-
-    def base_cost(t, S):
-        Q = problem.coefficients(t)[3]
-        total = np.zeros_like(S[0])
-        for i in range(d_s):
-            for j in range(d_s):
-                if Q[i, j] != 0.0:
-                    total = total + Q[i, j] * S[i] * S[j]
-        return total
-
-    def terminal_cost(S):
-        total = np.zeros_like(S[0])
-        for i in range(d_s):
-            for j in range(d_s):
-                if P[i, j] != 0.0:
-                    total = total + P[i, j] * S[i] * S[j]
-        return total
-
-    def diffusion(t, S):
-        sigma = problem.coefficients(t)[2]
-        return sigma @ sigma.T
-
-    return GridProblem(
-        d_x=problem.d_x,
-        d_z=problem.d_z,
-        b_matrix=B,
-        r_diag=np.diag(R0),
-        drift0=drift0,
-        base_cost=base_cost,
-        diffusion=diffusion,
-        terminal_cost=terminal_cost,
-        initial_density=problem.initial_density(),
-        control_lower=control_lower,
-        control_upper=control_upper,
-    )
-
-
-def _coverage_margin(problem: LqgProblem, gains, grid: GridSpec) -> float:
-    """Worst-case number of closed-loop standard deviations to the box edge."""
-    cov = np.linalg.inv(gains.lam)
-    std = np.sqrt(np.maximum(np.einsum("tii->ti", cov), 1e-300))
-    mu = gains.mu
-    upper_margin = (grid.upper[None, :] - mu) / std
-    lower_margin = (mu - grid.lower[None, :]) / std
-    return float(min(upper_margin.min(), lower_margin.min()))
-
-
-def lqg_grid_crosscheck(
-    problem: LqgProblem,
-    grid: GridSpec,
-    control_lower=None,
-    control_upper=None,
-    lqg_max_iters: int = 200,
-    grid_max_iters: int = 50,
-    tol: float = 1e-9,
-    grid_tol: float = 1e-7,
-    min_coverage: float = 4.0,
-) -> CrosscheckReport:
-    """Solve one linear-quadratic problem with both backends and compare.
-
-    The Riccati solve runs first; its closed-loop mean and covariance
-    must stay at least min_coverage standard deviations inside the grid
-    box, otherwise truncation would contaminate the comparison and a
-    ProblemError is raised. The gap is relative to the Riccati objective.
-    """
-    lqg_result = fbsm_lqg(problem, max_iters=lqg_max_iters, tol=tol)
-    margin = _coverage_margin(problem, lqg_result.gains, grid)
-    if margin < min_coverage:
-        raise ProblemError(
-            f"grid box covers only {margin:.2f} closed-loop standard "
-            f"deviations; need at least {min_coverage}"
-        )
-    grid_problem = grid_problem_from_lqg(
-        problem, control_lower=control_lower, control_upper=control_upper
-    )
-    grid_result = fbsm_grid(grid_problem, grid, max_iters=grid_max_iters, tol=grid_tol)
-    j_lqg = float(lqg_result.objective_history[-1])
-    j_grid = float(grid_result.objective_history[-1])
-    gap = abs(j_grid - j_lqg) / max(abs(j_lqg), 1e-12)
-    return CrosscheckReport(
-        j_lqg=j_lqg,
-        j_grid=j_grid,
-        gap=gap,
-        coverage_margin=margin,
-        lqg_converged=lqg_result.converged,
-        grid_converged=grid_result.converged,
     )

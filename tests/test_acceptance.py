@@ -33,7 +33,6 @@ from fbsweep.gridpde import (
 from fbsweep.lqg import (
     LqgControlLaw,
     _backward_riccati,
-    _Coefficients,
     _riccati_increment,
     fbsm_lqg,
     lqg_objective,
@@ -42,9 +41,9 @@ from fbsweep.sdesim import GridControlLaw, estimate_objective, simulate_paths
 from fbsweep.verify import (
     conjugacy_residual,
     lemma1_check,
-    lqg_grid_crosscheck,
     sweep_pmp_residual,
 )
+from grid_problems import lqg_grid_crosscheck
 
 
 class ZeroLaw:
@@ -183,13 +182,15 @@ class TestRiccatiStructure:
         assert worst <= 1e-12
 
     def test_scalar_stationary_value(self):
+        # the scalar problem a = b = q = r = 1 as the state block of a 1+1
+        # problem whose memory is decoupled and costless
         problem = LqgProblem(
-            A=np.array([[1.0]]), B=np.array([[1.0]]), sigma=np.array([[1.0]]),
-            Q=np.array([[1.0]]), R=np.array([[1.0]]), P=np.array([[0.0]]),
-            mu0=np.array([0.0]), lambda0=np.array([[1.0]]),
-            horizon=20.0, dt=0.01, d_x=1, d_z=0,
+            A=np.diag([1.0, 0.0]), B=np.array([[1.0], [0.0]]), sigma=np.eye(2),
+            Q=np.diag([1.0, 0.0]), R=np.array([[1.0]]), P=np.zeros((2, 2)),
+            mu0=np.zeros(2), lambda0=np.eye(2),
+            horizon=20.0, dt=0.01, d_x=1, d_z=1,
         )
-        psi = _backward_riccati(problem, _Coefficients(problem), "Psi")
+        psi = _backward_riccati(problem, "Psi")
         assert abs(psi[0, 0, 0] - (1.0 + np.sqrt(2.0))) <= 1e-6
 
 

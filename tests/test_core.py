@@ -10,13 +10,15 @@ from fbsweep.core import (
     GridSpec,
     LqgProblem,
     ProblemError,
-    validate_lqg,
 )
-from fbsweep.lqg import _Coefficients, fbsm_lqg
+from fbsweep.lqg import fbsm_lqg
 
 
-def failed_checks(report):
-    return [name for name, ok, _ in report.checks if not ok]
+def failed_checks(error):
+    """The check names of a construction error's "FAIL: <check> (<detail>)" lines."""
+    lines = str(error.value).splitlines()
+    assert lines[0] == "invalid problem:"
+    return [line.removeprefix("FAIL: ").split(" (")[0] for line in lines[1:]]
 
 
 class TestGaussian:
@@ -47,6 +49,9 @@ class TestGaussian:
 
 
 class TestValidateLqg:
+    """An LqgProblem is checked when it is built: a bad one is a
+    ProblemError with one FAIL line per failed check."""
+
     def base_problem(self, **overrides):
         kwargs = dict(
             A=np.array([[1.0, 0.0], [1.0, 0.0]]),
@@ -65,69 +70,72 @@ class TestValidateLqg:
         kwargs.update(overrides)
         return LqgProblem(**kwargs)
 
+    def refused(self, **overrides):
+        with pytest.raises(ProblemError, match="invalid problem") as error:
+            self.base_problem(**overrides)
+        return failed_checks(error)
+
     def test_standard_problem_passes(self):
-        rep = validate_lqg(self.base_problem())
-        assert rep.ok, str(rep)
+        self.base_problem()
 
     def test_zero_r_fails(self):
-        rep = validate_lqg(self.base_problem(R=np.zeros((2, 2))))
-        assert not rep.ok
-        assert any("R positive definite" in name for name in failed_checks(rep))
+        assert self.refused(R=np.zeros((2, 2))) == ["R positive definite"]
 
     def test_indefinite_lambda0_fails(self):
-        rep = validate_lqg(self.base_problem(lambda0=np.diag([1.0, -1.0])))
-        assert not rep.ok
+        assert self.refused(lambda0=np.diag([1.0, -1.0])) == ["Lambda0 positive definite"]
 
     def test_negative_horizon_fails(self):
-        rep = validate_lqg(self.base_problem(horizon=-1.0))
-        assert not rep.ok
+        assert self.refused(horizon=-1.0) == ["horizon positive", "time step valid"]
+
+    def test_non_square_p_is_refused_by_shape(self):
+        # the shape is checked before the eigenvalues, which need a square P
+        assert self.refused(P=np.zeros((2, 3))) == ["P shape"]
 
     def test_time_varying_coefficients(self):
-        rep = validate_lqg(
-            self.base_problem(Q=lambda t: np.diag([1.0 + t, 0.0]))
-        )
-        assert rep.ok, str(rep)
+        problem = self.base_problem(Q=lambda t: np.diag([1.0 + t, 0.0]))
+        assert np.array_equal(problem.stages.Q[-1], np.diag([11.0, 0.0]))
 
     def test_n_steps_and_times(self):
         prob = self.base_problem()
         assert prob.n_steps == 1000
-        times = _Coefficients(prob).node_times
+        times = prob.stages.node_times
         assert times.shape == (1001,)
         assert times[0] == 0.0 and times[-1] == 10.0
 
     def test_step_must_divide_the_horizon(self):
-        # T/dt = 333.3: rounding it to 333 steps would solve at dt = 1/333
-        prob = self.base_problem(horizon=1.0, dt=0.003)
-        rep = validate_lqg(prob)
-        assert failed_checks(rep) == ["time step divides the horizon"]
-        with pytest.raises(ProblemError, match="not a multiple of dt"):
-            fbsm_lqg(prob, max_iters=0)
-        assert validate_lqg(self.base_problem(horizon=1.0, dt=0.004)).ok
+        # T/dt = 333.3: rounding it to 333 steps would solve at dt = 1/333.
+        # The coefficients are not read under a bad time step.
+        def unread(t):
+            raise AssertionError("read under a bad time step")
+
+        assert self.refused(horizon=1.0, dt=0.003, A=unread) == [
+            "time step divides the horizon"
+        ]
+        self.base_problem(horizon=1.0, dt=0.004)
 
     def test_n_steps_follows_the_step_rule(self):
         with pytest.raises(ProblemError, match="not a multiple of dt"):
-            self.base_problem(horizon=1.0, dt=0.003).n_steps
+            self.base_problem(horizon=1.0, dt=0.003)
+        problem = self.base_problem(horizon=1.0, dt=0.004)
+        assert problem.n_steps == problem.stages.n == 250
 
     def test_r_is_checked_between_the_old_sample_times(self):
         # cos(4 pi t) is 1 at t = 0, 1/2 and 1, but negative from t = 1/8
         # to 3/8, where the sweeps read R (first at the node t = 0.13).
         # Solving it used to fail later, on a non-finite Psi.
-        problem = self.base_problem(
-            A=np.zeros((2, 2)), Q=np.eye(2), horizon=1.0, dt=0.01,
-            R=lambda t: np.cos(4.0 * np.pi * t) * np.eye(2),
-        )
-        rep = validate_lqg(problem)
-        assert failed_checks(rep) == ["R positive definite"]
-        assert "at t=0.13" in str(rep)
-        with pytest.raises(ProblemError, match="R positive definite"):
-            fbsm_lqg(problem, max_iters=2, tol=0.0)
+        with pytest.raises(ProblemError, match="at t=0.13") as error:
+            self.base_problem(
+                A=np.zeros((2, 2)), Q=np.eye(2), horizon=1.0, dt=0.01,
+                R=lambda t: np.cos(4.0 * np.pi * t) * np.eye(2),
+            )
+        assert failed_checks(error) == ["R positive definite"]
 
     def test_constant_coefficients_are_read_only_float_matrices(self):
-        problem = self.base_problem(B=[[1, 0], [0, 1]], R=2)
+        problem = self.base_problem(B=[[1], [0]], R=2)
         A, B, sigma, Q, R = problem.coefficients(0.7)
-        assert B.dtype == float and R.shape == (1, 1)
+        assert B.dtype == float and B.shape == (2, 1) and R.shape == (1, 1)
         assert A is problem.A and not A.flags.writeable
-        assert problem.d_u == 2
+        assert problem.d_u == 1
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -139,18 +147,23 @@ class TestValidateLqg:
     def test_time_varying_r_is_checked_at_every_stage_time(self, d_u, n, scale, seed):
         # R(t) = R0 + t R1 with R0 positive definite and R1 symmetric; the
         # brute force reads R where the sweeps do, at the 2n + 1 nodes and
-        # step midpoints.
+        # step midpoints. The problem is refused iff the brute force fails.
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((2, d_u, d_u))
         R0 = a + a.T + (2.0 * np.abs(a).sum() + 0.1) * np.eye(d_u)
         R1 = scale * np.abs(a).sum() * (b + b.T)
         horizon = 1.0 + rng.uniform()
-        problem = self.base_problem(
-            B=np.ones((2, d_u)), R=lambda t: R0 + t * R1, horizon=horizon, dt=horizon / n,
-        )
         times = np.linspace(0.0, horizon, 2 * n + 1)
         brute = all(np.linalg.eigvalsh(R0 + t * R1).min() > 0.0 for t in times)
-        assert validate_lqg(problem).ok == brute
+        try:
+            self.base_problem(
+                B=np.ones((2, d_u)), R=lambda t: R0 + t * R1, horizon=horizon, dt=horizon / n,
+            )
+            refused = False
+        except ProblemError as exc:
+            assert "FAIL: R positive definite" in str(exc)
+            refused = True
+        assert refused != brute
 
 
 class TestGridSpec:

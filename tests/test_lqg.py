@@ -1,6 +1,8 @@
 """Tests for the Riccati-sweep solver."""
 
+import dataclasses
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dgesv
 
 from fbsweep import lqg
+from fbsweep.config import bundled_config_path, parse_config
 from fbsweep.core import (
     DivergenceError,
     LqgProblem,
@@ -23,7 +26,6 @@ from fbsweep.lqg import (
     _backward_riccati,
     _check_finite,
     _closed_loop_objective,
-    _Coefficients,
     _expected_cost,
     _forward_mu,
     _half_grid,
@@ -79,20 +81,24 @@ def two_state_problem():
     )
 
 
-def scalar_problem(**overrides):
+def scalar_problem(b=1.0, m=0.0, **overrides):
+    """The scalar problem ds = (s + b u) dt + dw, cost s^2 + u^2 and mean
+    m, as the state block of a 1+1 problem whose memory is decoupled and
+    costless. Its state entries of Psi and mu are the scalar problem's,
+    bit for bit."""
     kwargs = dict(
-        A=np.array([[1.0]]),
-        B=np.array([[1.0]]),
-        sigma=np.array([[1.0]]),
-        Q=np.array([[1.0]]),
+        A=np.diag([1.0, 0.0]),
+        B=np.array([[b], [0.0]]),
+        sigma=np.eye(2),
+        Q=np.diag([1.0, 0.0]),
         R=np.array([[1.0]]),
-        P=np.array([[0.0]]),
-        mu0=np.array([0.0]),
-        lambda0=np.array([[1.0]]),
+        P=np.zeros((2, 2)),
+        mu0=np.array([m, 0.0]),
+        lambda0=np.eye(2),
         horizon=20.0,
         dt=0.01,
         d_x=1,
-        d_z=0,
+        d_z=1,
     )
     kwargs.update(overrides)
     return LqgProblem(**kwargs)
@@ -152,11 +158,11 @@ def mean_increment(prob, t, mu, psi):
 
 
 def solve_psi(prob):
-    return _backward_riccati(prob, _Coefficients(prob), "Psi")
+    return _backward_riccati(prob, "Psi")
 
 
 def solve_mu(prob, psi):
-    return _forward_mu(prob, _Coefficients(prob), psi)
+    return _forward_mu(prob, psi)
 
 
 class TestInferenceGain:
@@ -221,7 +227,7 @@ class TestRhsFunctions:
     def test_psi_rhs_stationary_root(self):
         prob = scalar_problem()
         root = 1.0 + np.sqrt(2.0)
-        assert abs(psi_increment(prob, 0.0, np.array([[root]]))[0, 0]) < 1e-12
+        assert abs(psi_increment(prob, 0.0, np.diag([root, 0.0]))[0, 0]) < 1e-12
 
     def test_rhs_preserve_symmetry(self):
         prob = tracking_problem()
@@ -295,8 +301,8 @@ class TestRhsFunctions:
 
     def test_mu_rhs_scalar_value(self):
         prob = scalar_problem()
-        out = mean_increment(prob, 0.0, np.array([3.0]), np.array([[2.0]]))
-        assert np.allclose(out, [-3.0])
+        out = mean_increment(prob, 0.0, np.array([3.0, 0.0]), np.diag([2.0, 0.0]))
+        assert np.allclose(out[0], -3.0)
 
 
 class TestSolvePsi:
@@ -325,7 +331,7 @@ class TestSolvePsi:
         assert np.abs(psi - np.swapaxes(psi, 1, 2)).max() < 1e-12
 
     def test_divergence_raises(self):
-        prob = scalar_problem(B=np.array([[0.0]]), horizon=400.0, dt=0.1)
+        prob = scalar_problem(b=0.0, horizon=400.0, dt=0.1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 solve_psi(prob)
@@ -338,7 +344,7 @@ class TestSolveMu:
         assert np.abs(solve_mu(prob, psi)).max() == 0.0
 
     def test_uncontrolled_exponential(self):
-        prob = scalar_problem(B=np.array([[0.0]]), mu0=np.array([1.0]), horizon=1.0)
+        prob = scalar_problem(b=0.0, m=1.0, horizon=1.0)
         psi = solve_psi(prob)
         mu = solve_mu(prob, psi)
         assert abs(mu[-1, 0] - np.e) < 1e-8
@@ -679,15 +685,30 @@ class TestFbsmLqg:
             with pytest.raises(ProblemError, match="integration method"):
                 fbsm_lqg(tracking_problem(horizon=1.0), method=method)
 
+    def test_coefficients_are_read_once_per_problem(self):
+        # building the problem, a solve and the closed form read a callable
+        # A at the 2n + 1 stage times, once between them
+        doc = json.loads(bundled_config_path("lqg").read_text())
+        problem = parse_config(doc).lqg_problem
+        A, reads = problem.A, []
+
+        def counting_a(t):
+            reads.append(t)
+            return A
+
+        problem = dataclasses.replace(problem, A=counting_a)
+        result = fbsm_lqg(problem, max_iters=2, tol=0.0)
+        lqg_objective(problem, result.gains)
+        assert len(reads) == 2 * problem.n_steps + 1 == 2001
+
     def test_invalid_problem_rejected(self):
-        bad = tracking_problem(horizon=1.0)
-        bad = LqgProblem(
-            A=bad.A, B=bad.B, sigma=bad.sigma, Q=bad.Q, R=np.zeros((2, 2)),
-            P=bad.P, mu0=bad.mu0, lambda0=bad.lambda0, horizon=1.0, dt=0.01,
-            d_x=1, d_z=1,
-        )
+        base = tracking_problem(horizon=1.0)
         with pytest.raises(ProblemError):
-            fbsm_lqg(bad)
+            LqgProblem(
+                A=base.A, B=base.B, sigma=base.sigma, Q=base.Q, R=np.zeros((2, 2)),
+                P=base.P, mu0=base.mu0, lambda0=base.lambda0, horizon=1.0, dt=0.01,
+                d_x=1, d_z=1,
+            )
 
 
 class TestLqgObjective:
@@ -707,14 +728,15 @@ class TestLqgObjective:
         assert np.abs(res.gains.mu).max() == 0.0
 
 
-def per_stage_objective(problem, coeffs, psi, pi, lam, mu):
+def per_stage_objective(problem, psi, pi, lam, mu):
     """The closed-loop objective as integrated before its step propagators:
     one RK4 stage of the Lyapunov equation at a time, with Sigma
     symmetrized after every step."""
-    n, dt = coeffs.n, coeffs.dt
+    st = problem.stages
+    n, dt = st.n, st.dt
     gain = inference_gain(_half_grid(lam), problem.d_x)
-    SS = coeffs.SS
-    drift = coeffs.A - coeffs.M @ _half_grid(pi) @ gain
+    SS = st.SS
+    drift = st.A - st.M @ _half_grid(pi) @ gain
     drift_t = np.swapaxes(drift, -1, -2)
 
     def rhs(j, sig_val):
@@ -730,8 +752,8 @@ def per_stage_objective(problem, coeffs, psi, pi, lam, mu):
         k4 = rhs(2 * i + 2, base + dt * k3)
         step = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         sigma_nodes[i + 1] = _sym(base + dt * step)
-    _check_finite(sigma_nodes, coeffs.node_times, "Sigma")
-    return _expected_cost(problem, coeffs, psi, pi, gain[::2], mu, sigma_nodes)
+    _check_finite(sigma_nodes, st.node_times, "Sigma")
+    return _expected_cost(problem, psi, pi, gain[::2], mu, sigma_nodes)
 
 
 class TestClosedLoopObjective:
@@ -757,12 +779,11 @@ class TestClosedLoopObjective:
 
         problem = time_varying_problem(rng, d_x, d_z, n)
         assert np.linalg.eigvals(problem.A(0.0)).real.max() >= 1.0 - 1e-9
-        coeffs = _Coefficients(problem)
         held = (
             sym(n + 1), sym(n + 1), spd(n + 1), rng.standard_normal((n + 1, d_s))
         )
-        J = _closed_loop_objective(problem, coeffs, *held)
-        expect = per_stage_objective(problem, coeffs, *held)
+        J = _closed_loop_objective(problem, *held)
+        expect = per_stage_objective(problem, *held)
         assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
 
     @RK4
@@ -773,12 +794,11 @@ class TestClosedLoopObjective:
             fbsm_lqg(problem, max_iters=k, tol=0.0, method=method).gains
             for k in range(5)
         ]
-        coeffs = _Coefficients(problem)
         g = runs[-1]
         for pi, lam in ((r.pi, r.lam) for r in runs):
             held = (g.psi, pi, lam, g.mu)
-            J = _closed_loop_objective(problem, coeffs, *held)
-            expect = per_stage_objective(problem, coeffs, *held)
+            J = _closed_loop_objective(problem, *held)
+            expect = per_stage_objective(problem, *held)
             assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
 
     @RK4
@@ -791,11 +811,10 @@ class TestClosedLoopObjective:
         monkeypatch.setattr(lqg, "_PROPAGATOR_BATCH", 100 * steps_per_batch)
         problem = two_state_problem()
         res = fbsm_lqg(problem, max_iters=2, tol=0.0, method=method)
-        coeffs = _Coefficients(problem)
         g = res.gains
         held = (g.psi, g.pi, g.lam, g.mu)
-        J = _closed_loop_objective(problem, coeffs, *held)
-        expect = per_stage_objective(problem, coeffs, *held)
+        J = _closed_loop_objective(problem, *held)
+        expect = per_stage_objective(problem, *held)
         assert abs(J - expect) <= 1e-12 * (1.0 + abs(expect))
 
     @RK4
@@ -813,12 +832,12 @@ class TestClosedLoopObjective:
             mu0=np.zeros(d_s), lambda0=spd, horizon=1.0, dt=1.0 / n,
             d_x=4, d_z=4,
         )
-        coeffs = _Coefficients(problem)
+        problem.stages  # tabulated once per problem, before the measurement
         pi = np.tile(spd, (n + 1, 1, 1))
         held = (pi, pi, pi, np.zeros((n + 1, d_s)))
         tracemalloc.start()
         try:
-            _closed_loop_objective(problem, coeffs, *held)
+            _closed_loop_objective(problem, *held)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -836,7 +855,4 @@ class TestClosedLoopObjective:
         zeros, lam = np.zeros((n + 1, 2, 2)), np.tile(np.eye(2), (n + 1, 1, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="Sigma"):
-                _closed_loop_objective(
-                    problem, _Coefficients(problem), zeros, zeros, lam,
-                    np.zeros((n + 1, 2)),
-                )
+                _closed_loop_objective(problem, zeros, zeros, lam, np.zeros((n + 1, 2)))

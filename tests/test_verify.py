@@ -23,13 +23,16 @@ from fbsweep.gridpde import (
 from fbsweep.lqg import MONOTONICITY_SLACK as LQG_SLACK, fbsm_lqg
 from fbsweep.verify import (
     conjugacy_residual,
-    grid_problem_from_lqg,
     lemma1_check,
-    lqg_grid_crosscheck,
     pmp_residual,
     sweep_pmp_residual,
 )
-from grid_problems import constant_diffusion, random_quadratic_problem
+from grid_problems import (
+    constant_diffusion,
+    grid_problem_from_lqg,
+    lqg_grid_crosscheck,
+    random_quadratic_problem,
+)
 from test_lqg import random_lqg_problem
 
 
