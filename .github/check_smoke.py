@@ -3,8 +3,11 @@
 bench/run.py exits 0 even when an answer is wrong, so this script reads
 its JSON summary lines (one per traced/untraced pass) and exits 1 when
 any summary reports a wrong answer or a failed operation, when a metric
-is null or non-finite, when a traced call count (`*.calls`) reads 0, or
-when the log holds no summary at all.
+is null or non-finite, when a traced call count (`*.calls`) reads 0,
+when a workload's traced `gridpde.build_generator` calls differ from its
+`DiscreteGenerator.apply` plus `apply_adjoint` calls (each grid step
+builds one generator and steps one field with it), or when the log holds
+no summary at all.
 
 With GITHUB_STEP_SUMMARY set, it appends three informational tables to
 that file: the code size figures, each workload's end-to-end metrics,
@@ -22,6 +25,8 @@ import sys
 
 END_TO_END = ("setup_s", "op_s", "peak_rss_mb", "out_mb")
 STRUCTURE = ("gridpde.step_ms.samples", "core.mesh.calls")
+BUILDS = "gridpde.build_generator.calls"
+STEPS = ("gridpde.DiscreteGenerator.apply.calls", "gridpde.DiscreteGenerator.apply_adjoint.calls")
 
 
 def is_structure(name):
@@ -43,6 +48,21 @@ def read_summaries(path):
 
 def metrics(summaries):
     return [(key, entry) for s in summaries for key, entry in s["metrics"].items()]
+
+
+def unmatched_builds(summaries):
+    """(workload, builds, steps) for each workload whose traced generator
+    builds differ from its apply plus apply_adjoint calls."""
+    counts = {}
+    for key, entry in metrics(summaries):
+        workload, _, name = key.partition(".")
+        if name == BUILDS or name in STEPS:
+            counts.setdefault(workload, {})[name] = entry["value"] or 0
+    return [
+        (workload, row.get(BUILDS, 0), sum(row.get(name, 0) for name in STEPS))
+        for workload, row in sorted(counts.items())
+        if row.get(BUILDS, 0) != sum(row.get(name, 0) for name in STEPS)
+    ]
 
 
 def write_step_summary(out, summaries):
@@ -114,10 +134,15 @@ def main(path) -> int:
     ]
     for key in uncalled:
         print(f"zero call count {key}")
+    # One generator per grid step: a build that no step uses, or a step
+    # on a generator built for another, shows here.
+    unmatched = unmatched_builds(summaries)
+    for workload, builds, steps in unmatched:
+        print(f"{workload}: {builds} generator builds, {steps} apply/apply_adjoint calls")
     if os.environ.get("GITHUB_STEP_SUMMARY"):
         with open(os.environ["GITHUB_STEP_SUMMARY"], "a") as out:
             write_step_summary(out, summaries)
-    return 1 if bad or null or nonfinite or uncalled or not summaries else 0
+    return 1 if bad or null or nonfinite or uncalled or unmatched or not summaries else 0
 
 
 if __name__ == "__main__":

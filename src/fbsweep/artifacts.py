@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 from typing import List
 
@@ -37,14 +38,29 @@ OBJECTIVE_FILE = "objective.json"
 CHUNK_ROWS = 1 << 14
 
 
+def _cells(column: np.ndarray):
+    """repr of each value's Python scalar (ndarray.tolist()), formatted once
+    per distinct bit pattern, so -0.0 and 0.0 stay apart. A column with no
+    repeats is formatted cell by cell as it is written, so that its
+    strings are not all held at once."""
+    column = np.ascontiguousarray(column)
+    bits = column.view(f"u{column.itemsize}")
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    if len(first) == len(column):
+        return map(repr, column.tolist())
+    text = np.array([repr(v) for v in column[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_csv(path, header: List[str], blocks=()) -> None:
     """Write a header line, then blocks.
 
     blocks is an iterable of numeric tables, each a sequence of
     equal-length 1-D arrays (one per column, int, bool or float), written
     in bulk CHUNK_ROWS rows at a time. Each cell is repr of the Python
-    scalar that ndarray.tolist() yields, so a float round-trips exactly.
-    Lines end in "\r\n", as the csv module ends them.
+    scalar that ndarray.tolist() yields, so a float round-trips exactly;
+    a chunk formats each distinct value of a column once. Lines end in
+    "\r\n", as the csv module ends them.
     """
     path = Path(path)
     with path.open("w", newline="") as handle:
@@ -53,30 +69,42 @@ def write_csv(path, header: List[str], blocks=()) -> None:
             columns = [np.asarray(c) for c in columns]
             n_rows = len(columns[0]) if columns else 0
             for lo in range(0, n_rows, CHUNK_ROWS):
-                cells = [c[lo : lo + CHUNK_ROWS].tolist() for c in columns]
-                records = zip(*[map(repr, c) for c in cells])
-                handle.write("\r\n".join(map(",".join, records)) + "\r\n")
+                cells = [_cells(c[lo : lo + CHUNK_ROWS]) for c in columns]
+                handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_csv(path):
-    """Read a CSV written by write_csv: (header, float array of shape (n, c))."""
+    """Read a CSV written by write_csv: (header, float array of shape (n, c)).
+
+    The body is parsed by np.loadtxt straight from the file; blank lines
+    are skipped. A row whose cell count differs from the header's, or a
+    cell that is not a number, raises ProblemError.
+    """
     path = Path(path)
     if not path.exists():
         raise ProblemError(f"missing artifact: {path}")
-    lines = path.read_text().splitlines()
-    if not lines:
+    with path.open() as handle:
+        first = handle.readline()
+    if not first:
         raise ProblemError(f"empty artifact: {path}")
-    header = next(csv.reader(lines[:1]))
-    body = [line for line in lines[1:] if line]
-    if any(line.count(",") != len(header) - 1 for line in body):
-        raise ProblemError(f"ragged rows in {path}")
-    if not body:
+    header = next(csv.reader([first.rstrip("\n")]))
+    with warnings.catch_warnings():
+        # A header with no rows is an empty table, not a warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+        except ValueError as exc:
+            # Tell a row with the wrong cell count from a bad cell, as the
+            # rows' comma counts do.
+            rows = [line for line in path.read_text().splitlines()[1:] if line]
+            if any(row.count(",") != len(header) - 1 for row in rows):
+                raise ProblemError(f"ragged rows in {path}") from None
+            raise ProblemError(f"non-numeric value in {path}: {exc}") from None
+    if not len(data):
         return header, np.empty((0, len(header)))
-    try:
-        data = np.array(",".join(body).split(","), dtype=float)
-    except ValueError as exc:
-        raise ProblemError(f"non-numeric value in {path}: {exc}") from None
-    return header, data.reshape(len(body), len(header))
+    if data.shape[1] != len(header):
+        raise ProblemError(f"ragged rows in {path}")
+    return header, data
 
 
 def jsonable(obj):
@@ -262,7 +290,8 @@ def read_control_table(run_dir):
         raise ProblemError(
             f"control table has {len(data)} rows, expected {grid.n_t * n_nodes}"
         )
-    values = data[:, 2 + d_z :].reshape((grid.n_t,) + z_shape + (d_u,))
+    # A copy: a view would keep the whole table, t and z columns included.
+    values = data[:, 2 + d_z :].reshape((grid.n_t,) + z_shape + (d_u,)).copy()
     return values, grid, d_x
 
 

@@ -13,7 +13,8 @@ backend. That model feeds both its solver and the Monte Carlo simulator,
 whose ExtendedDynamics and CostSpec records are derived from it (see
 fbsweep.config). Every reader of an LqgProblem's coefficients goes
 through LqgProblem.coefficients(t), which returns (A, B, sigma, Q, R) at
-t as float 2-D arrays. Both models are checked once, when they are built,
+t as float 2-D arrays, or, for a reader that needs only some of them,
+its _reading(name, t). Both models are checked once, when they are built,
 and refuse a bad problem with ProblemError; an LqgProblem checks callable
 coefficients at every time the sweeps read them, and its stages table
 holds those readings for the sweeps. This module also holds the error
@@ -291,10 +292,13 @@ class LqgProblem:
 
     def coefficients(self, t: float) -> tuple:
         """(A, B, sigma, Q, R) at time t, each a float 2-D array."""
-        return tuple(
-            np.atleast_2d(np.asarray(c(t), dtype=float)) if callable(c) else c
-            for c in (self.A, self.B, self.sigma, self.Q, self.R)
-        )
+        return tuple(self._reading(name, t) for name in ("A", "B", "sigma", "Q", "R"))
+
+    def _reading(self, name: str, t: float) -> np.ndarray:
+        """Coefficient name (one of A, B, sigma, Q, R) at time t, as a
+        float 2-D array, for a reader that needs only some of them."""
+        c = getattr(self, name)
+        return np.atleast_2d(np.asarray(c(t), dtype=float)) if callable(c) else c
 
     @cached_property
     def stages(self) -> "_Stages":

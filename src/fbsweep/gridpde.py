@@ -30,7 +30,12 @@ mesh, axes and spacing are computed once per GridSpec and shared as
 read-only arrays; generator coefficients are filled in place; every
 stencil term (apply, apply_adjoint, the upwind differences) is one slice
 add or slice difference on the C-ordered flat grid instead of a
-zero-padded shifted copy.
+zero-padded shifted copy. A driven coordinate's drift depends on the
+memory node alone, so build_generator upwinds it at memory size and
+broadcasts it into the grid once, with the diffusion term. The terms the
+conditional Hamiltonian reads (_driven_terms) are computed once per step:
+verify's stationarity oracle hands one list of them to the minimizer and
+to both of its Hamiltonian evaluations.
 
 The conditional Hamiltonian, the one equation coupling the two sweeps,
 is written once, in closed form per memory node (_phi). The minimizer
@@ -98,8 +103,12 @@ class GridProblem:
     rows), and the drift0 of a driven coordinate must be constant across
     x for each memory node: then the conditional Hamiltonian is piecewise
     quadratic in each component, and minimize_conditional_hamiltonian
-    finds its argmin in closed form. A problem outside this model (say,
-    a non-quadratic control cost) would need its own family and minimizer.
+    finds its argmin in closed form. drift0 is a callable of t, so this
+    is checked where it is read: build_generator and the minimizer raise
+    ProblemError at a time t where a driven drift0 varies across x by more
+    than 1e-10 (1 + max |drift0|), and read its minimum over x otherwise.
+    A problem outside this model (say, a non-quadratic control cost)
+    would need its own family and minimizer.
 
     drift0(t, S) -> d_s arrays, base_cost(t, S) and terminal_cost(S) ->
     grid arrays, diffusion(t, S) -> (d_s, d_s) nested array-like
@@ -160,11 +169,16 @@ class GridProblem:
     def d_u(self) -> int:
         return self.r_diag.size
 
-    def drift(self, t, S, U) -> list:
-        """drift0 + b_matrix u per coordinate, skipping zero entries of b_matrix."""
+    def _drift0(self, t, S) -> list:
+        """drift0(t, S) as a list of d_s components."""
         base = list(self.drift0(t, S))
         if len(base) != self.d_s:
             raise ProblemError(f"drift0 returned {len(base)} components, expected {self.d_s}")
+        return base
+
+    def drift(self, t, S, U) -> list:
+        """drift0 + b_matrix u per coordinate, skipping zero entries of b_matrix."""
+        base = self._drift0(t, S)
         out = []
         for i in range(self.d_s):
             term = np.asarray(base[i], dtype=float)
@@ -308,7 +322,7 @@ class DiscreteGenerator:
         sums = self._full_sums
         limit = float(sums.max())
         if dt * limit > STABILITY_FRACTION + 1e-12:
-            cell = np.unravel_index(int(np.argmax(sums)), sums.shape)
+            cell = tuple(int(k) for k in np.unravel_index(int(np.argmax(sums)), sums.shape))
             raise StabilityError(
                 f"explicit step unstable: dt={dt:.6g} exceeds "
                 f"{STABILITY_FRACTION}/rate = {STABILITY_FRACTION / limit:.6g} "
@@ -347,43 +361,54 @@ def build_generator(
     dt * max_cell(sum_i D_ii/ds_i^2 + |b_i|/ds_i) <= 0.9 is checked by
     the caller, gen.check_stability(dt), which reports the binding cell;
     the steppers check it at grid.dt before every step.
+
+    A driven coordinate's drift0 must be constant across x for each
+    memory node (ProblemError otherwise, as in the minimizer), so its
+    drift and upwind terms are computed per memory node and broadcast
+    into the grid once, when the diffusion term is added.
     """
     d = grid.dim
     shape = grid.shape
     spacing = grid.spacing
     S = grid.mesh()
     U = control_to_grid(u_slice, problem.d_x, problem.d_u)
-    b = problem.drift(t, S, U)
+    b0 = problem._drift0(t, S)
     D = problem.diffusion(t, S)
+    control_of = {i: c for c, i in enumerate(problem._driven)}
+    z_grid = (1,) * problem.d_x + grid.memory_shape(problem.d_x)
 
     def dval(i, j):
         return np.asarray(D[i][j], dtype=float)
 
-    # up_i = D_ii / (2 ds_i^2) + max(b_i, 0) / ds_i, filled in place.
+    # up_i = max(b_i, 0) / ds_i + D_ii / (2 ds_i^2), at the drift's shape
+    # until the diffusion term fills the full grid.
     up, down = [], []
     for i in range(d):
         dii = dval(i, i)
-        if np.any(dii < 0):
+        if (dii < 0).any():
             raise ProblemError(f"diffusion D[{i}][{i}] must be nonnegative")
-        bi = np.asarray(b[i], dtype=float)
+        if i in control_of:
+            c = control_of[i]
+            b0z = _base_drift_per_memory(b0[i], shape, problem.d_x, i)
+            bi, at = b0z + problem.b_matrix[i, c] * U[c], z_grid
+        else:
+            bi, at = np.asarray(b0[i], dtype=float), shape
         base = dii / (2.0 * spacing[i] ** 2)
-        up_i = np.maximum(bi, 0.0, out=np.empty(shape))
-        down_i = np.negative(bi, out=np.empty(shape))
+        up_i = np.maximum(bi, 0.0, out=np.empty(at))
+        down_i = np.negative(bi, out=np.empty(at))
         np.maximum(down_i, 0.0, out=down_i)
-        for coeff in (up_i, down_i):
+        for coeffs, coeff in ((up, up_i), (down, down_i)):
             coeff /= spacing[i]
-            coeff += base
-        up.append(up_i)
-        down.append(down_i)
+            coeffs.append(np.add(coeff, base, out=coeff if at == shape else np.empty(shape)))
 
     cross = {}
     for i in range(d):
         for j in range(i + 1, d):
             dij = dval(i, j)
             dji = dval(j, i)
-            if np.max(np.abs(dij - dji)) > 1e-12:
+            if np.abs(dij - dji).max() > 1e-12:
                 raise ProblemError("diffusion matrix must be symmetric")
-            if np.any(dij != 0.0):
+            if (dij != 0.0).any():
                 cross[(i, j)] = _full(dij / (4.0 * spacing[i] * spacing[j]), shape)
 
     return DiscreteGenerator(grid, up, down, cross)
@@ -505,28 +530,28 @@ def _upwind_differences(w: np.ndarray, axis: int, spacing: float):
     return gf, gb
 
 
-def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, what: str) -> np.ndarray:
-    """Reduce the control-free drift of a driven coordinate to a z-array.
+def _base_drift_per_memory(b0_i: np.ndarray, shape, d_x: int, i: int) -> np.ndarray:
+    """Reduce the control-free drift of driven coordinate i to a z-array:
+    its minimum over x.
 
     The grid model needs this drift to be constant across x for each
     memory node, so that the upwind side switches at one control value
-    per node.
+    per node; it is refused if its spread over x exceeds
+    1e-10 (1 + max |drift|).
     """
     arr = np.asarray(b0_i, dtype=float)
     if arr.shape != shape:
         arr = np.broadcast_to(arr, shape)
     x_axes = tuple(range(d_x))
-    if x_axes:
-        lo = arr.min(axis=x_axes)
-        hi = arr.max(axis=x_axes)
-        scale = max(np.abs(lo).max(), np.abs(hi).max())  # = max |arr|
-        if np.max(hi - lo) > 1e-10 * (1.0 + scale):
-            raise ProblemError(
-                f"{what} varies across the state for fixed memory; this "
-                "problem is outside the grid model"
-            )
-        return lo
-    return arr
+    lo = arr.min(axis=x_axes)
+    hi = arr.max(axis=x_axes)
+    scale = max(np.abs(lo).max(), np.abs(hi).max())  # = max |arr|
+    if np.max(hi - lo) > 1e-10 * (1.0 + scale):
+        raise ProblemError(
+            f"drift0[{i}] varies across the state for fixed memory; this "
+            "problem is outside the grid model"
+        )
+    return lo
 
 
 def _fill_undefined(u_new: np.ndarray, defined: np.ndarray, grid: GridSpec, d_x: int):
@@ -561,27 +586,32 @@ def _fill_undefined(u_new: np.ndarray, defined: np.ndarray, grid: GridSpec, d_x:
     u_new[dst] = u_new[tuple(s[nearest] for s in src)]
 
 
-def _driven_terms(problem: GridProblem, grid: GridSpec, t: float, cond, w_next):
-    """Yield, per control component c, what its conditional Hamiltonian
-    reads: (c, B, R, b0z, E[gf], E[gb]).
+def _driven_terms(problem: GridProblem, grid: GridSpec, t: float, cond, w_next) -> list:
+    """What each control component c's conditional Hamiltonian reads, as a
+    list of (c, B, R, b0z, E[gf], E[gb]), one entry per component.
 
     B = b_matrix[i, c] and R = r_diag[c] for the coordinate i that c
     drives, b0z is that coordinate's control-free drift per memory node,
     and E[gf], E[gb] are the conditional expectations under cond of the
     forward and backward upwind differences of w_next along axis i.
+    The list is what minimize_conditional_hamiltonian and
+    conditional_hamiltonian take as terms, so that a caller pricing
+    several controls at one (t, cond, w_next) computes it once.
     """
     d_x = problem.d_x
     vol_x = _x_volume(grid, d_x)
-    b0 = problem.drift0(t, grid.mesh())
+    b0 = problem._drift0(t, grid.mesh())
     z_shape = grid.memory_shape(d_x)
+    terms = []
     for c, i in enumerate(problem._driven):
         gf, gb = (
             _conditional_expectation(cond, g, d_x, vol_x)
             for g in _upwind_differences(w_next, i, grid.spacing[i])
         )
-        b0z = _base_drift_per_memory(b0[i], grid.shape, d_x, f"drift0[{i}]")
+        b0z = _base_drift_per_memory(b0[i], grid.shape, d_x, i)
         b0z = np.broadcast_to(b0z, z_shape)
-        yield c, float(problem.b_matrix[i, c]), float(problem.r_diag[c]), b0z, gf, gb
+        terms.append((c, float(problem.b_matrix[i, c]), float(problem.r_diag[c]), b0z, gf, gb))
+    return terms
 
 
 def _phi(Rc, Bc, b0z, gf, gb, u):
@@ -605,6 +635,8 @@ def minimize_conditional_hamiltonian(
     w_next: np.ndarray,
     u_prev: np.ndarray,
     defined: np.ndarray,
+    *,
+    terms=None,
 ) -> np.ndarray:
     """Per-memory-node argmin of the conditional expected Hamiltonian.
 
@@ -617,13 +649,21 @@ def minimize_conditional_hamiltonian(
     from the two branch vertices, the breakpoint, and the previous
     control. Low-mass nodes (defined=False, as conditional_density flags
     them) inherit the control of the nearest defined node.
+
+    terms, if given, overrides (t, cond, w_next): the minimizer then reads
+    only terms, which must be _driven_terms(problem, grid, t, cond,
+    w_next) of those same arguments (nothing checks this). It is there
+    for a caller that also prices controls at that step with
+    conditional_hamiltonian, so that the terms are computed once.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     lo, hi = problem.control_lower, problem.control_upper
     z_shape = grid.memory_shape(problem.d_x)
     u_new = np.empty(z_shape + (problem.d_u,))
+    if terms is None:
+        terms = _driven_terms(problem, grid, t, cond, w_next)
 
-    for c, Bc, Rc, b0z, gf, gb in _driven_terms(problem, grid, t, cond, w_next):
+    for c, Bc, Rc, b0z, gf, gb in terms:
         lo_c, hi_c = lo[c], hi[c]
 
         # Candidates: each branch's vertex clipped to the controls where
@@ -661,6 +701,8 @@ def conditional_hamiltonian(
     cond: np.ndarray,
     w_next: np.ndarray,
     u_slice: np.ndarray,
+    *,
+    terms=None,
 ) -> np.ndarray:
     """The conditional expected Hamiltonian E_{p(x|z)}[f + L_u w] at the
     control slice u_slice, per memory node, less every control-independent
@@ -670,11 +712,14 @@ def conditional_hamiltonian(
     It is the sum over control components of _phi, the formula that
     minimize_conditional_hamiltonian minimizes, so its differences across
     controls equal those of the full conditional Hamiltonian and its
-    minimizers are the sweep's control updates.
+    minimizers are the sweep's control updates. terms, if given,
+    overrides (t, cond, w_next), as in minimize_conditional_hamiltonian.
     """
     u_slice = np.asarray(u_slice, dtype=float)
     total = np.zeros(grid.memory_shape(problem.d_x))
-    for c, Bc, Rc, b0z, gf, gb in _driven_terms(problem, grid, t, cond, w_next):
+    if terms is None:
+        terms = _driven_terms(problem, grid, t, cond, w_next)
+    for c, Bc, Rc, b0z, gf, gb in terms:
         total += _phi(Rc, Bc, b0z, gf, gb, u_slice[..., c])
     return total
 

@@ -258,7 +258,7 @@ class LqgControlLaw:
 
     Everything that does not depend on z is tabulated once per time node,
     on first use: the gains K(Lambda) (one batched inference_gain), the
-    memory mean, Psi mu and R^{-1} B^T.
+    memory mean, Psi mu and R^{-1} B^T, which reads only B and R.
     """
 
     gains: GainTrajectory
@@ -266,13 +266,12 @@ class LqgControlLaw:
 
     @cached_property
     def _tables(self) -> tuple:
-        g, d_x = self.gains, self.problem.d_x
+        g, p = self.gains, self.problem
         feedback = np.stack([
-            np.linalg.solve(R, B.T)
-            for _, B, _, _, R in map(self.problem.coefficients, g.times)
+            np.linalg.solve(p._reading("R", t), p._reading("B", t).T) for t in g.times
         ])
         psi_mu = np.stack([psi @ mu for psi, mu in zip(g.psi, g.mu)])
-        return inference_gain(g.lam, d_x), g.mu[:, d_x:], psi_mu, feedback
+        return inference_gain(g.lam, p.d_x), g.mu[:, p.d_x :], psi_mu, feedback
 
     def evaluate_memory(self, t: float, z: np.ndarray) -> np.ndarray:
         """Evaluate u at time t for memory points z of shape (..., d_z)."""

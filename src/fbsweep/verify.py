@@ -26,6 +26,7 @@ from fbsweep.gridpde import (
     GridProblem,
     MassLog,
     _backward_steps,
+    _driven_terms,
     _forward_pass,
     _initial_density_slice,
     conditional_density,
@@ -128,11 +129,15 @@ class PmpReport:
 def _stationarity_excess(problem: GridProblem, grid: GridSpec, t, u_i, p_i, w_next):
     """Stationarity excess of the control slice u_i at time t, per memory
     node, from the density slice at t and the value slice at t + dt; and
-    the memory marginal that weights it."""
+    the memory marginal that weights it. The driven terms are computed
+    once: u_i, the minimizer and its minimum all read them."""
     cond, marginal, defined = conditional_density(p_i, grid, problem.d_x)
-    phi_u = conditional_hamiltonian(problem, grid, t, cond, w_next, u_i)
-    u_min = minimize_conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, defined)
-    phi_min = conditional_hamiltonian(problem, grid, t, cond, w_next, u_min)
+    terms = _driven_terms(problem, grid, t, cond, w_next)
+    phi_u = conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, terms=terms)
+    u_min = minimize_conditional_hamiltonian(
+        problem, grid, t, cond, w_next, u_i, defined, terms=terms
+    )
+    phi_min = conditional_hamiltonian(problem, grid, t, cond, w_next, u_min, terms=terms)
     return np.maximum(phi_u - phi_min, 0.0) * defined, marginal
 
 

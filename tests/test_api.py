@@ -85,7 +85,9 @@ PUBLIC_SIGNATURES = {
     "inference_gain": "lam, d_x",
     "lemma1_check": "problem, grid, u, u_prime, pairing='continuous'",
     "lqg_objective": "problem, gains",
-    "minimize_conditional_hamiltonian": "problem, grid, t, cond, w_next, u_prev, defined",
+    "minimize_conditional_hamiltonian": (
+        "problem, grid, t, cond, w_next, u_prev, defined, terms=None"
+    ),
     "pmp_residual": "problem, grid, u, p, w",
     "simulate_paths": "dynamics, control, horizon, dt, n_paths, seed, cost",
     "sweep_pmp_residual": "problem, grid, control",

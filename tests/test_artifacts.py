@@ -2,9 +2,13 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsweep import artifacts
 from fbsweep.artifacts import (
@@ -69,6 +73,126 @@ def per_cell_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell(v) for v in row])
+
+
+def reference_write_csv(path, header, blocks=()):
+    """The reference writer: repr of every cell's Python scalar, one chunk
+    of CHUNK_ROWS rows per bulk write."""
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerow(header)
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            n_rows = len(columns[0]) if columns else 0
+            for lo in range(0, n_rows, artifacts.CHUNK_ROWS):
+                cells = [c[lo : lo + artifacts.CHUNK_ROWS].tolist() for c in columns]
+                records = zip(*[map(repr, c) for c in cells])
+                handle.write("\r\n".join(map(",".join, records)) + "\r\n")
+
+
+def reference_read_csv(path):
+    """The reference reader: split into lines, count each line's commas,
+    then parse every cell."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ProblemError(f"empty artifact: {path}")
+    header = next(csv.reader(lines[:1]))
+    body = [line for line in lines[1:] if line]
+    if any(line.count(",") != len(header) - 1 for line in body):
+        raise ProblemError(f"ragged rows in {path}")
+    if not body:
+        return header, np.empty((0, len(header)))
+    try:
+        data = np.array(",".join(body).split(","), dtype=float)
+    except ValueError as exc:
+        raise ProblemError(f"non-numeric value in {path}: {exc}") from None
+    return header, data.reshape(len(body), len(header))
+
+
+# Floats drawn often enough to repeat within a column, with both zeros,
+# subnormals and the non-finite values, besides arbitrary ones.
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308 / 3, 1 / 3, 0.1, 1e16, -123456789.123456789]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def tables(draw, kinds=("float", "int", "bool")):
+    """A header and one block of columns (int64, bool or float64)."""
+    n_rows = draw(st.integers(0, 40))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        values = {"float": FLOATS, "int": INTS, "bool": st.booleans()}[kind]
+        dtype = {"float": np.float64, "int": np.int64, "bool": bool}[kind]
+        columns.append(np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)),
+                                dtype=dtype))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+def written(header, columns, chunk_rows, writer):
+    """The bytes writer(path, header, [columns]) writes, CHUNK_ROWS set."""
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(artifacts, "CHUNK_ROWS", chunk_rows)
+        path = Path(tmp) / "t.csv"
+        writer(path, header, blocks=[columns])
+        return path.read_bytes()
+
+
+class TestCsvAgainstReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables(), chunk_rows=st.integers(1, 9))
+    def test_writer_bytes_equal_the_reference_writer(self, table, chunk_rows):
+        header, columns = table
+        assert written(header, columns, chunk_rows, write_csv) == written(
+            header, columns, chunk_rows, reference_write_csv
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables(kinds=("float", "int")), chunk_rows=st.integers(1, 9))
+    def test_reader_bits_equal_the_reference_reader(self, table, chunk_rows):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(written(header, columns, chunk_rows, write_csv))
+            got_header, got = read_csv(path)
+            ref_header, ref = reference_read_csv(path)
+        assert got_header == ref_header == header
+        assert got.shape == ref.shape == (len(columns[0]), len(columns))
+        assert got.dtype == ref.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1.0,2.0\n3.0\n",       # a short row
+            "1.0,2.0,3.0\n",        # a long row
+            "1,2,3\n4,5,6\n",       # every row long
+            "1.0,2.0\n \n",         # a blank-looking row of one space
+            "1.0,abc\n",
+            "1.0,\n",
+            "1.0,True\n",
+            "",                     # header only
+            "\n\n",                 # header and blank lines
+            "1,2\n\n3,4\n\n",       # blank lines between rows
+            "1,2\r\n3,4\r\n",       # csv module line ends
+        ],
+    )
+    def test_error_cases_match_the_reference_reader(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + body)
+        try:
+            expected = reference_read_csv(path)
+        except ProblemError as exc:
+            # The parse error's own wording, after the colon, may differ.
+            message = str(exc).split(": ", 1)[0]
+            with pytest.raises(ProblemError) as raised:
+                read_csv(path)
+            assert str(raised.value).split(": ", 1)[0] == message
+        else:
+            header, data = read_csv(path)
+            assert header == expected[0]
+            assert data.shape == expected[1].shape
+            assert data.tobytes() == expected[1].tobytes()
 
 
 class TestCsv:
@@ -234,6 +358,10 @@ class TestControlTable:
         np.testing.assert_array_equal(back, values)
         assert back_grid.shape == grid.shape
         assert d_x == 1
+        # The control owns a buffer of its own size: it keeps no view of
+        # the whole table, whose t and z columns are 3x its bytes here.
+        assert back.base is None and back.flags.owndata
+        assert back.nbytes == values.nbytes == 6 * 5 * 1 * 8
 
     def test_tampered_row_count(self, tmp_path):
         grid = GridSpec([-2.0, -1.0], [2.0, 1.0], (7, 5), 6, 0.6)

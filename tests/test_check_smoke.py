@@ -45,6 +45,18 @@ def check(tmp_path, lines, step_summary=None):
     )
 
 
+def grid_steps(workload, builds=5000, applies=2000, adjoints=3000):
+    """A workload's traced generator builds and the steps that used them."""
+    counts = {
+        "gridpde.build_generator.calls": builds,
+        "gridpde.DiscreteGenerator.apply.calls": applies,
+        "gridpde.DiscreteGenerator.apply_adjoint.calls": adjoints,
+    }
+    return {
+        f"{workload}.{name}": {"value": value, "unit": "count"} for name, value in counts.items()
+    }
+
+
 def test_good_log_passes_and_writes_the_tables(tmp_path):
     page = tmp_path / "step_summary.md"
     proc = check(tmp_path, good_log(), step_summary=page)
@@ -62,12 +74,12 @@ def test_good_log_passes_and_writes_the_tables(tmp_path):
 def test_the_traced_grid_structure_is_tabulated(tmp_path):
     lines = good_log()
     traced = json.loads(lines[3])
+    traced["metrics"].update(grid_steps("obstacle-budget"))
+    traced["metrics"].update(grid_steps("rollout"))
     traced["metrics"].update({
-        "obstacle-budget.gridpde.build_generator.calls": {"value": 5000, "unit": "count"},
         "obstacle-budget.gridpde.step_ms.samples": {"value": 2999, "unit": "count"},
         "obstacle-budget.gridpde.step_ms.p50": {"value": 0.7, "unit": "ms"},
         "obstacle-budget.core.mesh.calls": {"value": 12008, "unit": "count"},
-        "rollout.gridpde.build_generator.calls": {"value": 5000, "unit": "count"},
         "rollout.sdesim.lqg.control_eval.calls": {"value": 1000, "unit": "count"},
     })
     lines[3] = json.dumps(traced)
@@ -129,6 +141,30 @@ def test_a_zero_call_count_fails(tmp_path):
     assert proc.returncode == 1
     assert "zero call count obstacle-budget.gridpde.conditional_hamiltonian.calls" in proc.stdout
     assert ".conditional_hamiltonian.s" not in proc.stdout
+
+
+def test_one_generator_per_grid_step_passes(tmp_path):
+    lines = good_log()
+    traced = json.loads(lines[3])
+    traced["metrics"].update(grid_steps("obstacle-budget"))
+    lines[3] = json.dumps(traced)
+    proc = check(tmp_path, lines)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "generator builds" not in proc.stdout
+
+
+@pytest.mark.parametrize("builds", [4999, 5001], ids=["fewer-builds", "more-builds"])
+def test_a_generator_build_without_its_step_fails(tmp_path, builds):
+    lines = good_log()
+    traced = json.loads(lines[3])
+    traced["metrics"].update(grid_steps("obstacle-budget", builds=builds))
+    lines[3] = json.dumps(traced)
+    proc = check(tmp_path, lines)
+    assert proc.returncode == 1
+    assert (
+        f"obstacle-budget: {builds} generator builds, 5000 apply/apply_adjoint calls"
+        in proc.stdout
+    )
 
 
 def test_a_log_without_a_summary_fails(tmp_path):

@@ -299,19 +299,21 @@ class TestDiscreteGenerator:
         assert np.max(np.abs(lw[1:-1, 1:-1] - 0.6)) < 1e-9
 
     def test_stability_bound_names_binding_cell(self):
+        # A driven drift must be constant in x, so the binding cell is set
+        # by the diffusion, largest at x = 0 (node 15): rate 25 + 250 there.
         grid = GridSpec([-3.0], [3.0], (31,), 100, 1.0)
         problem = GridProblem(
             d_x=1, d_z=0,
             b_matrix=[[1.0]], r_diag=[1.0],
-            drift0=lambda t, S: [50.0 * S[0]],
+            drift0=lambda t, S: [np.full_like(S[0], 50.0)],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-            diffusion=constant_diffusion([[1.0]]),
+            diffusion=lambda t, S: [[np.exp(-S[0] ** 2)]],
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
         )
         gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
-        with pytest.raises(StabilityError, match="binding cell"):
+        with pytest.raises(StabilityError, match=r"binding cell \(15,\), outflow rate 275"):
             gen.check_stability(grid.dt)
         # the sweep checks every step it takes
         with pytest.raises(StabilityError, match="binding cell"):
@@ -603,6 +605,12 @@ class TestMinimizer:
                 problem, grid, 0.0, cond, np.zeros(grid.shape),
                 np.zeros((9, 1)), defined,
             )
+        # The generator refuses it too: the zero-control initial pass
+        # builds one before any minimizer runs.
+        with pytest.raises(ProblemError, match=r"drift0\[0\] varies across the state"):
+            build_generator(problem, grid, 0.0, np.zeros((9, 1)))
+        with pytest.raises(ProblemError, match="varies across the state"):
+            fbsm_grid(problem, grid, max_iters=0)
 
 
 class TestFbsmGrid:
@@ -793,15 +801,20 @@ def random_generator(shape, seed, dt=0.1):
 
     The diffusion is a random SPD matrix (mixed terms included) times a
     positive scalar field; about a fifth of the drift entries are exactly
-    zero, so both upwind sides and the no-drift case all occur.
+    zero, so both upwind sides and the no-drift case all occur. The
+    control drives axis 0, whose drift the model keeps constant in x: it
+    is drawn per memory node and broadcast over x.
     """
     rng = np.random.default_rng(seed)
     d = len(shape)
     lower = rng.uniform(-2.0, 0.0, d)
     grid = GridSpec(lower, lower + rng.uniform(0.5, 3.0, d), shape, 1, dt)
-    drift = [rng.standard_normal(shape) * 3.0 for _ in range(d)]
+    per_memory = (1,) + tuple(shape[1:])
+    drift = [rng.standard_normal(per_memory) * 3.0]
+    drift += [rng.standard_normal(shape) * 3.0 for _ in range(d - 1)]
     for b in drift:
-        b[rng.random(shape) < 0.2] = 0.0
+        b[rng.random(b.shape) < 0.2] = 0.0
+    drift[0] = np.broadcast_to(drift[0], shape)
     a = rng.standard_normal((d, d))
     spd = a @ a.T + 0.1 * np.eye(d)
     scale = rng.uniform(0.5, 1.5, shape)

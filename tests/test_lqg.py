@@ -701,6 +701,35 @@ class TestFbsmLqg:
         lqg_objective(problem, result.gains)
         assert len(reads) == 2 * problem.n_steps + 1 == 2001
 
+    def test_control_law_reads_only_b_and_r(self):
+        # building the problem reads a callable A and B at the 2n + 1 stage
+        # times; the law's tables read B (and R) at each gain time, never A
+        doc = json.loads(bundled_config_path("lqg").read_text())
+        problem = parse_config(doc).lqg_problem
+        reads = {"A": 0, "B": 0}
+
+        def counting(name):
+            value = getattr(problem, name)
+
+            def read(t):
+                reads[name] += 1
+                return value
+
+            return read
+
+        problem = dataclasses.replace(problem, A=counting("A"), B=counting("B"))
+        gains = fbsm_lqg(problem, max_iters=1, tol=0.0).gains
+        assert reads == {"A": 2001, "B": 2001}
+        z = np.ones((3, problem.d_z))
+        u = LqgControlLaw(gains, problem).evaluate_memory(0.5, z)
+        assert reads == {"A": 2001, "B": 2001 + 1001}
+        coarse = GainTrajectory(
+            times=gains.times[::2], psi=gains.psi[::2], pi=gains.pi[::2],
+            lam=gains.lam[::2], mu=gains.mu[::2], d_x=gains.d_x,
+        )
+        assert np.array_equal(LqgControlLaw(coarse, problem).evaluate_memory(0.5, z), u)
+        assert reads == {"A": 2001, "B": 2001 + 1001 + 501}
+
     def test_invalid_problem_rejected(self):
         base = tracking_problem(horizon=1.0)
         with pytest.raises(ProblemError):

@@ -94,18 +94,20 @@ class TestConjugacyResidual:
         assert worst <= 1e-12
 
     def test_constant_value_function(self):
-        grid = GridSpec([-1.0], [1.0], (31,), 10, 1.0)
+        # both drifts change sign: the driven one across memory, the
+        # undriven one across x
+        grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (31, 7), 10, 1.0)
         problem = GridProblem(
-            d_x=1, d_z=0,
-            b_matrix=[[1.0]], r_diag=[1.0],
-            drift0=lambda t, S: [np.sin(3 * S[0])],
+            d_x=1, d_z=1,
+            b_matrix=[[1.0], [0.0]], r_diag=[1.0],
+            drift0=lambda t, S: [np.sin(3 * S[1]), np.sin(3 * S[0])],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-            diffusion=constant_diffusion([[0.7]]),
+            diffusion=constant_diffusion([[0.7, 0.0], [0.0, 0.5]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
-            initial_density=Gaussian([0.0], [[1.0]]),
+            initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
+        gen = build_generator(problem, grid, 0.0, np.zeros((7, 1)))
         w = np.full(grid.shape, 4.2)
         p = np.random.default_rng(1).uniform(0, 1, grid.shape)
         assert conjugacy_residual(gen, w, p) <= 1e-12
