@@ -14,8 +14,9 @@ solver and the Monte Carlo simulator:
 
 :mod:`fbsweep.sdesim` provides Monte Carlo evaluation of any control law
 by Euler-Maruyama simulation, on dynamics that :mod:`fbsweep.config`
-derives from the solver's model, and :mod:`fbsweep.verify` holds
-executable checks of the mathematical identities the solvers rely on.
+derives from the solver's model, and :mod:`fbsweep.verify` holds the
+check ``fbsweep verify`` runs on a stored grid control: the stationarity
+of its conditional-Hamiltonian minimization.
 """
 
 __version__ = "0.1.0"
@@ -54,12 +55,7 @@ from fbsweep.sdesim import (
     estimate_objective,
     simulate_paths,
 )
-from fbsweep.verify import (
-    conjugacy_residual,
-    lemma1_check,
-    pmp_residual,
-    sweep_pmp_residual,
-)
+from fbsweep.verify import sweep_pmp_residual
 
 __all__ = [
     "CostSpec",
@@ -79,17 +75,14 @@ __all__ = [
     "SingularPrecisionError",
     "StabilityError",
     "build_generator",
-    "conjugacy_residual",
     "estimate_objective",
     "fbsm_grid",
     "fbsm_lqg",
     "fp_step",
     "hjb_step",
     "inference_gain",
-    "lemma1_check",
     "lqg_objective",
     "minimize_conditional_hamiltonian",
-    "pmp_residual",
     "simulate_paths",
     "sweep_pmp_residual",
     "__version__",

@@ -133,7 +133,13 @@ def read_json(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ProblemError(f"missing artifact: {path}")
-    return json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ProblemError(f"artifact {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ProblemError(f"artifact {path} must hold a JSON object")
+    return doc
 
 
 def config_digest(config_text: str) -> str:
@@ -240,15 +246,21 @@ def write_grid_sidecar(run_dir, grid: GridSpec, d_x: int, d_u: int) -> None:
 
 
 def read_grid_sidecar(run_dir):
-    doc = read_json(Path(run_dir) / GRID_FILE)
-    grid = GridSpec(
-        lower=np.asarray(doc["lower"], dtype=float),
-        upper=np.asarray(doc["upper"], dtype=float),
-        shape=tuple(doc["shape"]),
-        n_t=int(doc["n_t"]),
-        horizon=float(doc["horizon"]),
-    )
-    return grid, int(doc["d_x"]), int(doc["d_u"])
+    path = Path(run_dir) / GRID_FILE
+    doc = read_json(path)
+    try:
+        grid = GridSpec(
+            lower=np.asarray(doc["lower"], dtype=float),
+            upper=np.asarray(doc["upper"], dtype=float),
+            shape=tuple(doc["shape"]),
+            n_t=int(doc["n_t"]),
+            horizon=float(doc["horizon"]),
+        )
+        return grid, int(doc["d_x"]), int(doc["d_u"])
+    except KeyError as exc:
+        raise ProblemError(f"artifact {path} has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"artifact {path} has an ill-typed entry: {exc}") from None
 
 
 def write_control_table(run_dir, control: np.ndarray, grid: GridSpec, d_x: int) -> None:

@@ -283,14 +283,13 @@ def simulation_dynamics(cfg: LoadedConfig) -> ExtendedDynamics:
     """Closed-loop dynamics of a configured problem for path simulation."""
     if cfg.family == "lqg":
         p = cfg.lqg_problem
-        d_w = p.coefficients(0.0)[2].shape[1]
+        d_w = p._reading("sigma", 0.0).shape[1]
 
         def drift(t, s, u):
-            A, B = p.coefficients(t)[:2]
-            return s @ A.T + u @ B.T
+            return s @ p._reading("A", t).T + u @ p._reading("B", t).T
 
         def diffusion(t, s, u):
-            return p.coefficients(t)[2]
+            return p._reading("sigma", t)
 
         return ExtendedDynamics(
             d_x=p.d_x, d_z=p.d_z, d_u=p.d_u, d_w=d_w,
@@ -369,8 +368,7 @@ def simulation_cost(cfg: LoadedConfig) -> CostSpec:
         p = cfg.lqg_problem
 
         def running(t, s, u):
-            Q, R = p.coefficients(t)[3:]
-            return _quadratic_form(s, Q) + _quadratic_form(u, R)
+            return _quadratic_form(s, p._reading("Q", t)) + _quadratic_form(u, p._reading("R", t))
 
         def terminal(s):
             return _quadratic_form(s, p.P)

@@ -192,8 +192,9 @@ class LqgProblem:
     may be constant arrays or callables of t; P is constant. The first d_x
     coordinates of s are the state, the remaining d_z the memory.
 
-    coefficients(t) is how every solver and simulator reads A, B, sigma,
-    Q and R. Each constant one is stored once, as a read-only float 2-D
+    coefficients(t), or _reading(name, t) for a reader that needs only
+    some of them, is how every solver and simulator reads A, B, sigma, Q
+    and R. Each constant one is stored once, as a read-only float 2-D
     copy; a callable one is evaluated and normalized at each call.
 
     The problem is checked when it is built (_failed_checks): a bad one
@@ -310,7 +311,7 @@ class LqgProblem:
 
     @property
     def d_u(self) -> int:
-        return self.coefficients(0.0)[1].shape[1]
+        return self._reading("B", 0.0).shape[1]
 
     @property
     def n_steps(self) -> int:

@@ -40,16 +40,14 @@ to both of its Hamiltonian evaluations.
 The conditional Hamiltonian, the one equation coupling the two sweeps,
 is written once, in closed form per memory node (_phi). The minimizer
 evaluates its candidates through it, and conditional_hamiltonian, which
-verify's stationarity oracle and lemma1_check read, sums it over the
-control components.
+verify's stationarity oracle reads, sums it over the control components.
 
 Each direction's time step (build_generator, then fp_step or hjb_step)
 is written once, in the steppers _forward_steps and _backward_steps.
 A stepper yields the field at every time node and reads the control of
 the next step only after the consumer is done with that node, so a
-consumer can refresh the control there first. The sweep's two passes,
-and verify's stationarity oracle and lemma1_check, all step through
-them.
+consumer can refresh the control there first. The sweep's two passes
+and verify's stationarity oracle all step through them.
 
 Memory is a fixed base plus one (n_t + 1)-slice field. The two halves
 of a sweep are coupled only through the control: step i of a half-sweep
@@ -844,12 +842,11 @@ def _forward_pass(problem, grid, p0, u, w_stale=None, log=None, out=None):
     return running + float((g * p_i).sum()) * vol
 
 
-def _backward_pass(problem, grid, p0, u, p_stale=None, out=None):
-    """Value sweep from the terminal cost under u; returns J = <p0, w0>.
-
-    Without p_stale, u is only read. With it, the step to slice i first
-    refreshes u[i] in place from the held density slice p_stale[i] and
-    the fresh value slice w[i + 1] (the sweep's backward half).
+def _backward_pass(problem, grid, p0, u, p_stale, out=None):
+    """The sweep's backward half: the value stepped from the terminal cost,
+    the step to slice i first refreshing u[i] in place from the held
+    density slice p_stale[i] and the fresh value slice w[i + 1]; returns
+    J = <p0, w0>.
 
     As in _forward_pass, mirrored: step i reads p_stale[i] before the
     stepper writes out[i], and slice n_t of p_stale is never read, so out
@@ -858,7 +855,7 @@ def _backward_pass(problem, grid, p0, u, p_stale=None, out=None):
     """
     times = grid.times()
     for i, w_i in _backward_steps(problem, grid, u, out=out):
-        if p_stale is not None and i:
+        if i:
             cond, _, defined = conditional_density(p_stale[i - 1], grid, problem.d_x)
             u[i - 1] = minimize_conditional_hamiltonian(
                 problem, grid, times[i - 1], cond, w_i, u[i - 1], defined

@@ -1,14 +1,30 @@
-"""Grid problems shared by the grid solver and oracle tests, and the
+"""Grid problems shared by the grid solver and oracle tests; the oracles
+that check the grid scheme's identities (generator conjugacy, Lemma 1's
+cost difference, the full-field stationarity residual); and the
 cross-backend comparison: one linear-quadratic problem solved by the
 Riccati backend and, expressed in grid terms, by the grid backend."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError
-from fbsweep.gridpde import GridProblem, _upwind_differences, control_to_grid, fbsm_grid
+from fbsweep.gridpde import (
+    DiscreteGenerator,
+    GridProblem,
+    _backward_steps,
+    _forward_pass,
+    _initial_density_slice,
+    _upwind_differences,
+    build_generator,
+    conditional_density,
+    conditional_hamiltonian,
+    control_to_grid,
+    fbsm_grid,
+)
 from fbsweep.lqg import fbsm_lqg
+from fbsweep.verify import _stationarity_excess
 
 
 def constant_diffusion(matrix):
@@ -202,3 +218,161 @@ def lqg_grid_crosscheck(
         lqg_converged=lqg_result.converged,
         grid_converged=grid_result.converged,
     )
+
+
+def _vsum(arr: np.ndarray) -> float:
+    return math.fsum(np.asarray(arr, dtype=float).ravel().tolist())
+
+
+def conjugacy_residual(gen: DiscreteGenerator, w: np.ndarray, p: np.ndarray) -> float:
+    """|<w, L'p> - <Lw, p>| with volume-weighted inner products."""
+    vol = gen.grid.cell_volume
+    lhs = _vsum(w * gen.apply_adjoint(p)) * vol
+    rhs = _vsum(gen.apply(w) * p) * vol
+    return abs(lhs - rhs)
+
+
+@dataclass
+class Lemma1Report:
+    """Both sides of the cost-difference identity and their mismatch."""
+
+    lhs: float
+    rhs: float
+    residual: float
+
+
+def lemma1_check(
+    problem: GridProblem, grid: GridSpec, u, u_prime, pairing: str = "continuous"
+) -> Lemma1Report:
+    """Check J[u] - J[u'] against the summed Hamiltonian-difference form.
+
+    The left side is the difference of the discrete objectives (density
+    solved under each control); the right side accumulates, over the
+    density solved under u and the value solved backward under u', the
+    difference of conditional_hamiltonian between the two controls at
+    each step, weighted by the memory marginal of the density under u.
+    With pairing="continuous" the Hamiltonian at time t reads the
+    value slice at t, matching the continuous-time identity, so the
+    residual measures discretization error and shrinks under (dt, ds)
+    refinement. With pairing="discrete" it reads the slice at t + dt,
+    which makes the identity exact for the discrete system (residual at
+    rounding level, useful as an implementation check).
+
+    Only the density under u is held as a field; the value under u' is
+    stepped backward a slice at a time, each step's term taken as it
+    passes the slice that term reads, and the terms are summed in
+    ascending time.
+    """
+    if pairing not in ("continuous", "discrete"):
+        raise ProblemError(f"unknown pairing {pairing!r}")
+    offset = 0 if pairing == "continuous" else 1
+    u = np.asarray(u, dtype=float)
+    u_prime = np.asarray(u_prime, dtype=float)
+    n, times = grid.n_t, grid.times()
+    vol_z = float(np.prod(grid.spacing[problem.d_x :]))
+    p0 = _initial_density_slice(problem, grid)
+    p_u = np.empty((n + 1,) + grid.shape)
+    j_u = _forward_pass(problem, grid, p0, u, out=p_u)
+    lhs = j_u - _forward_pass(problem, grid, p0, u_prime)
+    terms = [0.0] * n
+    for k, w_k in _backward_steps(problem, grid, u_prime):
+        i = k - offset
+        if not 0 <= i < n:
+            continue
+        cond, marginal, _ = conditional_density(p_u[i], grid, problem.d_x)
+        h_u, h_v = (
+            conditional_hamiltonian(problem, grid, times[i], cond, w_k, c)
+            for c in (u[i], u_prime[i])
+        )
+        terms[i] = float((marginal * (h_u - h_v)).sum()) * vol_z * grid.dt
+    rhs = 0.0
+    for term in terms:
+        rhs += term
+    return Lemma1Report(lhs=float(lhs), rhs=float(rhs), residual=abs(lhs - rhs))
+
+
+@dataclass
+class PmpFieldReport:
+    """The stationarity excess at every (t, z), its mass-weighted maximum
+    and where that maximum is."""
+
+    residual_field: np.ndarray
+    weighted_max: float
+    argmax: tuple
+
+
+def _pmp_report(problem: GridProblem, grid: GridSpec, steps) -> PmpFieldReport:
+    """Collect (i, (excess, marginal)) for every step i, in any order, and
+    reduce the mass-weighted maximum in ascending time (the earliest step
+    wins a tie)."""
+    d_x = problem.d_x
+    z_shape = grid.memory_shape(d_x)
+    vol_z = float(np.prod(grid.spacing[d_x:])) if z_shape else 1.0
+    residual = np.zeros((grid.n_t,) + z_shape)
+    peaks = np.zeros(grid.n_t)
+    where = np.zeros(grid.n_t, dtype=int)
+    for i, (r, marginal) in steps:
+        residual[i] = r
+        weighted = r * marginal * vol_z
+        where[i] = int(np.argmax(weighted))
+        peaks[i] = weighted.flat[where[i]]
+    weighted_max = 0.0
+    argmax = (0,) * (1 + len(z_shape))
+    for i in range(grid.n_t):
+        if peaks[i] > weighted_max:
+            weighted_max = float(peaks[i])
+            argmax = (i,) + np.unravel_index(where[i], z_shape or (1,))[: len(z_shape)]
+    return PmpFieldReport(residual_field=residual, weighted_max=weighted_max, argmax=argmax)
+
+
+def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpFieldReport:
+    """Excess of E[H(u(t,z))] over the candidate minimum, per (t, z).
+
+    The residual is nonnegative up to the minimizer's tie tolerance
+    (clamped at zero); the summary weights each node by its memory
+    marginal mass before taking the maximum, so vanishing-density nodes
+    cannot dominate. A reference for verify.sweep_pmp_residual, which
+    streams the same excess and keeps only its maximum.
+    """
+    u, p, w = (np.asarray(a, dtype=float) for a in (u, p, w))
+    times = grid.times()
+    return _pmp_report(
+        problem,
+        grid,
+        (
+            (i, _stationarity_excess(problem, grid, times[i], u[i], p[i], w[i + 1]))
+            for i in range(grid.n_t)
+        ),
+    )
+
+
+def chain_monte_carlo(problem: GridProblem, grid: GridSpec, control, n_paths: int, seed: int):
+    """Mean and standard error of the cost of n_paths runs of the Markov
+    chain I + dt L_u, whose expected cost is the grid's discrete objective.
+
+    Each path starts at a node drawn from p0 times the cell volume. At
+    step i it pays dt f(t_i, s, u_i) at its node, then jumps to s + e_k
+    with probability dt up_k(s), to s - e_k with probability dt down_k(s),
+    or stays, where up and down are build_generator's coefficients under
+    the stored control after the reflecting closure. At the end it pays
+    g. The chain needs a diagonal diffusion (no mixed stencil) and steps
+    within the explicit stability bound.
+    """
+    rng = np.random.default_rng(seed)
+    d_x, d_u, dt = problem.d_x, problem.d_u, grid.dt
+    S = grid.mesh()
+    p0 = (_initial_density_slice(problem, grid) * grid.cell_volume).ravel()
+    node = rng.choice(p0.size, size=n_paths, p=p0 / p0.sum())
+    steps = [int(np.prod(grid.shape[k + 1 :])) for k in range(grid.dim)]
+    moves = np.array(steps + [-step for step in steps] + [0])
+    cost = np.zeros(n_paths)
+    for i, t in enumerate(grid.times()[:-1]):
+        gen = build_generator(problem, grid, t, control[i])
+        gen.check_stability(dt)
+        assert not gen.cross, "the chain needs a diagonal diffusion"
+        f = problem.running_cost(t, S, control_to_grid(control[i], d_x, d_u))
+        cost += dt * np.broadcast_to(f, grid.shape).ravel()[node]
+        edges = np.cumsum([dt * c.ravel()[node] for c in gen.up + gen.down], axis=0)
+        node = node + moves[(rng.random(n_paths) >= edges).sum(axis=0)]
+    cost += np.broadcast_to(problem.terminal_cost(S), grid.shape).ravel()[node]
+    return float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n_paths))

@@ -38,12 +38,8 @@ from fbsweep.lqg import (
     lqg_objective,
 )
 from fbsweep.sdesim import GridControlLaw, estimate_objective, simulate_paths
-from fbsweep.verify import (
-    conjugacy_residual,
-    lemma1_check,
-    sweep_pmp_residual,
-)
-from grid_problems import lqg_grid_crosscheck
+from fbsweep.verify import sweep_pmp_residual
+from grid_problems import conjugacy_residual, lemma1_check, lqg_grid_crosscheck
 
 
 class ZeroLaw:

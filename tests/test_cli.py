@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -682,10 +683,7 @@ class TestVerify:
 
             def rising(*args, **kwargs):
                 J = backward(*args, **kwargs)
-                # only the solver's sweeps hold a density
-                if kwargs.get("p_stale") is not None:
-                    J += 1.0 + abs(J)
-                return J
+                return J + 1.0 + abs(J)
 
             monkeypatch.setattr(gridpde, "_backward_pass", rising)
             command, doc = "run-grid", OBSTACLE_DOC
@@ -728,6 +726,34 @@ class TestVerify:
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "ghost")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("simulate", "grid.json", None),
+        ("verify", "grid.json", "{}"),
+        ("verify", "manifest.json", "not json"),
+    ],
+    ids=["truncated-grid-simulate", "empty-grid-verify", "non-json-manifest-verify"],
+)
+def test_corrupted_json_artifact_is_exit_2(command, name, text, grid_run, tmp_path, capsys):
+    """A run directory's JSON artifact that does not parse, or lacks what
+    it must hold, is invalid input: exit 2 and one error line naming it."""
+    config, run = grid_run
+    corrupted = tmp_path / "run"
+    shutil.copytree(run, corrupted)
+    path = corrupted / name
+    path.write_text(path.read_text()[:20] if text is None else text)
+    if command == "simulate":
+        argv = ["simulate", "--config", str(config), "--controller", str(corrupted),
+                "--out", str(tmp_path / "sim"), "--paths", "5"]
+    else:
+        argv = ["verify", str(corrupted)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
 
 
 class TestParser:

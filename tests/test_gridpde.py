@@ -32,7 +32,12 @@ from fbsweep.gridpde import (
     minimize_conditional_hamiltonian,
 )
 from fbsweep.verify import sweep_pmp_residual
-from grid_problems import constant_diffusion, random_quadratic_problem, upwind_hamiltonian
+from grid_problems import (
+    chain_monte_carlo,
+    constant_diffusion,
+    random_quadratic_problem,
+    upwind_hamiltonian,
+)
 
 
 def grid_objective(problem, grid, p, u) -> float:
@@ -793,6 +798,27 @@ class TestSweepProperties:
         report = sweep_pmp_residual(problem, grid, result.control)
         recorded = report.value_objective if sweeps % 2 else report.objective
         assert recorded == result.objective_history[-1]
+
+
+class TestChainMonteCarlo:
+    """Under the stability bound, I + dt L_u is the transition matrix of a
+    finite-state Markov chain, and the recorded J is that chain's expected
+    cost: a Monte Carlo run of the chain estimates J without bias, with no
+    discretization gap. A running cost charged at the right endpoint of
+    each step, in both passes, puts this problem's J 18 and 37 standard
+    errors away."""
+
+    @pytest.mark.parametrize(
+        "shape, n_t, sweeps",
+        [((11, 11), 40, 2), ((9, 13), 30, 3)],
+        ids=["forward-recorded", "backward-recorded"],
+    )
+    def test_recorded_objective_is_the_chain_expected_cost(self, shape, n_t, sweeps):
+        problem = random_quadratic_problem(58)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], shape, n_t, 0.01 * n_t)
+        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0)
+        mean, se = chain_monte_carlo(problem, grid, result.control, 20000, seed=1)
+        assert abs(mean - result.objective_history[-1]) <= 4.0 * se
 
 
 def random_generator(shape, seed, dt=0.1):

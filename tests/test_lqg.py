@@ -13,7 +13,12 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dgesv
 
 from fbsweep import lqg
-from fbsweep.config import bundled_config_path, parse_config
+from fbsweep.config import (
+    bundled_config_path,
+    parse_config,
+    simulation_cost,
+    simulation_dynamics,
+)
 from fbsweep.core import (
     DivergenceError,
     LqgProblem,
@@ -38,6 +43,7 @@ from fbsweep.lqg import (
     inference_gain,
     lqg_objective,
 )
+from fbsweep.sdesim import simulate_paths
 
 
 # RK4 is the one Riccati integrator; the tests parametrized on it keep
@@ -729,6 +735,39 @@ class TestFbsmLqg:
         )
         assert np.array_equal(LqgControlLaw(coarse, problem).evaluate_memory(0.5, z), u)
         assert reads == {"A": 2001, "B": 2001 + 1001 + 501}
+
+    def test_simulator_reads_each_coefficient_once_per_step(self):
+        # the simulated drift reads A and B, the diffusion sigma and the
+        # cost Q and R, each once per step; the noise dimension reads sigma
+        # and the control dimension B, once
+        cfg = parse_config(json.loads(bundled_config_path("lqg").read_text()))
+        names = ("A", "B", "sigma", "Q", "R")
+        reads = dict.fromkeys(names, 0)
+
+        def counting(name):
+            value = getattr(cfg.lqg_problem, name)
+
+            def read(t):
+                reads[name] += 1
+                return value
+
+            return read
+
+        problem = dataclasses.replace(
+            cfg.lqg_problem, **{name: counting(name) for name in names}
+        )
+        cfg = dataclasses.replace(cfg, lqg_problem=problem)
+        reads.update(dict.fromkeys(names, 0))
+        dynamics, cost = simulation_dynamics(cfg), simulation_cost(cfg)
+        assert reads == {"A": 0, "B": 1, "sigma": 1, "Q": 0, "R": 0}
+
+        class ZeroLaw:
+            def evaluate_memory(self, t, z):
+                return np.zeros((z.shape[0], dynamics.d_u))
+
+        reads.update(dict.fromkeys(names, 0))
+        simulate_paths(dynamics, ZeroLaw(), 1.0, 0.01, n_paths=4, seed=0, cost=cost)
+        assert reads == dict.fromkeys(names, 100)
 
     def test_invalid_problem_rejected(self):
         base = tracking_problem(horizon=1.0)

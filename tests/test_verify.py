@@ -14,23 +14,21 @@ from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError, _descent_
 from fbsweep.gridpde import (
     MONOTONICITY_SLACK as GRID_SLACK,
     GridProblem,
-    _backward_pass,
+    _backward_steps,
     _forward_pass,
     _initial_density_slice,
     build_generator,
     fbsm_grid,
 )
 from fbsweep.lqg import MONOTONICITY_SLACK as LQG_SLACK, fbsm_lqg
-from fbsweep.verify import (
-    conjugacy_residual,
-    lemma1_check,
-    pmp_residual,
-    sweep_pmp_residual,
-)
+from fbsweep.verify import sweep_pmp_residual
 from grid_problems import (
+    conjugacy_residual,
     constant_diffusion,
     grid_problem_from_lqg,
+    lemma1_check,
     lqg_grid_crosscheck,
+    pmp_residual,
     random_quadratic_problem,
 )
 from test_lqg import random_lqg_problem
@@ -245,16 +243,15 @@ def fresh_fields(problem, grid, u):
     p0 = _initial_density_slice(problem, grid)
     p, w = (np.empty((grid.n_t + 1,) + grid.shape) for _ in range(2))
     _forward_pass(problem, grid, p0, u, out=p)
-    _backward_pass(problem, grid, p0, u, out=w)
+    for _ in _backward_steps(problem, grid, u, out=w):
+        pass
     return p, w
 
 
 def same_report(a, b) -> bool:
-    return (
-        np.array_equal(a.residual_field, b.residual_field)
-        and a.weighted_max == b.weighted_max
-        and a.argmax == b.argmax
-    )
+    """The streamed oracle keeps only the weighted maximum, so that is what
+    it and the full-field reference are compared by, bit for bit."""
+    return a.weighted_max == b.weighted_max
 
 
 class TestPmpResidual:
@@ -321,6 +318,7 @@ class TestPmpResidual:
         report = pmp_residual(problem, grid, result.control, result.density, w)
         assert report.weighted_max == 0.0
         assert np.all(report.residual_field == 0.0)
+        assert sweep_pmp_residual(problem, grid, result.control).weighted_max == 0.0
 
 
 def crosscheck_problem(horizon=0.5, q=1.0, p=0.0):
