@@ -520,6 +520,14 @@ def cmd_verify(args) -> int:
     manifest = artifacts.read_json(run_dir / artifacts.MANIFEST_FILE)
     stored_iterations = artifacts.read_iterations(run_dir)
     stored_summary = artifacts.read_summary(run_dir)
+    # A missing objective reads NaN and fails its check below (exit 1);
+    # anything but a JSON number is invalid input (exit 2).
+    summary_j = stored_summary.get("objective", np.nan)
+    if isinstance(summary_j, bool) or not isinstance(summary_j, (int, float)):
+        raise ProblemError(
+            f"objective in {run_dir / artifacts.SUMMARY_FILE} must be a number, "
+            f"got {summary_j!r}"
+        )
     if not stored_iterations.size:
         raise ProblemError(f"no objective recorded in {run_dir / artifacts.ITERATIONS_FILE}")
     sweeps = stored_iterations.size - 1
@@ -550,7 +558,7 @@ def cmd_verify(args) -> int:
     rises, _ = _descent_violations(stored_iterations, slack)
     detail = f"{len(rises)} rise(s) in {sweeps} sweeps" if sweeps else "one objective value"
     _check(checks, "objective descends monotonically", not rises, detail)
-    summary_j = float(stored_summary.get("objective", np.nan))
+    summary_j = float(summary_j)
     _check(
         checks,
         "summary objective matches answer",

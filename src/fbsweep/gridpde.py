@@ -25,17 +25,27 @@ decision step. The alternating sweeps then minimize the exact discrete
 objective node by node (ties broken toward the previous control), which
 is what makes the recorded objective monotone across iterations.
 
-Per time step the work is a few dozen whole-grid array operations. The
-mesh, axes and spacing are computed once per GridSpec and shared as
-read-only arrays; generator coefficients are filled in place; every
-stencil term (apply, apply_adjoint, the upwind differences) is one slice
-add or slice difference on the C-ordered flat grid instead of a
-zero-padded shifted copy. A driven coordinate's drift depends on the
-memory node alone, so build_generator upwinds it at memory size and
-broadcasts it into the grid once, with the diffusion term. The terms the
-conditional Hamiltonian reads (_driven_terms) are computed once per step:
-verify's stationarity oracle hands one list of them to the minimizer and
-to both of its Hamiltonian evaluations.
+The sweeps are coupled only through the control, so within a pass a
+time node's drift0, diffusion and base_cost never change. A grid solve
+reads them once per node, in a pre-pass (_Runs) that checks them against
+the model and groups consecutive nodes whose values are bit-identical
+into runs. Each pass holds one _Stage, everything at a node that no
+control changes, and rebuilds it only where a run starts: the undriven
+axes' coefficients before and after the reflecting closure, the driven
+axes' diffusion and their drift at memory size, the closed cross
+stencils, the base cost and the minimizer's control-free candidates.
+Per step the work is then a few whole-grid array operations: the driven
+axes' rows, upwinded at memory size and broadcast into the grid once,
+with the diffusion term; the outflow sums and the diagonal; the cost
+f0 + r u^2; the upwind differences of the value along the driven axes
+(_driven_terms, computed once per step and handed to the minimizer and
+to verify's Hamiltonian evaluations) and the candidates that depend on
+them. Every sum keeps the order of a build from scratch, so a stage
+moves no bit. The mesh, axes and spacing are computed once per GridSpec
+and shared as read-only arrays, and every stencil term (apply,
+apply_adjoint, the upwind differences) is one slice add or slice
+difference on the C-ordered flat grid instead of a zero-padded shifted
+copy.
 
 The conditional Hamiltonian, the one equation coupling the two sweeps,
 is written once, in closed form per memory node (_phi). The minimizer
@@ -65,6 +75,7 @@ distance over the memory spacing, ties going to the lowest flat index
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -77,6 +88,7 @@ from fbsweep.core import (
     ProblemError,
     StabilityError,
     _descent_violations,
+    _frozen,
     _sweep,
 )
 
@@ -101,12 +113,17 @@ class GridProblem:
     rows), and the drift0 of a driven coordinate must be constant across
     x for each memory node: then the conditional Hamiltonian is piecewise
     quadratic in each component, and minimize_conditional_hamiltonian
-    finds its argmin in closed form. drift0 is a callable of t, so this
-    is checked where it is read: build_generator and the minimizer raise
-    ProblemError at a time t where a driven drift0 varies across x by more
-    than 1e-10 (1 + max |drift0|), and read its minimum over x otherwise.
-    A problem outside this model (say, a non-quadratic control cost)
-    would need its own family and minimizer.
+    finds its argmin in closed form. A problem outside this model (say, a
+    non-quadratic control cost) would need its own family and minimizer.
+
+    drift0, diffusion and base_cost are functions of (t, S): the same t
+    gives the same values. A grid solve reads each once per time node
+    before its first step, checking there that the diffusion's diagonal
+    is nonnegative and the matrix symmetric, and that no driven drift0
+    varies across x by more than 1e-10 (1 + max |drift0|) (ProblemError);
+    each pass reads them again only where the values change. Called
+    without a solve's stage, build_generator, hjb_step and the minimizer
+    read and check them at their t.
 
     drift0(t, S) -> d_s arrays, base_cost(t, S) and terminal_cost(S) ->
     grid arrays, diffusion(t, S) -> (d_s, d_s) nested array-like
@@ -188,7 +205,11 @@ class GridProblem:
 
     def running_cost(self, t, S, U):
         """base_cost + sum_c r_diag[c] u_c^2."""
-        total = np.asarray(self.base_cost(t, S), dtype=float)
+        return self._priced(np.asarray(self.base_cost(t, S), dtype=float), U)
+
+    def _priced(self, f0, U):
+        """f0 + sum_c r_diag[c] u_c^2, summed in that order."""
+        total = f0
         for c in range(self.d_u):
             total = total + self.r_diag[c] * np.square(U[c])
         return total
@@ -249,30 +270,24 @@ class DiscreteGenerator:
     exactly, so constants are harmonic and the adjoint conserves mass).
     apply/apply_adjoint are exact transposes of each other.
 
-    The constructor takes the coefficients before the reflecting closure,
-    as writable C-ordered full-grid float arrays that it takes ownership
-    of (build_generator makes them fresh): it records the per-cell outflow
-    rate for the stability check, then zeros, in place, every coefficient
-    that reaches across the boundary.
+    The constructor takes the C-ordered full-grid coefficients after the
+    reflecting closure, which zeros every coefficient that reaches across
+    the boundary, and the per-cell outflow rate before it, for the
+    stability check (build_generator makes both). It only reads them:
+    generators built from one _Stage share its arrays.
     Stencils are applied as slice adds on the C-ordered flat grid, where
     s + e_i is s + step_i: the rows a flat shift wraps into carry a zero
     coefficient, so each term is one contiguous multiply-add that adds an
     exact zero there (inputs are finite: the sweeps reject anything else).
     """
 
-    def __init__(self, grid: GridSpec, up, down, cross):
+    def __init__(self, grid: GridSpec, up, down, cross, outflow):
         shape = grid.shape
         self.grid = grid
         self.up, self.down, self.cross = up, down, cross
-        self._full_sums = _sum([c for pair in zip(self.up, self.down) for c in pair], shape)
-        for i, (up_i, down_i) in enumerate(zip(self.up, self.down)):
-            up_i[_axis_edge(shape, i, last=True)] = 0.0
-            down_i[_axis_edge(shape, i, last=False)] = 0.0
-        for (i, j), c in self.cross.items():
-            for axis in (i, j):
-                c[_axis_edge(shape, axis, last=True)] = 0.0
-                c[_axis_edge(shape, axis, last=False)] = 0.0
-        self.diag = np.negative(_sum(self.up, shape))
+        self._outflow = outflow
+        self.diag = _sum(self.up, shape)
+        np.negative(self.diag, out=self.diag)
         self.diag -= _sum(self.down, shape)
         self._steps = [_flat_step(shape, i) for i in range(grid.dim)]
 
@@ -317,7 +332,7 @@ class DiscreteGenerator:
         return out
 
     def check_stability(self, dt: float):
-        sums = self._full_sums
+        sums = self._outflow
         limit = float(sums.max())
         if dt * limit > STABILITY_FRACTION + 1e-12:
             cell = tuple(int(k) for k in np.unravel_index(int(np.argmax(sums)), sums.shape))
@@ -347,8 +362,182 @@ def control_to_grid(u_slice: np.ndarray, d_x: int, d_u: int) -> list:
     ]
 
 
+def _read_node(problem: GridProblem, grid: GridSpec, t: float):
+    """drift0, diffusion and base_cost at t as float arrays: (b0, D, f0)."""
+    d = grid.dim
+    S = grid.mesh()
+    b0 = [np.asarray(b, dtype=float) for b in problem._drift0(t, S)]
+    D = problem.diffusion(t, S)
+    D = [[np.asarray(D[i][j], dtype=float) for j in range(d)] for i in range(d)]
+    return b0, D, np.asarray(problem.base_cost(t, S), dtype=float)
+
+
+def _checked(problem: GridProblem, grid: GridSpec, b0, D) -> dict:
+    """Check a node's drift0 and diffusion against the grid model, and
+    reduce each driven coordinate's drift0 to memory size: {axis: b0z}.
+
+    ProblemError if a diagonal diffusion entry is negative, if a driven
+    drift0 varies across x (_base_drift_per_memory) or if the diffusion
+    is not symmetric, checked in that order.
+    """
+    d = grid.dim
+    b0z = {}
+    for i in range(d):
+        if (D[i][i] < 0).any():
+            raise ProblemError(f"diffusion D[{i}][{i}] must be nonnegative")
+        if i in problem._driven:
+            b0z[i] = _base_drift_per_memory(b0[i], grid.shape, problem.d_x, i)
+    for i in range(d):
+        for j in range(i + 1, d):
+            if np.abs(D[i][j] - D[j][i]).max() > 1e-12:
+                raise ProblemError("diffusion matrix must be symmetric")
+    return b0z
+
+
+def _close(up_i, down_i, shape, axis):
+    """Reflecting closure of one axis, in place: zero the coefficients
+    that reach across the boundary."""
+    up_i[_axis_edge(shape, axis, last=True)] = 0.0
+    down_i[_axis_edge(shape, axis, last=False)] = 0.0
+    return up_i, down_i
+
+
+@dataclass(frozen=True)
+class _Drive:
+    """Control component c driving coordinate axis, at one time node:
+    B = b_matrix[axis, c], R = r_diag[c], the axis's diffusion term
+    base = D_ii / (2 ds^2), its control-free drift per memory node b0z,
+    and the minimizer's control-free candidates: the clipped kink
+    u* = -b0z / B, and per upwind branch (forward, backward) the bounds
+    of the controls where it applies (lower, upper) and whether there are
+    none (empty; the branch vertex is then clipped to the control bounds
+    and priced at +inf)."""
+
+    c: int
+    axis: int
+    B: float
+    R: float
+    base: np.ndarray
+    b0z: np.ndarray
+    kink: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    empty: np.ndarray
+
+
+class _Stage:
+    """What one time node's generator, running cost and minimizer read
+    that no control changes, derived from one reading of the problem at
+    t, checked (_checked).
+
+    undriven maps each undriven axis to its upwind + diffusion
+    coefficients (up, down) before the reflecting closure and after it;
+    drives holds one _Drive per control component, in component order;
+    cross the mixed stencils after closure; f0 the base cost. The arrays
+    it derives are read-only, since every generator built from the stage
+    shares them.
+    """
+
+    def __init__(self, problem: GridProblem, grid: GridSpec, t: float):
+        b0, D, f0 = _read_node(problem, grid, t)
+        b0z = _checked(problem, grid, b0, D)
+        shape, spacing = grid.shape, grid.spacing
+        z_shape = grid.memory_shape(problem.d_x)
+        self.f0 = f0
+        base = [D[i][i] / (2.0 * spacing[i] ** 2) for i in range(grid.dim)]
+        self.undriven = {}
+        for i in range(grid.dim):
+            if i in b0z:
+                continue
+            up_i = np.maximum(b0[i], 0.0, out=np.empty(shape))
+            down_i = np.negative(b0[i], out=np.empty(shape))
+            np.maximum(down_i, 0.0, out=down_i)
+            for coeff in (up_i, down_i):
+                coeff /= spacing[i]
+                coeff += base[i]
+            closed = _close(up_i.copy(), down_i.copy(), shape, i)
+            self.undriven[i] = tuple(map(_frozen, (up_i, down_i))), tuple(map(_frozen, closed))
+
+        self.drives = []
+        for c, i in enumerate(problem._driven):
+            Bc, Rc = float(problem.b_matrix[i, c]), float(problem.r_diag[c])
+            lo_c, hi_c = problem.control_lower[c], problem.control_upper[c]
+            u_star = -b0z[i] / Bc
+            cut_lo, cut_hi = np.maximum(u_star, lo_c), np.minimum(u_star, hi_c)
+            ranges = ((cut_lo, hi_c), (lo_c, cut_hi))
+            lower, upper = np.empty((2,) + z_shape), np.empty((2,) + z_shape)
+            empty = np.empty((2,) + z_shape, dtype=bool)
+            for row, (lo_i, hi_i) in enumerate(ranges if Bc > 0 else ranges[::-1]):
+                empty[row] = lo_i > hi_i
+                lower[row] = np.where(empty[row], lo_c, lo_i)
+                upper[row] = np.where(empty[row], hi_c, hi_i)
+            arrays = (base[i], b0z[i], np.clip(u_star, lo_c, hi_c), lower, upper, empty)
+            self.drives.append(_Drive(c, i, Bc, Rc, *(_frozen(np.asarray(a)) for a in arrays)))
+
+        self.cross = {}
+        for i in range(grid.dim):
+            for j in range(i + 1, grid.dim):
+                if (D[i][j] != 0.0).any():
+                    c = _full(D[i][j] / (4.0 * spacing[i] * spacing[j]), shape)
+                    for axis in (i, j):
+                        _close(c, c, shape, axis)  # both edges of each axis
+                    self.cross[(i, j)] = _frozen(c)
+
+
+class _Runs:
+    """A grid solve's pre-pass: its step times grouped into runs of
+    consecutive nodes whose drift0, diffusion and base_cost are
+    bit-identical.
+
+    Each callable is read once per step time, and a node whose values
+    differ from its run's is checked (_checked), so a model error is
+    raised before the first step. Only the run boundaries are kept:
+    bounds holds the index of each run's first node, then n_t. The
+    values compared against are a byte copy of the current run's first
+    node, so a callable may reuse its output buffer.
+    """
+
+    def __init__(self, problem: GridProblem, grid: GridSpec):
+        self.problem, self.grid = problem, grid
+        self.times = grid.times()
+        self.bounds = []
+        held = None
+        for i, t in enumerate(self.times[:-1]):
+            b0, D, f0 = _read_node(problem, grid, t)
+            # Shape and bit pattern: -0.0 and 0.0 differ, a NaN equals itself.
+            node = [(v.shape, v.tobytes()) for v in b0 + [e for row in D for e in row] + [f0]]
+            if node != held:
+                _checked(problem, grid, b0, D)
+                self.bounds.append(i)
+                held = node
+        self.bounds.append(grid.n_t)
+
+    def stages(self) -> Callable:
+        """One pass's stages: stage(i) is step node i's _Stage. One stage is
+        held, and it is rebuilt, at the node asked for, only when that node
+        lies outside the held one's run, so a pass walking the nodes in
+        either direction builds one stage per run."""
+        lo = hi = 0
+        held = None
+
+        def stage(i: int) -> _Stage:
+            nonlocal lo, hi, held
+            if not lo <= i < hi:
+                k = bisect.bisect_right(self.bounds, i)
+                lo, hi = self.bounds[k - 1], self.bounds[k]
+                held = _Stage(self.problem, self.grid, self.times[i])
+            return held
+
+        return stage
+
+
 def build_generator(
-    problem: GridProblem, grid: GridSpec, t: float, u_slice: np.ndarray
+    problem: GridProblem,
+    grid: GridSpec,
+    t: float,
+    u_slice: np.ndarray,
+    *,
+    stage: Optional[_Stage] = None,
 ) -> DiscreteGenerator:
     """Discretize the generator at time t under the given control slice.
 
@@ -360,56 +549,37 @@ def build_generator(
     the caller, gen.check_stability(dt), which reports the binding cell;
     the steppers check it at grid.dt before every step.
 
-    A driven coordinate's drift0 must be constant across x for each
-    memory node (ProblemError otherwise, as in the minimizer), so its
-    drift and upwind terms are computed per memory node and broadcast
-    into the grid once, when the diffusion term is added.
+    stage is t's _Stage, which a solve holds for a run of nodes; without
+    it the stage is derived at t, which reads and checks the problem
+    (ProblemError). Only the driven axes depend on the control: a driven
+    coordinate's drift is upwinded per memory node and broadcast into the
+    grid once, when the diffusion term is added.
     """
-    d = grid.dim
-    shape = grid.shape
-    spacing = grid.spacing
-    S = grid.mesh()
+    if stage is None:
+        stage = _Stage(problem, grid, t)
+    shape, spacing = grid.shape, grid.spacing
     U = control_to_grid(u_slice, problem.d_x, problem.d_u)
-    b0 = problem._drift0(t, S)
-    D = problem.diffusion(t, S)
-    control_of = {i: c for c, i in enumerate(problem._driven)}
     z_grid = (1,) * problem.d_x + grid.memory_shape(problem.d_x)
 
-    def dval(i, j):
-        return np.asarray(D[i][j], dtype=float)
-
-    # up_i = max(b_i, 0) / ds_i + D_ii / (2 ds_i^2), at the drift's shape
-    # until the diffusion term fills the full grid.
-    up, down = [], []
-    for i in range(d):
-        dii = dval(i, i)
-        if (dii < 0).any():
-            raise ProblemError(f"diffusion D[{i}][{i}] must be nonnegative")
-        if i in control_of:
-            c = control_of[i]
-            b0z = _base_drift_per_memory(b0[i], shape, problem.d_x, i)
-            bi, at = b0z + problem.b_matrix[i, c] * U[c], z_grid
-        else:
-            bi, at = np.asarray(b0[i], dtype=float), shape
-        base = dii / (2.0 * spacing[i] ** 2)
-        up_i = np.maximum(bi, 0.0, out=np.empty(at))
-        down_i = np.negative(bi, out=np.empty(at))
+    # up_i = max(b_i, 0) / ds_i + D_ii / (2 ds_i^2), at memory size until
+    # the diffusion term fills the full grid.
+    rows = {}
+    for drive in stage.drives:
+        bi = drive.b0z + drive.B * U[drive.c]
+        up_i = np.maximum(bi, 0.0, out=np.empty(z_grid))
+        down_i = np.negative(bi, out=np.empty(z_grid))
         np.maximum(down_i, 0.0, out=down_i)
-        for coeffs, coeff in ((up, up_i), (down, down_i)):
-            coeff /= spacing[i]
-            coeffs.append(np.add(coeff, base, out=coeff if at == shape else np.empty(shape)))
-
-    cross = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            dij = dval(i, j)
-            dji = dval(j, i)
-            if np.abs(dij - dji).max() > 1e-12:
-                raise ProblemError("diffusion matrix must be symmetric")
-            if (dij != 0.0).any():
-                cross[(i, j)] = _full(dij / (4.0 * spacing[i] * spacing[j]), shape)
-
-    return DiscreteGenerator(grid, up, down, cross)
+        for coeff in (up_i, down_i):
+            coeff /= spacing[drive.axis]
+        rows[drive.axis] = tuple(
+            np.add(coeff, drive.base, out=np.empty(shape)) for coeff in (up_i, down_i)
+        )
+    axes = range(grid.dim)
+    opened = [rows[i] if i in rows else stage.undriven[i][0] for i in axes]
+    outflow = _sum([coeff for pair in opened for coeff in pair], shape)
+    closed = [_close(*rows[i], shape, i) if i in rows else stage.undriven[i][1] for i in axes]
+    up, down = ([pair[k] for pair in closed] for k in (0, 1))
+    return DiscreteGenerator(grid, up, down, stage.cross, outflow)
 
 
 @dataclass
@@ -466,11 +636,15 @@ def hjb_step(
     w_next: np.ndarray,
     u_slice: np.ndarray,
     gen: DiscreteGenerator,
+    *,
+    stage: Optional[_Stage] = None,
 ) -> np.ndarray:
     """One explicit backward step w + dt [f + L w] at time t, with gen
-    the generator built under u_slice at t."""
-    U = control_to_grid(u_slice, problem.d_x, problem.d_u)
-    f = np.asarray(problem.running_cost(t, grid.mesh(), U), dtype=float)
+    the generator built under u_slice at t. f is priced on the base cost
+    of stage, t's _Stage, which is derived at t when not given."""
+    if stage is None:
+        stage = _Stage(problem, grid, t)
+    f = problem._priced(stage.f0, control_to_grid(u_slice, problem.d_x, problem.d_u))
     w_t = gen.apply(w_next)
     w_t += f
     w_t *= grid.dt
@@ -584,35 +758,35 @@ def _fill_undefined(u_new: np.ndarray, defined: np.ndarray, grid: GridSpec, d_x:
     u_new[dst] = u_new[tuple(s[nearest] for s in src)]
 
 
-def _driven_terms(problem: GridProblem, grid: GridSpec, t: float, cond, w_next) -> list:
-    """What each control component c's conditional Hamiltonian reads, as a
-    list of (c, B, R, b0z, E[gf], E[gb]), one entry per component.
+def _driven_terms(
+    problem: GridProblem, grid: GridSpec, t: float, cond, w_next, stage=None
+) -> list:
+    """What each control component's conditional Hamiltonian reads, as a
+    list of (drive, E[gf], E[gb]), one entry per component.
 
-    B = b_matrix[i, c] and R = r_diag[c] for the coordinate i that c
-    drives, b0z is that coordinate's control-free drift per memory node,
-    and E[gf], E[gb] are the conditional expectations under cond of the
-    forward and backward upwind differences of w_next along axis i.
-    The list is what minimize_conditional_hamiltonian and
-    conditional_hamiltonian take as terms, so that a caller pricing
-    several controls at one (t, cond, w_next) computes it once.
+    drive is the component's _Drive in stage, t's _Stage (derived at t
+    when not given), and E[gf], E[gb] are the conditional expectations
+    under cond of the forward and backward upwind differences of w_next
+    along the axis it drives. The list is what
+    minimize_conditional_hamiltonian and conditional_hamiltonian take as
+    terms, so that a caller pricing several controls at one
+    (t, cond, w_next) computes it once.
     """
+    if stage is None:
+        stage = _Stage(problem, grid, t)
     d_x = problem.d_x
     vol_x = _x_volume(grid, d_x)
-    b0 = problem._drift0(t, grid.mesh())
-    z_shape = grid.memory_shape(d_x)
     terms = []
-    for c, i in enumerate(problem._driven):
+    for drive in stage.drives:
         gf, gb = (
             _conditional_expectation(cond, g, d_x, vol_x)
-            for g in _upwind_differences(w_next, i, grid.spacing[i])
+            for g in _upwind_differences(w_next, drive.axis, grid.spacing[drive.axis])
         )
-        b0z = _base_drift_per_memory(b0[i], grid.shape, d_x, i)
-        b0z = np.broadcast_to(b0z, z_shape)
-        terms.append((c, float(problem.b_matrix[i, c]), float(problem.r_diag[c]), b0z, gf, gb))
+        terms.append((drive, gf, gb))
     return terms
 
 
-def _phi(Rc, Bc, b0z, gf, gb, u):
+def _phi(drive: _Drive, gf, gb, u):
     """One component's conditional Hamiltonian at control u, per memory
     node: R u^2 + max(v, 0) E[gf] - max(-v, 0) E[gb], v = b0z + B u the
     driven drift.
@@ -621,8 +795,8 @@ def _phi(Rc, Bc, b0z, gf, gb, u):
     over components plus terms no control changes (base cost, undriven
     drift, diffusion). u may carry leading axes (candidates) over z.
     """
-    v = b0z + Bc * u
-    return Rc * u * u + np.maximum(v, 0.0) * gf - np.maximum(-v, 0.0) * gb
+    v = drive.b0z + drive.B * u
+    return drive.R * u * u + np.maximum(v, 0.0) * gf - np.maximum(-v, 0.0) * gb
 
 
 def minimize_conditional_hamiltonian(
@@ -650,9 +824,10 @@ def minimize_conditional_hamiltonian(
 
     terms, if given, overrides (t, cond, w_next): the minimizer then reads
     only terms, which must be _driven_terms(problem, grid, t, cond,
-    w_next) of those same arguments (nothing checks this). It is there
-    for a caller that also prices controls at that step with
-    conditional_hamiltonian, so that the terms are computed once.
+    w_next) of those same arguments (nothing checks this). The passes hand
+    in terms from the stage they hold, and verify's stationarity oracle
+    prices controls at that step with conditional_hamiltonian from the
+    same terms, so that they are computed once.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     lo, hi = problem.control_lower, problem.control_upper
@@ -661,27 +836,20 @@ def minimize_conditional_hamiltonian(
     if terms is None:
         terms = _driven_terms(problem, grid, t, cond, w_next)
 
-    for c, Bc, Rc, b0z, gf, gb in terms:
-        lo_c, hi_c = lo[c], hi[c]
+    for drive, gf, gb in terms:
+        c, Bc, Rc = drive.c, drive.B, drive.R
 
         # Candidates: each branch's vertex clipped to the controls where
-        # its upwind side applies (split at the kink u_star), the kink,
-        # and the previous control; phi is evaluated on all four at once.
-        u_star = -b0z / Bc
-        cut_lo, cut_hi = np.maximum(u_star, lo_c), np.minimum(u_star, hi_c)
-        ranges = ((cut_lo, hi_c), (lo_c, cut_hi)) if Bc > 0 else ((lo_c, cut_hi), (cut_lo, hi_c))
+        # its upwind side applies (split at the kink), the kink, and the
+        # previous control; phi is evaluated on all four at once.
         cands = np.empty((4,) + z_shape)
-        empty = np.empty((2,) + z_shape, dtype=bool)
-        for row, (grad, (lo_i, hi_i)) in enumerate(zip((gf, gb), ranges)):
+        for row, grad in enumerate((gf, gb)):
             vert = -Bc * grad / (2.0 * Rc)
-            empty[row] = lo_i > hi_i
-            cands[row] = np.clip(
-                vert, np.where(empty[row], lo_c, lo_i), np.where(empty[row], hi_c, hi_i)
-            )
-        cands[2] = np.clip(u_star, lo_c, hi_c)
-        cands[3] = np.clip(u_prev[..., c], lo_c, hi_c)
-        phis = _phi(Rc, Bc, b0z, gf, gb, cands)
-        phis[:2] = np.where(empty, np.inf, phis[:2])
+            np.clip(vert, drive.lower[row], drive.upper[row], out=cands[row])
+        cands[2] = drive.kink
+        cands[3] = np.clip(u_prev[..., c], lo[c], hi[c])
+        phis = _phi(drive, gf, gb, cands)
+        phis[:2] = np.where(drive.empty, np.inf, phis[:2])
 
         best = np.argmin(phis[:3], axis=0)
         u_best = np.choose(best, cands[:3])
@@ -717,8 +885,8 @@ def conditional_hamiltonian(
     total = np.zeros(grid.memory_shape(problem.d_x))
     if terms is None:
         terms = _driven_terms(problem, grid, t, cond, w_next)
-    for c, Bc, Rc, b0z, gf, gb in terms:
-        total += _phi(Rc, Bc, b0z, gf, gb, u_slice[..., c])
+    for drive, gf, gb in terms:
+        total += _phi(drive, gf, gb, u_slice[..., drive.c])
     return total
 
 
@@ -769,9 +937,10 @@ def _stored(out, i, fresh):
     return out[i]
 
 
-def _forward_steps(problem, grid, p0, u, log=None, out=None):
+def _forward_steps(problem, grid, p0, u, stage, log=None, out=None):
     """Yield (i, p[i]) at every time node i = 0..n_t: the density stepped
-    forward from p0 under u, fp_step recording into log.
+    forward from p0 under u, fp_step recording into log. stage is the
+    pass's Callable from _Runs.stages: stage(i) is what step i reads.
 
     The step to slice i + 1 reads u[i] only when the consumer resumes the
     stepper after slice i, so the consumer may first refresh u[i] from
@@ -783,38 +952,40 @@ def _forward_steps(problem, grid, p0, u, log=None, out=None):
     p_i = _stored(out, 0, p0)
     for i in range(grid.n_t):
         yield i, p_i
-        gen = build_generator(problem, grid, times[i], u[i])
+        gen = build_generator(problem, grid, times[i], u[i], stage=stage(i))
         gen.check_stability(grid.dt)
         p_i = _stored(out, i + 1, fp_step(p_i, gen, log=log))
     yield grid.n_t, p_i
 
 
-def _backward_steps(problem, grid, u, out=None):
+def _backward_steps(problem, grid, u, stage, out=None):
     """Yield (i, w[i]) at every time node i = n_t..0: the value stepped
     backward from the terminal cost under u.
 
-    As _forward_steps, mirrored: the step to slice i reads u[i] only when
-    the consumer resumes the stepper after slice i + 1, and with out,
-    out[i] is not written before then.
+    As _forward_steps, mirrored: the step to slice i reads u[i] and
+    stage(i) only when the consumer resumes the stepper after slice
+    i + 1, and with out, out[i] is not written before then.
     """
     times = grid.times()
     w_i = _stored(out, grid.n_t, _full(problem.terminal_cost(grid.mesh()), grid.shape))
     for i in range(grid.n_t - 1, -1, -1):
         yield i + 1, w_i
-        gen = build_generator(problem, grid, times[i], u[i])
+        held = stage(i)
+        gen = build_generator(problem, grid, times[i], u[i], stage=held)
         gen.check_stability(grid.dt)
-        w_i = _stored(out, i, hjb_step(problem, grid, times[i], w_i, u[i], gen))
+        w_i = _stored(out, i, hjb_step(problem, grid, times[i], w_i, u[i], gen, stage=held))
     yield 0, w_i
 
 
-def _forward_pass(problem, grid, p0, u, w_stale=None, log=None, out=None):
+def _forward_pass(problem, grid, p0, u, runs, w_stale=None, log=None, out=None):
     """Density sweep from p0 under u; returns the discrete objective J.
 
     J = sum_t E_p[f] dt + E_p[g] at the final slice, accumulated step by
     step. Without w_stale, u is only read. With it, each step first
     refreshes u[i] in place from the fresh density slice and the held
     value slice w_stale[i + 1] (the sweep's forward half), so u ends as
-    the new iterate.
+    the new iterate. runs is the solve's _Runs; the pass holds one stage
+    from it, which the step, its cost and the minimizer read.
 
     The density is held as _forward_steps holds it. Step i reads
     w_stale[i + 1] before the stepper writes out[i + 1], and slice 0 of
@@ -825,24 +996,24 @@ def _forward_pass(problem, grid, p0, u, w_stale=None, log=None, out=None):
     d_x, d_u = problem.d_x, problem.d_u
     n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
     times = grid.times()
-    S = grid.mesh()
+    stage = runs.stages()
     running = 0.0
-    for i, p_i in _forward_steps(problem, grid, p0, u, log=log, out=out):
+    for i, p_i in _forward_steps(problem, grid, p0, u, stage, log=log, out=out):
         if i == n:
             break
         if w_stale is not None:
             cond, _, defined = conditional_density(p_i, grid, d_x)
+            terms = _driven_terms(problem, grid, times[i], cond, w_stale[i + 1], stage(i))
             u[i] = minimize_conditional_hamiltonian(
-                problem, grid, times[i], cond, w_stale[i + 1], u[i], defined
+                problem, grid, times[i], cond, w_stale[i + 1], u[i], defined, terms=terms
             )
-        U = control_to_grid(u[i], d_x, d_u)
-        f = np.asarray(problem.running_cost(times[i], S, U), dtype=float)
+        f = problem._priced(stage(i).f0, control_to_grid(u[i], d_x, d_u))
         running += float((f * p_i).sum()) * vol * dt
-    g = np.asarray(problem.terminal_cost(S), dtype=float)
+    g = np.asarray(problem.terminal_cost(grid.mesh()), dtype=float)
     return running + float((g * p_i).sum()) * vol
 
 
-def _backward_pass(problem, grid, p0, u, p_stale, out=None):
+def _backward_pass(problem, grid, p0, u, runs, p_stale, out=None):
     """The sweep's backward half: the value stepped from the terminal cost,
     the step to slice i first refreshing u[i] in place from the held
     density slice p_stale[i] and the fresh value slice w[i + 1]; returns
@@ -854,11 +1025,13 @@ def _backward_pass(problem, grid, p0, u, p_stale, out=None):
     in place.
     """
     times = grid.times()
-    for i, w_i in _backward_steps(problem, grid, u, out=out):
+    stage = runs.stages()
+    for i, w_i in _backward_steps(problem, grid, u, stage, out=out):
         if i:
             cond, _, defined = conditional_density(p_stale[i - 1], grid, problem.d_x)
+            terms = _driven_terms(problem, grid, times[i - 1], cond, w_i, stage(i - 1))
             u[i - 1] = minimize_conditional_hamiltonian(
-                problem, grid, times[i - 1], cond, w_i, u[i - 1], defined
+                problem, grid, times[i - 1], cond, w_i, u[i - 1], defined, terms=terms
             )
     return float((p0 * w_i).sum()) * grid.cell_volume
 
@@ -886,6 +1059,9 @@ def fbsm_grid(
     monotonicity_violations as (k, J_{k-1}, J_k); it does not stop the
     iteration.
 
+    Before the first step, one pre-pass reads the problem at every time
+    node and checks it (_Runs; ProblemError for a node outside the grid
+    model); each pass then reads it once per run of bit-identical nodes.
     One (n_t + 1)-slice buffer serves every sweep: each half-sweep turns
     the held field into the other one in place (see _forward_pass and
     _backward_pass). The result holds the field of the last sweep, which
@@ -908,6 +1084,7 @@ def fbsm_grid(
         raise ProblemError(f"keep_nodes must lie in 0..{n}, got {keep}")
 
     p0 = _initial_density_slice(problem, grid)
+    runs = _Runs(problem, grid)
     mass_log = MassLog()
     field = np.empty((n + 1,) + grid.shape)
     # Every pass is handed a fresh copy of the control (a half-sweep
@@ -919,7 +1096,7 @@ def fbsm_grid(
     # to 104k minor page faults, and skipping this first copy to 12.5k or
     # 15k, depending on the heap's layout.
     u = u.copy()
-    j0 = _forward_pass(problem, grid, p0, u, log=mass_log, out=field)
+    j0 = _forward_pass(problem, grid, p0, u, runs, log=mass_log, out=field)
     kept: Dict[int, np.ndarray] = {}
 
     def half_sweep(k, backward):
@@ -927,8 +1104,8 @@ def fbsm_grid(
         kept.update((node, field[node].copy()) for node in keep)
         u = u.copy()
         if backward:
-            return _backward_pass(problem, grid, p0, u, p_stale=field, out=field)
-        return _forward_pass(problem, grid, p0, u, w_stale=field, log=mass_log, out=field)
+            return _backward_pass(problem, grid, p0, u, runs, p_stale=field, out=field)
+        return _forward_pass(problem, grid, p0, u, runs, w_stale=field, log=mass_log, out=field)
 
     history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
     holds_value = iterations % 2 == 1

@@ -25,6 +25,7 @@ from fbsweep.gridpde import (
     _driven_terms,
     _forward_pass,
     _initial_density_slice,
+    _Runs,
     conditional_density,
     conditional_hamiltonian,
     minimize_conditional_hamiltonian,
@@ -45,13 +46,16 @@ class PmpReport:
     mass_log: MassLog
 
 
-def _stationarity_excess(problem: GridProblem, grid: GridSpec, t, u_i, p_i, w_next):
+def _stationarity_excess(
+    problem: GridProblem, grid: GridSpec, t, u_i, p_i, w_next, stage=None
+):
     """Stationarity excess of the control slice u_i at time t, per memory
     node, from the density slice at t and the value slice at t + dt; and
-    the memory marginal that weights it. The driven terms are computed
-    once: u_i, the minimizer and its minimum all read them."""
+    the memory marginal that weights it. stage is t's gridpde._Stage,
+    derived at t when not given. The driven terms are computed once: u_i,
+    the minimizer and its minimum all read them."""
     cond, marginal, defined = conditional_density(p_i, grid, problem.d_x)
-    terms = _driven_terms(problem, grid, t, cond, w_next)
+    terms = _driven_terms(problem, grid, t, cond, w_next, stage)
     phi_u = conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, terms=terms)
     u_min = minimize_conditional_hamiltonian(
         problem, grid, t, cond, w_next, u_i, defined, terms=terms
@@ -70,7 +74,9 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     nodes cannot dominate, and the report keeps the maximum over every
     step and node (0.0 when none is positive). At a sweep fixed point this
     vanishes up to the minimizer tolerance. The oracle holds one
-    (n_t + 1)-slice field, the density.
+    (n_t + 1)-slice field, the density. Like fbsm_grid, it reads the
+    problem once per time node before its passes (gridpde._Runs), and
+    each of its two passes once per run of bit-identical nodes.
 
     These are the passes fbsm_grid makes under a control its sweep has
     refreshed, so the report also gives the control's objective with the
@@ -86,12 +92,16 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     p0 = _initial_density_slice(problem, grid)
     log = MassLog()
     p = np.empty((grid.n_t + 1,) + grid.shape)
-    objective = _forward_pass(problem, grid, p0, u, log=log, out=p)
+    runs = _Runs(problem, grid)
+    objective = _forward_pass(problem, grid, p0, u, runs, log=log, out=p)
     # The excess of step i reads w[i + 1]; the last stepped slice is w[0].
-    value = _backward_steps(problem, grid, u)
+    stage = runs.stages()
+    value = _backward_steps(problem, grid, u, stage)
     weighted_max = 0.0
     for i, w_i in islice(value, grid.n_t):
-        r, marginal = _stationarity_excess(problem, grid, times[i - 1], u[i - 1], p[i - 1], w_i)
+        r, marginal = _stationarity_excess(
+            problem, grid, times[i - 1], u[i - 1], p[i - 1], w_i, stage(i - 1)
+        )
         weighted_max = max(weighted_max, float((r * marginal * vol_z).max()))
     _, w0 = next(value)
     value_objective = float((p0 * w0).sum()) * grid.cell_volume

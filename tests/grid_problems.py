@@ -16,6 +16,7 @@ from fbsweep.gridpde import (
     _backward_steps,
     _forward_pass,
     _initial_density_slice,
+    _Runs,
     _upwind_differences,
     build_generator,
     conditional_density,
@@ -272,10 +273,11 @@ def lemma1_check(
     vol_z = float(np.prod(grid.spacing[problem.d_x :]))
     p0 = _initial_density_slice(problem, grid)
     p_u = np.empty((n + 1,) + grid.shape)
-    j_u = _forward_pass(problem, grid, p0, u, out=p_u)
-    lhs = j_u - _forward_pass(problem, grid, p0, u_prime)
+    runs = _Runs(problem, grid)
+    j_u = _forward_pass(problem, grid, p0, u, runs, out=p_u)
+    lhs = j_u - _forward_pass(problem, grid, p0, u_prime, runs)
     terms = [0.0] * n
-    for k, w_k in _backward_steps(problem, grid, u_prime):
+    for k, w_k in _backward_steps(problem, grid, u_prime, runs.stages()):
         i = k - offset
         if not 0 <= i < n:
             continue

@@ -73,12 +73,12 @@ PUBLIC_SIGNATURES = {
     "ProblemError": None,
     "SingularPrecisionError": None,
     "StabilityError": None,
-    "build_generator": "problem, grid, t, u_slice",
+    "build_generator": "problem, grid, t, u_slice, stage=None",
     "estimate_objective": "ensemble, cost",
     "fbsm_grid": "problem, grid, max_iters=50, tol=1e-06, keep_nodes=()",
     "fbsm_lqg": "problem, pi0=None, max_iters=50, tol=1e-06, method='rk4'",
     "fp_step": "p_slice, gen, log=None",
-    "hjb_step": "problem, grid, t, w_next, u_slice, gen",
+    "hjb_step": "problem, grid, t, w_next, u_slice, gen, stage=None",
     "inference_gain": "lam, d_x",
     "lqg_objective": "problem, gains",
     "minimize_conditional_hamiltonian": (

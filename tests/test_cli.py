@@ -756,6 +756,25 @@ def test_corrupted_json_artifact_is_exit_2(command, name, text, grid_run, tmp_pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("objective", ["abc", None, True], ids=["string", "null", "true"])
+def test_non_numeric_summary_objective_is_exit_2(objective, grid_run, tmp_path, capsys):
+    """summary.json's objective must be a JSON number: a string or null is
+    invalid input, and so is a boolean, which float() would read as 1.0."""
+    _, run = grid_run
+    corrupted = tmp_path / "run"
+    shutil.copytree(run, corrupted)
+    path = corrupted / "summary.json"
+    summary = json.loads(path.read_text())
+    summary["objective"] = objective
+    path.write_text(json.dumps(summary))
+    (corrupted / "verify.json").unlink(missing_ok=True)
+    assert main(["verify", str(corrupted)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "summary.json" in err
+    assert "Traceback" not in err
+    assert not (corrupted / "verify.json").exists()
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

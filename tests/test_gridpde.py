@@ -21,6 +21,7 @@ from fbsweep.gridpde import (
     _fill_undefined,
     _forward_pass,
     _initial_density_slice,
+    _Runs,
     _upwind_differences,
     build_generator,
     conditional_density,
@@ -106,6 +107,31 @@ def small_bundled_obstacle():
     return cfg.grid_problem, cfg.grid
 
 
+def time_varying_obstacle():
+    """small_bundled_obstacle with t x^2 added to its running cost, so
+    that no two time nodes have the same base_cost."""
+    problem, grid = small_bundled_obstacle()
+    cost = problem.base_cost
+    return dataclasses.replace(problem, base_cost=lambda t, S: cost(t, S) + t * S[0] ** 2), grid
+
+
+def counting_reads(problem):
+    """problem with drift0, diffusion and base_cost counting their calls
+    in the returned dict."""
+    reads = {"drift0": 0, "diffusion": 0, "base_cost": 0}
+
+    def counted(name):
+        read = getattr(problem, name)
+
+        def call(t, S):
+            reads[name] += 1
+            return read(t, S)
+
+        return call
+
+    return dataclasses.replace(problem, **{name: counted(name) for name in reads}), reads
+
+
 def fresh_sweeps(problem, grid, sweeps):
     """fbsm_grid's alternation from zero, in separate freshly allocated passes.
 
@@ -113,16 +139,17 @@ def fresh_sweeps(problem, grid, sweeps):
     last pass that produced it (w None before the first backward pass).
     """
     p0 = _initial_density_slice(problem, grid)
+    runs = _Runs(problem, grid)
     u = np.zeros((grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
     p = np.empty((grid.n_t + 1,) + grid.shape)
-    history, w = [_forward_pass(problem, grid, p0, u, out=p)], None
+    history, w = [_forward_pass(problem, grid, p0, u, runs, out=p)], None
     for k in range(sweeps):
         if k % 2 == 0:
             w = np.empty_like(p)
-            history.append(_backward_pass(problem, grid, p0, u, p_stale=p, out=w))
+            history.append(_backward_pass(problem, grid, p0, u, runs, p_stale=p, out=w))
         else:
             p = np.empty_like(w)
-            history.append(_forward_pass(problem, grid, p0, u, w_stale=w, out=p))
+            history.append(_forward_pass(problem, grid, p0, u, runs, w_stale=w, out=p))
     return history, u, p, w
 
 
@@ -730,6 +757,20 @@ class TestSweepInPlace:
         assert result.iterations == sweeps
         assert peak <= 1.5 * field
 
+    def test_peak_holds_one_field_when_every_node_differs(self):
+        # Every node is its own run, so a pass holding a stage per distinct
+        # node would hold 400 stages of several grid arrays each.
+        problem, grid = time_varying_obstacle()
+        field = (grid.n_t + 1) * 41 * 41 * 8
+        tracemalloc.start()
+        try:
+            result = fbsm_grid(problem, grid, max_iters=3, tol=0.0, keep_nodes=(0, 200, 400))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 3
+        assert peak <= 1.5 * field
+
     @pytest.mark.parametrize("sweeps", [1, 2, 3, 4])
     def test_fields_match_fresh_passes(self, sweeps):
         problem = double_integrator_problem()
@@ -798,6 +839,198 @@ class TestSweepProperties:
         report = sweep_pmp_residual(problem, grid, result.control)
         recorded = report.value_objective if sweeps % 2 else report.objective
         assert recorded == result.objective_history[-1]
+
+
+def switching_problem(seed, which):
+    """A random_quadratic_problem-style problem on the 11x11 grid with
+    dt 0.01 whose drift0, diffusion and base_cost take, at step node i,
+    the values of set which[i]. Set 1 is set 0 with base_cost -0.0 in
+    place of 0.0 at x = 0, so a switch between them moves only sign bits."""
+    rng = np.random.default_rng(seed)
+    b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+    bound, g = rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0)
+    drawn = [
+        (rng.uniform(-1.0, 1.0, 4), np.diag(rng.uniform(0.05, 0.5, 2)), rng.uniform(0.1, 2.0))
+        for _ in range(2)
+    ]
+    sets = [drawn[0], drawn[0], drawn[1]]
+
+    def node(t):
+        return which[int(round(t / 0.01))]
+
+    def drift0(t, S):
+        a0, a1, c0, c1 = sets[node(t)][0]
+        return [a0 + a1 * S[1] + np.zeros_like(S[0]), c0 * S[0] + c1 * S[1]]
+
+    def base_cost(t, S):
+        k = node(t)
+        f = sets[k][2] * S[0] ** 2
+        return np.where(S[0] == 0.0, -0.0, f) if k == 1 else f
+
+    return GridProblem(
+        d_x=1,
+        d_z=1,
+        b_matrix=[[b], [0.0]],
+        r_diag=[rng.uniform(0.3, 3.0)],
+        drift0=drift0,
+        base_cost=base_cost,
+        diffusion=lambda t, S: sets[node(t)][1],
+        terminal_cost=lambda S: g * S[0] ** 2,
+        initial_density=Gaussian(rng.uniform(-0.5, 0.5, 2), np.diag(rng.uniform(0.1, 0.5, 2))),
+        control_lower=[-bound],
+        control_upper=[bound],
+    )
+
+
+def unstaged_sweeps(problem, grid, sweeps):
+    """fbsm_grid's alternation from zero, each step reading the problem at
+    its own time through the public functions, with no stage: build_generator,
+    hjb_step and the minimizer derive everything at t, and the forward cost
+    is problem.running_cost. Returns (history, u, p, w) as fresh_sweeps does."""
+    n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
+    times, S = grid.times(), grid.mesh()
+    d_x, d_u = problem.d_x, problem.d_u
+    p0 = _initial_density_slice(problem, grid)
+    u = np.zeros((n,) + grid.memory_shape(d_x) + (d_u,))
+
+    def refresh(i, p_i, w_next):
+        cond, _, defined = conditional_density(p_i, grid, d_x)
+        u[i] = minimize_conditional_hamiltonian(
+            problem, grid, times[i], cond, w_next, u[i], defined
+        )
+
+    def generator(i):
+        gen = build_generator(problem, grid, times[i], u[i])
+        gen.check_stability(dt)
+        return gen
+
+    def forward(w):
+        p = np.empty((n + 1,) + grid.shape)
+        p[0], running = p0, 0.0
+        for i in range(n):
+            if w is not None:
+                refresh(i, p[i], w[i + 1])
+            f = problem.running_cost(times[i], S, control_to_grid(u[i], d_x, d_u))
+            running += float((f * p[i]).sum()) * vol * dt
+            p[i + 1] = fp_step(p[i], generator(i))
+        return p, running + float((problem.terminal_cost(S) * p[n]).sum()) * vol
+
+    def backward(p):
+        w = np.empty_like(p)
+        w[n] = problem.terminal_cost(S)
+        for i in range(n - 1, -1, -1):
+            refresh(i, p[i], w[i + 1])
+            w[i] = hjb_step(problem, grid, times[i], w[i + 1], u[i], generator(i))
+        return w, float((p0 * w[0]).sum()) * grid.cell_volume
+
+    p, j = forward(None)
+    history, w = [j], None
+    for k in range(sweeps):
+        if k % 2 == 0:
+            w, j = backward(p)
+        else:
+            p, j = forward(w)
+        history.append(j)
+    return history, u, p, w
+
+
+@st.composite
+def switch_plans(draw):
+    """A node count and the value set of each step node: node 0 alone in
+    its run, a sign-bit switch at node 1, and a switch at the last step."""
+    n_t = draw(st.integers(8, 30))
+    which = [0, 1] + draw(st.lists(st.integers(0, 2), min_size=n_t - 3, max_size=n_t - 3))
+    return n_t, which + [(which[-1] + 1) % 3]
+
+
+class TestRunsKeepTheBits:
+    """Reading the problem once per run of identical nodes moves no bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), plan=switch_plans(), sweeps=st.integers(1, 3))
+    def test_sweep_matches_a_build_from_scratch_at_every_step(self, seed, plan, sweeps):
+        n_t, which = plan
+        problem = switching_problem(seed, which)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), n_t, 0.01 * n_t)
+        keep = (0, 1, n_t - 1, n_t)
+        result = fbsm_grid(problem, grid, max_iters=sweeps, tol=0.0, keep_nodes=keep)
+        history, u, p, w = unstaged_sweeps(problem, grid, sweeps)
+        assert np.array_equal(result.objective_history, history)
+        assert np.array_equal(result.control, u)
+        held, other = (w, p) if sweeps % 2 else (p, w)
+        assert np.array_equal(result.value if sweeps % 2 else result.density, held)
+        assert sorted(result.kept_slices) == list(keep)
+        for node in keep:
+            assert np.array_equal(result.kept_slices[node], other[node])
+        report = sweep_pmp_residual(problem, grid, result.control)
+        recorded = report.value_objective if sweeps % 2 else report.objective
+        assert recorded == history[-1]
+
+    def test_runs_split_where_any_bit_changes(self):
+        n_t = 8
+        which = [0, 1, 1, 2, 2, 2, 0, 1]
+        problem = switching_problem(3, which)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), n_t, 0.01 * n_t)
+        assert _Runs(problem, grid).bounds == [0, 1, 3, 6, 7, 8]
+
+
+class TestProblemReads:
+    """A grid solve reads drift0, diffusion and base_cost once per time
+    node in its pre-pass, and then once per run of bit-identical nodes in
+    each of its passes."""
+
+    @pytest.mark.parametrize(
+        "make, solve_reads, oracle_reads",
+        [
+            # 400 nodes in 3 runs, the obstacle window being nodes 120..240:
+            # 400 + 3 passes x 3 runs, and 400 + 2 passes x 3 runs.
+            (small_bundled_obstacle, 409, 406),
+            # Every node its own run: 400 + 3 x 400, and 400 + 2 x 400.
+            (time_varying_obstacle, 1600, 1200),
+        ],
+        ids=["obstacle", "every-node"],
+    )
+    def test_each_callable_is_read_once_per_node_and_once_per_run(
+        self, make, solve_reads, oracle_reads
+    ):
+        problem, grid = make()
+        problem, reads = counting_reads(problem)
+        result = fbsm_grid(problem, grid, max_iters=2, tol=0.0)
+        assert reads == dict.fromkeys(reads, solve_reads)
+        reads.update(dict.fromkeys(reads, 0))
+        sweep_pmp_residual(problem, grid, result.control)
+        assert reads == dict.fromkeys(reads, oracle_reads)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ("drift0", r"drift0\[0\] varies across the state"),
+            ("diffusion", r"diffusion D\[1\]\[1\] must be nonnegative"),
+            ("asymmetric", "diffusion matrix must be symmetric"),
+        ],
+    )
+    def test_model_error_at_the_last_node_comes_before_the_first_step(
+        self, bad, match, monkeypatch
+    ):
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), 20, 0.2)
+        last = grid.times()[-2]
+        problem = double_integrator_problem()
+        drift0, diffusion = problem.drift0, problem.diffusion
+        if bad == "drift0":
+            problem = dataclasses.replace(
+                problem,
+                drift0=lambda t, S: [S[0] ** 2, S[0]] if t == last else drift0(t, S),
+            )
+        else:
+            wrong = [[1.0, 0.0], [0.0, -1.0]] if bad == "diffusion" else [[1.0, 0.5], [0.0, 1.0]]
+            problem = dataclasses.replace(
+                problem, diffusion=lambda t, S: wrong if t == last else diffusion(t, S)
+            )
+        steps = []
+        monkeypatch.setattr(gridpde, "fp_step", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(ProblemError, match=match):
+            fbsm_grid(problem, grid, max_iters=1)
+        assert steps == []
 
 
 class TestChainMonteCarlo:

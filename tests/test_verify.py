@@ -17,6 +17,7 @@ from fbsweep.gridpde import (
     _backward_steps,
     _forward_pass,
     _initial_density_slice,
+    _Runs,
     build_generator,
     fbsm_grid,
 )
@@ -242,8 +243,9 @@ def fresh_fields(problem, grid, u):
     """The density and the value under u, each from a fresh pass."""
     p0 = _initial_density_slice(problem, grid)
     p, w = (np.empty((grid.n_t + 1,) + grid.shape) for _ in range(2))
-    _forward_pass(problem, grid, p0, u, out=p)
-    for _ in _backward_steps(problem, grid, u, out=w):
+    runs = _Runs(problem, grid)
+    _forward_pass(problem, grid, p0, u, runs, out=p)
+    for _ in _backward_steps(problem, grid, u, runs.stages(), out=w):
         pass
     return p, w
 
