@@ -6,24 +6,31 @@ any summary reports a wrong answer or a failed operation, when a metric
 is null or non-finite, when a traced call count (`*.calls`) reads 0,
 when a workload's traced `gridpde.build_generator` calls differ from its
 `DiscreteGenerator.apply` plus `apply_adjoint` calls (each grid step
-builds one generator and steps one field with it), or when the log holds
-no summary at all.
+builds one generator and steps one field with it), when a metric the
+benchmark declares is missing, or when the log holds no summary at all.
+
+The declared metrics are read from BENCHMARK.json (the repository's, or
+the one named as the second argument), which this script does not edit:
+every `<workload>.<metric>` pair of its workloads and its end-to-end and
+per-layer metric names must appear in some summary, so a metric that
+disappears from the summaries fails as a null one does.
 
 With GITHUB_STEP_SUMMARY set, it appends three informational tables to
-that file: the code size figures, each workload's end-to-end metrics,
-and the traced grid structure (every `gridpde.*.calls` count,
+that file: the code size figures, each workload's declared end-to-end
+metrics, and the traced grid structure (every `gridpde.*.calls` count,
 `gridpde.step_ms.samples` and `core.mesh.calls`), so that a refactor can
 be seen to keep the calls the traced pass makes.
 
-Usage: python3 .github/check_smoke.py SMOKE_LOG
+Usage: python3 .github/check_smoke.py SMOKE_LOG [BENCHMARK_JSON]
 """
 
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
-END_TO_END = ("setup_s", "op_s", "peak_rss_mb", "out_mb")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 STRUCTURE = ("gridpde.step_ms.samples", "core.mesh.calls")
 BUILDS = "gridpde.build_generator.calls"
 STEPS = ("gridpde.DiscreteGenerator.apply.calls", "gridpde.DiscreteGenerator.apply_adjoint.calls")
@@ -46,6 +53,16 @@ def read_summaries(path):
     return summaries
 
 
+def read_declared(path):
+    """(end-to-end names, every declared <workload>.<metric> pair)."""
+    with open(path) as handle:
+        spec = json.load(handle)
+    end_to_end = [m["name"] for m in spec["end_to_end"]]
+    names = end_to_end + [m["name"] for m in spec["per_layer"]]
+    pairs = [f"{w['name']}.{name}" for w in spec["workloads"] for name in names]
+    return end_to_end, pairs
+
+
 def metrics(summaries):
     return [(key, entry) for s in summaries for key, entry in s["metrics"].items()]
 
@@ -65,7 +82,7 @@ def unmatched_builds(summaries):
     ]
 
 
-def write_step_summary(out, summaries):
+def write_step_summary(out, summaries, end_to_end):
     # Informational, no gate: the code size figures of the traced pass.
     sizes = {
         key.split(".", 1)[1]: entry["value"]
@@ -77,19 +94,19 @@ def write_step_summary(out, summaries):
     e2e = {}
     for key, entry in metrics(summaries):
         workload, _, name = key.partition(".")
-        if name in END_TO_END:
+        if name in end_to_end:
             e2e.setdefault(workload, {})[name] = (entry["value"], entry["unit"])
     if sizes:
         out.write("| code size | value |\n|---|---|\n")
         for key, value in sorted(sizes.items()):
             out.write(f"| `{key}` | {value} |\n")
     if e2e:
-        out.write("\n| workload | " + " | ".join(END_TO_END) + " |\n")
-        out.write("|---" * (len(END_TO_END) + 1) + "|\n")
+        out.write("\n| workload | " + " | ".join(end_to_end) + " |\n")
+        out.write("|---" * (len(end_to_end) + 1) + "|\n")
         for workload, row in sorted(e2e.items()):
             cells = [
                 f"{row[n][0]:.4g} {row[n][1]}" if n in row and row[n][0] is not None else "-"
-                for n in END_TO_END
+                for n in end_to_end
             ]
             out.write(f"| `{workload}` | " + " | ".join(cells) + " |\n")
     # Informational, no gate: the traced pass's grid call structure, one
@@ -108,7 +125,8 @@ def write_step_summary(out, summaries):
             out.write(f"| `{name}` | " + " | ".join(cells) + " |\n")
 
 
-def main(path) -> int:
+def main(path, benchmark=BENCHMARK) -> int:
+    end_to_end, declared = read_declared(benchmark)
     summaries = read_summaries(path)
     bad = [s for s in summaries if s["correct"] is not True or s["failed"] != 0]
     print(f"{len(summaries)} summaries, {len(bad)} with wrong answers or failures")
@@ -139,11 +157,17 @@ def main(path) -> int:
     unmatched = unmatched_builds(summaries)
     for workload, builds, steps in unmatched:
         print(f"{workload}: {builds} generator builds, {steps} apply/apply_adjoint calls")
+    # A metric dropped from the summaries is as lost as a null one.
+    present = {key for key, _ in metrics(summaries)}
+    missing = [key for key in declared if key not in present]
+    for key in missing:
+        print(f"missing metric {key}")
     if os.environ.get("GITHUB_STEP_SUMMARY"):
         with open(os.environ["GITHUB_STEP_SUMMARY"], "a") as out:
-            write_step_summary(out, summaries)
-    return 1 if bad or null or nonfinite or uncalled or unmatched or not summaries else 0
+            write_step_summary(out, summaries, end_to_end)
+    failed = bad or null or nonfinite or uncalled or unmatched or missing
+    return 1 if failed or not summaries else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1]))
+    sys.exit(main(*sys.argv[1:3]))

@@ -378,7 +378,13 @@ def write_field_slices(run_dir, result: GridSweepResult, slice_times) -> List[st
 
 
 def write_paths(run_dir, ensemble) -> None:
-    """Long-format path table: one row per path per time node."""
+    """Long-format path table: one row per path per time node.
+
+    The ensemble must hold its state history (simulate_paths with
+    history=True); without it this is a ProblemError, raised before the
+    file is opened.
+    """
+    costs = ensemble.cumulative_costs
     d_s = ensemble.states.shape[-1]
     header = (
         ["path_id", "t"]
@@ -387,7 +393,6 @@ def write_paths(run_dir, ensemble) -> None:
     )
     times = ensemble.times
     n_t = len(times)
-    costs = ensemble.cumulative_costs
     valid = np.asarray(ensemble.valid).astype(np.int64)
 
     def blocks():

@@ -363,10 +363,14 @@ def _load_controller(cfg: LoadedConfig, run_dir: Path):
 
 
 def _simulate(doc: dict, controller_dir, out, n_paths: int, seed, dt) -> tuple:
-    cfg = parse_config(doc)
+    """Simulate n_paths under the solved law and write every path's rows.
+
+    A --seed override is folded into the document before it is parsed, so
+    it is checked like the document's own seed.
+    """
     if seed is not None:
         doc = dict(doc, seed=int(seed))
-    effective_seed = int(doc.get("seed", 0))
+    cfg = parse_config(doc)
     if n_paths < 1:
         raise ProblemError("--paths must be at least 1")
     law = _load_controller(cfg, Path(controller_dir))
@@ -379,11 +383,11 @@ def _simulate(doc: dict, controller_dir, out, n_paths: int, seed, dt) -> tuple:
         horizon = cfg.grid.horizon
         step = dt if dt is not None else cfg.grid.dt
     ensemble = simulate_paths(
-        dynamics, law, horizon, step, n_paths, effective_seed, cost=cost
+        dynamics, law, horizon, step, n_paths, cfg.seed, cost=cost, history=True
     )
     mean, stderr = estimate_objective(ensemble, cost)
     text = _canonical_text(doc)
-    run_dir = _prepare_run_dir(out, text, effective_seed, "simulate")
+    run_dir = _prepare_run_dir(out, text, cfg.seed, "simulate")
     artifacts.write_paths(run_dir, ensemble)
     artifacts.write_objective(run_dir, mean, stderr, ensemble.n_paths - ensemble.n_excluded, ensemble.n_excluded)
     return mean, stderr, ensemble.n_excluded

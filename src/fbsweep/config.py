@@ -108,6 +108,14 @@ def _scalar(doc: dict, key: str, kind=float, context: str = "", default=None):
     return kind(value)
 
 
+def _seed(doc: dict) -> int:
+    """The Monte Carlo root seed: a nonnegative integer, 0 when absent."""
+    seed = _scalar(doc, "seed", int, default=0)
+    if seed < 0:
+        raise ProblemError(f"config field seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _solver_settings(doc: dict) -> SolverSettings:
     solver = doc.get("solver", {})
     if not isinstance(solver, dict):
@@ -159,7 +167,7 @@ def _load_lqg(doc: dict) -> LoadedConfig:
     return LoadedConfig(
         family="lqg",
         solver=_solver_settings(doc),
-        seed=_scalar(doc, "seed", int, default=0),
+        seed=_seed(doc),
         lqg_problem=problem,
     )
 
@@ -238,7 +246,7 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
     return LoadedConfig(
         family="obstacle-grid",
         solver=solver,
-        seed=_scalar(doc, "seed", int, default=0),
+        seed=_seed(doc),
         grid_problem=problem,
         grid=grid,
         slice_times=slice_times,

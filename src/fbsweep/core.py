@@ -101,8 +101,11 @@ def _step_count(horizon: float, dt: float) -> int:
     """The number of steps of size dt in horizon; dt must divide it to 1e-9.
 
     The one rule for a time step: config documents, --dt overrides and
-    the path simulator all go through it.
+    the path simulator all go through it. A non-finite horizon or dt is
+    refused like any other step that does not divide the horizon.
     """
+    if not (np.isfinite(horizon) and np.isfinite(dt)):
+        raise ProblemError(f"horizon {horizon} and dt {dt} must be finite")
     steps = horizon / dt
     if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
         raise ProblemError(f"horizon {horizon} is not a multiple of dt {dt}")

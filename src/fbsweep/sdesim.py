@@ -17,18 +17,23 @@ Every stream is consumed in step order either way, so the increments do
 not depend on the batch length, and a simulation holds its returned
 arrays plus one batch instead of every path's whole noise block.
 
-Layout: the step loop keeps states in one time-major buffer,
-(n_steps + 1, n_paths, d_s), so that each step reads and writes one
-contiguous slice. PathEnsemble hands it out in its (n_paths, ...) shape
+Layout: the step loop reads step i's states from one contiguous
+(n_paths, d_s) slice of a time-major buffer and writes step i + 1's into
+the next. Without history the buffer is (2, n_paths, d_s) and the two
+slices take turns, so a simulation holds its final states, flags, clamp
+counts and running-cost totals, which is all estimate_objective reads.
+With history=True the buffer is (n_steps + 1, n_paths, d_s), every
+slice is kept, and PathEnsemble hands it out in its (n_paths, ...) shape
 as a transposed view, not as a copy; callers that need a contiguous
-array copy it (np.ascontiguousarray).
+array copy it (np.ascontiguousarray). The loop, its arithmetic and its
+streams are the same either way, so both ensembles have the same bits.
 
 Controls and costs: a law is an object with evaluate_memory(t, z), and
 every simulation is priced under one CostSpec. The law's output at each
 step goes into one reused (n_paths, d_u) buffer, and each step's running
 cost f dt is added into one (n_paths,) running total per path; no control
 or cost history is kept while stepping. A memory-feedback law u(t, z) is
-a function of data the ensemble holds, so PathEnsemble.controls
+a function of data a history ensemble holds, so PathEnsemble.controls
 re-evaluates it on first access, at each stored time from the stored
 states' memory block, clamped as the simulation clamped it, and
 PathEnsemble.cumulative_costs replays the running cost on those controls
@@ -58,26 +63,30 @@ _NOISE_BATCH = 1 << 21
 class PathEnsemble:
     """Simulated closed-loop paths plus per-path bookkeeping.
 
-    states has shape (n_paths, n_steps + 1, d_s) and controls
-    (n_paths, n_steps, d_u); dt is the step the paths were advanced with.
-    cumulative_costs, (n_paths, n_steps + 1), holds the left-endpoint
-    integral of the running cost the ensemble was simulated under (zero
-    at t=0); it is non-decreasing whenever f >= 0.
-    Paths that left the finite range are frozen at their last finite
-    state and flagged invalid; clamp_counts tallies, per path, how many
-    steps needed the memory clamped onto the control law's domain. The
-    arrays are transposed views of time-major buffers.
+    final_states, (n_paths, d_s), holds each path's state at the horizon;
+    dt is the step the paths were advanced with. Paths that left the
+    finite range are frozen at their last finite state and flagged
+    invalid; clamp_counts tallies, per path, how many steps needed the
+    memory clamped onto the control law's domain. The simulation also
+    keeps each path's total running cost, which estimate_objective reads
+    with final_states.
 
-    Neither controls nor cumulative_costs is stored while simulating:
-    the first access re-evaluates the memory-feedback law u(t, z) at
-    every step from the stored states, and the running cost on those
-    controls (see the module docstring), so the law must be a function
-    of (t, z). The simulation keeps only each path's total running cost,
-    which estimate_objective reads.
+    states, (n_paths, n_steps + 1, d_s), is kept only when the paths were
+    simulated with history=True, and is None otherwise; final_states is
+    then a view of its last time slice. states is a transposed view of
+    the time-major buffer. Two histories are derived from it on first
+    access: controls, (n_paths, n_steps, d_u), re-evaluates the
+    memory-feedback law u(t, z) at every step from the stored states, and
+    cumulative_costs, (n_paths, n_steps + 1), replays the running cost on
+    those controls (see the module docstring), so the law must be a
+    function of (t, z). cumulative_costs is the left-endpoint integral of
+    the running cost (zero at t=0); it is non-decreasing whenever f >= 0.
+    Without the state history, reading either is a ProblemError.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    states: Optional[np.ndarray]
+    final_states: np.ndarray
     valid: np.ndarray
     clamp_counts: np.ndarray
     seed: int
@@ -91,7 +100,7 @@ class PathEnsemble:
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return self.valid.shape[0]
 
     @property
     def n_excluded(self) -> int:
@@ -99,6 +108,7 @@ class PathEnsemble:
 
     @cached_property
     def controls(self) -> np.ndarray:
+        self._require_history("controls")
         controls = np.empty((self.times.size - 1, self.n_paths, self._d_u))
         for i, u in enumerate(controls):
             self._control_at(i, u)
@@ -106,6 +116,7 @@ class PathEnsemble:
 
     @cached_property
     def cumulative_costs(self) -> np.ndarray:
+        self._require_history("cumulative_costs")
         cum = np.zeros((self.times.size, self.n_paths))
         u = np.empty((self.n_paths, self._d_u))
         for i, t in enumerate(self.times[:-1]):
@@ -113,6 +124,12 @@ class PathEnsemble:
             step_cost = _step_cost(self._cost, t, self.states[:, i], u, self.dt)
             np.add(cum[i], step_cost, out=cum[i + 1])
         return cum.T
+
+    def _require_history(self, name: str) -> None:
+        if self.states is None:
+            raise ProblemError(
+                f"{name} needs the state history: simulate the paths with history=True"
+            )
 
     def _control_at(self, i: int, out: np.ndarray) -> None:
         """Write the control applied at step i into out, (n_paths, d_u)."""
@@ -227,17 +244,23 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     cost: CostSpec,
+    history: bool = False,
 ) -> PathEnsemble:
     """Simulate n_paths closed-loop trajectories over [0, horizon], priced
     under cost.
+
+    history=True keeps every path's state at every step (the ensemble's
+    states, from which its controls and cumulative costs are derived);
+    without it the ensemble holds what estimate_objective reads: the final
+    states, the valid flags, the clamp counts and the running-cost totals.
 
     Initial states are drawn from the problem's initial density; Wiener
     increments are Normal(0, dt I) from one child RNG stream per path,
     drawn one batch of steps at a time (see the module docstring).
     The control is a memory-feedback law u(t, z), an object whose
     evaluate_memory(t, z) receives only (t, z) and must depend on nothing
-    else, since the ensemble's controls are re-evaluated from the stored
-    states; any other control is a ProblemError. If it declares a
+    else, since a history ensemble's controls are re-evaluated from its
+    stored states; any other control is a ProblemError. If it declares a
     memory domain (z_lower/z_upper attributes), z is clamped onto it
     first and the clamps counted. Non-finite states freeze their path
     and exclude it from the valid set. The diffusion must be one
@@ -269,7 +292,10 @@ def simulate_paths(
     sqrt_dt = np.sqrt(dt)
 
     times = np.linspace(0.0, horizon, n_steps + 1)
-    states = np.empty((n_steps + 1, n_paths, d_s))
+    # Step i reads slice i % rows and writes slice (i + 1) % rows: every
+    # slice with the history, two in turn without it.
+    rows = n_steps + 1 if history else 2
+    states = np.empty((rows, n_paths, d_s))
     states[0] = s0
     u = np.empty((n_paths, d_u))
     total = np.zeros(n_paths)
@@ -286,7 +312,7 @@ def simulate_paths(
                 increments[:, :k] *= sqrt_dt
             dw = increments[:, j, :]
             t = times[i]
-            s = states[i]
+            s = states[i % rows]
             clamped = _apply_law(eval_u, z_box, t, s, d_x, u)
             if clamped is not None:
                 clamp_counts += clamped
@@ -298,7 +324,7 @@ def simulate_paths(
                     f"({d_s}, {d_w}) matrix for every path"
                 )
             noise = dw @ sig.T
-            s_next = states[i + 1]
+            s_next = states[(i + 1) % rows]
             np.multiply(b, dt, out=s_next)
             s_next += s
             s_next += noise
@@ -311,7 +337,8 @@ def simulate_paths(
 
     return PathEnsemble(
         times=times,
-        states=states.transpose(1, 0, 2),
+        states=states.transpose(1, 0, 2) if history else None,
+        final_states=states[n_steps % rows],
         valid=valid,
         clamp_counts=clamp_counts,
         seed=seed,
@@ -340,7 +367,7 @@ def estimate_objective(ensemble: PathEnsemble, cost: CostSpec) -> Tuple[float, f
         raise ProblemError("no valid paths to estimate from")
     running = ensemble._cost_totals[valid]
     terminal = np.asarray(
-        cost.terminal_cost(ensemble.states[valid, -1, :]), dtype=float
+        cost.terminal_cost(ensemble.final_states[valid]), dtype=float
     ).reshape(running.shape)
     per_path = running + terminal
     mean = float(per_path.mean())

@@ -83,10 +83,11 @@ def obstacle_ensembles(obstacle_bundle):
     dyn = simulation_dynamics(b.cfg)
     cost = simulation_cost(b.cfg)
     converged = simulate_paths(
-        dyn, law, b.grid.horizon, b.grid.dt, 1000, seed=b.cfg.seed, cost=cost
+        dyn, law, b.grid.horizon, b.grid.dt, 1000, seed=b.cfg.seed, cost=cost, history=True
     )
     zero = simulate_paths(
-        dyn, ZeroLaw(), b.grid.horizon, b.grid.dt, 1000, seed=b.cfg.seed, cost=cost
+        dyn, ZeroLaw(), b.grid.horizon, b.grid.dt, 1000, seed=b.cfg.seed, cost=cost,
+        history=True,
     )
     return SimpleNamespace(converged=converged, zero=zero, law=law, dyn=dyn, cost=cost)
 
@@ -144,7 +145,7 @@ class TestLqgBundledRun:
         ):
             ensemble = simulate_paths(
                 dyn, law, problem.horizon, problem.dt, 100,
-                seed=lqg_bundle.cfg.seed, cost=cost,
+                seed=lqg_bundle.cfg.seed, cost=cost, history=True,
             )
             mean_cost, _ = estimate_objective(ensemble, cost)
             stats[name] = (

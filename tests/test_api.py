@@ -67,8 +67,8 @@ PUBLIC_SIGNATURES = {
         "monotonicity_violations, pi_gap, lambda_gap, min_lambda_eigenvalue"
     ),
     "PathEnsemble": (
-        "times, states, valid, clamp_counts, seed, d_x, dt, _eval_u, _z_box, _d_u, _cost, "
-        "_cost_totals"
+        "times, states, final_states, valid, clamp_counts, seed, d_x, dt, _eval_u, _z_box, "
+        "_d_u, _cost, _cost_totals"
     ),
     "ProblemError": None,
     "SingularPrecisionError": None,
@@ -84,7 +84,7 @@ PUBLIC_SIGNATURES = {
     "minimize_conditional_hamiltonian": (
         "problem, grid, t, cond, w_next, u_prev, defined, terms=None"
     ),
-    "simulate_paths": "dynamics, control, horizon, dt, n_paths, seed, cost",
+    "simulate_paths": "dynamics, control, horizon, dt, n_paths, seed, cost, history=False",
     "sweep_pmp_residual": "problem, grid, control",
 }
 

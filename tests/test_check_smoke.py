@@ -34,15 +34,29 @@ def good_log():
     ]
 
 
-def check(tmp_path, lines, step_summary=None):
+# The benchmark declaration good_log() satisfies: one workload, two
+# end-to-end metrics and the two code size figures.
+DECLARED = {
+    "workloads": [{"name": "lqg-tol"}],
+    "end_to_end": [{"name": "setup_s"}, {"name": "op_s"}],
+    "per_layer": [{"name": "code.sloc"}, {"name": "code.public_names"}],
+}
+
+
+def check(tmp_path, lines, step_summary=None, declared=DECLARED):
+    """Run the checker on lines, against declared (a BENCHMARK.json
+    document), or against the repository's BENCHMARK.json when None."""
     log = tmp_path / "smoke.log"
     log.write_text("\n".join(lines) + "\n")
+    argv = [sys.executable, str(CHECKER), str(log)]
+    if declared is not None:
+        benchmark = tmp_path / "BENCHMARK.json"
+        benchmark.write_text(json.dumps(declared))
+        argv.append(str(benchmark))
     env = {k: v for k, v in os.environ.items() if k != "GITHUB_STEP_SUMMARY"}
     if step_summary is not None:
         env["GITHUB_STEP_SUMMARY"] = str(step_summary)
-    return subprocess.run(
-        [sys.executable, str(CHECKER), str(log)], capture_output=True, text=True, env=env
-    )
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def grid_steps(workload, builds=5000, applies=2000, adjoints=3000):
@@ -65,9 +79,9 @@ def test_good_log_passes_and_writes_the_tables(tmp_path):
     text = page.read_text()
     assert "| `code.public_names` | 81 |" in text
     assert "| `code.sloc` | 2700 |" in text
-    assert "| workload | setup_s | op_s | peak_rss_mb | out_mb |" in text
-    assert "| `lqg-tol` | 0.2 s | 3.4 s | - | - |" in text
-    assert "| `rollout` | - | 2.7 s | - | - |" in text
+    assert "| workload | setup_s | op_s |\n" in text
+    assert "| `lqg-tol` | 0.2 s | 3.4 s |" in text
+    assert "| `rollout` | - | 2.7 s |" in text
     assert "traced structure" not in text
 
 
@@ -118,6 +132,33 @@ def test_a_bad_summary_fails(tmp_path, spoil):
     spoil(doc)
     lines[2] = json.dumps(doc)
     assert check(tmp_path, lines).returncode == 1
+
+
+@pytest.mark.parametrize("dropped, line", [("lqg-tol.setup_s", 2), ("lqg-tol.code.sloc", 3)])
+def test_a_dropped_metric_fails(tmp_path, dropped, line):
+    lines = good_log()
+    doc = json.loads(lines[line])
+    del doc["metrics"][dropped]
+    lines[line] = json.dumps(doc)
+    proc = check(tmp_path, lines)
+    assert proc.returncode == 1
+    assert proc.stdout.count("missing metric") == 1
+    assert f"missing metric {dropped}" in proc.stdout
+
+
+def test_the_repository_declaration_is_read_by_default(tmp_path):
+    """Without a second argument the checker reads the repository's
+    BENCHMARK.json, whose workloads good_log() mostly lacks."""
+    root = CHECKER.parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    lines = good_log()
+    present = {key for line in lines[2:] for key in json.loads(line)["metrics"]}
+    proc = check(tmp_path, lines, declared=None)
+    assert proc.returncode == 1
+    for workload in spec["workloads"]:
+        for metric in spec["end_to_end"] + spec["per_layer"]:
+            key = f"{workload['name']}.{metric['name']}"
+            assert (f"missing metric {key}\n" in proc.stdout) == (key not in present), key
 
 
 def test_a_nan_metric_fails(tmp_path):

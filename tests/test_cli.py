@@ -775,6 +775,49 @@ def test_non_numeric_summary_objective_is_exit_2(objective, grid_run, tmp_path, 
     assert not (corrupted / "verify.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, family",
+    [("run-lqg", "grid"), ("run-grid", "grid"), ("simulate", "grid"), ("simulate", "lqg")],
+)
+def test_nan_time_step_is_exit_2_before_any_output(
+    command, family, lqg_run, grid_run, tmp_path, capsys
+):
+    """--dt nan meets the one time-step rule, which refuses it. run-lqg on
+    an obstacle document meets it too: the override is folded into the
+    document's n_t before the family is checked."""
+    config, run = grid_run if family == "grid" else lqg_run
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out), "--dt", "nan"]
+    if command == "simulate":
+        argv += ["--controller", str(run), "--paths", "5"]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["document", "override"])
+@pytest.mark.parametrize("command", ["run-lqg", "run-grid", "simulate"])
+def test_negative_seed_is_exit_2_before_any_output(
+    command, where, lqg_run, grid_run, tmp_path, capsys
+):
+    """A seed must be a nonnegative integer, in the document or as --seed,
+    for every command that reads one."""
+    config, run = grid_run if command == "run-grid" else lqg_run
+    doc = json.loads(config.read_text())
+    if where == "document":
+        doc["seed"] = -1
+    config = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--controller", str(run), "--paths", "5"]
+    if where == "override":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -163,6 +163,22 @@ class TestValidation:
         with pytest.raises(ProblemError, match="solver.method"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("load", [lqg_doc, obstacle_doc])
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, load, seed):
+        doc = load()
+        doc["seed"] = seed
+        with pytest.raises(ProblemError, match="seed"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("load", [lqg_doc, obstacle_doc])
+    def test_seed_zero_and_absent_are_accepted(self, load):
+        doc = load()
+        doc["seed"] = 0
+        assert parse_config(doc).seed == 0
+        del doc["seed"]
+        assert parse_config(doc).seed == 0
+
     def test_domain_shape_entries(self):
         doc = obstacle_doc()
         doc["domain"]["shape"] = [101]

@@ -85,11 +85,11 @@ class TestSimulatePaths:
             drift=lambda t, s, u: -s,
             diffusion=lambda t, s, u: np.array([[0.5]]),
         )
-        a = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST)
-        b = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST)
+        a = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST, history=True)
+        b = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST, history=True)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.controls, b.controls)
-        c = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=12, cost=ZERO_COST)
+        c = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=12, cost=ZERO_COST, history=True)
         assert not np.array_equal(a.states, c.states)
 
     def test_exponential_growth_without_noise(self):
@@ -99,7 +99,7 @@ class TestSimulatePaths:
             mean=1.0,
             var=1e-12,
         )
-        ens = simulate_paths(dyn, zero_control, 1.0, 1e-3, 4, seed=0, cost=ZERO_COST)
+        ens = simulate_paths(dyn, zero_control, 1.0, 1e-3, 4, seed=0, cost=ZERO_COST, history=True)
         final = ens.states[:, -1, 0]
         assert np.max(np.abs(final / np.exp(1.0) - 1.0)) < 2e-3
 
@@ -108,7 +108,7 @@ class TestSimulatePaths:
             drift=lambda t, s, u: np.zeros_like(s),
             diffusion=lambda t, s, u: np.array([[0.0]]),
         )
-        ens = simulate_paths(dyn, zero_control, 1.0, 0.05, 10, seed=3, cost=ZERO_COST)
+        ens = simulate_paths(dyn, zero_control, 1.0, 0.05, 10, seed=3, cost=ZERO_COST, history=True)
         assert np.all(ens.states == ens.states[:, :1, :])
 
     def test_wiener_variance_growth(self):
@@ -119,7 +119,7 @@ class TestSimulatePaths:
             var=0.25,
         )
         n = 10000
-        ens = simulate_paths(dyn, zero_control, 1.0, 0.01, n, seed=7, cost=ZERO_COST)
+        ens = simulate_paths(dyn, zero_control, 1.0, 0.01, n, seed=7, cost=ZERO_COST, history=True)
         var = ens.states[:, -1, 0].var(ddof=1)
         target = 0.25 + 1.0
         se = target * np.sqrt(2.0 / (n - 1))
@@ -196,7 +196,7 @@ class TestSimulatePaths:
             mean=10.0,
             var=1e-6,
         )
-        ens = simulate_paths(dyn, zero_control, 1.0, 0.1, 5, seed=2, cost=ZERO_COST)
+        ens = simulate_paths(dyn, zero_control, 1.0, 0.1, 5, seed=2, cost=ZERO_COST, history=True)
         assert ens.n_excluded == 5
         assert np.all(np.isfinite(ens.states))
         with pytest.raises(ProblemError, match="no valid paths"):
@@ -205,7 +205,7 @@ class TestSimulatePaths:
     def test_mixed_explosion_freezes_only_the_bad_paths(self):
         threshold = 1.0
         dyn, law, cost = mixed_explosion_case(threshold)
-        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
         assert ens.states.shape == (200, 51, 2) and ens.controls.shape == (200, 50, 1)
         assert ens.cumulative_costs.shape == (200, 51)
         x = ens.states[:, :, 0]
@@ -291,7 +291,9 @@ PINNED_ROLLOUT_DIGESTS = {
 def test_bundled_rollouts_are_pinned(family, bundled_controllers, tmp_path):
     cfg, law, horizon, dt, config_path, run = bundled_controllers[family]
     cost = simulation_cost(cfg)
-    ens = simulate_paths(simulation_dynamics(cfg), law, horizon, dt, 64, cfg.seed, cost=cost)
+    ens = simulate_paths(
+        simulation_dynamics(cfg), law, horizon, dt, 64, cfg.seed, cost=cost, history=True
+    )
     digests = {
         name: hashlib.sha256(np.ascontiguousarray(getattr(ens, name)).tobytes()).hexdigest()
         for name in ("states", "controls", "cumulative_costs")
@@ -323,19 +325,19 @@ class TestNoiseBatches:
         cfg, law, horizon, dt, _, _ = bundled_controllers[family]
         dyn, cost = simulation_dynamics(cfg), simulation_cost(cfg)
         # 1000 steps: one batch by default, ragged last batch at 7 steps
-        whole = simulate_paths(dyn, law, horizon, dt, 64, cfg.seed, cost=cost)
+        whole = simulate_paths(dyn, law, horizon, dt, 64, cfg.seed, cost=cost, history=True)
         _size_noise_batch(monkeypatch, steps_per_batch, 64, dyn.d_w)
-        batched = simulate_paths(dyn, law, horizon, dt, 64, cfg.seed, cost=cost)
+        batched = simulate_paths(dyn, law, horizon, dt, 64, cfg.seed, cost=cost, history=True)
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(batched, name), getattr(whole, name)), name
 
     @pytest.mark.parametrize("steps_per_batch", [1, 7])
     def test_frozen_paths_do_not_depend_on_batch_length(self, steps_per_batch, monkeypatch):
         dyn, law, cost = mixed_explosion_case(1.0)
-        whole = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        whole = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
         assert 0 < whole.n_excluded < whole.n_paths
         _size_noise_batch(monkeypatch, steps_per_batch, 200, dyn.d_w)
-        batched = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        batched = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(batched, name), getattr(whole, name)), name
 
@@ -355,13 +357,94 @@ class TestNoiseBatches:
         )
         tracemalloc.start()
         try:
-            ens = simulate_paths(dyn, zero_control, 1.0, 1.0 / 4000, 1000, seed=3, cost=ZERO_COST)
+            ens = simulate_paths(
+                dyn, zero_control, 1.0, 1.0 / 4000, 1000, seed=3, cost=ZERO_COST, history=True
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert ens.states.shape == (1000, 4001, 2)
         assert peak <= ens.states.nbytes + 8 * sdesim._NOISE_BATCH + 4 * 2**20
         assert ens.controls.shape == (1000, 4000, 1)
+
+
+ESTIMATE_FIELDS = ("final_states", "valid", "clamp_counts", "_cost_totals")
+
+
+def assert_history_free_matches(dyn, law, horizon, dt, n_paths, seed, cost):
+    """A history-free ensemble holds the bits of a history ensemble's
+    final states, flags, clamp counts and totals, and gives its estimate."""
+    full = simulate_paths(dyn, law, horizon, dt, n_paths, seed, cost=cost, history=True)
+    free = simulate_paths(dyn, law, horizon, dt, n_paths, seed, cost=cost)
+    assert free.states is None
+    assert np.array_equal(full.final_states, full.states[:, -1])
+    for name in ESTIMATE_FIELDS:
+        assert np.array_equal(getattr(free, name), getattr(full, name)), name
+    if full.valid.any():
+        assert estimate_objective(free, cost) == estimate_objective(full, cost)
+    return free, full
+
+
+class TestWithoutHistory:
+    """The default keeps what estimate_objective reads and no history."""
+
+    @pytest.mark.parametrize("steps_per_batch", [None, 1, 7])
+    @pytest.mark.parametrize("family", ["lqg", "grid"])
+    def test_bundled_rollouts_keep_their_estimate_bits(
+        self, family, steps_per_batch, bundled_controllers, monkeypatch
+    ):
+        cfg, law, horizon, dt, _, _ = bundled_controllers[family]
+        dyn, cost = simulation_dynamics(cfg), simulation_cost(cfg)
+        if steps_per_batch is not None:
+            _size_noise_batch(monkeypatch, steps_per_batch, 64, dyn.d_w)
+        assert_history_free_matches(dyn, law, horizon, dt, 64, cfg.seed, cost)
+
+    @pytest.mark.parametrize("steps_per_batch", [None, 1, 7])
+    @pytest.mark.parametrize("horizon", [1.0, 0.98], ids=["50-steps", "49-steps"])
+    def test_frozen_paths_keep_their_estimate_bits(self, horizon, steps_per_batch, monkeypatch):
+        """The mixed-explosion case under a nonzero law and a cost that
+        reads the control, ending on either slice of the two-slice buffer."""
+        dyn, law, cost = TestDerivedCosts.frozen_case()
+        if steps_per_batch is not None:
+            _size_noise_batch(monkeypatch, steps_per_batch, 200, dyn.d_w)
+        free, _ = assert_history_free_matches(dyn, law, horizon, 0.02, 200, 6, cost)
+        assert 0 < free.n_excluded < free.n_paths and free.clamp_counts.sum() > 0
+        assert free.n_paths == 200 and free.final_states.shape == (200, 2)
+
+    def test_peak_memory_is_one_noise_batch(self):
+        """1000 paths x 4000 steps x 2 state dimensions: a state history
+        would take 64 MB on its own."""
+        dyn = ExtendedDynamics(
+            d_x=1,
+            d_z=1,
+            d_u=1,
+            d_w=2,
+            drift=lambda t, s, u: -s,
+            diffusion=lambda t, s, u: np.eye(2),
+            initial_density=Gaussian([0.0, 0.0], np.eye(2)),
+        )
+        tracemalloc.start()
+        try:
+            ens = simulate_paths(dyn, zero_control, 1.0, 1.0 / 4000, 1000, seed=3, cost=ZERO_COST)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sdesim._NOISE_BATCH + 4 * 2**20
+        assert ens.final_states.shape == (1000, 2)
+
+    @pytest.mark.parametrize("name", ["controls", "cumulative_costs"])
+    def test_histories_are_refused(self, name):
+        dyn, law, cost = mixed_explosion_case(1.0)
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 20, seed=6, cost=cost)
+        with pytest.raises(ProblemError, match="history=True"):
+            getattr(ens, name)
+
+    def test_write_paths_is_refused_before_writing(self, tmp_path):
+        dyn, law, cost = mixed_explosion_case(1.0)
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 20, seed=6, cost=cost)
+        with pytest.raises(ProblemError, match="history=True"):
+            artifacts.write_paths(tmp_path, ens)
+        assert not (tmp_path / artifacts.PATHS_FILE).exists()
 
 
 class TestDerivedCosts:
@@ -384,7 +467,7 @@ class TestDerivedCosts:
 
     def test_history_has_the_time_major_accumulation_bits(self):
         dyn, law, cost = self.frozen_case()
-        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
         assert 0 < ens.n_excluded < ens.n_paths
         cum = np.zeros((51, 200))
         for i, t in enumerate(ens.times[:-1]):
@@ -400,7 +483,7 @@ class TestDerivedCosts:
         """An equal but distinct CostSpec (the same two callables) reads
         the kept totals, which have the bits of the replayed history."""
         dyn, law, cost = self.frozen_case()
-        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost)
+        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
         same_cost = CostSpec(cost.running_cost, cost.terminal_cost)
         mean, _ = estimate_objective(ens, same_cost)
         valid = ens.valid
@@ -444,7 +527,9 @@ class TestDerivedCosts:
         _size_noise_batch(monkeypatch, 10, 1000, 2)
         tracemalloc.start()
         try:
-            ens = simulate_paths(dyn, zero_control, 1.0, 1.0 / 400, 1000, seed=3, cost=cost)
+            ens = simulate_paths(
+                dyn, zero_control, 1.0, 1.0 / 400, 1000, seed=3, cost=cost, history=True
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -515,7 +600,7 @@ class TestEstimateObjective:
             running_cost=lambda t, s, u: s[:, 0] ** 2,
             terminal_cost=lambda s: np.zeros(s.shape[0]),
         )
-        ens = simulate_paths(dyn, zero_control, 1.0, 0.02, 20, seed=9, cost=cost)
+        ens = simulate_paths(dyn, zero_control, 1.0, 0.02, 20, seed=9, cost=cost, history=True)
         diffs = np.diff(ens.cumulative_costs, axis=1)
         assert np.all(diffs >= 0.0)
         mean_stored, _ = estimate_objective(ens, cost)
@@ -539,7 +624,7 @@ class TestEstimateObjective:
             terminal_cost=lambda s: s[:, 0] ** 2,
         )
         law = MemoryLaw(lambda t, z: 0.5 * z)
-        stored = simulate_paths(dyn, law, 0.7, 0.1, 50, seed=1, cost=cost)
+        stored = simulate_paths(dyn, law, 0.7, 0.1, 50, seed=1, cost=cost, history=True)
         replayed = stored.cumulative_costs[:, -1] + cost.terminal_cost(stored.states[:, -1])
         assert stored.n_excluded == 0
         assert estimate_objective(stored, cost)[0] == float(replayed.mean())
@@ -593,7 +678,7 @@ class TestControlReplay:
         rng = np.random.default_rng(0)
         table = rng.standard_normal(law.values.shape)
         recorder = RecordingLaw(GridControlLaw(table, law.grid, law.d_x))
-        ens = simulate_paths(dyn, recorder, 1.0, 0.02, 200, seed=6, cost=cost)
+        ens = simulate_paths(dyn, recorder, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
         assert 0 < ens.n_excluded < ens.n_paths and ens.clamp_counts.sum() > 0
         assert_replays_the_applied_controls(ens, recorder)
 
@@ -602,7 +687,7 @@ class TestControlReplay:
         cfg, law, horizon, dt, _, _ = bundled_controllers[family]
         recorder = RecordingLaw(law)
         dyn, cost = simulation_dynamics(cfg), simulation_cost(cfg)
-        ens = simulate_paths(dyn, recorder, horizon, dt, 64, cfg.seed, cost=cost)
+        ens = simulate_paths(dyn, recorder, horizon, dt, 64, cfg.seed, cost=cost, history=True)
         assert_replays_the_applied_controls(ens, recorder)
 
     @settings(max_examples=40, deadline=None)
@@ -634,7 +719,9 @@ class TestControlReplay:
         box = (lower, lower + rng.uniform(0.0, 1.5, d_z)) if boxed else None
         law = AffineLaw(rng.standard_normal((d_u, d_z)), rng.standard_normal(d_u), box)
         recorder = RecordingLaw(law)
-        ens = simulate_paths(dyn, recorder, 0.05 * n_steps, 0.05, n_paths, seed, cost=ZERO_COST)
+        ens = simulate_paths(
+            dyn, recorder, 0.05 * n_steps, 0.05, n_paths, seed, cost=ZERO_COST, history=True
+        )
         assert_replays_the_applied_controls(ens, recorder)
 
 
@@ -766,7 +853,7 @@ class TestLqgClosedLoop:
             initial_density=problem.initial_density(),
         )
         n = 4000
-        ens = simulate_paths(dyn, law, 2.0, 0.01, n, seed=21, cost=ZERO_COST)
+        ens = simulate_paths(dyn, law, 2.0, 0.01, n, seed=21, cost=ZERO_COST, history=True)
         assert ens.n_excluded == 0
         for idx in (50, 100, 200):
             emp = ens.states[:, idx, :].mean(axis=0)
