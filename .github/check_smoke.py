@@ -9,9 +9,8 @@ when a workload's traced `gridpde.build_generator` calls differ from its
 builds one generator and steps one field with it), when a metric the
 benchmark declares is missing, or when the log holds no summary at all.
 
-The declared metrics are read from BENCHMARK.json (the repository's, or
-the one named as the second argument), which this script does not edit:
-every `<workload>.<metric>` pair of its workloads and its end-to-end and
+The declared metrics are read from the repository's BENCHMARK.json,
+which this script does not edit: every `<workload>.<metric>` pair of its workloads and its end-to-end and
 per-layer metric names must appear in some summary, so a metric that
 disappears from the summaries fails as a null one does.
 
@@ -21,7 +20,7 @@ metrics, and the traced grid structure (every `gridpde.*.calls` count,
 `gridpde.step_ms.samples` and `core.mesh.calls`), so that a refactor can
 be seen to keep the calls the traced pass makes.
 
-Usage: python3 .github/check_smoke.py SMOKE_LOG [BENCHMARK_JSON]
+Usage: python3 .github/check_smoke.py SMOKE_LOG
 """
 
 import json
@@ -53,9 +52,9 @@ def read_summaries(path):
     return summaries
 
 
-def read_declared(path):
+def read_declared():
     """(end-to-end names, every declared <workload>.<metric> pair)."""
-    with open(path) as handle:
+    with open(BENCHMARK) as handle:
         spec = json.load(handle)
     end_to_end = [m["name"] for m in spec["end_to_end"]]
     names = end_to_end + [m["name"] for m in spec["per_layer"]]
@@ -125,8 +124,8 @@ def write_step_summary(out, summaries, end_to_end):
             out.write(f"| `{name}` | " + " | ".join(cells) + " |\n")
 
 
-def main(path, benchmark=BENCHMARK) -> int:
-    end_to_end, declared = read_declared(benchmark)
+def main(path) -> int:
+    end_to_end, declared = read_declared()
     summaries = read_summaries(path)
     bad = [s for s in summaries if s["correct"] is not True or s["failed"] != 0]
     print(f"{len(summaries)} summaries, {len(bad)} with wrong answers or failures")
@@ -170,4 +169,4 @@ def main(path, benchmark=BENCHMARK) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(*sys.argv[1:3]))
+    sys.exit(main(sys.argv[1]))

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-CHECKER = Path(__file__).resolve().parents[1] / ".github" / "check_smoke.py"
+ROOT = Path(__file__).resolve().parents[1]
+CHECKER = ROOT / ".github" / "check_smoke.py"
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 
 def summary(**metrics):
@@ -23,9 +26,26 @@ def summary(**metrics):
     }
 
 
+def declared(group):
+    """A value-1 entry, in its declared unit, for each <workload>.<metric>
+    pair of one BENCHMARK.json group ("end_to_end" or "per_layer")."""
+    return {
+        f"{workload}.{m['name']}": {"value": 1, "unit": m["unit"]}
+        for workload in WORKLOADS
+        for m in SPEC[group]
+    }
+
+
 def good_log():
+    """Every pair BENCHMARK.json declares: the end-to-end metrics in the
+    untraced summary, the per-layer ones in the traced summary."""
     untraced = summary(**{"lqg-tol.op_s": 3.4, "lqg-tol.setup_s": 0.2, "rollout.op_s": 2.7})
-    traced = summary(**{"lqg-tol.code.sloc": 2700, "lqg-tol.code.public_names": 81})
+    untraced["metrics"] = {**declared("end_to_end"), **untraced["metrics"]}
+    sizes = {"code.sloc": 2700, "code.public_names": 81}
+    traced = summary(**{f"{w}.{name}": value for w in WORKLOADS for name, value in sizes.items()})
+    traced["metrics"] = {**declared("per_layer"), **traced["metrics"]}
+    for workload in WORKLOADS:
+        traced["metrics"].update(grid_steps(workload))
     return [
         "provenance: {}",
         "[lqg-tol] recorded",
@@ -34,29 +54,15 @@ def good_log():
     ]
 
 
-# The benchmark declaration good_log() satisfies: one workload, two
-# end-to-end metrics and the two code size figures.
-DECLARED = {
-    "workloads": [{"name": "lqg-tol"}],
-    "end_to_end": [{"name": "setup_s"}, {"name": "op_s"}],
-    "per_layer": [{"name": "code.sloc"}, {"name": "code.public_names"}],
-}
-
-
-def check(tmp_path, lines, step_summary=None, declared=DECLARED):
-    """Run the checker on lines, against declared (a BENCHMARK.json
-    document), or against the repository's BENCHMARK.json when None."""
+def check(tmp_path, lines, step_summary=None):
     log = tmp_path / "smoke.log"
     log.write_text("\n".join(lines) + "\n")
-    argv = [sys.executable, str(CHECKER), str(log)]
-    if declared is not None:
-        benchmark = tmp_path / "BENCHMARK.json"
-        benchmark.write_text(json.dumps(declared))
-        argv.append(str(benchmark))
     env = {k: v for k, v in os.environ.items() if k != "GITHUB_STEP_SUMMARY"}
     if step_summary is not None:
         env["GITHUB_STEP_SUMMARY"] = str(step_summary)
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, str(CHECKER), str(log)], capture_output=True, text=True, env=env
+    )
 
 
 def grid_steps(workload, builds=5000, applies=2000, adjoints=3000):
@@ -79,17 +85,14 @@ def test_good_log_passes_and_writes_the_tables(tmp_path):
     text = page.read_text()
     assert "| `code.public_names` | 81 |" in text
     assert "| `code.sloc` | 2700 |" in text
-    assert "| workload | setup_s | op_s |\n" in text
-    assert "| `lqg-tol` | 0.2 s | 3.4 s |" in text
-    assert "| `rollout` | - | 2.7 s |" in text
-    assert "traced structure" not in text
+    assert "| workload | op_s | setup_s | peak_rss_mb | out_mb |" in text
+    assert "| `lqg-tol` | 3.4 s | 0.2 s | 1 MB | 1 MB |" in text
+    assert "| `rollout` | 2.7 s | 1 s | 1 MB | 1 MB |" in text
 
 
 def test_the_traced_grid_structure_is_tabulated(tmp_path):
     lines = good_log()
     traced = json.loads(lines[3])
-    traced["metrics"].update(grid_steps("obstacle-budget"))
-    traced["metrics"].update(grid_steps("rollout"))
     traced["metrics"].update({
         "obstacle-budget.gridpde.step_ms.samples": {"value": 2999, "unit": "count"},
         "obstacle-budget.gridpde.step_ms.p50": {"value": 0.7, "unit": "ms"},
@@ -101,10 +104,10 @@ def test_the_traced_grid_structure_is_tabulated(tmp_path):
     proc = check(tmp_path, lines, step_summary=page)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     text = page.read_text()
-    assert "| traced structure | obstacle-budget | rollout |" in text
-    assert "| `gridpde.build_generator.calls` | 5000 | 5000 |" in text
-    assert "| `gridpde.step_ms.samples` | 2999 | - |" in text
-    assert "| `core.mesh.calls` | 12008 | - |" in text
+    assert "| traced structure | lqg-tol | obstacle-budget | rollout |" in text
+    assert "| `gridpde.build_generator.calls` | 5000 | 5000 | 5000 |" in text
+    assert "| `gridpde.step_ms.samples` | 1 | 2999 | 1 |" in text
+    assert "| `core.mesh.calls` | 1 | 12008 | 1 |" in text
     assert "step_ms.p50" not in text
     assert "control_eval" not in text
 
@@ -134,7 +137,9 @@ def test_a_bad_summary_fails(tmp_path, spoil):
     assert check(tmp_path, lines).returncode == 1
 
 
-@pytest.mark.parametrize("dropped, line", [("lqg-tol.setup_s", 2), ("lqg-tol.code.sloc", 3)])
+@pytest.mark.parametrize(
+    "dropped, line", [("lqg-tol.setup_s", 2), ("rollout.sdesim.lqg.path_steps_per_s", 3)]
+)
 def test_a_dropped_metric_fails(tmp_path, dropped, line):
     lines = good_log()
     doc = json.loads(lines[line])
@@ -144,21 +149,6 @@ def test_a_dropped_metric_fails(tmp_path, dropped, line):
     assert proc.returncode == 1
     assert proc.stdout.count("missing metric") == 1
     assert f"missing metric {dropped}" in proc.stdout
-
-
-def test_the_repository_declaration_is_read_by_default(tmp_path):
-    """Without a second argument the checker reads the repository's
-    BENCHMARK.json, whose workloads good_log() mostly lacks."""
-    root = CHECKER.parents[1]
-    spec = json.loads((root / "BENCHMARK.json").read_text())
-    lines = good_log()
-    present = {key for line in lines[2:] for key in json.loads(line)["metrics"]}
-    proc = check(tmp_path, lines, declared=None)
-    assert proc.returncode == 1
-    for workload in spec["workloads"]:
-        for metric in spec["end_to_end"] + spec["per_layer"]:
-            key = f"{workload['name']}.{metric['name']}"
-            assert (f"missing metric {key}\n" in proc.stdout) == (key not in present), key
 
 
 def test_a_nan_metric_fails(tmp_path):
