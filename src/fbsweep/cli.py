@@ -17,6 +17,10 @@ Subcommands:
 * ``reproduce``  run both bundled configurations end to end (solve,
   simulate, verify) into one output tree.
 
+Each family's part of these commands (its solver, answer files, control
+law, answer check and reproduce settings) lives in one ``_Family``
+record, looked up once per command, so every command is one path.
+
 Exit codes are stable: 0 success (including budget-mode runs with
 tol=0), 1 verification found a mismatch, 2 invalid input, 3 numerical
 failure, 4 iteration budget exhausted before the tolerance was met.
@@ -30,7 +34,9 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -86,17 +92,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_lqg = sub.add_parser(
-        "run-lqg", help="solve an 'lqg'-family configuration"
-    )
-    _add_run_arguments(run_lqg)
-    run_lqg.set_defaults(func=cmd_run_lqg)
-
-    run_grid = sub.add_parser(
-        "run-grid", help="solve an 'obstacle-grid'-family configuration"
-    )
-    _add_run_arguments(run_grid)
-    run_grid.set_defaults(func=cmd_run_grid)
+    for family in _FAMILIES:
+        run = sub.add_parser(
+            family.command, help=f"solve an {family.name!r}-family configuration"
+        )
+        run.add_argument("--config", required=True, help="problem configuration JSON")
+        run.add_argument("--out", required=True, help="output directory")
+        run.add_argument("--seed", type=int, default=None, help="override config seed")
+        run.add_argument(
+            "--max-iters", type=int, default=None, help="override solver iteration budget"
+        )
+        run.add_argument(
+            "--tol", type=float, default=None, help="override convergence tolerance"
+        )
+        run.add_argument(
+            "--dt", type=float, default=None, help="override solver time step"
+        )
+        run.set_defaults(func=cmd_run, family=family)
 
     sim = sub.add_parser(
         "simulate", help="Monte Carlo rollout under a solved control law"
@@ -137,19 +149,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="problem configuration JSON")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--max-iters", type=int, default=None, help="override solver iteration budget"
-    )
-    parser.add_argument(
-        "--tol", type=float, default=None, help="override convergence tolerance"
-    )
-    parser.add_argument(
-        "--dt", type=float, default=None, help="override solver time step"
-    )
+def _check_arguments(args) -> None:
+    """Refuse a bad --out or --paths before the command reads or writes anything."""
+    out = getattr(args, "out", None)
+    if out is not None and Path(out).exists() and not Path(out).is_dir():
+        raise ProblemError(f"--out {out} exists and is not a directory")
+    if getattr(args, "paths", 1) < 1:
+        raise ProblemError("--paths must be at least 1")
 
 
 def _effective_document(args) -> dict:
@@ -160,25 +166,21 @@ def _effective_document(args) -> dict:
     """
     doc = copy.deepcopy(read_document(args.config))
     solver = dict(doc.get("solver") or {})
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         solver["max_iters"] = args.max_iters
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         solver["tol"] = args.tol
     if solver:
         doc["solver"] = solver
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         doc["seed"] = args.seed
-    dt = getattr(args, "dt", None)
-    if dt is not None:
-        if dt <= 0:
+    if args.dt is not None:
+        if args.dt <= 0:
             raise ProblemError("--dt must be positive")
-        if doc.get("family") == "obstacle-grid":
-            domain = dict(doc.get("domain") or {})
-            horizon = _scalar(domain, "horizon", float, "domain.")
-            domain["n_t"] = _step_count(horizon, dt)
-            doc["domain"] = domain
-        else:
-            doc["dt"] = dt
+        # A family parse_config refuses has no step to fold into.
+        family = _family(doc.get("family"))
+        if family is not None:
+            family.fold_dt(doc, args.dt)
     return doc
 
 
@@ -201,242 +203,70 @@ def _solver_exit(settings, converged: bool) -> int:
     return EXIT_BUDGET
 
 
-def _solve_lqg_config(cfg: LoadedConfig):
-    return fbsm_lqg(
-        cfg.lqg_problem,
-        max_iters=cfg.solver.max_iters,
-        tol=cfg.solver.tol,
-    )
-
-
-def _solve_grid_config(cfg: LoadedConfig, keep_nodes=()):
-    return fbsm_grid(
-        cfg.grid_problem,
-        cfg.grid,
-        max_iters=cfg.solver.max_iters,
-        tol=cfg.solver.tol,
-        keep_nodes=keep_nodes,
-    )
-
-
 def _or_null(value: float):
     """value, or None (JSON null) where no sweep has defined it yet."""
     return value if np.isfinite(value) else None
-
-
-def _run_lqg(doc: dict, out) -> tuple:
-    cfg = parse_config(doc)
-    if cfg.family != "lqg":
-        raise ProblemError(f"run-lqg requires family 'lqg', got {cfg.family!r}")
-    text = _canonical_text(doc)
-    run_dir = _prepare_run_dir(out, text, cfg.seed, "run-lqg")
-    result = _solve_lqg_config(cfg)
-    artifacts.write_gains(run_dir, result.gains)
-    artifacts.write_iterations(run_dir, result.objective_history)
-    # After a Pi sweep (an odd count) Lambda predates Pi, so Lambda^{-1}
-    # is not the law's covariance and the closed form does not apply.
-    analytic = None
-    if result.iterations % 2 == 0:
-        analytic = lqg_objective(cfg.lqg_problem, result.gains)
-    artifacts.write_summary(
-        run_dir,
-        {
-            "family": cfg.family,
-            "objective": result.objective_history[-1],
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_delta": _or_null(result.final_delta),
-            "pi_gap": result.pi_gap,
-            "lambda_gap": result.lambda_gap,
-            "min_lambda_eigenvalue": result.min_lambda_eigenvalue,
-            "monotonicity_violations": len(result.monotonicity_violations),
-            "analytic_objective": analytic,
-            "seed": cfg.seed,
-            "solver": {
-                "max_iters": cfg.solver.max_iters,
-                "tol": cfg.solver.tol,
-                "method": "rk4",
-            },
-        },
-    )
-    return _solver_exit(cfg.solver, result.converged), result
-
-
-def _run_grid(doc: dict, out) -> tuple:
-    cfg = parse_config(doc)
-    if cfg.family != "obstacle-grid":
-        raise ProblemError(
-            f"run-grid requires family 'obstacle-grid', got {cfg.family!r}"
-        )
-    text = _canonical_text(doc)
-    run_dir = _prepare_run_dir(out, text, cfg.seed, "run-grid")
-    # The result holds one field in full; write_field_slices reads the
-    # other one's slices from those kept at these nodes.
-    result = _solve_grid_config(cfg, artifacts.slice_nodes(cfg.grid, cfg.slice_times))
-    artifacts.write_iterations(run_dir, result.objective_history)
-    d_x = cfg.grid_problem.d_x
-    artifacts.write_grid_sidecar(run_dir, cfg.grid, d_x, result.control.shape[-1])
-    artifacts.write_control_table(run_dir, result.control, cfg.grid, d_x)
-    slice_files = artifacts.write_field_slices(run_dir, result, cfg.slice_times)
-    artifacts.write_summary(
-        run_dir,
-        {
-            "family": cfg.family,
-            "objective": result.objective_history[-1],
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "final_delta": _or_null(result.final_delta),
-            "max_negative_mass": result.mass_log.max_negative_mass,
-            "max_mass_drift": result.mass_log.max_mass_drift,
-            "monotonicity_violations": len(result.monotonicity_violations),
-            "slice_files": slice_files,
-            "seed": cfg.seed,
-            "solver": {
-                "max_iters": cfg.solver.max_iters,
-                "tol": cfg.solver.tol,
-                "minimizer": "exact",
-            },
-        },
-    )
-    return _solver_exit(cfg.solver, result.converged), result
-
-
-def cmd_run_lqg(args) -> int:
-    code, result = _run_lqg(_effective_document(args), args.out)
-    _print_run_status(result, args.out)
-    return code
-
-
-def cmd_run_grid(args) -> int:
-    code, result = _run_grid(_effective_document(args), args.out)
-    _print_run_status(result, args.out)
-    return code
-
-
-def _print_run_status(result, out) -> None:
-    status = "converged" if result.converged else "budget exhausted"
-    print(
-        f"J = {result.objective_history[-1]:.10g} after "
-        f"{result.iterations} iterations ({status}); artifacts in {out}"
-    )
-
-
-def _load_controller(cfg: LoadedConfig, run_dir: Path):
-    if not run_dir.is_dir():
-        raise ProblemError(f"controller directory not found: {run_dir}")
-    has_gains = (run_dir / artifacts.GAINS_FILE).exists()
-    has_table = (run_dir / artifacts.CONTROL_FILE).exists()
-    if cfg.family == "lqg":
-        if not has_gains:
-            if has_table:
-                raise ProblemError(
-                    "controller directory holds a grid control table but the "
-                    "configuration family is 'lqg'"
-                )
-            raise ProblemError(f"missing artifact: {run_dir / artifacts.GAINS_FILE}")
-        gains = artifacts.read_gains(run_dir, cfg.lqg_problem.d_x)
-        if gains.psi.shape[-1] != cfg.lqg_problem.d_s:
-            raise ProblemError(
-                f"controller dimension {gains.psi.shape[-1]} does not match "
-                f"configuration dimension {cfg.lqg_problem.d_s}"
-            )
-        if abs(gains.horizon - cfg.lqg_problem.horizon) > 1e-9:
-            raise ProblemError(
-                f"controller horizon {gains.horizon} does not match "
-                f"configuration horizon {cfg.lqg_problem.horizon}"
-            )
-        return LqgControlLaw(gains, cfg.lqg_problem)
-    if not has_table:
-        if has_gains:
-            raise ProblemError(
-                "controller directory holds lqg gains but the configuration "
-                "family is 'obstacle-grid'"
-            )
-        raise ProblemError(f"missing artifact: {run_dir / artifacts.CONTROL_FILE}")
-    values, grid, d_x = artifacts.read_control_table(run_dir)
-    if abs(grid.horizon - cfg.grid.horizon) > 1e-9:
-        raise ProblemError(
-            f"controller horizon {grid.horizon} does not match "
-            f"configuration horizon {cfg.grid.horizon}"
-        )
-    return GridControlLaw(values, grid, d_x)
-
-
-def _simulate(doc: dict, controller_dir, out, n_paths: int, seed, dt) -> tuple:
-    """Simulate n_paths under the solved law and write every path's rows.
-
-    A --seed override is folded into the document before it is parsed, so
-    it is checked like the document's own seed.
-    """
-    if seed is not None:
-        doc = dict(doc, seed=int(seed))
-    cfg = parse_config(doc)
-    if n_paths < 1:
-        raise ProblemError("--paths must be at least 1")
-    law = _load_controller(cfg, Path(controller_dir))
-    dynamics = simulation_dynamics(cfg)
-    cost = simulation_cost(cfg)
-    if cfg.family == "lqg":
-        horizon = cfg.lqg_problem.horizon
-        step = dt if dt is not None else cfg.lqg_problem.dt
-    else:
-        horizon = cfg.grid.horizon
-        step = dt if dt is not None else cfg.grid.dt
-    ensemble = simulate_paths(
-        dynamics, law, horizon, step, n_paths, cfg.seed, cost=cost, history=True
-    )
-    mean, stderr = estimate_objective(ensemble, cost)
-    text = _canonical_text(doc)
-    run_dir = _prepare_run_dir(out, text, cfg.seed, "simulate")
-    artifacts.write_paths(run_dir, ensemble)
-    artifacts.write_objective(run_dir, mean, stderr, ensemble.n_paths - ensemble.n_excluded, ensemble.n_excluded)
-    return mean, stderr, ensemble.n_excluded
-
-
-def cmd_simulate(args) -> int:
-    mean, stderr, n_excluded = _simulate(
-        read_document(args.config),
-        args.controller,
-        args.out,
-        args.paths,
-        args.seed,
-        args.dt,
-    )
-    print(
-        f"objective {mean:.10g} +/- {stderr:.4g} over "
-        f"{args.paths - n_excluded} paths; artifacts in {args.out}"
-    )
-    return EXIT_OK
 
 
 def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
     checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
-def _iterations_match(stored: np.ndarray, fresh: np.ndarray):
-    """First index where the recorded objectives differ from the rerun."""
-    if len(stored) != len(fresh):
-        return False, f"{len(stored)} recorded iterations, rerun produced {len(fresh)}"
-    for k, (a, b) in enumerate(zip(stored, fresh)):
-        if not _objectives_match(a, b):
-            return (
-                False,
-                f"objective mismatch at iteration k={k}: "
-                f"{float(a)!r} != {float(b)!r}",
-            )
-    return True, ""
+def _check_horizon(stored: float, configured: float) -> None:
+    if abs(stored - configured) > 1e-9:
+        raise ProblemError(
+            f"controller horizon {stored} does not match "
+            f"configuration horizon {configured}"
+        )
 
 
-def _objectives_match(recorded: float, answer: float) -> bool:
-    return abs(recorded - answer) <= ITERATION_MATCH_RTOL * (1.0 + abs(answer))
+# -- the lqg family: Riccati sweeps, gain tables, the affine law ------------
+def _lqg_axis(cfg: LoadedConfig) -> tuple:
+    return cfg.lqg_problem.horizon, cfg.lqg_problem.dt
 
 
-def _check_deviation(checks: list, name: str, diff: float, scale: float) -> None:
-    _check(checks, name, diff <= ITERATION_MATCH_RTOL * scale, f"max deviation {diff:.3e}")
+def _lqg_fold_dt(doc: dict, dt: float) -> None:
+    doc["dt"] = dt
 
 
-def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, checks: list) -> tuple:
-    """Check the stored gains; return them and their closed-loop objective.
+def _solve_lqg(cfg: LoadedConfig, keep_slices: bool = False):
+    return fbsm_lqg(cfg.lqg_problem, max_iters=cfg.solver.max_iters, tol=cfg.solver.tol)
+
+
+def _write_lqg_answer(cfg: LoadedConfig, run_dir: Path, result) -> dict:
+    artifacts.write_gains(run_dir, result.gains)
+    # After a Pi sweep (an odd count) Lambda predates Pi, so Lambda^{-1}
+    # is not the law's covariance and the closed form does not apply.
+    analytic = None
+    if result.iterations % 2 == 0:
+        analytic = lqg_objective(cfg.lqg_problem, result.gains)
+    return {
+        "pi_gap": result.pi_gap,
+        "lambda_gap": result.lambda_gap,
+        "min_lambda_eigenvalue": result.min_lambda_eigenvalue,
+        "analytic_objective": analytic,
+    }
+
+
+def _lqg_law(cfg: LoadedConfig, run_dir: Path):
+    problem = cfg.lqg_problem
+    gains = artifacts.read_gains(run_dir, problem.d_x)
+    if gains.psi.shape[-1] != problem.d_s:
+        raise ProblemError(
+            f"controller dimension {gains.psi.shape[-1]} does not match "
+            f"configuration dimension {problem.d_s}"
+        )
+    _check_horizon(gains.horizon, problem.horizon)
+    return LqgControlLaw(gains, problem)
+
+
+def _gain_tables(gains) -> tuple:
+    """The tables a rerun compares, Pi (which sets the tolerance's scale) first."""
+    return gains.pi, gains.psi, gains.lam, gains.mu
+
+
+def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: list) -> tuple:
+    """Check the stored gains; return their tables and closed-loop objective.
 
     The objective is the one every lqg sweep records, from the same
     gains, so it reproduces the last recorded value bit for bit.
@@ -458,13 +288,62 @@ def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, checks: list) -> tuple:
     )
     if not min_eig > 0.0:
         # such a Lambda defines no law, so there is no objective to compare
-        return gains, np.nan
+        return _gain_tables(gains), np.nan
     objective = _closed_loop_objective(problem, gains.psi, gains.pi, gains.lam, gains.mu)
-    return gains, objective
+    return _gain_tables(gains), objective
+
+
+def _quarter_step(doc: dict) -> float:
+    # Simulate at a quarter of the solver step: the path integrator's
+    # first-order weak bias at the solver's own step is larger than the
+    # Monte Carlo standard error reproduce's summary is meant to expose.
+    return float(doc["dt"]) / 4.0
+
+
+# -- the obstacle-grid family: grid sweeps, control table, interpolated law --
+def _grid_axis(cfg: LoadedConfig) -> tuple:
+    return cfg.grid.horizon, cfg.grid.dt
+
+
+def _grid_fold_dt(doc: dict, dt: float) -> None:
+    domain = dict(doc.get("domain") or {})
+    horizon = _scalar(domain, "horizon", float, "domain.")
+    domain["n_t"] = _step_count(horizon, dt)
+    doc["domain"] = domain
+
+
+def _solve_grid(cfg: LoadedConfig, keep_slices: bool = False):
+    # The result holds one field in full; write_field_slices reads the
+    # other one's slices from those kept at these nodes.
+    keep = artifacts.slice_nodes(cfg.grid, cfg.slice_times) if keep_slices else ()
+    return fbsm_grid(
+        cfg.grid_problem,
+        cfg.grid,
+        max_iters=cfg.solver.max_iters,
+        tol=cfg.solver.tol,
+        keep_nodes=keep,
+    )
+
+
+def _write_grid_answer(cfg: LoadedConfig, run_dir: Path, result) -> dict:
+    d_x = cfg.grid_problem.d_x
+    artifacts.write_grid_sidecar(run_dir, cfg.grid, d_x, result.control.shape[-1])
+    artifacts.write_control_table(run_dir, result.control, cfg.grid, d_x)
+    return {
+        "max_negative_mass": result.mass_log.max_negative_mass,
+        "max_mass_drift": result.mass_log.max_mass_drift,
+        "slice_files": artifacts.write_field_slices(run_dir, result, cfg.slice_times),
+    }
+
+
+def _grid_law(cfg: LoadedConfig, run_dir: Path):
+    values, grid, d_x = artifacts.read_control_table(run_dir)
+    _check_horizon(grid.horizon, cfg.grid.horizon)
+    return GridControlLaw(values, grid, d_x)
 
 
 def _check_grid_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: list) -> tuple:
-    """Check the stored control; return it and its objective.
+    """Check the stored control; return it (as a one-table tuple) and its objective.
 
     One forward pass under the control gives its density and mass
     bookkeeping; the stationarity oracle steps the value alongside. The
@@ -503,7 +382,207 @@ def _check_grid_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: li
         pmp.weighted_max <= pmp_limit,
         f"weighted max {pmp.weighted_max:.3e} (limit {pmp_limit:.3e})",
     )
-    return control, objective
+    return (control,), objective
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One problem family's part of every command.
+
+    The callables are this module's functions, which reach the library
+    (``fbsm_lqg``, ``fbsm_grid``, ``sweep_pmp_residual``, ...) through the
+    module's globals when they run, so a rebound global is what they call.
+    """
+
+    name: str  # the document's "family"
+    command: str  # the run command, also the manifest's subcommand
+    bundled: str  # the bundled document reproduce runs
+    slack: float  # the descent rule's monotonicity slack
+    answer_file: str  # the answer a controller directory holds
+    answer_label: str  # that answer, as a cross-family error names it
+    solver_choice: tuple  # (key, value) of what always runs, for summary.json
+    axis: Callable  # cfg -> (horizon, solver step)
+    fold_dt: Callable  # (doc, dt): fold a --dt override into the document
+    solve: Callable  # (cfg, keep_slices) -> sweep result
+    write_answer: Callable  # (cfg, run_dir, result) -> the family's summary fields
+    load_law: Callable  # (cfg, run_dir) -> the stored control law
+    check_answer: Callable  # (cfg, run_dir, sweeps, checks) -> (tables, objective)
+    rerun_tables: Callable  # sweep result -> the tables check_answer returns
+    table_check: str  # the name of verify's rerun table comparison
+    mc_step: Callable  # document -> reproduce's simulation step (None: the solver's)
+    mc_reference: str  # the summary field reproduce's mc_gap is measured from
+    repro_fields: tuple  # the summary fields reproduce reports besides J
+
+
+_FAMILIES = (
+    _Family(
+        name="lqg",
+        command="run-lqg",
+        bundled="lqg",
+        slack=LQG_MONOTONICITY_SLACK,
+        answer_file=artifacts.GAINS_FILE,
+        answer_label="lqg gains",
+        solver_choice=("method", "rk4"),
+        axis=_lqg_axis,
+        fold_dt=_lqg_fold_dt,
+        solve=_solve_lqg,
+        write_answer=_write_lqg_answer,
+        load_law=_lqg_law,
+        check_answer=_check_lqg_answer,
+        rerun_tables=lambda result: _gain_tables(result.gains),
+        table_check="gain tables match rerun",
+        mc_step=_quarter_step,
+        mc_reference="analytic_objective",
+        repro_fields=("analytic_objective",),
+    ),
+    _Family(
+        name="obstacle-grid",
+        command="run-grid",
+        bundled="obstacle",
+        slack=GRID_MONOTONICITY_SLACK,
+        answer_file=artifacts.CONTROL_FILE,
+        answer_label="a grid control table",
+        solver_choice=("minimizer", "exact"),
+        axis=_grid_axis,
+        fold_dt=_grid_fold_dt,
+        solve=_solve_grid,
+        write_answer=_write_grid_answer,
+        load_law=_grid_law,
+        check_answer=_check_grid_answer,
+        rerun_tables=lambda result: (result.control,),
+        table_check="control table matches rerun",
+        mc_step=lambda doc: None,
+        mc_reference="objective",
+        repro_fields=("max_negative_mass", "max_mass_drift"),
+    ),
+)
+
+
+def _family(name):
+    """The record of the family `name`; None for a name parse_config refuses."""
+    return next((family for family in _FAMILIES if family.name == name), None)
+
+
+def _run(doc: dict, out, family: _Family) -> tuple:
+    """Solve a document of `family` into run directory `out`.
+
+    Returns the exit code and the summary written. The sweep result, with
+    its fields, is released on return.
+    """
+    cfg = parse_config(doc)
+    if cfg.family != family.name:
+        raise ProblemError(
+            f"{family.command} requires family {family.name!r}, got {cfg.family!r}"
+        )
+    text = _canonical_text(doc)
+    run_dir = _prepare_run_dir(out, text, cfg.seed, family.command)
+    result = family.solve(cfg, True)
+    artifacts.write_iterations(run_dir, result.objective_history)
+    summary = {
+        "family": cfg.family,
+        "objective": result.objective_history[-1],
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "final_delta": _or_null(result.final_delta),
+        "monotonicity_violations": len(result.monotonicity_violations),
+        "seed": cfg.seed,
+        "solver": dict(
+            [family.solver_choice], max_iters=cfg.solver.max_iters, tol=cfg.solver.tol
+        ),
+        **family.write_answer(cfg, run_dir, result),
+    }
+    artifacts.write_summary(run_dir, summary)
+    return _solver_exit(cfg.solver, result.converged), summary
+
+
+def cmd_run(args) -> int:
+    code, summary = _run(_effective_document(args), args.out, args.family)
+    status = "converged" if summary["converged"] else "budget exhausted"
+    print(
+        f"J = {summary['objective']:.10g} after "
+        f"{summary['iterations']} iterations ({status}); artifacts in {args.out}"
+    )
+    return code
+
+
+def _load_controller(cfg: LoadedConfig, family: _Family, run_dir: Path):
+    if not run_dir.is_dir():
+        raise ProblemError(f"controller directory not found: {run_dir}")
+    if not (run_dir / family.answer_file).exists():
+        for other in _FAMILIES:
+            if (run_dir / other.answer_file).exists():
+                raise ProblemError(
+                    f"controller directory holds {other.answer_label} but the "
+                    f"configuration family is {family.name!r}"
+                )
+        raise ProblemError(f"missing artifact: {run_dir / family.answer_file}")
+    return family.load_law(cfg, run_dir)
+
+
+def _simulate(doc: dict, controller_dir, out, n_paths: int, seed, dt) -> tuple:
+    """Simulate n_paths under the solved law and write every path's rows.
+
+    A --seed override is folded into the document before it is parsed, so
+    it is checked like the document's own seed.
+    """
+    if seed is not None:
+        doc = dict(doc, seed=int(seed))
+    cfg = parse_config(doc)
+    family = _family(cfg.family)
+    law = _load_controller(cfg, family, Path(controller_dir))
+    dynamics = simulation_dynamics(cfg)
+    cost = simulation_cost(cfg)
+    horizon, step = family.axis(cfg)
+    ensemble = simulate_paths(
+        dynamics,
+        law,
+        horizon,
+        step if dt is None else dt,
+        n_paths,
+        cfg.seed,
+        cost=cost,
+        history=True,
+    )
+    mean, stderr = estimate_objective(ensemble, cost)
+    text = _canonical_text(doc)
+    run_dir = _prepare_run_dir(out, text, cfg.seed, "simulate")
+    artifacts.write_paths(run_dir, ensemble)
+    artifacts.write_objective(run_dir, mean, stderr, ensemble.n_paths - ensemble.n_excluded, ensemble.n_excluded)
+    return mean, stderr, ensemble.n_excluded
+
+
+def cmd_simulate(args) -> int:
+    mean, stderr, n_excluded = _simulate(
+        read_document(args.config),
+        args.controller,
+        args.out,
+        args.paths,
+        args.seed,
+        args.dt,
+    )
+    print(
+        f"objective {mean:.10g} +/- {stderr:.4g} over "
+        f"{args.paths - n_excluded} paths; artifacts in {args.out}"
+    )
+    return EXIT_OK
+
+
+def _iterations_match(stored: np.ndarray, fresh: np.ndarray):
+    """First index where the recorded objectives differ from the rerun."""
+    if len(stored) != len(fresh):
+        return False, f"{len(stored)} recorded iterations, rerun produced {len(fresh)}"
+    for k, (a, b) in enumerate(zip(stored, fresh)):
+        if not _objectives_match(a, b):
+            return (
+                False,
+                f"objective mismatch at iteration k={k}: "
+                f"{float(a)!r} != {float(b)!r}",
+            )
+    return True, ""
+
+
+def _objectives_match(recorded: float, answer: float) -> bool:
+    return abs(recorded - answer) <= ITERATION_MATCH_RTOL * (1.0 + abs(answer))
 
 
 def cmd_verify(args) -> int:
@@ -515,12 +594,16 @@ def cmd_verify(args) -> int:
     --rerun adds the reproduction checks, which compare the recorded
     history and the answer with a fresh solve from the stored config.
     """
-    run_dir = Path(args.run_dir)
+    return _verify(Path(args.run_dir), args.rerun)
+
+
+def _verify(run_dir: Path, rerun: bool) -> int:
     if not run_dir.is_dir():
         raise ProblemError(f"run directory not found: {run_dir}")
     config_path = run_dir / artifacts.CONFIG_FILE
     doc = read_document(config_path)
     cfg = parse_config(doc)
+    family = _family(cfg.family)
     manifest = artifacts.read_json(run_dir / artifacts.MANIFEST_FILE)
     stored_iterations = artifacts.read_iterations(run_dir)
     stored_summary = artifacts.read_summary(run_dir)
@@ -545,12 +628,7 @@ def cmd_verify(args) -> int:
         digest,
     )
 
-    if cfg.family == "lqg":
-        gains, objective = _check_lqg_answer(cfg, run_dir, checks)
-        slack = LQG_MONOTONICITY_SLACK
-    else:
-        control, objective = _check_grid_answer(cfg, run_dir, sweeps, checks)
-        slack = GRID_MONOTONICITY_SLACK
+    tables, objective = family.check_answer(cfg, run_dir, sweeps, checks)
 
     last = float(stored_iterations[-1])
     _check(
@@ -559,7 +637,7 @@ def cmd_verify(args) -> int:
         _objectives_match(last, objective),
         f"recorded {last!r}, answer {float(objective)!r}",
     )
-    rises, _ = _descent_violations(stored_iterations, slack)
+    rises, _ = _descent_violations(stored_iterations, family.slack)
     detail = f"{len(rises)} rise(s) in {sweeps} sweeps" if sweeps else "one objective value"
     _check(checks, "objective descends monotonically", not rises, detail)
     summary_j = float(summary_j)
@@ -570,22 +648,19 @@ def cmd_verify(args) -> int:
         repr(summary_j),
     )
 
-    if args.rerun:
-        if cfg.family == "lqg":
-            result = _solve_lqg_config(cfg)
-            diff = max(
-                float(np.abs(getattr(gains, name) - getattr(result.gains, name)).max())
-                for name in ("psi", "pi", "lam", "mu")
-            )
-            scale = 1.0 + float(np.abs(result.gains.pi).max())
-            _check_deviation(checks, "gain tables match rerun", diff, scale)
-        else:
-            result = _solve_grid_config(cfg)
-            diff = float(np.abs(control - result.control).max())
-            scale = 1.0 + float(np.abs(result.control).max())
-            _check_deviation(checks, "control table matches rerun", diff, scale)
-        fresh = np.asarray(result.objective_history, dtype=float)
-        same, detail = _iterations_match(stored_iterations, fresh)
+    if rerun:
+        result = family.solve(cfg, False)
+        fresh = family.rerun_tables(result)
+        diff = max(float(np.abs(a - b).max()) for a, b in zip(tables, fresh))
+        scale = 1.0 + float(np.abs(fresh[0]).max())
+        _check(
+            checks,
+            family.table_check,
+            diff <= ITERATION_MATCH_RTOL * scale,
+            f"max deviation {diff:.3e}",
+        )
+        history = np.asarray(result.objective_history, dtype=float)
+        same, detail = _iterations_match(stored_iterations, history)
         _check(checks, "iteration objectives match rerun", same, detail)
 
     passed = all(c["passed"] for c in checks)
@@ -597,14 +672,6 @@ def cmd_verify(args) -> int:
         suffix = f" ({c['detail']})" if c["detail"] else ""
         print(f"{status}: {c['name']}{suffix}")
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
-
-
-def _solve_scalars(result) -> dict:
-    return {
-        "objective": float(result.objective_history[-1]),
-        "converged": bool(result.converged),
-        "iterations": int(result.iterations),
-    }
 
 
 def cmd_reproduce(args) -> int:
@@ -621,62 +688,30 @@ def cmd_reproduce(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     exit_codes = {}
     summary = {}
-
-    lqg_doc = read_document(bundled_config_path("lqg"))
-    lqg_dir = out / "lqg"
-    print("solving bundled lqg configuration ...")
-    exit_codes["run-lqg"], result = _run_lqg(lqg_doc, lqg_dir)
-    lqg = _solve_scalars(result)
-    del result
-    print("simulating lqg closed loop ...")
-    # Simulate at a quarter of the solver step: the path integrator's
-    # first-order weak bias at the solver's own step is larger than the
-    # Monte Carlo standard error this summary is meant to expose.
-    sim_dt = float(lqg_doc["dt"]) / 4.0
-    lqg_mean, lqg_se, lqg_excluded = _simulate(
-        lqg_doc, lqg_dir, out / "lqg-sim", args.paths, None, sim_dt
-    )
-    exit_codes["simulate-lqg"] = EXIT_OK
-    print("verifying lqg run ...")
-    exit_codes["verify-lqg"] = cmd_verify(
-        argparse.Namespace(run_dir=str(lqg_dir), rerun=False)
-    )
-    analytic = artifacts.read_summary(lqg_dir)["analytic_objective"]
-    summary["lqg"] = dict(
-        lqg,
-        analytic_objective=analytic,
-        mc_mean=lqg_mean,
-        mc_stderr=lqg_se,
-        mc_gap=None if analytic is None else abs(lqg_mean - analytic),
-        excluded_paths=lqg_excluded,
-    )
-
-    grid_doc = read_document(bundled_config_path("obstacle"))
-    grid_dir = out / "obstacle"
-    print("solving bundled obstacle configuration ...")
-    exit_codes["run-grid"], result = _run_grid(grid_doc, grid_dir)
-    grid = dict(
-        _solve_scalars(result),
-        max_negative_mass=result.mass_log.max_negative_mass,
-        max_mass_drift=result.mass_log.max_mass_drift,
-    )
-    del result
-    print("simulating obstacle closed loop ...")
-    grid_mean, grid_se, grid_excluded = _simulate(
-        grid_doc, grid_dir, out / "obstacle-sim", args.paths, None, None
-    )
-    exit_codes["simulate-grid"] = EXIT_OK
-    print("verifying obstacle run ...")
-    exit_codes["verify-grid"] = cmd_verify(
-        argparse.Namespace(run_dir=str(grid_dir), rerun=False)
-    )
-    summary["obstacle"] = dict(
-        grid,
-        mc_mean=grid_mean,
-        mc_stderr=grid_se,
-        mc_gap=abs(grid_mean - grid["objective"]),
-        excluded_paths=grid_excluded,
-    )
+    for family in _FAMILIES:
+        name, tag = family.bundled, family.command.removeprefix("run-")
+        doc = read_document(bundled_config_path(name))
+        run_dir = out / name
+        print(f"solving bundled {name} configuration ...")
+        exit_codes[family.command], solved = _run(doc, run_dir, family)
+        print(f"simulating {name} closed loop ...")
+        mean, stderr, excluded = _simulate(
+            doc, run_dir, out / f"{name}-sim", args.paths, None, family.mc_step(doc)
+        )
+        exit_codes[f"simulate-{tag}"] = EXIT_OK
+        print(f"verifying {name} run ...")
+        exit_codes[f"verify-{tag}"] = _verify(run_dir, False)
+        reference = solved[family.mc_reference]
+        summary[name] = {
+            key: solved[key]
+            for key in ("objective", "converged", "iterations") + family.repro_fields
+        }
+        summary[name].update(
+            mc_mean=mean,
+            mc_stderr=stderr,
+            mc_gap=None if reference is None else abs(mean - reference),
+            excluded_paths=excluded,
+        )
 
     summary["exit_codes"] = exit_codes
     artifacts.write_json(out / "acceptance_summary.json", summary)
@@ -689,6 +724,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_arguments(args)
         return args.func(args)
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -818,6 +818,34 @@ def test_negative_seed_is_exit_2_before_any_output(
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run-lqg", "run-grid", "simulate", "reproduce"])
+def test_out_naming_a_file_is_exit_2_before_any_work(
+    command, lqg_run, grid_run, tmp_path, monkeypatch, capsys
+):
+    """An --out that names an existing file is invalid input: exit 2 with
+    one error line, before any solve or simulation, and the file is left
+    as it was."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} solved or simulated before checking --out")
+
+    for name in ("fbsm_lqg", "fbsm_grid", "simulate_paths"):
+        monkeypatch.setattr(cli, name, no_work)
+    config, run = grid_run if command == "run-grid" else lqg_run
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    argv = [command, "--out", str(out)]
+    if command != "reproduce":
+        argv += ["--config", str(config)]
+    if command == "simulate":
+        argv += ["--controller", str(run), "--paths", "5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -885,3 +913,19 @@ class TestReproduce:
             paths_csv = (out / f"{family}-sim" / "paths.csv").read_text().splitlines()
             n_steps = 400 if family == "lqg" else 100
             assert len(paths_csv) == 1 + 20 * (n_steps + 1)
+        # reproduce's run directories are what run-lqg and run-grid, then
+        # verify, write for the same documents, file for file.
+        for family, command in (("lqg", "run-lqg"), ("obstacle", "run-grid")):
+            alone = tmp_path / command
+            main([command, "--config", str(paths[family]), "--out", str(alone)])
+            main(["verify", str(alone)])
+            names = sorted(p.name for p in (out / family).iterdir())
+            assert names == sorted(p.name for p in alone.iterdir())
+            for name in names:
+                assert (out / family / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_paths_checked_before_any_solve(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["reproduce", "--out", str(out), "--paths", "0"]) == 2
+        assert "error: --paths must be at least 1" in capsys.readouterr().err
+        assert not (out / "lqg").exists()
