@@ -150,10 +150,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_arguments(args) -> None:
-    """Refuse a bad --out or --paths before the command reads or writes anything."""
+    """Refuse a bad --out or --paths before the command reads or writes anything.
+
+    reproduce also refuses a file where it makes a run directory in --out.
+    """
     out = getattr(args, "out", None)
     if out is not None and Path(out).exists() and not Path(out).is_dir():
         raise ProblemError(f"--out {out} exists and is not a directory")
+    if args.func is cmd_reproduce:
+        for path in (Path(out, f.bundled + end) for f in _FAMILIES for end in ("", "-sim")):
+            if path.exists() and not path.is_dir():
+                raise ProblemError(f"{path} exists and is not a directory")
     if getattr(args, "paths", 1) < 1:
         raise ProblemError("--paths must be at least 1")
 

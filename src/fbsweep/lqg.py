@@ -28,10 +28,12 @@ flops per step, leaving one small mat-vec per step in the time loop.
 That beats stepping the stages one at a time only for small d_s (up to
 about 5; the bundled document has 2).
 
-Each Lambda stage solves one small block by LAPACK dgesv from
-scipy.linalg.lapack. That import is deferred to the first Lambda sweep
-(and resolved once per sweep), so importing this module, or running the
-grid backend, loads numpy only.
+The state block of Lambda is solved by the LAPACK gufunc behind
+np.linalg.solve, called directly: each Lambda stage solves one small
+block, and the public wrapper's checks would cost several times that
+solve. The gufunc answers a singular block with NaN, not an exception,
+so inference_gain and _lambda_increment test for NaN. The package needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _block_solve
 
 from fbsweep.core import (
     DivergenceError,
@@ -73,18 +76,11 @@ def inference_gain(lam: np.ndarray, d_x: int) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     d_s = lam.shape[-1]
-    lam_xx = lam[..., :d_x, :d_x]
-    lam_xz = lam[..., :d_x, d_x:]
-    try:
-        cross = np.linalg.solve(lam_xx, lam_xz)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPrecisionError(
-            "state block of the precision matrix is singular"
-        ) from exc
-    if not np.all(np.isfinite(cross)):
-        raise SingularPrecisionError(
-            "state block of the precision matrix is numerically singular"
-        )
+    # a singular block's slice comes back NaN, as a non-finite one's does
+    with np.errstate(all="ignore"):
+        cross = _block_solve(lam[..., :d_x, :d_x], lam[..., :d_x, d_x:])
+    if not np.isfinite(cross).all():
+        raise SingularPrecisionError("state block of the precision matrix is singular")
     gain = np.zeros(lam.shape)
     gain[..., :d_x, d_x:] = -cross
     gain[..., d_x:, d_x:] = np.eye(d_s - d_x)
@@ -119,18 +115,19 @@ def _riccati_increment(A, M, Q, mat, gap=None):
     return out
 
 
-def _lambda_increment(A, SS, mp_x, mp_z, lam, d_x, dgesv):
+def _lambda_increment(A, SS, mp_x, mp_z, lam, d_x):
     """dLambda/dt = -At' Lambda - Lambda At - Lambda SS Lambda, SS = sigma sigma'.
 
     At = A - M Pi K(Lambda) is the drift of the centered state under the
     affine law. K(Lambda) has zero state columns and memory columns [-C; I]
     with C = Lambda_xx^{-1} Lambda_xz, so At is A with mp_z - mp_x C
     subtracted from its memory columns, where mp_x and mp_z are the state
-    and memory columns of M Pi. This block form costs one small solve, by
-    the LAPACK dgesv the caller imports from scipy.linalg.lapack.
+    and memory columns of M Pi. This block form costs one small solve.
+    A NaN C from a finite Lambda means a singular block; from a
+    non-finite Lambda it is overflow, left to the caller's checks.
     """
-    _, _, cross, info = dgesv(lam[:d_x, :d_x], lam[:d_x, d_x:])
-    if info != 0:
+    cross = _block_solve(lam[:d_x, :d_x], lam[:d_x, d_x:])
+    if cross[0, 0] != cross[0, 0] and np.isfinite(lam).all():
         raise SingularPrecisionError("state block of the precision matrix is singular")
     At = A.copy()
     At[:, d_x:] -= mp_z - mp_x @ cross
@@ -314,9 +311,6 @@ def _forward_lambda(problem, pi_stale, what):
     of _lambda_increment costs one small solve. The output must stay
     finite (what names it otherwise).
     """
-    # once per sweep, not at module import: scipy.linalg takes about 0.3 s
-    from scipy.linalg.lapack import dgesv
-
     d_x = problem.d_x
     st = problem.stages
     A, SS = st.A, st.SS
@@ -324,7 +318,7 @@ def _forward_lambda(problem, pi_stale, what):
     mp_x, mp_z = mp[..., :d_x], mp[..., d_x:]
 
     def rhs(j, lam_val):
-        return _lambda_increment(A[j], SS[j], mp_x[j], mp_z[j], lam_val, d_x, dgesv)
+        return _lambda_increment(A[j], SS[j], mp_x[j], mp_z[j], lam_val, d_x)
 
     lam = _integrate(rhs, _sym(problem.lambda0), st.n, st.dt)
     # one batched check that every node a stage read has a finite,

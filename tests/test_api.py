@@ -189,11 +189,15 @@ def test_every_pinned_name_has_a_production_reader():
 
 
 def test_import_loads_no_scipy():
-    """The grid backend and the command line need numpy only: scipy, whose
-    import costs about 0.4 s, is loaded by the lqg Lambda sweep alone (and
-    by the tests)."""
+    """The package needs numpy only: importing it and the command line,
+    and an lqg solve, whose Lambda sweep solves a LAPACK block per stage,
+    load no scipy module (scipy is a test dependency)."""
     code = (
         "import sys, fbsweep, fbsweep.cli; "
+        "from fbsweep.config import bundled_config_path, read_document, parse_config; "
+        "from fbsweep.lqg import fbsm_lqg; "
+        "doc = dict(read_document(bundled_config_path('lqg')), horizon=0.5); "
+        "fbsm_lqg(parse_config(doc).lqg_problem, max_iters=2, tol=0.0); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(

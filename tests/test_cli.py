@@ -343,10 +343,10 @@ def test_zero_tol_runs_the_whole_budget(tmp_path):
     assert summary["final_delta"] == 0.0
 
 
-# Runs run-grid, verify and simulate in one fresh interpreter, with every
-# scipy import blocked when the first argument is "block", and prints the
-# exit codes as its last line.
-GRID_COMMANDS = '''
+# Runs a run-* command, verify --rerun and simulate in one fresh
+# interpreter, with every scipy import blocked when the first argument is
+# "block", and prints the exit codes as its last line.
+SOLVE_COMMANDS = '''
 import json, sys
 
 class NoScipy:
@@ -358,10 +358,10 @@ if sys.argv[1] == "block":
     sys.meta_path.insert(0, NoScipy())
 from fbsweep.cli import main
 
-config, out = sys.argv[2:]
+command, config, out = sys.argv[2:]
 codes = [
-    main(["run-grid", "--config", config, "--out", out + "/run"]),
-    main(["verify", out + "/run"]),
+    main([command, "--config", config, "--out", out + "/run"]),
+    main(["verify", "--rerun", out + "/run"]),
     main(["simulate", "--config", config, "--controller", out + "/run",
           "--out", out + "/sim", "--paths", "20"]),
 ]
@@ -369,15 +369,15 @@ print(json.dumps(codes))
 '''
 
 
-def test_grid_commands_run_without_scipy(tmp_path):
-    """run-grid, verify and simulate on a 21x21 document exit as they do
-    with scipy importable, and write the same bytes."""
-    config = write_doc(tmp_path, OBSTACLE_DOC)
+def assert_runs_without_scipy(tmp_path, command, doc):
+    """command, verify --rerun and simulate on doc exit 0 with scipy
+    blocked, as with scipy importable, and write the same bytes."""
+    config = write_doc(tmp_path, doc)
     outs = {mode: tmp_path / mode for mode in ("block", "allow")}
     codes = {}
     for mode, out in outs.items():
         proc = subprocess.run(
-            [sys.executable, "-c", GRID_COMMANDS, mode, str(config), str(out)],
+            [sys.executable, "-c", SOLVE_COMMANDS, mode, command, str(config), str(out)],
             capture_output=True, text=True, check=True,
         )
         codes[mode] = json.loads(proc.stdout.splitlines()[-1])
@@ -388,6 +388,17 @@ def test_grid_commands_run_without_scipy(tmp_path):
     )
     for name in files:
         assert (outs["block"] / name).read_bytes() == (outs["allow"] / name).read_bytes(), name
+
+
+def test_grid_commands_run_without_scipy(tmp_path):
+    """run-grid on a 21x21 document needs numpy only."""
+    assert_runs_without_scipy(tmp_path, "run-grid", OBSTACLE_DOC)
+
+
+def test_lqg_commands_run_without_scipy(tmp_path):
+    """run-lqg, whose Lambda sweep solves a LAPACK block per stage, and
+    simulate under the lqg controller need numpy only."""
+    assert_runs_without_scipy(tmp_path, "run-lqg", LQG_DOC)
 
 
 class TestRunGrid:
@@ -929,3 +940,25 @@ class TestReproduce:
         assert main(["reproduce", "--out", str(out), "--paths", "0"]) == 2
         assert "error: --paths must be at least 1" in capsys.readouterr().err
         assert not (out / "lqg").exists()
+
+    @pytest.mark.parametrize("name", ["lqg", "lqg-sim", "obstacle", "obstacle-sim"])
+    def test_a_file_in_place_of_a_run_directory_is_exit_2(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        """A file where reproduce makes a run directory is invalid input:
+        exit 2 with one error line naming it, before any solve or
+        simulation, and nothing is written."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("reproduce solved or simulated before checking --out")
+
+        for stub in ("fbsm_lqg", "fbsm_grid", "simulate_paths"):
+            monkeypatch.setattr(cli, stub, no_work)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("not a directory\n")
+        assert main(["reproduce", "--out", str(out), "--paths", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / name) in err
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == [name]

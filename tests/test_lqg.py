@@ -155,7 +155,7 @@ def lambda_increment(prob, t, lam, pi):
     A, M, _, SS = coefficients(prob, t)
     mp = M @ pi
     d_x = prob.d_x
-    return _lambda_increment(A, SS, mp[:, :d_x], mp[:, d_x:], lam, d_x, dgesv)
+    return _lambda_increment(A, SS, mp[:, :d_x], mp[:, d_x:], lam, d_x)
 
 
 def mean_increment(prob, t, mu, psi):
@@ -295,6 +295,35 @@ class TestRhsFunctions:
         prob = tracking_problem()
         out = lambda_increment(prob, 0.0, np.eye(2), np.zeros((2, 2)))
         assert np.allclose(out, [[-3.0, -1.0], [-1.0, -1.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(d_x=st.integers(1, 3), d_z=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_lambda_block_solve_has_the_bits_of_lapack(self, d_x, d_z, seed):
+        # The Lambda stage and inference_gain solve the state block by the
+        # private gufunc behind np.linalg.solve. It must give the bits of
+        # LAPACK dgesv and of the public solve, so a numpy that changes it
+        # fails here.
+        rng = np.random.default_rng(seed)
+        d = d_x + d_z
+        root = rng.standard_normal((d, d))
+        lam = root @ root.T + 0.1 * np.eye(d)
+        A, SS, mp = rng.standard_normal((3, d, d))
+        block, rhs = lam[:d_x, :d_x], lam[:d_x, d_x:]
+        _, _, cross, info = dgesv(block, rhs)
+        assert info == 0
+        assert np.linalg.solve(block, rhs).tobytes() == cross.tobytes()
+        drift = A.copy()
+        drift[:, d_x:] -= mp[:, d_x:] - mp[:, :d_x] @ cross
+        expect = -drift.T @ lam - lam @ drift - lam @ SS @ lam
+        got = _lambda_increment(A, SS, mp[:, :d_x], mp[:, d_x:], lam, d_x)
+        assert got.tobytes() == expect.tobytes()
+        assert inference_gain(lam, d_x)[:d_x, d_x:].tobytes() == (-cross).tobytes()
+
+    def test_lambda_rhs_singular_state_block(self):
+        # the sweep steps Lambda with invalid values ignored, as here
+        prob = tracking_problem()
+        with np.errstate(invalid="ignore"), pytest.raises(SingularPrecisionError):
+            lambda_increment(prob, 0.0, np.diag([0.0, 1.0]), np.zeros((2, 2)))
 
     def test_mu_rhs_zero_mean(self):
         prob = tracking_problem()
@@ -685,6 +714,15 @@ class TestFbsmLqg:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SingularPrecisionError):
                 fbsm_lqg(prob, pi0=pi0, max_iters=4, tol=0.0, method=method)
+
+    def test_zero_lambda_state_block_raises_singular_precision(self):
+        # LqgProblem refuses a Lambda0 that is not positive definite, so the
+        # zero state block is set after its checks; the first Lambda stage
+        # reads it
+        prob = tracking_problem(horizon=1.0)
+        object.__setattr__(prob, "lambda0", np.diag([0.0, 1.0]))
+        with pytest.raises(SingularPrecisionError, match="singular"):
+            fbsm_lqg(prob, max_iters=2, tol=0.0)
 
     def test_unknown_method_rejected(self):
         for method in ("heun", "euler"):
