@@ -32,15 +32,7 @@ from fbsweep.core import (
     SingularPrecisionError,
     StabilityError,
 )
-from fbsweep.gridpde import (
-    GridProblem,
-    GridSweepResult,
-    build_generator,
-    fbsm_grid,
-    fp_step,
-    hjb_step,
-    minimize_conditional_hamiltonian,
-)
+from fbsweep.gridpde import GridProblem, GridSweepResult, fbsm_grid
 from fbsweep.lqg import (
     GainTrajectory,
     LqgControlLaw,
@@ -74,15 +66,11 @@ __all__ = [
     "ProblemError",
     "SingularPrecisionError",
     "StabilityError",
-    "build_generator",
     "estimate_objective",
     "fbsm_grid",
     "fbsm_lqg",
-    "fp_step",
-    "hjb_step",
     "inference_gain",
     "lqg_objective",
-    "minimize_conditional_hamiltonian",
     "simulate_paths",
     "sweep_pmp_residual",
     "__version__",

@@ -130,11 +130,17 @@ def write_json(path, document: dict) -> None:
 
 
 def read_json(path) -> dict:
+    """Read a JSON object artifact. NaN and Infinity, which write_json
+    refuses to write, are refused here too."""
     path = Path(path)
     if not path.exists():
         raise ProblemError(f"missing artifact: {path}")
+
+    def refuse(token):
+        raise ProblemError(f"artifact {path} holds {token}, which is not a JSON number")
+
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"artifact {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -219,6 +225,8 @@ def read_gains(run_dir, d_x: int) -> GainTrajectory:
         raise ProblemError(f"gains table has unexpected column count {len(header)}")
     n = len(data)
     times = data[:, 0]
+    if not np.all(np.isfinite(times)):
+        raise ProblemError(f"non-finite time in {Path(run_dir) / GAINS_FILE}")
     at = 1
     blocks = []
     for _ in range(3):

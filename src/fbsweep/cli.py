@@ -220,7 +220,7 @@ def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
 
 
 def _check_horizon(stored: float, configured: float) -> None:
-    if abs(stored - configured) > 1e-9:
+    if not abs(stored - configured) <= 1e-9:
         raise ProblemError(
             f"controller horizon {stored} does not match "
             f"configuration horizon {configured}"
@@ -285,6 +285,12 @@ def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: lis
         raise ProblemError(
             f"gain tables hold {gains.n_steps} steps of dimension "
             f"{gains.psi.shape[-1]}, configuration has {n} of {problem.d_s}"
+        )
+    # The law's index_for reads the time column.
+    if not np.all(np.abs(gains.times - problem.stages.node_times) <= 1e-9):
+        raise ProblemError(
+            f"gain table times in {run_dir / artifacts.GAINS_FILE} do not match "
+            "the configured node times"
         )
     min_eig = _min_eigenvalue(gains.lam)
     _check(

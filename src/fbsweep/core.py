@@ -358,10 +358,10 @@ def _eig_min(matrix: np.ndarray) -> np.ndarray:
 class GridSpec:
     """Uniform node-centered grid over a box, plus the time grid.
 
-    lower/upper are per-dimension box bounds, shape the number of grid
-    nodes per dimension (at least 2), n_t the number of time steps over
-    [0, horizon]. Quadrature weights are uniform: each node owns one cell
-    of volume prod(spacing).
+    lower/upper are finite per-dimension box bounds, shape the number of
+    grid nodes per dimension (at least 2), n_t the number of time steps
+    over [0, horizon], a finite positive horizon. Quadrature weights are
+    uniform: each node owns one cell of volume prod(spacing).
 
     lower/upper are read-only copies of the inputs, so the spacing, axes
     and mesh are computed once per grid and returned as read-only arrays.
@@ -382,12 +382,16 @@ class GridSpec:
         object.__setattr__(self, "shape", shape)
         if not (lower.shape == upper.shape and len(shape) == lower.size):
             raise ProblemError("grid bounds and shape must have matching dimensions")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ProblemError("grid bounds must be finite")
         if not np.all(upper > lower):
             raise ProblemError("grid bounds must satisfy lower < upper")
         if any(n < 2 for n in shape):
             raise ProblemError("each grid dimension needs at least 2 nodes")
         if self.n_t < 1:
             raise ProblemError("n_t must be at least 1")
+        if not np.isfinite(self.horizon):
+            raise ProblemError("horizon must be finite")
         if self.horizon <= 0:
             raise ProblemError("horizon must be positive")
 

@@ -121,9 +121,8 @@ class GridProblem:
     before its first step, checking there that the diffusion's diagonal
     is nonnegative and the matrix symmetric, and that no driven drift0
     varies across x by more than 1e-10 (1 + max |drift0|) (ProblemError);
-    each pass reads them again only where the values change. Called
-    without a solve's stage, build_generator, hjb_step and the minimizer
-    read and check them at their t.
+    each pass reads them again only where the values change. A node's
+    _Stage, which every node function takes, is one such checked reading.
 
     drift0(t, S) -> d_s arrays, base_cost(t, S) and terminal_cost(S) ->
     grid arrays, diffusion(t, S) -> (d_s, d_s) nested array-like
@@ -428,7 +427,11 @@ class _Drive:
 class _Stage:
     """What one time node's generator, running cost and minimizer read
     that no control changes, derived from one reading of the problem at
-    t, checked (_checked).
+    t, checked (_checked). It holds problem, grid and t too, so that it is
+    the one input of the node functions (build_generator, hjb_step, the
+    minimizer and conditional_hamiltonian). A pass that holds one stage
+    over a run of bit-identical nodes sets its t at each node
+    (_Runs.stages).
 
     undriven maps each undriven axis to its upwind + diffusion
     coefficients (up, down) before the reflecting closure and after it;
@@ -439,6 +442,7 @@ class _Stage:
     """
 
     def __init__(self, problem: GridProblem, grid: GridSpec, t: float):
+        self.problem, self.grid, self.t = problem, grid, t
         b0, D, f0 = _read_node(problem, grid, t)
         b0z = _checked(problem, grid, b0, D)
         shape, spacing = grid.shape, grid.spacing
@@ -516,7 +520,9 @@ class _Runs:
         """One pass's stages: stage(i) is step node i's _Stage. One stage is
         held, and it is rebuilt, at the node asked for, only when that node
         lies outside the held one's run, so a pass walking the nodes in
-        either direction builds one stage per run."""
+        either direction builds one stage per run. The nodes of a run read
+        bit-identical values, so the held stage with its t set to node i's
+        time is the stage a reading at node i gives."""
         lo = hi = 0
         held = None
 
@@ -526,20 +532,15 @@ class _Runs:
                 k = bisect.bisect_right(self.bounds, i)
                 lo, hi = self.bounds[k - 1], self.bounds[k]
                 held = _Stage(self.problem, self.grid, self.times[i])
+            held.t = self.times[i]
             return held
 
         return stage
 
 
-def build_generator(
-    problem: GridProblem,
-    grid: GridSpec,
-    t: float,
-    u_slice: np.ndarray,
-    *,
-    stage: Optional[_Stage] = None,
-) -> DiscreteGenerator:
-    """Discretize the generator at time t under the given control slice.
+def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
+    """Discretize the generator at the stage's node under the given
+    control slice.
 
     Drift terms are upwinded in the drift sign, diagonal diffusion uses
     central 3-point stencils, mixed diffusion uses central cross stencils,
@@ -549,14 +550,11 @@ def build_generator(
     the caller, gen.check_stability(dt), which reports the binding cell;
     the steppers check it at grid.dt before every step.
 
-    stage is t's _Stage, which a solve holds for a run of nodes; without
-    it the stage is derived at t, which reads and checks the problem
-    (ProblemError). Only the driven axes depend on the control: a driven
-    coordinate's drift is upwinded per memory node and broadcast into the
-    grid once, when the diffusion term is added.
+    Only the driven axes depend on the control: a driven coordinate's
+    drift is upwinded per memory node and broadcast into the grid once,
+    when the diffusion term is added.
     """
-    if stage is None:
-        stage = _Stage(problem, grid, t)
+    problem, grid = stage.problem, stage.grid
     shape, spacing = grid.shape, grid.spacing
     U = control_to_grid(u_slice, problem.d_x, problem.d_u)
     z_grid = (1,) * problem.d_x + grid.memory_shape(problem.d_x)
@@ -596,9 +594,7 @@ class MassLog:
         self.max_mass_drift = max(self.max_mass_drift, drift)
 
 
-def fp_step(
-    p_slice: np.ndarray, gen: DiscreteGenerator, log: Optional[MassLog] = None
-) -> np.ndarray:
+def fp_step(p_slice: np.ndarray, gen: DiscreteGenerator, log: MassLog) -> np.ndarray:
     """One explicit forward step p + dt L'p, clamped and renormalized, with
     dt the step of the generator's grid (gen.grid.dt).
 
@@ -623,34 +619,25 @@ def fp_step(
     mass = float(q.sum() * vol)
     if not np.isfinite(mass) or mass <= 0.0:
         raise StabilityError("density mass became non-finite or zero")
-    if log is not None:
-        log.record(negative_mass, abs(mass - 1.0))
+    log.record(negative_mass, abs(mass - 1.0))
     q /= mass
     return q
 
 
 def hjb_step(
-    problem: GridProblem,
-    grid: GridSpec,
-    t: float,
-    w_next: np.ndarray,
-    u_slice: np.ndarray,
-    gen: DiscreteGenerator,
-    *,
-    stage: Optional[_Stage] = None,
+    stage: _Stage, w_next: np.ndarray, u_slice: np.ndarray, gen: DiscreteGenerator
 ) -> np.ndarray:
-    """One explicit backward step w + dt [f + L w] at time t, with gen
-    the generator built under u_slice at t. f is priced on the base cost
-    of stage, t's _Stage, which is derived at t when not given."""
-    if stage is None:
-        stage = _Stage(problem, grid, t)
+    """One explicit backward step w + dt [f + L w] at the stage's node,
+    with gen the generator built from stage under u_slice. f is priced on
+    the stage's base cost."""
+    problem, grid = stage.problem, stage.grid
     f = problem._priced(stage.f0, control_to_grid(u_slice, problem.d_x, problem.d_u))
     w_t = gen.apply(w_next)
     w_t += f
     w_t *= grid.dt
     w_t += w_next
     if not np.all(np.isfinite(w_t)):
-        raise StabilityError(f"value slice became non-finite at t={t:.6g}")
+        raise StabilityError(f"value slice became non-finite at t={stage.t:.6g}")
     return w_t
 
 
@@ -758,22 +745,18 @@ def _fill_undefined(u_new: np.ndarray, defined: np.ndarray, grid: GridSpec, d_x:
     u_new[dst] = u_new[tuple(s[nearest] for s in src)]
 
 
-def _driven_terms(
-    problem: GridProblem, grid: GridSpec, t: float, cond, w_next, stage=None
-) -> list:
+def _driven_terms(stage: _Stage, cond, w_next) -> list:
     """What each control component's conditional Hamiltonian reads, as a
     list of (drive, E[gf], E[gb]), one entry per component.
 
-    drive is the component's _Drive in stage, t's _Stage (derived at t
-    when not given), and E[gf], E[gb] are the conditional expectations
-    under cond of the forward and backward upwind differences of w_next
-    along the axis it drives. The list is what
-    minimize_conditional_hamiltonian and conditional_hamiltonian take as
-    terms, so that a caller pricing several controls at one
-    (t, cond, w_next) computes it once.
+    drive is the component's _Drive in stage, and E[gf], E[gb] are the
+    conditional expectations under cond of the forward and backward
+    upwind differences of w_next along the axis it drives. The list is
+    what minimize_conditional_hamiltonian and conditional_hamiltonian
+    take as terms, so that a caller pricing several controls at one
+    (stage, cond, w_next) computes it once.
     """
-    if stage is None:
-        stage = _Stage(problem, grid, t)
+    problem, grid = stage.problem, stage.grid
     d_x = problem.d_x
     vol_x = _x_volume(grid, d_x)
     terms = []
@@ -800,41 +783,29 @@ def _phi(drive: _Drive, gf, gb, u):
 
 
 def minimize_conditional_hamiltonian(
-    problem: GridProblem,
-    grid: GridSpec,
-    t: float,
-    cond: np.ndarray,
-    w_next: np.ndarray,
-    u_prev: np.ndarray,
-    defined: np.ndarray,
-    *,
-    terms=None,
+    stage: _Stage, terms: list, u_prev: np.ndarray, defined: np.ndarray
 ) -> np.ndarray:
     """Per-memory-node argmin of the conditional expected Hamiltonian.
 
-    Vectorized over all memory nodes: cond is the conditional table,
-    w_next the value slice the generator acts on, u_prev the previous
-    iterate's control slice (kept on ties, which pins fixed points).
+    Vectorized over all memory nodes: terms is _driven_terms(stage, cond,
+    w_next) of the conditional table cond and the value slice w_next the
+    generator acts on, u_prev the previous iterate's control slice (kept
+    on ties, which pins fixed points).
     In the grid model the discrete conditional Hamiltonian is piecewise
     quadratic in each control component (_phi: the upwind side switches
     where the driven drift changes sign), so the argmin is found exactly
     from the two branch vertices, the breakpoint, and the previous
     control. Low-mass nodes (defined=False, as conditional_density flags
-    them) inherit the control of the nearest defined node.
-
-    terms, if given, overrides (t, cond, w_next): the minimizer then reads
-    only terms, which must be _driven_terms(problem, grid, t, cond,
-    w_next) of those same arguments (nothing checks this). The passes hand
-    in terms from the stage they hold, and verify's stationarity oracle
-    prices controls at that step with conditional_hamiltonian from the
-    same terms, so that they are computed once.
+    them) inherit the control of the nearest defined node. verify's
+    stationarity oracle prices controls at a step with
+    conditional_hamiltonian from the terms it hands the minimizer, so
+    they are computed once.
     """
+    problem, grid = stage.problem, stage.grid
     u_prev = np.asarray(u_prev, dtype=float)
     lo, hi = problem.control_lower, problem.control_upper
     z_shape = grid.memory_shape(problem.d_x)
     u_new = np.empty(z_shape + (problem.d_u,))
-    if terms is None:
-        terms = _driven_terms(problem, grid, t, cond, w_next)
 
     for drive, gf, gb in terms:
         c, Bc, Rc = drive.c, drive.B, drive.R
@@ -860,16 +831,7 @@ def minimize_conditional_hamiltonian(
     return u_new
 
 
-def conditional_hamiltonian(
-    problem: GridProblem,
-    grid: GridSpec,
-    t: float,
-    cond: np.ndarray,
-    w_next: np.ndarray,
-    u_slice: np.ndarray,
-    *,
-    terms=None,
-) -> np.ndarray:
+def conditional_hamiltonian(stage: _Stage, terms: list, u_slice: np.ndarray) -> np.ndarray:
     """The conditional expected Hamiltonian E_{p(x|z)}[f + L_u w] at the
     control slice u_slice, per memory node, less every control-independent
     term: the base cost, the drift of undriven coordinates and the
@@ -878,13 +840,12 @@ def conditional_hamiltonian(
     It is the sum over control components of _phi, the formula that
     minimize_conditional_hamiltonian minimizes, so its differences across
     controls equal those of the full conditional Hamiltonian and its
-    minimizers are the sweep's control updates. terms, if given,
-    overrides (t, cond, w_next), as in minimize_conditional_hamiltonian.
+    minimizers are the sweep's control updates. terms is
+    _driven_terms(stage, cond, w_next), as in
+    minimize_conditional_hamiltonian.
     """
     u_slice = np.asarray(u_slice, dtype=float)
-    total = np.zeros(grid.memory_shape(problem.d_x))
-    if terms is None:
-        terms = _driven_terms(problem, grid, t, cond, w_next)
+    total = np.zeros(stage.grid.memory_shape(stage.problem.d_x))
     for drive, gf, gb in terms:
         total += _phi(drive, gf, gb, u_slice[..., drive.c])
     return total
@@ -937,24 +898,23 @@ def _stored(out, i, fresh):
     return out[i]
 
 
-def _forward_steps(problem, grid, p0, u, stage, log=None, out=None):
+def _forward_steps(grid, p0, u, stage, log, out):
     """Yield (i, p[i]) at every time node i = 0..n_t: the density stepped
     forward from p0 under u, fp_step recording into log. stage is the
     pass's Callable from _Runs.stages: stage(i) is what step i reads.
 
     The step to slice i + 1 reads u[i] only when the consumer resumes the
     stepper after slice i, so the consumer may first refresh u[i] from
-    that slice. Without out only the current slice is held. With out,
-    each fresh slice is copied into out[i] and dropped at once, and out[i]
-    is yielded; out[i + 1] is not written before the consumer resumes.
+    that slice. Each fresh slice is copied into out[i] and dropped at
+    once, and out[i] is yielded; out[i + 1] is not written before the
+    consumer resumes.
     """
-    times = grid.times()
     p_i = _stored(out, 0, p0)
     for i in range(grid.n_t):
         yield i, p_i
-        gen = build_generator(problem, grid, times[i], u[i], stage=stage(i))
+        gen = build_generator(stage(i), u[i])
         gen.check_stability(grid.dt)
-        p_i = _stored(out, i + 1, fp_step(p_i, gen, log=log))
+        p_i = _stored(out, i + 1, fp_step(p_i, gen, log))
     yield grid.n_t, p_i
 
 
@@ -964,20 +924,20 @@ def _backward_steps(problem, grid, u, stage, out=None):
 
     As _forward_steps, mirrored: the step to slice i reads u[i] and
     stage(i) only when the consumer resumes the stepper after slice
-    i + 1, and with out, out[i] is not written before then.
+    i + 1, and with out, out[i] is not written before then. Without out
+    only the current slice is held.
     """
-    times = grid.times()
     w_i = _stored(out, grid.n_t, _full(problem.terminal_cost(grid.mesh()), grid.shape))
     for i in range(grid.n_t - 1, -1, -1):
         yield i + 1, w_i
         held = stage(i)
-        gen = build_generator(problem, grid, times[i], u[i], stage=held)
+        gen = build_generator(held, u[i])
         gen.check_stability(grid.dt)
-        w_i = _stored(out, i, hjb_step(problem, grid, times[i], w_i, u[i], gen, stage=held))
+        w_i = _stored(out, i, hjb_step(held, w_i, u[i], gen))
     yield 0, w_i
 
 
-def _forward_pass(problem, grid, p0, u, runs, w_stale=None, log=None, out=None):
+def _forward_pass(problem, grid, p0, u, runs, log, out, w_stale=None):
     """Density sweep from p0 under u; returns the discrete objective J.
 
     J = sum_t E_p[f] dt + E_p[g] at the final slice, accumulated step by
@@ -995,25 +955,23 @@ def _forward_pass(problem, grid, p0, u, runs, w_stale=None, log=None, out=None):
     """
     d_x, d_u = problem.d_x, problem.d_u
     n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
-    times = grid.times()
     stage = runs.stages()
     running = 0.0
-    for i, p_i in _forward_steps(problem, grid, p0, u, stage, log=log, out=out):
+    for i, p_i in _forward_steps(grid, p0, u, stage, log, out):
         if i == n:
             break
+        held = stage(i)
         if w_stale is not None:
             cond, _, defined = conditional_density(p_i, grid, d_x)
-            terms = _driven_terms(problem, grid, times[i], cond, w_stale[i + 1], stage(i))
-            u[i] = minimize_conditional_hamiltonian(
-                problem, grid, times[i], cond, w_stale[i + 1], u[i], defined, terms=terms
-            )
-        f = problem._priced(stage(i).f0, control_to_grid(u[i], d_x, d_u))
+            terms = _driven_terms(held, cond, w_stale[i + 1])
+            u[i] = minimize_conditional_hamiltonian(held, terms, u_prev=u[i], defined=defined)
+        f = problem._priced(held.f0, control_to_grid(u[i], d_x, d_u))
         running += float((f * p_i).sum()) * vol * dt
     g = np.asarray(problem.terminal_cost(grid.mesh()), dtype=float)
     return running + float((g * p_i).sum()) * vol
 
 
-def _backward_pass(problem, grid, p0, u, runs, p_stale, out=None):
+def _backward_pass(problem, grid, p0, u, runs, p_stale, out):
     """The sweep's backward half: the value stepped from the terminal cost,
     the step to slice i first refreshing u[i] in place from the held
     density slice p_stale[i] and the fresh value slice w[i + 1]; returns
@@ -1024,14 +982,14 @@ def _backward_pass(problem, grid, p0, u, runs, p_stale, out=None):
     may be p_stale itself: the pass then turns the density into the value
     in place.
     """
-    times = grid.times()
     stage = runs.stages()
-    for i, w_i in _backward_steps(problem, grid, u, stage, out=out):
+    for i, w_i in _backward_steps(problem, grid, u, stage, out):
         if i:
+            held = stage(i - 1)
             cond, _, defined = conditional_density(p_stale[i - 1], grid, problem.d_x)
-            terms = _driven_terms(problem, grid, times[i - 1], cond, w_i, stage(i - 1))
+            terms = _driven_terms(held, cond, w_i)
             u[i - 1] = minimize_conditional_hamiltonian(
-                problem, grid, times[i - 1], cond, w_i, u[i - 1], defined, terms=terms
+                held, terms, u_prev=u[i - 1], defined=defined
             )
     return float((p0 * w_i).sum()) * grid.cell_volume
 
@@ -1096,7 +1054,7 @@ def fbsm_grid(
     # to 104k minor page faults, and skipping this first copy to 12.5k or
     # 15k, depending on the heap's layout.
     u = u.copy()
-    j0 = _forward_pass(problem, grid, p0, u, runs, log=mass_log, out=field)
+    j0 = _forward_pass(problem, grid, p0, u, runs, mass_log, field)
     kept: Dict[int, np.ndarray] = {}
 
     def half_sweep(k, backward):
@@ -1105,7 +1063,7 @@ def fbsm_grid(
         u = u.copy()
         if backward:
             return _backward_pass(problem, grid, p0, u, runs, p_stale=field, out=field)
-        return _forward_pass(problem, grid, p0, u, runs, w_stale=field, log=mass_log, out=field)
+        return _forward_pass(problem, grid, p0, u, runs, mass_log, field, w_stale=field)
 
     history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
     holds_value = iterations % 2 == 1

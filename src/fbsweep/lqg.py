@@ -445,17 +445,16 @@ def _min_eigenvalue(lam: np.ndarray) -> float:
 
 def fbsm_lqg(
     problem: LqgProblem,
-    pi0: Optional[np.ndarray] = None,
     max_iters: int = 50,
     tol: float = 1e-6,
     method: str = "rk4",
 ) -> LqgSweepResult:
     """Alternate backward Pi sweeps and forward Lambda sweeps to a fixed point.
 
-    Starts from the given Pi trajectory (zero by default), integrates
-    Lambda forward under it, then alternates: even iterations refresh Pi
-    backward against the held Lambda, odd iterations refresh Lambda
-    forward against the held Pi. The closed-loop objective is recorded
+    Starts from the zero Pi trajectory, integrates Lambda forward under
+    it, then alternates: even iterations refresh Pi backward against the
+    held Lambda, odd iterations refresh Lambda forward against the held
+    Pi. The closed-loop objective is recorded
     after the initial step and after every sweep; iteration stops when
     the objective change falls within tol * (1 + |J|) with tol > 0, or at
     max_iters (tol = 0 runs all of them).
@@ -477,14 +476,7 @@ def fbsm_lqg(
     psi = _backward_riccati(problem, "Psi")
     mu = _forward_mu(problem, psi)
 
-    if pi0 is None:
-        pi = np.zeros((n + 1, d, d))
-    else:
-        pi = _sym(np.asarray(pi0, dtype=float).copy())
-        if pi.shape != (n + 1, d, d):
-            raise ProblemError(
-                f"pi0 must have shape {(n + 1, d, d)}, got {pi.shape}"
-            )
+    pi = np.zeros((n + 1, d, d))
     lam = _forward_lambda(problem, pi, "Lambda")
     pi_gap = lambda_gap = None
     min_eig = _min_eigenvalue(lam)

@@ -33,15 +33,14 @@ every simulation is priced under one CostSpec. The law's output at each
 step goes into one reused (n_paths, d_u) buffer, and each step's running
 cost f dt is added into one (n_paths,) running total per path; no control
 or cost history is kept while stepping. A memory-feedback law u(t, z) is
-a function of data a history ensemble holds, so PathEnsemble.controls
-re-evaluates it on first access, at each stored time from the stored
-states' memory block, clamped as the simulation clamped it, and
-PathEnsemble.cumulative_costs replays the running cost on those controls
-and accumulates it in step order, as the simulation did. The replay
-hands the law and the cost the same arrays the step loop did, so both
-histories have the bits of the simulation, frozen paths included. A law
-must therefore depend on (t, z) alone, not on the order or number of its
-calls.
+a function of data a history ensemble holds, so
+PathEnsemble.cumulative_costs re-evaluates it on first access, at each
+stored time from the stored states' memory block, clamped as the
+simulation clamped it, and replays the running cost on those controls,
+accumulated in step order, as the simulation did. The replay hands the
+law and the cost the same arrays the step loop did, so the history has
+the bits of the simulation, frozen paths included. A law must therefore
+depend on (t, z) alone, not on the order or number of its calls.
 """
 
 from __future__ import annotations
@@ -74,14 +73,13 @@ class PathEnsemble:
     states, (n_paths, n_steps + 1, d_s), is kept only when the paths were
     simulated with history=True, and is None otherwise; final_states is
     then a view of its last time slice. states is a transposed view of
-    the time-major buffer. Two histories are derived from it on first
-    access: controls, (n_paths, n_steps, d_u), re-evaluates the
-    memory-feedback law u(t, z) at every step from the stored states, and
-    cumulative_costs, (n_paths, n_steps + 1), replays the running cost on
-    those controls (see the module docstring), so the law must be a
-    function of (t, z). cumulative_costs is the left-endpoint integral of
-    the running cost (zero at t=0); it is non-decreasing whenever f >= 0.
-    Without the state history, reading either is a ProblemError.
+    the time-major buffer. cumulative_costs, (n_paths, n_steps + 1), is
+    derived from it on first access: the memory-feedback law u(t, z) is
+    re-evaluated at every step from the stored states and the running
+    cost replayed on those controls (see the module docstring), so the
+    law must be a function of (t, z). It is the left-endpoint integral of
+    the running cost (zero at t=0), non-decreasing whenever f >= 0.
+    Without the state history, reading it is a ProblemError.
     """
 
     times: np.ndarray
@@ -107,33 +105,19 @@ class PathEnsemble:
         return int((~self.valid).sum())
 
     @cached_property
-    def controls(self) -> np.ndarray:
-        self._require_history("controls")
-        controls = np.empty((self.times.size - 1, self.n_paths, self._d_u))
-        for i, u in enumerate(controls):
-            self._control_at(i, u)
-        return controls.transpose(1, 0, 2)
-
-    @cached_property
     def cumulative_costs(self) -> np.ndarray:
-        self._require_history("cumulative_costs")
+        if self.states is None:
+            raise ProblemError(
+                "cumulative_costs needs the state history: simulate the paths "
+                "with history=True"
+            )
         cum = np.zeros((self.times.size, self.n_paths))
         u = np.empty((self.n_paths, self._d_u))
         for i, t in enumerate(self.times[:-1]):
-            self._control_at(i, u)
-            step_cost = _step_cost(self._cost, t, self.states[:, i], u, self.dt)
-            np.add(cum[i], step_cost, out=cum[i + 1])
+            s = self.states[:, i]
+            _apply_law(self._eval_u, self._z_box, t, s, self.d_x, u)
+            np.add(cum[i], _step_cost(self._cost, t, s, u, self.dt), out=cum[i + 1])
         return cum.T
-
-    def _require_history(self, name: str) -> None:
-        if self.states is None:
-            raise ProblemError(
-                f"{name} needs the state history: simulate the paths with history=True"
-            )
-
-    def _control_at(self, i: int, out: np.ndarray) -> None:
-        """Write the control applied at step i into out, (n_paths, d_u)."""
-        _apply_law(self._eval_u, self._z_box, self.times[i], self.states[:, i], self.d_x, out)
 
 
 class GridControlLaw:
@@ -250,7 +234,7 @@ def simulate_paths(
     under cost.
 
     history=True keeps every path's state at every step (the ensemble's
-    states, from which its controls and cumulative costs are derived);
+    states, from which its cumulative costs are derived);
     without it the ensemble holds what estimate_objective reads: the final
     states, the valid flags, the clamp counts and the running-cost totals.
 
@@ -259,8 +243,8 @@ def simulate_paths(
     drawn one batch of steps at a time (see the module docstring).
     The control is a memory-feedback law u(t, z), an object whose
     evaluate_memory(t, z) receives only (t, z) and must depend on nothing
-    else, since a history ensemble's controls are re-evaluated from its
-    stored states; any other control is a ProblemError. If it declares a
+    else, since a history ensemble's cumulative costs re-evaluate it on
+    its stored states; any other control is a ProblemError. If it declares a
     memory domain (z_lower/z_upper attributes), z is clamped onto it
     first and the clamps counted. Non-finite states freeze their path
     and exclude it from the valid set. The diffusion must be one

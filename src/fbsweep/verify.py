@@ -26,6 +26,7 @@ from fbsweep.gridpde import (
     _forward_pass,
     _initial_density_slice,
     _Runs,
+    _Stage,
     conditional_density,
     conditional_hamiltonian,
     minimize_conditional_hamiltonian,
@@ -46,21 +47,16 @@ class PmpReport:
     mass_log: MassLog
 
 
-def _stationarity_excess(
-    problem: GridProblem, grid: GridSpec, t, u_i, p_i, w_next, stage=None
-):
-    """Stationarity excess of the control slice u_i at time t, per memory
-    node, from the density slice at t and the value slice at t + dt; and
-    the memory marginal that weights it. stage is t's gridpde._Stage,
-    derived at t when not given. The driven terms are computed once: u_i,
-    the minimizer and its minimum all read them."""
-    cond, marginal, defined = conditional_density(p_i, grid, problem.d_x)
-    terms = _driven_terms(problem, grid, t, cond, w_next, stage)
-    phi_u = conditional_hamiltonian(problem, grid, t, cond, w_next, u_i, terms=terms)
-    u_min = minimize_conditional_hamiltonian(
-        problem, grid, t, cond, w_next, u_i, defined, terms=terms
-    )
-    phi_min = conditional_hamiltonian(problem, grid, t, cond, w_next, u_min, terms=terms)
+def _stationarity_excess(stage: _Stage, u_i, p_i, w_next):
+    """Stationarity excess of the control slice u_i at the stage's node,
+    per memory node, from the density slice there and the value slice one
+    step later; and the memory marginal that weights it. The driven terms
+    are computed once: u_i, the minimizer and its minimum all read them."""
+    cond, marginal, defined = conditional_density(p_i, stage.grid, stage.problem.d_x)
+    terms = _driven_terms(stage, cond, w_next)
+    phi_u = conditional_hamiltonian(stage, terms, u_i)
+    u_min = minimize_conditional_hamiltonian(stage, terms, u_prev=u_i, defined=defined)
+    phi_min = conditional_hamiltonian(stage, terms, u_min)
     return np.maximum(phi_u - phi_min, 0.0) * defined, marginal
 
 
@@ -86,22 +82,19 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     check a stored control without re-solving.
     """
     u = np.asarray(control, dtype=float)
-    times = grid.times()
     z_shape = grid.memory_shape(problem.d_x)
     vol_z = float(np.prod(grid.spacing[problem.d_x :])) if z_shape else 1.0
     p0 = _initial_density_slice(problem, grid)
     log = MassLog()
     p = np.empty((grid.n_t + 1,) + grid.shape)
     runs = _Runs(problem, grid)
-    objective = _forward_pass(problem, grid, p0, u, runs, log=log, out=p)
+    objective = _forward_pass(problem, grid, p0, u, runs, log, p)
     # The excess of step i reads w[i + 1]; the last stepped slice is w[0].
     stage = runs.stages()
     value = _backward_steps(problem, grid, u, stage)
     weighted_max = 0.0
     for i, w_i in islice(value, grid.n_t):
-        r, marginal = _stationarity_excess(
-            problem, grid, times[i - 1], u[i - 1], p[i - 1], w_i, stage(i - 1)
-        )
+        r, marginal = _stationarity_excess(stage(i - 1), u[i - 1], p[i - 1], w_i)
         weighted_max = max(weighted_max, float((r * marginal * vol_z).max()))
     _, w0 = next(value)
     value_objective = float((p0 * w0).sum()) * grid.cell_volume

@@ -13,10 +13,13 @@ from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError
 from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
+    MassLog,
     _backward_steps,
+    _driven_terms,
     _forward_pass,
     _initial_density_slice,
     _Runs,
+    _Stage,
     _upwind_differences,
     build_generator,
     conditional_density,
@@ -274,18 +277,18 @@ def lemma1_check(
     p0 = _initial_density_slice(problem, grid)
     p_u = np.empty((n + 1,) + grid.shape)
     runs = _Runs(problem, grid)
-    j_u = _forward_pass(problem, grid, p0, u, runs, out=p_u)
-    lhs = j_u - _forward_pass(problem, grid, p0, u_prime, runs)
+    # The density under u' is stepped first, so that p_u ends holding u's.
+    j_prime = _forward_pass(problem, grid, p0, u_prime, runs, MassLog(), p_u)
+    lhs = _forward_pass(problem, grid, p0, u, runs, MassLog(), p_u) - j_prime
     terms = [0.0] * n
     for k, w_k in _backward_steps(problem, grid, u_prime, runs.stages()):
         i = k - offset
         if not 0 <= i < n:
             continue
         cond, marginal, _ = conditional_density(p_u[i], grid, problem.d_x)
-        h_u, h_v = (
-            conditional_hamiltonian(problem, grid, times[i], cond, w_k, c)
-            for c in (u[i], u_prime[i])
-        )
+        stage = _Stage(problem, grid, times[i])
+        driven = _driven_terms(stage, cond, w_k)
+        h_u, h_v = (conditional_hamiltonian(stage, driven, c) for c in (u[i], u_prime[i]))
         terms[i] = float((marginal * (h_u - h_v)).sum()) * vol_z * grid.dt
     rhs = 0.0
     for term in terms:
@@ -342,7 +345,7 @@ def pmp_residual(problem: GridProblem, grid: GridSpec, u, p, w) -> PmpFieldRepor
         problem,
         grid,
         (
-            (i, _stationarity_excess(problem, grid, times[i], u[i], p[i], w[i + 1]))
+            (i, _stationarity_excess(_Stage(problem, grid, times[i]), u[i], p[i], w[i + 1]))
             for i in range(grid.n_t)
         ),
     )
@@ -369,7 +372,7 @@ def chain_monte_carlo(problem: GridProblem, grid: GridSpec, control, n_paths: in
     moves = np.array(steps + [-step for step in steps] + [0])
     cost = np.zeros(n_paths)
     for i, t in enumerate(grid.times()[:-1]):
-        gen = build_generator(problem, grid, t, control[i])
+        gen = build_generator(_Stage(problem, grid, t), control[i])
         gen.check_stability(dt)
         assert not gen.cross, "the chain needs a diagonal diffusion"
         f = problem.running_cost(t, S, control_to_grid(control[i], d_x, d_u))

@@ -8,6 +8,7 @@ deliver, for reasons given in their xfail annotations, and each is
 paired with a passing test of the behavior that does hold.
 """
 
+import dataclasses
 import json
 import time
 from math import erf, sqrt
@@ -24,15 +25,13 @@ from fbsweep.config import (
     simulation_cost,
     simulation_dynamics,
 )
-from fbsweep.core import Gaussian, GridSpec, LqgProblem
-from fbsweep.gridpde import (
-    GridProblem,
-    build_generator,
-    fbsm_grid,
-)
+from fbsweep.core import Gaussian, GridSpec, LqgProblem, _step_count
+from fbsweep.gridpde import GridProblem, _Stage, build_generator, fbsm_grid
 from fbsweep.lqg import (
     LqgControlLaw,
     _backward_riccati,
+    _closed_loop_objective,
+    _forward_lambda,
     _riccati_increment,
     fbsm_lqg,
     lqg_objective,
@@ -209,7 +208,7 @@ class TestDiscreteOperators:
         worst = 0.0
         for _ in range(100):
             u = rng.uniform(-4.0, 4.0, size=(11, 1))
-            gen = build_generator(problem, grid, 0.0, u)
+            gen = build_generator(_Stage(problem, grid, 0.0), u)
             w = rng.standard_normal(grid.shape)
             p = rng.uniform(0.0, 2.0, size=grid.shape)
             worst = max(worst, conjugacy_residual(gen, w, p))
@@ -303,9 +302,11 @@ class TestIdentities:
             problem = parse_config(dict(doc, horizon=2.0, dt=dt)).lqg_problem
             solved = fbsm_lqg(problem, max_iters=400, tol=1e-11)
             assert solved.converged
-            # max_iters=0 stops after the initial Lambda sweep under pi0
-            final = fbsm_lqg(problem, pi0=solved.gains.pi, max_iters=0)
-            gaps.append(lqg_objective(problem, final.gains) - final.objective_history[-1])
+            # one more Lambda sweep under the final Pi, and its recorded J
+            g = solved.gains
+            final = dataclasses.replace(g, lam=_forward_lambda(problem, g.pi, "Lambda"))
+            recorded = _closed_loop_objective(problem, g.psi, g.pi, final.lam, g.mu)
+            gaps.append(lqg_objective(problem, final) - recorded)
         assert gaps[0] > 0.0
         assert gaps[0] >= 3.5 * gaps[1] and gaps[1] >= 3.5 * gaps[2]
 
@@ -406,3 +407,109 @@ class TestObjectiveConsistency:
         assert abs(mean - closed_form) <= 3.0 * stderr
         grid_value = b.result.objective_history[0]
         assert abs(grid_value - closed_form) <= 0.02 * closed_form
+
+
+def lqg_chain_objective(problem, gains, h):
+    """Exact expected cost of the Euler-Maruyama chain that simulate_paths
+    runs with step h under LqgControlLaw(gains, problem).
+
+    The law is affine in the state, u = G_k s + g_k with the gains of node
+    index_for(t_k) held over step k, so the chain is linear and Gaussian.
+    With T_k = I + h (A + B G_k), its mean and covariance step as
+    m' = T_k m + h B g_k and S' = T_k S T_k' + h sigma sigma', and step k
+    adds h E[s'Q s + u'R u] at its left point; the terminal cost is added
+    at the end. The step times are the simulator's own array,
+    linspace(0, horizon, n + 1): a time computed another way can land one
+    ulp below a node and pick the previous gain. G_k and g_k are read from
+    the law itself, at each node's time, at z = 0 and at the unit memory
+    vectors.
+    """
+    law = LqgControlLaw(gains, problem)
+    d_x, d_s = problem.d_x, problem.d_s
+    times = np.linspace(0.0, problem.horizon, _step_count(problem.horizon, h) + 1)
+    probe = np.vstack([np.zeros(problem.d_z), np.eye(problem.d_z)])
+    at_nodes = [law.evaluate_memory(t, probe) for t in gains.times]
+    start = problem.initial_density()
+    m, S = start.mean, start.cov
+    G = np.zeros((problem.d_u, d_s))
+    total = 0.0
+    for t in times[:-1]:
+        A, B, sigma, Q, R = (problem._reading(name, t) for name in ("A", "B", "sigma", "Q", "R"))
+        u = at_nodes[gains.index_for(t)]
+        g, G[:, d_x:] = u[0], (u[1:] - u[0]).T
+        um = G @ m + g
+        total += h * (np.trace(Q @ S) + m @ Q @ m + np.trace(G.T @ R @ G @ S) + um @ R @ um)
+        T = np.eye(d_s) + h * (A + B @ G)
+        m, S = T @ m + h * (B @ g), T @ S @ T.T + h * (sigma @ sigma.T)
+    return total + np.trace(problem.P @ S) + m @ problem.P @ m
+
+
+def well_conditioned_lqg_doc(seed):
+    """An lqg document with d_x, d_z, d_u in {1, 2}, a drift that is the
+    stable -I plus a small perturbation, horizon 1 and dt 0.02."""
+    rng = np.random.default_rng(seed)
+    d_x, d_z, d_u = (int(v) for v in rng.integers(1, 3, 3))
+    d_s = d_x + d_z
+
+    def spd(scale):
+        a = rng.standard_normal((d_s, d_s))
+        return scale * (a @ a.T) / d_s + np.eye(d_s)
+
+    r = rng.standard_normal((d_u, d_u))
+    matrices = {
+        "A": 0.3 * rng.standard_normal((d_s, d_s)) - np.eye(d_s),
+        "B": rng.standard_normal((d_s, d_u)),
+        "sigma": 0.5 * rng.standard_normal((d_s, d_s)) + 0.5 * np.eye(d_s),
+        "Q": spd(1.0),
+        "R": r @ r.T / d_u + np.eye(d_u),
+        "P": spd(0.5),
+        "mu0": rng.standard_normal(d_s),
+        "lambda0": spd(2.0),
+    }
+    return dict(
+        {name: value.tolist() for name, value in matrices.items()},
+        family="lqg", d_x=d_x, d_z=d_z, horizon=1.0, dt=0.02,
+        solver={"max_iters": 10, "tol": 1e-6}, seed=seed,
+    )
+
+
+def chain_z_score(doc, n_paths):
+    """(MC - chain) / SE: Monte Carlo at the solver's step under the
+    document's solved law, against the chain's exact objective."""
+    cfg = parse_config(doc)
+    problem = cfg.lqg_problem
+    gains = fbsm_lqg(problem, max_iters=cfg.solver.max_iters, tol=cfg.solver.tol).gains
+    cost = simulation_cost(cfg)
+    ensemble = simulate_paths(
+        simulation_dynamics(cfg), LqgControlLaw(gains, problem), problem.horizon,
+        problem.dt, n_paths, seed=cfg.seed, cost=cost,
+    )
+    # the step times lqg_chain_objective takes as the simulator's
+    assert np.array_equal(ensemble.times, np.linspace(0.0, problem.horizon, ensemble.times.size))
+    mean, stderr = estimate_objective(ensemble, cost)
+    return (mean - lqg_chain_objective(problem, gains, problem.dt)) / stderr
+
+
+class TestSimulatedChain:
+    """Under the affine law the simulator's Euler-Maruyama chain has an
+    exact objective, which Monte Carlo at any step estimates without
+    bias; its gap to the solver's J is the integrator's first-order bias
+    plus the cost of holding each node's gains over a step."""
+
+    def test_monte_carlo_at_the_solver_step_matches_the_chain(self):
+        doc = json.loads(bundled_config_path("lqg").read_text())
+        assert abs(chain_z_score(dict(doc, horizon=2.0, dt=0.02), 20000)) <= 4.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monte_carlo_matches_the_chain_on_random_problems(self, seed):
+        assert abs(chain_z_score(well_conditioned_lqg_doc(seed), 10000)) <= 4.0
+
+    def test_chain_gap_to_j_is_first_order_in_the_step(self, lqg_bundle):
+        """On the bundled document the gap shrinks about 4x per quartering
+        of the simulation step."""
+        problem, result = lqg_bundle.problem, lqg_bundle.result
+        J = result.objective_history[-1]
+        gaps = [
+            lqg_chain_objective(problem, result.gains, problem.dt / k) - J for k in (1, 4, 16)
+        ]
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5 and 3.5 <= gaps[1] / gaps[2] <= 4.5

@@ -27,15 +27,11 @@ PUBLIC_NAMES = [
     "SingularPrecisionError",
     "StabilityError",
     "__version__",
-    "build_generator",
     "estimate_objective",
     "fbsm_grid",
     "fbsm_lqg",
-    "fp_step",
-    "hjb_step",
     "inference_gain",
     "lqg_objective",
-    "minimize_conditional_hamiltonian",
     "simulate_paths",
     "sweep_pmp_residual",
 ]
@@ -73,17 +69,11 @@ PUBLIC_SIGNATURES = {
     "ProblemError": None,
     "SingularPrecisionError": None,
     "StabilityError": None,
-    "build_generator": "problem, grid, t, u_slice, stage=None",
     "estimate_objective": "ensemble, cost",
     "fbsm_grid": "problem, grid, max_iters=50, tol=1e-06, keep_nodes=()",
-    "fbsm_lqg": "problem, pi0=None, max_iters=50, tol=1e-06, method='rk4'",
-    "fp_step": "p_slice, gen, log=None",
-    "hjb_step": "problem, grid, t, w_next, u_slice, gen, stage=None",
+    "fbsm_lqg": "problem, max_iters=50, tol=1e-06, method='rk4'",
     "inference_gain": "lam, d_x",
     "lqg_objective": "problem, gains",
-    "minimize_conditional_hamiltonian": (
-        "problem, grid, t, cond, w_next, u_prev, defined, terms=None"
-    ),
     "simulate_paths": "dynamics, control, horizon, dt, n_paths, seed, cost, history=False",
     "sweep_pmp_residual": "problem, grid, control",
 }

@@ -739,23 +739,35 @@ class TestVerify:
         assert main(["verify", str(tmp_path / "ghost")]) == 2
 
 
+def nan_horizon(text):
+    return json.dumps(dict(json.loads(text), horizon=float("nan")))
+
+
 @pytest.mark.parametrize(
-    "command, name, text",
+    "command, name, edit",
     [
-        ("simulate", "grid.json", None),
-        ("verify", "grid.json", "{}"),
-        ("verify", "manifest.json", "not json"),
+        ("simulate", "grid.json", lambda text: text[:20]),
+        ("verify", "grid.json", lambda text: "{}"),
+        ("verify", "manifest.json", lambda text: "not json"),
+        ("simulate", "grid.json", nan_horizon),
+        ("verify", "grid.json", nan_horizon),
     ],
-    ids=["truncated-grid-simulate", "empty-grid-verify", "non-json-manifest-verify"],
+    ids=[
+        "truncated-grid-simulate", "empty-grid-verify", "non-json-manifest-verify",
+        "nan-horizon-grid-simulate", "nan-horizon-grid-verify",
+    ],
 )
-def test_corrupted_json_artifact_is_exit_2(command, name, text, grid_run, tmp_path, capsys):
+def test_corrupted_json_artifact_is_exit_2(command, name, edit, grid_run, tmp_path, capsys):
     """A run directory's JSON artifact that does not parse, or lacks what
-    it must hold, is invalid input: exit 2 and one error line naming it."""
+    it must hold, is invalid input: exit 2 and one error line naming it.
+    So is one holding NaN, which write_json never writes: a NaN horizon
+    in grid.json would pass the horizon check and reach the control
+    law's time index."""
     config, run = grid_run
     corrupted = tmp_path / "run"
     shutil.copytree(run, corrupted)
     path = corrupted / name
-    path.write_text(path.read_text()[:20] if text is None else text)
+    path.write_text(edit(path.read_text()))
     if command == "simulate":
         argv = ["simulate", "--config", str(config), "--controller", str(corrupted),
                 "--out", str(tmp_path / "sim"), "--paths", "5"]
@@ -784,6 +796,37 @@ def test_non_numeric_summary_objective_is_exit_2(objective, grid_run, tmp_path, 
     assert err.startswith("error: ") and "summary.json" in err
     assert "Traceback" not in err
     assert not (corrupted / "verify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, cell", [("simulate", "nan"), ("verify", "nan"), ("verify", "0.4999")]
+)
+def test_stored_gain_times_are_checked(command, cell, lqg_run, tmp_path, capsys):
+    """The law's index_for reads gains.csv's time column: verify refuses
+    one that is not the configured node times, and simulate one that is
+    not finite."""
+    config, run = lqg_run
+    corrupted = tmp_path / "run"
+    shutil.copytree(run, corrupted)
+    (corrupted / "verify.json").unlink(missing_ok=True)
+    path = corrupted / "gains.csv"
+    lines = path.read_text().splitlines()
+    lines[-1] = ",".join([cell] + lines[-1].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    if command == "simulate":
+        argv = ["simulate", "--config", str(config), "--controller", str(corrupted),
+                "--out", str(tmp_path / "sim"), "--paths", "5"]
+    else:
+        argv = ["verify", str(corrupted)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gains.csv" in err
+    assert not (corrupted / "verify.json").exists()
+
+
+def test_horizon_check_fails_on_nan():
+    with pytest.raises(cli.ProblemError, match="controller horizon nan"):
+        cli._check_horizon(float("nan"), 1.0)
 
 
 @pytest.mark.parametrize(

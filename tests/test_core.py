@@ -192,6 +192,19 @@ class TestGridSpec:
         with pytest.raises(ProblemError):
             GridSpec(lower=[1], upper=[0], shape=(5,), n_t=10, horizon=1.0)
 
+    @pytest.mark.parametrize(
+        "lower, upper, horizon, match",
+        [
+            ([0.0], [np.inf], 1.0, "bounds must be finite"),
+            ([np.nan], [1.0], 1.0, "bounds must be finite"),
+            ([0.0], [1.0], np.nan, "horizon must be finite"),
+            ([0.0], [1.0], np.inf, "horizon must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_bounds_and_horizon(self, lower, upper, horizon, match):
+        with pytest.raises(ProblemError, match=match):
+            GridSpec(lower=lower, upper=upper, shape=(5,), n_t=10, horizon=horizon)
+
     def test_rejects_single_node_axis(self):
         with pytest.raises(ProblemError):
             GridSpec(lower=[0], upper=[1], shape=(1,), n_t=10, horizon=1.0)

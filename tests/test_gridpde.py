@@ -21,7 +21,9 @@ from fbsweep.gridpde import (
     _fill_undefined,
     _forward_pass,
     _initial_density_slice,
+    _driven_terms,
     _Runs,
+    _Stage,
     _upwind_differences,
     build_generator,
     conditional_density,
@@ -56,6 +58,15 @@ def grid_objective(problem, grid, p, u) -> float:
         total += float((f * p[i]).sum()) * vol * grid.dt
     g = np.asarray(problem.terminal_cost(S), dtype=float)
     return total + float((g * p[-1]).sum()) * vol
+
+
+def minimize_at(problem, grid, t, cond, w_next, u_prev, defined):
+    """The minimizer at the stage read at t, on the driven terms of
+    (cond, w_next)."""
+    stage = _Stage(problem, grid, t)
+    return minimize_conditional_hamiltonian(
+        stage, _driven_terms(stage, cond, w_next), u_prev, defined
+    )
 
 
 def to_sparse(gen) -> sparse.csr_matrix:
@@ -142,14 +153,14 @@ def fresh_sweeps(problem, grid, sweeps):
     runs = _Runs(problem, grid)
     u = np.zeros((grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
     p = np.empty((grid.n_t + 1,) + grid.shape)
-    history, w = [_forward_pass(problem, grid, p0, u, runs, out=p)], None
+    history, w = [_forward_pass(problem, grid, p0, u, runs, MassLog(), p)], None
     for k in range(sweeps):
         if k % 2 == 0:
             w = np.empty_like(p)
             history.append(_backward_pass(problem, grid, p0, u, runs, p_stale=p, out=w))
         else:
             p = np.empty_like(w)
-            history.append(_forward_pass(problem, grid, p0, u, runs, w_stale=w, out=p))
+            history.append(_forward_pass(problem, grid, p0, u, runs, MassLog(), p, w_stale=w))
     return history, u, p, w
 
 
@@ -214,7 +225,7 @@ class TestGridProblem:
         problem = self.declare(drift0=lambda t, S: [np.zeros_like(S[0])])
         grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (5, 5), 10, 1.0)
         with pytest.raises(ProblemError, match="drift0 returned 1 components, expected 2"):
-            build_generator(problem, grid, 0.0, np.zeros((5, 1)))
+            build_generator(_Stage(problem, grid, 0.0), np.zeros((5, 1)))
 
 
 class TestDiscreteGenerator:
@@ -235,7 +246,7 @@ class TestDiscreteGenerator:
             control_lower=[-5.0], control_upper=[5.0],
         )
         u = np.full((9, 1), 0.8)
-        gen = build_generator(problem, grid, 0.0, u)
+        gen = build_generator(_Stage(problem, grid, 0.0), u)
         mat = to_sparse(gen)
         row_sums = np.asarray(mat.sum(axis=1)).ravel()
         assert np.max(np.abs(row_sums)) < 1e-12
@@ -257,7 +268,7 @@ class TestDiscreteGenerator:
         )
         rng = np.random.default_rng(3)
         u = rng.uniform(-1, 1, size=(8, 1))
-        gen = build_generator(problem, grid, 0.0, u)
+        gen = build_generator(_Stage(problem, grid, 0.0), u)
         mat = to_sparse(gen)
         w = rng.standard_normal(grid.shape)
         p = rng.uniform(0.1, 1.0, size=grid.shape)
@@ -270,7 +281,7 @@ class TestDiscreteGenerator:
         problem = double_integrator_problem()
         rng = np.random.default_rng(7)
         u = rng.uniform(-2, 2, size=(15, 1))
-        gen = build_generator(problem, grid, 0.5, u)
+        gen = build_generator(_Stage(problem, grid, 0.5), u)
         w = rng.standard_normal(grid.shape)
         p = rng.uniform(0.0, 1.0, size=grid.shape)
         lhs = float((gen.apply(w) * p).sum())
@@ -289,7 +300,7 @@ class TestDiscreteGenerator:
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
+        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((1,)))
         w = grid.mesh()[0] ** 2
         lw = gen.apply(w)
         assert np.max(np.abs(lw[1:-1] - 2.0)) < 1e-9
@@ -306,7 +317,7 @@ class TestDiscreteGenerator:
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
+        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((1,)))
         w = grid.mesh()[0].copy()
         lw = gen.apply(w)
         assert np.max(np.abs(lw[:-1] - 3.0)) < 1e-10
@@ -324,7 +335,7 @@ class TestDiscreteGenerator:
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        gen = build_generator(problem, grid, 0.0, np.zeros((17, 1)))
+        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((17, 1)))
         S = grid.mesh()
         w = S[0] * S[1]
         lw = gen.apply(w)
@@ -344,7 +355,7 @@ class TestDiscreteGenerator:
             initial_density=Gaussian([0.0], [[1.0]]),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
+        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((1,)))
         with pytest.raises(StabilityError, match=r"binding cell \(15,\), outflow rate 275"):
             gen.check_stability(grid.dt)
         # the sweep checks every step it takes
@@ -364,7 +375,7 @@ class TestDiscreteGenerator:
             control_lower=[-1.0], control_upper=[1.0],
         )
         with pytest.raises(ProblemError, match="symmetric"):
-            build_generator(problem, grid, 0.0, np.zeros((5, 1)))
+            build_generator(_Stage(problem, grid, 0.0), np.zeros((5, 1)))
 
 
 class TestDensitySteps:
@@ -384,12 +395,12 @@ class TestDensitySteps:
         vol = grid.cell_volume
         p = np.exp(-0.5 * s**2 / 0.25)
         p /= p.sum() * vol
-        gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
+        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((1,)))
         gen.check_stability(grid.dt)
         steps = 100
         var0 = float((p * s**2).sum() * vol)
         for _ in range(steps):
-            p = fp_step(p, gen)
+            p = fp_step(p, gen, MassLog())
         assert abs(p.sum() * vol - 1.0) < 1e-12
         var1 = float((p * s**2).sum() * vol)
         growth = var1 - var0
@@ -409,9 +420,9 @@ class TestDensitySteps:
         )
         p = np.zeros(grid.shape)
         p[40] = 1.0 / grid.cell_volume
-        gen = build_generator(problem, grid, 0.0, np.zeros((1,)))
+        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((1,)))
         with pytest.raises(StabilityError, match="negative density mass"):
-            fp_step(p, gen)
+            fp_step(p, gen, MassLog())
 
     def test_hjb_step_rejects_non_finite(self):
         grid = GridSpec([-1.0], [1.0], (21,), 250, 1.0)
@@ -426,9 +437,9 @@ class TestDensitySteps:
             control_lower=[-1.0], control_upper=[1.0],
         )
         w_next = np.full(grid.shape, np.nan)
-        gen = build_generator(problem, grid, 0.42, np.zeros((1,)))
+        gen = build_generator(_Stage(problem, grid, 0.42), np.zeros((1,)))
         with pytest.raises(StabilityError, match="t=0.42"):
-            hjb_step(problem, grid, 0.42, w_next, np.zeros((1,)), gen)
+            hjb_step(_Stage(problem, grid, 0.42), w_next, np.zeros((1,)), gen)
 
 
 class TestConditionalDensity:
@@ -500,9 +511,7 @@ class TestMinimizer:
 
     def test_exact_matches_dense_scan(self):
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
-        u = minimize_conditional_hamiltonian(
-            problem, grid, 0.0, cond, w_next, u_prev, defined
-        )
+        u = minimize_at(problem, grid, 0.0, cond, w_next, u_prev, defined)
         dense = np.linspace(-3.0, 3.0, 20001)
         profile = self.hamiltonian_profile(problem, grid, cond, w_next, dense)
         best_dense = profile.min(axis=0)
@@ -529,7 +538,9 @@ class TestMinimizer:
         lo, hi = problem.control_lower, problem.control_upper
         u, u_prime = (rng.uniform(lo, hi, size=(11, 1)) for _ in range(2))
         t = rng.uniform(0.0, 0.1)
-        ours = [conditional_hamiltonian(problem, grid, t, cond, w, c) for c in (u, u_prime)]
+        stage = _Stage(problem, grid, t)
+        terms = _driven_terms(stage, cond, w)
+        ours = [conditional_hamiltonian(stage, terms, c) for c in (u, u_prime)]
         full = [upwind_hamiltonian(problem, grid, t, w, c) for c in (u, u_prime)]
         ref = [(cond * h).sum(axis=0) * grid.spacing[0] for h in full]
         gap = np.abs((ours[0] - ours[1]) - (ref[0] - ref[1]))[defined]
@@ -538,12 +549,8 @@ class TestMinimizer:
 
     def test_ties_keep_previous_control(self):
         problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
-        u1 = minimize_conditional_hamiltonian(
-            problem, grid, 0.0, cond, w_next, u_prev, defined
-        )
-        u2 = minimize_conditional_hamiltonian(
-            problem, grid, 0.0, cond, w_next, u1, defined
-        )
+        u1 = minimize_at(problem, grid, 0.0, cond, w_next, u_prev, defined)
+        u2 = minimize_at(problem, grid, 0.0, cond, w_next, u1, defined)
         np.testing.assert_array_equal(u1, u2)
 
     def test_low_mass_nodes_copy_nearest(self):
@@ -552,9 +559,7 @@ class TestMinimizer:
         defined[-3:] = False
         cond = cond.copy()
         cond[:, -3:] = 0.0
-        u = minimize_conditional_hamiltonian(
-            problem, grid, 0.0, cond, w_next, u_prev, defined
-        )
+        u = minimize_at(problem, grid, 0.0, cond, w_next, u_prev, defined)
         assert np.all(u[-3:] == u[-4])
 
     @staticmethod
@@ -633,14 +638,14 @@ class TestMinimizer:
         p /= p.sum() * grid.cell_volume
         cond, _, defined = conditional_density(p, grid, d_x=1)
         with pytest.raises(ProblemError, match="varies across the state"):
-            minimize_conditional_hamiltonian(
+            minimize_at(
                 problem, grid, 0.0, cond, np.zeros(grid.shape),
                 np.zeros((9, 1)), defined,
             )
         # The generator refuses it too: the zero-control initial pass
         # builds one before any minimizer runs.
         with pytest.raises(ProblemError, match=r"drift0\[0\] varies across the state"):
-            build_generator(problem, grid, 0.0, np.zeros((9, 1)))
+            build_generator(_Stage(problem, grid, 0.0), np.zeros((9, 1)))
         with pytest.raises(ProblemError, match="varies across the state"):
             fbsm_grid(problem, grid, max_iters=0)
 
@@ -710,8 +715,8 @@ class TestFbsmGrid:
         field = np.empty((grid.n_t + 1,) + grid.shape)
         field[0] = p
         for i in range(grid.n_t):
-            gen = build_generator(problem, grid, grid.times()[i], u[i])
-            p = fp_step(p, gen)
+            gen = build_generator(_Stage(problem, grid, grid.times()[i]), u[i])
+            p = fp_step(p, gen, MassLog())
             field[i + 1] = p
         recomputed = grid_objective(problem, grid, field, u)
         assert abs(recomputed - result.objective_history[-1]) < 1e-9 * (
@@ -884,9 +889,10 @@ def switching_problem(seed, which):
 
 def unstaged_sweeps(problem, grid, sweeps):
     """fbsm_grid's alternation from zero, each step reading the problem at
-    its own time through the public functions, with no stage: build_generator,
-    hjb_step and the minimizer derive everything at t, and the forward cost
-    is problem.running_cost. Returns (history, u, p, w) as fresh_sweeps does."""
+    its own time, with no stage held across steps: build_generator,
+    hjb_step and the minimizer read a _Stage built from scratch at t, and
+    the forward cost is problem.running_cost. Returns (history, u, p, w)
+    as fresh_sweeps does."""
     n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
     times, S = grid.times(), grid.mesh()
     d_x, d_u = problem.d_x, problem.d_u
@@ -895,12 +901,10 @@ def unstaged_sweeps(problem, grid, sweeps):
 
     def refresh(i, p_i, w_next):
         cond, _, defined = conditional_density(p_i, grid, d_x)
-        u[i] = minimize_conditional_hamiltonian(
-            problem, grid, times[i], cond, w_next, u[i], defined
-        )
+        u[i] = minimize_at(problem, grid, times[i], cond, w_next, u[i], defined)
 
     def generator(i):
-        gen = build_generator(problem, grid, times[i], u[i])
+        gen = build_generator(_Stage(problem, grid, times[i]), u[i])
         gen.check_stability(dt)
         return gen
 
@@ -912,7 +916,7 @@ def unstaged_sweeps(problem, grid, sweeps):
                 refresh(i, p[i], w[i + 1])
             f = problem.running_cost(times[i], S, control_to_grid(u[i], d_x, d_u))
             running += float((f * p[i]).sum()) * vol * dt
-            p[i + 1] = fp_step(p[i], generator(i))
+            p[i + 1] = fp_step(p[i], generator(i), MassLog())
         return p, running + float((problem.terminal_cost(S) * p[n]).sum()) * vol
 
     def backward(p):
@@ -920,7 +924,7 @@ def unstaged_sweeps(problem, grid, sweeps):
         w[n] = problem.terminal_cost(S)
         for i in range(n - 1, -1, -1):
             refresh(i, p[i], w[i + 1])
-            w[i] = hjb_step(problem, grid, times[i], w[i + 1], u[i], generator(i))
+            w[i] = hjb_step(_Stage(problem, grid, times[i]), w[i + 1], u[i], generator(i))
         return w, float((p0 * w[0]).sum()) * grid.cell_volume
 
     p, j = forward(None)
@@ -1087,7 +1091,7 @@ def random_generator(shape, seed, dt=0.1):
         terminal_cost=lambda S: np.zeros_like(S[0]),
         initial_density=Gaussian(np.zeros(d), np.eye(d)),
     )
-    gen = build_generator(problem, grid, 0.0, np.zeros(tuple(shape[1:]) + (1,)))
+    gen = build_generator(_Stage(problem, grid, 0.0), np.zeros(tuple(shape[1:]) + (1,)))
     return gen, rng
 
 
@@ -1137,7 +1141,7 @@ class TestStencilProperties:
         p = rng.uniform(1.0, 2.0, shape)
         p /= p.sum() * gen.grid.cell_volume
         log = MassLog()
-        fp_step(p, gen, log=log)
+        fp_step(p, gen, log)
         assert log.max_negative_mass == 0.0
         assert log.max_mass_drift <= 1e-12
 

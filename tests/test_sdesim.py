@@ -88,7 +88,6 @@ class TestSimulatePaths:
         a = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST, history=True)
         b = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=11, cost=ZERO_COST, history=True)
         assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.controls, b.controls)
         c = simulate_paths(dyn, zero_control, 1.0, 0.01, 50, seed=12, cost=ZERO_COST, history=True)
         assert not np.array_equal(a.states, c.states)
 
@@ -206,7 +205,7 @@ class TestSimulatePaths:
         threshold = 1.0
         dyn, law, cost = mixed_explosion_case(threshold)
         ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
-        assert ens.states.shape == (200, 51, 2) and ens.controls.shape == (200, 50, 1)
+        assert ens.states.shape == (200, 51, 2)
         assert ens.cumulative_costs.shape == (200, 51)
         x = ens.states[:, :, 0]
         # a path goes bad exactly when a state it steps from exceeds the threshold
@@ -291,12 +290,16 @@ PINNED_ROLLOUT_DIGESTS = {
 def test_bundled_rollouts_are_pinned(family, bundled_controllers, tmp_path):
     cfg, law, horizon, dt, config_path, run = bundled_controllers[family]
     cost = simulation_cost(cfg)
+    recorder = RecordingLaw(law)
     ens = simulate_paths(
-        simulation_dynamics(cfg), law, horizon, dt, 64, cfg.seed, cost=cost, history=True
+        simulation_dynamics(cfg), recorder, horizon, dt, 64, cfg.seed, cost=cost, history=True
     )
+    # the controls the law applied, (n_paths, n_steps, d_u)
+    controls = np.stack(recorder.outputs).transpose(1, 0, 2)
+    arrays = {"states": ens.states, "controls": controls, "cumulative_costs": ens.cumulative_costs}
     digests = {
-        name: hashlib.sha256(np.ascontiguousarray(getattr(ens, name)).tobytes()).hexdigest()
-        for name in ("states", "controls", "cumulative_costs")
+        name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for name, a in arrays.items()
     }
     out = tmp_path / "sim"
     argv = ["simulate", "--config", str(config_path), "--controller", str(run)]
@@ -305,7 +308,7 @@ def test_bundled_rollouts_are_pinned(family, bundled_controllers, tmp_path):
     assert digests == PINNED_ROLLOUT_DIGESTS[family]
 
 
-ENSEMBLE_FIELDS = ("states", "controls", "cumulative_costs", "valid", "clamp_counts")
+ENSEMBLE_FIELDS = ("states", "cumulative_costs", "valid", "clamp_counts")
 
 
 def _size_noise_batch(monkeypatch, steps, n_paths, d_w):
@@ -344,8 +347,7 @@ class TestNoiseBatches:
     def test_peak_memory_is_the_ensemble_plus_one_batch(self):
         """1000 paths x 4000 steps x 2 noise dimensions: drawn whole, the
         increments alone would take 64 MB, and a stored control history
-        32 MB. The simulation holds neither; the history is derived on
-        first access, after the measured region."""
+        32 MB. The simulation holds neither."""
         dyn = ExtendedDynamics(
             d_x=1,
             d_z=1,
@@ -365,7 +367,6 @@ class TestNoiseBatches:
             tracemalloc.stop()
         assert ens.states.shape == (1000, 4001, 2)
         assert peak <= ens.states.nbytes + 8 * sdesim._NOISE_BATCH + 4 * 2**20
-        assert ens.controls.shape == (1000, 4000, 1)
 
 
 ESTIMATE_FIELDS = ("final_states", "valid", "clamp_counts", "_cost_totals")
@@ -432,7 +433,7 @@ class TestWithoutHistory:
         assert peak <= 8 * sdesim._NOISE_BATCH + 4 * 2**20
         assert ens.final_states.shape == (1000, 2)
 
-    @pytest.mark.parametrize("name", ["controls", "cumulative_costs"])
+    @pytest.mark.parametrize("name", ["cumulative_costs"])
     def test_histories_are_refused(self, name):
         dyn, law, cost = mixed_explosion_case(1.0)
         ens = simulate_paths(dyn, law, 1.0, 0.02, 20, seed=6, cost=cost)
@@ -467,12 +468,12 @@ class TestDerivedCosts:
 
     def test_history_has_the_time_major_accumulation_bits(self):
         dyn, law, cost = self.frozen_case()
-        ens = simulate_paths(dyn, law, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
+        recorder = RecordingLaw(law)
+        ens = simulate_paths(dyn, recorder, 1.0, 0.02, 200, seed=6, cost=cost, history=True)
         assert 0 < ens.n_excluded < ens.n_paths
         cum = np.zeros((51, 200))
         for i, t in enumerate(ens.times[:-1]):
-            u = np.ascontiguousarray(ens.controls[:, i])
-            f = cost.running_cost(t, ens.states[:, i], u)
+            f = cost.running_cost(t, ens.states[:, i], recorder.outputs[i])
             np.add(cum[i], f * 0.02, out=cum[i + 1])
         history = ens.cumulative_costs
         assert history.shape == (200, 51)
@@ -648,16 +649,17 @@ class RecordingLaw:
 
 
 def assert_replays_the_applied_controls(ens, recorder):
-    """ens.controls, derived from the stored states, has the bits of the
-    controls the simulation applied, and is derived once."""
-    applied = np.stack(recorder.outputs)
+    """ens.cumulative_costs, derived from the stored states, evaluates the
+    law once per step to controls with the bits of those the simulation
+    applied, and is derived once."""
     n_steps = ens.times.size - 1
-    assert applied.shape[:2] == (n_steps, ens.n_paths)
-    controls = ens.controls
-    assert controls.shape == (ens.n_paths, n_steps, applied.shape[-1])
-    assert np.ascontiguousarray(controls.transpose(1, 0, 2)).tobytes() == applied.tobytes()
-    assert ens.controls is controls
+    assert len(recorder.outputs) == n_steps
+    history = ens.cumulative_costs
+    assert ens.cumulative_costs is history
     assert len(recorder.outputs) == 2 * n_steps
+    applied, replayed = np.stack(recorder.outputs[:n_steps]), np.stack(recorder.outputs[n_steps:])
+    assert applied.shape[:2] == (n_steps, ens.n_paths)
+    assert replayed.tobytes() == applied.tobytes()
 
 
 class AffineLaw:

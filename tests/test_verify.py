@@ -14,10 +14,12 @@ from fbsweep.core import Gaussian, GridSpec, LqgProblem, ProblemError, _descent_
 from fbsweep.gridpde import (
     MONOTONICITY_SLACK as GRID_SLACK,
     GridProblem,
+    MassLog,
     _backward_steps,
     _forward_pass,
     _initial_density_slice,
     _Runs,
+    _Stage,
     build_generator,
     fbsm_grid,
 )
@@ -86,7 +88,7 @@ class TestConjugacyResidual:
         worst = 0.0
         for _ in range(100):
             u = rng.uniform(-4, 4, size=(11, 1))
-            gen = build_generator(problem, grid, 0.0, u)
+            gen = build_generator(_Stage(problem, grid, 0.0), u)
             w = rng.standard_normal(grid.shape)
             p = rng.uniform(0.0, 2.0, size=grid.shape)
             worst = max(worst, conjugacy_residual(gen, w, p))
@@ -106,7 +108,7 @@ class TestConjugacyResidual:
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        gen = build_generator(problem, grid, 0.0, np.zeros((7, 1)))
+        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((7, 1)))
         w = np.full(grid.shape, 4.2)
         p = np.random.default_rng(1).uniform(0, 1, grid.shape)
         assert conjugacy_residual(gen, w, p) <= 1e-12
@@ -244,7 +246,7 @@ def fresh_fields(problem, grid, u):
     p0 = _initial_density_slice(problem, grid)
     p, w = (np.empty((grid.n_t + 1,) + grid.shape) for _ in range(2))
     runs = _Runs(problem, grid)
-    _forward_pass(problem, grid, p0, u, runs, out=p)
+    _forward_pass(problem, grid, p0, u, runs, MassLog(), p)
     for _ in _backward_steps(problem, grid, u, runs.stages(), out=w):
         pass
     return p, w
