@@ -215,7 +215,14 @@ def write_gains(run_dir, gains: GainTrajectory) -> None:
 
 
 def read_gains(run_dir, d_x: int) -> GainTrajectory:
-    header, data = read_csv(Path(run_dir) / GAINS_FILE)
+    """Rebuild the gain trajectory from gains.csv.
+
+    Every cell must be finite and the time column strictly increasing: a
+    solve never writes anything else, and the law would apply wrong gains
+    silently.
+    """
+    path = Path(run_dir) / GAINS_FILE
+    header, data = read_csv(path)
     n_cols = len(header) - 1
     # 3 d_s^2 matrix columns plus d_s mean columns.
     d_s = 1
@@ -224,9 +231,11 @@ def read_gains(run_dir, d_x: int) -> GainTrajectory:
     if 3 * d_s * d_s + d_s != n_cols:
         raise ProblemError(f"gains table has unexpected column count {len(header)}")
     n = len(data)
+    if not np.isfinite(data).all():
+        raise ProblemError(f"non-finite value in {path}")
     times = data[:, 0]
-    if not np.all(np.isfinite(times)):
-        raise ProblemError(f"non-finite time in {Path(run_dir) / GAINS_FILE}")
+    if not (np.diff(times) > 0).all():
+        raise ProblemError(f"time column of {path} is not strictly increasing")
     at = 1
     blocks = []
     for _ in range(3):

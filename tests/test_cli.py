@@ -798,6 +798,27 @@ def test_non_numeric_summary_objective_is_exit_2(objective, grid_run, tmp_path, 
     assert not (corrupted / "verify.json").exists()
 
 
+def _run_on_tampered_gains(command, edit, lqg_run, tmp_path):
+    """Copy the lqg run, apply edit(header, rows) to the cells of its
+    gains.csv and run command on the copy; returns the exit code and the
+    copy."""
+    config, run = lqg_run
+    corrupted = tmp_path / "run"
+    shutil.copytree(run, corrupted)
+    (corrupted / "verify.json").unlink(missing_ok=True)
+    path = corrupted / "gains.csv"
+    header, *body = path.read_text().splitlines()
+    rows = [line.split(",") for line in body]
+    edit(header.split(","), rows)
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    if command == "simulate":
+        argv = ["simulate", "--config", str(config), "--controller", str(corrupted),
+                "--out", str(tmp_path / "sim"), "--paths", "5"]
+    else:
+        argv = ["verify", str(corrupted)]
+    return main(argv), corrupted
+
+
 @pytest.mark.parametrize(
     "command, cell", [("simulate", "nan"), ("verify", "nan"), ("verify", "0.4999")]
 )
@@ -805,22 +826,41 @@ def test_stored_gain_times_are_checked(command, cell, lqg_run, tmp_path, capsys)
     """The law's index_for reads gains.csv's time column: verify refuses
     one that is not the configured node times, and simulate one that is
     not finite."""
-    config, run = lqg_run
-    corrupted = tmp_path / "run"
-    shutil.copytree(run, corrupted)
-    (corrupted / "verify.json").unlink(missing_ok=True)
-    path = corrupted / "gains.csv"
-    lines = path.read_text().splitlines()
-    lines[-1] = ",".join([cell] + lines[-1].split(",")[1:])
-    path.write_text("\n".join(lines) + "\n")
-    if command == "simulate":
-        argv = ["simulate", "--config", str(config), "--controller", str(corrupted),
-                "--out", str(tmp_path / "sim"), "--paths", "5"]
-    else:
-        argv = ["verify", str(corrupted)]
-    assert main(argv) == 2
+
+    def set_last_time(header, rows):
+        rows[-1][0] = cell
+
+    code, corrupted = _run_on_tampered_gains(command, set_last_time, lqg_run, tmp_path)
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gains.csv" in err
+    assert not (corrupted / "verify.json").exists()
+
+
+def _move_row_10_time(header, rows):
+    rows[10][0] = "0.45"
+
+
+def _nan_pi_01(header, rows):
+    rows[10][header.index("pi_01")] = "nan"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "tamper, fault",
+    [(_move_row_10_time, "not strictly increasing"), (_nan_pi_01, "non-finite value")],
+    ids=["time-out-of-order", "nan-gain"],
+)
+def test_corrupted_gain_table_is_exit_2(command, tamper, fault, lqg_run, tmp_path, capsys):
+    """A gains.csv with a non-finite cell or a time column that is not
+    strictly increasing is invalid input to both commands, refused when
+    the table is read with the fault named: simulate would apply wrong
+    gains, and verify would report a numerical failure."""
+    code, corrupted = _run_on_tampered_gains(command, tamper, lqg_run, tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gains.csv" in err and fault in err
+    assert "Traceback" not in err
     assert not (corrupted / "verify.json").exists()
 
 

@@ -320,6 +320,55 @@ class TestRhsFunctions:
         assert got.tobytes() == expect.tobytes()
         assert inference_gain(lam, d_x)[:d_x, d_x:].tobytes() == (-cross).tobytes()
 
+    # The stage kernels multiply through ndarray.dot, which calls the BLAS
+    # routine of @ without the gufunc dispatch. These guards hold them to
+    # the @ expressions byte for byte, so a numpy that routes .dot
+    # differently fails here, not in a digest pin.
+    @settings(max_examples=200, deadline=None)
+    @given(d_x=st.integers(1, 3), d_z=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_riccati_and_mean_stages_have_the_bits_of_matmul(self, d_x, d_z, seed):
+        rng = np.random.default_rng(seed)
+        d = d_x + d_z
+        A, M, Q, X, gap = rng.standard_normal((5, d, d))
+        mu = rng.standard_normal(d)
+        pmp = X @ M @ X
+        expect = Q + A.T @ X + X @ A - pmp
+        assert _riccati_increment(A, M, Q, X).tobytes() == expect.tobytes()
+        expect = expect + gap.T @ pmp @ gap
+        assert _riccati_increment(A, M, Q, X, gap).tobytes() == expect.tobytes()
+        assert _mean_increment(A, M, X, mu).tobytes() == ((A - M @ X) @ mu).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 4), sym=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_integrate_step_has_the_bits_of_the_rk4_formula(self, d, sym, seed):
+        rng = np.random.default_rng(seed)
+        A, Q = rng.standard_normal((2, 3, d, d))
+        y = rng.standard_normal((d, d))
+        dt = float(rng.uniform(1e-3, 0.1))
+
+        def rhs(j, val):
+            return _riccati_increment(A[j], np.eye(d), Q[j], val)
+
+        k1 = rhs(0, y)
+        k2 = rhs(1, y + 0.5 * dt * k1)
+        k3 = rhs(1, y + 0.5 * dt * k2)
+        k4 = rhs(2, y + dt * k3)
+        new = y + dt * ((k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
+        got = _integrate(rhs, y, 1, dt, sym=sym)
+        assert got[0].tobytes() == y.tobytes()
+        assert got[1].tobytes() == (_sym(new) if sym else new).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_lyapunov_step_dot_has_the_bits_of_matmul(self, seed):
+        # The closed-loop objective steps y = (vec(Sigma), 1) by
+        # step.dot(y[i], out=y[i + 1]); d_s = 2 makes step 5x5.
+        rng = np.random.default_rng(seed)
+        step = rng.standard_normal((5, 5))
+        y = rng.standard_normal((2, 5))
+        step.dot(y[0], out=y[1])
+        assert y[1].tobytes() == (step @ y[0]).tobytes()
+
     def test_lambda_rhs_singular_state_block(self):
         # the sweep steps Lambda with invalid values ignored, as here
         prob = tracking_problem()
