@@ -31,7 +31,7 @@ from fbsweep.core import (
     LqgProblem,
     ProblemError,
 )
-from fbsweep.gridpde import GridProblem
+from fbsweep.gridpde import GridProblem, _refuse_off_diagonal
 
 FAMILIES = ("lqg", "obstacle-grid")
 DEFAULT_SLICE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -332,11 +332,12 @@ def _columns(arr: np.ndarray, n: int) -> list:
 
 
 def _diffusion_factor(gp: GridProblem, t: float, S: list) -> np.ndarray:
-    """Cholesky factor of the grid problem's diffusion matrix D(t, S).
+    """Square root of the grid problem's diffusion matrix D(t, S).
 
     The simulator steps every path with one noise matrix per step, so D
-    must evaluate to a single (d_s, d_s) matrix, symmetric positive
-    definite.
+    must evaluate to a single (d_s, d_s) matrix. The grid model refuses
+    off-diagonal entries (gridpde._refuse_off_diagonal), and the noise
+    needs a positive diagonal.
     """
     entries = gp.diffusion(t, S)
     try:
@@ -348,12 +349,10 @@ def _diffusion_factor(gp: GridProblem, t: float, S: list) -> np.ndarray:
             f"simulation needs one ({gp.d_s}, {gp.d_s}) diffusion matrix "
             "per step, independent of the state"
         )
-    if not np.array_equal(D, D.T):
-        raise ProblemError("diffusion matrix must be symmetric")
-    try:
-        return np.linalg.cholesky(D)
-    except np.linalg.LinAlgError:
-        raise ProblemError("diffusion matrix must be positive definite") from None
+    _refuse_off_diagonal(D)
+    if not np.all(np.diag(D) > 0.0):
+        raise ProblemError("diffusion matrix must be positive definite")
+    return np.diag(np.sqrt(np.diag(D)))
 
 
 def _quadratic_form(v: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -12,12 +12,12 @@ cost, each control component driving one coordinate whose control-free
 drift is constant in x for each memory node. So this argmin is found in
 closed form, node by node (minimize_conditional_hamiltonian).
 
-The generator L_u is discretized with first-order upwinding of the drift,
-central 3-point stencils for the diagonal diffusion, central cross
-stencils for off-diagonal diffusion, and a reflecting (no-flux) boundary
-closure obtained by zeroing boundary-crossing coefficients. The adjoint
-is the exact matrix transpose, so mass conservation and the discrete
-duality <w, L'p> = <Lw, p> hold to rounding error by construction.
+The diffusion is diagonal. The generator L_u is discretized with
+first-order upwinding of the drift, central 3-point stencils for the
+diffusion, and a reflecting (no-flux) boundary closure obtained by
+zeroing boundary-crossing coefficients. The adjoint is the exact matrix
+transpose, so mass conservation and the discrete duality
+<w, L'p> = <Lw, p> hold to rounding error by construction.
 
 Under the explicit-scheme stability bound, I + dt L_u is a nonnegative
 row-stochastic matrix: each time slice is an exact finite-state Markov
@@ -32,8 +32,8 @@ the model and groups consecutive nodes whose values are bit-identical
 into runs. Each pass holds one _Stage, everything at a node that no
 control changes, and rebuilds it only where a run starts: the undriven
 axes' coefficients before and after the reflecting closure, the driven
-axes' diffusion and their drift at memory size, the closed cross
-stencils, the base cost and the minimizer's control-free candidates.
+axes' diffusion and their drift at memory size, the base cost and the
+minimizer's control-free candidates.
 Per step the work is then a few whole-grid array operations: the driven
 axes' rows, upwinded at memory size and broadcast into the grid once,
 with the diffusion term; the outflow sums and the diagonal; the cost
@@ -116,10 +116,14 @@ class GridProblem:
     finds its argmin in closed form. A problem outside this model (say, a
     non-quadratic control cost) would need its own family and minimizer.
 
+    The diffusion D is diagonal, so that I + dt L_u is a nonnegative
+    row-stochastic matrix under the stability bound; a nonzero
+    off-diagonal entry is refused.
+
     drift0, diffusion and base_cost are functions of (t, S): the same t
     gives the same values. A grid solve reads each once per time node
     before its first step, checking there that the diffusion's diagonal
-    is nonnegative and the matrix symmetric, and that no driven drift0
+    is nonnegative and its off-diagonal zero, and that no driven drift0
     varies across x by more than 1e-10 (1 + max |drift0|) (ProblemError);
     each pass reads them again only where the values change. A node's
     _Stage, which every node function takes, is one such checked reading.
@@ -233,10 +237,6 @@ def _driven_dimensions(b_matrix: np.ndarray) -> list:
     return driven
 
 
-# Mixed stencil corners (offset along i, offset along j, sign).
-_CORNERS = ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0))
-
-
 def _axis_edge(shape, axis, last: bool):
     idx = [slice(None)] * len(shape)
     idx[axis] = -1 if last else 0
@@ -264,9 +264,9 @@ class DiscreteGenerator:
 
     Stored as per-cell coefficient arrays rather than an assembled
     matrix: `up[i]` multiplies w(s + e_i), `down[i]` multiplies
-    w(s - e_i), `cross[(i, j)]` multiplies the four-corner mixed stencil,
-    and the diagonal is minus the sum of up and down (row sums are zero
-    exactly, so constants are harmonic and the adjoint conserves mass).
+    w(s - e_i), and the diagonal is minus the sum of up and down (row
+    sums are zero exactly, so constants are harmonic and the adjoint
+    conserves mass).
     apply/apply_adjoint are exact transposes of each other.
 
     The constructor takes the C-ordered full-grid coefficients after the
@@ -280,10 +280,10 @@ class DiscreteGenerator:
     exact zero there (inputs are finite: the sweeps reject anything else).
     """
 
-    def __init__(self, grid: GridSpec, up, down, cross, outflow):
+    def __init__(self, grid: GridSpec, up, down, outflow):
         shape = grid.shape
         self.grid = grid
-        self.up, self.down, self.cross = up, down, cross
+        self.up, self.down = up, down
         self._outflow = outflow
         self.diag = _sum(self.up, shape)
         np.negative(self.diag, out=self.diag)
@@ -294,13 +294,6 @@ class DiscreteGenerator:
         """(flat step, flat up, flat down) per axis."""
         return zip(self._steps, map(_flat, self.up), map(_flat, self.down))
 
-    def _corners(self, i, j):
-        """Reach of the (i, j) mixed stencil on the flat grid, and its
-        corners' (flat offset, sign); every interior node is within reach
-        of both ends of the flat grid."""
-        ki, kj = self._steps[i], self._steps[j]
-        return ki + kj, [(oi * ki + oj * kj, sign) for oi, oj, sign in _CORNERS]
-
     def apply(self, w: np.ndarray) -> np.ndarray:
         wf = _flat(w)
         out = self.diag * wf.reshape(self.diag.shape)
@@ -308,11 +301,6 @@ class DiscreteGenerator:
         for k, up, down in self._stencils():
             of[:-k] += up[:-k] * wf[k:]
             of[k:] += down[k:] * wf[:-k]
-        n = of.size
-        for (i, j), c in self.cross.items():
-            m, corners = self._corners(i, j)
-            pp, pm, mp, mm = (wf[m + o : n - m + o] for o, _ in corners)
-            of[m : n - m] += _flat(c)[m : n - m] * (pp - pm - mp + mm)
         return out
 
     def apply_adjoint(self, p: np.ndarray) -> np.ndarray:
@@ -322,12 +310,6 @@ class DiscreteGenerator:
         for k, up, down in self._stencils():
             of[k:] += up[:-k] * pf[:-k]
             of[:-k] += down[k:] * pf[k:]
-        n = of.size
-        for (i, j), c in self.cross.items():
-            m, corners = self._corners(i, j)
-            cp = _flat(c)[m : n - m] * pf[m : n - m]
-            for o, sign in corners:
-                of[m + o : n - m + o] += sign * cp
         return out
 
     def check_stability(self, dt: float):
@@ -376,8 +358,8 @@ def _checked(problem: GridProblem, grid: GridSpec, b0, D) -> dict:
     reduce each driven coordinate's drift0 to memory size: {axis: b0z}.
 
     ProblemError if a diagonal diffusion entry is negative, if a driven
-    drift0 varies across x (_base_drift_per_memory) or if the diffusion
-    is not symmetric, checked in that order.
+    drift0 varies across x (_base_drift_per_memory) or if an off-diagonal
+    diffusion entry is nonzero (_refuse_off_diagonal), checked in that order.
     """
     d = grid.dim
     b0z = {}
@@ -386,11 +368,20 @@ def _checked(problem: GridProblem, grid: GridSpec, b0, D) -> dict:
             raise ProblemError(f"diffusion D[{i}][{i}] must be nonnegative")
         if i in problem._driven:
             b0z[i] = _base_drift_per_memory(b0[i], grid.shape, problem.d_x, i)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if np.abs(D[i][j] - D[j][i]).max() > 1e-12:
-                raise ProblemError("diffusion matrix must be symmetric")
+    _refuse_off_diagonal(D)
     return b0z
+
+
+def _refuse_off_diagonal(D):
+    """ProblemError unless every off-diagonal entry of the diffusion
+    matrix D (nested rows of arrays or numbers) is zero everywhere."""
+    for i, row in enumerate(D):
+        for j, entry in enumerate(row):
+            if i != j and np.any(entry != 0.0):
+                raise ProblemError(
+                    f"diffusion D[{i}][{j}] must be zero: the grid model "
+                    "takes a diagonal diffusion only"
+                )
 
 
 def _close(up_i, down_i, shape, axis):
@@ -436,9 +427,8 @@ class _Stage:
     undriven maps each undriven axis to its upwind + diffusion
     coefficients (up, down) before the reflecting closure and after it;
     drives holds one _Drive per control component, in component order;
-    cross the mixed stencils after closure; f0 the base cost. The arrays
-    it derives are read-only, since every generator built from the stage
-    shares them.
+    f0 the base cost. The arrays it derives are read-only, since every
+    generator built from the stage shares them.
     """
 
     def __init__(self, problem: GridProblem, grid: GridSpec, t: float):
@@ -477,15 +467,6 @@ class _Stage:
                 upper[row] = np.where(empty[row], hi_c, hi_i)
             arrays = (base[i], b0z[i], np.clip(u_star, lo_c, hi_c), lower, upper, empty)
             self.drives.append(_Drive(c, i, Bc, Rc, *(_frozen(np.asarray(a)) for a in arrays)))
-
-        self.cross = {}
-        for i in range(grid.dim):
-            for j in range(i + 1, grid.dim):
-                if (D[i][j] != 0.0).any():
-                    c = _full(D[i][j] / (4.0 * spacing[i] * spacing[j]), shape)
-                    for axis in (i, j):
-                        _close(c, c, shape, axis)  # both edges of each axis
-                    self.cross[(i, j)] = _frozen(c)
 
 
 class _Runs:
@@ -542,10 +523,10 @@ def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
     """Discretize the generator at the stage's node under the given
     control slice.
 
-    Drift terms are upwinded in the drift sign, diagonal diffusion uses
-    central 3-point stencils, mixed diffusion uses central cross stencils,
-    and coefficients that would reach across the boundary are zeroed
-    (reflecting closure). The explicit stability bound
+    Drift terms are upwinded in the drift sign, the diagonal diffusion
+    uses central 3-point stencils, and coefficients that would reach
+    across the boundary are zeroed (reflecting closure). The explicit
+    stability bound
     dt * max_cell(sum_i D_ii/ds_i^2 + |b_i|/ds_i) <= 0.9 is checked by
     the caller, gen.check_stability(dt), which reports the binding cell;
     the steppers check it at grid.dt before every step.
@@ -577,7 +558,7 @@ def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
     outflow = _sum([coeff for pair in opened for coeff in pair], shape)
     closed = [_close(*rows[i], shape, i) if i in rows else stage.undriven[i][1] for i in axes]
     up, down = ([pair[k] for pair in closed] for k in (0, 1))
-    return DiscreteGenerator(grid, up, down, stage.cross, outflow)
+    return DiscreteGenerator(grid, up, down, outflow)
 
 
 @dataclass

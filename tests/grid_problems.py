@@ -122,7 +122,8 @@ def grid_problem_from_lqg(
     """Express a linear-quadratic problem in the grid solver's terms.
 
     Requires a diagonal R (the grid minimizer treats control components
-    independently) and a constant B.
+    independently), a constant B and a diagonal sigma sigma' (the grid
+    model's diffusion).
     """
     if callable(problem.B):
         raise ProblemError("grid crosscheck needs a constant control matrix B")
@@ -360,8 +361,9 @@ def chain_monte_carlo(problem: GridProblem, grid: GridSpec, control, n_paths: in
     with probability dt up_k(s), to s - e_k with probability dt down_k(s),
     or stays, where up and down are build_generator's coefficients under
     the stored control after the reflecting closure. At the end it pays
-    g. The chain needs a diagonal diffusion (no mixed stencil) and steps
-    within the explicit stability bound.
+    g. Under the explicit stability bound, which each step checks, these
+    probabilities are nonnegative and sum to at most 1, since the grid
+    model's diffusion is diagonal.
     """
     rng = np.random.default_rng(seed)
     d_x, d_u, dt = problem.d_x, problem.d_u, grid.dt
@@ -374,7 +376,6 @@ def chain_monte_carlo(problem: GridProblem, grid: GridSpec, control, n_paths: in
     for i, t in enumerate(grid.times()[:-1]):
         gen = build_generator(_Stage(problem, grid, t), control[i])
         gen.check_stability(dt)
-        assert not gen.cross, "the chain needs a diagonal diffusion"
         f = problem.running_cost(t, S, control_to_grid(control[i], d_x, d_u))
         cost += dt * np.broadcast_to(f, grid.shape).ravel()[node]
         edges = np.cumsum([dt * c.ravel()[node] for c in gen.up + gen.down], axis=0)

@@ -199,7 +199,7 @@ class TestDiscreteOperators:
             r_diag=[1.0],
             drift0=lambda t, S: [0.5 * S[1], -0.8 * S[0]],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-            diffusion=lambda t, S: np.array([[1.0, 0.4], [0.4, 0.8]]),
+            diffusion=lambda t, S: np.array([[1.0, 0.0], [0.0, 0.8]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-4.0], control_upper=[4.0],

@@ -20,6 +20,8 @@ from fbsweep.config import (
     simulation_dynamics,
 )
 from fbsweep.core import ProblemError
+from fbsweep.gridpde import fbsm_grid
+from fbsweep.verify import sweep_pmp_residual
 
 
 def lqg_doc():
@@ -304,14 +306,31 @@ class TestSimulationAdapters:
         np.testing.assert_array_equal(sig @ sig.T, D)
 
     def test_obstacle_diffusion_must_be_one_positive_definite_matrix(self):
-        for D in ([[1.0, 1.0], [1.0, 1.0]], np.diag([1.0, 0.0])):
-            with pytest.raises(ProblemError, match="positive definite"):
+        for D in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]):
+            with pytest.raises(ProblemError, match=r"D\[0\]\[1\] must be zero"):
                 simulation_dynamics(obstacle_with(lambda t, S, D=D: D))
-        with pytest.raises(ProblemError, match="symmetric"):
-            simulation_dynamics(obstacle_with(lambda t, S: [[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ProblemError, match="positive definite"):
+            simulation_dynamics(obstacle_with(lambda t, S: np.diag([1.0, 0.0])))
         per_node = lambda t, S: [[1.0 + 0.0 * S[0], 0.0], [0.0, 1.0]]  # noqa: E731
         with pytest.raises(ProblemError, match="diffusion matrix"):
             simulation_dynamics(obstacle_with(per_node))
+
+    def test_off_diagonal_diffusion_refused_alike_by_solver_oracle_and_simulator(self):
+        bundled = parse_config(obstacle_doc()).grid_problem
+        cfg = obstacle_with(lambda t, S: [[1.0, 0.3], [0.3, 1.0]], drift0=bundled.drift0)
+        gp, grid = cfg.grid_problem, cfg.grid
+        control = np.zeros((grid.n_t,) + grid.memory_shape(gp.d_x) + (gp.d_u,))
+        messages = []
+        for refuse in (
+            lambda: fbsm_grid(gp, grid, max_iters=1),
+            lambda: sweep_pmp_residual(gp, grid, control),
+            lambda: simulation_dynamics(cfg),
+        ):
+            with pytest.raises(ProblemError) as refused:
+                refuse()
+            messages.append(str(refused.value))
+        assert messages == [messages[0]] * 3
+        assert messages[0].startswith("diffusion D[0][1] must be zero")
 
     def test_obstacle_cost_matches_grid_problem(self):
         cfg = parse_config(obstacle_doc())

@@ -14,7 +14,7 @@ from fbsweep import gridpde
 from fbsweep.config import bundled_config_path, parse_config
 from fbsweep.core import Gaussian, GridSpec, ProblemError, StabilityError
 from fbsweep.gridpde import (
-    _CORNERS,
+    STABILITY_FRACTION,
     GridProblem,
     MassLog,
     _backward_pass,
@@ -41,6 +41,10 @@ from grid_problems import (
     random_quadratic_problem,
     upwind_hamiltonian,
 )
+
+
+# The refusal of a nonzero off-diagonal diffusion entry.
+OFF_DIAGONAL = r"diffusion D\[0\]\[1\] must be zero: the grid model takes a diagonal diffusion"
 
 
 def grid_objective(problem, grid, p, u) -> float:
@@ -86,9 +90,6 @@ def to_sparse(gen) -> sparse.csr_matrix:
     for i in range(gen.grid.dim):
         add(gen.up[i], np.roll(flat, -1, axis=i))
         add(gen.down[i], np.roll(flat, 1, axis=i))
-    for (i, j), c in gen.cross.items():
-        for oi, oj, sign in _CORNERS:
-            add(sign * c, np.roll(np.roll(flat, -oi, axis=i), -oj, axis=j))
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
@@ -240,7 +241,7 @@ class TestDiscreteGenerator:
             r_diag=[1.0],
             drift0=lambda t, S: [0.4 * S[1], -0.7 * S[0]],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-            diffusion=constant_diffusion([[1.0, 0.3], [0.3, 0.5]]),
+            diffusion=constant_diffusion([[1.0, 0.0], [0.0, 0.5]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-5.0], control_upper=[5.0],
@@ -261,7 +262,7 @@ class TestDiscreteGenerator:
             r_diag=[1.0],
             drift0=lambda t, S: [np.sin(S[1]), np.cos(S[0])],
             base_cost=lambda t, S: np.zeros_like(S[0]),
-            diffusion=constant_diffusion([[0.8, 0.2], [0.2, 0.6]]),
+            diffusion=constant_diffusion([[0.8, 0.0], [0.0, 0.6]]),
             terminal_cost=lambda S: np.zeros_like(S[0]),
             initial_density=Gaussian(np.array([0.0, 1.0]), np.eye(2)),
             control_lower=[-5.0], control_upper=[5.0],
@@ -323,24 +324,6 @@ class TestDiscreteGenerator:
         assert np.max(np.abs(lw[:-1] - 3.0)) < 1e-10
         assert lw[-1] == 0.0
 
-    def test_mixed_diffusion_on_bilinear(self):
-        grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (21, 17), 10, 1.0)
-        problem = GridProblem(
-            d_x=1, d_z=1,
-            b_matrix=[[1.0], [0.0]], r_diag=[1.0],
-            drift0=lambda t, S: [np.zeros_like(S[0]), np.zeros_like(S[0])],
-            base_cost=lambda t, S: np.zeros_like(S[0]),
-            diffusion=constant_diffusion([[1.0, 0.6], [0.6, 1.0]]),
-            terminal_cost=lambda S: np.zeros_like(S[0]),
-            initial_density=Gaussian(np.zeros(2), np.eye(2)),
-            control_lower=[-1.0], control_upper=[1.0],
-        )
-        gen = build_generator(_Stage(problem, grid, 0.0), np.zeros((17, 1)))
-        S = grid.mesh()
-        w = S[0] * S[1]
-        lw = gen.apply(w)
-        assert np.max(np.abs(lw[1:-1, 1:-1] - 0.6)) < 1e-9
-
     def test_stability_bound_names_binding_cell(self):
         # A driven drift must be constant in x, so the binding cell is set
         # by the diffusion, largest at x = 0 (node 15): rate 25 + 250 there.
@@ -374,7 +357,7 @@ class TestDiscreteGenerator:
             initial_density=Gaussian(np.zeros(2), np.eye(2)),
             control_lower=[-1.0], control_upper=[1.0],
         )
-        with pytest.raises(ProblemError, match="symmetric"):
+        with pytest.raises(ProblemError, match=OFF_DIAGONAL):
             build_generator(_Stage(problem, grid, 0.0), np.zeros((5, 1)))
 
 
@@ -1010,7 +993,7 @@ class TestProblemReads:
         [
             ("drift0", r"drift0\[0\] varies across the state"),
             ("diffusion", r"diffusion D\[1\]\[1\] must be nonnegative"),
-            ("asymmetric", "diffusion matrix must be symmetric"),
+            ("asymmetric", OFF_DIAGONAL),
         ],
     )
     def test_model_error_at_the_last_node_comes_before_the_first_step(
@@ -1060,13 +1043,13 @@ class TestChainMonteCarlo:
 
 def random_generator(shape, seed, dt=0.1):
     """A generator on a random box, on a grid of one step dt, with random
-    drift and SPD diffusion.
+    drift and diagonal diffusion.
 
-    The diffusion is a random SPD matrix (mixed terms included) times a
-    positive scalar field; about a fifth of the drift entries are exactly
-    zero, so both upwind sides and the no-drift case all occur. The
-    control drives axis 0, whose drift the model keeps constant in x: it
-    is drawn per memory node and broadcast over x.
+    The diffusion is a random positive diagonal matrix times a positive
+    scalar field, the grid model's form; about a fifth of the drift
+    entries are exactly zero, so both upwind sides and the no-drift case
+    all occur. The control drives axis 0, whose drift the model keeps
+    constant in x: it is drawn per memory node and broadcast over x.
     """
     rng = np.random.default_rng(seed)
     d = len(shape)
@@ -1078,10 +1061,9 @@ def random_generator(shape, seed, dt=0.1):
     for b in drift:
         b[rng.random(b.shape) < 0.2] = 0.0
     drift[0] = np.broadcast_to(drift[0], shape)
-    a = rng.standard_normal((d, d))
-    spd = a @ a.T + 0.1 * np.eye(d)
+    variance = rng.uniform(0.1, 3.0, d)
     scale = rng.uniform(0.5, 1.5, shape)
-    diffusion = [[spd[i, j] * scale for j in range(d)] for i in range(d)]
+    diffusion = [[variance[i] * scale if i == j else 0.0 for j in range(d)] for i in range(d)]
     problem = GridProblem(
         d_x=1, d_z=d - 1,
         b_matrix=np.eye(d, 1), r_diag=[1.0],
@@ -1128,6 +1110,17 @@ class TestStencilProperties:
         row_scale = np.asarray(abs(mat).sum(axis=1)).ravel()
         assert np.all(np.abs(row_sums) <= 1e-12 * row_scale)
         assert np.all(np.abs(gen.apply(np.ones(shape))).ravel() <= 1e-12 * row_scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=grid_shapes, seed=seeds)
+    def test_step_at_the_stability_bound_is_a_stochastic_matrix(self, shape, seed):
+        # Under the bound, I + dt L_u is the transition matrix of a Markov
+        # chain: the exact chain that the sweeps' descent rests on.
+        gen, _ = random_generator(shape, seed)
+        dt = STABILITY_FRACTION / float(gen._outflow.max())
+        step = sparse.identity(gen.diag.size) + dt * to_sparse(gen)
+        assert step.min() >= 0.0
+        assert np.all(np.abs(np.asarray(step.sum(axis=1)).ravel() - 1.0) <= 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=grid_shapes, seed=seeds)

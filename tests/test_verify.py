@@ -71,29 +71,6 @@ def small_bundled_obstacle():
 
 
 class TestConjugacyResidual:
-    def test_fuzz_draws(self):
-        grid = GridSpec([-1.0, -1.0], [1.0, 1.0], (15, 11), 10, 1.0)
-        problem = GridProblem(
-            d_x=1, d_z=1,
-            b_matrix=[[1.0], [0.0]],
-            r_diag=[1.0],
-            drift0=lambda t, S: [0.5 * S[1], -0.8 * S[0]],
-            base_cost=lambda t, S: np.zeros_like(S[0]),
-            diffusion=constant_diffusion([[1.0, 0.4], [0.4, 0.8]]),
-            terminal_cost=lambda S: np.zeros_like(S[0]),
-            initial_density=Gaussian(np.zeros(2), np.eye(2)),
-            control_lower=[-4.0], control_upper=[4.0],
-        )
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(100):
-            u = rng.uniform(-4, 4, size=(11, 1))
-            gen = build_generator(_Stage(problem, grid, 0.0), u)
-            w = rng.standard_normal(grid.shape)
-            p = rng.uniform(0.0, 2.0, size=grid.shape)
-            worst = max(worst, conjugacy_residual(gen, w, p))
-        assert worst <= 1e-12
-
     def test_constant_value_function(self):
         # both drifts change sign: the driven one across memory, the
         # undriven one across x
