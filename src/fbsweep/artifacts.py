@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 import fbsweep
-from fbsweep.core import GridSpec, ProblemError
+from fbsweep.core import GridSpec, ProblemError, _reading_file
 from fbsweep.gridpde import GridSweepResult
 from fbsweep.lqg import GainTrajectory
 
@@ -77,34 +77,36 @@ def read_csv(path):
     """Read a CSV written by write_csv: (header, float array of shape (n, c)).
 
     The body is parsed by np.loadtxt straight from the file; blank lines
-    are skipped. A row whose cell count differs from the header's, or a
-    cell that is not a number, raises ProblemError.
+    are skipped. A row whose cell count differs from the header's, a cell
+    that is not a number, or a file that cannot be read as text raises
+    ProblemError.
     """
     path = Path(path)
     if not path.exists():
         raise ProblemError(f"missing artifact: {path}")
-    with path.open() as handle:
-        first = handle.readline()
-    if not first:
-        raise ProblemError(f"empty artifact: {path}")
-    header = next(csv.reader([first.rstrip("\n")]))
-    with warnings.catch_warnings():
-        # A header with no rows is an empty table, not a warning.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
-        except ValueError as exc:
-            # Tell a row with the wrong cell count from a bad cell, as the
-            # rows' comma counts do.
-            rows = [line for line in path.read_text().splitlines()[1:] if line]
-            if any(row.count(",") != len(header) - 1 for row in rows):
-                raise ProblemError(f"ragged rows in {path}") from None
-            raise ProblemError(f"non-numeric value in {path}: {exc}") from None
-    if not len(data):
-        return header, np.empty((0, len(header)))
-    if data.shape[1] != len(header):
-        raise ProblemError(f"ragged rows in {path}")
-    return header, data
+    with _reading_file(path):
+        with path.open() as handle:
+            first = handle.readline()
+        if not first:
+            raise ProblemError(f"empty artifact: {path}")
+        header = next(csv.reader([first.rstrip("\n")]))
+        with warnings.catch_warnings():
+            # A header with no rows is an empty table, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
+            except ValueError as exc:
+                # Tell a row with the wrong cell count from a bad cell, as the
+                # rows' comma counts do.
+                rows = [line for line in path.read_text().splitlines()[1:] if line]
+                if any(row.count(",") != len(header) - 1 for row in rows):
+                    raise ProblemError(f"ragged rows in {path}") from None
+                raise ProblemError(f"non-numeric value in {path}: {exc}") from None
+        if not len(data):
+            return header, np.empty((0, len(header)))
+        if data.shape[1] != len(header):
+            raise ProblemError(f"ragged rows in {path}")
+        return header, data
 
 
 def jsonable(obj):
@@ -140,7 +142,8 @@ def read_json(path) -> dict:
         raise ProblemError(f"artifact {path} holds {token}, which is not a JSON number")
 
     try:
-        doc = json.loads(path.read_text(), parse_constant=refuse)
+        with _reading_file(path):
+            doc = json.loads(path.read_text(), parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"artifact {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -231,6 +234,8 @@ def read_gains(run_dir, d_x: int) -> GainTrajectory:
     if 3 * d_s * d_s + d_s != n_cols:
         raise ProblemError(f"gains table has unexpected column count {len(header)}")
     n = len(data)
+    if not n:
+        raise ProblemError(f"{path} holds no rows")
     if not np.isfinite(data).all():
         raise ProblemError(f"non-finite value in {path}")
     times = data[:, 0]

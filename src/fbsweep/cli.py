@@ -44,6 +44,7 @@ from fbsweep import __version__, artifacts
 from fbsweep.config import (
     LoadedConfig,
     _scalar,
+    _section,
     bundled_config_path,
     parse_config,
     read_document,
@@ -172,7 +173,7 @@ def _effective_document(args) -> dict:
     later ``verify`` reruns exactly what this command ran.
     """
     doc = copy.deepcopy(read_document(args.config))
-    solver = dict(doc.get("solver") or {})
+    solver = dict(_section(doc, "solver", {}))
     if args.max_iters is not None:
         solver["max_iters"] = args.max_iters
     if args.tol is not None:
@@ -319,7 +320,7 @@ def _grid_axis(cfg: LoadedConfig) -> tuple:
 
 
 def _grid_fold_dt(doc: dict, dt: float) -> None:
-    domain = dict(doc.get("domain") or {})
+    domain = dict(_section(doc, "domain"))
     horizon = _scalar(domain, "horizon", float, "domain.")
     domain["n_t"] = _step_count(horizon, dt)
     doc["domain"] = domain

@@ -30,6 +30,7 @@ from fbsweep.core import (
     GridSpec,
     LqgProblem,
     ProblemError,
+    _reading_file,
 )
 from fbsweep.gridpde import GridProblem, _refuse_off_diagonal
 
@@ -116,10 +117,17 @@ def _seed(doc: dict) -> int:
     return seed
 
 
+def _section(doc: dict, key: str, default=None) -> dict:
+    """doc[key], which must be a JSON object; default when it is absent,
+    and a missing key is refused only without one."""
+    value = _require(doc, key, "") if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ProblemError(f"config field {key!r} must be an object")
+    return value
+
+
 def _solver_settings(doc: dict) -> SolverSettings:
-    solver = doc.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ProblemError("config field 'solver' must be an object")
+    solver = _section(doc, "solver", {})
     settings = SolverSettings()
     for key, value in solver.items():
         if key == "max_iters":
@@ -186,7 +194,7 @@ def obstacle_running_cost(strength, t_on, t_off, inner, outer):
 
 
 def _load_obstacle_grid(doc: dict) -> LoadedConfig:
-    domain = _require(doc, "domain", "")
+    domain = _section(doc, "domain")
     lower = _matrix(domain, "lower", (2,))
     upper = _matrix(domain, "upper", (2,))
     shape = _matrix(domain, "shape")
@@ -199,7 +207,7 @@ def _load_obstacle_grid(doc: dict) -> LoadedConfig:
     horizon = _scalar(domain, "horizon", float, "domain.")
     grid = GridSpec(lower=lower, upper=upper, shape=shape, n_t=n_t, horizon=horizon)
 
-    obstacle = _require(doc, "obstacle", "")
+    obstacle = _section(doc, "obstacle")
     strength, t_on, t_off, inner, outer = (
         _scalar(obstacle, key, float, "obstacle.")
         for key in ("strength", "t_on", "t_off", "inner", "outer")
@@ -271,7 +279,8 @@ def read_document(path) -> dict:
     if not path.exists():
         raise ProblemError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        with _reading_file(path):
+            doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ProblemError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

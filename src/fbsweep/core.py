@@ -32,6 +32,7 @@ Conventions
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -53,6 +54,18 @@ class DivergenceError(RuntimeError):
 
 class SingularPrecisionError(RuntimeError):
     """The state block of a precision matrix is singular."""
+
+
+@contextmanager
+def _reading_file(path):
+    """Turn an OSError or UnicodeDecodeError raised while the block reads
+    the file path (a directory, say, or bytes that are not UTF-8) into a
+    ProblemError that names it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ProblemError(f"cannot read {path}: {reason}") from None
 
 
 def _sweep(j0: float, half_sweep: Callable, max_iters: int, tol: float) -> tuple:

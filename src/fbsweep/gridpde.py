@@ -13,9 +13,11 @@ drift is constant in x for each memory node. So this argmin is found in
 closed form, node by node (minimize_conditional_hamiltonian).
 
 The diffusion is diagonal. The generator L_u is discretized with
-first-order upwinding of the drift, central 3-point stencils for the
-diffusion, and a reflecting (no-flux) boundary closure obtained by
-zeroing boundary-crossing coefficients. The adjoint is the exact matrix
+first-order upwinding of the drift (its split into max(b, 0) and
+max(-b, 0) is written once, in _upwind_split, which the generator and
+the Hamiltonian both read), central 3-point stencils for the diffusion,
+and a reflecting (no-flux) boundary closure obtained by zeroing
+boundary-crossing coefficients. The adjoint is the exact matrix
 transpose, so mass conservation and the discrete duality
 <w, L'p> = <Lw, p> hold to rounding error by construction.
 
@@ -33,7 +35,7 @@ into runs. Each pass holds one _Stage, everything at a node that no
 control changes, and rebuilds it only where a run starts: the undriven
 axes' coefficients before and after the reflecting closure, the driven
 axes' diffusion and their drift at memory size, the base cost and the
-minimizer's control-free candidates.
+minimizer's one control-free candidate, the kink clipped to the bounds.
 Per step the work is then a few whole-grid array operations: the driven
 axes' rows, upwinded at memory size and broadcast into the grid once,
 with the diffusion term; the outflow sums and the diagonal; the cost
@@ -384,6 +386,19 @@ def _refuse_off_diagonal(D):
                 )
 
 
+def _upwind_split(b, shape):
+    """The upwind split of the drift b, (max(b, 0), max(-b, 0)), as two
+    new arrays of the given shape (b broadcast into it). This is the one
+    place the grid picks a stencil side by the drift's sign: the
+    generator's coefficients (divided by the spacing) and the Hamiltonian
+    (_phi) both read it.
+    """
+    up = np.maximum(b, 0.0, out=np.empty(shape))
+    down = np.negative(b, out=np.empty(shape))
+    np.maximum(down, 0.0, out=down)
+    return up, down
+
+
 def _close(up_i, down_i, shape, axis):
     """Reflecting closure of one axis, in place: zero the coefficients
     that reach across the boundary."""
@@ -397,11 +412,9 @@ class _Drive:
     """Control component c driving coordinate axis, at one time node:
     B = b_matrix[axis, c], R = r_diag[c], the axis's diffusion term
     base = D_ii / (2 ds^2), its control-free drift per memory node b0z,
-    and the minimizer's control-free candidates: the clipped kink
-    u* = -b0z / B, and per upwind branch (forward, backward) the bounds
-    of the controls where it applies (lower, upper) and whether there are
-    none (empty; the branch vertex is then clipped to the control bounds
-    and priced at +inf)."""
+    and the kink u* = -b0z / B, where the driven drift changes sign,
+    clipped to the control bounds: the minimizer's one control-free
+    candidate."""
 
     c: int
     axis: int
@@ -410,9 +423,6 @@ class _Drive:
     base: np.ndarray
     b0z: np.ndarray
     kink: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    empty: np.ndarray
 
 
 class _Stage:
@@ -426,8 +436,9 @@ class _Stage:
 
     undriven maps each undriven axis to its upwind + diffusion
     coefficients (up, down) before the reflecting closure and after it;
-    drives holds one _Drive per control component, in component order;
-    f0 the base cost. The arrays it derives are read-only, since every
+    drives holds one _Drive per control component, in component order
+    (its diffusion term, control-free drift and clipped kink); f0 the
+    base cost. The arrays it derives are read-only, since every
     generator built from the stage shares them.
     """
 
@@ -436,16 +447,13 @@ class _Stage:
         b0, D, f0 = _read_node(problem, grid, t)
         b0z = _checked(problem, grid, b0, D)
         shape, spacing = grid.shape, grid.spacing
-        z_shape = grid.memory_shape(problem.d_x)
         self.f0 = f0
         base = [D[i][i] / (2.0 * spacing[i] ** 2) for i in range(grid.dim)]
         self.undriven = {}
         for i in range(grid.dim):
             if i in b0z:
                 continue
-            up_i = np.maximum(b0[i], 0.0, out=np.empty(shape))
-            down_i = np.negative(b0[i], out=np.empty(shape))
-            np.maximum(down_i, 0.0, out=down_i)
+            up_i, down_i = _upwind_split(b0[i], shape)
             for coeff in (up_i, down_i):
                 coeff /= spacing[i]
                 coeff += base[i]
@@ -455,17 +463,8 @@ class _Stage:
         self.drives = []
         for c, i in enumerate(problem._driven):
             Bc, Rc = float(problem.b_matrix[i, c]), float(problem.r_diag[c])
-            lo_c, hi_c = problem.control_lower[c], problem.control_upper[c]
-            u_star = -b0z[i] / Bc
-            cut_lo, cut_hi = np.maximum(u_star, lo_c), np.minimum(u_star, hi_c)
-            ranges = ((cut_lo, hi_c), (lo_c, cut_hi))
-            lower, upper = np.empty((2,) + z_shape), np.empty((2,) + z_shape)
-            empty = np.empty((2,) + z_shape, dtype=bool)
-            for row, (lo_i, hi_i) in enumerate(ranges if Bc > 0 else ranges[::-1]):
-                empty[row] = lo_i > hi_i
-                lower[row] = np.where(empty[row], lo_c, lo_i)
-                upper[row] = np.where(empty[row], hi_c, hi_i)
-            arrays = (base[i], b0z[i], np.clip(u_star, lo_c, hi_c), lower, upper, empty)
+            kink = np.clip(-b0z[i] / Bc, problem.control_lower[c], problem.control_upper[c])
+            arrays = (base[i], b0z[i], kink)
             self.drives.append(_Drive(c, i, Bc, Rc, *(_frozen(np.asarray(a)) for a in arrays)))
 
 
@@ -544,10 +543,7 @@ def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
     # the diffusion term fills the full grid.
     rows = {}
     for drive in stage.drives:
-        bi = drive.b0z + drive.B * U[drive.c]
-        up_i = np.maximum(bi, 0.0, out=np.empty(z_grid))
-        down_i = np.negative(bi, out=np.empty(z_grid))
-        np.maximum(down_i, 0.0, out=down_i)
+        up_i, down_i = _upwind_split(drive.b0z + drive.B * U[drive.c], z_grid)
         for coeff in (up_i, down_i):
             coeff /= spacing[drive.axis]
         rows[drive.axis] = tuple(
@@ -760,7 +756,8 @@ def _phi(drive: _Drive, gf, gb, u):
     drift, diffusion). u may carry leading axes (candidates) over z.
     """
     v = drive.b0z + drive.B * u
-    return drive.R * u * u + np.maximum(v, 0.0) * gf - np.maximum(-v, 0.0) * gb
+    up, down = _upwind_split(v, v.shape)
+    return drive.R * u * u + up * gf - down * gb
 
 
 def minimize_conditional_hamiltonian(
@@ -775,7 +772,8 @@ def minimize_conditional_hamiltonian(
     In the grid model the discrete conditional Hamiltonian is piecewise
     quadratic in each control component (_phi: the upwind side switches
     where the driven drift changes sign), so the argmin is found exactly
-    from the two branch vertices, the breakpoint, and the previous
+    among four candidates priced with _phi: the two branch vertices and
+    the breakpoint, each clipped to the control bounds, and the previous
     control. Low-mass nodes (defined=False, as conditional_density flags
     them) inherit the control of the nearest defined node. verify's
     stationarity oracle prices controls at a step with
@@ -791,17 +789,19 @@ def minimize_conditional_hamiltonian(
     for drive, gf, gb in terms:
         c, Bc, Rc = drive.c, drive.B, drive.R
 
-        # Candidates: each branch's vertex clipped to the controls where
-        # its upwind side applies (split at the kink), the kink, and the
-        # previous control; phi is evaluated on all four at once.
+        # Candidates: each upwind branch's vertex clipped to the control
+        # bounds, the clipped kink, and the previous control, all priced
+        # by _phi at once. This is exact: R > 0 makes each branch strictly
+        # convex, so its minimum over its own side of the kink lies at its
+        # vertex, the kink or a bound, each a candidate; a vertex that
+        # lands on the other side is priced on that side's branch, where
+        # it is never below that branch's own minimum.
         cands = np.empty((4,) + z_shape)
         for row, grad in enumerate((gf, gb)):
-            vert = -Bc * grad / (2.0 * Rc)
-            np.clip(vert, drive.lower[row], drive.upper[row], out=cands[row])
+            np.clip(-Bc * grad / (2.0 * Rc), lo[c], hi[c], out=cands[row])
         cands[2] = drive.kink
         cands[3] = np.clip(u_prev[..., c], lo[c], hi[c])
         phis = _phi(drive, gf, gb, cands)
-        phis[:2] = np.where(drive.empty, np.inf, phis[:2])
 
         best = np.argmin(phis[:3], axis=0)
         u_best = np.choose(best, cands[:3])

@@ -845,22 +845,92 @@ def _nan_pi_01(header, rows):
     rows[10][header.index("pi_01")] = "nan"
 
 
+def _drop_every_row(header, rows):
+    rows.clear()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize(
     "tamper, fault",
-    [(_move_row_10_time, "not strictly increasing"), (_nan_pi_01, "non-finite value")],
-    ids=["time-out-of-order", "nan-gain"],
+    [
+        (_move_row_10_time, "not strictly increasing"),
+        (_nan_pi_01, "non-finite value"),
+        (_drop_every_row, "holds no rows"),
+    ],
+    ids=["time-out-of-order", "nan-gain", "header-only"],
 )
 def test_corrupted_gain_table_is_exit_2(command, tamper, fault, lqg_run, tmp_path, capsys):
-    """A gains.csv with a non-finite cell or a time column that is not
-    strictly increasing is invalid input to both commands, refused when
-    the table is read with the fault named: simulate would apply wrong
-    gains, and verify would report a numerical failure."""
+    """A gains.csv with a non-finite cell, a time column that is not
+    strictly increasing or no rows at all is invalid input to both
+    commands, refused when the table is read with the fault named:
+    simulate would apply wrong gains, and verify would report a numerical
+    failure (a header-only table would fail building the trajectory)."""
     code, corrupted = _run_on_tampered_gains(command, tamper, lqg_run, tmp_path)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gains.csv" in err and fault in err
     assert "Traceback" not in err
+    assert not (corrupted / "verify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, doc, field, value, flags",
+    [
+        ("run-lqg", LQG_DOC, "solver", 5, []),
+        ("run-lqg", LQG_DOC, "solver", "ab", []),
+        ("run-grid", OBSTACLE_DOC, "domain", [1, 2], ["--dt", "0.005"]),
+        ("run-grid", OBSTACLE_DOC, "domain", 5, []),
+        ("run-grid", OBSTACLE_DOC, "obstacle", 5, []),
+    ],
+    ids=[
+        "solver-number", "solver-string", "domain-list-with-dt", "domain-number",
+        "obstacle-number",
+    ],
+)
+def test_section_that_is_not_an_object_is_exit_2_before_any_output(
+    command, doc, field, value, flags, tmp_path, capsys
+):
+    """A config section that is not a JSON object is invalid input, both
+    where the command-line overrides fold into the solver and domain
+    objects, before parse_config reads them, and in parse_config."""
+    config = write_doc(tmp_path, dict(doc, **{field: value}))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)] + flags) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{field}' must be an object" in err
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_exit_2(kind, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(NOT_UTF8)
+    out = tmp_path / "run"
+    assert main(["run-lqg", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {config}")
+
+
+@pytest.mark.parametrize("name", ["summary.json", "gains.csv", "iterations.csv"])
+def test_unreadable_run_artifact_is_exit_2(name, lqg_run, tmp_path, capsys):
+    """Bytes that are not UTF-8 in a JSON artifact (read_json) or in a
+    CSV header (read_csv) are invalid input to verify, named in the error
+    line."""
+    _, run = lqg_run
+    corrupted = tmp_path / "run"
+    shutil.copytree(run, corrupted)
+    (corrupted / "verify.json").unlink(missing_ok=True)
+    (corrupted / name).write_bytes(NOT_UTF8)
+    assert main(["verify", str(corrupted)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {corrupted / name}")
     assert not (corrupted / "verify.json").exists()
 
 

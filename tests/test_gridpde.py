@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage, sparse
 
@@ -476,33 +476,66 @@ class TestMinimizer:
         u_prev = rng.uniform(-3.0, 3.0, size=(9, 1))
         return problem, grid, cond, defined, w_next, u_prev
 
-    def hamiltonian_profile(self, problem, grid, cond, w_next, u_values):
-        """Reference conditional Hamiltonian on a dense control grid."""
+    def random_node(self, seed):
+        """A node of random_quadratic_problem(seed) on an 11x11 grid: B of
+        either sign, bounds that may leave the kink outside them, a random
+        density with one empty memory column, and a random, linear or
+        rounded value slice. Returns what conditioning_setup does, plus t."""
+        problem = random_quadratic_problem(seed)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), 10, 0.1)
+        rng = np.random.default_rng([seed, 3])
+        p = rng.uniform(0.0, 1.0, grid.shape)
+        p[:, rng.integers(11)] = 0.0
+        p /= p.sum() * grid.cell_volume
+        cond, _, defined = conditional_density(p, grid, d_x=1)
+        X, Z = grid.mesh()
+        w_next = [
+            rng.standard_normal(grid.shape) * rng.uniform(0.1, 10.0),
+            rng.uniform(-3.0, 3.0) * X + rng.uniform(-3.0, 3.0) * Z,
+            np.round(rng.standard_normal(grid.shape)),
+        ][rng.integers(3)]
+        bound = problem.control_upper[0]
+        u_prev = rng.uniform(-1.5 * bound, 1.5 * bound, size=(11, 1))
+        return problem, grid, cond, defined, w_next, u_prev, rng.uniform(0.0, 0.1)
+
+    def hamiltonian_profile(self, problem, grid, t, cond, w_next, u_values):
+        """Reference conditional Hamiltonian of a control driving axis 0,
+        R u^2 + max(v, 0) E[gf] - max(-v, 0) E[gb] with v = b0 + B u, per
+        control in u_values (rows) and memory node (columns)."""
         from fbsweep.gridpde import _upwind_differences, _conditional_expectation
 
         gf, gb = _upwind_differences(w_next, 0, grid.spacing[0])
         vol_x = grid.spacing[0]
         egf = _conditional_expectation(cond, gf, 1, vol_x)
         egb = _conditional_expectation(cond, gb, 1, vol_x)
-        z = grid.axes[1]
-        b0 = 0.3 * z
-        out = np.empty((u_values.size, z.size))
-        for m, u in enumerate(u_values):
-            v = b0 + u
-            out[m] = 0.7 * u**2 + np.maximum(v, 0) * egf - np.maximum(-v, 0) * egb
-        return out
+        b0 = np.broadcast_to(problem.drift0(t, grid.mesh())[0], grid.shape)[0]
+        B, R = problem.b_matrix[0, 0], problem.r_diag[0]
+        u = np.asarray(u_values, dtype=float)[:, None]
+        v = b0 + B * u
+        return R * u**2 + np.maximum(v, 0) * egf - np.maximum(-v, 0) * egb
 
-    def test_exact_matches_dense_scan(self):
-        problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
-        u = minimize_at(problem, grid, 0.0, cond, w_next, u_prev, defined)
-        dense = np.linspace(-3.0, 3.0, 20001)
-        profile = self.hamiltonian_profile(problem, grid, cond, w_next, dense)
-        best_dense = profile.min(axis=0)
-        phi_u = np.array([
-            self.hamiltonian_profile(problem, grid, cond, w_next, np.array([uj]))[0, j]
-            for j, uj in enumerate(u[:, 0])
-        ])
-        assert np.all(phi_u <= best_dense + 1e-9 * (1.0 + np.abs(best_dense)))
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=None)
+    def test_exact_matches_dense_scan(self, seed):
+        """At every defined memory node, the minimizer's answer is no worse
+        than the best of 20001 controls spread over the bounds. seed None
+        is conditioning_setup (B = 1, bounds +-3, the kink inside them);
+        the drawn nodes (random_node) reach empty branches and, where
+        E[gf] < E[gb], a non-convex Hamiltonian."""
+        if seed is None:
+            problem, grid, cond, defined, w_next, u_prev = self.conditioning_setup()
+            t = 0.0
+        else:
+            problem, grid, cond, defined, w_next, u_prev, t = self.random_node(seed)
+        u = minimize_at(problem, grid, t, cond, w_next, u_prev, defined)
+        lo, hi = problem.control_lower[0], problem.control_upper[0]
+        assert np.all((lo <= u) & (u <= hi))
+        dense = np.linspace(lo, hi, 20001)
+        best_dense = self.hamiltonian_profile(problem, grid, t, cond, w_next, dense).min(axis=0)
+        phi_u = np.diagonal(self.hamiltonian_profile(problem, grid, t, cond, w_next, u[:, 0]))
+        slack = 1e-9 * (1.0 + np.abs(best_dense))
+        assert np.all((phi_u <= best_dense + slack)[defined])
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
