@@ -252,9 +252,9 @@ def read_gains(run_dir, d_x: int) -> GainTrajectory:
     )
 
 
-def write_grid_sidecar(run_dir, grid: GridSpec, d_x: int, d_u: int) -> None:
-    write_json(
-        Path(run_dir) / GRID_FILE,
+def _sidecar(grid: GridSpec, d_x: int, d_u: int) -> dict:
+    """The document grid.json holds for a control table over grid."""
+    return jsonable(
         {
             "lower": grid.lower,
             "upper": grid.upper,
@@ -263,8 +263,12 @@ def write_grid_sidecar(run_dir, grid: GridSpec, d_x: int, d_u: int) -> None:
             "horizon": grid.horizon,
             "d_x": d_x,
             "d_u": d_u,
-        },
+        }
     )
+
+
+def write_grid_sidecar(run_dir, grid: GridSpec, d_x: int, d_u: int) -> None:
+    write_json(Path(run_dir) / GRID_FILE, _sidecar(grid, d_x, d_u))
 
 
 def read_grid_sidecar(run_dir):
@@ -285,48 +289,61 @@ def read_grid_sidecar(run_dir):
         raise ProblemError(f"artifact {path} has an ill-typed entry: {exc}") from None
 
 
-def write_control_table(run_dir, control: np.ndarray, grid: GridSpec, d_x: int) -> None:
-    """Full (t, z) -> u table, one row per time step and memory node.
-
-    control is u(t, z) of shape (n_t,) + memory shape + (d_u,).
-    """
-    d_u = control.shape[-1]
+def _control_index(grid: GridSpec, d_x: int, d_u: int):
+    """The control table's header and its index columns (t_index, t and
+    z_*): one row per time step and memory node, in C order."""
     z_axes = grid.memory_axes(d_x)
     z_shape = grid.memory_shape(d_x)
-    d_z = len(z_shape)
     times = grid.times()[:-1]
     header = (
         ["t_index", "t"]
-        + [f"z_{i}" for i in range(d_z)]
+        + [f"z_{i}" for i in range(len(z_shape))]
         + [f"u_{i}" for i in range(d_u)]
     )
     n_nodes = int(np.prod(z_shape, dtype=int)) if z_shape else 1
     n_t = len(times)
     columns = [np.repeat(np.arange(n_t), n_nodes), np.repeat(times, n_nodes)]
     columns += [np.tile(m.ravel(), n_t) for m in np.meshgrid(*z_axes, indexing="ij")]
-    columns += list(control.reshape(n_t * n_nodes, d_u).T)
+    return header, columns
+
+
+def write_control_table(run_dir, control: np.ndarray, grid: GridSpec, d_x: int) -> None:
+    """Full (t, z) -> u table, one row per time step and memory node.
+
+    control is u(t, z) of shape (n_t,) + memory shape + (d_u,).
+    """
+    d_u = control.shape[-1]
+    header, columns = _control_index(grid, d_x, d_u)
+    columns += list(control.reshape(-1, d_u).T)
     write_csv(Path(run_dir) / CONTROL_FILE, header, blocks=[columns])
 
 
 def read_control_table(run_dir):
-    """Rebuild (values, grid, d_x) from control.csv plus its grid sidecar."""
+    """Rebuild (values, grid, d_x) from control.csv plus its grid sidecar.
+
+    The index columns (t_index, t, z_*) must be the ones
+    write_control_table writes for the sidecar's grid, which round-trip
+    exactly, and every control cell must be finite: the law would apply
+    a misplaced or undefined control silently.
+    """
     grid, d_x, d_u = read_grid_sidecar(run_dir)
-    header, data = read_csv(Path(run_dir) / CONTROL_FILE)
-    z_shape = grid.memory_shape(d_x)
-    d_z = len(z_shape)
-    expected = ["t_index", "t"] + [f"z_{i}" for i in range(d_z)] + [
-        f"u_{i}" for i in range(d_u)
-    ]
+    path = Path(run_dir) / CONTROL_FILE
+    header, data = read_csv(path)
+    expected, index = _control_index(grid, d_x, d_u)
     if header != expected:
-        raise ProblemError(f"unexpected control table header {header}")
-    n_nodes = int(np.prod(z_shape, dtype=int)) if z_shape else 1
-    if len(data) != grid.n_t * n_nodes:
-        raise ProblemError(
-            f"control table has {len(data)} rows, expected {grid.n_t * n_nodes}"
-        )
+        raise ProblemError(f"unexpected header in {path}: {header}")
+    if len(data) != len(index[0]):
+        raise ProblemError(f"{path} has {len(data)} rows, expected {len(index[0])}")
+    for k, column in enumerate(index):
+        if not np.array_equal(data[:, k], column):
+            raise ProblemError(
+                f"{header[k]} column of {path} does not match the grid in {GRID_FILE}"
+            )
+    values = data[:, len(index) :]
+    if not np.isfinite(values).all():
+        raise ProblemError(f"non-finite control value in {path}")
     # A copy: a view would keep the whole table, t and z columns included.
-    values = data[:, 2 + d_z :].reshape((grid.n_t,) + z_shape + (d_u,)).copy()
-    return values, grid, d_x
+    return values.reshape((grid.n_t,) + grid.memory_shape(d_x) + (d_u,)).copy(), grid, d_x
 
 
 def time_tag(t: float) -> str:

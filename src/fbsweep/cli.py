@@ -237,7 +237,7 @@ def _lqg_fold_dt(doc: dict, dt: float) -> None:
     doc["dt"] = dt
 
 
-def _solve_lqg(cfg: LoadedConfig, keep_slices: bool = False):
+def _solve_lqg(cfg: LoadedConfig):
     return fbsm_lqg(cfg.lqg_problem, max_iters=cfg.solver.max_iters, tol=cfg.solver.tol)
 
 
@@ -326,16 +326,15 @@ def _grid_fold_dt(doc: dict, dt: float) -> None:
     doc["domain"] = domain
 
 
-def _solve_grid(cfg: LoadedConfig, keep_slices: bool = False):
+def _solve_grid(cfg: LoadedConfig):
     # The result holds one field in full; write_field_slices reads the
     # other one's slices from those kept at these nodes.
-    keep = artifacts.slice_nodes(cfg.grid, cfg.slice_times) if keep_slices else ()
     return fbsm_grid(
         cfg.grid_problem,
         cfg.grid,
         max_iters=cfg.solver.max_iters,
         tol=cfg.solver.tol,
-        keep_nodes=keep,
+        keep_nodes=artifacts.slice_nodes(cfg.grid, cfg.slice_times),
     )
 
 
@@ -368,12 +367,16 @@ def _check_grid_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: li
     problem, grid = cfg.grid_problem, cfg.grid
     # Read the table first: parsing it peaks well above its array, and
     # that peak should not stack on the density field.
-    control, _, _ = artifacts.read_control_table(run_dir)
-    expected = (grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,)
-    if control.shape != expected:
-        raise ProblemError(
-            f"control table has shape {control.shape}, configuration needs {expected}"
-        )
+    control, stored, d_x = artifacts.read_control_table(run_dir)
+    # The checks below step the answer on the configuration's grid, and
+    # simulate interpolates it on the sidecar's: they must be one grid.
+    configured = artifacts._sidecar(grid, problem.d_x, problem.d_u)
+    for key, value in artifacts._sidecar(stored, d_x, control.shape[-1]).items():
+        if value != configured[key]:
+            raise ProblemError(
+                f"{key} {value} in {run_dir / artifacts.GRID_FILE} does not match "
+                f"the configuration's {configured[key]}"
+            )
     pmp = sweep_pmp_residual(problem, grid, control)
     log = pmp.mass_log
     _check(
@@ -417,7 +420,7 @@ class _Family:
     solver_choice: tuple  # (key, value) of what always runs, for summary.json
     axis: Callable  # cfg -> (horizon, solver step)
     fold_dt: Callable  # (doc, dt): fold a --dt override into the document
-    solve: Callable  # (cfg, keep_slices) -> sweep result
+    solve: Callable  # cfg -> sweep result
     write_answer: Callable  # (cfg, run_dir, result) -> the family's summary fields
     load_law: Callable  # (cfg, run_dir) -> the stored control law
     check_answer: Callable  # (cfg, run_dir, sweeps, checks) -> (tables, objective)
@@ -490,7 +493,7 @@ def _run(doc: dict, out, family: _Family) -> tuple:
         )
     text = _canonical_text(doc)
     run_dir = _prepare_run_dir(out, text, cfg.seed, family.command)
-    result = family.solve(cfg, True)
+    result = family.solve(cfg)
     artifacts.write_iterations(run_dir, result.objective_history)
     summary = {
         "family": cfg.family,
@@ -663,7 +666,7 @@ def _verify(run_dir: Path, rerun: bool) -> int:
     )
 
     if rerun:
-        result = family.solve(cfg, False)
+        result = family.solve(cfg)
         fresh = family.rerun_tables(result)
         diff = max(float(np.abs(a - b).max()) for a, b in zip(tables, fresh))
         scale = 1.0 + float(np.abs(fresh[0]).max())

@@ -21,24 +21,28 @@ boundary-crossing coefficients. The adjoint is the exact matrix
 transpose, so mass conservation and the discrete duality
 <w, L'p> = <Lw, p> hold to rounding error by construction.
 
-Under the explicit-scheme stability bound, I + dt L_u is a nonnegative
-row-stochastic matrix: each time slice is an exact finite-state Markov
-decision step. The alternating sweeps then minimize the exact discrete
-objective node by node (ties broken toward the previous control), which
-is what makes the recorded objective monotone across iterations.
+Every off-diagonal coefficient is nonnegative, so I + dt L_u is a
+nonnegative row-stochastic matrix exactly when dt * max(-diag) <= 1, the
+generator's own diagonal giving each cell's exit rate; the stability
+check (DiscreteGenerator.check_stability) asks for
+dt * max(-diag) <= STABILITY_FRACTION. Each time slice is then an exact
+finite-state Markov decision step, and the alternating sweeps minimize
+the exact discrete objective node by node (ties broken toward the
+previous control), which is what makes the recorded objective monotone
+across iterations.
 
 The sweeps are coupled only through the control, so within a pass a
 time node's drift0, diffusion and base_cost never change. A grid solve
 reads them once per node, in a pre-pass (_Runs) that checks them against
 the model and groups consecutive nodes whose values are bit-identical
 into runs. Each pass holds one _Stage, everything at a node that no
-control changes, and rebuilds it only where a run starts: the undriven
-axes' coefficients before and after the reflecting closure, the driven
-axes' diffusion and their drift at memory size, the base cost and the
+control changes, and rebuilds it only where a run starts: one closed
+(up, down) coefficient pair per undriven axis, the driven axes'
+diffusion and their drift at memory size, the base cost and the
 minimizer's one control-free candidate, the kink clipped to the bounds.
 Per step the work is then a few whole-grid array operations: the driven
 axes' rows, upwinded at memory size and broadcast into the grid once,
-with the diffusion term; the outflow sums and the diagonal; the cost
+with the diffusion term, then closed; the diagonal; the cost
 f0 + r u^2; the upwind differences of the value along the driven axes
 (_driven_terms, computed once per step and handed to the minimizer and
 to verify's Hamiltonian evaluations) and the candidates that depend on
@@ -271,22 +275,22 @@ class DiscreteGenerator:
     conserves mass).
     apply/apply_adjoint are exact transposes of each other.
 
-    The constructor takes the C-ordered full-grid coefficients after the
-    reflecting closure, which zeros every coefficient that reaches across
-    the boundary, and the per-cell outflow rate before it, for the
-    stability check (build_generator makes both). It only reads them:
-    generators built from one _Stage share its arrays.
+    The constructor takes one C-ordered full-grid (up, down) pair per
+    axis, after the reflecting closure, which zeros every coefficient
+    that reaches across the boundary (build_generator makes them). It only
+    reads them: generators built from one _Stage share its arrays. Every
+    coefficient is nonnegative, so -diag is each cell's exit rate and the
+    stability check reads it alone.
     Stencils are applied as slice adds on the C-ordered flat grid, where
     s + e_i is s + step_i: the rows a flat shift wraps into carry a zero
     coefficient, so each term is one contiguous multiply-add that adds an
     exact zero there (inputs are finite: the sweeps reject anything else).
     """
 
-    def __init__(self, grid: GridSpec, up, down, outflow):
+    def __init__(self, grid: GridSpec, up, down):
         shape = grid.shape
         self.grid = grid
         self.up, self.down = up, down
-        self._outflow = outflow
         self.diag = _sum(self.up, shape)
         np.negative(self.diag, out=self.diag)
         self.diag -= _sum(self.down, shape)
@@ -315,10 +319,13 @@ class DiscreteGenerator:
         return out
 
     def check_stability(self, dt: float):
-        sums = self._outflow
-        limit = float(sums.max())
+        """StabilityError, naming the binding cell argmin(diag), unless
+        dt * max(-diag) <= STABILITY_FRACTION: I + dt L_u is nonnegative
+        exactly when dt * max(-diag) <= 1."""
+        diag = self.diag
+        limit = -float(diag.min())
         if dt * limit > STABILITY_FRACTION + 1e-12:
-            cell = tuple(int(k) for k in np.unravel_index(int(np.argmax(sums)), sums.shape))
+            cell = tuple(int(k) for k in np.unravel_index(np.argmin(diag), diag.shape))
             raise StabilityError(
                 f"explicit step unstable: dt={dt:.6g} exceeds "
                 f"{STABILITY_FRACTION}/rate = {STABILITY_FRACTION / limit:.6g} "
@@ -434,8 +441,8 @@ class _Stage:
     over a run of bit-identical nodes sets its t at each node
     (_Runs.stages).
 
-    undriven maps each undriven axis to its upwind + diffusion
-    coefficients (up, down) before the reflecting closure and after it;
+    undriven maps each undriven axis to its one pair of upwind +
+    diffusion coefficients (up, down), after the reflecting closure;
     drives holds one _Drive per control component, in component order
     (its diffusion term, control-free drift and clipped kink); f0 the
     base cost. The arrays it derives are read-only, since every
@@ -457,8 +464,7 @@ class _Stage:
             for coeff in (up_i, down_i):
                 coeff /= spacing[i]
                 coeff += base[i]
-            closed = _close(up_i.copy(), down_i.copy(), shape, i)
-            self.undriven[i] = tuple(map(_frozen, (up_i, down_i))), tuple(map(_frozen, closed))
+            self.undriven[i] = tuple(map(_frozen, _close(up_i, down_i, shape, i)))
 
         self.drives = []
         for c, i in enumerate(problem._driven):
@@ -525,10 +531,10 @@ def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
     Drift terms are upwinded in the drift sign, the diagonal diffusion
     uses central 3-point stencils, and coefficients that would reach
     across the boundary are zeroed (reflecting closure). The explicit
-    stability bound
-    dt * max_cell(sum_i D_ii/ds_i^2 + |b_i|/ds_i) <= 0.9 is checked by
-    the caller, gen.check_stability(dt), which reports the binding cell;
-    the steppers check it at grid.dt before every step.
+    stability bound dt * max(-diag) <= 0.9, read from the generator's own
+    diagonal, is checked by the caller, gen.check_stability(dt), which
+    reports the binding cell; the steppers check it at grid.dt before
+    every step.
 
     Only the driven axes depend on the control: a driven coordinate's
     drift is upwinded per memory node and broadcast into the grid once,
@@ -546,15 +552,11 @@ def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
         up_i, down_i = _upwind_split(drive.b0z + drive.B * U[drive.c], z_grid)
         for coeff in (up_i, down_i):
             coeff /= spacing[drive.axis]
-        rows[drive.axis] = tuple(
-            np.add(coeff, drive.base, out=np.empty(shape)) for coeff in (up_i, down_i)
-        )
-    axes = range(grid.dim)
-    opened = [rows[i] if i in rows else stage.undriven[i][0] for i in axes]
-    outflow = _sum([coeff for pair in opened for coeff in pair], shape)
-    closed = [_close(*rows[i], shape, i) if i in rows else stage.undriven[i][1] for i in axes]
-    up, down = ([pair[k] for pair in closed] for k in (0, 1))
-    return DiscreteGenerator(grid, up, down, outflow)
+        sides = (np.add(coeff, drive.base, out=np.empty(shape)) for coeff in (up_i, down_i))
+        rows[drive.axis] = _close(*sides, shape, drive.axis)
+    pairs = {**stage.undriven, **rows}
+    up, down = ([pairs[i][k] for i in range(grid.dim)] for k in (0, 1))
+    return DiscreteGenerator(grid, up, down)
 
 
 @dataclass

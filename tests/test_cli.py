@@ -798,15 +798,15 @@ def test_non_numeric_summary_objective_is_exit_2(objective, grid_run, tmp_path, 
     assert not (corrupted / "verify.json").exists()
 
 
-def _run_on_tampered_gains(command, edit, lqg_run, tmp_path):
-    """Copy the lqg run, apply edit(header, rows) to the cells of its
-    gains.csv and run command on the copy; returns the exit code and the
-    copy."""
-    config, run = lqg_run
+def _run_on_tampered_table(command, name, edit, run, tmp_path):
+    """Copy the run (config, directory), apply edit(header, rows) to the
+    cells of its table `name` and run command on the copy; returns the
+    exit code and the copy."""
+    config, run = run
     corrupted = tmp_path / "run"
     shutil.copytree(run, corrupted)
     (corrupted / "verify.json").unlink(missing_ok=True)
-    path = corrupted / "gains.csv"
+    path = corrupted / name
     header, *body = path.read_text().splitlines()
     rows = [line.split(",") for line in body]
     edit(header.split(","), rows)
@@ -830,7 +830,9 @@ def test_stored_gain_times_are_checked(command, cell, lqg_run, tmp_path, capsys)
     def set_last_time(header, rows):
         rows[-1][0] = cell
 
-    code, corrupted = _run_on_tampered_gains(command, set_last_time, lqg_run, tmp_path)
+    code, corrupted = _run_on_tampered_table(
+        command, "gains.csv", set_last_time, lqg_run, tmp_path
+    )
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gains.csv" in err
@@ -865,12 +867,70 @@ def test_corrupted_gain_table_is_exit_2(command, tamper, fault, lqg_run, tmp_pat
     commands, refused when the table is read with the fault named:
     simulate would apply wrong gains, and verify would report a numerical
     failure (a header-only table would fail building the trajectory)."""
-    code, corrupted = _run_on_tampered_gains(command, tamper, lqg_run, tmp_path)
+    code, corrupted = _run_on_tampered_table(command, "gains.csv", tamper, lqg_run, tmp_path)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gains.csv" in err and fault in err
     assert "Traceback" not in err
     assert not (corrupted / "verify.json").exists()
+
+
+def _nan_u_0(header, rows):
+    # t_index 30, the middle memory node, where the density sits
+    rows[30 * 21 + 10][header.index("u_0")] = "nan"
+
+
+def _swap_rows_0_and_299(header, rows):
+    rows[0], rows[299] = rows[299], rows[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "tamper, fault",
+    [
+        (_nan_u_0, "non-finite control value"),
+        (_swap_rows_0_and_299, "t_index column"),
+    ],
+    ids=["nan-control", "rows-swapped"],
+)
+def test_corrupted_control_table_is_exit_2(command, tamper, fault, grid_run, tmp_path, capsys):
+    """A control.csv with a non-finite cell, or with index columns (t_index,
+    t, z_*) other than those written for its grid.json, is invalid input to
+    both commands: simulate would apply an undefined or misplaced control,
+    and verify would report a numerical failure or check a table that is
+    not the one the law reads."""
+    code, corrupted = _run_on_tampered_table(command, "control.csv", tamper, grid_run, tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "control.csv" in err and fault in err
+    assert "Traceback" not in err
+    assert not (corrupted / "verify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("lower", [-4.0, -2.0]), ("upper", [4.0, 2.0]), ("shape", [31, 21])]
+)
+def test_verify_refuses_a_grid_sidecar_off_the_configured_grid(
+    key, value, grid_run, tmp_path, capsys
+):
+    """verify steps the stored control on the configured grid, and simulate
+    interpolates it on grid.json's: verify refuses a sidecar that differs
+    from the configuration, here on the state axis the control table does
+    not index. simulate still accepts it, since a law may be solved on
+    another mesh."""
+    config, run = grid_run
+    corrupted = tmp_path / "run"
+    shutil.copytree(run, corrupted)
+    (corrupted / "verify.json").unlink(missing_ok=True)
+    path = corrupted / "grid.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
+    assert main(["verify", str(corrupted)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and "grid.json" in err
+    assert not (corrupted / "verify.json").exists()
+    argv = ["simulate", "--config", str(config), "--controller", str(corrupted),
+            "--out", str(tmp_path / "sim"), "--paths", "5"]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(

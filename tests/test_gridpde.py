@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -1110,6 +1111,21 @@ def random_generator(shape, seed, dt=0.1):
     return gen, rng
 
 
+def assert_stability_bound_is_exact(gen):
+    """At dt = STABILITY_FRACTION / max(-diag), check_stability passes and
+    I + dt L_u is the transition matrix of a Markov chain, the exact chain
+    that the sweeps' descent rests on; at 1.01 dt check_stability raises,
+    naming the binding cell argmin(diag)."""
+    dt = STABILITY_FRACTION / -float(gen.diag.min())
+    gen.check_stability(dt)
+    step = sparse.identity(gen.diag.size) + dt * to_sparse(gen)
+    assert step.min() >= 0.0
+    assert np.all(np.abs(np.asarray(step.sum(axis=1)).ravel() - 1.0) <= 1e-12)
+    cell = tuple(int(k) for k in np.unravel_index(np.argmin(gen.diag), gen.diag.shape))
+    with pytest.raises(StabilityError, match=re.escape(f"binding cell {cell},")):
+        gen.check_stability(1.01 * dt)
+
+
 grid_shapes = st.lists(st.integers(3, 9), min_size=1, max_size=3).map(tuple)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -1147,13 +1163,19 @@ class TestStencilProperties:
     @settings(max_examples=60, deadline=None)
     @given(shape=grid_shapes, seed=seeds)
     def test_step_at_the_stability_bound_is_a_stochastic_matrix(self, shape, seed):
-        # Under the bound, I + dt L_u is the transition matrix of a Markov
-        # chain: the exact chain that the sweeps' descent rests on.
         gen, _ = random_generator(shape, seed)
-        dt = STABILITY_FRACTION / float(gen._outflow.max())
-        step = sparse.identity(gen.diag.size) + dt * to_sparse(gen)
-        assert step.min() >= 0.0
-        assert np.all(np.abs(np.asarray(step.sum(axis=1)).ravel() - 1.0) <= 1e-12)
+        assert_stability_bound_is_exact(gen)
+
+    @pytest.mark.parametrize("u", [0.0, 12.0, -12.0])
+    def test_bundled_stage_at_its_stability_bound(self, u):
+        # At |u| = 12 (the control bound) the bundled 101x101 stage's
+        # outflow before the reflecting closure peaks at 0.8056 / dt in
+        # corner (0, 0), above max(-diag) = 0.8046 / dt at cell (1, 1): a
+        # rule on that outflow refuses the largest step the diagonal allows.
+        cfg = parse_config(json.loads(bundled_config_path("obstacle").read_text()))
+        problem, grid = cfg.grid_problem, cfg.grid
+        u_slice = np.full(grid.memory_shape(problem.d_x) + (problem.d_u,), u)
+        assert_stability_bound_is_exact(build_generator(_Stage(problem, grid, 0.0), u_slice))
 
     @settings(max_examples=60, deadline=None)
     @given(shape=grid_shapes, seed=seeds)
