@@ -20,9 +20,16 @@ metrics, and the traced grid structure (every `gridpde.*.calls` count,
 `gridpde.step_ms.samples` and `core.mesh.calls`), so that a refactor can
 be seen to keep the calls the traced pass makes.
 
-Usage: python3 .github/check_smoke.py SMOKE_LOG
+With --parent PARENT_LOG, a smoke log of the base commit, it prints every
+`<workload>.<metric>` whose unit is `count` and whose value differs
+between the two logs, leaving out `code.*` (or "no count differs"), and
+appends that table to GITHUB_STEP_SUMMARY too. It is informational: the
+exit status is that of the checks above.
+
+Usage: python3 .github/check_smoke.py SMOKE_LOG [--parent PARENT_LOG]
 """
 
+import argparse
 import json
 import math
 import os
@@ -81,6 +88,36 @@ def unmatched_builds(summaries):
     ]
 
 
+def counts(summaries):
+    """{<workload>.<metric>: value} of every count metric outside code.*."""
+    return {
+        key: entry["value"]
+        for key, entry in metrics(summaries)
+        if entry["unit"] == "count" and not key.partition(".")[2].startswith("code.")
+    }
+
+
+def count_changes(summaries, parent):
+    """(key, parent value, value) of each count metric that differs from
+    the parent log's; a metric one log lacks reads None there."""
+    mine, theirs = counts(summaries), counts(parent)
+    return [
+        (key, theirs.get(key), mine.get(key))
+        for key in sorted(mine.keys() | theirs.keys())
+        if theirs.get(key) != mine.get(key)
+    ]
+
+
+def write_count_changes(out, changes):
+    if not changes:
+        out.write("no count differs\n")
+        return
+    out.write("| count metric | parent | change |\n|---|---|---|\n")
+    for key, before, after in changes:
+        out.write(f"| `{key}` | {'-' if before is None else before} "
+                  f"| {'-' if after is None else after} |\n")
+
+
 def write_step_summary(out, summaries, end_to_end):
     # Informational, no gate: the code size figures of the traced pass.
     sizes = {
@@ -124,7 +161,7 @@ def write_step_summary(out, summaries, end_to_end):
             out.write(f"| `{name}` | " + " | ".join(cells) + " |\n")
 
 
-def main(path) -> int:
+def main(path, parent=None) -> int:
     end_to_end, declared = read_declared()
     summaries = read_summaries(path)
     bad = [s for s in summaries if s["correct"] is not True or s["failed"] != 0]
@@ -161,12 +198,23 @@ def main(path) -> int:
     missing = [key for key in declared if key not in present]
     for key in missing:
         print(f"missing metric {key}")
+    # Informational, no gate: the traced call counts against the base commit's.
+    changes = None if parent is None else count_changes(summaries, read_summaries(parent))
+    if changes is not None:
+        write_count_changes(sys.stdout, changes)
     if os.environ.get("GITHUB_STEP_SUMMARY"):
         with open(os.environ["GITHUB_STEP_SUMMARY"], "a") as out:
             write_step_summary(out, summaries, end_to_end)
+            if changes is not None:
+                out.write("\n")
+                write_count_changes(out, changes)
     failed = bad or null or nonfinite or uncalled or unmatched or missing
     return 1 if failed or not summaries else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1]))
+    parser = argparse.ArgumentParser(description="Check a bench/run.py --smoke log.")
+    parser.add_argument("log")
+    parser.add_argument("--parent", help="the base commit's smoke log, to compare counts with")
+    args = parser.parse_args()
+    sys.exit(main(args.log, args.parent))

@@ -220,9 +220,10 @@ def write_gains(run_dir, gains: GainTrajectory) -> None:
 def read_gains(run_dir, d_x: int) -> GainTrajectory:
     """Rebuild the gain trajectory from gains.csv.
 
-    Every cell must be finite and the time column strictly increasing: a
-    solve never writes anything else, and the law would apply wrong gains
-    silently.
+    Every cell must be finite and the time column strictly increasing and
+    the node grid linspace(0, T, n) of its last time T, bit for bit: a
+    solve writes its node times, which the CSV round-trips exactly, and
+    the law would apply misplaced gains silently.
     """
     path = Path(run_dir) / GAINS_FILE
     header, data = read_csv(path)
@@ -241,6 +242,8 @@ def read_gains(run_dir, d_x: int) -> GainTrajectory:
     times = data[:, 0]
     if not (np.diff(times) > 0).all():
         raise ProblemError(f"time column of {path} is not strictly increasing")
+    if not np.array_equal(times, np.linspace(0.0, times[-1], n)):
+        raise ProblemError(f"time column of {path} is not the node grid of its last time")
     at = 1
     blocks = []
     for _ in range(3):

@@ -153,11 +153,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_arguments(args) -> None:
     """Refuse a bad --out or --paths before the command reads or writes anything.
 
-    reproduce also refuses a file where it makes a run directory in --out.
+    reproduce also refuses a file where it makes a run directory in --out,
+    and simulate an --out that is its --controller, whose config and
+    manifest it would overwrite.
     """
     out = getattr(args, "out", None)
     if out is not None and Path(out).exists() and not Path(out).is_dir():
         raise ProblemError(f"--out {out} exists and is not a directory")
+    if args.func is cmd_simulate and Path(out).resolve() == Path(args.controller).resolve():
+        raise ProblemError(f"--out {out} is the --controller directory")
     if args.func is cmd_reproduce:
         for path in (Path(out, f.bundled + end) for f in _FAMILIES for end in ("", "-sim")):
             if path.exists() and not path.is_dir():
@@ -287,12 +291,8 @@ def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: lis
             f"gain tables hold {gains.n_steps} steps of dimension "
             f"{gains.psi.shape[-1]}, configuration has {n} of {problem.d_s}"
         )
-    # The law's index_for reads the time column.
-    if not np.all(np.abs(gains.times - problem.stages.node_times) <= 1e-9):
-        raise ProblemError(
-            f"gain table times in {run_dir / artifacts.GAINS_FILE} do not match "
-            "the configured node times"
-        )
+    # read_gains holds the time column to the node grid of its last time.
+    _check_horizon(gains.horizon, problem.horizon)
     min_eig = _min_eigenvalue(gains.lam)
     _check(
         checks,

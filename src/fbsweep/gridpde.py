@@ -59,19 +59,20 @@ evaluates its candidates through it, and conditional_hamiltonian, which
 verify's stationarity oracle reads, sums it over the control components.
 
 Each direction's time step (build_generator, then fp_step or hjb_step)
-is written once, in the steppers _forward_steps and _backward_steps.
-A stepper yields the field at every time node and reads the control of
-the next step only after the consumer is done with that node, so a
-consumer can refresh the control there first. The sweep's two passes
-and verify's stationarity oracle all step through them.
+is written once, in its pass, _forward_pass or _backward_pass: one loop
+over the step nodes in pass order (_Runs.nodes). A pass takes one
+per-node hook, visit(i, stage, slice), run before step i reads u[i],
+with the density slice p[i] forward and the value slice w[i + 1]
+backward. The sweep refreshes u[i] there, and verify's stationarity
+oracle measures the excess of u[i] there.
 
 Memory is a fixed base plus one (n_t + 1)-slice field. The two halves
 of a sweep are coupled only through the control: step i of a half-sweep
 reads the opposite field only to refresh u(t_i, .), and it reads the one
-slice that it then overwrites. A stepper handed a buffer copies each
-fresh slice into it and drops the fresh array at once; without one it
-holds only the current slice. So each pass can write into the buffer of
-the field it reads, and fbsm_grid holds a single buffer.
+slice that it then overwrites. A pass copies each fresh slice into its
+output buffer and drops the fresh array at once; the backward pass
+without one holds only the current slice. So each pass can write into
+the buffer of the field it reads, and fbsm_grid holds a single buffer.
 
 A memory node whose conditional density is undefined (too little mass)
 copies its control from the nearest defined memory node in Euclidean
@@ -81,7 +82,6 @@ distance over the memory spacing, ties going to the lowest flat index
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -439,7 +439,7 @@ class _Stage:
     the one input of the node functions (build_generator, hjb_step, the
     minimizer and conditional_hamiltonian). A pass that holds one stage
     over a run of bit-identical nodes sets its t at each node
-    (_Runs.stages).
+    (_Runs.nodes).
 
     undriven maps each undriven axis to its one pair of upwind +
     diffusion coefficients (up, down), after the reflecting closure;
@@ -502,26 +502,19 @@ class _Runs:
                 held = node
         self.bounds.append(grid.n_t)
 
-    def stages(self) -> Callable:
-        """One pass's stages: stage(i) is step node i's _Stage. One stage is
-        held, and it is rebuilt, at the node asked for, only when that node
-        lies outside the held one's run, so a pass walking the nodes in
-        either direction builds one stage per run. The nodes of a run read
-        bit-identical values, so the held stage with its t set to node i's
-        time is the stage a reading at node i gives."""
-        lo = hi = 0
-        held = None
-
-        def stage(i: int) -> _Stage:
-            nonlocal lo, hi, held
-            if not lo <= i < hi:
-                k = bisect.bisect_right(self.bounds, i)
-                lo, hi = self.bounds[k - 1], self.bounds[k]
-                held = _Stage(self.problem, self.grid, self.times[i])
-            held.t = self.times[i]
-            return held
-
-        return stage
+    def nodes(self, backward: bool):
+        """Yield (i, stage) for every step node i, in ascending order or,
+        if backward, descending: stage is node i's _Stage. One stage is
+        built per run, at the first node the pass reaches in it, and its t
+        is set at each node. The nodes of a run read bit-identical values,
+        so that stage is the one a reading at node i gives."""
+        runs = list(zip(self.bounds, self.bounds[1:]))
+        for lo, hi in reversed(runs) if backward else runs:
+            steps = range(hi - 1, lo - 1, -1) if backward else range(lo, hi)
+            stage = _Stage(self.problem, self.grid, self.times[steps[0]])
+            for i in steps:
+                stage.t = self.times[i]
+                yield i, stage
 
 
 def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
@@ -533,7 +526,7 @@ def build_generator(stage: _Stage, u_slice: np.ndarray) -> DiscreteGenerator:
     across the boundary are zeroed (reflecting closure). The explicit
     stability bound dt * max(-diag) <= 0.9, read from the generator's own
     diagonal, is checked by the caller, gen.check_stability(dt), which
-    reports the binding cell; the steppers check it at grid.dt before
+    reports the binding cell; the passes check it at grid.dt before
     every step.
 
     Only the driven axes depend on the control: a driven coordinate's
@@ -881,100 +874,49 @@ def _stored(out, i, fresh):
     return out[i]
 
 
-def _forward_steps(grid, p0, u, stage, log, out):
-    """Yield (i, p[i]) at every time node i = 0..n_t: the density stepped
-    forward from p0 under u, fp_step recording into log. stage is the
-    pass's Callable from _Runs.stages: stage(i) is what step i reads.
-
-    The step to slice i + 1 reads u[i] only when the consumer resumes the
-    stepper after slice i, so the consumer may first refresh u[i] from
-    that slice. Each fresh slice is copied into out[i] and dropped at
-    once, and out[i] is yielded; out[i + 1] is not written before the
-    consumer resumes.
-    """
-    p_i = _stored(out, 0, p0)
-    for i in range(grid.n_t):
-        yield i, p_i
-        gen = build_generator(stage(i), u[i])
-        gen.check_stability(grid.dt)
-        p_i = _stored(out, i + 1, fp_step(p_i, gen, log))
-    yield grid.n_t, p_i
-
-
-def _backward_steps(problem, grid, u, stage, out=None):
-    """Yield (i, w[i]) at every time node i = n_t..0: the value stepped
-    backward from the terminal cost under u.
-
-    As _forward_steps, mirrored: the step to slice i reads u[i] and
-    stage(i) only when the consumer resumes the stepper after slice
-    i + 1, and with out, out[i] is not written before then. Without out
-    only the current slice is held.
-    """
-    w_i = _stored(out, grid.n_t, _full(problem.terminal_cost(grid.mesh()), grid.shape))
-    for i in range(grid.n_t - 1, -1, -1):
-        yield i + 1, w_i
-        held = stage(i)
-        gen = build_generator(held, u[i])
-        gen.check_stability(grid.dt)
-        w_i = _stored(out, i, hjb_step(held, w_i, u[i], gen))
-    yield 0, w_i
-
-
-def _forward_pass(problem, grid, p0, u, runs, log, out, w_stale=None):
-    """Density sweep from p0 under u; returns the discrete objective J.
+def _forward_pass(problem, grid, p0, u, runs, log, out, visit=None):
+    """The density stepped forward from p0 under u into out, fp_step
+    recording into log; returns the discrete objective J.
 
     J = sum_t E_p[f] dt + E_p[g] at the final slice, accumulated step by
-    step. Without w_stale, u is only read. With it, each step first
-    refreshes u[i] in place from the fresh density slice and the held
-    value slice w_stale[i + 1] (the sweep's forward half), so u ends as
-    the new iterate. runs is the solve's _Runs; the pass holds one stage
-    from it, which the step, its cost and the minimizer read.
-
-    The density is held as _forward_steps holds it. Step i reads
-    w_stale[i + 1] before the stepper writes out[i + 1], and slice 0 of
-    w_stale is never read, so out may be w_stale itself: the pass then
-    turns the value into the density in place. If a step raises, out and
-    u are left partly overwritten.
+    step. runs is the solve's _Runs, whose nodes give the stage that the
+    step, its cost and visit read. visit(i, stage, p[i]), when given, runs
+    at each step before it reads u[i], so it may refresh u[i] in place
+    from the slice; out[i + 1] is not written before it returns. If a
+    step raises, out and u are left partly overwritten.
     """
     d_x, d_u = problem.d_x, problem.d_u
-    n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
-    stage = runs.stages()
+    dt, vol = grid.dt, grid.cell_volume
+    p_i = _stored(out, 0, p0)
     running = 0.0
-    for i, p_i in _forward_steps(grid, p0, u, stage, log, out):
-        if i == n:
-            break
-        held = stage(i)
-        if w_stale is not None:
-            cond, _, defined = conditional_density(p_i, grid, d_x)
-            terms = _driven_terms(held, cond, w_stale[i + 1])
-            u[i] = minimize_conditional_hamiltonian(held, terms, u_prev=u[i], defined=defined)
-        f = problem._priced(held.f0, control_to_grid(u[i], d_x, d_u))
+    for i, stage in runs.nodes(backward=False):
+        if visit is not None:
+            visit(i, stage, p_i)
+        f = problem._priced(stage.f0, control_to_grid(u[i], d_x, d_u))
         running += float((f * p_i).sum()) * vol * dt
+        gen = build_generator(stage, u[i])
+        gen.check_stability(dt)
+        p_i = _stored(out, i + 1, fp_step(p_i, gen, log))
     g = np.asarray(problem.terminal_cost(grid.mesh()), dtype=float)
     return running + float((g * p_i).sum()) * vol
 
 
-def _backward_pass(problem, grid, p0, u, runs, p_stale, out):
-    """The sweep's backward half: the value stepped from the terminal cost,
-    the step to slice i first refreshing u[i] in place from the held
-    density slice p_stale[i] and the fresh value slice w[i + 1]; returns
-    J = <p0, w0>.
+def _backward_pass(problem, grid, u, runs, visit=None, out=None):
+    """The value stepped backward from the terminal cost under u; returns
+    its last slice, w[0].
 
-    As in _forward_pass, mirrored: step i reads p_stale[i] before the
-    stepper writes out[i], and slice n_t of p_stale is never read, so out
-    may be p_stale itself: the pass then turns the density into the value
-    in place.
+    As _forward_pass, mirrored: visit(i, stage, w[i + 1]) runs at each
+    step before it reads u[i], and with out, out[i] is not written before
+    it returns. Without out only the current slice is held.
     """
-    stage = runs.stages()
-    for i, w_i in _backward_steps(problem, grid, u, stage, out):
-        if i:
-            held = stage(i - 1)
-            cond, _, defined = conditional_density(p_stale[i - 1], grid, problem.d_x)
-            terms = _driven_terms(held, cond, w_i)
-            u[i - 1] = minimize_conditional_hamiltonian(
-                held, terms, u_prev=u[i - 1], defined=defined
-            )
-    return float((p0 * w_i).sum()) * grid.cell_volume
+    w_i = _stored(out, grid.n_t, _full(problem.terminal_cost(grid.mesh()), grid.shape))
+    for i, stage in runs.nodes(backward=True):
+        if visit is not None:
+            visit(i, stage, w_i)
+        gen = build_generator(stage, u[i])
+        gen.check_stability(grid.dt)
+        w_i = _stored(out, i, hjb_step(stage, w_i, u[i], gen))
+    return w_i
 
 
 def fbsm_grid(
@@ -1004,13 +946,14 @@ def fbsm_grid(
     node and checks it (_Runs; ProblemError for a node outside the grid
     model); each pass then reads it once per run of bit-identical nodes.
     One (n_t + 1)-slice buffer serves every sweep: each half-sweep turns
-    the held field into the other one in place (see _forward_pass and
-    _backward_pass). The result holds the field of the last sweep, which
-    was stepped under the returned control. Before each half-sweep the
-    slices of the held field at keep_nodes (time indices in 0..n_t) are
-    copied out, so the result also holds the other field's slices there.
-    A sweep that raises leaves the buffer partly overwritten, and no
-    result is returned.
+    the held field into the other one in place, its pass's hook
+    refreshing u[i] from the held slice (w[i + 1] forward, p[i] backward)
+    before the pass overwrites that slice. The result holds the field of
+    the last sweep, which was stepped under the returned control. Before
+    each half-sweep the slices of the held field at keep_nodes (time
+    indices in 0..n_t) are copied out, so the result also holds the other
+    field's slices there. A sweep that raises leaves the buffer partly
+    overwritten, and no result is returned.
     """
     n = grid.n_t
     if grid.dim != problem.d_s:
@@ -1040,13 +983,27 @@ def fbsm_grid(
     j0 = _forward_pass(problem, grid, p0, u, runs, mass_log, field)
     kept: Dict[int, np.ndarray] = {}
 
+    def refresh(i, stage, p_i, w_next):
+        """u[i] refreshed in place from the density slice p[i] and the
+        value slice w[i + 1], in either direction."""
+        cond, _, defined = conditional_density(p_i, grid, problem.d_x)
+        terms = _driven_terms(stage, cond, w_next)
+        u[i] = minimize_conditional_hamiltonian(stage, terms, u_prev=u[i], defined=defined)
+
     def half_sweep(k, backward):
         nonlocal u
         kept.update((node, field[node].copy()) for node in keep)
         u = u.copy()
         if backward:
-            return _backward_pass(problem, grid, p0, u, runs, p_stale=field, out=field)
-        return _forward_pass(problem, grid, p0, u, runs, mass_log, field, w_stale=field)
+            w0 = _backward_pass(
+                problem, grid, u, runs,
+                lambda i, stage, w_next: refresh(i, stage, field[i], w_next), out=field,
+            )
+            return float((p0 * w0).sum()) * grid.cell_volume
+        return _forward_pass(
+            problem, grid, p0, u, runs, mass_log, field,
+            lambda i, stage, p_i: refresh(i, stage, p_i, field[i + 1]),
+        )
 
     history, converged, iterations, final_delta = _sweep(j0, half_sweep, max_iters, tol)
     holds_value = iterations % 2 == 1

@@ -7,13 +7,14 @@ solves both fields under the control and reports the mass-weighted
 maximum excess of the control's conditional Hamiltonian over the
 minimizer's. It reads the conditional Hamiltonian through
 gridpde.conditional_hamiltonian, the closed form the sweep's minimizer
-minimizes.
+minimizes, and it measures the excess in the sweep's own backward pass,
+as that pass's per-node hook: where the sweep refreshes the control, the
+oracle prices it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from fbsweep.core import GridSpec
 from fbsweep.gridpde import (
     GridProblem,
     MassLog,
-    _backward_steps,
+    _backward_pass,
     _driven_terms,
     _forward_pass,
     _initial_density_slice,
@@ -64,11 +65,12 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     """PMP residual of a control against its own induced density and value.
 
     Solves the density forward under the given control, then steps the
-    value backward under it, a slice at a time, and measures the
-    stationarity excess of that same control at each step. Each node's
-    excess is weighted by its memory marginal mass, so vanishing-density
-    nodes cannot dominate, and the report keeps the maximum over every
-    step and node (0.0 when none is positive). At a sweep fixed point this
+    value backward under it, a slice at a time, measuring at each step the
+    stationarity excess of that same control (the backward pass's hook,
+    run where the sweep refreshes the control). Each node's excess is
+    weighted by its memory marginal mass, so vanishing-density nodes
+    cannot dominate, and the report keeps the maximum over every step and
+    node (0.0 when none is positive). At a sweep fixed point this
     vanishes up to the minimizer tolerance. The oracle holds one
     (n_t + 1)-slice field, the density. Like fbsm_grid, it reads the
     problem once per time node before its passes (gridpde._Runs), and
@@ -77,7 +79,7 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     These are the passes fbsm_grid makes under a control its sweep has
     refreshed, so the report also gives the control's objective with the
     bits the sweep recorded: objective after a forward sweep (or none),
-    value_objective, from one more step of the value to w[0], after a
+    value_objective, <p0, w0> from the value's last slice, after a
     backward one. mass_log is the forward pass's. verify reads them to
     check a stored control without re-solving.
     """
@@ -89,18 +91,17 @@ def sweep_pmp_residual(problem: GridProblem, grid: GridSpec, control) -> PmpRepo
     p = np.empty((grid.n_t + 1,) + grid.shape)
     runs = _Runs(problem, grid)
     objective = _forward_pass(problem, grid, p0, u, runs, log, p)
-    # The excess of step i reads w[i + 1]; the last stepped slice is w[0].
-    stage = runs.stages()
-    value = _backward_steps(problem, grid, u, stage)
     weighted_max = 0.0
-    for i, w_i in islice(value, grid.n_t):
-        r, marginal = _stationarity_excess(stage(i - 1), u[i - 1], p[i - 1], w_i)
+
+    def excess(i, stage, w_next):
+        nonlocal weighted_max
+        r, marginal = _stationarity_excess(stage, u[i], p[i], w_next)
         weighted_max = max(weighted_max, float((r * marginal * vol_z).max()))
-    _, w0 = next(value)
-    value_objective = float((p0 * w0).sum()) * grid.cell_volume
+
+    w0 = _backward_pass(problem, grid, u, runs, excess)
     return PmpReport(
         weighted_max=weighted_max,
         objective=objective,
-        value_objective=value_objective,
+        value_objective=float((p0 * w0).sum()) * grid.cell_volume,
         mass_log=log,
     )

@@ -14,7 +14,7 @@ from fbsweep.gridpde import (
     DiscreteGenerator,
     GridProblem,
     MassLog,
-    _backward_steps,
+    _backward_pass,
     _driven_terms,
     _forward_pass,
     _initial_density_slice,
@@ -264,9 +264,10 @@ def lemma1_check(
     rounding level, useful as an implementation check).
 
     Only the density under u is held as a field; the value under u' is
-    stepped backward a slice at a time, each step's term taken as it
-    passes the slice that term reads, and the terms are summed in
-    ascending time.
+    stepped backward a slice at a time by the sweep's backward pass, each
+    step's term taken in the pass's hook as it passes the slice that term
+    reads (the continuous pairing's term 0 reads w[0], the slice the pass
+    returns), and the terms are summed in ascending time.
     """
     if pairing not in ("continuous", "discrete"):
         raise ProblemError(f"unknown pairing {pairing!r}")
@@ -282,15 +283,20 @@ def lemma1_check(
     j_prime = _forward_pass(problem, grid, p0, u_prime, runs, MassLog(), p_u)
     lhs = _forward_pass(problem, grid, p0, u, runs, MassLog(), p_u) - j_prime
     terms = [0.0] * n
-    for k, w_k in _backward_steps(problem, grid, u_prime, runs.stages()):
+
+    def take(k, w_k):
+        """The term that reads the value slice w_k = w[k], if any."""
         i = k - offset
         if not 0 <= i < n:
-            continue
+            return
         cond, marginal, _ = conditional_density(p_u[i], grid, problem.d_x)
         stage = _Stage(problem, grid, times[i])
         driven = _driven_terms(stage, cond, w_k)
         h_u, h_v = (conditional_hamiltonian(stage, driven, c) for c in (u[i], u_prime[i]))
         terms[i] = float((marginal * (h_u - h_v)).sum()) * vol_z * grid.dt
+
+    w0 = _backward_pass(problem, grid, u_prime, runs, lambda i, _, w_next: take(i + 1, w_next))
+    take(0, w0)
     rhs = 0.0
     for term in terms:
         rhs += term

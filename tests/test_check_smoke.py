@@ -54,15 +54,18 @@ def good_log():
     ]
 
 
-def check(tmp_path, lines, step_summary=None):
+def check(tmp_path, lines, step_summary=None, parent=None):
+    """Run the checker on lines, with parent's lines as the --parent log if given."""
     log = tmp_path / "smoke.log"
     log.write_text("\n".join(lines) + "\n")
+    argv = [sys.executable, str(CHECKER), str(log)]
+    if parent is not None:
+        (tmp_path / "parent.log").write_text("\n".join(parent) + "\n")
+        argv += ["--parent", str(tmp_path / "parent.log")]
     env = {k: v for k, v in os.environ.items() if k != "GITHUB_STEP_SUMMARY"}
     if step_summary is not None:
         env["GITHUB_STEP_SUMMARY"] = str(step_summary)
-    return subprocess.run(
-        [sys.executable, str(CHECKER), str(log)], capture_output=True, text=True, env=env
-    )
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def grid_steps(workload, builds=5000, applies=2000, adjoints=3000):
@@ -202,3 +205,36 @@ def test_a_log_without_a_summary_fails(tmp_path):
     proc = check(tmp_path, ["provenance: {}", "[lqg-tol] exited 1"])
     assert proc.returncode == 1
     assert "0 summaries" in proc.stdout
+
+
+def test_equal_counts_against_the_parent(tmp_path):
+    """Only code.* differs: the comparison reports no count."""
+    parent = good_log()
+    lines = [line.replace('"value": 2700', '"value": 2650') for line in parent]
+    assert lines != parent
+    page = tmp_path / "step_summary.md"
+    proc = check(tmp_path, lines, step_summary=page, parent=parent)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "no count differs" in proc.stdout
+    assert "no count differs" in page.read_text()
+
+
+def test_differing_counts_against_the_parent_are_listed(tmp_path):
+    """A count that moved, or that one log lacks, is listed; the listing
+    leaves the exit status as the checks set it."""
+    parent = good_log()
+    lines = good_log()
+    traced = json.loads(lines[3])
+    traced["metrics"]["rollout.gridpde.sweeps"]["value"] = 3
+    traced["metrics"]["obstacle-budget.gridpde.fp_step.calls"] = {"value": 7, "unit": "count"}
+    traced["metrics"]["obstacle-budget.code.sloc"]["value"] = 2650
+    lines[3] = json.dumps(traced)
+    page = tmp_path / "step_summary.md"
+    proc = check(tmp_path, lines, step_summary=page, parent=parent)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for text in (proc.stdout, page.read_text()):
+        assert "| count metric | parent | change |" in text
+        assert "| `obstacle-budget.gridpde.fp_step.calls` | - | 7 |" in text
+        assert "| `rollout.gridpde.sweeps` | 1 | 3 |" in text
+        assert "no count differs" not in text
+    assert "code.sloc" not in proc.stdout

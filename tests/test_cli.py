@@ -512,6 +512,23 @@ class TestSimulate:
         assert code == 2
         assert "family" in capsys.readouterr().err
 
+    def test_out_equal_to_controller_refused(self, lqg_run, tmp_path, capsys):
+        """simulate writes its own config and manifest into --out, so an
+        --out naming the controller directory, here by another path, would
+        overwrite the run's: it is refused before anything is written."""
+        config, run = lqg_run
+        controller = tmp_path / "run"
+        shutil.copytree(run, controller)
+        names = ("config.json", "manifest.json")
+        before = {name: (controller / name).read_bytes() for name in names}
+        out = f"{tmp_path}/../{tmp_path.name}/run"
+        code = main(["simulate", "--config", str(config), "--controller", str(controller),
+                     "--out", out, "--paths", "5"])
+        assert code == 2
+        assert "is the --controller directory" in capsys.readouterr().err
+        assert {name: (controller / name).read_bytes() for name in before} == before
+        assert not (controller / "paths.csv").exists()
+
     def test_missing_controller_dir(self, lqg_run, tmp_path, capsys):
         config, _ = lqg_run
         code = main(["simulate", "--config", str(config),
@@ -690,11 +707,13 @@ class TestVerify:
             monkeypatch.setattr(lqg, "_closed_loop_objective", rising)
             command, doc = "run-lqg", LQG_DOC
         else:
+            # the backward pass returns w[0], and the sweep records
+            # <p0, w[0]>: lifting w[0] by c lifts that unit-mass pairing by c
             backward = gridpde._backward_pass
 
             def rising(*args, **kwargs):
-                J = backward(*args, **kwargs)
-                return J + 1.0 + abs(J)
+                w0 = backward(*args, **kwargs)
+                return w0 + (1.0 + np.abs(w0).max())
 
             monkeypatch.setattr(gridpde, "_backward_pass", rising)
             command, doc = "run-grid", OBSTACLE_DOC
@@ -843,6 +862,12 @@ def _move_row_10_time(header, rows):
     rows[10][0] = "0.45"
 
 
+def _shift_rows_1_to_10_in_order(header, rows):
+    # + 0.9 dt (dt = 0.01): the column stays strictly increasing
+    for row in rows[1:11]:
+        row[0] = repr(float(row[0]) + 0.009)
+
+
 def _nan_pi_01(header, rows):
     rows[10][header.index("pi_01")] = "nan"
 
@@ -856,17 +881,19 @@ def _drop_every_row(header, rows):
     "tamper, fault",
     [
         (_move_row_10_time, "not strictly increasing"),
+        (_shift_rows_1_to_10_in_order, "not the node grid"),
         (_nan_pi_01, "non-finite value"),
         (_drop_every_row, "holds no rows"),
     ],
-    ids=["time-out-of-order", "nan-gain", "header-only"],
+    ids=["time-out-of-order", "time-moved-in-order", "nan-gain", "header-only"],
 )
 def test_corrupted_gain_table_is_exit_2(command, tamper, fault, lqg_run, tmp_path, capsys):
     """A gains.csv with a non-finite cell, a time column that is not
-    strictly increasing or no rows at all is invalid input to both
-    commands, refused when the table is read with the fault named:
-    simulate would apply wrong gains, and verify would report a numerical
-    failure (a header-only table would fail building the trajectory)."""
+    strictly increasing or not the node grid a solve writes, or no rows at
+    all is invalid input to both commands, refused when the table is read
+    with the fault named: simulate would apply wrong or misplaced gains,
+    and verify would report a numerical failure (a header-only table would
+    fail building the trajectory)."""
     code, corrupted = _run_on_tampered_table(command, "gains.csv", tamper, lqg_run, tmp_path)
     assert code == 2
     err = capsys.readouterr().err

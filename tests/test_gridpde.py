@@ -39,6 +39,7 @@ from fbsweep.verify import sweep_pmp_residual
 from grid_problems import (
     chain_monte_carlo,
     constant_diffusion,
+    pmp_residual,
     random_quadratic_problem,
     upwind_hamiltonian,
 )
@@ -156,13 +157,26 @@ def fresh_sweeps(problem, grid, sweeps):
     u = np.zeros((grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
     p = np.empty((grid.n_t + 1,) + grid.shape)
     history, w = [_forward_pass(problem, grid, p0, u, runs, MassLog(), p)], None
+
+    def refresh(i, stage, p_i, w_next):
+        cond, _, defined = conditional_density(p_i, grid, problem.d_x)
+        terms = _driven_terms(stage, cond, w_next)
+        u[i] = minimize_conditional_hamiltonian(stage, terms, u_prev=u[i], defined=defined)
+
     for k in range(sweeps):
         if k % 2 == 0:
             w = np.empty_like(p)
-            history.append(_backward_pass(problem, grid, p0, u, runs, p_stale=p, out=w))
+            w0 = _backward_pass(
+                problem, grid, u, runs,
+                lambda i, stage, w_next: refresh(i, stage, p[i], w_next), out=w,
+            )
+            history.append(float((p0 * w0).sum()) * grid.cell_volume)
         else:
             p = np.empty_like(w)
-            history.append(_forward_pass(problem, grid, p0, u, runs, MassLog(), p, w_stale=w))
+            history.append(_forward_pass(
+                problem, grid, p0, u, runs, MassLog(), p,
+                lambda i, stage, p_i: refresh(i, stage, p_i, w[i + 1]),
+            ))
     return history, u, p, w
 
 
@@ -904,17 +918,18 @@ def switching_problem(seed, which):
     )
 
 
-def unstaged_sweeps(problem, grid, sweeps):
-    """fbsm_grid's alternation from zero, each step reading the problem at
+def unstaged_passes(problem, grid, u):
+    """fbsm_grid's two passes under u, each step reading the problem at
     its own time, with no stage held across steps: build_generator,
     hjb_step and the minimizer read a _Stage built from scratch at t, and
-    the forward cost is problem.running_cost. Returns (history, u, p, w)
-    as fresh_sweeps does."""
+    the forward cost is problem.running_cost. forward(w) returns (p, J)
+    and backward(p) returns (w, <p0, w[0]>); each refreshes u in place
+    from the other field when handed it, and only reads u when handed
+    None."""
     n, dt, vol = grid.n_t, grid.dt, grid.cell_volume
     times, S = grid.times(), grid.mesh()
     d_x, d_u = problem.d_x, problem.d_u
     p0 = _initial_density_slice(problem, grid)
-    u = np.zeros((n,) + grid.memory_shape(d_x) + (d_u,))
 
     def refresh(i, p_i, w_next):
         cond, _, defined = conditional_density(p_i, grid, d_x)
@@ -937,13 +952,22 @@ def unstaged_sweeps(problem, grid, sweeps):
         return p, running + float((problem.terminal_cost(S) * p[n]).sum()) * vol
 
     def backward(p):
-        w = np.empty_like(p)
+        w = np.empty((n + 1,) + grid.shape)
         w[n] = problem.terminal_cost(S)
         for i in range(n - 1, -1, -1):
-            refresh(i, p[i], w[i + 1])
+            if p is not None:
+                refresh(i, p[i], w[i + 1])
             w[i] = hjb_step(_Stage(problem, grid, times[i]), w[i + 1], u[i], generator(i))
         return w, float((p0 * w[0]).sum()) * grid.cell_volume
 
+    return forward, backward
+
+
+def unstaged_sweeps(problem, grid, sweeps):
+    """fbsm_grid's alternation from zero on unstaged_passes. Returns
+    (history, u, p, w) as fresh_sweeps does."""
+    u = np.zeros((grid.n_t,) + grid.memory_shape(problem.d_x) + (problem.d_u,))
+    forward, backward = unstaged_passes(problem, grid, u)
     p, j = forward(None)
     history, w = [j], None
     for k in range(sweeps):
@@ -986,6 +1010,24 @@ class TestRunsKeepTheBits:
         report = sweep_pmp_residual(problem, grid, result.control)
         recorded = report.value_objective if sweeps % 2 else report.objective
         assert recorded == history[-1]
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), plan=switch_plans())
+    def test_oracle_matches_fields_stepped_from_scratch(self, seed, plan):
+        """The oracle's backward hook prices each step at its own node
+        across run boundaries: its report has the bits of the full-field
+        reference on fields stepped with no stage held."""
+        n_t, which = plan
+        problem = switching_problem(seed, which)
+        grid = GridSpec([-2.0, -2.0], [2.0, 2.0], (11, 11), n_t, 0.01 * n_t)
+        lo, hi = problem.control_lower, problem.control_upper
+        u = np.random.default_rng([seed, 2]).uniform(lo, hi, size=(n_t, 11, 1))
+        forward, backward = unstaged_passes(problem, grid, u)
+        (p, objective), (w, value_objective) = forward(None), backward(None)
+        report = sweep_pmp_residual(problem, grid, u)
+        assert report.weighted_max == pmp_residual(problem, grid, u, p, w).weighted_max
+        assert report.objective == objective
+        assert report.value_objective == value_objective
 
     def test_runs_split_where_any_bit_changes(self):
         n_t = 8

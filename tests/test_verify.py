@@ -15,7 +15,7 @@ from fbsweep.gridpde import (
     MONOTONICITY_SLACK as GRID_SLACK,
     GridProblem,
     MassLog,
-    _backward_steps,
+    _backward_pass,
     _forward_pass,
     _initial_density_slice,
     _Runs,
@@ -224,8 +224,7 @@ def fresh_fields(problem, grid, u):
     p, w = (np.empty((grid.n_t + 1,) + grid.shape) for _ in range(2))
     runs = _Runs(problem, grid)
     _forward_pass(problem, grid, p0, u, runs, MassLog(), p)
-    for _ in _backward_steps(problem, grid, u, runs.stages(), out=w):
-        pass
+    _backward_pass(problem, grid, u, runs, out=w)
     return p, w
 
 
