@@ -5,7 +5,9 @@ the configuration that produced it, a manifest identifying code version
 and seed, the per-iteration objective table, and the solved fields as
 plain CSV. Floats are written with repr round-trip precision and nothing
 depends on wall-clock time, so rerunning a configuration reproduces
-every file byte for byte.
+every file byte for byte. The configuration copy is the one statement of
+a grid run's grid: its control table is read back over the grid that
+config.json configures, which the manifest's digest guards.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import List
 import numpy as np
 
 import fbsweep
+from fbsweep.config import LoadedConfig, parse_config, read_document
 from fbsweep.core import GridSpec, ProblemError, _reading_file
 from fbsweep.gridpde import GridSweepResult
 from fbsweep.lqg import GainTrajectory
@@ -30,7 +33,6 @@ SUMMARY_FILE = "summary.json"
 MANIFEST_FILE = "manifest.json"
 CONFIG_FILE = "config.json"
 CONTROL_FILE = "control.csv"
-GRID_FILE = "grid.json"
 PATHS_FILE = "paths.csv"
 OBJECTIVE_FILE = "objective.json"
 # Rows formatted per bulk write: bounds the Python objects a large table
@@ -255,43 +257,6 @@ def read_gains(run_dir, d_x: int) -> GainTrajectory:
     )
 
 
-def _sidecar(grid: GridSpec, d_x: int, d_u: int) -> dict:
-    """The document grid.json holds for a control table over grid."""
-    return jsonable(
-        {
-            "lower": grid.lower,
-            "upper": grid.upper,
-            "shape": list(grid.shape),
-            "n_t": grid.n_t,
-            "horizon": grid.horizon,
-            "d_x": d_x,
-            "d_u": d_u,
-        }
-    )
-
-
-def write_grid_sidecar(run_dir, grid: GridSpec, d_x: int, d_u: int) -> None:
-    write_json(Path(run_dir) / GRID_FILE, _sidecar(grid, d_x, d_u))
-
-
-def read_grid_sidecar(run_dir):
-    path = Path(run_dir) / GRID_FILE
-    doc = read_json(path)
-    try:
-        grid = GridSpec(
-            lower=np.asarray(doc["lower"], dtype=float),
-            upper=np.asarray(doc["upper"], dtype=float),
-            shape=tuple(doc["shape"]),
-            n_t=int(doc["n_t"]),
-            horizon=float(doc["horizon"]),
-        )
-        return grid, int(doc["d_x"]), int(doc["d_u"])
-    except KeyError as exc:
-        raise ProblemError(f"artifact {path} has no key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"artifact {path} has an ill-typed entry: {exc}") from None
-
-
 def _control_index(grid: GridSpec, d_x: int, d_u: int):
     """The control table's header and its index columns (t_index, t and
     z_*): one row per time step and memory node, in C order."""
@@ -321,15 +286,29 @@ def write_control_table(run_dir, control: np.ndarray, grid: GridSpec, d_x: int) 
     write_csv(Path(run_dir) / CONTROL_FILE, header, blocks=[columns])
 
 
-def read_control_table(run_dir):
-    """Rebuild (values, grid, d_x) from control.csv plus its grid sidecar.
+def _stored_config(run_dir) -> LoadedConfig:
+    """The parsed config.json of a run directory; its errors name the file."""
+    path = Path(run_dir) / CONFIG_FILE
+    doc = read_document(path)
+    try:
+        return parse_config(doc)
+    except ProblemError as exc:
+        raise ProblemError(f"{path}: {exc}") from None
 
-    The index columns (t_index, t, z_*) must be the ones
-    write_control_table writes for the sidecar's grid, which round-trip
-    exactly, and every control cell must be finite: the law would apply
-    a misplaced or undefined control silently.
+
+def read_control_table(run_dir):
+    """Rebuild (values, grid, d_x) from control.csv and the run's config.json.
+
+    The grid and dimensions are those of the grid solve the stored config
+    configures: the run states its grid once. The index columns (t_index,
+    t, z_*) must be the ones write_control_table writes for that grid,
+    which round-trip exactly, and every control cell must be finite: the
+    law would apply a misplaced or undefined control silently.
     """
-    grid, d_x, d_u = read_grid_sidecar(run_dir)
+    cfg = _stored_config(run_dir)
+    if cfg.grid is None:
+        raise ProblemError(f"{Path(run_dir) / CONFIG_FILE} configures no grid solve")
+    grid, d_x, d_u = cfg.grid, cfg.grid_problem.d_x, cfg.grid_problem.d_u
     path = Path(run_dir) / CONTROL_FILE
     header, data = read_csv(path)
     expected, index = _control_index(grid, d_x, d_u)
@@ -340,7 +319,7 @@ def read_control_table(run_dir):
     for k, column in enumerate(index):
         if not np.array_equal(data[:, k], column):
             raise ProblemError(
-                f"{header[k]} column of {path} does not match the grid in {GRID_FILE}"
+                f"{header[k]} column of {path} does not match the grid in {CONFIG_FILE}"
             )
     values = data[:, len(index) :]
     if not np.isfinite(values).all():

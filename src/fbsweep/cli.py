@@ -154,14 +154,18 @@ def _check_arguments(args) -> None:
     """Refuse a bad --out or --paths before the command reads or writes anything.
 
     reproduce also refuses a file where it makes a run directory in --out,
-    and simulate an --out that is its --controller, whose config and
-    manifest it would overwrite.
+    and simulate an --out that is its --controller or holds any solved
+    answer, whose config and manifest it would overwrite.
     """
     out = getattr(args, "out", None)
     if out is not None and Path(out).exists() and not Path(out).is_dir():
         raise ProblemError(f"--out {out} exists and is not a directory")
-    if args.func is cmd_simulate and Path(out).resolve() == Path(args.controller).resolve():
-        raise ProblemError(f"--out {out} is the --controller directory")
+    if args.func is cmd_simulate:
+        if Path(out).resolve() == Path(args.controller).resolve():
+            raise ProblemError(f"--out {out} is the --controller directory")
+        for family in _FAMILIES:
+            if Path(out, family.answer_file).exists():
+                raise ProblemError(f"--out {out} holds a solved run's {family.answer_file}")
     if args.func is cmd_reproduce:
         for path in (Path(out, f.bundled + end) for f in _FAMILIES for end in ("", "-sim")):
             if path.exists() and not path.is_dir():
@@ -284,15 +288,13 @@ def _check_lqg_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: lis
     gains, so it reproduces the last recorded value bit for bit.
     """
     problem = cfg.lqg_problem
-    gains = artifacts.read_gains(run_dir, problem.d_x)
-    n = problem.stages.n
-    if gains.n_steps != n or gains.psi.shape[-1] != problem.d_s:
+    # The law's read checks the dimension and the horizon; read_gains
+    # holds the time column to the node grid of its last time.
+    gains = _lqg_law(cfg, run_dir).gains
+    if gains.n_steps != problem.stages.n:
         raise ProblemError(
-            f"gain tables hold {gains.n_steps} steps of dimension "
-            f"{gains.psi.shape[-1]}, configuration has {n} of {problem.d_s}"
+            f"gain tables hold {gains.n_steps} steps, configuration has {problem.stages.n}"
         )
-    # read_gains holds the time column to the node grid of its last time.
-    _check_horizon(gains.horizon, problem.horizon)
     min_eig = _min_eigenvalue(gains.lam)
     _check(
         checks,
@@ -339,9 +341,7 @@ def _solve_grid(cfg: LoadedConfig):
 
 
 def _write_grid_answer(cfg: LoadedConfig, run_dir: Path, result) -> dict:
-    d_x = cfg.grid_problem.d_x
-    artifacts.write_grid_sidecar(run_dir, cfg.grid, d_x, result.control.shape[-1])
-    artifacts.write_control_table(run_dir, result.control, cfg.grid, d_x)
+    artifacts.write_control_table(run_dir, result.control, cfg.grid, cfg.grid_problem.d_x)
     return {
         "max_negative_mass": result.mass_log.max_negative_mass,
         "max_mass_drift": result.mass_log.max_mass_drift,
@@ -366,17 +366,9 @@ def _check_grid_answer(cfg: LoadedConfig, run_dir: Path, sweeps: int, checks: li
     """
     problem, grid = cfg.grid_problem, cfg.grid
     # Read the table first: parsing it peaks well above its array, and
-    # that peak should not stack on the density field.
-    control, stored, d_x = artifacts.read_control_table(run_dir)
-    # The checks below step the answer on the configuration's grid, and
-    # simulate interpolates it on the sidecar's: they must be one grid.
-    configured = artifacts._sidecar(grid, problem.d_x, problem.d_u)
-    for key, value in artifacts._sidecar(stored, d_x, control.shape[-1]).items():
-        if value != configured[key]:
-            raise ProblemError(
-                f"{key} {value} in {run_dir / artifacts.GRID_FILE} does not match "
-                f"the configuration's {configured[key]}"
-            )
+    # that peak should not stack on the density field. It is read over
+    # the grid of the same config.json that cfg parses.
+    control, _, _ = artifacts.read_control_table(run_dir)
     pmp = sweep_pmp_residual(problem, grid, control)
     log = pmp.mass_log
     _check(
@@ -618,8 +610,7 @@ def _verify(run_dir: Path, rerun: bool) -> int:
     if not run_dir.is_dir():
         raise ProblemError(f"run directory not found: {run_dir}")
     config_path = run_dir / artifacts.CONFIG_FILE
-    doc = read_document(config_path)
-    cfg = parse_config(doc)
+    cfg = artifacts._stored_config(run_dir)
     family = _family(cfg.family)
     manifest = artifacts.read_json(run_dir / artifacts.MANIFEST_FILE)
     stored_iterations = artifacts.read_iterations(run_dir)

@@ -282,9 +282,9 @@ def read_document(path) -> dict:
         with _reading_file(path):
             doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ProblemError(f"config is not valid JSON: {exc}") from None
+        raise ProblemError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ProblemError("config root must be a JSON object")
+        raise ProblemError(f"config {path}: root must be a JSON object")
     return doc
 
 

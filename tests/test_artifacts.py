@@ -20,7 +20,6 @@ from fbsweep.artifacts import (
     read_control_table,
     read_csv,
     read_gains,
-    read_grid_sidecar,
     read_iterations,
     read_json,
     slice_nodes,
@@ -30,7 +29,6 @@ from fbsweep.artifacts import (
     write_csv,
     write_field_slices,
     write_gains,
-    write_grid_sidecar,
     write_iterations,
     write_json,
     write_manifest,
@@ -334,17 +332,16 @@ class TestGains:
             read_gains(tmp_path, d_x=1)
 
 
-class TestGridSidecar:
-    def test_round_trip(self, tmp_path):
-        grid = GridSpec([-3.0, -3.0], [3.0, 3.0], (11, 9), 20, 1.0)
-        write_grid_sidecar(tmp_path, grid, d_x=1, d_u=1)
-        back, d_x, d_u = read_grid_sidecar(tmp_path)
-        assert back.shape == (11, 9)
-        assert back.n_t == 20
-        assert back.horizon == 1.0
-        np.testing.assert_array_equal(back.lower, grid.lower)
-        np.testing.assert_array_equal(back.upper, grid.upper)
-        assert (d_x, d_u) == (1, 1)
+def write_grid_config(run_dir, grid: GridSpec) -> None:
+    """A run directory's config.json: the bundled obstacle document on grid."""
+    doc = json.loads(bundled_config_path("obstacle").read_text())
+    doc["domain"] = {
+        "lower": grid.lower.tolist(), "upper": grid.upper.tolist(),
+        "shape": list(grid.shape), "n_t": grid.n_t, "horizon": grid.horizon,
+    }
+    doc["obstacle"].update(t_on=0.1, t_off=0.2)
+    doc.pop("slice_times")
+    write_json(Path(run_dir) / CONFIG_FILE, doc)
 
 
 class TestControlTable:
@@ -352,7 +349,7 @@ class TestControlTable:
         grid = GridSpec([-2.0, -1.0], [2.0, 1.0], (7, 5), 6, 0.6)
         rng = np.random.default_rng(3)
         values = rng.normal(size=(6, 5, 1))
-        write_grid_sidecar(tmp_path, grid, d_x=1, d_u=1)
+        write_grid_config(tmp_path, grid)
         write_control_table(tmp_path, values, grid, d_x=1)
         back, back_grid, d_x = read_control_table(tmp_path)
         np.testing.assert_array_equal(back, values)
@@ -366,12 +363,20 @@ class TestControlTable:
     def test_tampered_row_count(self, tmp_path):
         grid = GridSpec([-2.0, -1.0], [2.0, 1.0], (7, 5), 6, 0.6)
         values = np.zeros((6, 5, 1))
-        write_grid_sidecar(tmp_path, grid, d_x=1, d_u=1)
+        write_grid_config(tmp_path, grid)
         write_control_table(tmp_path, values, grid, d_x=1)
         path = tmp_path / "control.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ProblemError):
+            read_control_table(tmp_path)
+
+    def test_refuses_a_config_that_configures_no_grid(self, tmp_path):
+        grid = GridSpec([-2.0, -1.0], [2.0, 1.0], (7, 5), 6, 0.6)
+        write_control_table(tmp_path, np.zeros((6, 5, 1)), grid, d_x=1)
+        lqg = json.loads(bundled_config_path("lqg").read_text())
+        write_json(tmp_path / CONFIG_FILE, lqg)
+        with pytest.raises(ProblemError, match="configures no grid solve"):
             read_control_table(tmp_path)
 
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from fbsweep import cli, gridpde, lqg, sdesim
-from fbsweep.artifacts import read_json
+from fbsweep.artifacts import read_control_table, read_json
 from fbsweep.cli import main
-from fbsweep.config import bundled_config_path
+from fbsweep.config import bundled_config_path, parse_config, simulation_cost, simulation_dynamics
 
 LQG_DOC = {
     "family": "lqg",
@@ -72,7 +72,6 @@ REPRO_OBSTACLE_DIGESTS = {
     "control_t0.csv": "aad7b32bfa930c739c096d186a28707cbc970ba432f3300869feae215b529656",
     "density_t0.3.csv": "b66910d9193713844f87683e5ad5a564264d03de1d011b227e7115d4f40db4d9",
     "density_t0.csv": "bf2f7d961f364f38759b71d142fd4cf14550ff37857ed8ceb35718c7f77d4209",
-    "grid.json": "53ff2a9dc523520026584ce95ceec0f7d72e57bcd288cf38e95cc469e8380dd3",
     "iterations.csv": "899d6846550619519e636efbcdf01de37515ffe04987184981d0c975c428b742",
     "manifest.json": "6720075600beaa3ade037c8542a47735f0b626aaf14afb082ac91e1da40d0b0d",
     "summary.json": "7fc887ea2b11ade7d84290d5dd135fd8f802566a701305845024562743a3a4b3",
@@ -404,7 +403,7 @@ def test_lqg_commands_run_without_scipy(tmp_path):
 class TestRunGrid:
     def test_artifacts_written(self, grid_run):
         _, out = grid_run
-        for name in ("control.csv", "grid.json", "iterations.csv",
+        for name in ("control.csv", "iterations.csv",
                      "summary.json", "manifest.json", "config.json",
                      "density_t0.csv", "density_t0.3.csv"):
             assert (out / name).exists(), name
@@ -535,6 +534,47 @@ class TestSimulate:
                      "--controller", str(tmp_path / "ghost"),
                      "--out", str(tmp_path / "s"), "--paths", "5"])
         assert code == 2
+
+    @pytest.mark.parametrize("victim", ["grid", "lqg"])
+    def test_out_holding_a_solved_answer_refused(
+        self, victim, lqg_run, grid_run, request, tmp_path, capsys
+    ):
+        """An --out that holds another solved run's answer is refused before
+        anything is written: simulate would overwrite that run's config.json,
+        which a grid run's control table is read over, and its manifest."""
+        _, run = request.getfixturevalue(f"{victim}_run")
+        out = tmp_path / "victim"
+        shutil.copytree(run, out)
+        names = ("config.json", "manifest.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        config, controller = lqg_run if victim == "grid" else grid_run
+        code = main(["simulate", "--config", str(config), "--controller", str(controller),
+                     "--out", str(out), "--paths", "3"])
+        assert code == 2
+        assert "holds a solved run's" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert not (out / "paths.csv").exists()
+
+    def test_simulate_reads_a_controller_solved_on_another_grid(self, grid_run, tmp_path):
+        """A grid controller is read over the grid of its own config.json,
+        here 21x21 with n_t 60, and simulated under a document on another
+        mesh and step: the objective is the library's under that table."""
+        _, run = grid_run
+        doc = dict(OBSTACLE_DOC, domain=dict(OBSTACLE_DOC["domain"], shape=[31, 11], n_t=100))
+        config = write_doc(tmp_path, doc, name="other.json")
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", str(config), "--controller", str(run),
+                     "--out", str(out), "--paths", "20"])
+        assert code == 0
+        cfg = parse_config(doc)
+        cost = simulation_cost(cfg)
+        law = sdesim.GridControlLaw(*read_control_table(run))
+        ensemble = sdesim.simulate_paths(
+            simulation_dynamics(cfg), law, cfg.grid.horizon, cfg.grid.dt, 20, cfg.seed,
+            cost=cost, history=True,
+        )
+        mean, _ = sdesim.estimate_objective(ensemble, cost)
+        assert read_json(out / "objective.json")["mean"] == mean
 
 
 class TestVerify:
@@ -745,31 +785,41 @@ class TestVerify:
         assert failing
         assert any(f"k={int(k)}" in c["detail"] for c in failing)
 
-    def test_tampered_config_fails_digest(self, lqg_run, tmp_path, capsys):
-        config, _ = lqg_run
+    @pytest.mark.parametrize("family", ["lqg", "grid"])
+    def test_tampered_config_fails_digest(self, family, request, tmp_path, capsys):
+        """An edited config.json fails the manifest digest. For a grid run it
+        is also the grid the control table is read over: here the state
+        axis, which the table does not index, so the table still reads."""
+        _, run = request.getfixturevalue(f"{family}_run")
         out = tmp_path / "run"
-        assert main(["run-lqg", "--config", str(config), "--out", str(out)]) == 0
+        shutil.copytree(run, out)
         doc = json.loads((out / "config.json").read_text())
-        doc["seed"] = 12345
+        if family == "lqg":
+            doc["seed"] = 12345
+        else:
+            doc["domain"]["lower"][0] = -4.0
         (out / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
         assert main(["verify", str(out)]) == 1
+        checks = {c["name"]: c["passed"] for c in read_json(out / "verify.json")["checks"]}
+        assert checks["manifest digest matches stored config"] is False
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "ghost")]) == 2
 
 
 def nan_horizon(text):
-    return json.dumps(dict(json.loads(text), horizon=float("nan")))
+    doc = json.loads(text)
+    return json.dumps(dict(doc, domain=dict(doc["domain"], horizon=float("nan"))))
 
 
 @pytest.mark.parametrize(
     "command, name, edit",
     [
-        ("simulate", "grid.json", lambda text: text[:20]),
-        ("verify", "grid.json", lambda text: "{}"),
+        ("simulate", "config.json", lambda text: text[:20]),
+        ("verify", "config.json", lambda text: "{}"),
         ("verify", "manifest.json", lambda text: "not json"),
-        ("simulate", "grid.json", nan_horizon),
-        ("verify", "grid.json", nan_horizon),
+        ("simulate", "config.json", nan_horizon),
+        ("verify", "config.json", nan_horizon),
     ],
     ids=[
         "truncated-grid-simulate", "empty-grid-verify", "non-json-manifest-verify",
@@ -779,9 +829,9 @@ def nan_horizon(text):
 def test_corrupted_json_artifact_is_exit_2(command, name, edit, grid_run, tmp_path, capsys):
     """A run directory's JSON artifact that does not parse, or lacks what
     it must hold, is invalid input: exit 2 and one error line naming it.
-    So is one holding NaN, which write_json never writes: a NaN horizon
-    in grid.json would pass the horizon check and reach the control
-    law's time index."""
+    So is a config.json holding a NaN horizon, which the control table
+    would be read over: it would pass the horizon check and reach the
+    control law's time index."""
     config, run = grid_run
     corrupted = tmp_path / "run"
     shutil.copytree(run, corrupted)
@@ -794,7 +844,7 @@ def test_corrupted_json_artifact_is_exit_2(command, name, edit, grid_run, tmp_pa
         argv = ["verify", str(corrupted)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err
+    assert err.startswith("error: ") and str(path) in err
     assert "Traceback" not in err
 
 
@@ -922,7 +972,7 @@ def _swap_rows_0_and_299(header, rows):
 )
 def test_corrupted_control_table_is_exit_2(command, tamper, fault, grid_run, tmp_path, capsys):
     """A control.csv with a non-finite cell, or with index columns (t_index,
-    t, z_*) other than those written for its grid.json, is invalid input to
+    t, z_*) other than those written for its config.json, is invalid input to
     both commands: simulate would apply an undefined or misplaced control,
     and verify would report a numerical failure or check a table that is
     not the one the law reads."""
@@ -932,32 +982,6 @@ def test_corrupted_control_table_is_exit_2(command, tamper, fault, grid_run, tmp
     assert err.startswith("error: ") and "control.csv" in err and fault in err
     assert "Traceback" not in err
     assert not (corrupted / "verify.json").exists()
-
-
-@pytest.mark.parametrize(
-    "key, value", [("lower", [-4.0, -2.0]), ("upper", [4.0, 2.0]), ("shape", [31, 21])]
-)
-def test_verify_refuses_a_grid_sidecar_off_the_configured_grid(
-    key, value, grid_run, tmp_path, capsys
-):
-    """verify steps the stored control on the configured grid, and simulate
-    interpolates it on grid.json's: verify refuses a sidecar that differs
-    from the configuration, here on the state axis the control table does
-    not index. simulate still accepts it, since a law may be solved on
-    another mesh."""
-    config, run = grid_run
-    corrupted = tmp_path / "run"
-    shutil.copytree(run, corrupted)
-    (corrupted / "verify.json").unlink(missing_ok=True)
-    path = corrupted / "grid.json"
-    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{key: value})))
-    assert main(["verify", str(corrupted)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} ") and "grid.json" in err
-    assert not (corrupted / "verify.json").exists()
-    argv = ["simulate", "--config", str(config), "--controller", str(corrupted),
-            "--out", str(tmp_path / "sim"), "--paths", "5"]
-    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(
@@ -989,6 +1013,19 @@ def test_section_that_is_not_an_object_is_exit_2_before_any_output(
 
 
 NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize(
+    "text, fault", [("{not json", "is not valid JSON"), ("[1, 2]", "root must be a JSON object")]
+)
+def test_config_that_is_no_json_object_is_exit_2_naming_it(text, fault, tmp_path, capsys):
+    config = tmp_path / "problem.json"
+    config.write_text(text)
+    out = tmp_path / "run"
+    assert main(["run-grid", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config}") and fault in err
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
